@@ -169,23 +169,6 @@ def back_projection(n, m):
     return out
 
 
-def make_generator(kind, n, i=None, eps=None, perm=None):
-    """Uniform generator constructor used by the input-document layer."""
-    if kind == "incl":
-        return insertion(n, i, eps)
-    if kind == "proj":
-        return projection(n, i)
-    if kind == "invol":
-        return involution(n, i)
-    if kind == "perm":
-        return permutation_map(n, list(perm))
-    if kind == "mu":
-        if n != 2 or (i not in (None, 1)):
-            raise ValueError("mu is the merge 2 -> 1")
-        return merge(2, 1)
-    raise ValueError("unknown generator kind %r" % (kind,))
-
-
 # ---------------------------------------------------------------------------
 # Hom-set enumeration by closure
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cube import (
+    alternating_idempotent,
     back_projection,
     compose,
     front_projection,
@@ -28,8 +29,6 @@ from .cube import (
     q_merge,
     transposition,
     signed_as_cube_map,
-    signed_symmetry_group,
-    sign_character,
     vertex_index,
     vertices,
 )
@@ -482,6 +481,15 @@ def normalized_complex(A):
     B0 = reduced.level_basis
     DF = {n: reduced.complex.d(-n) for n in range(1, top + 1)}
 
+    def face_kernel(n, conds):
+        """Basis of the reduced level n on which the eps=0 faces in `conds` vanish."""
+        if not conds:
+            return Matrix.identity(A.ring, B0[n].ncols)
+        stacked = A.act(insertion(n - 1, conds[0], 0)) * B0[n]
+        for i in conds[1:]:
+            stacked = stacked.vstack(A.act(insertion(n - 1, i, 0)) * B0[n])
+        return kernel(stacked)
+
     stages = range(0, max(top - 1, 1))
     stage_basis = {}
     stage_project = {}
@@ -490,14 +498,7 @@ def normalized_complex(A):
         fdim = B0[n].ncols
         stage_basis[(-1, n)] = Matrix.identity(A.ring, fdim)
         for M in stages:
-            conds = _stage_conditions(n, M)
-            if conds:
-                stacked = A.act(insertion(n - 1, conds[0], 0)) * B0[n]
-                for i in conds[1:]:
-                    stacked = stacked.vstack(A.act(insertion(n - 1, i, 0)) * B0[n])
-                stage_basis[(M, n)] = kernel(stacked)
-            else:
-                stage_basis[(M, n)] = Matrix.identity(A.ring, fdim)
+            stage_basis[(M, n)] = face_kernel(n, _stage_conditions(n, M))
             j = n - M - 1
             if 1 <= j <= n - 1:
                 qpull = A.act(q_merge(n, j))
@@ -524,14 +525,7 @@ def normalized_complex(A):
         for M in stages:
             acc = stage_project[(M, n)] * acc
             prefix[(M, n)] = acc
-        conds = _stage_conditions(n, top)
-        if conds:
-            stacked = A.act(insertion(n - 1, conds[0], 0)) * B0[n]
-            for i in conds[1:]:
-                stacked = stacked.vstack(A.act(insertion(n - 1, i, 0)) * B0[n])
-            include[n] = kernel(stacked)
-        else:
-            include[n] = Matrix.identity(A.ring, fdim)
+        include[n] = face_kernel(n, _stage_conditions(n, top))
         last = max(stages)
         project[n] = _restrict(include[n], prefix[(last, n)], Matrix.identity(A.ring, fdim), "retraction")
     for n in range(top + 1):
@@ -633,23 +627,18 @@ def level_symmetry_matrix(A, g):
 def alternating_projector(A, n, group="F"):
     if A.ring != RING_Q:
         raise ValueError("alternating projectors need rational coefficients")
-    elements = signed_symmetry_group(n, group)
-    c = Fraction(1, len(elements))
     out = Matrix.zero(RING_Q, A.rank(n), A.rank(n))
-    for g in elements:
-        term = level_symmetry_matrix(A, g).scale(c * sign_character(g))
-        out = out + term
+    for c, g in alternating_idempotent(n, group):
+        out = out + level_symmetry_matrix(A, g).scale(c)
     return out
 
 
 def alternating_trace_rank(A, n, group="F"):
     """Rank of the sign part from the character formula, as a cross-check."""
-    elements = signed_symmetry_group(n, group)
-    total = Fraction(0)
-    for g in elements:
+    val = Fraction(0)
+    for c, g in alternating_idempotent(n, group):
         m = level_symmetry_matrix(A, g)
-        total += sign_character(g) * sum(m.rows[k][k] for k in range(m.nrows))
-    val = total / len(elements)
+        val += c * sum(m.rows[k][k] for k in range(m.nrows))
     if val.denominator != 1:
         raise ValueError("trace average is not an integer")
     return int(val)

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cube import (
+    alternating_idempotent,
     compose as compose_cube,
     identity_map,
     front_projection,
     back_projection,
-    sign_character,
     signed_as_cube_map,
-    signed_symmetry_group,
     vertex_index,
 )
 from .cubical import (
@@ -41,6 +40,8 @@ from .cubical import (
 )
 from .linalg import (
     Matrix,
+    _apply,
+    _columns_to_matrix,
     complex_homology,
     is_quasi_iso,
     hom_complex,
@@ -51,6 +52,7 @@ from .linalg import (
     make_complex,
     single_complex,
     solve,
+    solve_vector,
 )
 
 
@@ -72,18 +74,8 @@ class HomElement:
         return all(v == 0 for v in self.vector)
 
 
-def _apply(mat, vec):
-    out = mat * Matrix.column(mat.ring, list(vec))
-    return tuple(out.rows[r][0] for r in range(out.nrows))
-
-
 def _kron_vec(u, v):
     return tuple(a * b for a in u for b in v)
-
-
-def _columns_to_matrix(ring, nrows, cols):
-    rows = [[col[r] for col in cols] for r in range(nrows)]
-    return Matrix(ring, rows, nrows=nrows, ncols=len(cols))
 
 
 class DGCategory:
@@ -340,28 +332,6 @@ def validate_dg(C):
     return DGReport(ok=not failures, failures=tuple(failures))
 
 
-def flip_composition_signs(C):
-    """Negative control: scale composition in degrees (p, q) by (-1)^(pq).
-
-    The rescaled pairing still has the right shape but violates the Leibniz
-    rule as soon as a differential moves an element across the parity of q,
-    so `validate_dg` must flag it on any category with a nonzero d.
-    """
-
-    def comp(x, y, z, p, q):
-        mat = C.comp_matrix(x, y, z, p, q)
-        return mat.scale(-1) if (p * q) % 2 else mat
-
-    return DGCategory(
-        C.ring,
-        C.objects,
-        C.hom,
-        comp_fn=comp,
-        id_fn=lambda x: C.identity(x).vector,
-        name="flipped(%s)" % (C.name or "?"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Truncation and the homotopy category.
 
@@ -414,10 +384,10 @@ def truncate_nonpositive(C):
         return out
 
     def id_fn(x):
-        coords = solve(kern(x, x), Matrix.column(C.ring, list(C.identity(x).vector)))
+        coords = solve_vector(kern(x, x), C.identity(x).vector)
         if coords is None:
             raise ValueError("identity is not closed")
-        return tuple(coords.rows[r][0] for r in range(coords.nrows))
+        return coords
 
     return DGCategory(
         C.ring, C.objects, hom_fn, comp_fn=comp_fn, id_fn=id_fn,
@@ -445,8 +415,8 @@ class H0Category:
         return _apply(self.comp[(x, y, z)], _kron_vec(gvec, fvec))
 
     def same_class(self, x, y, u, v):
-        diff = Matrix.column(self.ring, [a - b for a, b in zip(u, v)])
-        return solve(self.boundaries[(x, y)], diff) is not None
+        diff = [a - b for a, b in zip(u, v)]
+        return solve_vector(self.boundaries[(x, y)], diff) is not None
 
     def is_invertible(self, x, y, fvec):
         """Two-sided invertibility of a cycle class, decided by one linear
@@ -470,7 +440,8 @@ class H0Category:
             return True
         r = self.cycles[(x, y)].ncols
         if r == 0:
-            return self.cycles[(y, x)].ncols == 0 and self.groups[(x, y)].is_zero()
+            # the only candidate is 0, an isomorphism between zero objects only
+            return self.groups[(x, x)].is_zero() and self.groups[(y, y)].is_zero()
         if r <= 6:
             values = range(-bound, bound + 1)
             for coords in itertools.product(values, repeat=r):
@@ -510,12 +481,9 @@ def homotopy_category(C):
                     raise ValueError("composition does not preserve cycles")
                 comp[(x, y, z)] = out
     for x in C.objects:
-        coords = solve(
-            cycles[(x, x)], Matrix.column(C.ring, list(C.identity(x).vector))
-        )
-        if coords is None:
+        ident[x] = solve_vector(cycles[(x, x)], C.identity(x).vector)
+        if ident[x] is None:
             raise ValueError("identity is not a cycle")
-        ident[x] = tuple(coords.rows[r][0] for r in range(coords.nrows))
     return H0Category(C.ring, C.objects, cycles, boundaries, groups, comp, ident)
 
 
@@ -643,25 +611,6 @@ def dg_homotopy_equivalence_check(F, window=None, search_bound=1):
     return EquivalenceReport(ok, frep, tuple(hom_reports), tuple(missing))
 
 
-def collapse_functor(C):
-    """Everything to a single object with zero Homs; a valid functor that is
-    never an equivalence unless C itself is trivial."""
-    target = DGCategory(
-        C.ring, ("*",),
-        hom_fn=lambda x, y: make_complex(C.ring, 0, [0]),
-        comp_fn=lambda x, y, z, p, q: Matrix.zero(C.ring, 0, 0),
-        id_fn=lambda x: (),
-        name="point",
-    )
-    mor_maps = {}
-    for x in C.objects:
-        for y in C.objects:
-            src = C.hom(x, y)
-            comps = {n: Matrix.zero(C.ring, 0, src.rank(n)) for n in src.degrees()}
-            mor_maps[(x, y)] = make_chain_map(src, target.hom("*", "*"), comps, check=False)
-    return DGFunctor(C, target, {x: "*" for x in C.objects}, mor_maps)
-
-
 # ---------------------------------------------------------------------------
 # Tensor data over a DG category.
 
@@ -680,31 +629,6 @@ class TensorDGData:
     obj_tensor: object
     mor_tensor: object
     symmetry: object
-
-
-def tensor_data_report(T, triples):
-    """Spot-check bifunctoriality and the symmetry axioms on listed element
-    pairs; `triples` is an iterable of ((f, g), (f2, g2)) with f, f2 and
-    g, g2 composable."""
-    failures = []
-    C = T.category
-    for (f, g), (f2, g2) in triples:
-        lhs = C.compose(T.mor_tensor(f, g), T.mor_tensor(f2, g2))
-        rhs = T.mor_tensor(C.compose(f, f2), C.compose(g, g2))
-        if (g.degree * f2.degree) % 2:
-            rhs = C.scale(rhs, -1)
-        if lhs != rhs:
-            failures.append(DGFailure("tensor-interchange", (f.source, g.source), "mismatch"))
-    for (f, g), _ in triples:
-        t_out = T.symmetry(f.target, g.target)
-        t_in = T.symmetry(f.source, g.source)
-        lhs = C.compose(t_out, T.mor_tensor(f, g))
-        rhs = C.compose(T.mor_tensor(g, f), t_in)
-        if (f.degree * g.degree) % 2:
-            rhs = C.scale(rhs, -1)
-        if lhs != rhs:
-            failures.append(DGFailure("tensor-symmetry", (f.source, g.source), "mismatch"))
-    return DGReport(ok=not failures, failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +782,27 @@ def _fincor_rank(key):
     return n
 
 
+def _row_major_product(nx, ny, nz, gvec, fvec):
+    """g . f for g: ny -> nz and f: nx -> ny stored as row-major matrices."""
+    out = [0] * (nx * nz)
+    for iz in range(nz):
+        for iy in range(ny):
+            c = gvec[iz * ny + iy]
+            if c == 0:
+                continue
+            base = iy * nx
+            for ix in range(nx):
+                out[iz * nx + ix] += c * fvec[base + ix]
+    return tuple(out)
+
+
+def _row_major_identity(n):
+    vec = [0] * (n * n)
+    for i in range(n):
+        vec[i * n + i] = 1
+    return tuple(vec)
+
+
 def fincor_vector(X, Y, pairs):
     """Element of Hom(X, Y) from (point of X, point of Y, coefficient)
     triples; basis order is (target point, source point) row-major."""
@@ -902,26 +847,12 @@ def build_fincor(universe, ring="Z", top=4):
         return single_complex(ring, 0, _fincor_rank(X) * _fincor_rank(Y))
 
     def comp_vec(X, Y, Z, p, q, gvec, fvec):
-        nx, ny, nz = _fincor_rank(X), _fincor_rank(Y), _fincor_rank(Z)
-        out = [0] * (nx * nz)
-        for iz in range(nz):
-            for iy in range(ny):
-                c = gvec[iz * ny + iy]
-                if c == 0:
-                    continue
-                base = iy * nx
-                for ix in range(nx):
-                    out[iz * nx + ix] += c * fvec[base + ix]
-        return tuple(out)
+        return _row_major_product(
+            _fincor_rank(X), _fincor_rank(Y), _fincor_rank(Z), gvec, fvec
+        )
 
-    def id_fn(X):
-        n = _fincor_rank(X)
-        vec = [0] * (n * n)
-        for i in range(n):
-            vec[i * n + i] = 1
-        return tuple(vec)
-
-    cat = DGCategory(ring, objects, hom_fn, comp_vec_fn=comp_vec, id_fn=id_fn,
+    cat = DGCategory(ring, objects, hom_fn, comp_vec_fn=comp_vec,
+                     id_fn=lambda X: _row_major_identity(_fincor_rank(X)),
                      name="fincor/%s" % ring)
 
     def mor_tensor(f, g):
@@ -989,25 +920,10 @@ def build_vertex_cubes(ring="Q", top=3, objects=(1, 2)):
         return single_complex(ring, 0, m * n)
 
     def comp_vec(x, y, z, p, q, gvec, fvec):
-        out = [0] * (x * z)
-        for iz in range(z):
-            for iy in range(y):
-                c = gvec[iz * y + iy]
-                if c == 0:
-                    continue
-                base = iy * x
-                for ix in range(x):
-                    out[iz * x + ix] += c * fvec[base + ix]
-        return tuple(out)
-
-    def id_fn(m):
-        vec = [0] * (m * m)
-        for i in range(m):
-            vec[i * m + i] = 1
-        return tuple(vec)
+        return _row_major_product(x, y, z, gvec, fvec)
 
     cat = DGCategory(ring, tuple(objects), hom_fn, comp_vec_fn=comp_vec,
-                     id_fn=id_fn, name="freemod/%s" % ring)
+                     id_fn=_row_major_identity, name="freemod/%s" % ring)
 
     def mor_tensor(f, g):
         if f.degree or g.degree:
@@ -1056,6 +972,29 @@ def build_vertex_cubes(ring="Q", top=3, objects=(1, 2)):
 # The cubical enrichment.
 
 
+def _projected_composition(plain, model, projector, x, y, z, p, q):
+    """Composition of an enrichment whose Hom complexes are subcomplexes
+    `model(x, y)` of the full levels of the cubical enrichment `plain`:
+    compose on the full level n = -(p + q), then project back along
+    `projector(x, z, n)` and read off coordinates in the model basis."""
+    ring = plain.host.category.ring
+    b, a = -p, -q
+    n = a + b
+    gfull = plain.group(y, z).act(front_projection(b, a)) * model(y, z).level_basis[b]
+    ffull = plain.group(x, y).act(back_projection(b, a)) * model(x, y).level_basis[a]
+    fcols = [tuple(ffull.col(j)) for j in range(ffull.ncols)]
+    cols = [
+        plain._chat(x, y, z, tuple(gfull.col(i)), fcol, n)
+        for i in range(gfull.ncols)
+        for fcol in fcols
+    ]
+    raw = _columns_to_matrix(ring, plain.group(x, z).rank(n), cols)
+    reduced = solve(model(x, z).level_basis[n], projector(x, z, n) * raw)
+    if reduced is None:
+        raise ValueError("projected composition escapes the model")
+    return reduced
+
+
 class CubicalEnrichment:
     """Hom(X, Y)^(-n) = Hom_C(X (x) cube^n, Y) with the degenerate part
     split off, composition by cube duplication after the cup pairing.
@@ -1085,8 +1024,12 @@ class CubicalEnrichment:
         self.category = DGCategory(
             host.category.ring, objs,
             hom_fn=lambda x, y: self.model(x, y).complex,
-            comp_fn=self._comp_matrix,
-            id_fn=self._identity,
+            comp_fn=lambda *key: _projected_composition(
+                self, self.model, self.projector, *key
+            ),
+            id_fn=lambda x: solve_vector(
+                self.model(x, x).level_basis[0], host.category.identity(x).vector
+            ),
             name=name or "enriched(%s)" % (host.category.name or "?"),
         )
 
@@ -1136,6 +1079,10 @@ class CubicalEnrichment:
             self._splits[key] = degenerate_splitting(self.group(x, y), n)
         return self._splits[key]
 
+    def projector(self, x, y, n):
+        """Projection of level n onto the reduced part."""
+        return self.splitting(x, y, n).projector
+
     def degree0_iso(self, x, y):
         """Matrix identifying the host Hom module with the degree-0 part of
         the enriched Hom; the reduced basis at level 0 is the whole level,
@@ -1154,43 +1101,6 @@ class CubicalEnrichment:
         dup = host.mor_tensor(C.identity(x), Q.delta(n))
         w = C.compose(host.mor_tensor(f, C.identity(cn)), dup)
         return C.compose(g, w).vector
-
-    def _comp_matrix(self, x, y, z, p, q):
-        b, a = -p, -q
-        n = a + b
-        rows = self.model(x, z).complex.rank(p + q)
-        Byz = self.model(y, z).level_basis[b]
-        Bxy = self.model(x, y).level_basis[a]
-        cols_n = Byz.ncols * Bxy.ncols
-        if rows == 0 or cols_n == 0:
-            return Matrix.zero(self.category.ring, rows, cols_n)
-        Ayz = self.group(y, z)
-        Axy = self.group(x, y)
-        gfull = Ayz.act(front_projection(b, a)) * Byz
-        ffull = Axy.act(back_projection(b, a)) * Bxy
-        cols = []
-        fcols = [
-            tuple(ffull.rows[r][j] for r in range(ffull.nrows))
-            for j in range(ffull.ncols)
-        ]
-        for i in range(gfull.ncols):
-            gcol = tuple(gfull.rows[r][i] for r in range(gfull.nrows))
-            for fcol in fcols:
-                cols.append(self._chat(x, y, z, gcol, fcol, n))
-        raw = _columns_to_matrix(self.category.ring, self.group(x, z).rank(n), cols)
-        reduced = solve(
-            self.model(x, z).level_basis[n], self.splitting(x, z, n).projector * raw
-        )
-        if reduced is None:
-            raise ValueError("projected composition escapes the reduced part")
-        return reduced
-
-    def _identity(self, x):
-        coords = solve(
-            self.model(x, x).level_basis[0],
-            Matrix.column(self.category.ring, list(self.host.category.identity(x).vector)),
-        )
-        return tuple(coords.rows[r][0] for r in range(coords.nrows))
 
 
 def cubical_enrichment(host, cocube, objects=None, name=""):
@@ -1223,8 +1133,12 @@ class AlternatingEnrichment:
         self.category = DGCategory(
             "Q", objs,
             hom_fn=lambda x, y: self.alt(x, y).complex,
-            comp_fn=self._comp_matrix,
-            id_fn=self._identity,
+            comp_fn=lambda *key: _projected_composition(
+                self._plain, self.alt, self.projector, *key
+            ),
+            id_fn=lambda x: solve_vector(
+                self.alt(x, x).level_basis[0], host.category.identity(x).vector
+            ),
             name="alt(%s)" % (host.category.name or "?"),
         )
         self.tensor = TensorDGData(
@@ -1240,70 +1154,29 @@ class AlternatingEnrichment:
             self._alt[key] = alternating_complex(self.group(x, y), group="F", variant="full")
         return self._alt[key]
 
+    def projector(self, x, y, n):
+        """The sign average on level n."""
+        return alternating_projector(self.group(x, y), n, "F")
+
     def _alt_cube_element(self, n):
         """The averaged signed symmetries as an endomorphism of cube^n."""
         if n not in self._alt_cube:
             host, Q = self.host, self.cocube
             C = host.category
             cn = Q.cube(n)
-            r = C.hom(cn, cn).rank(0)
-            total = [Fraction(0)] * r
-            elements = signed_symmetry_group(n, "F")
-            c = Fraction(1, len(elements))
-            for g in elements:
+            total = [Fraction(0)] * C.hom(cn, cn).rank(0)
+            for c, g in alternating_idempotent(n, "F"):
                 vec = Q.image(signed_as_cube_map(g)).vector
-                s = c * sign_character(g)
-                total = [t + s * v for t, v in zip(total, vec)]
+                total = [t + c * v for t, v in zip(total, vec)]
             self._alt_cube[n] = HomElement(cn, cn, 0, tuple(total))
         return self._alt_cube[n]
-
-    def _comp_matrix(self, x, y, z, p, q):
-        b, a = -p, -q
-        n = a + b
-        rows = self.alt(x, z).complex.rank(p + q)
-        Byz = self.alt(y, z).level_basis[b]
-        Bxy = self.alt(x, y).level_basis[a]
-        cols_n = Byz.ncols * Bxy.ncols
-        if rows == 0 or cols_n == 0:
-            return Matrix.zero("Q", rows, cols_n)
-        Ayz = self.group(y, z)
-        Axy = self.group(x, y)
-        gfull = Ayz.act(front_projection(b, a)) * Byz
-        ffull = Axy.act(back_projection(b, a)) * Bxy
-        cols = []
-        fcols = [
-            tuple(ffull.rows[r][j] for r in range(ffull.nrows))
-            for j in range(ffull.ncols)
-        ]
-        for i in range(gfull.ncols):
-            gcol = tuple(gfull.rows[r][i] for r in range(gfull.nrows))
-            for fcol in fcols:
-                cols.append(self._plain._chat(x, y, z, gcol, fcol, n))
-        raw = _columns_to_matrix("Q", self.group(x, z).rank(n), cols)
-        proj = alternating_projector(self.group(x, z), n, "F")
-        reduced = solve(self.alt(x, z).level_basis[n], proj * raw)
-        if reduced is None:
-            raise ValueError("projected composition escapes the alternating part")
-        return reduced
-
-    def _identity(self, x):
-        coords = solve(
-            self.alt(x, x).level_basis[0],
-            Matrix.column("Q", [Fraction(v) for v in self.host.category.identity(x).vector]),
-        )
-        return tuple(coords.rows[r][0] for r in range(coords.nrows))
 
     def _symmetry(self, x, y):
         t = self.host.symmetry(x, y)
         xy = self.host.obj_tensor(x, y)
         yx = self.host.obj_tensor(y, x)
-        coords = solve(
-            self.alt(xy, yx).level_basis[0],
-            Matrix.column("Q", [Fraction(v) for v in t.vector]),
-        )
-        return self.category.element(
-            xy, yx, 0, tuple(coords.rows[r][0] for r in range(coords.nrows))
-        )
+        coords = solve_vector(self.alt(xy, yx).level_basis[0], t.vector)
+        return self.category.element(xy, yx, 0, coords)
 
     def _embed(self, f):
         """Full-level host element behind an alternating coordinate vector."""
@@ -1338,20 +1211,33 @@ class AlternatingEnrichment:
         pre = C.compose(mid, host.mor_tensor(C.identity(xx), split))
         tilde = C.compose(host.mor_tensor(self._embed(f), self._embed(g)), pre)
         res = C.compose(tilde, host.mor_tensor(C.identity(xx), self._alt_cube_element(N)))
-        coords = solve(
-            self.alt(xx, yy).level_basis[N],
-            Matrix.column("Q", list(res.vector)),
-        )
+        coords = solve_vector(self.alt(xx, yy).level_basis[N], res.vector)
         if coords is None:
             raise ValueError("box tensor escapes the alternating part")
-        return self.category.element(
-            xx, yy, f.degree + g.degree,
-            tuple(coords.rows[r][0] for r in range(coords.nrows)),
-        )
+        return self.category.element(xx, yy, f.degree + g.degree, coords)
 
 
 def alternating_enrichment(host, cocube, objects=None):
     return AlternatingEnrichment(host, cocube, objects=objects)
+
+
+def _levelwise_functor(src, tgt, top, source_model, target_model, projector):
+    """Identity on objects; on level n of each Hom pair, the source model's
+    basis under `projector(x, y, n)`, in target model coordinates."""
+    mor_maps = {}
+    for x in src.objects:
+        for y in src.objects:
+            comps = {}
+            for n in range(top + 1):
+                mat = solve(
+                    target_model(x, y).level_basis[n],
+                    projector(x, y, n) * source_model(x, y).level_basis[n],
+                )
+                if mat is None:
+                    raise ValueError("projection escapes the target model")
+                comps[-n] = mat
+            mor_maps[(x, y)] = make_chain_map(src.hom(x, y), tgt.hom(x, y), comps)
+    return DGFunctor(src, tgt, {x: x for x in src.objects}, mor_maps)
 
 
 def alternating_inclusion_functor(alt_enr, enr):
@@ -1366,23 +1252,9 @@ def alternating_inclusion_functor(alt_enr, enr):
     alternating side records 0).  `validate_functor` reports exactly where.
     The strict functor between the two enrichments is the projection below.
     """
-    src = alt_enr.category
-    tgt = enr.category
-    mor_maps = {}
-    for x in src.objects:
-        for y in src.objects:
-            comps = {}
-            for n in range(enr.window + 1):
-                proj = enr.splitting(x, y, n).projector
-                emb = alt_enr.alt(x, y).level_basis[n]
-                mat = solve(enr.model(x, y).level_basis[n], proj * emb)
-                if mat is None:
-                    raise ValueError("projection escapes the reduced part")
-                comps[-n] = mat
-            mor_maps[(x, y)] = make_chain_map(
-                src.hom(x, y), tgt.hom(x, y), comps
-            )
-    return DGFunctor(src, tgt, {x: x for x in src.objects}, mor_maps)
+    return _levelwise_functor(
+        alt_enr.category, enr.category, enr.window, alt_enr.alt, enr.model, enr.projector
+    )
 
 
 def alternating_projection_functor(enr, alt_enr):
@@ -1394,21 +1266,10 @@ def alternating_projection_functor(enr, alt_enr):
     level, so the kernel of the average is an ideal and the projected
     composition agrees with composing the projections.
     """
-    src = enr.category
-    tgt = alt_enr.category
-    mor_maps = {}
-    for x in src.objects:
-        for y in src.objects:
-            comps = {}
-            for n in range(enr.window + 1):
-                proj = alternating_projector(enr.group(x, y), n, "F")
-                emb = enr.model(x, y).level_basis[n]
-                mat = solve(alt_enr.alt(x, y).level_basis[n], proj * emb)
-                if mat is None:
-                    raise ValueError("sign average escapes the alternating part")
-                comps[-n] = mat
-            mor_maps[(x, y)] = make_chain_map(src.hom(x, y), tgt.hom(x, y), comps)
-    return DGFunctor(src, tgt, {x: x for x in src.objects}, mor_maps)
+    return _levelwise_functor(
+        enr.category, alt_enr.category, enr.window, enr.model, alt_enr.alt,
+        lambda x, y, n: alternating_projector(enr.group(x, y), n, "F"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1443,15 +1304,10 @@ class TensorAction:
         res = host.mor_tensor(a, full)
         sx = host.obj_tensor(a.source, f.source)
         tx = host.obj_tensor(a.target, f.target)
-        coords = solve(
-            enr.model(sx, tx).level_basis[n],
-            Matrix.column(C.ring, list(res.vector)),
-        )
+        coords = solve_vector(enr.model(sx, tx).level_basis[n], res.vector)
         if coords is None:
             raise ValueError("action escapes the reduced part")
-        return enr.category.element(
-            sx, tx, f.degree, tuple(coords.rows[r][0] for r in range(coords.nrows))
-        )
+        return enr.category.element(sx, tx, f.degree, coords)
 
     def functor(self, A):
         """The DG endofunctor A (x) -, with components assembled columnwise."""

@@ -4,8 +4,7 @@ Everything downstream (cubical complexes, twisted complexes, sheaf towers)
 reduces to the primitives in this module: integer Smith normal form with a
 pinned pivot rule, saturated kernels, exact solving, homology with torsion,
 Hom-complexes and mapping cones.  No floats anywhere; matrices are dense
-tuples of tuples (soft practical limit around 512x512 -- callers needing
-bigger systems use the sparse rational routines at the bottom).
+tuples of tuples (soft practical limit around 512x512).
 """
 
 from dataclasses import dataclass
@@ -14,19 +13,6 @@ from fractions import Fraction
 
 RING_Z = "Z"
 RING_Q = "Q"
-
-
-def xgcd(a, b):
-    """Extended gcd: returns (g, x, y) with g = a*x + b*y and g >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 def _coerce(ring, value):
@@ -76,10 +62,6 @@ class Matrix:
     @staticmethod
     def identity(ring, n):
         return Matrix(ring, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def from_rows(ring, rows):
-        return Matrix(ring, rows)
 
     @staticmethod
     def column(ring, entries):
@@ -163,14 +145,6 @@ class Matrix:
                             acc[j] += a * b
             out.append(acc)
         return Matrix(self.ring, out, nrows=self.nrows, ncols=other.ncols)
-
-    def transpose(self):
-        return Matrix(
-            self.ring,
-            list(zip(*self.rows)) if self.rows else [],
-            nrows=self.ncols,
-            ncols=self.nrows,
-        )
 
     def kron(self, other):
         """Kronecker product; row/column index order is (i_self, i_other) row-major."""
@@ -271,6 +245,38 @@ def block_matrix(ring, blocks):
                     row.extend(b.rows[r])
             rows.append(row)
     return Matrix(ring, rows, nrows=sum(row_h), ncols=sum(col_w))
+
+
+def block_diagonal(ring, blocks):
+    """The blocks along the diagonal, zero elsewhere; no blocks give 0 x 0."""
+    width = sum(b.ncols for b in blocks)
+    rows = []
+    left = 0
+    for b in blocks:
+        right = width - left - b.ncols
+        for row in b.rows:
+            rows.append([0] * left + list(row) + [0] * right)
+        left += b.ncols
+    return Matrix(ring, rows, nrows=sum(b.nrows for b in blocks), ncols=width)
+
+
+def add_block(entries, block, roff, coff, scalar=1):
+    """Add scalar * block into the list-of-lists `entries` at (roff, coff)."""
+    for r, row in enumerate(block.rows):
+        out = entries[roff + r]
+        for c, v in enumerate(row):
+            if v:
+                out[coff + c] += scalar * v
+
+
+def _apply(mat, vec):
+    """mat * vec for a coordinate tuple, as a tuple."""
+    return tuple((mat * Matrix.column(mat.ring, list(vec))).col(0))
+
+
+def _columns_to_matrix(ring, nrows, cols):
+    rows = [[col[r] for col in cols] for r in range(nrows)]
+    return Matrix(ring, rows, nrows=nrows, ncols=len(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +452,6 @@ def z_kernel(A):
     return snf.V.submatrix(range(A.ncols), cols)
 
 
-def z_image_invariants(A):
-    """Invariant factors (>1 entries keep torsion info) of the image lattice."""
-    return smith_normal_form(A).diagonal()
-
-
 def z_solve(A, B):
     """Solve A X = B over Z exactly; returns X or None when unsolvable."""
     snf = smith_normal_form(A)
@@ -548,6 +549,12 @@ def kernel(A):
 
 def solve(A, B):
     return z_solve(A, B) if A.ring == RING_Z else q_solve(A, B)
+
+
+def solve_vector(A, vec):
+    """One solution x of A x = vec as a coordinate tuple, or None."""
+    x = solve(A, Matrix.column(A.ring, list(vec)))
+    return None if x is None else tuple(x.col(0))
 
 
 def rank(A):
@@ -712,17 +719,7 @@ def dsum_complex(C, D):
     lo = min(C.lo, D.lo)
     hi = max(C.hi, D.hi)
     ranks = [C.rank(n) + D.rank(n) for n in range(lo, hi + 1)]
-    diffs = []
-    for n in range(lo, hi):
-        diffs.append(
-            block_matrix(
-                C.ring,
-                [
-                    [C.d(n), Matrix.zero(C.ring, C.rank(n + 1), D.rank(n))],
-                    [Matrix.zero(C.ring, D.rank(n + 1), C.rank(n)), D.d(n)],
-                ],
-            )
-        )
+    diffs = [block_diagonal(C.ring, [C.d(n), D.d(n)]) for n in range(lo, hi)]
     return make_complex(C.ring, lo, ranks, diffs, check=False)
 
 
@@ -1064,69 +1061,3 @@ def is_quasi_iso(f, window=None):
         if not h.is_zero():
             failing.append((n, h.describe()))
     return QuasiIsoReport(not failing, (lo, hi), tuple(failing))
-
-
-# ---------------------------------------------------------------------------
-# Sparse rational elimination, for the simplicial-compatibility systems whose
-# dense form would not fit the soft size limit.
-# ---------------------------------------------------------------------------
-
-
-def sparse_rref(rows, ncols):
-    """Row-reduce a list of {col: Fraction} rows; returns (rows', pivots)
-    where pivots maps pivot column -> index into rows'."""
-    work = [dict(r) for r in rows if r]
-    pivots = {}
-    reduced = []
-    for r in work:
-        while r:
-            j = min(r)
-            if j in pivots:
-                coeff = r[j]
-                prow = reduced[pivots[j]]
-                for k, v in prow.items():
-                    nv = r.get(k, Fraction(0)) - coeff * v
-                    if nv:
-                        r[k] = nv
-                    elif k in r:
-                        del r[k]
-            else:
-                inv = 1 / r[j]
-                r = {k: v * inv for k, v in r.items()}
-                pivots[j] = len(reduced)
-                reduced.append(r)
-                break
-        # fully cancelled rows vanish
-    # full reduction: eliminate pivot columns from the other rows
-    for j in sorted(pivots):
-        pi = pivots[j]
-        prow = reduced[pi]
-        for idx, row in enumerate(reduced):
-            if idx != pi and j in row:
-                c = row[j]
-                for k, v in prow.items():
-                    nv = row.get(k, Fraction(0)) - c * v
-                    if nv:
-                        row[k] = nv
-                    elif k in row:
-                        del row[k]
-    return reduced, pivots
-
-
-def sparse_kernel_basis(rows, ncols):
-    """Basis of the kernel of the sparse row system, as {col: Fraction} vectors."""
-    reduced, pivots = sparse_rref(rows, ncols)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = {f: Fraction(1)}
-        for j, ridx in pivots.items():
-            v = reduced[ridx].get(f)
-            if v:
-                vec[j] = -v
-        basis.append(vec)
-    return basis
-
-
-def sparse_rank(rows, ncols):
-    return len(sparse_rref(rows, ncols)[1])

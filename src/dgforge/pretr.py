@@ -22,23 +22,22 @@ from dataclasses import dataclass
 from .linalg import (
     ChainComplex,
     Matrix,
+    _apply,
+    _columns_to_matrix,
+    add_block,
     complex_homology,
     kernel,
     make_chain_map,
     make_complex,
     solve,
+    solve_vector,
 )
 from .dgcat import DGCategory, DGFunctor, HomElement, TensorDGData
 
 
-def _apply(mat, vec):
-    out = mat * Matrix.column(mat.ring, list(vec))
-    return tuple(out.rows[r][0] for r in range(out.nrows))
-
-
-def _columns_to_matrix(ring, nrows, cols):
-    rows = [[col[r] for col in cols] for r in range(nrows)]
-    return Matrix(ring, rows, nrows=nrows, ncols=len(cols))
+def _add_into(C, acc, key, elem):
+    """acc[key] += elem in the base category, starting from elem."""
+    acc[key] = C.add(acc[key], elem) if key in acc else elem
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +358,10 @@ def twisted_hom_complex(E, F, window=None):
         mat = [[0] * ranks[n - lo] for _ in range(rows)]
 
         def put(block, off_c, sub, scalar=1):
-            if block not in dst_off:
-                if not sub.is_zero():
-                    raise AssertionError("differential escapes the layout")
-                return
-            off_r, r = dst_off[block]
-            for i in range(sub.nrows):
-                row = sub.rows[i]
-                for j in range(sub.ncols):
-                    v = row[j]
-                    if v:
-                        mat[off_r + i][off_c + j] += scalar * v
+            if block in dst_off:
+                add_block(mat, sub, dst_off[block][0], off_c, scalar)
+            elif not sub.is_zero():
+                raise AssertionError("differential escapes the layout")
 
         for a, b, off_c, r in src:
             m = n + E.idx(b) - F.idx(a)
@@ -398,66 +390,22 @@ def twisted_differential(phi):
     E, F = phi.source, phi.target
     C = E.base
     acc = {}
-
-    def bump(a, b, elem):
-        key = (a, b)
-        if key in acc:
-            acc[key] = C.add(acc[key], elem)
-        else:
-            acc[key] = elem
-
     for (a, b), u in phi.comps:
         sgn = -1 if F.idx(a) % 2 else 1
         du = C.differential(u)
         if len(du.vector):
-            bump(a, b, C.scale(du, sgn))
+            _add_into(C, acc, (a, b), C.scale(du, sgn))
         for (a2, a3), g in F.e:
             if a3 == a:
                 w = C.compose(g, u)
                 if len(w.vector):
-                    bump(a2, b, w)
+                    _add_into(C, acc, (a2, b), w)
         rsgn = 1 if phi.degree % 2 else -1
         for (b2, b3), h in E.e:
             if b2 == b:
                 w = C.compose(u, h)
                 if len(w.vector):
-                    bump(a, b3, C.scale(w, rsgn))
-    return twisted_morphism(E, F, phi.degree + 1, acc)
-
-
-def twisted_differential_flat(phi):
-    """Variant that drops the index-parity sign on the d-term.
-
-    The two conventions coincide over bases with zero differential and on
-    complexes whose entries all sit in even indices; elsewhere only the
-    signed form squares to zero, which the comparison suite demonstrates on
-    an explicit witness.  No construction in this module uses the variant."""
-    E, F = phi.source, phi.target
-    C = E.base
-    acc = {}
-
-    def bump(a, b, elem):
-        key = (a, b)
-        if key in acc:
-            acc[key] = C.add(acc[key], elem)
-        else:
-            acc[key] = elem
-
-    for (a, b), u in phi.comps:
-        du = C.differential(u)
-        if len(du.vector):
-            bump(a, b, du)
-        for (a2, a3), g in F.e:
-            if a3 == a:
-                w = C.compose(g, u)
-                if len(w.vector):
-                    bump(a2, b, w)
-        rsgn = 1 if phi.degree % 2 else -1
-        for (b2, b3), h in E.e:
-            if b2 == b:
-                w = C.compose(u, h)
-                if len(w.vector):
-                    bump(a, b3, C.scale(w, rsgn))
+                    _add_into(C, acc, (a, b3), C.scale(w, rsgn))
     return twisted_morphism(E, F, phi.degree + 1, acc)
 
 
@@ -472,13 +420,8 @@ def compose_twisted(psi, phi):
             if c2 != c:
                 continue
             w = C.compose(u, v)
-            if not len(w.vector):
-                continue
-            key = (a, b)
-            if key in acc:
-                acc[key] = C.add(acc[key], w)
-            else:
-                acc[key] = w
+            if len(w.vector):
+                _add_into(C, acc, (a, b), w)
     return twisted_morphism(
         phi.source, psi.target, phi.degree + psi.degree, acc
     )
@@ -500,10 +443,7 @@ def add_twisted(f, g):
     C = f.source.base
     acc = dict(f.comps)
     for key, elem in g.comps:
-        if key in acc:
-            acc[key] = C.add(acc[key], elem)
-        else:
-            acc[key] = elem
+        _add_into(C, acc, key, elem)
     return twisted_morphism(f.source, f.target, f.degree, acc)
 
 
@@ -609,23 +549,16 @@ def tensor_pair(T, E, F):
         for ib, kb in F.entries:
             entries.append((ia + ib, T.obj_tensor(ka, kb)))
     comps = {}
-
-    def bump(key, elem):
-        if key in comps:
-            comps[key] = C.add(comps[key], elem)
-        else:
-            comps[key] = elem
-
     for (a, b), u in E.e:
         for c in range(nf):
             sgn = -1 if ((E.idx(b) - E.idx(a) + 1) * F.idx(c)) % 2 else 1
             w = T.mor_tensor(u, C.identity(F.obj(c)))
-            bump((a * nf + c, b * nf + c), C.scale(w, sgn))
+            _add_into(C, comps, (a * nf + c, b * nf + c), C.scale(w, sgn))
     for (c, d), v in F.e:
         for a in range(len(E.entries)):
             sgn = -1 if E.idx(a) % 2 else 1
             w = T.mor_tensor(C.identity(E.obj(a)), v)
-            bump((a * nf + c, a * nf + d), C.scale(w, sgn))
+            _add_into(C, comps, (a * nf + c, a * nf + d), C.scale(w, sgn))
     return assemble_twisted(C, entries, comps)
 
 
@@ -651,12 +584,7 @@ def cup(T, phi, psi):
         for (c, d), v in psi.comps:
             k = psi.target.idx(c)
             sgn = -1 if ((j - i + p) * k + q * j) % 2 else 1
-            w = C.scale(T.mor_tensor(u, v), sgn)
-            key = (a * nt + c, b * ns + d)
-            if key in acc:
-                acc[key] = C.add(acc[key], w)
-            else:
-                acc[key] = w
+            _add_into(C, acc, (a * nt + c, b * ns + d), C.scale(T.mor_tensor(u, v), sgn))
     return twisted_morphism(source, target, p + q, acc)
 
 
@@ -764,22 +692,15 @@ def total_complex(EE):
     C = P._base
     entries, offsets = _flatten(P, EE)
     comps = {}
-
-    def bump(key, elem):
-        if key in comps:
-            comps[key] = C.add(comps[key], elem)
-        else:
-            comps[key] = elem
-
     for A in range(len(EE.entries)):
         inner = P.tc(EE.obj(A))
         sgn = -1 if EE.idx(A) % 2 else 1
         for (i, j), u in inner.e:
-            bump((offsets[A] + i, offsets[A] + j), C.scale(u, sgn))
+            _add_into(C, comps, (offsets[A] + i, offsets[A] + j), C.scale(u, sgn))
     for (A, B), elem in EE.e:
         mor = P.as_morphism(elem)
         for (i, j), u in mor.comps:
-            bump((offsets[A] + i, offsets[B] + j), u)
+            _add_into(C, comps, (offsets[A] + i, offsets[B] + j), u)
     return assemble_twisted(C, entries, comps)
 
 
@@ -799,11 +720,7 @@ def tot_morphism(PSI):
     for (A, B), elem in PSI.comps:
         mor = P.as_morphism(elem)
         for (i, j), u in mor.comps:
-            key = (toff[A] + i, soff[B] + j)
-            if key in comps:
-                comps[key] = C.add(comps[key], u)
-            else:
-                comps[key] = u
+            _add_into(C, comps, (toff[A] + i, soff[B] + j), u)
     return twisted_morphism(src, tgt, PSI.degree, comps)
 
 
@@ -953,11 +870,10 @@ def strict_inverse(u):
     basis = H.basis(0)
     cols = [HY.vector(compose_twisted(b, u)) for b in basis]
     mat = _columns_to_matrix(Y.base.ring, HY.complex.rank(0), cols)
-    rhs = Matrix.column(Y.base.ring, list(HY.vector(twisted_identity(Y))))
-    sol = solve(mat, rhs)
+    sol = solve_vector(mat, HY.vector(twisted_identity(Y)))
     if sol is None:
         return None
-    v = H.element(0, tuple(sol.rows[r][0] for r in range(sol.nrows)))
+    v = H.element(0, sol)
     if compose_twisted(u, v) != twisted_identity(R):
         return None
     return v
@@ -1087,12 +1003,10 @@ class IdemCategory(DGCategory):
         q = self._idems[y].projector
         cut = C.compose(q, C.compose(elem, p))
         cx, bases = self._image_complex(x, y)
-        coords = solve(bases[elem.degree], Matrix.column(C.ring, list(cut.vector)))
+        coords = solve_vector(bases[elem.degree], cut.vector)
         if coords is None:
             raise AssertionError("projected element escapes the image basis")
-        return HomElement(
-            x, y, elem.degree, tuple(coords.rows[r][0] for r in range(coords.nrows))
-        )
+        return HomElement(x, y, elem.degree, coords)
 
 
 def idempotent_complete(C, idems=None):

@@ -25,8 +25,12 @@ from .dgcat import DGCategory, DGFunctor
 from .linalg import (
     ChainMap,
     Matrix,
+    _apply,
+    add_block,
+    block_diagonal,
     block_matrix,
     complex_homology,
+    compose_chain_maps,
     identity_chain_map,
     kernel,
     make_chain_map,
@@ -294,17 +298,12 @@ def validate_presheaf(F):
             for W in allopens:
                 if not set(W) <= set(V):
                     continue
-                lhs = _compose_cm(F.res[(V, W)], F.res[(U, V)])
+                lhs = compose_chain_maps(F.res[(V, W)], F.res[(U, V)])
                 if lhs != F.res[(U, W)]:
                     raise ValueError(
                         "restrictions fail to compose along %r -> %r -> %r" % (U, V, W)
                     )
     return True
-
-
-def _compose_cm(g, f):
-    degs = set(f.comps) | set(g.comps)
-    return ChainMap(f.source, g.target, {n: g.comp(n) * f.comp(n) for n in degs})
 
 
 def constant_presheaf(site, C):
@@ -362,8 +361,8 @@ def make_presheaf_map(source, target, comps, check=True):
                 raise ValueError("missing component at open %r" % (U,))
             make_chain_map(source.vals[U], target.vals[U], comps[U].comps, check=True)
         for (U, V) in source.res:
-            lhs = _compose_cm(comps[V], source.res[(U, V)])
-            rhs = _compose_cm(target.res[(U, V)], comps[U])
+            lhs = compose_chain_maps(comps[V], source.res[(U, V)])
+            rhs = compose_chain_maps(target.res[(U, V)], comps[U])
             if lhs != rhs:
                 raise ValueError(
                     "map fails to commute with restriction %r -> %r" % (U, V)
@@ -455,16 +454,7 @@ def sheafify(F):
             ks[n] = kernel(block_matrix(ring, blocks))
         diffs = []
         for n in range(lo, hi):
-            dP = block_matrix(
-                ring,
-                [
-                    [
-                        S.d(n) if si == sj else Matrix.zero(ring, stalks[si].rank(n + 1), S.rank(n))
-                        for sj, S in enumerate(stalks)
-                    ]
-                    for si, _ in enumerate(stalks)
-                ],
-            )
+            dP = block_diagonal(ring, [S.d(n) for S in stalks])
             dk = solve(ks[n + 1], dP * ks[n])
             if dk is None:
                 raise AssertionError("stalk differential does not preserve the limit")
@@ -516,12 +506,8 @@ def sheafification_map(F, aF=None):
             continue
         cmap = {}
         for n in range(lo, hi + 1):
-            stacked = None
-            for x in U:
-                blockm = F.restriction(U, site.up(x)).comp(n)
-                stacked = blockm if stacked is None else stacked.vstack(blockm)
-            kb = _sheaf_kernel_basis(F, aF, U, n)
-            mat = solve(kb, stacked)
+            # the limit's kernel inclusion is the stack of aF's restrictions
+            mat = solve(_stalk_restrictions(aF, U, n), _stalk_restrictions(F, U, n))
             if mat is None:
                 raise AssertionError("restrictions do not land in the limit")
             cmap[n] = mat
@@ -529,15 +515,12 @@ def sheafification_map(F, aF=None):
     return make_presheaf_map(F, aF, comps, check=True)
 
 
-def _sheaf_kernel_basis(F, aF, U, n):
-    # recover the kernel inclusion from the sheafified restriction data:
-    # project to each stalk (= restriction to the minimal opens) and stack
-    site = F.site
-    stacked = None
-    for x in U:
-        blockm = aF.restriction(U, site.up(x)).comp(n)
-        stacked = blockm if stacked is None else stacked.vstack(blockm)
-    return stacked
+def _stalk_restrictions(F, U, n):
+    """The restrictions of F(U) to the stalks at the points of U, stacked."""
+    rows = [
+        row for x in U for row in F.restriction(U, F.site.up(x)).comp(n).rows
+    ]
+    return Matrix(F.ring, rows, nrows=len(rows), ncols=F.vals[U].rank(n))
 
 
 # ---------------------------------------------------------------------------
@@ -593,24 +576,9 @@ class GodementTower:
             ring = self.source.ring
             stalks = [self.chain_value(c) for c in self.chains(p, U)]
             ranks = [sum(S.rank(n) for S in stalks) for n in range(self.lo, self.hi + 1)]
-            diffs = []
-            for n in range(self.lo, self.hi):
-                diffs.append(
-                    block_matrix(
-                        ring,
-                        [
-                            [
-                                S.d(n)
-                                if si == sj
-                                else Matrix.zero(ring, stalks[si].rank(n + 1), S.rank(n))
-                                for sj, S in enumerate(stalks)
-                            ]
-                            for si, _ in enumerate(stalks)
-                        ],
-                    )
-                    if stalks
-                    else Matrix.zero(ring, 0, 0)
-                )
+            diffs = [
+                block_diagonal(ring, [S.d(n) for S in stalks]) for n in range(self.lo, self.hi)
+            ]
             self._level_cx[key] = make_complex(ring, self.lo, ranks, diffs, check=False)
         return self._level_cx[key]
 
@@ -686,11 +654,7 @@ class GodementTower:
             rmat = self.source.restriction(
                 self.site.up(pullback[-1]), self.site.up(C[-1])
             ).comp(n)
-            for r in range(rmat.nrows):
-                for cidx in range(rmat.ncols):
-                    v = rmat.rows[r][cidx]
-                    if v:
-                        entries[toffs[ti] + r][soffs[si] + cidx] += v
+            add_block(entries, rmat, toffs[ti], soffs[si])
         return Matrix(src.ring, entries, nrows=tgt.rank(n), ncols=src.rank(n))
 
     def coface_matrix(self, p, j, U, n):
@@ -722,11 +686,7 @@ class GodementTower:
                     ).comp(n)
                 else:
                     rmat = Matrix.identity(src.ring, self.chain_value(face).rank(n))
-                for r in range(rmat.nrows):
-                    for cidx in range(rmat.ncols):
-                        v = rmat.rows[r][cidx]
-                        if v:
-                            entries[toffs[ti] + r][soffs[si] + cidx] += sgn * v
+                add_block(entries, rmat, toffs[ti], soffs[si], sgn)
         return Matrix(src.ring, entries, nrows=tgt.rank(n), ncols=src.rank(n))
 
     # -- totalization
@@ -761,21 +721,11 @@ class GodementTower:
                         # vertical part: (-1)^p d on the coefficients
                         roff = self._total_offset(U, n + 1, p)
                         sgn = -1 if p % 2 else 1
-                        dmat = Lp.d(q)
-                        for r in range(dmat.nrows):
-                            for c in range(dmat.ncols):
-                                v = dmat.rows[r][c]
-                                if v:
-                                    entries[roff + r][coff + c] += sgn * v
+                        add_block(entries, Lp.d(q), roff, coff, sgn)
                         # cosimplicial part
                         if p + 1 <= self.depth:
                             roff = self._total_offset(U, n + 1, p + 1)
-                            dl = self.delta_matrix(p, U, q)
-                            for r in range(dl.nrows):
-                                for c in range(dl.ncols):
-                                    v = dl.rows[r][c]
-                                    if v:
-                                        entries[roff + r][coff + c] += v
+                            add_block(entries, self.delta_matrix(p, U, q), roff, coff)
                     coff += w
                 diffs.append(Matrix(ring, entries, nrows=rows, ncols=cols))
             self._totals[U] = make_complex(ring, lo, ranks, diffs)
@@ -810,12 +760,7 @@ class GodementTower:
         tgt = self.total(U)
         comps = {}
         for n in range(self.lo, self.hi + 1):
-            stacked = None
-            for x in U:
-                blockm = self.source.restriction(U, self.site.up(x)).comp(n)
-                stacked = blockm if stacked is None else stacked.vstack(blockm)
-            if stacked is None:
-                stacked = Matrix.zero(src.ring, 0, src.rank(n))
+            stacked = _stalk_restrictions(self.source, U, n)
             pad = Matrix.zero(src.ring, tgt.rank(n) - stacked.nrows, stacked.ncols)
             comps[n] = stacked.vstack(pad)
         return make_chain_map(src, tgt, comps, check=True)
@@ -927,13 +872,9 @@ def tower_map_at(phi, Tsrc, Ttgt, U):
                 mat = phi.at(Tsrc.site.up(c[-1])).comp(q)
                 if mat.nrows == 0 or mat.ncols == 0:
                     continue
-                roff = Ttgt.block_start(U, n, p, ci)
-                coff = Tsrc.block_start(U, n, p, ci)
-                for r in range(mat.nrows):
-                    for cc in range(mat.ncols):
-                        v = mat.rows[r][cc]
-                        if v:
-                            entries[roff + r][coff + cc] += v
+                add_block(
+                    entries, mat, Ttgt.block_start(U, n, p, ci), Tsrc.block_start(U, n, p, ci)
+                )
         comps[n] = Matrix(ring, entries, nrows=tgt.rank(n), ncols=src.rank(n))
     return make_chain_map(src, tgt, comps, check=True)
 
@@ -1001,26 +942,17 @@ def cech_total(F, cover=None):
                 coff = offset(n, p, bi)
                 # vertical: (-1)^p times the coefficient differential
                 sgn = -1 if p % 2 else 1
-                dmat = F.vals[V].d(q)
-                roff = offset(n + 1, p, bi)
-                for r in range(dmat.nrows):
-                    for c in range(dmat.ncols):
-                        v = dmat.rows[r][c]
-                        if v:
-                            entries[roff + r][coff + c] += sgn * v
+                add_block(entries, F.vals[V].d(q), offset(n + 1, p, bi), coff, sgn)
                 # horizontal: alternating insertion of a cover index
                 if p + 1 in blocks:
                     for ti, (tidx, W) in enumerate(blocks[p + 1]):
                         for j in range(p + 2):
                             if tidx[:j] + tidx[j + 1 :] == idx:
-                                rmat = F.restriction(V, W).comp(q)
                                 fsgn = -1 if j % 2 else 1
-                                roff = offset(n + 1, p + 1, ti)
-                                for r in range(rmat.nrows):
-                                    for c in range(rmat.ncols):
-                                        v = rmat.rows[r][c]
-                                        if v:
-                                            entries[roff + r][coff + c] += fsgn * v
+                                add_block(
+                                    entries, F.restriction(V, W).comp(q),
+                                    offset(n + 1, p + 1, ti), coff, fsgn,
+                                )
         diffs.append(Matrix(ring, entries, nrows=rows, ncols=cols))
     return make_complex(ring, lo, ranks, diffs)
 
@@ -1265,7 +1197,7 @@ class _RGammaData:
             TP = GodementTower(cpm.source, self.depth, strict=self.strict)
             pairing = AWPairing(TYZ, TXY, TP).pairing(self.S)
             push = tower_map_at(cpm, TP, TXZ, self.S)
-            self._bigcomp[key] = _compose_cm(push, pairing)
+            self._bigcomp[key] = compose_chain_maps(push, pairing)
         return self._bigcomp[key]
 
     def comp_fn(self, x, y, z, p, q):
@@ -1284,11 +1216,7 @@ class _RGammaData:
 
     def id_fn(self, X):
         T = self.tower(X, X)
-        aug = T.augmentation(self.S)
-        vec = aug.comp(0) * Matrix.column(
-            self.base.ring, list(self.base.identity(X).vector)
-        )
-        return tuple(vec.rows[r][0] for r in range(vec.nrows))
+        return _apply(T.augmentation(self.S).comp(0), self.base.identity(X).vector)
 
 
 def rgamma(CP, depth=None, strict=True):

@@ -19,7 +19,6 @@ from dgforge.cube import (
     identity_map,
     insertion,
     involution,
-    make_generator,
     merge,
     perm_sign,
     permutation_map,
@@ -117,7 +116,7 @@ def count_homset_extended(m, n):
 
 
 def test_insertion_at_dimension_zero():
-    f = make_generator("incl", 0, i=1, eps=0)
+    f = insertion(0, 1, 0)
     assert f.dom == 0 and f.cod == 1
     assert f.table == (((0,)),)
     g = insertion(0, 1, 1)

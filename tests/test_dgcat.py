@@ -5,20 +5,19 @@ from hypothesis import given, strategies as st
 
 from dgforge.dgcat import (
     CoCubicalObject,
+    DGCategory,
     HomElement,
     alternating_enrichment,
     alternating_inclusion_functor,
     alternating_projection_functor,
     build_fincor,
     build_vertex_cubes,
-    collapse_functor,
     complexes_category,
     cubical_enrichment,
     cycles_category,
     dg_homotopy_equivalence_check,
     fincor_elements,
     fincor_matrix,
-    flip_composition_signs,
     graph_vector,
     homotopy_category,
     tensor_action,
@@ -37,6 +36,38 @@ from dgforge.linalg import (
     two_term_complex,
 )
 from util_gen import random_complex, random_hom_vector
+
+
+def flip_composition_signs(C):
+    """Negative control: composition in degrees (p, q) scaled by (-1)^(pq).
+    The pairing keeps its shape but breaks the Leibniz rule as soon as a
+    differential moves an element across the parity of q."""
+
+    def comp(x, y, z, p, q):
+        mat = C.comp_matrix(x, y, z, p, q)
+        return mat.scale(-1) if (p * q) % 2 else mat
+
+    return DGCategory(
+        C.ring, C.objects, C.hom, comp_fn=comp, id_fn=lambda x: C.identity(x).vector,
+    )
+
+
+def collapse_functor(C):
+    """Negative control: everything to one object with zero Homs; a valid
+    functor that is never an equivalence unless C itself is trivial."""
+    target = DGCategory(
+        C.ring, ("*",),
+        hom_fn=lambda x, y: single_complex(C.ring, 0, 0),
+        id_fn=lambda x: (),
+    )
+    point = target.hom("*", "*")
+    mor_maps = {}
+    for x in C.objects:
+        for y in C.objects:
+            src = C.hom(x, y)
+            comps = {n: Matrix.zero(C.ring, 0, src.rank(n)) for n in src.degrees()}
+            mor_maps[(x, y)] = make_chain_map(src, point, comps, check=False)
+    return DGFunctor(C, target, {x: "*" for x in C.objects}, mor_maps)
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +194,24 @@ def test_h0_invertibility_and_iso_search(cxcat):
     # Hom(b, a) has no cycles at all, so no map back can invert anything
     assert h.cycles[("b", "a")].ncols == 0
     assert not h.iso_exists("a", "b")
+
+
+def test_objects_with_no_maps_between_them_are_isomorphic_only_when_zero():
+    # End = Z on each object and no maps either way: the only candidate
+    # isomorphism is 0, and it inverts nothing
+    C = DGCategory(
+        "Z", ("x", "y"), lambda x, y: single_complex("Z", 0, 1 if x == y else 0),
+        comp_fn=lambda x, y, z, p, q: Matrix("Z", [[1]]),
+        id_fn=lambda x: (1,),
+    )
+    assert validate_dg(C).ok
+    h = homotopy_category(C)
+    assert not h.iso_exists("x", "y")
+    assert not h.iso_exists("y", "x")
+    zero = DGCategory(
+        "Z", ("x", "y"), lambda x, y: single_complex("Z", 0, 0), id_fn=lambda x: (),
+    )
+    assert homotopy_category(zero).iso_exists("x", "y")
 
 
 def test_cycles_category_is_lawful_and_contains_identities(cxcat):

@@ -1,7 +1,6 @@
 """Exact linear algebra kernel: oracle-backed frozen values + invariants."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,8 +32,6 @@ from dgforge.linalg import (
     shift_complex,
     single_complex,
     smith_normal_form,
-    sparse_kernel_basis,
-    sparse_rank,
     tensor_complex,
     two_term_complex,
     z_kernel,
@@ -154,6 +151,19 @@ def test_snf_invariants(data):
                 assert snf.D[i, j] == 0
     # dual-route rank check: SNF rank vs rational elimination rank
     assert len(diag) == q_rank(A.to_q())
+
+
+def test_snf_matches_sympy_invariant_factors():
+    # third route: an independent implementation of the invariant factors
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    for seed in range(200):
+        rng = random.Random(seed)
+        A = random_z_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), bound=4)
+        factors = invariant_factors(sympy.Matrix(A.rows), domain=sympy.ZZ)
+        expected = [abs(int(d)) for d in factors if d != 0]
+        assert smith_normal_form(A).diagonal() == expected, (seed, A.rows)
 
 
 @given(st.data())
@@ -339,6 +349,15 @@ def test_cone_and_quasi_iso():
     assert not is_quasi_iso(f, window=(0, 1)).ok
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the default window is the interior of the cone, empty for Z -> 0",
+)
+def test_quasi_iso_default_window_sees_a_lost_class():
+    f = make_chain_map(single_complex(RING_Z, 0, 1), single_complex(RING_Z, 0, 0), {})
+    assert not is_quasi_iso(f).ok
+
+
 def test_cone_triangle_maps_are_chain_maps():
     rng = random.Random(31)
     C = random_complex(rng)
@@ -365,25 +384,3 @@ def test_block_matrix_layout():
     assert m == Matrix(RING_Z, [[1, 2, 3]])
     m2 = block_matrix(RING_Z, [[a, None], [None, b]])
     assert m2.nrows == 2 and m2.ncols == 3 and m2[1, 2] == 3
-
-
-# ---------------------------------------------------------------------------
-# Sparse rational elimination (dual route against dense)
-# ---------------------------------------------------------------------------
-
-
-@given(st.data())
-def test_sparse_matches_dense(data):
-    rng = random.Random(data.draw(st.integers(0, 10**6)))
-    m, n = rng.randint(1, 5), rng.randint(1, 5)
-    A = random_z_matrix(rng, m, n, bound=3).to_q()
-    rows = []
-    for row in A.rows:
-        rows.append({j: Fraction(v) for j, v in enumerate(row) if v})
-    assert sparse_rank(rows, n) == q_rank(A)
-    basis = sparse_kernel_basis(rows, n)
-    K = q_kernel(A)
-    assert len(basis) == K.ncols
-    for vec in basis:
-        col = Matrix(RING_Q, [[vec.get(j, Fraction(0))] for j in range(n)])
-        assert (A * col).is_zero()

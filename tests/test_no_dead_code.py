@@ -1,0 +1,46 @@
+"""No dead code in the library: every module-level function and every
+non-dunder method defined in src/dgforge is referenced by name somewhere in
+src/ or tests/, outside the lines that define that name."""
+
+import ast
+import collections
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORD = re.compile(r"\w+")
+
+
+def library_definitions():
+    """(path, name) of each module-level function and non-dunder method."""
+    for path in sorted((ROOT / "src" / "dgforge").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield path, node.name
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        yield path, item.name
+
+
+def reference_counts():
+    """Occurrences of each identifier in src/ and tests/, def lines excluded."""
+    counts = collections.Counter()
+    for top in ("src", "tests"):
+        for path in (ROOT / top).rglob("*.py"):
+            for line in path.read_text().splitlines():
+                words = WORD.findall(line)
+                if words[:1] == ["def"]:
+                    words = words[2:]
+                counts.update(words)
+    return counts
+
+
+def test_every_library_function_has_a_reference():
+    counts = reference_counts()
+    unreferenced = sorted(
+        "%s: %s" % (path.name, name)
+        for path, name in library_definitions()
+        if not counts[name]
+    )
+    assert not unreferenced, "no reference to: " + ", ".join(unreferenced)

@@ -9,7 +9,6 @@ from dgforge.linalg import (
     dsum_complex,
     kernel,
     make_complex,
-    shift_complex,
     single_complex,
     two_term_complex,
 )
@@ -94,10 +93,6 @@ def random_complex(rng, ring=RING_Z, max_pieces=3, lo_range=(-2, 2)):
 
 def random_hom_vector(rng, length, bound=3):
     return tuple(rng.randint(-bound, bound) for _ in range(length))
-
-
-def perturbed_shift(rng, C, k):
-    return shift_complex(C, k)
 
 
 def random_closed_morphism(rng, E, F, bound=2):
