@@ -40,7 +40,9 @@ from .linalg import (
     make_chain_map,
     make_complex,
     q_kernel,
+    restrict,
     solve,
+    subcomplex,
     tensor_basis,
     tensor_complex,
 )
@@ -380,18 +382,10 @@ def associated_complex(A, variant="full"):
         bases = {n: reduced_level_basis(A, n) for n in range(top + 1)}
     else:
         raise ValueError("variant must be 'full' or 'reduced'")
-    ranks = [bases[-deg].ncols for deg in range(-top, 1)]
-    diffs = {}
-    for n in range(1, top + 1):
-        full = boundary_matrix(A, n)
-        if variant == "full":
-            diffs[-n] = full
-        else:
-            restricted = solve(bases[n - 1], full * bases[n])
-            if restricted is None:
-                raise ValueError("boundary does not preserve the reduced part")
-            diffs[-n] = restricted
-    cx = make_complex(A.ring, -top, ranks, diffs)
+    diffs = {-n: boundary_matrix(A, n) for n in range(1, top + 1)}
+    cx = make_complex(A.ring, -top, [A.rank(-deg) for deg in range(-top, 1)], diffs)
+    if variant == "reduced":
+        cx = subcomplex(cx, {-n: bases[n] for n in range(top + 1)})
     return AssociatedComplex(A, variant, cx, bases)
 
 
@@ -436,13 +430,6 @@ def _stage_conditions(n, stage):
     return tuple(range(max(2, n - stage), n + 1))
 
 
-def _restrict(basis_target, mat, basis_source, what):
-    out = solve(basis_target, mat * basis_source)
-    if out is None:
-        raise ValueError(what + " does not preserve the subgroup")
-    return out
-
-
 @dataclass(eq=False)
 class NormalizedComplex:
     """The normalized subcomplex of the reduced model with its retraction.
@@ -479,7 +466,6 @@ def normalized_complex(A):
     top = A.top
     reduced = associated_complex(A, "reduced")
     B0 = reduced.level_basis
-    DF = {n: reduced.complex.d(-n) for n in range(1, top + 1)}
 
     def face_kernel(n, conds):
         """Basis of the reduced level n on which the eps=0 faces in `conds` vanish."""
@@ -505,11 +491,11 @@ def normalized_complex(A):
                 P = Matrix.identity(A.ring, A.rank(n)) - qpull * A.act(
                     insertion(n - 1, n - M, 0)
                 )
-                stage_project[(M, n)] = _restrict(B0[n], P, B0[n], "stage projector")
+                stage_project[(M, n)] = restrict(B0[n], P * B0[n], "the stage projector")
                 # sign (-1)^(n-M-1): one step off the source parity because d
                 # here runs over all n face slots rather than stopping at n-1
                 H = qpull if (n - M - 1) % 2 == 0 else qpull.scale(-1)
-                stage_homotopy[(M, n)] = _restrict(B0[n], H, B0[n - 1], "stage homotopy")
+                stage_homotopy[(M, n)] = restrict(B0[n], H * B0[n - 1], "the stage homotopy")
             else:
                 stage_project[(M, n)] = Matrix.identity(A.ring, fdim)
                 stage_homotopy[(M, n)] = Matrix.zero(A.ring, fdim, B0[n - 1].ncols if n else 0)
@@ -527,7 +513,7 @@ def normalized_complex(A):
             prefix[(M, n)] = acc
         include[n] = face_kernel(n, _stage_conditions(n, top))
         last = max(stages)
-        project[n] = _restrict(include[n], prefix[(last, n)], Matrix.identity(A.ring, fdim), "retraction")
+        project[n] = restrict(include[n], prefix[(last, n)], "the retraction")
     for n in range(top + 1):
         fdim = B0[n].ncols
         prev = B0[n - 1].ncols if n else 0
@@ -537,11 +523,7 @@ def normalized_complex(A):
                 h = h + stage_homotopy[(M, n)] * prefix[(M - 1, n - 1)]
         homotopy[n] = h
 
-    ranks = [include[-deg].ncols for deg in range(-top, 1)]
-    diffs = {}
-    for n in range(1, top + 1):
-        diffs[-n] = _restrict(include[n - 1], DF[n] * include[n], Matrix.identity(A.ring, include[n].ncols), "normalized boundary")
-    cx = make_complex(A.ring, -top, ranks, diffs)
+    cx = subcomplex(reduced.complex, {-n: include[n] for n in range(top + 1)})
     return NormalizedComplex(
         group=A,
         reduced=reduced,
@@ -677,17 +659,10 @@ def alternating_complex(A, group="F", variant=None):
     for n in range(top + 1):
         e_full = alternating_projector(Aq, n, group)
         B = model.level_basis[n]
-        e_model = _restrict(B, e_full, B, "sign projector")
+        e_model = restrict(B, e_full * B, "the sign projector")
         ident = Matrix.identity(RING_Q, e_model.ncols)
         bases[n] = q_kernel(ident - e_model)
-    ranks = [bases[-deg].ncols for deg in range(-top, 1)]
-    diffs = {}
-    for n in range(1, top + 1):
-        restricted = solve(bases[n - 1], model.complex.d(-n) * bases[n])
-        if restricted is None:
-            raise ValueError("boundary does not preserve the sign part")
-        diffs[-n] = restricted
-    cx = make_complex(RING_Q, -top, ranks, diffs)
+    cx = subcomplex(model.complex, {-n: bases[n] for n in range(top + 1)})
     return AlternatingComplex(Aq, group, model, cx, bases)
 
 

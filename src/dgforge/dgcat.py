@@ -49,10 +49,12 @@ from .linalg import (
     identity_hom_vector,
     kernel,
     make_chain_map,
-    make_complex,
+    restrict,
+    restrict_vector,
     single_complex,
     solve,
     solve_vector,
+    subcomplex,
 )
 
 
@@ -358,36 +360,15 @@ def truncate_nonpositive(C):
 
     def hom_fn(x, y):
         cx = C.hom(x, y)
-        if cx.hi <= 0:
-            hi = cx.hi
-        else:
-            hi = 0
-        lo = min(cx.lo, hi)
-        ranks = [embed(x, y, n).ncols for n in range(lo, hi + 1)]
-        diffs = {}
-        for n in range(lo, hi):
-            if n == -1:
-                restricted = solve(kern(x, y), cx.d(-1))
-                if restricted is None:
-                    raise ValueError("image of d(-1) escapes the kernel of d(0)")
-                diffs[n] = restricted
-            else:
-                diffs[n] = cx.d(n)
-        return make_complex(C.ring, lo, ranks, diffs)
+        hi = min(cx.hi, 0)
+        return subcomplex(cx, {n: embed(x, y, n) for n in range(min(cx.lo, hi), hi + 1)})
 
     def comp_fn(x, y, z, p, q):
         mat = C.comp_matrix(x, y, z, p, q) * embed(y, z, p).kron(embed(x, y, q))
-        target = embed(x, z, p + q)
-        out = solve(target, mat)
-        if out is None:
-            raise ValueError("composition does not preserve the truncation")
-        return out
+        return restrict(embed(x, z, p + q), mat, "the truncated composition")
 
     def id_fn(x):
-        coords = solve_vector(kern(x, x), C.identity(x).vector)
-        if coords is None:
-            raise ValueError("identity is not closed")
-        return coords
+        return restrict_vector(kern(x, x), C.identity(x).vector, "the identity")
 
     return DGCategory(
         C.ring, C.objects, hom_fn, comp_fn=comp_fn, id_fn=id_fn,
@@ -466,24 +447,16 @@ def homotopy_category(C):
         for y in C.objects:
             cx = C.hom(x, y)
             K = kernel(cx.d(0))
-            B = solve(K, cx.d(-1))
-            if B is None:
-                raise ValueError("boundaries escape the cycle lattice")
             cycles[(x, y)] = K
-            boundaries[(x, y)] = B
+            boundaries[(x, y)] = restrict(K, cx.d(-1), "the boundaries")
             groups[(x, y)] = complex_homology(cx, 0)
     for x in C.objects:
         for y in C.objects:
             for z in C.objects:
                 mat = C.comp_matrix(x, y, z, 0, 0) * cycles[(y, z)].kron(cycles[(x, y)])
-                out = solve(cycles[(x, z)], mat)
-                if out is None:
-                    raise ValueError("composition does not preserve cycles")
-                comp[(x, y, z)] = out
+                comp[(x, y, z)] = restrict(cycles[(x, z)], mat, "the composite of cycles")
     for x in C.objects:
-        ident[x] = solve_vector(cycles[(x, x)], C.identity(x).vector)
-        if ident[x] is None:
-            raise ValueError("identity is not a cycle")
+        ident[x] = restrict_vector(cycles[(x, x)], C.identity(x).vector, "the identity")
     return H0Category(C.ring, C.objects, cycles, boundaries, groups, comp, ident)
 
 
@@ -989,10 +962,8 @@ def _projected_composition(plain, model, projector, x, y, z, p, q):
         for fcol in fcols
     ]
     raw = _columns_to_matrix(ring, plain.group(x, z).rank(n), cols)
-    reduced = solve(model(x, z).level_basis[n], projector(x, z, n) * raw)
-    if reduced is None:
-        raise ValueError("projected composition escapes the model")
-    return reduced
+    target = model(x, z).level_basis[n]
+    return restrict(target, projector(x, z, n) * raw, "the projected composition")
 
 
 class CubicalEnrichment:
@@ -1027,8 +998,9 @@ class CubicalEnrichment:
             comp_fn=lambda *key: _projected_composition(
                 self, self.model, self.projector, *key
             ),
-            id_fn=lambda x: solve_vector(
-                self.model(x, x).level_basis[0], host.category.identity(x).vector
+            id_fn=lambda x: restrict_vector(
+                self.model(x, x).level_basis[0], host.category.identity(x).vector,
+                "the identity",
             ),
             name=name or "enriched(%s)" % (host.category.name or "?"),
         )
@@ -1136,8 +1108,9 @@ class AlternatingEnrichment:
             comp_fn=lambda *key: _projected_composition(
                 self._plain, self.alt, self.projector, *key
             ),
-            id_fn=lambda x: solve_vector(
-                self.alt(x, x).level_basis[0], host.category.identity(x).vector
+            id_fn=lambda x: restrict_vector(
+                self.alt(x, x).level_basis[0], host.category.identity(x).vector,
+                "the identity",
             ),
             name="alt(%s)" % (host.category.name or "?"),
         )
@@ -1175,7 +1148,7 @@ class AlternatingEnrichment:
         t = self.host.symmetry(x, y)
         xy = self.host.obj_tensor(x, y)
         yx = self.host.obj_tensor(y, x)
-        coords = solve_vector(self.alt(xy, yx).level_basis[0], t.vector)
+        coords = restrict_vector(self.alt(xy, yx).level_basis[0], t.vector, "the symmetry")
         return self.category.element(xy, yx, 0, coords)
 
     def _embed(self, f):
@@ -1211,9 +1184,7 @@ class AlternatingEnrichment:
         pre = C.compose(mid, host.mor_tensor(C.identity(xx), split))
         tilde = C.compose(host.mor_tensor(self._embed(f), self._embed(g)), pre)
         res = C.compose(tilde, host.mor_tensor(C.identity(xx), self._alt_cube_element(N)))
-        coords = solve_vector(self.alt(xx, yy).level_basis[N], res.vector)
-        if coords is None:
-            raise ValueError("box tensor escapes the alternating part")
+        coords = restrict_vector(self.alt(xx, yy).level_basis[N], res.vector, "the box tensor")
         return self.category.element(xx, yy, f.degree + g.degree, coords)
 
 
@@ -1229,13 +1200,11 @@ def _levelwise_functor(src, tgt, top, source_model, target_model, projector):
         for y in src.objects:
             comps = {}
             for n in range(top + 1):
-                mat = solve(
+                comps[-n] = restrict(
                     target_model(x, y).level_basis[n],
                     projector(x, y, n) * source_model(x, y).level_basis[n],
+                    "the projection",
                 )
-                if mat is None:
-                    raise ValueError("projection escapes the target model")
-                comps[-n] = mat
             mor_maps[(x, y)] = make_chain_map(src.hom(x, y), tgt.hom(x, y), comps)
     return DGFunctor(src, tgt, {x: x for x in src.objects}, mor_maps)
 
@@ -1304,9 +1273,7 @@ class TensorAction:
         res = host.mor_tensor(a, full)
         sx = host.obj_tensor(a.source, f.source)
         tx = host.obj_tensor(a.target, f.target)
-        coords = solve_vector(enr.model(sx, tx).level_basis[n], res.vector)
-        if coords is None:
-            raise ValueError("action escapes the reduced part")
+        coords = restrict_vector(enr.model(sx, tx).level_basis[n], res.vector, "the action")
         return enr.category.element(sx, tx, f.degree, coords)
 
     def functor(self, A):

@@ -3,10 +3,18 @@
 Everything downstream (cubical complexes, twisted complexes, sheaf towers)
 reduces to the primitives in this module: integer Smith normal form with a
 pinned pivot rule, saturated kernels, exact solving, homology with torsion,
-Hom-complexes and mapping cones.  No floats anywhere; matrices are dense
-tuples of tuples (soft practical limit around 512x512).
+Hom-complexes and mapping cones.  No floats anywhere: an entry that is not
+an exact integer (over Z) or rational (over Q) is refused.  Matrices are
+dense tuples of tuples (soft practical limit around 512x512).
+
+Subcomplexes, direct sums and double-complex totals come from four
+constructors: `restrict` (with `restrict_vector`) reads maps in the
+coordinates of a basis, `subcomplex` cuts a complex down to one basis per
+degree, `direct_sum` stacks complexes block-diagonally, and `totalize`
+stacks the columns of a double complex, signing their differential (-1)^p.
 """
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,13 +24,20 @@ RING_Q = "Q"
 
 
 def _coerce(ring, value):
+    """The entry as an int (Z) or a Fraction (Q); inexact values are refused."""
     if ring == RING_Z:
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise ValueError("non-integral entry in Z matrix: %r" % (value,))
+        if type(value) is int:
+            return value
+        if isinstance(value, numbers.Integral) or (
+            isinstance(value, Fraction) and value.denominator == 1
+        ):
             return int(value)
-        return int(value)
-    return Fraction(value)
+        raise ValueError("entry of a Z matrix must be an integer: %r" % (value,))
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, numbers.Rational):
+        return Fraction(value)
+    raise ValueError("entry of a Q matrix must be rational: %r" % (value,))
 
 
 class Matrix:
@@ -557,6 +572,20 @@ def solve_vector(A, vec):
     return None if x is None else tuple(x.col(0))
 
 
+def restrict(basis, mat, what):
+    """The columns of mat in the coordinates of the columns of basis; a
+    ValueError naming `what` when a column of mat leaves their span."""
+    out = solve(basis, mat)
+    if out is None:
+        raise ValueError("%s leaves the span of the basis" % what)
+    return out
+
+
+def restrict_vector(basis, vec, what):
+    """`restrict` for one coordinate tuple, returned as a tuple."""
+    return tuple(restrict(basis, Matrix.column(basis.ring, list(vec)), what).col(0))
+
+
 def rank(A):
     """Rank via SNF for Z, elimination for Q (two genuinely distinct routes)."""
     if A.ring == RING_Z:
@@ -713,14 +742,52 @@ def shift_complex(C, k):
     )
 
 
-def dsum_complex(C, D):
-    if C.ring != D.ring:
+def subcomplex(C, bases):
+    """The subcomplex spanned by the columns of bases[n] in C^n, for n from
+    min(bases) to max(bases), with d restricted by `restrict`."""
+    lo, hi = min(bases), max(bases)
+    diffs = [
+        restrict(bases[n + 1], C.d(n) * bases[n], "the differential at degree %d" % n)
+        for n in range(lo, hi)
+    ]
+    return make_complex(C.ring, lo, [bases[n].ncols for n in range(lo, hi + 1)], diffs)
+
+
+def direct_sum(ring, lo, hi, complexes):
+    """The direct sum of `complexes`, in order, on the window lo..hi."""
+    if any(C.ring != ring for C in complexes):
         raise ValueError("ring mismatch")
-    lo = min(C.lo, D.lo)
-    hi = max(C.hi, D.hi)
-    ranks = [C.rank(n) + D.rank(n) for n in range(lo, hi + 1)]
-    diffs = [block_diagonal(C.ring, [C.d(n), D.d(n)]) for n in range(lo, hi)]
-    return make_complex(C.ring, lo, ranks, diffs, check=False)
+    ranks = [sum(C.rank(n) for C in complexes) for n in range(lo, hi + 1)]
+    diffs = [block_diagonal(ring, [C.d(n) for C in complexes]) for n in range(lo, hi)]
+    return make_complex(ring, lo, ranks, diffs, check=False)
+
+
+def totalize(ring, lo, hi, columns, across):
+    """Total complex on the window lo..hi of the double complex with column
+    p the complex columns[p]: degree n stacks columns[p]^(n-p) by ascending
+    p, and d is (-1)^p times the column differential plus across(p, q), the
+    map columns[p]^q -> columns[p+1]^q, asked for where columns[p]^q != 0."""
+    ps = sorted(columns)
+    start = {}  # (n, p): first coordinate of columns[p]^(n-p) in total degree n
+    ranks = []
+    for n in range(lo, hi + 1):
+        off = 0
+        for p in ps:
+            start[n, p] = off
+            off += columns[p].rank(n - p)
+        ranks.append(off)
+    diffs = []
+    for n in range(lo, hi):
+        entries = [[0] * ranks[n - lo] for _ in range(ranks[n + 1 - lo])]
+        for p in ps:
+            q = n - p
+            if columns[p].rank(q):
+                sgn = -1 if p % 2 else 1
+                add_block(entries, columns[p].d(q), start[n + 1, p], start[n, p], sgn)
+                if p + 1 in columns:
+                    add_block(entries, across(p, q), start[n + 1, p + 1], start[n, p])
+        diffs.append(Matrix(ring, entries, nrows=ranks[n + 1 - lo], ncols=ranks[n - lo]))
+    return make_complex(ring, lo, ranks, diffs)
 
 
 def tensor_basis(C, D, n):

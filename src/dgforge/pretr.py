@@ -29,8 +29,10 @@ from .linalg import (
     kernel,
     make_chain_map,
     make_complex,
+    restrict_vector,
     solve,
     solve_vector,
+    subcomplex,
 )
 from .dgcat import DGCategory, DGFunctor, HomElement, TensorDGData
 
@@ -968,24 +970,12 @@ class IdemCategory(DGCategory):
             M, Nn = p.source, q.source
             amb = C.hom(M, Nn)
             bases = {}
-            ranks = []
             for n in amb.degrees():
-                r = amb.rank(n)
                 pi = left_mult_matrix(C, M, Nn, Nn, q, n) * right_mult_matrix(
                     C, M, M, Nn, p, n
                 )
-                B = kernel(Matrix.identity(C.ring, r) - pi)
-                bases[n] = B
-                ranks.append(B.ncols)
-            diffs = []
-            for n in list(amb.degrees())[:-1]:
-                img = amb.d(n) * bases[n]
-                coords = solve(bases[n + 1], img)
-                if coords is None:
-                    raise AssertionError("differential leaves the image subcomplex")
-                diffs.append(coords)
-            cx = make_complex(C.ring, amb.lo, ranks, diffs)
-            self._bases[key] = (cx, bases)
+                bases[n] = kernel(Matrix.identity(C.ring, amb.rank(n)) - pi)
+            self._bases[key] = (subcomplex(amb, bases), bases)
         return self._bases[key]
 
     def expand(self, x, y, degree, vec):
@@ -1003,9 +993,7 @@ class IdemCategory(DGCategory):
         q = self._idems[y].projector
         cut = C.compose(q, C.compose(elem, p))
         cx, bases = self._image_complex(x, y)
-        coords = solve_vector(bases[elem.degree], cut.vector)
-        if coords is None:
-            raise AssertionError("projected element escapes the image basis")
+        coords = restrict_vector(bases[elem.degree], cut.vector, "the projected element")
         return HomElement(x, y, elem.degree, coords)
 
 

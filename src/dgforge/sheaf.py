@@ -9,6 +9,8 @@ the construction weakly monoidal, and pushing a presheaf of DG categories
 through it yields a global-sections DG category whose Hom complexes carry
 that hypercohomology.  An alternating cover complex over the minimal
 opens serves as the independent second route for every homology claim.
+One function, `linalg.totalize`, totalizes both the tower and the cover
+complex, so their sign conventions agree by construction.
 
 Two tower flavours are provided.  The full tower indexes level n by
 weakly increasing chains of n+1 points; the reduced tower keeps only
@@ -27,19 +29,20 @@ from .linalg import (
     Matrix,
     _apply,
     add_block,
-    block_diagonal,
     block_matrix,
     complex_homology,
     compose_chain_maps,
+    direct_sum,
     identity_chain_map,
     kernel,
     make_chain_map,
-    make_complex,
+    restrict,
     single_complex,
-    solve,
+    subcomplex,
     tensor_basis,
     tensor_chain_map,
     tensor_complex,
+    totalize,
     zero_complex,
 )
 
@@ -452,14 +455,7 @@ def sheafify(F):
                         row.append(Matrix.zero(ring, stalks[yi].rank(n), S.rank(n)))
                 blocks.append(row)
             ks[n] = kernel(block_matrix(ring, blocks))
-        diffs = []
-        for n in range(lo, hi):
-            dP = block_diagonal(ring, [S.d(n) for S in stalks])
-            dk = solve(ks[n + 1], dP * ks[n])
-            if dk is None:
-                raise AssertionError("stalk differential does not preserve the limit")
-            diffs.append(dk)
-        vals[U] = make_complex(ring, lo, [ks[n].ncols for n in range(lo, hi + 1)], diffs)
+        vals[U] = subcomplex(direct_sum(ring, lo, hi, stalks), ks)
         kbases[U] = ks
     res = {}
     for U in site.opens():
@@ -472,10 +468,7 @@ def sheafify(F):
             comps = {}
             for n in range(lo, hi + 1):
                 proj = _stalk_projection(F, U, V, n)
-                mat = solve(kbases[V][n], proj * kbases[U][n])
-                if mat is None:
-                    raise AssertionError("limit projection left the limit")
-                comps[n] = mat
+                comps[n] = restrict(kbases[V][n], proj * kbases[U][n], "the limit projection")
             res[(U, V)] = ChainMap(vals[U], vals[V], comps)
     return make_presheaf(site, vals, res, check=False)
 
@@ -507,10 +500,8 @@ def sheafification_map(F, aF=None):
         cmap = {}
         for n in range(lo, hi + 1):
             # the limit's kernel inclusion is the stack of aF's restrictions
-            mat = solve(_stalk_restrictions(aF, U, n), _stalk_restrictions(F, U, n))
-            if mat is None:
-                raise AssertionError("restrictions do not land in the limit")
-            cmap[n] = mat
+            limit = _stalk_restrictions(aF, U, n)
+            cmap[n] = restrict(limit, _stalk_restrictions(F, U, n), "the stalk restrictions")
         comps[U] = ChainMap(F.vals[U], aF.vals[U], cmap)
     return make_presheaf_map(F, aF, comps, check=True)
 
@@ -573,13 +564,10 @@ class GodementTower:
         U = self.site.as_open(U)
         key = (p, U)
         if key not in self._level_cx:
-            ring = self.source.ring
-            stalks = [self.chain_value(c) for c in self.chains(p, U)]
-            ranks = [sum(S.rank(n) for S in stalks) for n in range(self.lo, self.hi + 1)]
-            diffs = [
-                block_diagonal(ring, [S.d(n) for S in stalks]) for n in range(self.lo, self.hi)
-            ]
-            self._level_cx[key] = make_complex(ring, self.lo, ranks, diffs, check=False)
+            self._level_cx[key] = direct_sum(
+                self.source.ring, self.lo, self.hi,
+                [self.chain_value(c) for c in self.chains(p, U)],
+            )
         return self._level_cx[key]
 
     def offsets(self, p, U, n):
@@ -696,45 +684,12 @@ class GodementTower:
         times the coefficient differential."""
         U = self.site.as_open(U)
         if U not in self._totals:
-            ring = self.source.ring
-            lo = self.lo
-            hi = self.hi + self.depth
-            ranks = []
-            for n in range(lo, hi + 1):
-                ranks.append(
-                    sum(
-                        self.level_complex(p, U).rank(n - p)
-                        for p in range(0, self.depth + 1)
-                    )
-                )
-            diffs = []
-            for n in range(lo, hi):
-                rows = ranks[n + 1 - lo]
-                cols = ranks[n - lo]
-                entries = [[0] * cols for _ in range(rows)]
-                coff = 0
-                for p in range(0, self.depth + 1):
-                    q = n - p
-                    Lp = self.level_complex(p, U)
-                    w = Lp.rank(q)
-                    if w:
-                        # vertical part: (-1)^p d on the coefficients
-                        roff = self._total_offset(U, n + 1, p)
-                        sgn = -1 if p % 2 else 1
-                        add_block(entries, Lp.d(q), roff, coff, sgn)
-                        # cosimplicial part
-                        if p + 1 <= self.depth:
-                            roff = self._total_offset(U, n + 1, p + 1)
-                            add_block(entries, self.delta_matrix(p, U, q), roff, coff)
-                    coff += w
-                diffs.append(Matrix(ring, entries, nrows=rows, ncols=cols))
-            self._totals[U] = make_complex(ring, lo, ranks, diffs)
+            self._totals[U] = totalize(
+                self.source.ring, self.lo, self.hi + self.depth,
+                {p: self.level_complex(p, U) for p in range(self.depth + 1)},
+                lambda p, q: self.delta_matrix(p, U, q),
+            )
         return self._totals[U]
-
-    def _total_offset(self, U, n, p):
-        return sum(
-            self.level_complex(pp, U).rank(n - pp) for pp in range(0, p)
-        )
 
     def layout(self, U, n):
         """Flat coordinate decoding for total degree n at U: one tuple
@@ -750,7 +705,8 @@ class GodementTower:
 
     def block_start(self, U, n, p, ci):
         U = self.site.as_open(U)
-        return self._total_offset(U, n, p) + self.offsets(p, U, n - p)[ci]
+        before = sum(self.level_complex(pp, U).rank(n - pp) for pp in range(p))
+        return before + self.offsets(p, U, n - p)[ci]
 
     def augmentation(self, U):
         """The restriction-to-stalks inclusion of F(U) into total degree
@@ -885,7 +841,7 @@ def tower_map_at(phi, Tsrc, Ttgt, U):
 
 def cech_total(F, cover=None):
     """Alternating cover complex of a presheaf of complexes, totalized
-    with the same sign convention as the tower.
+    by `totalize` like the tower.
 
     The values of F are used as given; feed it a sheaf (for instance the
     output of `sheafify`) when the answer should be a cohomology group of
@@ -908,53 +864,29 @@ def cech_total(F, cover=None):
             for i in idx[1:]:
                 V = site.meet(V, cover[i])
             blocks.setdefault(p, []).append((idx, V))
+    columns = {
+        p: direct_sum(ring, lo, hi, [F.vals[V] for _, V in blocks[p]]) for p in blocks
+    }
+
+    def starts(p, q):
+        return list(itertools.accumulate((F.vals[V].rank(q) for _, V in blocks[p]), initial=0))
+
+    def insertion(p, q):
+        """The alternating insertion of a cover index, column p -> p + 1."""
+        entries = [[0] * columns[p].rank(q) for _ in range(columns[p + 1].rank(q))]
+        soff, toff = starts(p, q), starts(p + 1, q)
+        for bi, (idx, V) in enumerate(blocks[p]):
+            if not F.vals[V].rank(q):
+                continue
+            for ti, (tidx, W) in enumerate(blocks[p + 1]):
+                for j in range(p + 2):
+                    if tidx[:j] + tidx[j + 1 :] == idx:
+                        sgn = -1 if j % 2 else 1
+                        add_block(entries, F.restriction(V, W).comp(q), toff[ti], soff[bi], sgn)
+        return Matrix(ring, entries, nrows=len(entries), ncols=columns[p].rank(q))
+
     depth = max(blocks) if blocks else 0
-    ranks = []
-    for n in range(lo, hi + depth + 1):
-        ranks.append(
-            sum(
-                F.vals[V].rank(n - p)
-                for p in blocks
-                for (_, V) in blocks[p]
-            )
-        )
-
-    def offset(n, p, which):
-        off = 0
-        for pp in sorted(blocks):
-            for bi, (_, V) in enumerate(blocks[pp]):
-                if pp == p and bi == which:
-                    return off
-                off += F.vals[V].rank(n - pp)
-        raise AssertionError("block not found")
-
-    diffs = []
-    for n in range(lo, hi + depth):
-        rows = ranks[n + 1 - lo]
-        cols = ranks[n - lo]
-        entries = [[0] * cols for _ in range(rows)]
-        for p in sorted(blocks):
-            for bi, (idx, V) in enumerate(blocks[p]):
-                q = n - p
-                w = F.vals[V].rank(q)
-                if not w:
-                    continue
-                coff = offset(n, p, bi)
-                # vertical: (-1)^p times the coefficient differential
-                sgn = -1 if p % 2 else 1
-                add_block(entries, F.vals[V].d(q), offset(n + 1, p, bi), coff, sgn)
-                # horizontal: alternating insertion of a cover index
-                if p + 1 in blocks:
-                    for ti, (tidx, W) in enumerate(blocks[p + 1]):
-                        for j in range(p + 2):
-                            if tidx[:j] + tidx[j + 1 :] == idx:
-                                fsgn = -1 if j % 2 else 1
-                                add_block(
-                                    entries, F.restriction(V, W).comp(q),
-                                    offset(n + 1, p + 1, ti), coff, fsgn,
-                                )
-        diffs.append(Matrix(ring, entries, nrows=rows, ncols=cols))
-    return make_complex(ring, lo, ranks, diffs)
+    return totalize(ring, lo, hi + depth, columns, insertion)
 
 
 def cech_hypercohomology(F, n, cover=None):
@@ -1172,7 +1104,6 @@ class _RGammaData:
                     span = max(span, hi - lo)
             depth = default_depth(CP.site, span, strict)
         self.depth = depth
-        self._homs = {}
         self._towers = {}
         self._bigcomp = {}
 
@@ -1180,7 +1111,6 @@ class _RGammaData:
         key = (X, Y)
         if key not in self._towers:
             H = hom_presheaf(self.CP, X, Y)
-            self._homs[key] = H
             self._towers[key] = GodementTower(H, self.depth, strict=self.strict)
         return self._towers[key]
 
@@ -1230,7 +1160,7 @@ def rgamma(CP, depth=None, strict=True):
     """
     data = _RGammaData(CP, depth, strict)
     C = data.base
-    return DGCategory(
+    R = DGCategory(
         C.ring,
         C.objects,
         data.hom_fn,
@@ -1238,11 +1168,18 @@ def rgamma(CP, depth=None, strict=True):
         id_fn=data.id_fn,
         name="rgamma(%s)" % (C.name or C.ring),
     )
+    # the towers stay reachable for augmentation_functor; data never refers
+    # back to R, so the category holds no reference cycle
+    R._rgamma_data = data
+    return R
 
 
-def augmentation_functor(CP, R, depth=None, strict=True):
-    """The global-sections embedding of the base category into rgamma."""
-    data = _RGammaData(CP, depth, strict)
+def augmentation_functor(CP, R):
+    """The global-sections embedding of the base category into R, a result
+    of `rgamma(CP, ...)`, built on R's own towers."""
+    data = getattr(R, "_rgamma_data", None)
+    if data is None or data.CP is not CP:
+        raise ValueError("R is not the global-sections category of this presheaf")
     C = data.base
     mor_maps = {}
     for x in C.objects:

@@ -1,6 +1,7 @@
 """Exact linear algebra kernel: oracle-backed frozen values + invariants."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from dgforge.linalg import (
     compose_chain_maps,
     cone_of_map,
     det_z,
+    direct_sum,
     hom_basis,
     hom_complex,
     hom_compose_vec,
@@ -24,6 +26,7 @@ from dgforge.linalg import (
     identity_chain_map,
     identity_hom_vector,
     is_quasi_iso,
+    kernel,
     make_chain_map,
     make_complex,
     q_kernel,
@@ -32,7 +35,9 @@ from dgforge.linalg import (
     shift_complex,
     single_complex,
     smith_normal_form,
+    subcomplex,
     tensor_complex,
+    totalize,
     two_term_complex,
     z_kernel,
     z_solve,
@@ -96,6 +101,34 @@ def cokernel_enumeration(k):
     # closure under addition of the generator, sanity only
     assert all((r + 1) % k in residues for r in residues)
     return len(residues)
+
+
+# ---------------------------------------------------------------------------
+# Entries
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "ring, value",
+    [(RING_Z, 2.5), (RING_Z, 2.0), (RING_Z, "7"), (RING_Z, Fraction(1, 2)),
+     (RING_Q, 0.1), (RING_Q, "1/3")],
+)
+def test_inexact_entries_are_refused(ring, value):
+    with pytest.raises(ValueError):
+        Matrix(ring, [[value]])
+
+
+def test_scaling_by_an_inexact_factor_is_refused():
+    with pytest.raises(ValueError):
+        Matrix(RING_Z, [[3]]).scale(0.5)
+
+
+def test_exact_entries_keep_their_value():
+    z = Matrix(RING_Z, [[Fraction(4, 2), True, 5]])
+    assert z.rows == ((2, 1, 5),) and all(type(v) is int for v in z.rows[0])
+    q = Matrix(RING_Q, [[3, Fraction(1, 3)]])
+    assert q.rows == ((Fraction(3), Fraction(1, 3)),)
+    assert all(type(v) is Fraction for v in q.rows[0])
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +306,42 @@ def test_tensor_complex_smoke():
     # d^2 = 0 is implied by construction; verify explicitly once
     for n in range(T.lo, T.hi - 1):
         assert (T.d(n + 1) * T.d(n)).is_zero()
+
+
+@pytest.mark.parametrize("ring, seed", [(RING_Z, 31), (RING_Q, 37)])
+def test_totalize_reproduces_the_tensor_complex(ring, seed):
+    # the hand-written tensor complex pins the block order and the (-1)^p sign
+    rng = random.Random(seed)
+    for _ in range(20):
+        C = random_complex(rng, ring)
+        D = random_complex(rng, ring)
+        columns = {p: direct_sum(ring, D.lo, D.hi, [D] * C.rank(p)) for p in C.degrees()}
+        T = totalize(
+            ring, C.lo + D.lo, C.hi + D.hi, columns,
+            lambda p, q: C.d(p).kron(Matrix.identity(ring, D.rank(q))),
+        )
+        assert T == tensor_complex(C, D)
+
+
+def test_subcomplex_refuses_a_basis_that_d_leaves():
+    C = two_term_complex(RING_Z, 0, Matrix(RING_Z, [[1]]))
+    bases = {0: Matrix.identity(RING_Z, 1), 1: Matrix.zero(RING_Z, 1, 0)}
+    with pytest.raises(ValueError, match="differential at degree 0"):
+        subcomplex(C, bases)
+
+
+def test_subcomplex_of_a_stable_basis_commutes_with_d():
+    # everything below degree m plus the cycles in degree m: d-stable
+    rng = random.Random(41)
+    for _ in range(20):
+        C = random_complex(rng)
+        m = rng.randint(C.lo, C.hi)
+        bases = {n: Matrix.identity(RING_Z, C.rank(n)) for n in range(C.lo, m)}
+        bases[m] = kernel(C.d(m))
+        S = subcomplex(C, bases)
+        assert (S.lo, S.hi) == (C.lo, m)
+        for n in range(S.lo, S.hi):
+            assert bases[n + 1] * S.d(n) == C.d(n) * bases[n]
 
 
 def test_hom_complex_differential_squares_to_zero():

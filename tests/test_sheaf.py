@@ -693,6 +693,18 @@ def test_embedding_functor_validates_and_is_stalkwise_quasi_iso(sierp, fincor_ca
             assert is_quasi_iso(f, window=(f.target.lo, f.target.hi)).ok
 
 
+def test_embedding_functor_reads_the_towers_of_its_target(sierp, t2):
+    CP = constant_category_presheaf(
+        sierp, complexes_category({"a": t2, "pt": single_complex("Z", 0, 1)})
+    )
+    R = rgamma(CP, strict=False)
+    af = augmentation_functor(CP, R)
+    assert validate_functor(af).ok
+    other = constant_category_presheaf(sierp, CP.category(sierp.space()))
+    with pytest.raises(ValueError, match="presheaf"):
+        augmentation_functor(other, R)
+
+
 def test_two_route_comparison_reports(sierp, pseudo, fincor_cat, t2):
     for site in (sierp, pseudo):
         CP = constant_category_presheaf(site, fincor_cat)

@@ -6,7 +6,7 @@ from dgforge.linalg import (
     Matrix,
     RING_Q,
     RING_Z,
-    dsum_complex,
+    direct_sum,
     kernel,
     make_complex,
     single_complex,
@@ -70,9 +70,9 @@ def random_complex(rng, ring=RING_Z, max_pieces=3, lo_range=(-2, 2)):
             pieces.append(
                 two_term_complex(ring, deg, Matrix(ring, [[k]], nrows=1, ncols=1))
             )
-    total = pieces[0]
-    for p in pieces[1:]:
-        total = dsum_complex(total, p)
+    total = direct_sum(
+        ring, min(p.lo for p in pieces), max(p.hi for p in pieces), pieces
+    )
     if ring != RING_Z:
         return total
     conj = {
