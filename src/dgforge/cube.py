@@ -174,21 +174,22 @@ def back_projection(n, m):
 # ---------------------------------------------------------------------------
 
 
-def _generators_from(m, bound, extended):
+def generator_maps(top, extended=False):
+    """Every one-step generator between levels 0..top, keyed by word token."""
     gens = []
-    if m + 1 <= bound:
-        for i in range(1, m + 2):
-            gens.append(insertion(m, i, 0))
-            gens.append(insertion(m, i, 1))
-    for i in range(1, m + 1):
-        gens.append(projection(m, i))
-        gens.append(involution(m, i))
-    for i in range(1, m):
-        gens.append(transposition(m, i))
-    if extended:
-        for i in range(1, m):
-            gens.append(merge(m, i))
-    return gens
+    for n in range(top):
+        for i in range(1, n + 2):
+            for eps in (0, 1):
+                gens.append(insertion(n, i, eps))
+    for n in range(1, top + 1):
+        for i in range(1, n + 1):
+            gens.append(projection(n, i))
+            gens.append(involution(n, i))
+        for i in range(1, n):
+            gens.append(transposition(n, i))
+            if extended:
+                gens.append(merge(n, i))
+    return {g.word[0]: g for g in gens}
 
 
 @lru_cache(maxsize=None)
@@ -199,9 +200,9 @@ def _closure(bound, extended):
     max(dom, cod) (drop/merge first, then flip/permute, then insert), so the
     closure within the bound is the genuine Hom-set for in-bound objects.
     """
-    gens = {}
-    for m in range(bound + 1):
-        gens[m] = _generators_from(m, bound, extended)
+    gens = {m: [] for m in range(bound + 1)}
+    for g in generator_maps(bound, extended).values():
+        gens[g.dom].append(g)
     maps = {}
     frontier = []
     for m in range(bound + 1):

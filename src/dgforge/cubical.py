@@ -21,13 +21,11 @@ from .cube import (
     back_projection,
     compose,
     front_projection,
+    generator_maps,
     identity_map,
     insertion,
-    involution,
-    merge,
     projection,
     q_merge,
-    transposition,
     signed_as_cube_map,
     vertex_index,
     vertices,
@@ -240,24 +238,6 @@ def circle_chains(ring, top, extended=False):
         extended=extended,
         name="circle chains" + (" (extended)" if extended else ""),
     )
-
-
-def generator_maps(top, extended=False):
-    """Every one-step generator between levels 0..top, keyed by word token."""
-    gens = []
-    for n in range(top):
-        for i in range(1, n + 2):
-            for eps in (0, 1):
-                gens.append(insertion(n, i, eps))
-    for n in range(1, top + 1):
-        for i in range(1, n + 1):
-            gens.append(projection(n, i))
-            gens.append(involution(n, i))
-        for i in range(1, n):
-            gens.append(transposition(n, i))
-            if extended:
-                gens.append(merge(n, i))
-    return {g.word[0]: g for g in gens}
 
 
 def cubical_from_generator_matrices(ring, top, ranks, matrices, extended=False, name=""):

@@ -66,6 +66,8 @@ class Matrix:
         object.__setattr__(self, "ncols", width)
         if nrows is not None and nrows != len(rows) and rows:
             raise ValueError("nrows mismatch")
+        if ncols is not None and ncols != width:
+            raise ValueError("ncols mismatch")
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")

@@ -12,6 +12,12 @@ opens serves as the independent second route for every homology claim.
 One function, `linalg.totalize`, totalizes both the tower and the cover
 complex, so their sign conventions agree by construction.
 
+Every stalk product has one coordinate layout: the pairs (key, local
+index), keys being the points of an open, the chains of a tower level or
+the cover blocks, in the order `direct_sum` and `totalize` stack them.
+Projections, inclusions and tower maps are read from that list, by
+selecting rows or columns or by `block_diagonal`.
+
 Two tower flavours are provided.  The full tower indexes level n by
 weakly increasing chains of n+1 points; the reduced tower keeps only
 strictly increasing chains, which kills every level beyond the poset
@@ -29,6 +35,7 @@ from .linalg import (
     Matrix,
     _apply,
     add_block,
+    block_diagonal,
     block_matrix,
     complex_homology,
     compose_chain_maps,
@@ -386,16 +393,16 @@ def tensor_assoc_map(A, B, C):
         tbasis = tensor_basis(A, BC, n)
         if not sbasis or not tbasis:
             continue
-        tpos = {key: idx for idx, key in enumerate(tbasis)}
         ab = {t: tensor_basis(A, B, t) for t in AB.degrees()}
         bc = {m: {key: idx for idx, key in enumerate(tensor_basis(B, C, m))}
               for m in BC.degrees()}
-        rows = [[0] * len(sbasis) for _ in tbasis]
-        for cidx, (t, ij, k) in enumerate(sbasis):
+        regrouped = []
+        for t, ij, k in sbasis:
             a, i, j = ab[t][ij]
-            jk = bc[n - a][(t - a, j, k)]
-            rows[tpos[(a, i, jk)]][cidx] = 1
-        comps[n] = Matrix(src.ring, rows, nrows=len(tbasis), ncols=len(sbasis))
+            regrouped.append((a, i, bc[n - a][(t - a, j, k)]))
+        comps[n] = Matrix.identity(src.ring, len(tbasis)).submatrix(
+            range(len(tbasis)), _positions(regrouped, tbasis)
+        )
     return make_chain_map(src, tgt, comps, check=True)
 
 
@@ -406,6 +413,30 @@ def tensor_presheaf_assoc(F, G, H):
         U: tensor_assoc_map(F.vals[U], G.vals[U], H.vals[U]) for U in F.site.opens()
     }
     return make_presheaf_map(src, tgt, comps, check=True)
+
+
+# ---------------------------------------------------------------------------
+# Coordinates of stalk products: a sum over keys (points, chains, cover
+# blocks) stacks its summands in key order, as `direct_sum` does, so its
+# coordinates are the pairs (key, local index) in that order.
+
+
+def _coordinates(keys, rank):
+    """The coordinates of the sum over `keys` whose summand at a key has
+    rank(key) coordinates."""
+    return tuple((key, k) for key in keys for k in range(rank(key)))
+
+
+def _block_starts(keys, rank):
+    """The first coordinate of each key's block in the same sum."""
+    keys = tuple(keys)
+    return dict(zip(keys, itertools.accumulate((rank(key) for key in keys), initial=0)))
+
+
+def _positions(small, big):
+    """The position in the coordinate list `big` of each coordinate of `small`."""
+    index = {c: i for i, c in enumerate(big)}
+    return [index[c] for c in small]
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +453,14 @@ def sheafify(F):
     site = F.site
     ring = F.ring
     lo, hi = F.window()
+    stalk = {x: F.stalk(x) for x in site.points}
     kbases = {}
     vals = {}
     for U in site.opens():
         if not U:
             vals[U] = zero_complex(ring, lo, hi)
             continue
-        stalks = [F.stalk(x) for x in U]
+        stalks = [stalk[x] for x in U]
         pairs = [
             (xi, yi)
             for xi, x in enumerate(U)
@@ -467,23 +499,16 @@ def sheafify(F):
                 continue
             comps = {}
             for n in range(lo, hi + 1):
-                proj = _stalk_projection(F, U, V, n)
-                comps[n] = restrict(kbases[V][n], proj * kbases[U][n], "the limit projection")
+                # the rows of the kernel basis at the points of V
+                rows = _positions(
+                    _coordinates(V, lambda x: stalk[x].rank(n)),
+                    _coordinates(U, lambda x: stalk[x].rank(n)),
+                )
+                ks = kbases[U][n]
+                proj = ks.submatrix(rows, range(ks.ncols))
+                comps[n] = restrict(kbases[V][n], proj, "the limit projection")
             res[(U, V)] = ChainMap(vals[U], vals[V], comps)
     return make_presheaf(site, vals, res, check=False)
-
-
-def _stalk_projection(F, U, V, n):
-    ring = F.ring
-    rows = []
-    for y in V:
-        row = []
-        for x in U:
-            ry = F.stalk(y).rank(n)
-            rx = F.stalk(x).rank(n)
-            row.append(Matrix.identity(ring, ry) if x == y else Matrix.zero(ring, ry, rx))
-        rows.append(row)
-    return block_matrix(ring, rows)
 
 
 def sheafification_map(F, aF=None):
@@ -532,9 +557,7 @@ class GodementTower:
         self.strict = strict
         self.lo, self.hi = source.window()
         self._chains = {}
-        self._chain_pos = {}
         self._level_cx = {}
-        self._offsets = {}
         self._totals = {}
         self._level_sheaves = {}
 
@@ -550,13 +573,6 @@ class GodementTower:
                 self._chains[key] = self.site.multichains(p + 1, inside=U)
         return self._chains[key]
 
-    def chain_pos(self, p, U):
-        U = self.site.as_open(U)
-        key = (p, U)
-        if key not in self._chain_pos:
-            self._chain_pos[key] = {c: i for i, c in enumerate(self.chains(p, U))}
-        return self._chain_pos[key]
-
     def chain_value(self, c):
         return self.source.stalk(c[-1])
 
@@ -569,20 +585,6 @@ class GodementTower:
                 [self.chain_value(c) for c in self.chains(p, U)],
             )
         return self._level_cx[key]
-
-    def offsets(self, p, U, n):
-        """Starting column of each chain block inside level p at internal
-        degree n."""
-        U = self.site.as_open(U)
-        key = (p, U, n)
-        if key not in self._offsets:
-            out = []
-            pos = 0
-            for c in self.chains(p, U):
-                out.append(pos)
-                pos += self.chain_value(c).rank(n)
-            self._offsets[key] = tuple(out)
-        return self._offsets[key]
 
     def level(self, p):
         """Level p as an honest presheaf (restriction = chain projection)."""
@@ -599,25 +601,14 @@ class GodementTower:
 
     def _chain_projection(self, p, U, V):
         src = self.level_complex(p, U)
-        tgt = self.level_complex(p, V)
-        big = self.chains(p, U)
-        small = self.chains(p, V)
         comps = {}
         for n in range(self.lo, self.hi + 1):
-            rows = []
-            offs = self.offsets(p, U, n)
-            for c in small:
-                ci = big.index(c)
-                r = self.chain_value(c).rank(n)
-                start = offs[ci]
-                for k in range(r):
-                    rows.append(
-                        tuple(
-                            1 if col == start + k else 0 for col in range(src.rank(n))
-                        )
-                    )
-            comps[n] = Matrix(src.ring, rows, nrows=tgt.rank(n), ncols=src.rank(n))
-        return ChainMap(src, tgt, comps)
+            big = _coordinates(self.chains(p, U), lambda c: self.chain_value(c).rank(n))
+            small = _coordinates(self.chains(p, V), lambda c: self.chain_value(c).rank(n))
+            comps[n] = Matrix.identity(src.ring, len(big)).submatrix(
+                _positions(small, big), range(len(big))
+            )
+        return ChainMap(src, self.level_complex(p, V), comps)
 
     # -- the cosimplicial structure (full tower only)
 
@@ -632,17 +623,15 @@ class GodementTower:
         U = self.site.as_open(U)
         src = self.level_complex(p, U)
         tgt = self.level_complex(q, U)
-        soffs = self.offsets(p, U, n)
-        toffs = self.offsets(q, U, n)
-        spos = {c: i for i, c in enumerate(self.chains(p, U))}
+        soffs = _block_starts(self.chains(p, U), lambda c: self.chain_value(c).rank(n))
+        toffs = _block_starts(self.chains(q, U), lambda c: self.chain_value(c).rank(n))
         entries = [[0] * src.rank(n) for _ in range(tgt.rank(n))]
-        for ti, C in enumerate(self.chains(q, U)):
+        for C in self.chains(q, U):
             pullback = tuple(C[f[i]] for i in range(p + 1))
-            si = spos[pullback]
             rmat = self.source.restriction(
                 self.site.up(pullback[-1]), self.site.up(C[-1])
             ).comp(n)
-            add_block(entries, rmat, toffs[ti], soffs[si])
+            add_block(entries, rmat, toffs[C], soffs[pullback])
         return Matrix(src.ring, entries, nrows=tgt.rank(n), ncols=src.rank(n))
 
     def coface_matrix(self, p, j, U, n):
@@ -659,22 +648,20 @@ class GodementTower:
         U = self.site.as_open(U)
         src = self.level_complex(p, U)
         tgt = self.level_complex(p + 1, U)
-        soffs = self.offsets(p, U, n)
-        toffs = self.offsets(p + 1, U, n)
-        spos = {c: i for i, c in enumerate(self.chains(p, U))}
+        soffs = _block_starts(self.chains(p, U), lambda c: self.chain_value(c).rank(n))
+        toffs = _block_starts(self.chains(p + 1, U), lambda c: self.chain_value(c).rank(n))
         entries = [[0] * src.rank(n) for _ in range(tgt.rank(n))]
-        for ti, C in enumerate(self.chains(p + 1, U)):
+        for C in self.chains(p + 1, U):
             for j in range(p + 2):
                 face = C[:j] + C[j + 1 :]
                 sgn = -1 if j % 2 else 1
-                si = spos[face]
                 if j == p + 1:
                     rmat = self.source.restriction(
                         self.site.up(face[-1]), self.site.up(C[-1])
                     ).comp(n)
                 else:
                     rmat = Matrix.identity(src.ring, self.chain_value(face).rank(n))
-                add_block(entries, rmat, toffs[ti], soffs[si], sgn)
+                add_block(entries, rmat, toffs[C], soffs[face], sgn)
         return Matrix(src.ring, entries, nrows=tgt.rank(n), ncols=src.rank(n))
 
     # -- totalization
@@ -692,21 +679,12 @@ class GodementTower:
         return self._totals[U]
 
     def layout(self, U, n):
-        """Flat coordinate decoding for total degree n at U: one tuple
-        (level, internal degree, chain index, local index) per column."""
+        """The coordinates of total degree n at U, in order: one triple
+        (level, chain, local index) per column."""
         U = self.site.as_open(U)
-        out = []
-        for p in range(0, self.depth + 1):
-            q = n - p
-            for ci, c in enumerate(self.chains(p, U)):
-                for k in range(self.chain_value(c).rank(q)):
-                    out.append((p, q, ci, k))
-        return out
-
-    def block_start(self, U, n, p, ci):
-        U = self.site.as_open(U)
-        before = sum(self.level_complex(pp, U).rank(n - pp) for pp in range(p))
-        return before + self.offsets(p, U, n - p)[ci]
+        levels = [(p, c) for p in range(self.depth + 1) for c in self.chains(p, U)]
+        coords = _coordinates(levels, lambda pc: self.chain_value(pc[1]).rank(n - pc[0]))
+        return tuple((p, c, k) for (p, c), k in coords)
 
     def augmentation(self, U):
         """The restriction-to-stalks inclusion of F(U) into total degree
@@ -744,21 +722,12 @@ def reduced_inclusion(Tred, Tfull, U):
     U = site.as_open(U)
     src = Tred.total(U)
     tgt = Tfull.total(U)
-    ring = src.ring
     comps = {}
     for n in range(Tred.lo, Tred.hi + Tred.depth + 1):
-        entries = [[0] * src.rank(n) for _ in range(tgt.rank(n))]
-        for p in range(0, Tred.depth + 1):
-            full_chains = Tfull.chains(p, U)
-            for ci, c in enumerate(Tred.chains(p, U)):
-                r = Tred.chain_value(c).rank(n - p)
-                if not r:
-                    continue
-                roff = Tfull.block_start(U, n, p, full_chains.index(c))
-                coff = Tred.block_start(U, n, p, ci)
-                for k in range(r):
-                    entries[roff + k][coff + k] = 1
-        comps[n] = Matrix(ring, entries, nrows=tgt.rank(n), ncols=src.rank(n))
+        big = Tfull.layout(U, n)
+        comps[n] = Matrix.identity(src.ring, len(big)).submatrix(
+            range(len(big)), _positions(Tred.layout(U, n), big)
+        )
     return make_chain_map(src, tgt, comps, check=True)
 
 
@@ -787,16 +756,9 @@ def total_godement(F, depth=None, strict=False):
                 continue
             comps = {}
             for n in range(T.lo, T.hi + T.depth + 1):
-                rows = []
-                for (p, q, ci, k) in T.layout(V, n):
-                    c = T.chains(p, V)[ci]
-                    bigci = T.chain_pos(p, U)[c]
-                    col = T.block_start(U, n, p, bigci) + k
-                    rows.append(
-                        tuple(1 if cc == col else 0 for cc in range(vals[U].rank(n)))
-                    )
-                comps[n] = Matrix(
-                    F.ring, rows, nrows=vals[V].rank(n), ncols=vals[U].rank(n)
+                big = T.layout(U, n)
+                comps[n] = Matrix.identity(F.ring, len(big)).submatrix(
+                    _positions(T.layout(V, n), big), range(len(big))
                 )
             res[(U, V)] = ChainMap(vals[U], vals[V], comps)
     return make_presheaf(site, vals, res, check=False)
@@ -818,20 +780,13 @@ def tower_map_at(phi, Tsrc, Ttgt, U):
     U = Tsrc.site.as_open(U)
     src = Tsrc.total(U)
     tgt = Ttgt.total(U)
-    ring = src.ring
     comps = {}
     for n in range(min(Tsrc.lo, Ttgt.lo), max(Tsrc.hi + Tsrc.depth, Ttgt.hi + Ttgt.depth) + 1):
-        entries = [[0] * src.rank(n) for _ in range(tgt.rank(n))]
-        for p in range(0, Tsrc.depth + 1):
-            q = n - p
-            for ci, c in enumerate(Tsrc.chains(p, U)):
-                mat = phi.at(Tsrc.site.up(c[-1])).comp(q)
-                if mat.nrows == 0 or mat.ncols == 0:
-                    continue
-                add_block(
-                    entries, mat, Ttgt.block_start(U, n, p, ci), Tsrc.block_start(U, n, p, ci)
-                )
-        comps[n] = Matrix(ring, entries, nrows=tgt.rank(n), ncols=src.rank(n))
+        comps[n] = block_diagonal(src.ring, [
+            phi.at(Tsrc.site.up(c[-1])).comp(n - p)
+            for p in range(Tsrc.depth + 1)
+            for c in Tsrc.chains(p, U)
+        ])
     return make_chain_map(src, tgt, comps, check=True)
 
 
@@ -857,36 +812,35 @@ def cech_total(F, cover=None):
     ring = F.ring
     lo, hi = F.window()
     k = len(cover)
-    blocks = {}
-    for p in range(0, k):
+    # column p is the sum over the cover blocks: the meets of p + 1 opens
+    meets = {}
+    for p in range(k):
         for idx in itertools.combinations(range(k), p + 1):
-            V = cover[idx[0]]
-            for i in idx[1:]:
-                V = site.meet(V, cover[i])
-            blocks.setdefault(p, []).append((idx, V))
+            meets[idx] = site.meet(meets[idx[:-1]], cover[idx[-1]]) if p else cover[idx[0]]
+    blocks = {p: [idx for idx in meets if len(idx) == p + 1] for p in range(k)}
     columns = {
-        p: direct_sum(ring, lo, hi, [F.vals[V] for _, V in blocks[p]]) for p in blocks
+        p: direct_sum(ring, lo, hi, [F.vals[meets[idx]] for idx in blocks[p]]) for p in blocks
     }
-
-    def starts(p, q):
-        return list(itertools.accumulate((F.vals[V].rank(q) for _, V in blocks[p]), initial=0))
 
     def insertion(p, q):
         """The alternating insertion of a cover index, column p -> p + 1."""
+
+        def rank(idx):
+            return F.vals[meets[idx]].rank(q)
+
         entries = [[0] * columns[p].rank(q) for _ in range(columns[p + 1].rank(q))]
-        soff, toff = starts(p, q), starts(p + 1, q)
-        for bi, (idx, V) in enumerate(blocks[p]):
-            if not F.vals[V].rank(q):
+        soff, toff = _block_starts(blocks[p], rank), _block_starts(blocks[p + 1], rank)
+        for idx in blocks[p]:
+            if not rank(idx):
                 continue
-            for ti, (tidx, W) in enumerate(blocks[p + 1]):
-                for j in range(p + 2):
-                    if tidx[:j] + tidx[j + 1 :] == idx:
-                        sgn = -1 if j % 2 else 1
-                        add_block(entries, F.restriction(V, W).comp(q), toff[ti], soff[bi], sgn)
+            for i in set(range(k)) - set(idx):
+                tidx = tuple(sorted(idx + (i,)))
+                sgn = -1 if tidx.index(i) % 2 else 1
+                rmat = F.restriction(meets[idx], meets[tidx]).comp(q)
+                add_block(entries, rmat, toff[tidx], soff[idx], sgn)
         return Matrix(ring, entries, nrows=len(entries), ncols=columns[p].rank(q))
 
-    depth = max(blocks) if blocks else 0
-    return totalize(ring, lo, hi + depth, columns, insertion)
+    return totalize(ring, lo, hi + max(k - 1, 0), columns, insertion)
 
 
 def cech_hypercohomology(F, n, cover=None):
@@ -937,33 +891,29 @@ class AWPairing:
         src = tensor_complex(totF, totG)
         tgt = TP.total(U)
         ring = src.ring
+        layoutF = {t: TF.layout(U, t) for t in totF.degrees()}
+        layoutG = {t: TG.layout(U, t) for t in totG.degrees()}
         comps = {}
         for n in src.degrees():
             basis = tensor_basis(totF, totG, n)
             entries = [[0] * len(basis) for _ in range(tgt.rank(n))]
             if basis and tgt.rank(n):
-                layoutF = {t: TF.layout(U, t) for t in totF.degrees()}
-                layoutG = {t: TG.layout(U, t) for t in totG.degrees()}
+                row = {coord: r for r, coord in enumerate(TP.layout(U, n))}
                 for col, (t, i, j) in enumerate(basis):
-                    p, q, ci, u = layoutF[t][i]
-                    b, s, cj, v = layoutG[n - t][j]
-                    if p + b > TP.depth:
+                    p, c, u = layoutF[t][i]
+                    b, cprime, v = layoutG[n - t][j]
+                    if p + b > TP.depth or c[-1] != cprime[0]:
                         continue
-                    c = TF.chains(p, U)[ci]
-                    cprime = TG.chains(b, U)[cj]
-                    if c[-1] != cprime[0]:
-                        continue
+                    q, s = t - p, n - t - b
                     glued = c + cprime[1:]
-                    gi = TP.chain_pos(p + b, U)[glued]
                     UL = site.up(glued[-1])
                     rmat = TF.source.restriction(site.up(c[-1]), UL).comp(q)
                     pos = self._stalk_positions(UL, q + s)
-                    roff = TP.block_start(U, n, p + b, gi)
                     sgn = -1 if (q * b) % 2 else 1
                     for r in range(rmat.nrows):
                         w = rmat.rows[r][u]
                         if w:
-                            entries[roff + pos[(q, r, v)]][col] += sgn * w
+                            entries[row[(p + b, glued, pos[(q, r, v)])]][col] += sgn * w
             comps[n] = Matrix(ring, entries, nrows=tgt.rank(n), ncols=len(basis))
         out = make_chain_map(src, tgt, comps, check=True)
         self._pairings[U] = out
@@ -1135,11 +1085,9 @@ class _RGammaData:
         B = self.big_comp(x, y, z).comp(n)
         totYZ = self.hom_fn(y, z)
         totXY = self.hom_fn(x, y)
-        off = 0
-        for t in totYZ.degrees():
-            if t == p:
-                break
-            off += totYZ.rank(t) * totXY.rank(n - t)
+        # the block of totYZ^p (x) totXY^q among the columns of degree n
+        starts = _block_starts(totYZ.degrees(), lambda t: totYZ.rank(t) * totXY.rank(n - t))
+        off = starts.get(p, 0)
         w = totYZ.rank(p) * totXY.rank(q)
         rows = [list(B.rows[r][off : off + w]) for r in range(B.nrows)]
         return Matrix(B.ring, rows, nrows=B.nrows, ncols=w)

@@ -131,6 +131,15 @@ def test_exact_entries_keep_their_value():
     assert all(type(v) is Fraction for v in q.rows[0])
 
 
+def test_declared_shape_must_match_the_rows():
+    with pytest.raises(ValueError, match="ncols"):
+        Matrix(RING_Z, [[1, 2]], nrows=1, ncols=3)
+    with pytest.raises(ValueError, match="nrows"):
+        Matrix(RING_Z, [[1, 2]], nrows=2, ncols=2)
+    assert Matrix(RING_Z, [[1, 2]], nrows=1, ncols=2).ncols == 2
+    assert Matrix(RING_Z, [], nrows=0, ncols=3).ncols == 3
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from dgforge.linalg import (
     complex_homology,
     identity_chain_map,
     is_quasi_iso,
+    make_chain_map,
     single_complex,
     tensor_basis,
     tensor_chain_map,
@@ -32,6 +33,7 @@ from dgforge.sheaf import (
     hom_presheaf,
     hypercohomology_compare,
     make_presheaf,
+    make_presheaf_map,
     make_site,
     minimal_cover,
     point_site,
@@ -424,6 +426,29 @@ def test_presheaf_level_augmentation_and_total_validate(pseudo, t2):
     validate_presheaf(total_godement(F, strict=True))
     T = godement_tower(F, strict=True)
     validate_presheaf(T.level(1))
+
+
+def test_tower_maps_are_natural_for_restriction(pseudo):
+    # Z in degree 0 into (Z --2--> Z) in degrees -1, 0: the blocks at
+    # degree -1 have no columns, so source and target layouts differ
+    C = single_complex("Z", 0, 1)
+    D = two_term_complex("Z", -1, Matrix("Z", [[2]]))
+    f = make_chain_map(C, D, {0: Matrix("Z", [[1]])})
+    FC, FD = constant_presheaf(pseudo, C), constant_presheaf(pseudo, D)
+    comps = {U: f if U else ChainMap(FC.vals[U], FD.vals[U], {}) for U in pseudo.opens()}
+    phi = make_presheaf_map(FC, FD, comps)
+    for strict in (False, True):
+        depth = None if strict else 2
+        TC, TD = godement_tower(FC, depth, strict), godement_tower(FD, depth, strict)
+        resC = total_godement(FC, TC.depth, strict).res
+        resD = total_godement(FD, TD.depth, strict).res
+        for U in pseudo.opens():
+            for V in pseudo.opens():
+                if not V or not set(V) <= set(U):
+                    continue
+                lhs = compose_chain_maps(resD[(U, V)], tower_map_at(phi, TC, TD, U))
+                rhs = compose_chain_maps(tower_map_at(phi, TC, TD, V), resC[(U, V)])
+                assert lhs == rhs, (strict, U, V)
 
 
 def test_reduced_inclusion_is_a_quasi_iso(sierp, pseudo, t2):
