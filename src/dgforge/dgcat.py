@@ -41,6 +41,8 @@ from .cubical import (
 from .linalg import (
     Matrix,
     _apply,
+    _coerce,
+    _exact_vector,
     _columns_to_matrix,
     complex_homology,
     is_quasi_iso,
@@ -49,6 +51,7 @@ from .linalg import (
     identity_hom_vector,
     kernel,
     make_chain_map,
+    mul_kron,
     restrict,
     restrict_vector,
     single_complex,
@@ -154,7 +157,7 @@ class DGCategory:
         return self._id[x]
 
     def element(self, x, y, degree, coords):
-        coords = tuple(coords)
+        coords = _exact_vector(self.ring, coords)
         if len(coords) != self.hom(x, y).rank(degree):
             raise ValueError("coordinate length mismatch")
         return HomElement(x, y, degree, coords)
@@ -199,6 +202,8 @@ class DGCategory:
         )
 
     def scale(self, f, c):
+        if type(c) is not int:
+            c = _coerce(self.ring, c)
         return HomElement(f.source, f.target, f.degree, tuple(c * a for a in f.vector))
 
     def __repr__(self):
@@ -280,12 +285,8 @@ def validate_dg(C):
                         rq = fz.rank(q)
                         rp = gz.rank(p)
                         lhs = C.hom(x, z).d(p + q) * C.comp_matrix(x, y, z, p, q)
-                        rhs = C.comp_matrix(x, y, z, p + 1, q) * gz.d(p).kron(
-                            Matrix.identity(C.ring, rq)
-                        )
-                        term = C.comp_matrix(x, y, z, p, q + 1) * Matrix.identity(
-                            C.ring, rp
-                        ).kron(fz.d(q))
+                        rhs = mul_kron(C.comp_matrix(x, y, z, p + 1, q), gz.d(p), rq)
+                        term = mul_kron(C.comp_matrix(x, y, z, p, q + 1), rp, fz.d(q))
                         rhs = rhs + (term.scale(-1) if p % 2 else term)
                         mismatch("leibniz", (x, y, z, p, q), lhs, rhs)
 
@@ -307,12 +308,14 @@ def validate_dg(C):
                                     continue
                                 rr = fz.rank(r)
                                 rp = hz.rank(p)
-                                lhs = C.comp_matrix(x, y, w, p + q, r) * C.comp_matrix(
-                                    y, z, w, p, q
-                                ).kron(Matrix.identity(C.ring, rr))
-                                rhs = C.comp_matrix(x, z, w, p, q + r) * Matrix.identity(
-                                    C.ring, rp
-                                ).kron(C.comp_matrix(x, y, z, q, r))
+                                lhs = mul_kron(
+                                    C.comp_matrix(x, y, w, p + q, r),
+                                    C.comp_matrix(y, z, w, p, q), rr,
+                                )
+                                rhs = mul_kron(
+                                    C.comp_matrix(x, z, w, p, q + r),
+                                    rp, C.comp_matrix(x, y, z, q, r),
+                                )
                                 mismatch("assoc", (x, y, z, w, p, q, r), lhs, rhs)
 
     for x in C.objects:
@@ -321,14 +324,15 @@ def validate_dg(C):
             idy = Matrix.column(C.ring, list(C.identity(y).vector))
             idx = Matrix.column(C.ring, list(C.identity(x).vector))
             for q in _ranked_degrees(fz):
-                eye = Matrix.identity(C.ring, fz.rank(q))
+                rq = fz.rank(q)
+                eye = Matrix.identity(C.ring, rq)
                 mismatch(
                     "unit-left", (x, y, q),
-                    C.comp_matrix(x, y, y, 0, q) * idy.kron(eye), eye,
+                    mul_kron(C.comp_matrix(x, y, y, 0, q), idy, rq), eye,
                 )
                 mismatch(
                     "unit-right", (x, y, q),
-                    C.comp_matrix(x, x, y, q, 0) * eye.kron(idx), eye,
+                    mul_kron(C.comp_matrix(x, x, y, q, 0), rq, idx), eye,
                 )
 
     return DGReport(ok=not failures, failures=tuple(failures))
@@ -364,7 +368,7 @@ def truncate_nonpositive(C):
         return subcomplex(cx, {n: embed(x, y, n) for n in range(min(cx.lo, hi), hi + 1)})
 
     def comp_fn(x, y, z, p, q):
-        mat = C.comp_matrix(x, y, z, p, q) * embed(y, z, p).kron(embed(x, y, q))
+        mat = mul_kron(C.comp_matrix(x, y, z, p, q), embed(y, z, p), embed(x, y, q))
         return restrict(embed(x, z, p + q), mat, "the truncated composition")
 
     def id_fn(x):
@@ -405,9 +409,8 @@ class H0Category:
         ring = self.ring
         fcol = Matrix.column(ring, list(fvec))
         rg = self.cycles[(y, x)].ncols
-        eye = Matrix.identity(ring, rg)
-        m1 = self.comp[(x, y, x)] * eye.kron(fcol)
-        m2 = self.comp[(y, x, y)] * fcol.kron(eye)
+        m1 = mul_kron(self.comp[(x, y, x)], rg, fcol)
+        m2 = mul_kron(self.comp[(y, x, y)], fcol, rg)
         bxx = self.boundaries[(x, x)]
         byy = self.boundaries[(y, y)]
         top = m1.hstack(bxx).hstack(Matrix.zero(ring, m1.nrows, byy.ncols))
@@ -453,7 +456,7 @@ def homotopy_category(C):
     for x in C.objects:
         for y in C.objects:
             for z in C.objects:
-                mat = C.comp_matrix(x, y, z, 0, 0) * cycles[(y, z)].kron(cycles[(x, y)])
+                mat = mul_kron(C.comp_matrix(x, y, z, 0, 0), cycles[(y, z)], cycles[(x, y)])
                 comp[(x, y, z)] = restrict(cycles[(x, z)], mat, "the composite of cycles")
     for x in C.objects:
         ident[x] = restrict_vector(cycles[(x, x)], C.identity(x).vector, "the identity")
@@ -535,9 +538,10 @@ def validate_functor(F):
                         if not (C.hom(x, z).lo <= p + q <= C.hom(x, z).hi):
                             continue
                         lhs = F.mor_maps[(x, z)].comp(p + q) * C.comp_matrix(x, y, z, p, q)
-                        rhs = D.comp_matrix(fx, fy, fz, p, q) * F.mor_maps[(y, z)].comp(
-                            p
-                        ).kron(F.mor_maps[(x, y)].comp(q))
+                        rhs = mul_kron(
+                            D.comp_matrix(fx, fy, fz, p, q),
+                            F.mor_maps[(y, z)].comp(p), F.mor_maps[(x, y)].comp(q),
+                        )
                         if lhs != rhs:
                             failures.append(
                                 DGFailure("composition-image", (x, y, z, p, q), _first_diff(lhs, rhs))

@@ -7,6 +7,14 @@ Hom-complexes and mapping cones.  No floats anywhere: an entry that is not
 an exact integer (over Z) or rational (over Q) is refused.  Matrices are
 dense tuples of tuples (soft practical limit around 512x512).
 
+Entries are coerced only at the public boundary (`Matrix(...)`,
+`Matrix.column`, `to_q`/`to_z` and the factor of `scale`): the Matrix
+operations, the eliminations and the complex builders whose entries
+already have the ring's type (int over Z, Fraction over Q) store them
+through the unchecked `Matrix._trusted`.  Law checks of
+the form "composition applied to a tensor of maps" use `mul_kron`, which
+computes M * (A (x) B) without forming the Kronecker product.
+
 Subcomplexes, direct sums and double-complex totals come from four
 constructors: `restrict` (with `restrict_vector`) reads maps in the
 coordinates of a basis, `subcomplex` cuts a complex down to one basis per
@@ -17,10 +25,21 @@ stacks the columns of a double complex, signing their differential (-1)^p.
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _add, neg as _neg
 
 
 RING_Z = "Z"
 RING_Q = "Q"
+
+# The zero and the one of each ring, in the ring's entry type.
+_UNITS = {RING_Z: (0, 1), RING_Q: (Fraction(0), Fraction(1))}
+
+
+def _units(ring):
+    try:
+        return _UNITS[ring]
+    except KeyError:
+        raise ValueError("unknown ring %r" % (ring,)) from None
 
 
 def _coerce(ring, value):
@@ -38,6 +57,12 @@ def _coerce(ring, value):
     if isinstance(value, numbers.Rational):
         return Fraction(value)
     raise ValueError("entry of a Q matrix must be rational: %r" % (value,))
+
+
+def _exact_vector(ring, values):
+    """The values as a tuple of exact ring elements: ints are kept as they
+    are (over Q too), anything else goes through `_coerce`."""
+    return tuple(v if type(v) is int else _coerce(ring, v) for v in values)
 
 
 class Matrix:
@@ -69,16 +94,30 @@ class Matrix:
         if ncols is not None and ncols != width:
             raise ValueError("ncols mismatch")
 
+    @staticmethod
+    def _trusted(ring, rows, ncols):
+        """The matrix on `rows`, a tuple of tuples of length ncols whose
+        entries already have the ring's type; nothing is coerced or checked."""
+        m = object.__new__(Matrix)
+        object.__setattr__(m, "ring", ring)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "nrows", len(rows))
+        object.__setattr__(m, "ncols", ncols)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
     def zero(ring, nrows, ncols):
-        return Matrix(ring, [[0] * ncols for _ in range(nrows)], nrows=nrows, ncols=ncols)
+        zero, _ = _units(ring)
+        return Matrix._trusted(ring, ((zero,) * ncols,) * nrows, ncols)
 
     @staticmethod
     def identity(ring, n):
-        return Matrix(ring, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        zero, one = _units(ring)
+        row = (zero,) * n
+        return Matrix._trusted(ring, tuple(row[:i] + (one,) + row[i + 1:] for i in range(n)), n)
 
     @staticmethod
     def column(ring, entries):
@@ -108,34 +147,24 @@ class Matrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return Matrix(
+        return Matrix._trusted(
             self.ring,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-            nrows=self.nrows,
-            ncols=self.ncols,
+            tuple(tuple(map(_add, r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
+            self.ncols,
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix(
-            self.ring,
-            [[-v for v in row] for row in self.rows],
-            nrows=self.nrows,
-            ncols=self.ncols,
+        return Matrix._trusted(
+            self.ring, tuple(tuple(map(_neg, row)) for row in self.rows), self.ncols
         )
 
     def scale(self, c):
         c = _coerce(self.ring, c)
-        return Matrix(
-            self.ring,
-            [[c * v for v in row] for row in self.rows],
-            nrows=self.nrows,
-            ncols=self.ncols,
+        return Matrix._trusted(
+            self.ring, tuple(tuple(c * v for v in row) for row in self.rows), self.ncols
         )
 
     def __mul__(self, other):
@@ -150,7 +179,7 @@ class Matrix:
             )
         if self.ncols == 0 or other.ncols == 0:
             return Matrix.zero(self.ring, self.nrows, other.ncols)
-        zero = _coerce(self.ring, 0)
+        zero = _units(self.ring)[0]
         out = []
         for row in self.rows:
             acc = [zero] * other.ncols
@@ -160,48 +189,44 @@ class Matrix:
                     for j, b in enumerate(orow):
                         if b:
                             acc[j] += a * b
-            out.append(acc)
-        return Matrix(self.ring, out, nrows=self.nrows, ncols=other.ncols)
+            out.append(tuple(acc))
+        return Matrix._trusted(self.ring, tuple(out), other.ncols)
 
     def kron(self, other):
         """Kronecker product; row/column index order is (i_self, i_other) row-major."""
         if self.ring != other.ring:
             raise ValueError("ring mismatch in kron")
+        zero = _units(self.ring)[0]
+        blank = [zero] * other.ncols
         out = []
         for r1 in self.rows:
             for r2 in other.rows:
-                out.append([a * b for a in r1 for b in r2])
-        return Matrix(
-            self.ring,
-            out,
-            nrows=self.nrows * other.nrows,
-            ncols=self.ncols * other.ncols,
-        )
+                row = []
+                for a in r1:
+                    row.extend([a * b for b in r2] if a else blank)
+                out.append(tuple(row))
+        return Matrix._trusted(self.ring, tuple(out), self.ncols * other.ncols)
 
     def hstack(self, other):
         if self.nrows != other.nrows or self.ring != other.ring:
             raise ValueError("hstack mismatch")
-        rows = [r1 + r2 for r1, r2 in zip(self.rows, other.rows)]
-        if self.nrows == 0:
-            return Matrix(self.ring, [], nrows=0, ncols=self.ncols + other.ncols)
-        return Matrix(self.ring, rows, nrows=self.nrows, ncols=self.ncols + other.ncols)
+        return Matrix._trusted(
+            self.ring,
+            tuple(r1 + r2 for r1, r2 in zip(self.rows, other.rows)),
+            self.ncols + other.ncols,
+        )
 
     def vstack(self, other):
         if self.ncols != other.ncols or self.ring != other.ring:
             raise ValueError("vstack mismatch")
-        return Matrix(
-            self.ring,
-            list(self.rows) + list(other.rows),
-            nrows=self.nrows + other.nrows,
-            ncols=self.ncols,
-        )
+        return Matrix._trusted(self.ring, self.rows + other.rows, self.ncols)
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix(
+        rows = self.rows
+        return Matrix._trusted(
             self.ring,
-            [[self.rows[i][j] for j in col_idx] for i in row_idx],
-            nrows=len(row_idx),
-            ncols=len(col_idx),
+            tuple(tuple(rows[i][j] for j in col_idx) for i in row_idx),
+            len(col_idx),
         )
 
     def col(self, j):
@@ -232,6 +257,7 @@ def block_matrix(ring, blocks):
     `blocks[i][j]` sits at block-row i, block-column j.  Every block row must
     contain at least one real matrix fixing the row count, ditto columns.
     """
+    zero = _units(ring)[0]
     nbr = len(blocks)
     nbc = len(blocks[0]) if nbr else 0
     row_h = [None] * nbr
@@ -240,6 +266,8 @@ def block_matrix(ring, blocks):
         for j in range(nbc):
             b = blocks[i][j]
             if b is not None:
+                if b.ring != ring:
+                    raise ValueError("ring mismatch in block_matrix")
                 if row_h[i] is None:
                     row_h[i] = b.nrows
                 elif row_h[i] != b.nrows:
@@ -253,28 +281,29 @@ def block_matrix(ring, blocks):
     rows = []
     for i in range(nbr):
         for r in range(row_h[i]):
-            row = []
+            row = ()
             for j in range(nbc):
                 b = blocks[i][j]
-                if b is None:
-                    row.extend([0] * col_w[j])
-                else:
-                    row.extend(b.rows[r])
+                row += (zero,) * col_w[j] if b is None else b.rows[r]
             rows.append(row)
-    return Matrix(ring, rows, nrows=sum(row_h), ncols=sum(col_w))
+    return Matrix._trusted(ring, tuple(rows), sum(col_w))
 
 
 def block_diagonal(ring, blocks):
     """The blocks along the diagonal, zero elsewhere; no blocks give 0 x 0."""
+    zero = _units(ring)[0]
+    if any(b.ring != ring for b in blocks):
+        raise ValueError("ring mismatch in block_diagonal")
     width = sum(b.ncols for b in blocks)
     rows = []
     left = 0
     for b in blocks:
-        right = width - left - b.ncols
+        pad_left = (zero,) * left
+        pad_right = (zero,) * (width - left - b.ncols)
         for row in b.rows:
-            rows.append([0] * left + list(row) + [0] * right)
+            rows.append(pad_left + row + pad_right)
         left += b.ncols
-    return Matrix(ring, rows, nrows=sum(b.nrows for b in blocks), ncols=width)
+    return Matrix._trusted(ring, tuple(rows), width)
 
 
 def add_block(entries, block, roff, coff, scalar=1):
@@ -284,6 +313,61 @@ def add_block(entries, block, roff, coff, scalar=1):
         for c, v in enumerate(row):
             if v:
                 out[coff + c] += scalar * v
+
+
+def mul_kron(M, A, B):
+    """M * (A (x) B), in the column order of `kron`, without forming A (x) B.
+
+    An int n in place of A or B stands for the n x n identity.  Read a row
+    of M as the matrix R with R[i][t] = row[i * B.nrows + t]; its image is
+    A^T R B flattened row-major (Van Loan 2000), computed as R -> A^T R
+    (columns of M times A (x) I) and then -> (A^T R) B (times I (x) B).
+    """
+    ring = M.ring
+    ar, ac = _factor_shape(ring, A)
+    br, bc = _factor_shape(ring, B)
+    if M.ncols != ar * br:
+        raise ValueError(
+            "shape mismatch: %dx%d times (%dx%d kron %dx%d)"
+            % (M.nrows, M.ncols, ar, ac, br, bc)
+        )
+    zero = _units(ring)[0]
+    rows = M.rows
+    if type(A) is not int:
+        arows = [[(j, a) for j, a in enumerate(arow) if a] for arow in A.rows]
+        out = []
+        for row in rows:
+            acc = [zero] * (ac * br)
+            for k, v in enumerate(row):
+                if v:
+                    i, t = divmod(k, br)
+                    for j, a in arows[i]:
+                        acc[j * br + t] += a * v
+            out.append(tuple(acc))
+        rows = tuple(out)
+    if type(B) is not int:
+        brows = [[(l, b) for l, b in enumerate(brow) if b] for brow in B.rows]
+        out = []
+        for row in rows:
+            acc = [zero] * (ac * bc)
+            for k, v in enumerate(row):
+                if v:
+                    j, t = divmod(k, br)
+                    base = j * bc
+                    for l, b in brows[t]:
+                        acc[base + l] += v * b
+            out.append(tuple(acc))
+        rows = tuple(out)
+    return Matrix._trusted(ring, rows, ac * bc)
+
+
+def _factor_shape(ring, X):
+    """(nrows, ncols) of a `mul_kron` factor; an int n is the n x n identity."""
+    if type(X) is int:
+        return X, X
+    if X.ring != ring:
+        raise ValueError("ring mismatch in mul_kron")
+    return X.nrows, X.ncols
 
 
 def _apply(mat, vec):
@@ -430,9 +514,9 @@ def smith_normal_form(A):
         t += 1
 
     return SmithDecomposition(
-        U=Matrix(RING_Z, u, nrows=m, ncols=m),
-        D=Matrix(RING_Z, a, nrows=m, ncols=n),
-        V=Matrix(RING_Z, v, nrows=n, ncols=n),
+        U=Matrix._trusted(RING_Z, tuple(map(tuple, u)), m),
+        D=Matrix._trusted(RING_Z, tuple(map(tuple, a)), n),
+        V=Matrix._trusted(RING_Z, tuple(map(tuple, v)), n),
     )
 
 
@@ -491,7 +575,7 @@ def z_solve(A, B):
     for i in range(r, m):
         if any(ub.rows[i][j] != 0 for j in range(B.ncols)):
             return None
-    Y = Matrix(RING_Z, y_rows, nrows=n, ncols=B.ncols)
+    Y = Matrix._trusted(RING_Z, tuple(map(tuple, y_rows)), B.ncols)
     return snf.V * Y
 
 
@@ -521,7 +605,7 @@ def q_rref(A):
         r += 1
         if r == m:
             break
-    return Matrix(RING_Q, a, nrows=m, ncols=n), pivots
+    return Matrix._trusted(RING_Q, tuple(map(tuple, a)), n), pivots
 
 
 def q_rank(A):
@@ -541,7 +625,7 @@ def q_kernel(A):
         for r, p in enumerate(pivots):
             vec[p] = -R.rows[r][f]
         cols.append(vec)
-    return Matrix(RING_Q, list(zip(*cols)) if cols else [], nrows=n, ncols=len(cols))
+    return Matrix._trusted(RING_Q, tuple(zip(*cols)) if cols else ((),) * n, len(cols))
 
 
 def q_solve(A, B):
@@ -557,7 +641,7 @@ def q_solve(A, B):
     for r, p in enumerate(pivots):
         for j in range(B.ncols):
             x_rows[p][j] = R.rows[r][n + j]
-    return Matrix(RING_Q, x_rows, nrows=n, ncols=B.ncols)
+    return Matrix._trusted(RING_Q, tuple(map(tuple, x_rows)), B.ncols)
 
 
 def kernel(A):
@@ -812,12 +896,13 @@ def tensor_complex(C, D):
     hi = C.hi + D.hi
     bases = {n: tensor_basis(C, D, n) for n in range(lo, hi + 2)}
     ranks = [len(bases[n]) for n in range(lo, hi + 1)]
+    zero = _units(C.ring)[0]
     diffs = []
     for n in range(lo, hi):
         src = bases[n]
         dst = bases[n + 1]
         pos = {key: idx for idx, key in enumerate(dst)}
-        rows = [[0] * len(src) for _ in dst]
+        rows = [[zero] * len(src) for _ in dst]
         for cidx, (p, i, j) in enumerate(src):
             q = n - p
             dc = C.d(p)
@@ -831,7 +916,7 @@ def tensor_complex(C, D):
                 v = dd.rows[j2][j]
                 if v:
                     rows[pos[(p, i, j2)]][cidx] += sgn * v
-        diffs.append(Matrix(C.ring, rows, nrows=len(dst), ncols=len(src)))
+        diffs.append(Matrix._trusted(C.ring, tuple(map(tuple, rows)), len(src)))
     return make_complex(C.ring, lo, ranks, diffs, check=False)
 
 

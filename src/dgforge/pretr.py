@@ -23,6 +23,7 @@ from .linalg import (
     ChainComplex,
     Matrix,
     _apply,
+    _exact_vector,
     _columns_to_matrix,
     add_block,
     complex_homology,
@@ -268,7 +269,7 @@ class TwistedHom:
         return tuple(vec)
 
     def element(self, degree, vec):
-        vec = tuple(vec)
+        vec = _exact_vector(self.complex.ring, vec)
         if len(vec) != self.complex.rank(degree):
             raise ValueError("coordinate length mismatch")
         C = self.source.base

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -135,6 +136,23 @@ def test_zero_differential_category_passes():
         "v": single_complex("Z", 0, 3),
     })
     assert validate_dg(cat).ok
+
+
+def test_hom_coordinates_must_be_exact():
+    C = build_vertex_cubes(ring="Z", top=1, objects=(1,))[0].category
+    with pytest.raises(ValueError):
+        C.element(1, 1, 0, (2.5,))
+    with pytest.raises(ValueError):
+        C.scale(C.identity(1), 0.5)
+    Q = build_vertex_cubes(ring="Q", top=1, objects=(1,))[0].category
+    with pytest.raises(ValueError):
+        Q.element(1, 1, 0, (0.1,))
+    with pytest.raises(ValueError):
+        Q.scale(Q.identity(1), 0.5)
+    e = C.element(1, 1, 0, (Fraction(4, 2),))
+    assert e.vector == (2,) and type(e.vector[0]) is int
+    assert C.compose(e, e).vector == (4,)
+    assert Q.scale(Q.identity(1), Fraction(1, 2)).vector == (Fraction(1, 2),)
 
 
 @given(st.integers(0, 10 ** 6))

@@ -12,6 +12,7 @@ from dgforge.linalg import (
     Matrix,
     RING_Q,
     RING_Z,
+    block_diagonal,
     block_matrix,
     complex_homology,
     compose_chain_maps,
@@ -29,8 +30,10 @@ from dgforge.linalg import (
     kernel,
     make_chain_map,
     make_complex,
+    mul_kron,
     q_kernel,
     q_rank,
+    q_rref,
     q_solve,
     shift_complex,
     single_complex,
@@ -138,6 +141,83 @@ def test_declared_shape_must_match_the_rows():
         Matrix(RING_Z, [[1, 2]], nrows=2, ncols=2)
     assert Matrix(RING_Z, [[1, 2]], nrows=1, ncols=2).ncols == 2
     assert Matrix(RING_Z, [], nrows=0, ncols=3).ncols == 3
+
+
+def _sample_matrix(rng, ring, nrows, ncols):
+    if ring == RING_Z:
+        values = (0, 0, 1, -1, 2, -3)
+    else:
+        values = (0, 0, 1, -1, Fraction(1, 2), Fraction(-2, 3))
+    rows = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+    return Matrix(ring, rows, nrows=nrows, ncols=ncols)
+
+
+def _kron_factor(rng, ring):
+    """A `mul_kron` factor and its dense matrix: an int n stands for I_n."""
+    n = rng.randint(0, 3)
+    if rng.random() < 0.3:
+        return n, Matrix.identity(ring, n)
+    m = _sample_matrix(rng, ring, n, rng.randint(0, 3))
+    return m, m
+
+
+@given(st.data())
+def test_mul_kron_matches_the_kronecker_product(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    for ring in (RING_Z, RING_Q):
+        for _ in range(5):
+            A, dense_a = _kron_factor(rng, ring)
+            B, dense_b = _kron_factor(rng, ring)
+            M = _sample_matrix(rng, ring, rng.randint(0, 3), dense_a.nrows * dense_b.nrows)
+            out = mul_kron(M, A, B)
+            expected = M * dense_a.kron(dense_b)
+            assert (out.nrows, out.ncols) == (expected.nrows, expected.ncols)
+            assert out == expected
+
+
+def test_mul_kron_refuses_mismatched_factors():
+    M = Matrix.identity(RING_Z, 4)
+    with pytest.raises(ValueError, match="shape"):
+        mul_kron(M, 2, 3)
+    with pytest.raises(ValueError, match="ring"):
+        mul_kron(M, Matrix.identity(RING_Q, 2), 2)
+
+
+@pytest.mark.parametrize("ring, kind", [(RING_Z, int), (RING_Q, Fraction)])
+def test_matrix_operations_keep_the_ring_entry_type(ring, kind):
+    # the operations store their entries without coercing them again
+    rng = random.Random(5)
+    a, b = _sample_matrix(rng, ring, 2, 3), _sample_matrix(rng, ring, 2, 3)
+    c = _sample_matrix(rng, ring, 3, 2)
+    results = {
+        "+": a + b,
+        "-": a - b,
+        "neg": -a,
+        "scale": a.scale(2),
+        "*": a * c,
+        "* empty": a * Matrix.zero(ring, 3, 0),
+        "kron": a.kron(c),
+        "hstack": a.hstack(b),
+        "vstack": a.vstack(b),
+        "submatrix": a.submatrix([1, 0], [2, 0]),
+        "zero": Matrix.zero(ring, 2, 3),
+        "identity": Matrix.identity(ring, 3),
+        "mul_kron": mul_kron(a, c, 1),
+        "mul_kron id": mul_kron(a, 1, c),
+        "mul_kron ids": mul_kron(a, 3, 1),
+        "block_matrix": block_matrix(ring, [[a, None], [None, c]]),
+        "block_diagonal": block_diagonal(ring, [a, c]),
+    }
+    if ring == RING_Z:
+        snf = smith_normal_form(a)
+        results.update(U=snf.U, D=snf.D, V=snf.V, z_solve=z_solve(a, a * c))
+    else:
+        results.update(q_rref=q_rref(a)[0], q_kernel=q_kernel(a), q_solve=q_solve(a, a * c))
+    for name, m in results.items():
+        assert type(m.rows) is tuple and len(m.rows) == m.nrows, name
+        for row in m.rows:
+            assert type(row) is tuple and len(row) == m.ncols, name
+            assert all(type(v) is kind for v in row), name
 
 
 # ---------------------------------------------------------------------------

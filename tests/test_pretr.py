@@ -255,6 +255,14 @@ def test_hom_complex_rejects_mismatched_bases(cx, fin):
         twisted_hom_complex(i0(C, "a"), i0(fin.category, ()))
 
 
+def test_twisted_hom_coordinates_must_be_exact():
+    C = build_vertex_cubes(ring="Z", top=1, objects=(1,))[0].category
+    H = twisted_hom_complex(i0(C, 1), i0(C, 1))
+    with pytest.raises(ValueError):
+        H.element(0, (0.5,))
+    assert H.element(0, (3,)).comps[0][1].vector == (3,)
+
+
 def test_hom_differential_squares_to_zero_seeded(cx):
     C, _ = cx
     keys = list(C.objects)
