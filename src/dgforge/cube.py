@@ -192,6 +192,34 @@ def generator_maps(top, extended=False):
     return {g.word[0]: g for g in gens}
 
 
+def closure_walk(bound, extended=False):
+    """Breadth-first walk of the maps generated between levels 0..bound.
+
+    The walk starts from the identities and composes each map f it reaches
+    with every generator out of f.cod.  It yields each step as
+    (f, token, h, new): h is the generator `token` after f, and `new` says
+    whether the table of h is met here for the first time.  Only new maps
+    are walked further; callers keep whatever they attach to the maps.
+    """
+    gens = {m: [] for m in range(bound + 1)}
+    for token, g in generator_maps(bound, extended).items():
+        gens[g.dom].append((token, g))
+    frontier = [identity_map(m) for m in range(bound + 1)]
+    seen = {(f.dom, f.cod, f.table) for f in frontier}
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for token, g in gens[f.cod]:
+                h = compose(g, f)
+                key = (h.dom, h.cod, h.table)
+                new = key not in seen
+                if new:
+                    seen.add(key)
+                    nxt.append(h)
+                yield f, token, h, new
+        frontier = nxt
+
+
 @lru_cache(maxsize=None)
 def _closure(bound, extended):
     """All composable maps between dimensions <= bound.
@@ -200,33 +228,13 @@ def _closure(bound, extended):
     max(dom, cod) (drop/merge first, then flip/permute, then insert), so the
     closure within the bound is the genuine Hom-set for in-bound objects.
     """
-    gens = {m: [] for m in range(bound + 1)}
-    for g in generator_maps(bound, extended).values():
-        gens[g.dom].append(g)
-    maps = {}
-    frontier = []
+    out = {}
     for m in range(bound + 1):
         ident = identity_map(m)
-        maps[(m, m, ident.table)] = ident
-        frontier.append(ident)
-        for g in gens[m]:
-            key = (g.dom, g.cod, g.table)
-            if key not in maps:
-                maps[key] = g
-                frontier.append(g)
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in gens[f.cod]:
-                h = compose(g, f)
-                key = (h.dom, h.cod, h.table)
-                if key not in maps:
-                    maps[key] = h
-                    nxt.append(h)
-        frontier = nxt
-    out = {}
-    for (dm, cd, _), f in maps.items():
-        out.setdefault((dm, cd), {})[f.table] = f
+        out[(m, m)] = {ident.table: ident}
+    for _, _, h, new in closure_walk(bound, extended):
+        if new:
+            out.setdefault((h.dom, h.cod), {})[h.table] = h
     return out
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .cube import (
     alternating_idempotent,
     back_projection,
-    compose,
+    closure_walk,
     front_projection,
     generator_maps,
     identity_map,
@@ -259,32 +259,19 @@ def cubical_from_generator_matrices(ring, top, ranks, matrices, extended=False, 
             raise ValueError("matrix for %s has wrong ring or shape" % tok)
 
     table = {}
-    frontier = []
     for n in range(top + 1):
         f = identity_map(n)
         table[(f.dom, f.cod, f.table)] = Matrix.identity(ring, ranks[n])
-        frontier.append(f)
-    gen_list = list(gens.values())
-    while frontier:
-        new = []
-        for f in frontier:
-            mf = table[(f.dom, f.cod, f.table)]
-            for g in gen_list:
-                if g.dom != f.cod:
-                    continue
-                h = compose(g, f)
-                mh = mf * matrices[g.word[0]]
-                key = (h.dom, h.cod, h.table)
-                known = table.get(key)
-                if known is None:
-                    table[key] = mh
-                    new.append(h)
-                elif known != mh:
-                    raise ValueError(
-                        "functoriality violation: two factorizations of a map "
-                        "%d -> %d disagree" % (h.dom, h.cod)
-                    )
-        frontier = new
+    for f, token, h, new in closure_walk(top, extended):
+        mh = table[(f.dom, f.cod, f.table)] * matrices[token]
+        key = (h.dom, h.cod, h.table)
+        if new:
+            table[key] = mh
+        elif table[key] != mh:
+            raise ValueError(
+                "functoriality violation: two factorizations of a map "
+                "%d -> %d disagree" % (h.dom, h.cod)
+            )
 
     def act(f):
         m = table.get((f.dom, f.cod, f.table))

@@ -15,6 +15,12 @@ Hom(X (x) cube^n, Y), with composition "duplicate the cube, then cup".
 Two hosts are provided, a finite-correspondence toy whose cubes are all
 the unit object, and a free-module host whose cubes are spanned by the
 cube vertices with the diagonal comultiplication.
+
+`CubicalEnrichment` keeps the reduced model of each level and projects
+composites back along the degenerate splitting.  `AlternatingEnrichment`
+is the same construction with another level model: it overrides only
+`model` (the sign-isotypic subcomplex) and `projector` (the sign
+average), and adds the box tensor product.
 """
 
 import itertools
@@ -23,7 +29,7 @@ from fractions import Fraction
 
 from .cube import (
     alternating_idempotent,
-    compose as compose_cube,
+    closure_walk,
     identity_map,
     front_projection,
     back_projection,
@@ -126,9 +132,7 @@ class DGCategory:
             return Matrix.zero(self.ring, rows, cols)
         key = (x, y, z, p, q)
         if key not in self._comp:
-            mat = self._comp_fn(x, y, z, p, q) if self._comp_fn else None
-            if mat is None:
-                mat = self._assemble_comp(x, y, z, p, q)
+            mat = (self._comp_fn or self._assemble_comp)(x, y, z, p, q)
             if mat.nrows != rows or mat.ncols != cols:
                 raise ValueError("composition matrix shape mismatch at %r" % (key,))
             self._comp[key] = mat
@@ -683,41 +687,28 @@ def validate_cocubical(Q, bound=None):
     if Q.cube(0) != host.unit:
         note("unit-object", (0,), "cube(0) is not the tensor unit")
 
-    gens = list(generator_maps(bound, Q.extended).items())
+    gens = generator_maps(bound, Q.extended)
     table = {}
-    frontier = []
     for n in range(bound + 1):
         f = identity_map(n)
         table[(n, n, f.table)] = C.identity(Q.cube(n))
-        frontier.append(f)
-        direct = Q.image(f)
-        if direct.vector != table[(n, n, f.table)].vector:
+        if Q.image(f).vector != table[(n, n, f.table)].vector:
             note("functoriality", (n, n), "image of the identity is not the identity")
-    while frontier:
-        new = []
-        for f in frontier:
-            known = table[(f.dom, f.cod, f.table)]
-            for token, g in gens:
-                if g.dom != f.cod:
-                    continue
-                h = compose_cube(g, f)
-                cand = C.compose(Q.image(g), known)
-                key = (h.dom, h.cod, h.table)
-                prev = table.get(key)
-                if prev is None:
-                    table[key] = cand
-                    new.append(h)
-                    if Q.image(h).vector != cand.vector:
-                        note(
-                            "functoriality", (h.dom, h.cod),
-                            "direct image disagrees with a factorization through %s" % token,
-                        )
-                elif prev.vector != cand.vector:
-                    note(
-                        "functoriality", (h.dom, h.cod),
-                        "two factorizations of the same map disagree at %s" % token,
-                    )
-        frontier = new
+    for f, token, h, new in closure_walk(bound, Q.extended):
+        cand = C.compose(Q.image(gens[token]), table[(f.dom, f.cod, f.table)])
+        key = (h.dom, h.cod, h.table)
+        if new:
+            table[key] = cand
+            if Q.image(h).vector != cand.vector:
+                note(
+                    "functoriality", (h.dom, h.cod),
+                    "direct image disagrees with a factorization through %s" % token,
+                )
+        elif table[key].vector != cand.vector:
+            note(
+                "functoriality", (h.dom, h.cod),
+                "two factorizations of the same map disagree at %s" % token,
+            )
 
     d0 = Q.delta(0)
     if d0.vector != C.identity(host.unit).vector:
@@ -733,7 +724,7 @@ def validate_cocubical(Q, bound=None):
         tw = C.compose(host.symmetry(cn, cn), dn)
         if tw != dn:
             note("symmetric", (n,), "twist changes delta")
-    for token, g in gens:
+    for token, g in gens.items():
         if g.cod > bound:
             continue
         lhs = C.compose(Q.delta(g.cod), Q.image(g))
@@ -949,27 +940,6 @@ def build_vertex_cubes(ring="Q", top=3, objects=(1, 2)):
 # The cubical enrichment.
 
 
-def _projected_composition(plain, model, projector, x, y, z, p, q):
-    """Composition of an enrichment whose Hom complexes are subcomplexes
-    `model(x, y)` of the full levels of the cubical enrichment `plain`:
-    compose on the full level n = -(p + q), then project back along
-    `projector(x, z, n)` and read off coordinates in the model basis."""
-    ring = plain.host.category.ring
-    b, a = -p, -q
-    n = a + b
-    gfull = plain.group(y, z).act(front_projection(b, a)) * model(y, z).level_basis[b]
-    ffull = plain.group(x, y).act(back_projection(b, a)) * model(x, y).level_basis[a]
-    fcols = [tuple(ffull.col(j)) for j in range(ffull.ncols)]
-    cols = [
-        plain._chat(x, y, z, tuple(gfull.col(i)), fcol, n)
-        for i in range(gfull.ncols)
-        for fcol in fcols
-    ]
-    raw = _columns_to_matrix(ring, plain.group(x, z).rank(n), cols)
-    target = model(x, z).level_basis[n]
-    return restrict(target, projector(x, z, n) * raw, "the projected composition")
-
-
 class CubicalEnrichment:
     """Hom(X, Y)^(-n) = Hom_C(X (x) cube^n, Y) with the degenerate part
     split off, composition by cube duplication after the cup pairing.
@@ -977,7 +947,8 @@ class CubicalEnrichment:
     The stored model of each Hom complex is the intersection of the level's
     one-valued face kernels; composition is computed on the full levels and
     projected back along the splitting, which is legitimate because the
-    degenerate part is an ideal for the pairing.
+    degenerate part is an ideal for the pairing.  A subclass with another
+    level model overrides `model` and `projector` together.
     """
 
     def __init__(self, host, cocube, objects=None, name=""):
@@ -999,9 +970,7 @@ class CubicalEnrichment:
         self.category = DGCategory(
             host.category.ring, objs,
             hom_fn=lambda x, y: self.model(x, y).complex,
-            comp_fn=lambda *key: _projected_composition(
-                self, self.model, self.projector, *key
-            ),
+            comp_fn=self._composition,
             id_fn=lambda x: restrict_vector(
                 self.model(x, x).level_basis[0], host.category.identity(x).vector,
                 "the identity",
@@ -1065,6 +1034,14 @@ class CubicalEnrichment:
         so this is the recorded change of basis (the identity)."""
         return self.model(x, y).level_basis[0]
 
+    def _embed(self, f):
+        """Full-level host element behind a model coordinate vector."""
+        n = -f.degree
+        basis = self.model(f.source, f.target).level_basis[n]
+        return self.host.category.element(
+            self._level_object(f.source, n), f.target, 0, _apply(basis, f.vector)
+        )
+
     # -- category structure -------------------------------------------------
 
     def _chat(self, x, y, z, gvec, fvec, n):
@@ -1078,6 +1055,23 @@ class CubicalEnrichment:
         w = C.compose(host.mor_tensor(f, C.identity(cn)), dup)
         return C.compose(g, w).vector
 
+    def _composition(self, x, y, z, p, q):
+        """Compose on the full level n = -(p + q), then project back along
+        `projector(x, z, n)` and read off coordinates in the model basis."""
+        b, a = -p, -q
+        n = a + b
+        gfull = self.group(y, z).act(front_projection(b, a)) * self.model(y, z).level_basis[b]
+        ffull = self.group(x, y).act(back_projection(b, a)) * self.model(x, y).level_basis[a]
+        fcols = [tuple(ffull.col(j)) for j in range(ffull.ncols)]
+        cols = [
+            self._chat(x, y, z, tuple(gfull.col(i)), fcol, n)
+            for i in range(gfull.ncols)
+            for fcol in fcols
+        ]
+        raw = _columns_to_matrix(self.host.category.ring, self.group(x, z).rank(n), cols)
+        target = self.model(x, z).level_basis[n]
+        return restrict(target, self.projector(x, z, n) * raw, "the projected composition")
+
 
 def cubical_enrichment(host, cocube, objects=None, name=""):
     return CubicalEnrichment(host, cocube, objects=objects, name=name)
@@ -1087,49 +1081,29 @@ def cubical_enrichment(host, cocube, objects=None, name=""):
 # The alternating enrichment.
 
 
-class AlternatingEnrichment:
-    """Sign-isotypic subcomplexes of the full levels with the alternating
-    projection folded into composition and into the box tensor product."""
+class AlternatingEnrichment(CubicalEnrichment):
+    """The cubical enrichment with the sign-isotypic subcomplexes of the
+    full levels as its model: the sign average takes the place of the
+    degenerate splitting in composition, and also folds into the box
+    tensor product."""
 
     def __init__(self, host, cocube, objects=None):
         if host.category.ring != "Q":
             raise ValueError("the alternating enrichment needs rational coefficients")
         if not cocube.extended:
             raise ValueError("the alternating enrichment needs the extended cube maps")
-        rep = validate_cocubical(cocube)
-        if not rep.ok:
-            raise ValueError("comultiplication axiom failed: %s" % rep.failures[0].law)
-        self.host = host
-        self.cocube = cocube
-        self.window = cocube.top
-        self._plain = CubicalEnrichment(host, cocube, objects=objects)
-        self._alt = {}
+        super().__init__(host, cocube, objects=objects,
+                         name="alt(%s)" % (host.category.name or "?"))
         self._alt_cube = {}
-        objs = tuple(objects) if objects is not None else host.category.objects
-        self.category = DGCategory(
-            "Q", objs,
-            hom_fn=lambda x, y: self.alt(x, y).complex,
-            comp_fn=lambda *key: _projected_composition(
-                self._plain, self.alt, self.projector, *key
-            ),
-            id_fn=lambda x: restrict_vector(
-                self.alt(x, x).level_basis[0], host.category.identity(x).vector,
-                "the identity",
-            ),
-            name="alt(%s)" % (host.category.name or "?"),
-        )
         self.tensor = TensorDGData(
             self.category, host.unit, host.obj_tensor, self.box_tensor, self._symmetry
         )
 
-    def group(self, x, y):
-        return self._plain.group(x, y)
-
-    def alt(self, x, y):
+    def model(self, x, y):
         key = (x, y)
-        if key not in self._alt:
-            self._alt[key] = alternating_complex(self.group(x, y), group="F", variant="full")
-        return self._alt[key]
+        if key not in self._models:
+            self._models[key] = alternating_complex(self.group(x, y), group="F", variant="full")
+        return self._models[key]
 
     def projector(self, x, y, n):
         """The sign average on level n."""
@@ -1152,17 +1126,8 @@ class AlternatingEnrichment:
         t = self.host.symmetry(x, y)
         xy = self.host.obj_tensor(x, y)
         yx = self.host.obj_tensor(y, x)
-        coords = restrict_vector(self.alt(xy, yx).level_basis[0], t.vector, "the symmetry")
+        coords = restrict_vector(self.model(xy, yx).level_basis[0], t.vector, "the symmetry")
         return self.category.element(xy, yx, 0, coords)
-
-    def _embed(self, f):
-        """Full-level host element behind an alternating coordinate vector."""
-        n = -f.degree
-        basis = self.alt(f.source, f.target).level_basis[n]
-        vec = _apply(basis, f.vector)
-        return self.host.category.element(
-            self._plain._level_object(f.source, n), f.target, 0, vec
-        )
 
     def box_tensor(self, f, g):
         """f box g: split the cube, swap the middle factors, tensor in the
@@ -1188,7 +1153,7 @@ class AlternatingEnrichment:
         pre = C.compose(mid, host.mor_tensor(C.identity(xx), split))
         tilde = C.compose(host.mor_tensor(self._embed(f), self._embed(g)), pre)
         res = C.compose(tilde, host.mor_tensor(C.identity(xx), self._alt_cube_element(N)))
-        coords = restrict_vector(self.alt(xx, yy).level_basis[N], res.vector, "the box tensor")
+        coords = restrict_vector(self.model(xx, yy).level_basis[N], res.vector, "the box tensor")
         return self.category.element(xx, yy, f.degree + g.degree, coords)
 
 
@@ -1196,17 +1161,18 @@ def alternating_enrichment(host, cocube, objects=None):
     return AlternatingEnrichment(host, cocube, objects=objects)
 
 
-def _levelwise_functor(src, tgt, top, source_model, target_model, projector):
+def _levelwise_functor(src_enr, tgt_enr):
     """Identity on objects; on level n of each Hom pair, the source model's
-    basis under `projector(x, y, n)`, in target model coordinates."""
+    basis under the target's projector, in target model coordinates."""
+    src, tgt = src_enr.category, tgt_enr.category
     mor_maps = {}
     for x in src.objects:
         for y in src.objects:
             comps = {}
-            for n in range(top + 1):
+            for n in range(tgt_enr.window + 1):
                 comps[-n] = restrict(
-                    target_model(x, y).level_basis[n],
-                    projector(x, y, n) * source_model(x, y).level_basis[n],
+                    tgt_enr.model(x, y).level_basis[n],
+                    tgt_enr.projector(x, y, n) * src_enr.model(x, y).level_basis[n],
                     "the projection",
                 )
             mor_maps[(x, y)] = make_chain_map(src.hom(x, y), tgt.hom(x, y), comps)
@@ -1225,9 +1191,7 @@ def alternating_inclusion_functor(alt_enr, enr):
     alternating side records 0).  `validate_functor` reports exactly where.
     The strict functor between the two enrichments is the projection below.
     """
-    return _levelwise_functor(
-        alt_enr.category, enr.category, enr.window, alt_enr.alt, enr.model, enr.projector
-    )
+    return _levelwise_functor(alt_enr, enr)
 
 
 def alternating_projection_functor(enr, alt_enr):
@@ -1239,10 +1203,7 @@ def alternating_projection_functor(enr, alt_enr):
     level, so the kernel of the average is an ideal and the projected
     composition agrees with composing the projections.
     """
-    return _levelwise_functor(
-        enr.category, alt_enr.category, enr.window, enr.model, alt_enr.alt,
-        lambda x, y, n: alternating_projector(enr.group(x, y), n, "F"),
-    )
+    return _levelwise_functor(enr, alt_enr)
 
 
 # ---------------------------------------------------------------------------
@@ -1268,13 +1229,8 @@ class TensorAction:
         if a.degree != 0:
             raise ValueError("the action takes degree-0 host elements")
         host, enr = self.host, self.enr
-        C = host.category
         n = -f.degree
-        basis = enr.model(f.source, f.target).level_basis[n]
-        full = C.element(
-            enr._level_object(f.source, n), f.target, 0, _apply(basis, f.vector)
-        )
-        res = host.mor_tensor(a, full)
+        res = host.mor_tensor(a, enr._embed(f))
         sx = host.obj_tensor(a.source, f.source)
         tx = host.obj_tensor(a.target, f.target)
         coords = restrict_vector(enr.model(sx, tx).level_basis[n], res.vector, "the action")

@@ -621,28 +621,32 @@ class PreTrCategory(DGCategory):
 
     def __init__(self, base, complexes, name=""):
         self._base = base
-        self._tcs = dict(complexes)
-        self._hom_data = {}
-        for key, tc in self._tcs.items():
+        self._tcs = tcs = dict(complexes)
+        for key, tc in tcs.items():
             if tc.base is not base:
                 raise ValueError("twisted complex %r lives over a different base" % (key,))
+        homs = {}
 
-        def hom_fn(x, y):
-            return self.hom_data(x, y).complex
+        # the closures hold the registry and the Hom cache, never self, so
+        # reference counting alone frees the category
+        def hom_data(x, y):
+            """The twisted Hom complex of a registered pair, built once."""
+            if (x, y) not in homs:
+                homs[(x, y)] = twisted_hom_complex(tcs[x], tcs[y])
+            return homs[(x, y)]
 
         def comp_vec(x, y, z, p, q, gvec, fvec):
-            g = self.hom_data(y, z).element(p, gvec)
-            f = self.hom_data(x, y).element(q, fvec)
-            return self.hom_data(x, z).vector(compose_twisted(g, f))
-
-        def id_fn(x):
-            return self.hom_data(x, x).vector(twisted_identity(self._tcs[x]))
+            g = hom_data(y, z).element(p, gvec)
+            f = hom_data(x, y).element(q, fvec)
+            return hom_data(x, z).vector(compose_twisted(g, f))
 
         super().__init__(
-            base.ring, tuple(self._tcs), hom_fn,
-            comp_vec_fn=comp_vec, id_fn=id_fn,
+            base.ring, tuple(tcs), lambda x, y: hom_data(x, y).complex,
+            comp_vec_fn=comp_vec,
+            id_fn=lambda x: hom_data(x, x).vector(twisted_identity(tcs[x])),
             name=name or "pretr(%s)" % (base.name or "?"),
         )
+        self.hom_data = hom_data
 
     def tc(self, key):
         return self._tcs[key]
@@ -655,12 +659,6 @@ class PreTrCategory(DGCategory):
         if tc.base is not self._base:
             raise ValueError("twisted complex %r lives over a different base" % (key,))
         self._tcs[key] = tc
-
-    def hom_data(self, x, y):
-        key = (x, y)
-        if key not in self._hom_data:
-            self._hom_data[key] = twisted_hom_complex(self._tcs[x], self._tcs[y])
-        return self._hom_data[key]
 
     def as_morphism(self, elem):
         return self.hom_data(elem.source, elem.target).element(elem.degree, elem.vector)
@@ -939,63 +937,54 @@ class IdemCategory(DGCategory):
     basis of that image."""
 
     def __init__(self, base, idems, name=""):
-        self._base = base
-        self._idems = dict(idems)
-        for ob in self._idems.values():
+        idems = dict(idems)
+        for ob in idems.values():
             _check_idempotent(base, ob)
-        self._bases = {}
+        images = {}
 
-        def hom_fn(x, y):
-            return self._image_complex(x, y)[0]
+        # the closures hold the base, the idempotents and the image cache,
+        # never self, so reference counting alone frees the category
+        def image_complex(x, y):
+            if (x, y) not in images:
+                p = idems[x].projector
+                q = idems[y].projector
+                M, Nn = p.source, q.source
+                amb = base.hom(M, Nn)
+                bases = {}
+                for n in amb.degrees():
+                    pi = left_mult_matrix(base, M, Nn, Nn, q, n) * right_mult_matrix(
+                        base, M, M, Nn, p, n
+                    )
+                    bases[n] = kernel(Matrix.identity(base.ring, amb.rank(n)) - pi)
+                images[(x, y)] = (subcomplex(amb, bases), bases)
+            return images[(x, y)]
+
+        def expand(x, y, degree, vec):
+            """Ambient element behind image coordinates."""
+            amb = _apply(image_complex(x, y)[1][degree], vec)
+            return HomElement(idems[x].carrier, idems[y].carrier, degree, amb)
+
+        def embed(x, y, elem):
+            """Coordinates of an ambient element that lies in the image; the
+            element is cut down by the two projectors first, so embedding is
+            the retraction h -> q h p in coordinates."""
+            cut = base.compose(idems[y].projector, base.compose(elem, idems[x].projector))
+            basis = image_complex(x, y)[1][elem.degree]
+            coords = restrict_vector(basis, cut.vector, "the projected element")
+            return HomElement(x, y, elem.degree, coords)
 
         def comp_vec(x, y, z, p, q, gvec, fvec):
-            g = self.expand(y, z, p, gvec)
-            f = self.expand(x, y, q, fvec)
-            return self.embed(x, z, base.compose(g, f)).vector
-
-        def id_fn(x):
-            return self.embed(x, x, self._idems[x].projector).vector
+            g = expand(y, z, p, gvec)
+            f = expand(x, y, q, fvec)
+            return embed(x, z, base.compose(g, f)).vector
 
         super().__init__(
-            base.ring, tuple(self._idems), hom_fn,
-            comp_vec_fn=comp_vec, id_fn=id_fn,
+            base.ring, tuple(idems), lambda x, y: image_complex(x, y)[0],
+            comp_vec_fn=comp_vec,
+            id_fn=lambda x: embed(x, x, idems[x].projector).vector,
             name=name or "idem(%s)" % (base.name or "?"),
         )
-
-    def _image_complex(self, x, y):
-        key = (x, y)
-        if key not in self._bases:
-            C = self._base
-            p = self._idems[x].projector
-            q = self._idems[y].projector
-            M, Nn = p.source, q.source
-            amb = C.hom(M, Nn)
-            bases = {}
-            for n in amb.degrees():
-                pi = left_mult_matrix(C, M, Nn, Nn, q, n) * right_mult_matrix(
-                    C, M, M, Nn, p, n
-                )
-                bases[n] = kernel(Matrix.identity(C.ring, amb.rank(n)) - pi)
-            self._bases[key] = (subcomplex(amb, bases), bases)
-        return self._bases[key]
-
-    def expand(self, x, y, degree, vec):
-        """Ambient element behind image coordinates."""
-        cx, bases = self._image_complex(x, y)
-        amb = _apply(bases[degree], vec)
-        return HomElement(self._idems[x].carrier, self._idems[y].carrier, degree, amb)
-
-    def embed(self, x, y, elem):
-        """Coordinates of an ambient element that lies in the image; the
-        element is cut down by the two projectors first, so embedding is
-        the retraction h -> q h p in coordinates."""
-        C = self._base
-        p = self._idems[x].projector
-        q = self._idems[y].projector
-        cut = C.compose(q, C.compose(elem, p))
-        cx, bases = self._image_complex(x, y)
-        coords = restrict_vector(bases[elem.degree], cut.vector, "the projected element")
-        return HomElement(x, y, elem.degree, coords)
+        self.embed = embed
 
 
 def idempotent_complete(C, idems=None):

@@ -122,13 +122,14 @@ class FiniteSite:
         """Length (in edges) of the longest strictly increasing chain."""
         best = 0
         for length in range(1, len(self.points) + 1):
-            if self.strict_chains(length):
+            if self.chains(length, strict=True):
                 best = length - 1
         return best
 
-    def multichains(self, length, inside=None):
-        """Weakly increasing point tuples of the given length starting in
-        `inside` (default: anywhere), in lexicographic point order."""
+    def chains(self, length, inside=None, strict=False):
+        """Weakly increasing point tuples (strictly increasing if `strict`)
+        of the given length starting in `inside` (default: anywhere), in
+        lexicographic point order."""
         U = self.space() if inside is None else inside
         out = []
 
@@ -136,23 +137,10 @@ class FiniteSite:
             if len(prefix) == length:
                 out.append(tuple(prefix))
                 return
-            cand = U if not prefix else self.up(prefix[-1])
-            for y in cand:
-                rec(prefix + [y])
-
-        if length > 0:
-            rec([])
-        return tuple(out)
-
-    def strict_chains(self, length, inside=None):
-        U = self.space() if inside is None else inside
-        out = []
-
-        def rec(prefix):
-            if len(prefix) == length:
-                out.append(tuple(prefix))
-                return
-            cand = U if not prefix else [y for y in self.up(prefix[-1]) if y != prefix[-1]]
+            if not prefix:
+                cand = U
+            else:
+                cand = [y for y in self.up(prefix[-1]) if not (strict and y == prefix[-1])]
             for y in cand:
                 rec(prefix + [y])
 
@@ -567,10 +555,7 @@ class GodementTower:
         U = self.site.as_open(U)
         key = (p, U)
         if key not in self._chains:
-            if self.strict:
-                self._chains[key] = self.site.strict_chains(p + 1, inside=U)
-            else:
-                self._chains[key] = self.site.multichains(p + 1, inside=U)
+            self._chains[key] = self.site.chains(p + 1, inside=U, strict=self.strict)
         return self._chains[key]
 
     def chain_value(self, c):

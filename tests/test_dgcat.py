@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from dgforge.cube import compose as compose_cube, insertion, involution
 from dgforge.dgcat import (
     CoCubicalObject,
     DGCategory,
@@ -280,6 +281,29 @@ def test_broken_comultiplication_is_reported_by_axiom_name(vertex2):
         cubical_enrichment(host, bad)
 
 
+def test_broken_generator_relation_is_reported_as_functoriality(vertex2):
+    host, cocube = vertex2[0], vertex2[1]
+    # doubled images: the flip of cube^1, so that tau tau = id fails, and the
+    # composite x -> (0, 1 - x), first reached as eta(1,1,0) then tau(2,2)
+    doubled = {
+        involution(1, 1).table,
+        compose_cube(involution(2, 2), insertion(1, 1, 0)).table,
+    }
+
+    def image(f):
+        e = cocube.image(f)
+        return host.category.scale(e, 2) if f.table in doubled else e
+
+    bad = CoCubicalObject(host, 2, True, cube=cocube.cube, image=image, delta=cocube.delta)
+    report = validate_cocubical(bad)
+    assert not report.ok
+    notes = {(f.where, f.note) for f in report.failures if f.law == "functoriality"}
+    assert ((1, 1), "two factorizations of the same map disagree at tau(1,1)") in notes
+    assert ((1, 2), "direct image disagrees with a factorization through tau(2,2)") in notes
+    with pytest.raises(ValueError, match="functoriality"):
+        cubical_enrichment(host, bad)
+
+
 # ---------------------------------------------------------------------------
 # The correspondence enrichment.
 
@@ -497,7 +521,7 @@ def test_degree_zero_box_tensor_of_graphs_is_the_product_graph(fincor_q):
     host, cocube, enr, alt = fincor_q
     X = (("p", "q"),)
     Y = (("u", "v"),)
-    assert alt.alt(X, Y).level_basis[0] == Matrix.identity("Q", 4)
+    assert alt.model(X, Y).level_basis[0] == Matrix.identity("Q", 4)
     fn_f = {("p",): ("u",), ("q",): ("v",)}
     fn_g = {("p",): ("v",), ("q",): ("v",)}
     f = alt.category.element(X, Y, 0, graph_vector(X, Y, fn_f))
@@ -508,7 +532,7 @@ def test_degree_zero_box_tensor_of_graphs_is_the_product_graph(fincor_q):
         for pf in fincor_elements(X)
         for pg in fincor_elements(X)
     }
-    assert alt.alt(X + X, Y + Y).level_basis[0] == Matrix.identity("Q", 16)
+    assert alt.model(X + X, Y + Y).level_basis[0] == Matrix.identity("Q", 16)
     assert out.vector == graph_vector(X + X, Y + Y, product)
 
 

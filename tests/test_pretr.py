@@ -8,7 +8,9 @@ literally (same ranks, same differential matrices) with hom_complex,
 tensor_complex and cone_of_map of the expansions.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -1042,6 +1044,31 @@ def test_completion_keeps_differentials_inside_the_image(cx):
     K = idempotent_complete(C)
     g = K.hom("a", "b")
     assert complexes_agree(g, C.hom("a", "b"))
+
+
+def test_categories_are_freed_without_the_cyclic_collector(cx):
+    # the Hom and composition closures hold the registries and the base,
+    # not the category, so reference counting alone frees each category
+    # together with its caches
+    C, _ = cx
+    builders = {
+        "complexes": lambda: complexes_category({"a": cx[1]["a"], "b": cx[1]["b"]}),
+        "pretr": lambda: pretr_category(C, {"E": i0(C, "a"), "F": i0(C, "b")}),
+        "idem": lambda: idempotent_complete(C),
+    }
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for kind, build in builders.items():
+            K = build()
+            assert validate_dg(K).ok
+            assert K._comp, kind
+            ref = weakref.ref(K)
+            del K
+            assert ref() is None, kind
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
