@@ -779,6 +779,10 @@ def make_complex(ring, lo, ranks, diffs=None, check=True):
         ranks = [0]
     n = len(ranks)
     if isinstance(diffs, dict):
+        stray = [deg for deg in diffs if not lo <= deg < lo + n - 1]
+        if stray:
+            raise ValueError("differentials at degrees %r leave the window %d..%d"
+                             % (stray, lo, lo + n - 1))
         dl = []
         for k in range(n - 1):
             deg = lo + k

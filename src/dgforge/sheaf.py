@@ -27,7 +27,7 @@ chain map, which the tests check on every fixture.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dgcat import DGCategory, DGFunctor
 from .linalg import (
@@ -64,11 +64,32 @@ class FiniteSite:
 
     The pair (x, y) lies in `order` exactly when every open containing x
     also contains y; opens are the up-closed subsets, canonically written
-    as tuples in `points` order.
+    as tuples in `points` order.  Every open is a union of minimal opens
+    up(x), so the opens and the inclusions between them are enumerated
+    once, when the site is built; equality and hashing still see only
+    `points` and `order`.
     """
 
     points: tuple
     order: frozenset
+    _opens: tuple = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
+    _inclusions: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        found = {frozenset()}
+        for x in self.points:
+            found |= {S.union(self.up(x)) for S in found}
+        rank = {x: i for i, x in enumerate(self.points)}
+        opens = sorted(
+            (tuple(x for x in self.points if x in S) for S in found),
+            key=lambda U: (len(U), [rank[x] for x in U]),
+        )
+        object.__setattr__(self, "_opens", tuple(opens))
+        object.__setattr__(self, "_index", {frozenset(U): U for U in opens})
+        object.__setattr__(self, "_inclusions", tuple(
+            (U, V) for U in opens for V in opens if set(V) <= set(U)
+        ))
 
     def leq(self, x, y):
         return (x, y) in self.order
@@ -83,36 +104,29 @@ class FiniteSite:
         return tuple(self.points)
 
     def as_open(self, subset):
-        sub = set(subset)
+        sub = frozenset(subset)
+        U = self._index.get(sub)
+        if U is not None:
+            return U
         unknown = sub - set(self.points)
         if unknown:
             raise ValueError("unknown points %r" % (sorted(unknown),))
-        U = tuple(x for x in self.points if x in sub)
-        for x in U:
-            for y in self.points:
-                if self.leq(x, y) and y not in sub:
-                    raise ValueError(
-                        "subset is not up-closed: contains %r but not %r" % (x, y)
-                    )
-        return U
+        bad = next(
+            (x, y) for x in self.points if x in sub
+            for y in self.points if self.leq(x, y) and y not in sub
+        )
+        raise ValueError("subset is not up-closed: contains %r but not %r" % bad)
 
     def is_open(self, subset):
-        try:
-            self.as_open(subset)
-        except ValueError:
-            return False
-        return True
+        return frozenset(subset) in self._index
 
     def opens(self):
         """Every open, smallest first, ties broken by point order."""
-        out = []
-        pts = self.points
-        for bits in itertools.product((0, 1), repeat=len(pts)):
-            sub = tuple(x for x, b in zip(pts, bits) if b)
-            if self.is_open(sub):
-                out.append(sub)
-        out.sort(key=lambda U: (len(U), tuple(self.points.index(x) for x in U)))
-        return tuple(out)
+        return self._opens
+
+    def inclusions(self):
+        """Every pair (U, V) of opens with V inside U, in `opens` order."""
+        return self._inclusions
 
     def meet(self, U, V):
         sub = set(U) & set(V)
@@ -260,14 +274,13 @@ def make_presheaf(site, vals, res, check=True):
     """Normalize keys, fill in identity restrictions, and (by default)
     verify shapes, chain-map property and functoriality."""
     vals = {site.as_open(U): C for U, C in vals.items()}
-    allopens = site.opens()
-    for U in allopens:
+    for U in site.opens():
         if U not in vals:
             raise ValueError("no value supplied for open %r" % (U,))
     full = {}
     for (U, V), f in res.items():
         full[(site.as_open(U), site.as_open(V))] = f
-    for U in allopens:
+    for U in site.opens():
         if (U, U) not in full:
             full[(U, U)] = identity_chain_map(vals[U])
     F = Presheaf(site, vals, full)
@@ -278,29 +291,26 @@ def make_presheaf(site, vals, res, check=True):
 
 def validate_presheaf(F):
     site = F.site
-    allopens = site.opens()
-    for U in allopens:
-        for V in allopens:
-            if set(V) <= set(U):
-                if (U, V) not in F.res:
-                    raise ValueError("missing restriction %r -> %r" % (U, V))
-                f = F.res[(U, V)]
-                make_chain_map(F.vals[U], F.vals[V], f.comps, check=True)
-    for U in allopens:
+    known = set(site.inclusions())
+    for U, V in F.res:
+        if (U, V) not in known:
+            raise ValueError("restriction %r -> %r is not along an inclusion of opens" % (U, V))
+    below = {}
+    for U, V in site.inclusions():
+        if (U, V) not in F.res:
+            raise ValueError("missing restriction %r -> %r" % (U, V))
+        make_chain_map(F.vals[U], F.vals[V], F.res[(U, V)].comps, check=True)
+        below.setdefault(U, []).append(V)
+    for U in site.opens():
         if F.res[(U, U)] != identity_chain_map(F.vals[U]):
             raise ValueError("restriction along %r -> itself is not the identity" % (U,))
-    for U in allopens:
-        for V in allopens:
-            if not set(V) <= set(U):
-                continue
-            for W in allopens:
-                if not set(W) <= set(V):
-                    continue
-                lhs = compose_chain_maps(F.res[(V, W)], F.res[(U, V)])
-                if lhs != F.res[(U, W)]:
-                    raise ValueError(
-                        "restrictions fail to compose along %r -> %r -> %r" % (U, V, W)
-                    )
+    for U, V in site.inclusions():
+        for W in below[V]:
+            lhs = compose_chain_maps(F.res[(V, W)], F.res[(U, V)])
+            if lhs != F.res[(U, W)]:
+                raise ValueError(
+                    "restrictions fail to compose along %r -> %r -> %r" % (U, V, W)
+                )
     return True
 
 
@@ -308,14 +318,10 @@ def constant_presheaf(site, C):
     """Value C on every nonempty open, identity restrictions."""
     empty = zero_complex(C.ring, C.lo, C.hi)
     vals = {U: (C if U else empty) for U in site.opens()}
-    res = {}
-    for U in site.opens():
-        for V in site.opens():
-            if set(V) <= set(U):
-                if V:
-                    res[(U, V)] = identity_chain_map(C)
-                else:
-                    res[(U, V)] = ChainMap(vals[U], empty, {})
+    res = {
+        (U, V): identity_chain_map(C) if V else ChainMap(vals[U], empty, {})
+        for U, V in site.inclusions()
+    }
     return make_presheaf(site, vals, res, check=False)
 
 
@@ -478,24 +484,21 @@ def sheafify(F):
         vals[U] = subcomplex(direct_sum(ring, lo, hi, stalks), ks)
         kbases[U] = ks
     res = {}
-    for U in site.opens():
-        for V in site.opens():
-            if not set(V) <= set(U):
-                continue
-            if not V:
-                res[(U, V)] = ChainMap(vals[U], vals[V], {})
-                continue
-            comps = {}
-            for n in range(lo, hi + 1):
-                # the rows of the kernel basis at the points of V
-                rows = _positions(
-                    _coordinates(V, lambda x: stalk[x].rank(n)),
-                    _coordinates(U, lambda x: stalk[x].rank(n)),
-                )
-                ks = kbases[U][n]
-                proj = ks.submatrix(rows, range(ks.ncols))
-                comps[n] = restrict(kbases[V][n], proj, "the limit projection")
-            res[(U, V)] = ChainMap(vals[U], vals[V], comps)
+    for U, V in site.inclusions():
+        if not V:
+            res[(U, V)] = ChainMap(vals[U], vals[V], {})
+            continue
+        comps = {}
+        for n in range(lo, hi + 1):
+            # the rows of the kernel basis at the points of V
+            rows = _positions(
+                _coordinates(V, lambda x: stalk[x].rank(n)),
+                _coordinates(U, lambda x: stalk[x].rank(n)),
+            )
+            ks = kbases[U][n]
+            proj = ks.submatrix(rows, range(ks.ncols))
+            comps[n] = restrict(kbases[V][n], proj, "the limit projection")
+        res[(U, V)] = ChainMap(vals[U], vals[V], comps)
     return make_presheaf(site, vals, res, check=False)
 
 
@@ -576,11 +579,7 @@ class GodementTower:
         if p not in self._level_sheaves:
             site = self.site
             vals = {U: self.level_complex(p, U) for U in site.opens()}
-            res = {}
-            for U in site.opens():
-                for V in site.opens():
-                    if set(V) <= set(U):
-                        res[(U, V)] = self._chain_projection(p, U, V)
+            res = {(U, V): self._chain_projection(p, U, V) for U, V in site.inclusions()}
             self._level_sheaves[p] = make_presheaf(site, vals, res, check=False)
         return self._level_sheaves[p]
 
@@ -735,17 +734,14 @@ def total_godement(F, depth=None, strict=False):
     site = F.site
     vals = {U: T.total(U) for U in site.opens()}
     res = {}
-    for U in site.opens():
-        for V in site.opens():
-            if not set(V) <= set(U):
-                continue
-            comps = {}
-            for n in range(T.lo, T.hi + T.depth + 1):
-                big = T.layout(U, n)
-                comps[n] = Matrix.identity(F.ring, len(big)).submatrix(
-                    _positions(T.layout(V, n), big), range(len(big))
-                )
-            res[(U, V)] = ChainMap(vals[U], vals[V], comps)
+    for U, V in site.inclusions():
+        comps = {}
+        for n in range(T.lo, T.hi + T.depth + 1):
+            big = T.layout(U, n)
+            comps[n] = Matrix.identity(F.ring, len(big)).submatrix(
+                _positions(T.layout(V, n), big), range(len(big))
+            )
+        res[(U, V)] = ChainMap(vals[U], vals[V], comps)
     return make_presheaf(site, vals, res, check=False)
 
 
@@ -945,19 +941,13 @@ class CategoryPresheaf:
 
 
 def constant_category_presheaf(site, C):
-    nonempty = [U for U in site.opens() if U]
     obj_map = {x: x for x in C.objects}
-    cats = {U: C for U in nonempty}
-    res = {}
-    for U in nonempty:
-        for V in nonempty:
-            if set(V) <= set(U):
-                mor_maps = {
-                    (x, y): identity_chain_map(C.hom(x, y))
-                    for x in C.objects
-                    for y in C.objects
-                }
-                res[(U, V)] = DGFunctor(C, C, dict(obj_map), mor_maps)
+    mor_maps = {(x, y): identity_chain_map(C.hom(x, y)) for x in C.objects for y in C.objects}
+    cats = {U: C for U in site.opens() if U}
+    res = {
+        (U, V): DGFunctor(C, C, dict(obj_map), dict(mor_maps))
+        for U, V in site.inclusions() if V
+    }
     return CategoryPresheaf(site, cats, res)
 
 
@@ -978,16 +968,13 @@ def hom_presheaf(CP, X, Y):
         win = (cx.lo, cx.hi) if win is None else (min(win[0], cx.lo), max(win[1], cx.hi))
     vals[()] = zero_complex(ring, win[0], win[1])
     res = {}
-    for U in site.opens():
-        for V in site.opens():
-            if not set(V) <= set(U):
-                continue
-            if not V:
-                res[(U, V)] = ChainMap(vals[U], vals[()], {})
-            else:
-                XU = CP.restrict_object(X, U)
-                YU = CP.restrict_object(Y, U)
-                res[(U, V)] = CP.functor(U, V).mor_maps[(XU, YU)]
+    for U, V in site.inclusions():
+        if not V:
+            res[(U, V)] = ChainMap(vals[U], vals[()], {})
+        else:
+            XU = CP.restrict_object(X, U)
+            YU = CP.restrict_object(Y, U)
+            res[(U, V)] = CP.functor(U, V).mor_maps[(XU, YU)]
     return make_presheaf(site, vals, res, check=True)
 
 

@@ -385,6 +385,17 @@ def test_make_complex_rejects_bad_differential():
         )
 
 
+def test_make_complex_rejects_dict_differentials_outside_the_window():
+    # degrees 0..1 carry one differential, d^0; a key at 1 would map out of
+    # the window and was once dropped without a word, leaving d^0 = 0
+    with pytest.raises(ValueError, match=r"degrees \[1\] leave the window 0..1"):
+        make_complex(RING_Z, 0, [1, 1], {1: Matrix(RING_Z, [[2]])})
+    with pytest.raises(ValueError, match="leave the window"):
+        make_complex(RING_Z, 0, [1, 1], {-1: Matrix(RING_Z, [[2]])})
+    C = make_complex(RING_Z, 0, [1, 1], {0: Matrix(RING_Z, [[2]])})
+    assert C.d(0) == Matrix(RING_Z, [[2]])
+
+
 def test_tensor_complex_smoke():
     rng = random.Random(11)
     C = random_complex(rng)

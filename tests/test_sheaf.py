@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -109,10 +110,75 @@ def test_pseudo_circle_opens_count_and_dimension(pseudo):
 def test_open_recognition_rejects_non_up_closed(pseudo):
     assert pseudo.is_open(("u", "v"))
     assert not pseudo.is_open(("a",))
-    with pytest.raises(ValueError):
+    assert not pseudo.is_open(("u", "z"))
+    with pytest.raises(ValueError, match=r"^subset is not up-closed: contains 'a' but not 'v'$"):
         pseudo.as_open(("a", "u"))
-    with pytest.raises(ValueError):
+    # the first offending pair in point order
+    with pytest.raises(ValueError, match=r"^subset is not up-closed: contains 'a' but not 'u'$"):
+        pseudo.as_open(("b", "a", "v"))
+    with pytest.raises(ValueError, match=r"^unknown points \['z'\]$"):
         pseudo.as_open(("z",))
+    with pytest.raises(ValueError, match=r"^unknown points \['z'\]$"):
+        pseudo.as_open(("a", "z"))
+
+
+def _up_closed_subsets(site):
+    """The reference enumeration: every subset of the points, kept when it
+    is up-closed, smallest first, ties broken by point order."""
+    pts = site.points
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(pts)):
+        sub = tuple(x for x, b in zip(pts, bits) if b)
+        if all(y in sub for x in sub for y in pts if site.leq(x, y)):
+            out.append(sub)
+    out.sort(key=lambda U: (len(U), tuple(pts.index(x) for x in U)))
+    return tuple(out)
+
+
+def _oracle_sites():
+    # the 6-point circle of the sheaf benchmark: m_i below M_i and M_(i+1 mod 3)
+    circle = make_site(
+        ("m0", "m1", "m2", "M0", "M1", "M2"),
+        [("m%d" % i, "M%d" % j) for i in range(3) for j in (i, (i + 1) % 3)],
+    )
+    # the 6-point sphere: two points below two points below two points
+    sphere = make_site(
+        ("a0", "a1", "b0", "b1", "c0", "c1"),
+        [(x, y) for x in ("a0", "a1") for y in ("b0", "b1")]
+        + [(x, y) for x in ("b0", "b1") for y in ("c0", "c1")],
+    )
+    chain = make_site(("p0", "p1", "p2", "p3"), (("p0", "p1"), ("p1", "p2"), ("p2", "p3")))
+    return {
+        "point": point_site(),
+        "sierpinski": sierpinski_site(),
+        "pseudo_circle": pseudo_circle_site(),
+        "circle6": circle,
+        "sphere6": sphere,
+        "chain4": chain,
+    }
+
+
+@pytest.mark.parametrize("name", ["point", "sierpinski", "pseudo_circle", "circle6",
+                                  "sphere6", "chain4"])
+def test_site_opens_and_inclusions_match_the_subset_walk(name):
+    site = _oracle_sites()[name]
+    reference = _up_closed_subsets(site)
+    assert site.opens() == reference
+    assert site.inclusions() == tuple(
+        (U, V) for U in reference for V in reference if set(V) <= set(U)
+    )
+    for U, canonical in zip(reference, site.opens()):
+        assert site.is_open(U)
+        assert site.as_open(U) is canonical
+        assert site.as_open(reversed(U)) == U
+        assert site.as_open(U + U) == U
+
+
+def test_site_data_leaves_equality_and_hashing_alone():
+    a, b = pseudo_circle_site(), pseudo_circle_site()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != make_site(a.points, tuple(a.order - {("a", "u")}))
 
 
 def test_make_site_rejects_cycles_and_duplicates():
@@ -156,6 +222,18 @@ def test_validate_presheaf_catches_broken_functoriality(pseudo):
     del res2[(pseudo.space(), ("u",))]
     with pytest.raises(ValueError, match="missing"):
         validate_presheaf(Presheaf(pseudo, F.vals, res2))
+
+
+def test_validate_presheaf_rejects_a_restriction_against_an_inclusion(sierp):
+    # a map from the open point to the whole space is no restriction, even
+    # when it is a chain map between the two values
+    F = constant_presheaf(sierp, single_complex("Z", 0, 1))
+    res = dict(F.res)
+    res[(("eta",), ("eta", "s"))] = F.res[(("eta", "s"), ("eta",))]
+    with pytest.raises(ValueError, match="not along an inclusion"):
+        make_presheaf(sierp, F.vals, res, check=True)
+    with pytest.raises(ValueError, match="not along an inclusion"):
+        validate_presheaf(Presheaf(sierp, F.vals, res))
 
 
 def test_sheafify_counts_components(pseudo):
@@ -442,13 +520,12 @@ def test_tower_maps_are_natural_for_restriction(pseudo):
         TC, TD = godement_tower(FC, depth, strict), godement_tower(FD, depth, strict)
         resC = total_godement(FC, TC.depth, strict).res
         resD = total_godement(FD, TD.depth, strict).res
-        for U in pseudo.opens():
-            for V in pseudo.opens():
-                if not V or not set(V) <= set(U):
-                    continue
-                lhs = compose_chain_maps(resD[(U, V)], tower_map_at(phi, TC, TD, U))
-                rhs = compose_chain_maps(tower_map_at(phi, TC, TD, V), resC[(U, V)])
-                assert lhs == rhs, (strict, U, V)
+        for U, V in pseudo.inclusions():
+            if not V:
+                continue
+            lhs = compose_chain_maps(resD[(U, V)], tower_map_at(phi, TC, TD, U))
+            rhs = compose_chain_maps(tower_map_at(phi, TC, TD, V), resC[(U, V)])
+            assert lhs == rhs, (strict, U, V)
 
 
 def test_reduced_inclusion_is_a_quasi_iso(sierp, pseudo, t2):
