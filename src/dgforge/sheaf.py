@@ -60,7 +60,8 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class FiniteSite:
-    """A finite poset presented by its reflexive-transitive order relation.
+    """A finite poset presented by its order relation, which is checked to
+    be reflexive, transitive and antisymmetric on `points`.
 
     The pair (x, y) lies in `order` exactly when every open containing x
     also contains y; opens are the up-closed subsets, canonically written
@@ -77,6 +78,22 @@ class FiniteSite:
     _inclusions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("duplicate points")
+        stray = sorted((p for p in self.order if not set(p) <= set(self.points)), key=repr)
+        if stray:
+            raise ValueError("relation mentions unknown point in (%r, %r)" % stray[0])
+        for x in self.points:
+            if not self.leq(x, x):
+                raise ValueError("order relation is not reflexive at %r" % (x,))
+        for x in self.points:
+            for y in self.up(x):
+                if x != y and self.leq(y, x):
+                    raise ValueError("order relation has a cycle through %r and %r" % (x, y))
+                gap = next((z for z in self.up(y) if not self.leq(x, z)), None)
+                if gap is not None:
+                    raise ValueError("order relation is not transitive: %r <= %r <= %r"
+                                     % (x, y, gap))
         found = {frozenset()}
         for x in self.points:
             found |= {S.union(self.up(x)) for S in found}
@@ -189,13 +206,7 @@ def make_site(points, below=()):
     """Build a site from generating pairs (x, y), each read as "every open
     containing x also contains y"."""
     points = tuple(points)
-    if len(set(points)) != len(points):
-        raise ValueError("duplicate points")
-    rel = {(x, x) for x in points}
-    for x, y in below:
-        if x not in points or y not in points:
-            raise ValueError("relation mentions unknown point in (%r, %r)" % (x, y))
-        rel.add((x, y))
+    rel = {(x, x) for x in points} | {(x, y) for x, y in below}
     changed = True
     while changed:
         changed = False
@@ -203,9 +214,6 @@ def make_site(points, below=()):
             if b == c and (a, d) not in rel:
                 rel.add((a, d))
                 changed = True
-    for x, y in rel:
-        if x != y and (y, x) in rel:
-            raise ValueError("order relation has a cycle through %r and %r" % (x, y))
     return FiniteSite(points, frozenset(rel))
 
 
@@ -978,13 +986,12 @@ def hom_presheaf(CP, X, Y):
     return make_presheaf(site, vals, res, check=True)
 
 
-def composition_presheaf_map(CP, X, Y, Z):
+def composition_presheaf_map(CP, X, Y, Z, homs):
     """Per-open composition, bundled as a presheaf map from the tensor of
-    Hom presheaves; building it checks the Leibniz rule open by open."""
+    Hom presheaves; building it checks the Leibniz rule open by open.
+    `homs` maps each pair of the three objects to its `hom_presheaf`."""
     site = CP.site
-    HYZ = hom_presheaf(CP, Y, Z)
-    HXY = hom_presheaf(CP, X, Y)
-    HXZ = hom_presheaf(CP, X, Z)
+    HYZ, HXY, HXZ = homs[(Y, Z)], homs[(X, Y)], homs[(X, Z)]
     src = tensor_presheaf(HYZ, HXY)
     comps = {}
     for U in site.opens():
@@ -1017,14 +1024,10 @@ class _RGammaData:
         self.strict = strict
         C = CP.category(self.S)
         self.base = C
+        self.homs = {(x, y): hom_presheaf(CP, x, y) for x in C.objects for y in C.objects}
         if depth is None:
-            span = 0
-            for x in C.objects:
-                for y in C.objects:
-                    H = hom_presheaf(CP, x, y)
-                    lo, hi = H.window()
-                    span = max(span, hi - lo)
-            depth = default_depth(CP.site, span, strict)
+            spans = (hi - lo for lo, hi in (H.window() for H in self.homs.values()))
+            depth = default_depth(CP.site, max(spans, default=0), strict)
         self.depth = depth
         self._towers = {}
         self._bigcomp = {}
@@ -1032,8 +1035,7 @@ class _RGammaData:
     def tower(self, X, Y):
         key = (X, Y)
         if key not in self._towers:
-            H = hom_presheaf(self.CP, X, Y)
-            self._towers[key] = GodementTower(H, self.depth, strict=self.strict)
+            self._towers[key] = GodementTower(self.homs[key], self.depth, strict=self.strict)
         return self._towers[key]
 
     def hom_fn(self, X, Y):
@@ -1045,7 +1047,7 @@ class _RGammaData:
             TYZ = self.tower(y, z)
             TXY = self.tower(x, y)
             TXZ = self.tower(x, z)
-            cpm = composition_presheaf_map(self.CP, x, y, z)
+            cpm = composition_presheaf_map(self.CP, x, y, z, self.homs)
             TP = GodementTower(cpm.source, self.depth, strict=self.strict)
             pairing = AWPairing(TYZ, TXY, TP).pairing(self.S)
             push = tower_map_at(cpm, TP, TXZ, self.S)

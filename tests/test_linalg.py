@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dgforge.linalg import (
+    ChainComplex,
     ChainMap,
     HomologyGroup,
     Matrix,
@@ -46,7 +47,7 @@ from dgforge.linalg import (
     z_solve,
     zero_complex,
 )
-from util_gen import random_complex, random_hom_vector, random_z_matrix
+from util_gen import conjugate_complex, random_complex, random_hom_vector, random_z_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +351,63 @@ def test_homology_identity_and_zero_maps():
     assert complex_homology(D, 1) == HomologyGroup(1, ())
 
 
+def kernel_solve_homology(C, n):
+    """The kernel/solve route to Z homology, kept as an oracle: a saturated
+    basis K of ker d^n, d^(n-1) solved in K, and the invariant factors of
+    the solution."""
+    K = z_kernel(C.d(n))
+    if K.ncols == 0:
+        return HomologyGroup(0, ())
+    X = z_solve(K, C.d(n - 1))
+    assert X is not None, "image not contained in kernel"
+    inv = smith_normal_form(X).diagonal()
+    return HomologyGroup(K.ncols - len(inv), tuple(d for d in inv if d > 1))
+
+
+@pytest.mark.parametrize("seed, kwargs", [(41, {}), (42, {"max_pieces": 8, "lo_range": (0, 1)})])
+def test_homology_matches_the_kernel_solve_oracle(seed, kwargs):
+    rng = random.Random(seed)
+    torsion = 0
+    for _ in range(30):
+        C = random_complex(rng, **kwargs)
+        for n in C.degrees():
+            h = complex_homology(C, n)
+            assert h == kernel_solve_homology(C, n), (seed, n, C)
+            torsion += len(h.torsion)
+    assert torsion > 10  # the fixtures do reach the torsion branch
+
+
+def test_heavily_mixed_homology_matches_the_oracle_on_the_unmixed_complex():
+    # Conjugation keeps homology, so the oracle reads the lightly mixed
+    # complex: on the heavily mixed 29th complex, degree 1, its solve in a
+    # kernel basis with grown entries runs for more than 20 s.
+    rng = random.Random(43)
+    for _ in range(30):
+        plain = random_complex(rng, max_pieces=8, lo_range=(0, 1))
+        mixed = conjugate_complex(rng, plain, steps_per_rank=10)
+        for n in plain.degrees():
+            assert complex_homology(mixed, n) == kernel_solve_homology(plain, n), n
+
+
+def test_homology_refuses_a_broken_complex_with_a_zero_kernel():
+    # d^1 d^0 = 1 while ker d^1 = 0: the kernel route never saw the fault
+    Z1 = Matrix(RING_Z, [[1]])
+    C = ChainComplex(RING_Z, 0, (1, 1, 1), (Z1, Z1))
+    with pytest.raises(AssertionError, match="image not contained in kernel: complex is broken"):
+        complex_homology(C, 1)
+    for n in (0, 2):
+        assert complex_homology(C, n).is_zero()
+    CQ = ChainComplex(RING_Q, 0, (1, 1, 1), (Z1.to_q(), Z1.to_q()))
+    with pytest.raises(AssertionError, match="complex is broken"):
+        complex_homology(CQ, 1)
+
+
+def test_homology_group_refuses_a_negative_free_rank():
+    with pytest.raises(ValueError, match="free rank"):
+        HomologyGroup(-1, ())
+    assert HomologyGroup(0, ()).is_zero()
+
+
 def test_homology_rank_dual_route():
     rng = random.Random(7)
     for _ in range(20):
@@ -516,6 +574,13 @@ def test_cone_and_quasi_iso():
     zc = zero_complex(RING_Z, -1, 2)
     f = make_chain_map(D, zc, {})
     assert not is_quasi_iso(f, window=(0, 1)).ok
+
+
+def test_quasi_iso_refuses_an_empty_explicit_window():
+    f = identity_chain_map(two_term_complex(RING_Z, 0, Matrix(RING_Z, [[2]])))
+    with pytest.raises(ValueError, match="empty window"):
+        is_quasi_iso(f, window=(1, 0))
+    assert is_quasi_iso(f, window=(0, 0)).ok
 
 
 @pytest.mark.xfail(

@@ -57,8 +57,8 @@ def random_complex(rng, ring=RING_Z, max_pieces=3, lo_range=(-2, 2)):
     """Random bounded complex with d^2 = 0 by construction.
 
     Direct sum of shifted singletons and two-term multiplication complexes,
-    then conjugated degreewise by unimodular matrices so the differentials
-    carry no obvious block structure.
+    then (over Z) mixed by `conjugate_complex` so the differentials carry
+    no obvious block structure.
     """
     pieces = []
     for _ in range(rng.randint(1, max_pieces)):
@@ -75,8 +75,15 @@ def random_complex(rng, ring=RING_Z, max_pieces=3, lo_range=(-2, 2)):
     )
     if ring != RING_Z:
         return total
+    return conjugate_complex(rng, total)
+
+
+def conjugate_complex(rng, C, steps_per_rank=2):
+    """The Z complex C conjugated degreewise by unimodular matrices of
+    `steps_per_rank` * rank elementary steps, so with the same homology."""
     conj = {
-        n: random_unimodular(rng, total.rank(n)) for n in total.degrees()
+        n: random_unimodular(rng, C.rank(n), steps_per_rank * C.rank(n))
+        for n in C.degrees()
     }
     inv = {}
     for n, u in conj.items():
@@ -86,9 +93,9 @@ def random_complex(rng, ring=RING_Z, max_pieces=3, lo_range=(-2, 2)):
         qi = q_solve(u.to_q(), Matrix.identity(RING_Q, u.nrows).to_q())
         inv[n] = qi.to_z()
     diffs = []
-    for n in range(total.lo, total.hi):
-        diffs.append(conj[n + 1] * total.d(n) * inv[n])
-    return make_complex(ring, total.lo, [total.rank(n) for n in total.degrees()], diffs)
+    for n in range(C.lo, C.hi):
+        diffs.append(conj[n + 1] * C.d(n) * inv[n])
+    return make_complex(C.ring, C.lo, [C.rank(n) for n in C.degrees()], diffs)
 
 
 def random_hom_vector(rng, length, bound=3):
