@@ -33,6 +33,7 @@ from .cube import (
 from .linalg import (
     Matrix,
     RING_Q,
+    block_matrix,
     complex_homology,
     kernel,
     make_chain_map,
@@ -41,7 +42,6 @@ from .linalg import (
     restrict,
     solve,
     subcomplex,
-    tensor_basis,
     tensor_complex,
 )
 
@@ -695,18 +695,9 @@ def cup_pairing(A, B):
     src = _window_slice(tensor_complex(CA, CB), -T.top, 0)
     comps = {}
     for deg in range(-T.top, 1):
-        k = -deg
-        basis = tensor_basis(CA, CB, deg)
-        if not basis:
-            continue
-        blocks = None
-        seen = []
-        for p, _, _ in basis:
-            if p in seen:
-                continue
-            seen.append(p)
-            a = -p
-            block = cup_on_levels(A, B, a, k - a)
-            blocks = block if blocks is None else blocks.hstack(block)
-        comps[deg] = blocks
+        # block p of the source degree deg is CA^p (x) CB^(deg-p), levels -p and p-deg
+        blocks = [cup_on_levels(A, B, -p, p - deg)
+                  for p in CA.degrees() if CA.rank(p) and CB.rank(deg - p)]
+        if blocks:
+            comps[deg] = block_matrix(T.ring, [blocks])
     return CupPairing(src, T, target, make_chain_map(src, target.complex, comps))

@@ -12,9 +12,10 @@ The second half of the module builds DG categories out of ordinary
 additive tensor data: a co-cubical object with a comultiplication turns
 degree-0 Hom modules into Hom complexes whose level n part is
 Hom(X (x) cube^n, Y), with composition "duplicate the cube, then cup".
-Two hosts are provided, a finite-correspondence toy whose cubes are all
-the unit object, and a free-module host whose cubes are spanned by the
-cube vertices with the diagonal comultiplication.
+Both hosts come from one free-module host (Hom by row-major matrices,
+tensor by Kronecker product): a finite-correspondence toy whose cubes are
+all the unit object, and a host whose cubes are spanned by the cube
+vertices with the diagonal comultiplication.
 
 `CubicalEnrichment` keeps the reduced model of each level and projects
 composites back along the degenerate splitting.  `AlternatingEnrichment`
@@ -161,10 +162,13 @@ class DGCategory:
         return self._id[x]
 
     def element(self, x, y, degree, coords):
-        coords = _exact_vector(self.ring, coords)
-        if len(coords) != self.hom(x, y).rank(degree):
+        return self._checked(HomElement(x, y, degree, _exact_vector(self.ring, coords)))
+
+    def _checked(self, f):
+        """f, or a ValueError when its vector is not as long as its Hom rank."""
+        if len(f.vector) != self.hom(f.source, f.target).rank(f.degree):
             raise ValueError("coordinate length mismatch")
-        return HomElement(x, y, degree, coords)
+        return f
 
     def zero_element(self, x, y, degree):
         return HomElement(x, y, degree, (0,) * self.hom(x, y).rank(degree))
@@ -185,6 +189,8 @@ class DGCategory:
         """g after f; f: x -> y, g: y -> z."""
         if f.target != g.source:
             raise ValueError("elements are not composable")
+        self._checked(g)
+        self._checked(f)
         x, y, z = f.source, f.target, g.target
         p, q = g.degree, f.degree
         rows = self.hom(x, z).rank(p + q)
@@ -200,6 +206,8 @@ class DGCategory:
     def add(self, f, g):
         if (f.source, f.target, f.degree) != (g.source, g.target, g.degree):
             raise ValueError("cannot add elements of different type")
+        self._checked(f)
+        self._checked(g)
         return HomElement(
             f.source, f.target, f.degree,
             tuple(a + b for a, b in zip(f.vector, g.vector)),
@@ -735,19 +743,7 @@ def validate_cocubical(Q, bound=None):
 
 
 # ---------------------------------------------------------------------------
-# Host 1: the finite-correspondence toy.
-
-
-def fincor_elements(key):
-    """Points of a tuple-of-finite-sets object, lexicographically."""
-    return tuple(itertools.product(*key))
-
-
-def _fincor_rank(key):
-    n = 1
-    for s in key:
-        n *= len(s)
-    return n
+# The free-module host that both hosts are built on.
 
 
 def _row_major_product(nx, ny, nz, gvec, fvec):
@@ -769,6 +765,60 @@ def _row_major_identity(n):
     for i in range(n):
         vec[i * n + i] = 1
     return tuple(vec)
+
+
+def _free_module_host(ring, objects, rank, obj_tensor, unit, name):
+    """Tensor data with Hom(x, y) free of rank rank(x) * rank(y) in degree 0,
+    maps stored as row-major matrices.  The basis of x (x) y must be pairs
+    in row-major order: `mor_tensor` is then `kron`, `symmetry` the swap."""
+
+    def hom_fn(x, y):
+        return single_complex(ring, 0, rank(x) * rank(y))
+
+    def comp_vec(x, y, z, p, q, gvec, fvec):
+        return _row_major_product(rank(x), rank(y), rank(z), gvec, fvec)
+
+    cat = DGCategory(ring, objects, hom_fn, comp_vec_fn=comp_vec,
+                     id_fn=lambda x: _row_major_identity(rank(x)), name=name)
+
+    def matrix(f):
+        if f.degree:
+            raise ValueError("free-module maps are concentrated in degree 0")
+        a, b = rank(f.source), rank(f.target)
+        return Matrix(ring, [f.vector[r * a : (r + 1) * a] for r in range(b)],
+                      nrows=b, ncols=a)
+
+    def mor_tensor(f, g):
+        kk = matrix(f).kron(matrix(g))
+        return HomElement(obj_tensor(f.source, g.source), obj_tensor(f.target, g.target),
+                          0, tuple(v for row in kk.rows for v in row))
+
+    def symmetry(x, y):
+        a, b = rank(x), rank(y)
+        n = a * b
+        vec = [0] * (n * n)
+        for ia in range(a):
+            for ib in range(b):
+                vec[(ib * a + ia) * n + (ia * b + ib)] = 1
+        return HomElement(obj_tensor(x, y), obj_tensor(y, x), 0, tuple(vec))
+
+    return TensorDGData(cat, unit, obj_tensor, mor_tensor, symmetry)
+
+
+# ---------------------------------------------------------------------------
+# Host 1: the finite-correspondence toy.
+
+
+def fincor_elements(key):
+    """Points of a tuple-of-finite-sets object, lexicographically."""
+    return tuple(itertools.product(*key))
+
+
+def _fincor_rank(key):
+    n = 1
+    for s in key:
+        n *= len(s)
+    return n
 
 
 def fincor_vector(X, Y, pairs):
@@ -802,68 +852,18 @@ def build_fincor(universe, ring="Z", top=4):
     Objects are tuples of the universe's atomic sets, the tensor product is
     concatenation (so it is strictly associative and unital on keys), and
     Hom(X, Y) is the free module on points of X x Y composed by incidence
-    matrix product.  A correspondence on X x cube^n that is a disjoint
-    union of graphs of maps surjective onto components is forced to be
-    constant in the cube directions, which collapses every cube object to
-    the unit and every structure map and the comultiplication to the
-    identity; the enrichment below then shows the collapse explicitly.
+    matrix product; points are enumerated lexicographically, so tensors
+    are Kronecker products.  A correspondence on X x cube^n that is a
+    disjoint union of graphs of maps surjective onto components is forced
+    to be constant in the cube directions, which collapses every cube
+    object to the unit and every structure map and the comultiplication to
+    the identity; the enrichment below then shows the collapse explicitly.
     """
     universe = tuple(tuple(s) for s in universe)
     objects = ((),) + tuple((s,) for s in universe)
-
-    def hom_fn(X, Y):
-        return single_complex(ring, 0, _fincor_rank(X) * _fincor_rank(Y))
-
-    def comp_vec(X, Y, Z, p, q, gvec, fvec):
-        return _row_major_product(
-            _fincor_rank(X), _fincor_rank(Y), _fincor_rank(Z), gvec, fvec
-        )
-
-    cat = DGCategory(ring, objects, hom_fn, comp_vec_fn=comp_vec,
-                     id_fn=lambda X: _row_major_identity(_fincor_rank(X)),
-                     name="fincor/%s" % ring)
-
-    def mor_tensor(f, g):
-        if f.degree or g.degree:
-            raise ValueError("correspondences are concentrated in degree 0")
-        X, Y = f.source, f.target
-        X2, Y2 = g.source, g.target
-        XX, YY = X + X2, Y + Y2
-        ex, ey = fincor_elements(X), fincor_elements(Y)
-        ex2, ey2 = fincor_elements(X2), fincor_elements(Y2)
-        ixx = {v: i for i, v in enumerate(fincor_elements(XX))}
-        iyy = {v: i for i, v in enumerate(fincor_elements(YY))}
-        nx, nxx = len(ex), len(ex) * len(ex2)
-        nx2 = len(ex2)
-        vec = [0] * (nxx * len(ey) * len(ey2))
-        for iy, py in enumerate(ey):
-            for ix, px in enumerate(ex):
-                a = f.vector[iy * nx + ix]
-                if a == 0:
-                    continue
-                for iy2, py2 in enumerate(ey2):
-                    for ix2, px2 in enumerate(ex2):
-                        b = g.vector[iy2 * nx2 + ix2]
-                        if b == 0:
-                            continue
-                        row = iyy[py + py2]
-                        col = ixx[px + px2]
-                        vec[row * nxx + col] += a * b
-        return HomElement(XX, YY, 0, tuple(vec))
-
-    def symmetry(X, Y):
-        exy = fincor_elements(X + Y)
-        iyx = {v: i for i, v in enumerate(fincor_elements(Y + X))}
-        k = len(X)
-        n = len(exy)
-        vec = [0] * (n * n)
-        for col, p in enumerate(exy):
-            swapped = p[k:] + p[:k]
-            vec[iyx[swapped] * n + col] = 1
-        return HomElement(X + Y, Y + X, 0, tuple(vec))
-
-    host = TensorDGData(cat, (), lambda a, b: a + b, mor_tensor, symmetry)
-    unit_id = cat.identity(())
+    host = _free_module_host(ring, objects, _fincor_rank, lambda a, b: a + b, (),
+                             "fincor/%s" % ring)
+    unit_id = host.category.identity(())
     cocube = CoCubicalObject(
         host, top, True,
         cube=lambda n: (),
@@ -883,38 +883,8 @@ def build_vertex_cubes(ring="Q", top=3, objects=(1, 2)):
     linear extension of the diagonal.  Unlike the correspondence toy this
     host gives the enrichment honest differentials: the level-n Hom is the
     module of vertex functions with values in Hom(X, Y)."""
-
-    def hom_fn(m, n):
-        return single_complex(ring, 0, m * n)
-
-    def comp_vec(x, y, z, p, q, gvec, fvec):
-        return _row_major_product(x, y, z, gvec, fvec)
-
-    cat = DGCategory(ring, tuple(objects), hom_fn, comp_vec_fn=comp_vec,
-                     id_fn=_row_major_identity, name="freemod/%s" % ring)
-
-    def mor_tensor(f, g):
-        if f.degree or g.degree:
-            raise ValueError("module maps are concentrated in degree 0")
-        a, b = f.source, f.target
-        a2, b2 = g.source, g.target
-        mf = Matrix(ring, [list(f.vector[r * a : (r + 1) * a]) for r in range(b)],
-                    nrows=b, ncols=a)
-        mg = Matrix(ring, [list(g.vector[r * a2 : (r + 1) * a2]) for r in range(b2)],
-                    nrows=b2, ncols=a2)
-        kk = mf.kron(mg)
-        return HomElement(a * a2, b * b2,
-                          0, tuple(v for row in kk.rows for v in row))
-
-    def symmetry(a, b):
-        n = a * b
-        vec = [0] * (n * n)
-        for ia in range(a):
-            for ib in range(b):
-                vec[(ib * a + ia) * n + (ia * b + ib)] = 1
-        return HomElement(n, n, 0, tuple(vec))
-
-    host = TensorDGData(cat, 1, lambda a, b: a * b, mor_tensor, symmetry)
+    host = _free_module_host(ring, tuple(objects), int, lambda a, b: a * b, 1,
+                             "freemod/%s" % ring)
 
     def image(f):
         dom, cod = 2 ** f.dom, 2 ** f.cod

@@ -13,7 +13,8 @@ operations, the eliminations and the complex builders whose entries
 already have the ring's type (int over Z, Fraction over Q) store them
 through the unchecked `Matrix._trusted`.  Law checks of
 the form "composition applied to a tensor of maps" use `mul_kron`, which
-computes M * (A (x) B) without forming the Kronecker product.
+computes M * (A (x) B) without forming the Kronecker product; the tensor
+and Hom complexes add their Kronecker blocks into rows with `add_kron`.
 
 Subcomplexes, direct sums and double-complex totals come from four
 constructors: `restrict` (with `restrict_vector`) reads maps in the
@@ -232,6 +233,10 @@ class Matrix:
     def col(self, j):
         return [row[j] for row in self.rows]
 
+    def transpose(self):
+        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
+        return Matrix._trusted(self.ring, rows, self.nrows)
+
     def to_q(self):
         if self.ring == RING_Q:
             return self
@@ -313,6 +318,22 @@ def add_block(entries, block, roff, coff, scalar=1):
         for c, v in enumerate(row):
             if v:
                 out[coff + c] += scalar * v
+
+
+def add_kron(entries, A, B, roff, coff, scalar=1):
+    """Add scalar * (A (x) B), in the order of `kron`, into the list of rows
+    `entries` at (roff, coff), visiting only pairs of nonzero entries."""
+    bn, bm = B.nrows, B.ncols
+    brows = [[(l, b) for l, b in enumerate(brow) if b] for brow in B.rows]
+    for i, arow in enumerate(A.rows):
+        for j, a in enumerate(arow):
+            if a:
+                a *= scalar
+                col = coff + j * bm
+                for t, brow in enumerate(brows, roff + i * bn):
+                    out = entries[t]
+                    for l, b in brow:
+                        out[col + l] += a * b
 
 
 def mul_kron(M, A, B):
@@ -694,11 +715,11 @@ class HomologyGroup:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("free rank must be >= 0")
+        if any(t < 2 for t in self.torsion):
+            raise ValueError("torsion coefficients must be >= 2")
         for i in range(len(self.torsion) - 1):
             if self.torsion[i + 1] % self.torsion[i]:
                 raise ValueError("torsion coefficients must form a divisibility chain")
-        if any(t < 2 for t in self.torsion):
-            raise ValueError("torsion coefficients must be >= 2")
 
     def is_zero(self):
         return self.free_rank == 0 and not self.torsion
@@ -861,14 +882,7 @@ def totalize(ring, lo, hi, columns, across):
     p, and d is (-1)^p times the column differential plus across(p, q), the
     map columns[p]^q -> columns[p+1]^q, asked for where columns[p]^q != 0."""
     ps = sorted(columns)
-    start = {}  # (n, p): first coordinate of columns[p]^(n-p) in total degree n
-    ranks = []
-    for n in range(lo, hi + 1):
-        off = 0
-        for p in ps:
-            start[n, p] = off
-            off += columns[p].rank(n - p)
-        ranks.append(off)
+    start, ranks = _block_starts(lo, hi, ps, lambda n, p: columns[p].rank(n - p))
     diffs = []
     for n in range(lo, hi):
         entries = [[0] * ranks[n - lo] for _ in range(ranks[n + 1 - lo])]
@@ -881,6 +895,21 @@ def totalize(ring, lo, hi, columns, across):
                     add_block(entries, across(p, q), start[n + 1, p + 1], start[n, p])
         diffs.append(Matrix(ring, entries, nrows=ranks[n + 1 - lo], ncols=ranks[n - lo]))
     return make_complex(ring, lo, ranks, diffs)
+
+
+def _block_starts(lo, hi, ps, size):
+    """(start, ranks) of a degreewise stack of blocks by ascending p:
+    start[n, p] is the first coordinate of block p in degree n, whose rank
+    is size(n, p), and ranks[n - lo] is the rank of degree n."""
+    start = {}
+    ranks = []
+    for n in range(lo, hi + 1):
+        off = 0
+        for p in ps:
+            start[n, p] = off
+            off += size(n, p)
+        ranks.append(off)
+    return start, ranks
 
 
 def tensor_basis(C, D, n):
@@ -896,35 +925,31 @@ def tensor_basis(C, D, n):
 
 
 def tensor_complex(C, D):
-    """(C (x) D)^n = sum_p C^p (x) D^(n-p); d(x(x)y) = dx(x)y + (-1)^p x(x)dy."""
+    """(C (x) D)^n = sum_p C^p (x) D^(n-p); d(x(x)y) = dx(x)y + (-1)^p x(x)dy.
+
+    Blocks by ascending p, as in `tensor_basis`: d_C (x) 1 maps block p to
+    block p+1, and (-1)^p 1 (x) d_D maps it to itself."""
     if C.ring != D.ring:
         raise ValueError("ring mismatch")
+    ring = C.ring
     lo = C.lo + D.lo
     hi = C.hi + D.hi
-    bases = {n: tensor_basis(C, D, n) for n in range(lo, hi + 2)}
-    ranks = [len(bases[n]) for n in range(lo, hi + 1)]
-    zero = _units(C.ring)[0]
+    ps = C.degrees()
+    start, ranks = _block_starts(lo, hi, ps, lambda n, p: C.rank(p) * D.rank(n - p))
+    zero = _units(ring)[0]
     diffs = []
     for n in range(lo, hi):
-        src = bases[n]
-        dst = bases[n + 1]
-        pos = {key: idx for idx, key in enumerate(dst)}
-        rows = [[zero] * len(src) for _ in dst]
-        for cidx, (p, i, j) in enumerate(src):
-            q = n - p
-            dc = C.d(p)
-            for i2 in range(C.rank(p + 1)):
-                v = dc.rows[i2][i]
-                if v:
-                    rows[pos[(p + 1, i2, j)]][cidx] += v
-            sgn = -1 if p % 2 else 1
-            dd = D.d(q)
-            for j2 in range(D.rank(q + 1)):
-                v = dd.rows[j2][j]
-                if v:
-                    rows[pos[(p, i, j2)]][cidx] += sgn * v
-        diffs.append(Matrix._trusted(C.ring, tuple(map(tuple, rows)), len(src)))
-    return make_complex(C.ring, lo, ranks, diffs, check=False)
+        rows = [[zero] * ranks[n - lo] for _ in range(ranks[n + 1 - lo])]
+        for p in ps:
+            rc, rd = C.rank(p), D.rank(n - p)
+            if rc and rd:
+                if C.rank(p + 1):
+                    add_kron(rows, C.d(p), Matrix.identity(ring, rd),
+                             start[n + 1, p + 1], start[n, p])
+                add_kron(rows, Matrix.identity(ring, rc), D.d(n - p),
+                         start[n + 1, p], start[n, p], -1 if p % 2 else 1)
+        diffs.append(Matrix._trusted(ring, tuple(map(tuple, rows)), ranks[n - lo]))
+    return make_complex(ring, lo, ranks, diffs, check=False)
 
 
 def hom_basis(C, D, n):
@@ -940,7 +965,9 @@ def hom_basis(C, D, n):
 
 
 def hom_element_matrices(C, D, n, vec):
-    """Unflatten a Hom(C,D)^n coordinate vector into per-degree matrices."""
+    """Unflatten a Hom(C,D)^n coordinate vector into per-degree matrices;
+    a ValueError when its length is not the rank of Hom(C,D)^n (a short
+    vector leaves a row of some block short)."""
     mats = {}
     idx = 0
     for p in range(C.lo, C.hi + 1):
@@ -951,6 +978,8 @@ def hom_element_matrices(C, D, n, vec):
                 rows.append(list(vec[idx + i * rc : idx + (i + 1) * rc]))
             idx += rd * rc
             mats[p] = Matrix(C.ring, rows, nrows=rd, ncols=rc)
+    if idx != len(vec):
+        raise ValueError("a Hom^%d vector needs %d coordinates, got %d" % (n, idx, len(vec)))
     return mats
 
 
@@ -972,52 +1001,32 @@ def hom_element_vector(C, D, n, mats):
 
 
 def hom_complex(C, D):
-    """Hom(C, D)^n = prod_p Hom(C^p, D^(p+n)), d f = d_D f - (-1)^n f d_C."""
+    """Hom(C, D)^n = prod_p Hom(C^p, D^(p+n)), d f = d_D f - (-1)^n f d_C.
+
+    f_p is stored row-major, as in `hom_basis`, so d_D f_p = (d_D (x) 1) f_p
+    and f_p d_C^(p-1) = (1 (x) (d_C^(p-1))^T) f_p (Van Loan 2000)."""
     if C.ring != D.ring:
         raise ValueError("ring mismatch")
+    ring = C.ring
     lo = D.lo - C.hi
     hi = D.hi - C.lo
-    ranks = []
+    ps = C.degrees()
+    start, ranks = _block_starts(lo, hi, ps, lambda n, p: D.rank(p + n) * C.rank(p))
+    zero = _units(ring)[0]
     diffs = []
-    for n in range(lo, hi + 1):
-        ranks.append(len(hom_basis(C, D, n)))
     for n in range(lo, hi):
-        src = hom_basis(C, D, n)
-        cols = []
-        sgn = -1 if n % 2 else 1
-        for p, i, j in src:
-            unit = {p: _matrix_unit(C.ring, D.rank(p + n), C.rank(p), i, j)}
-            mats = hom_differential_matrices(C, D, n, unit, sgn)
-            cols.append(hom_element_vector(C, D, n + 1, mats))
-        nrows = ranks[n + 1 - lo]
-        rows = [[col[r] for col in cols] for r in range(nrows)]
-        diffs.append(Matrix(C.ring, rows, nrows=nrows, ncols=len(src)))
-    return make_complex(C.ring, lo, ranks, diffs, check=False)
-
-
-def _matrix_unit(ring, nrows, ncols, i, j):
-    rows = [[0] * ncols for _ in range(nrows)]
-    rows[i][j] = 1
-    return Matrix(ring, rows, nrows=nrows, ncols=ncols)
-
-
-def hom_differential_matrices(C, D, n, mats, sgn):
-    """(df)_p = d_D . f_p - (-1)^n f_(p+1) . d_C as per-degree matrices."""
-    out = {}
-    for p in range(C.lo, C.hi + 1):
-        rc, rd = C.rank(p), D.rank(p + n + 1)
-        if not (rc and rd):
-            continue
-        acc = Matrix.zero(C.ring, rd, rc)
-        fp = mats.get(p)
-        if fp is not None and D.rank(p + n):
-            acc = acc + D.d(p + n) * fp
-        fq = mats.get(p + 1)
-        if fq is not None and C.rank(p + 1):
-            acc = acc - (fq * C.d(p)).scale(sgn)
-        if not acc.is_zero():
-            out[p] = acc
-    return out
+        rows = [[zero] * ranks[n - lo] for _ in range(ranks[n + 1 - lo])]
+        sgn = 1 if n % 2 else -1
+        for p in ps:
+            rd, rc = D.rank(p + n), C.rank(p)
+            if rd and rc:
+                add_kron(rows, D.d(p + n), Matrix.identity(ring, rc),
+                         start[n + 1, p], start[n, p])
+                if C.rank(p - 1):
+                    add_kron(rows, Matrix.identity(ring, rd), C.d(p - 1).transpose(),
+                             start[n + 1, p - 1], start[n, p], sgn)
+        diffs.append(Matrix._trusted(ring, tuple(map(tuple, rows)), ranks[n - lo]))
+    return make_complex(ring, lo, ranks, diffs, check=False)
 
 
 def hom_compose_vec(C, D, E, n_g, vec_g, n_f, vec_f):
@@ -1098,31 +1107,18 @@ def compose_chain_maps(g, f):
 
 
 def tensor_chain_map(f, g, source=None, target=None):
-    """f (x) g on tensor complexes of degree-0 chain maps (no Koszul signs)."""
+    """f (x) g on tensor complexes of degree-0 chain maps (no Koszul signs):
+    in degree n, the blocks f_p (x) g_(n-p) along the diagonal."""
     if source is None:
         source = tensor_complex(f.source, g.source)
     if target is None:
         target = tensor_complex(f.target, g.target)
-    comps = {}
-    for n in source.degrees():
-        src = tensor_basis(f.source, g.source, n)
-        dst = tensor_basis(f.target, g.target, n)
-        if not src or not dst:
-            continue
-        pos = {key: idx for idx, key in enumerate(dst)}
-        rows = [[0] * len(src) for _ in dst]
-        for cidx, (p, i, j) in enumerate(src):
-            fp = f.comp(p)
-            gq = g.comp(n - p)
-            for i2 in range(fp.nrows):
-                a = fp.rows[i2][i]
-                if not a:
-                    continue
-                for j2 in range(gq.nrows):
-                    b = gq.rows[j2][j]
-                    if b:
-                        rows[pos[(p, i2, j2)]][cidx] += a * b
-        comps[n] = Matrix(source.ring, rows, nrows=len(dst), ncols=len(src))
+    # p runs over both windows, so zero-size blocks keep the layouts aligned
+    ps = range(min(f.source.lo, f.target.lo), max(f.source.hi, f.target.hi) + 1)
+    comps = {
+        n: block_diagonal(source.ring, [f.comp(p).kron(g.comp(n - p)) for p in ps])
+        for n in source.degrees()
+    }
     return ChainMap(source, target, comps)
 
 

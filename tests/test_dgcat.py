@@ -156,6 +156,25 @@ def test_hom_coordinates_must_be_exact():
     assert Q.scale(Q.identity(1), Fraction(1, 2)).vector == (Fraction(1, 2),)
 
 
+def test_compose_and_add_refuse_vectors_of_the_wrong_length():
+    # the answer must not depend on whether the composition matrix is cached:
+    # the vector route once read the first four of six coordinates
+    C = build_vertex_cubes(ring="Z", top=1, objects=(1, 2))[0].category
+    long_ = HomElement(2, 2, 0, (1, 0, 0, 1, 7, 7))
+    short = HomElement(2, 2, 0, (5,))
+    f = C.element(2, 2, 0, (1, 2, 3, 4))
+    for cached in (False, True):
+        if cached:
+            C.comp_matrix(2, 2, 2, 0, 0)
+        for g, h in ((long_, f), (f, long_), (short, f), (f, short)):
+            with pytest.raises(ValueError, match="coordinate length mismatch"):
+                C.compose(g, h)
+            with pytest.raises(ValueError, match="coordinate length mismatch"):
+                C.add(g, h)
+        assert C.compose(C.identity(2), f) == f
+    assert C.add(f, C.identity(2)).vector == (2, 2, 3, 5)
+
+
 @given(st.integers(0, 10 ** 6))
 def test_random_complex_pairs_form_a_lawful_category(seed):
     rng = random.Random(seed)

@@ -13,6 +13,8 @@ from dgforge.linalg import (
     Matrix,
     RING_Q,
     RING_Z,
+    add_block,
+    add_kron,
     block_diagonal,
     block_matrix,
     complex_homology,
@@ -40,6 +42,8 @@ from dgforge.linalg import (
     single_complex,
     smith_normal_form,
     subcomplex,
+    tensor_basis,
+    tensor_chain_map,
     tensor_complex,
     totalize,
     two_term_complex,
@@ -94,6 +98,43 @@ def reduction_search_2x2(mat, depth=5, coeff_bound=3):
                 if (a == 0 and d == 0) or (a != 0 and d % a == 0):
                     found.add((a, d))
     return found
+
+
+def hom_differential_componentwise(C, D, n, vec):
+    """(df)_p = d_D f_p - (-1)^n f_(p+1) d_C, component by component, as a
+    Hom(C, D)^(n+1) vector: the route of `hom_complex` without Kronecker
+    blocks."""
+    f = hom_element_matrices(C, D, n, vec)
+    sgn = -1 if n % 2 else 1
+    out = {}
+    for p in C.degrees():
+        rc, rd = C.rank(p), D.rank(p + n + 1)
+        if rc and rd:
+            acc = Matrix.zero(C.ring, rd, rc)
+            if p in f:
+                acc = acc + D.d(p + n) * f[p]
+            if p + 1 in f:
+                acc = acc - (f[p + 1] * C.d(p)).scale(sgn)
+            out[p] = acc
+    return hom_element_vector(C, D, n + 1, out)
+
+
+def tensor_chain_map_elementwise(f, g, source):
+    """Components of f (x) g entry by entry, placed by `tensor_basis`
+    positions: the route of `tensor_chain_map` without Kronecker blocks."""
+    comps = {}
+    for n in source.degrees():
+        src = tensor_basis(f.source, g.source, n)
+        dst = tensor_basis(f.target, g.target, n)
+        pos = {key: idx for idx, key in enumerate(dst)}
+        rows = [[0] * len(src) for _ in dst]
+        for col, (p, i, j) in enumerate(src):
+            fp, gq = f.comp(p), g.comp(n - p)
+            for i2 in range(fp.nrows):
+                for j2 in range(gq.nrows):
+                    rows[pos[(p, i2, j2)]][col] += fp.rows[i2][i] * gq.rows[j2][j]
+        comps[n] = Matrix(source.ring, rows, nrows=len(dst), ncols=len(src))
+    return comps
 
 
 def cokernel_enumeration(k):
@@ -182,6 +223,38 @@ def test_mul_kron_refuses_mismatched_factors():
         mul_kron(M, 2, 3)
     with pytest.raises(ValueError, match="ring"):
         mul_kron(M, Matrix.identity(RING_Q, 2), 2)
+
+
+@given(st.data())
+def test_add_kron_adds_the_scaled_kronecker_product(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    for ring in (RING_Z, RING_Q):
+        for _ in range(5):
+            A = _sample_matrix(rng, ring, rng.randint(0, 3), rng.randint(0, 3))
+            B = _sample_matrix(rng, ring, rng.randint(0, 3), rng.randint(0, 3))
+            K = A.kron(B)
+            roff, coff = rng.randint(0, 2), rng.randint(0, 2)
+            base = _sample_matrix(rng, ring, K.nrows + roff + rng.randint(0, 2),
+                                  K.ncols + coff + rng.randint(0, 2))
+            scalar = rng.choice([-2, -1, 1, 3])
+            out = [list(row) for row in base.rows]
+            add_kron(out, A, B, roff, coff, scalar)
+            expected = [list(row) for row in base.rows]
+            add_block(expected, K, roff, coff, scalar)
+            assert out == expected
+
+
+@pytest.mark.parametrize("ring, kind", [(RING_Z, int), (RING_Q, Fraction)])
+def test_transpose_swaps_the_indices(ring, kind):
+    rng = random.Random(3)
+    for nrows, ncols in ((0, 0), (0, 3), (3, 0), (2, 3), (3, 1)):
+        A = _sample_matrix(rng, ring, nrows, ncols)
+        T = A.transpose()
+        assert (T.nrows, T.ncols) == (ncols, nrows)
+        assert all(T[j, i] == A[i, j] for i in range(nrows) for j in range(ncols))
+        assert T.transpose() == A
+        assert type(T.rows) is tuple and all(type(row) is tuple for row in T.rows)
+        assert all(type(v) is kind for row in T.rows for v in row)
 
 
 @pytest.mark.parametrize("ring, kind", [(RING_Z, int), (RING_Q, Fraction)])
@@ -408,6 +481,14 @@ def test_homology_group_refuses_a_negative_free_rank():
     assert HomologyGroup(0, ()).is_zero()
 
 
+def test_homology_group_refuses_a_zero_torsion_coefficient():
+    # the divisibility check once ran first and divided by the zero
+    with pytest.raises(ValueError, match="must be >= 2"):
+        HomologyGroup(0, (0, 2))
+    with pytest.raises(ValueError, match="must be >= 2"):
+        HomologyGroup(1, (1, 3))
+
+
 def test_homology_rank_dual_route():
     rng = random.Random(7)
     for _ in range(20):
@@ -481,6 +562,36 @@ def test_totalize_reproduces_the_tensor_complex(ring, seed):
         assert T == tensor_complex(C, D)
 
 
+def _random_chain_map(rng, C, D):
+    """A random combination of a kernel basis of d^0 on Hom(C, D)."""
+    H = hom_complex(C, D)
+    K = kernel(H.d(0))
+    coeffs = [rng.randint(-2, 2) for _ in range(K.ncols)]
+    vec = [sum(v * c for v, c in zip(row, coeffs)) for row in K.rows]
+    return make_chain_map(C, D, hom_element_matrices(C, D, 0, vec))
+
+
+@pytest.mark.parametrize("ring, seed", [(RING_Z, 53), (RING_Q, 59)])
+def test_tensor_chain_map_matches_the_elementwise_product(ring, seed):
+    # cone inclusions and projections, and maps between random complexes,
+    # have source and target windows that differ
+    rng = random.Random(seed)
+    for _ in range(12):
+        C, D = random_complex(rng, ring), random_complex(rng, ring)
+        f = _random_chain_map(rng, C, D)
+        _, incl, proj = cone_of_map(f)
+        maps = [f, incl, proj, identity_chain_map(C)]
+        assert any((m.source.lo, m.source.hi) != (m.target.lo, m.target.hi) for m in maps)
+        for _ in range(3):
+            a, b = rng.choice(maps), rng.choice(maps)
+            t = tensor_chain_map(a, b)
+            assert t.source == tensor_complex(a.source, b.source)
+            assert t.target == tensor_complex(a.target, b.target)
+            expected = tensor_chain_map_elementwise(a, b, t.source)
+            assert all(t.comp(n) == expected[n] for n in t.source.degrees())
+            make_chain_map(t.source, t.target, t.comps)
+
+
 def test_subcomplex_refuses_a_basis_that_d_leaves():
     C = two_term_complex(RING_Z, 0, Matrix(RING_Z, [[1]]))
     bases = {0: Matrix.identity(RING_Z, 1), 1: Matrix.zero(RING_Z, 1, 0)}
@@ -509,6 +620,20 @@ def test_hom_complex_differential_squares_to_zero():
     H = hom_complex(C, D)
     for n in range(H.lo, H.hi - 1):
         assert (H.d(n + 1) * H.d(n)).is_zero()
+
+
+@pytest.mark.parametrize("ring, seed", [(RING_Z, 43), (RING_Q, 47)])
+def test_hom_complex_matches_the_componentwise_differential(ring, seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        C, D = random_complex(rng, ring), random_complex(rng, ring)
+        H = hom_complex(C, D)
+        assert all(H.rank(n) == len(hom_basis(C, D, n)) for n in H.degrees())
+        for n in range(H.lo, H.hi):
+            r = H.rank(n)
+            for j in range(r):
+                unit = tuple(1 if k == j else 0 for k in range(r))
+                assert tuple(H.d(n).col(j)) == hom_differential_componentwise(C, D, n, unit)
 
 
 def test_hom_complex_leibniz():
@@ -547,6 +672,22 @@ def test_hom_vector_matrix_roundtrip():
         vec = random_hom_vector(rng, r)
         mats = hom_element_matrices(C, D, n, vec)
         assert hom_element_vector(C, D, n, mats) == vec
+
+
+def test_hom_vectors_of_the_wrong_length_are_refused():
+    # Hom(C, C)^0 of C = Z --2--> Z has rank 2; extra coordinates were dropped
+    C = two_term_complex(RING_Z, 0, Matrix(RING_Z, [[2]]))
+    for vec in ((1, 2, 99, 98), (1, 2, 3)):
+        with pytest.raises(ValueError, match="needs 2 coordinates, got %d" % len(vec)):
+            hom_element_matrices(C, C, 0, vec)
+    for vec in ((1,), ()):
+        with pytest.raises(ValueError):
+            hom_element_matrices(C, C, 0, vec)
+    with pytest.raises(ValueError, match="needs 2 coordinates"):
+        hom_compose_vec(C, C, C, 0, (1, 1, 5), 0, (1, 1))
+    with pytest.raises(ValueError, match="needs 2 coordinates"):
+        hom_compose_vec(C, C, C, 0, (1, 1), 0, (1, 1, 5))
+    assert hom_compose_vec(C, C, C, 0, (1, 1), 0, (2, 3)) == (2, 3)
 
 
 def test_identity_hom_vector_is_unit():

@@ -1,14 +1,13 @@
 """No dead code in the library: every module-level function and every
 non-dunder method defined in src/dgforge is referenced by name somewhere in
-src/ or tests/, outside the lines that define that name."""
+src/ or tests/.  References are read from the syntax tree (a name or an
+attribute), so a docstring or comment that mentions a name does not count."""
 
 import ast
 import collections
 import pathlib
-import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-WORD = re.compile(r"\w+")
 
 
 def library_definitions():
@@ -24,15 +23,16 @@ def library_definitions():
 
 
 def reference_counts():
-    """Occurrences of each identifier in src/ and tests/, def lines excluded."""
+    """Occurrences of each identifier as an `ast.Name` or `ast.Attribute`
+    in src/ and tests/."""
     counts = collections.Counter()
     for top in ("src", "tests"):
         for path in (ROOT / top).rglob("*.py"):
-            for line in path.read_text().splitlines():
-                words = WORD.findall(line)
-                if words[:1] == ["def"]:
-                    words = words[2:]
-                counts.update(words)
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    counts[node.id] += 1
+                elif isinstance(node, ast.Attribute):
+                    counts[node.attr] += 1
     return counts
 
 
