@@ -33,6 +33,7 @@ from .cube import (
 from .linalg import (
     Matrix,
     RING_Q,
+    _units,
     block_matrix,
     complex_homology,
     kernel,
@@ -573,13 +574,40 @@ def level_symmetry_matrix(A, g):
     return A.act(signed_as_cube_map(g))
 
 
+def _sign_average(n, group, size, nonzeros):
+    """(1/|G|) sum_g sgn(g) v_g over the group of `alternating_idempotent`,
+    for flat vectors v_g of length `size` given by `nonzeros(g)`, the
+    (position, value) pairs of their nonzero entries: signed values are
+    summed first and divided by |G| once, into Fractions."""
+    terms = alternating_idempotent(n, group)
+    acc = [0] * size
+    for c, g in terms:
+        negative = c < 0
+        for k, v in nonzeros(g):
+            acc[k] += -v if negative else v
+    quotients = {0: _units(RING_Q)[0]}
+    for t in acc:
+        if t not in quotients:
+            quotients[t] = Fraction(t, len(terms))
+    return [quotients[t] for t in acc]
+
+
 def alternating_projector(A, n, group="F"):
+    """The sign average on level n, read from the nonzero entries of each
+    A(g) only (a signed permutation has one per row)."""
     if A.ring != RING_Q:
         raise ValueError("alternating projectors need rational coefficients")
-    out = Matrix.zero(RING_Q, A.rank(n), A.rank(n))
-    for c, g in alternating_idempotent(n, group):
-        out = out + level_symmetry_matrix(A, g).scale(c)
-    return out
+    r = A.rank(n)
+    zero = _units(RING_Q)[0]
+
+    def nonzeros(g):
+        # the identity test skips the shared zero without a Fraction call
+        rows = level_symmetry_matrix(A, g).rows
+        return ((i * r + j, v) for i, row in enumerate(rows)
+                for j, v in enumerate(row) if v is not zero and v)
+
+    flat = _sign_average(n, group, r * r, nonzeros)
+    return Matrix._trusted(RING_Q, tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(r)), r)
 
 
 def alternating_trace_rank(A, n, group="F"):

@@ -19,17 +19,17 @@ vertices with the diagonal comultiplication.
 
 `CubicalEnrichment` keeps the reduced model of each level and projects
 composites back along the degenerate splitting.  `AlternatingEnrichment`
-is the same construction with another level model: it overrides only
-`model` (the sign-isotypic subcomplex) and `projector` (the sign
-average), and adds the box tensor product.
+is the same construction with another level model: its level data
+overrides only `model` (the sign-isotypic subcomplex) and `projector`
+(the sign average), and adds the box tensor product.  The level data is
+an object of its own that never refers to the enriched category, so an
+enrichment and its category are freed by reference counting.
 """
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cube import (
-    alternating_idempotent,
     closure_walk,
     identity_map,
     front_projection,
@@ -39,6 +39,7 @@ from .cube import (
 )
 from .cubical import (
     CubicalAbelianGroup,
+    _sign_average,
     alternating_complex,
     alternating_projector,
     associated_complex,
@@ -181,6 +182,7 @@ class DGCategory:
         ]
 
     def differential(self, f):
+        self._checked(f)
         cx = self.hom(f.source, f.target)
         vec = _apply(cx.d(f.degree), f.vector)
         return HomElement(f.source, f.target, f.degree + 1, vec)
@@ -214,6 +216,7 @@ class DGCategory:
         )
 
     def scale(self, f, c):
+        self._checked(f)
         if type(c) is not int:
             c = _coerce(self.ring, c)
         return HomElement(f.source, f.target, f.degree, tuple(c * a for a in f.vector))
@@ -781,17 +784,26 @@ def _free_module_host(ring, objects, rank, obj_tensor, unit, name):
     cat = DGCategory(ring, objects, hom_fn, comp_vec_fn=comp_vec,
                      id_fn=lambda x: _row_major_identity(rank(x)), name=name)
 
-    def matrix(f):
-        if f.degree:
-            raise ValueError("free-module maps are concentrated in degree 0")
-        a, b = rank(f.source), rank(f.target)
-        return Matrix(ring, [f.vector[r * a : (r + 1) * a] for r in range(b)],
-                      nrows=b, ncols=a)
-
     def mor_tensor(f, g):
-        kk = matrix(f).kron(matrix(g))
+        """f (x) g written straight from the two row-major vectors in the
+        order of `Matrix.kron`: a zero block for each zero entry of f, and
+        entries kept as they come (ints stay ints over Q)."""
+        if f.degree or g.degree:
+            raise ValueError("free-module maps are concentrated in degree 0")
+        a, b, c, d = rank(f.source), rank(f.target), rank(g.source), rank(g.target)
+        fv, gv = f.vector, g.vector
+        if len(fv) != a * b or len(gv) != c * d:
+            raise ValueError("coordinate length mismatch")
+        grows = [gv[k * c : (k + 1) * c] for k in range(d)]
+        blank = (0,) * c
+        out = []
+        for i in range(b):
+            frow = fv[i * a : (i + 1) * a]
+            for grow in grows:
+                for v in frow:
+                    out.extend([v * w for w in grow] if v else blank)
         return HomElement(obj_tensor(f.source, g.source), obj_tensor(f.target, g.target),
-                          0, tuple(v for row in kk.rows for v in row))
+                          0, tuple(out))
 
     def symmetry(x, y):
         a, b = rank(x), rank(y)
@@ -910,75 +922,54 @@ def build_vertex_cubes(ring="Q", top=3, objects=(1, 2)):
 # The cubical enrichment.
 
 
-class CubicalEnrichment:
-    """Hom(X, Y)^(-n) = Hom_C(X (x) cube^n, Y) with the degenerate part
-    split off, composition by cube duplication after the cup pairing.
+class _CubicalLevels:
+    """The level data of a cubical enrichment: per Hom pair the cubical
+    group, its reduced model and the projectors along the degenerate
+    splitting, and the composition read from them.
 
-    The stored model of each Hom complex is the intersection of the level's
-    one-valued face kernels; composition is computed on the full levels and
-    projected back along the splitting, which is legitimate because the
-    degenerate part is an ideal for the pairing.  A subclass with another
-    level model overrides `model` and `projector` together.
+    The enriched category's closures hold this object and it refers to
+    neither the category nor the enrichment, so reference counting frees
+    all three (as `sheaf._RGammaData` does for the global-sections
+    category).  A subclass with another level model overrides `model` and
+    `projector` together.
     """
 
-    def __init__(self, host, cocube, objects=None, name=""):
-        rep = validate_cocubical(cocube)
-        if not rep.ok:
-            raise ValueError("comultiplication axiom failed: %s" % rep.failures[0].law)
+    def __init__(self, host, cocube):
         self.host = host
         self.cocube = cocube
-        self.window = cocube.top
-        objs = tuple(objects) if objects is not None else host.category.objects
-        for x in objs:
-            for y in objs:
-                cx = host.category.hom(x, y)
-                if any(cx.rank(n) for n in cx.degrees() if n != 0):
-                    raise ValueError("host morphisms must be concentrated in degree 0")
         self._groups = {}
         self._models = {}
-        self._splits = {}
-        self.category = DGCategory(
-            host.category.ring, objs,
-            hom_fn=lambda x, y: self.model(x, y).complex,
-            comp_fn=self._composition,
-            id_fn=lambda x: restrict_vector(
-                self.model(x, x).level_basis[0], host.category.identity(x).vector,
-                "the identity",
-            ),
-            name=name or "enriched(%s)" % (host.category.name or "?"),
-        )
+        self._projectors = {}
 
-    # -- the level data -----------------------------------------------------
-
-    def _level_object(self, x, n):
+    def level_object(self, x, n):
         return self.host.obj_tensor(x, self.cocube.cube(n))
 
     def group(self, x, y):
+        """n -> Hom(x (x) cube^n, y), with f acting by precomposition with
+        id_x (x) image(f).  The action closure must not hold `self`: the
+        group sits in `self._groups`."""
         key = (x, y)
         if key not in self._groups:
             host, Q = self.host, self.cocube
             C = host.category
             idx = C.identity(x)
-            ranks = [
-                C.hom(self._level_object(x, n), y).rank(0)
-                for n in range(self.window + 1)
-            ]
 
-            def act(f, x=x, y=y, idx=idx):
+            def level(n):
+                return host.obj_tensor(x, Q.cube(n))
+
+            def act(f):
                 u = host.mor_tensor(idx, Q.image(f))
-                src = C.hom(self._level_object(x, f.cod), y)
-                cols = []
-                for i in range(src.rank(0)):
-                    e = C.element(self._level_object(x, f.cod), y, 0,
-                                  tuple(1 if k == i else 0 for k in range(src.rank(0))))
-                    cols.append(C.compose(e, u).vector)
-                return _columns_to_matrix(
-                    C.ring, C.hom(self._level_object(x, f.dom), y).rank(0), cols
-                )
+                r = C.hom(level(f.cod), y).rank(0)
+                cols = [
+                    C.compose(C.element(level(f.cod), y, 0,
+                                        tuple(1 if k == i else 0 for k in range(r))), u).vector
+                    for i in range(r)
+                ]
+                return _columns_to_matrix(C.ring, C.hom(level(f.dom), y).rank(0), cols)
 
             self._groups[key] = CubicalAbelianGroup(
-                C.ring, self.window, ranks, act, extended=Q.extended,
-                name="Hom(%r, %r)" % (x, y),
+                C.ring, Q.top, [C.hom(level(n), y).rank(0) for n in range(Q.top + 1)],
+                act, extended=Q.extended, name="Hom(%r, %r)" % (x, y),
             )
         return self._groups[key]
 
@@ -988,44 +979,42 @@ class CubicalEnrichment:
             self._models[key] = associated_complex(self.group(x, y), "reduced")
         return self._models[key]
 
-    def splitting(self, x, y, n):
-        key = (x, y, n)
-        if key not in self._splits:
-            self._splits[key] = degenerate_splitting(self.group(x, y), n)
-        return self._splits[key]
-
     def projector(self, x, y, n):
         """Projection of level n onto the reduced part."""
-        return self.splitting(x, y, n).projector
+        key = (x, y, n)
+        if key not in self._projectors:
+            self._projectors[key] = degenerate_splitting(self.group(x, y), n).projector
+        return self._projectors[key]
 
-    def degree0_iso(self, x, y):
-        """Matrix identifying the host Hom module with the degree-0 part of
-        the enriched Hom; the reduced basis at level 0 is the whole level,
-        so this is the recorded change of basis (the identity)."""
-        return self.model(x, y).level_basis[0]
+    def hom(self, x, y):
+        return self.model(x, y).complex
 
-    def _embed(self, f):
+    def identity(self, x):
+        return restrict_vector(
+            self.model(x, x).level_basis[0], self.host.category.identity(x).vector,
+            "the identity",
+        )
+
+    def embed(self, f):
         """Full-level host element behind a model coordinate vector."""
         n = -f.degree
         basis = self.model(f.source, f.target).level_basis[n]
         return self.host.category.element(
-            self._level_object(f.source, n), f.target, 0, _apply(basis, f.vector)
+            self.level_object(f.source, n), f.target, 0, _apply(basis, f.vector)
         )
-
-    # -- category structure -------------------------------------------------
 
     def _chat(self, x, y, z, gvec, fvec, n):
         """g . (f (x) id_cube) . (id_x (x) delta) at a common level n."""
         host, Q = self.host, self.cocube
         C = host.category
         cn = Q.cube(n)
-        g = C.element(self._level_object(y, n), z, 0, gvec)
-        f = C.element(self._level_object(x, n), y, 0, fvec)
+        g = C.element(self.level_object(y, n), z, 0, gvec)
+        f = C.element(self.level_object(x, n), y, 0, fvec)
         dup = host.mor_tensor(C.identity(x), Q.delta(n))
         w = C.compose(host.mor_tensor(f, C.identity(cn)), dup)
         return C.compose(g, w).vector
 
-    def _composition(self, x, y, z, p, q):
+    def composition(self, x, y, z, p, q):
         """Compose on the full level n = -(p + q), then project back along
         `projector(x, z, n)` and read off coordinates in the model basis."""
         b, a = -p, -q
@@ -1043,6 +1032,50 @@ class CubicalEnrichment:
         return restrict(target, self.projector(x, z, n) * raw, "the projected composition")
 
 
+class CubicalEnrichment:
+    """Hom(X, Y)^(-n) = Hom_C(X (x) cube^n, Y) with the degenerate part
+    split off, composition by cube duplication after the cup pairing.
+
+    The stored model of each Hom complex is the intersection of the level's
+    one-valued face kernels; composition is computed on the full levels and
+    projected back along the splitting, which is legitimate because the
+    degenerate part is an ideal for the pairing.  The level data lives in
+    `levels`, an instance of `_level_type`, which the category holds.
+    """
+
+    _level_type = _CubicalLevels
+
+    def __init__(self, host, cocube, objects=None, name=""):
+        rep = validate_cocubical(cocube)
+        if not rep.ok:
+            raise ValueError("comultiplication axiom failed: %s" % rep.failures[0].law)
+        self.host = host
+        self.cocube = cocube
+        objs = tuple(objects) if objects is not None else host.category.objects
+        for x in objs:
+            for y in objs:
+                cx = host.category.hom(x, y)
+                if any(cx.rank(n) for n in cx.degrees() if n != 0):
+                    raise ValueError("host morphisms must be concentrated in degree 0")
+        self.levels = levels = self._level_type(host, cocube)
+        self.category = DGCategory(
+            host.category.ring, objs, hom_fn=levels.hom, comp_fn=levels.composition,
+            id_fn=levels.identity, name=name or "enriched(%s)" % (host.category.name or "?"),
+        )
+
+    def group(self, x, y):
+        return self.levels.group(x, y)
+
+    def model(self, x, y):
+        return self.levels.model(x, y)
+
+    def degree0_iso(self, x, y):
+        """Matrix identifying the host Hom module with the degree-0 part of
+        the enriched Hom; the reduced basis at level 0 is the whole level,
+        so this is the recorded change of basis (the identity)."""
+        return self.model(x, y).level_basis[0]
+
+
 def cubical_enrichment(host, cocube, objects=None, name=""):
     return CubicalEnrichment(host, cocube, objects=objects, name=name)
 
@@ -1051,23 +1084,14 @@ def cubical_enrichment(host, cocube, objects=None, name=""):
 # The alternating enrichment.
 
 
-class AlternatingEnrichment(CubicalEnrichment):
-    """The cubical enrichment with the sign-isotypic subcomplexes of the
-    full levels as its model: the sign average takes the place of the
-    degenerate splitting in composition, and also folds into the box
-    tensor product."""
+class _AlternatingLevels(_CubicalLevels):
+    """Level data with the sign-isotypic subcomplexes of the full levels as
+    the model: the sign average takes the place of the degenerate splitting
+    in composition, and also folds into the box tensor product."""
 
-    def __init__(self, host, cocube, objects=None):
-        if host.category.ring != "Q":
-            raise ValueError("the alternating enrichment needs rational coefficients")
-        if not cocube.extended:
-            raise ValueError("the alternating enrichment needs the extended cube maps")
-        super().__init__(host, cocube, objects=objects,
-                         name="alt(%s)" % (host.category.name or "?"))
+    def __init__(self, host, cocube):
+        super().__init__(host, cocube)
         self._alt_cube = {}
-        self.tensor = TensorDGData(
-            self.category, host.unit, host.obj_tensor, self.box_tensor, self._symmetry
-        )
 
     def model(self, x, y):
         key = (x, y)
@@ -1082,22 +1106,22 @@ class AlternatingEnrichment(CubicalEnrichment):
     def _alt_cube_element(self, n):
         """The averaged signed symmetries as an endomorphism of cube^n."""
         if n not in self._alt_cube:
-            host, Q = self.host, self.cocube
-            C = host.category
+            Q = self.cocube
             cn = Q.cube(n)
-            total = [Fraction(0)] * C.hom(cn, cn).rank(0)
-            for c, g in alternating_idempotent(n, "F"):
-                vec = Q.image(signed_as_cube_map(g)).vector
-                total = [t + c * v for t, v in zip(total, vec)]
-            self._alt_cube[n] = HomElement(cn, cn, 0, tuple(total))
+
+            def nonzeros(g):
+                return ((k, v) for k, v in enumerate(Q.image(signed_as_cube_map(g)).vector) if v)
+
+            size = self.host.category.hom(cn, cn).rank(0)
+            self._alt_cube[n] = HomElement(cn, cn, 0, tuple(_sign_average(n, "F", size, nonzeros)))
         return self._alt_cube[n]
 
-    def _symmetry(self, x, y):
+    def symmetry(self, x, y):
         t = self.host.symmetry(x, y)
         xy = self.host.obj_tensor(x, y)
         yx = self.host.obj_tensor(y, x)
         coords = restrict_vector(self.model(xy, yx).level_basis[0], t.vector, "the symmetry")
-        return self.category.element(xy, yx, 0, coords)
+        return HomElement(xy, yx, 0, coords)
 
     def box_tensor(self, f, g):
         """f box g: split the cube, swap the middle factors, tensor in the
@@ -1108,8 +1132,9 @@ class AlternatingEnrichment(CubicalEnrichment):
         N = n + n2
         xx = host.obj_tensor(f.source, g.source)
         yy = host.obj_tensor(f.target, g.target)
-        if n < 0 or n2 < 0 or N > self.window:
-            return self.category.zero_element(xx, yy, f.degree + g.degree)
+        degree = f.degree + g.degree
+        if n < 0 or n2 < 0 or N > Q.top:
+            return HomElement(xx, yy, degree, (0,) * self.hom(xx, yy).rank(degree))
         split = C.compose(
             host.mor_tensor(
                 Q.image(front_projection(n, n2)), Q.image(back_projection(n, n2))
@@ -1121,10 +1146,29 @@ class AlternatingEnrichment(CubicalEnrichment):
             C.identity(Q.cube(n2)),
         )
         pre = C.compose(mid, host.mor_tensor(C.identity(xx), split))
-        tilde = C.compose(host.mor_tensor(self._embed(f), self._embed(g)), pre)
+        tilde = C.compose(host.mor_tensor(self.embed(f), self.embed(g)), pre)
         res = C.compose(tilde, host.mor_tensor(C.identity(xx), self._alt_cube_element(N)))
         coords = restrict_vector(self.model(xx, yy).level_basis[N], res.vector, "the box tensor")
-        return self.category.element(xx, yy, f.degree + g.degree, coords)
+        return HomElement(xx, yy, degree, coords)
+
+
+class AlternatingEnrichment(CubicalEnrichment):
+    """The cubical enrichment on `_AlternatingLevels`, with the box tensor
+    product as `tensor`."""
+
+    _level_type = _AlternatingLevels
+
+    def __init__(self, host, cocube, objects=None):
+        if host.category.ring != "Q":
+            raise ValueError("the alternating enrichment needs rational coefficients")
+        if not cocube.extended:
+            raise ValueError("the alternating enrichment needs the extended cube maps")
+        super().__init__(host, cocube, objects=objects,
+                         name="alt(%s)" % (host.category.name or "?"))
+        self.tensor = TensorDGData(
+            self.category, host.unit, host.obj_tensor,
+            self.levels.box_tensor, self.levels.symmetry,
+        )
 
 
 def alternating_enrichment(host, cocube, objects=None):
@@ -1139,10 +1183,10 @@ def _levelwise_functor(src_enr, tgt_enr):
     for x in src.objects:
         for y in src.objects:
             comps = {}
-            for n in range(tgt_enr.window + 1):
+            for n in range(tgt_enr.cocube.top + 1):
                 comps[-n] = restrict(
                     tgt_enr.model(x, y).level_basis[n],
-                    tgt_enr.projector(x, y, n) * src_enr.model(x, y).level_basis[n],
+                    tgt_enr.levels.projector(x, y, n) * src_enr.model(x, y).level_basis[n],
                     "the projection",
                 )
             mor_maps[(x, y)] = make_chain_map(src.hom(x, y), tgt.hom(x, y), comps)
@@ -1200,7 +1244,7 @@ class TensorAction:
             raise ValueError("the action takes degree-0 host elements")
         host, enr = self.host, self.enr
         n = -f.degree
-        res = host.mor_tensor(a, enr._embed(f))
+        res = host.mor_tensor(a, enr.levels.embed(f))
         sx = host.obj_tensor(a.source, f.source)
         tx = host.obj_tensor(a.target, f.target)
         coords = restrict_vector(enr.model(sx, tx).level_basis[n], res.vector, "the action")

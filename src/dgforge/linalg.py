@@ -397,8 +397,28 @@ def _apply(mat, vec):
 
 
 def _columns_to_matrix(ring, nrows, cols):
-    rows = [[col[r] for col in cols] for r in range(nrows)]
-    return Matrix(ring, rows, nrows=nrows, ncols=len(cols))
+    """The nrows x len(cols) matrix with these columns.  Entries of the
+    ring's type are kept, each distinct int is converted once (ints stay
+    ints over Z), and anything else goes through `_coerce`."""
+    if any(len(col) != nrows for col in cols):
+        raise ValueError("column length mismatch")
+    zero, one = _units(ring)
+    kind = type(zero)
+    known = {0: zero, 1: one}
+
+    def entry(v):
+        t = type(v)
+        if t is kind:
+            return v
+        if t is int:
+            q = known.get(v)
+            if q is None:
+                q = known[v] = kind(v)
+            return q
+        return _coerce(ring, v)
+
+    rows = tuple(tuple(entry(col[r]) for col in cols) for r in range(nrows))
+    return Matrix._trusted(ring, rows, len(cols))
 
 
 # ---------------------------------------------------------------------------

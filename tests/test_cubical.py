@@ -6,6 +6,7 @@ enumeration, trace formulas, mapping-cone acyclicity).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -35,10 +36,13 @@ from dgforge.cubical import (
     functions_on_cubes,
     generator_maps,
     interval_value_tables,
+    level_symmetry_matrix,
     normalization_report,
     normalized_complex,
     reduced_level_basis,
 )
+from dgforge.cube import alternating_idempotent
+from dgforge.dgcat import build_vertex_cubes, cubical_enrichment
 from dgforge.linalg import (
     Matrix,
     RING_Q,
@@ -290,6 +294,30 @@ def test_alternating_rank_dual_route():
             assert e * e == e
             kern_rank = F.rank(n) - q_rank(Matrix.identity(RING_Q, F.rank(n)) - e)
             assert kern_rank == alternating_trace_rank(F, n, group)
+
+
+def dense_alternating_projector(A, n, group):
+    """Reference sign average: the dense sum of c_g * A(g) over the group,
+    one scaled matrix per element."""
+    out = Matrix.zero(RING_Q, A.rank(n), A.rank(n))
+    for c, g in alternating_idempotent(n, group):
+        out = out + level_symmetry_matrix(A, g).scale(c)
+    return out
+
+
+def test_sparse_sign_average_matches_the_dense_sum():
+    F = functions_on_cubes(RING_Q, 4)
+    host, cocube = build_vertex_cubes("Q", top=3)
+    E = cubical_enrichment(host, cocube).group(2, 2)
+    cases = [(F, n, group) for group in ("F", "Sigma") for n in range(5)]
+    cases += [(E, n, group) for group in ("F", "Sigma") for n in range(4)]
+    for A, n, group in cases:
+        e = alternating_projector(A, n, group)
+        assert e == dense_alternating_projector(A, n, group), (A, n, group)
+        assert all(type(v) is Fraction for row in e.rows for v in row)
+    # flips leave no sign part above level 1; permutations do
+    assert not alternating_projector(E, 1, "F").is_zero()
+    assert not alternating_projector(E, 2, "Sigma").is_zero()
 
 
 def test_alternating_frozen_ranks():

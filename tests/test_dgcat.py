@@ -1,4 +1,7 @@
+import gc
+import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -175,6 +178,22 @@ def test_compose_and_add_refuse_vectors_of_the_wrong_length():
     assert C.add(f, C.identity(2)).vector == (2, 2, 3, 5)
 
 
+def test_scale_refuses_a_vector_of_the_wrong_length():
+    C = build_vertex_cubes(ring="Z", top=1, objects=(1, 2))[0].category
+    for vec in ((1,), (1, 0, 0, 1, 7)):
+        with pytest.raises(ValueError, match="coordinate length mismatch"):
+            C.scale(HomElement(2, 2, 0, vec), 3)
+    assert C.scale(C.identity(2), 3).vector == (3, 0, 0, 3)
+
+
+def test_differential_refuses_a_vector_of_the_wrong_length():
+    C = build_vertex_cubes(ring="Z", top=1, objects=(1, 2))[0].category
+    for vec in ((1,), (1, 0, 0, 1, 7)):
+        with pytest.raises(ValueError, match="coordinate length mismatch"):
+            C.differential(HomElement(2, 2, 0, vec))
+    assert C.differential(C.identity(2)).vector == ()
+
+
 @given(st.integers(0, 10 ** 6))
 def test_random_complex_pairs_form_a_lawful_category(seed):
     rng = random.Random(seed)
@@ -273,6 +292,81 @@ def test_identity_functor_is_an_equivalence(cxcat):
 
 # ---------------------------------------------------------------------------
 # Co-cubical structures.
+
+
+def row_major_matrix(ring, f):
+    """The vertex host's map f (objects are ranks) as its row-major matrix."""
+    a, b = f.source, f.target
+    return Matrix(ring, [f.vector[r * a : (r + 1) * a] for r in range(b)], nrows=b, ncols=a)
+
+
+def test_mor_tensor_is_the_kronecker_product_of_the_row_major_matrices():
+    # reference: Matrix.kron of the row-major matrices, read back row by row
+    rng = random.Random(11)
+    objects = (0, 1, 2, 3)
+    for ring in ("Z", "Q"):
+        host = build_vertex_cubes(ring=ring, top=1, objects=objects)[0]
+
+        def entry():
+            v = rng.choice((0, 0, 1, -2, 3))
+            return Fraction(v, rng.choice((1, 2, 3))) if ring == "Q" and rng.random() < 0.5 else v
+
+        for xa, ya, xb, yb in itertools.product(objects, repeat=4):
+            f = HomElement(xa, ya, 0, tuple(entry() for _ in range(xa * ya)))
+            g = HomElement(xb, yb, 0, tuple(entry() for _ in range(xb * yb)))
+            out = host.mor_tensor(f, g)
+            kk = row_major_matrix(ring, f).kron(row_major_matrix(ring, g))
+            assert (out.source, out.target, out.degree) == (xa * xb, ya * yb, 0)
+            assert out.vector == tuple(v for row in kk.rows for v in row)
+            assert all(type(v) in (int, Fraction) for v in out.vector)
+            if ring == "Z":
+                assert all(type(v) is int for v in out.vector)
+    # ints stay ints over Q
+    host = build_vertex_cubes(ring="Q", top=1, objects=(1, 2))[0]
+    ident = host.category.identity(2)
+    assert all(type(v) is int for v in host.mor_tensor(ident, ident).vector)
+
+
+def test_mor_tensor_refuses_vectors_of_the_wrong_length():
+    host = build_vertex_cubes(ring="Z", top=1, objects=(1, 2))[0]
+    C = host.category
+    for bad in (HomElement(1, 2, 0, (1, 2, 99)), HomElement(1, 2, 0, (1,))):
+        for f, g in ((bad, C.identity(1)), (C.identity(1), bad)):
+            with pytest.raises(ValueError, match="coordinate length mismatch"):
+                host.mor_tensor(f, g)
+    with pytest.raises(ValueError, match="concentrated in degree 0"):
+        host.mor_tensor(HomElement(1, 1, 1, (1,)), C.identity(1))
+    assert host.mor_tensor(HomElement(1, 2, 0, (1, 2)), C.identity(1)).vector == (1, 2)
+
+
+def test_enrichments_are_freed_without_the_cyclic_collector():
+    # the category's closures hold the level data, which refers to neither
+    # the category nor the enrichment, so reference counting frees all three
+    host, cocube = build_vertex_cubes(ring="Q", top=2, objects=(1,))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for build in (cubical_enrichment, alternating_enrichment):
+            enr = build(host, cocube)
+            assert validate_dg(enr.category).ok
+            assert enr.category._comp
+            if build is alternating_enrichment:
+                e = enr.category.identity(1)
+                assert enr.tensor.mor_tensor(e, e) == enr.category.identity(1)
+            refs = (weakref.ref(enr), weakref.ref(enr.category), weakref.ref(enr.group(1, 1)))
+            del enr
+            assert all(ref() is None for ref in refs), build.__name__
+        # a category outlives its enrichment and still answers
+        C = alternating_enrichment(host, cocube).category
+        assert C.hom(1, 1).rank(-1) == 1
+        f = C.element(1, 1, -1, (3,))
+        assert C.compose(C.identity(1), f) == f == C.compose(f, C.identity(1))
+        ref = weakref.ref(C)
+        del C
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_builtin_cocubical_structures_validate(fincor_z, vertex2):

@@ -13,6 +13,7 @@ from dgforge.linalg import (
     Matrix,
     RING_Q,
     RING_Z,
+    _columns_to_matrix,
     add_block,
     add_kron,
     block_diagonal,
@@ -174,6 +175,21 @@ def test_exact_entries_keep_their_value():
     q = Matrix(RING_Q, [[3, Fraction(1, 3)]])
     assert q.rows == ((Fraction(3), Fraction(1, 3)),)
     assert all(type(v) is Fraction for v in q.rows[0])
+
+
+def test_columns_become_a_matrix_of_the_ring_type():
+    q = _columns_to_matrix(RING_Q, 2, [(1, Fraction(1, 2)), (0, -3)])
+    assert q == Matrix(RING_Q, [[1, 0], [Fraction(1, 2), -3]])
+    assert all(type(v) is Fraction for row in q.rows for v in row)
+    z = _columns_to_matrix(RING_Z, 2, [(1, Fraction(4, 2)), (True, -3)])
+    assert z.rows == ((1, 1), (2, -3)) and all(type(v) is int for row in z.rows for v in row)
+    assert _columns_to_matrix(RING_Q, 3, []) == Matrix.zero(RING_Q, 3, 0)
+    for ring, col in ((RING_Q, (1, 0.5)), (RING_Z, (1, Fraction(1, 2))), (RING_Q, (1.0, 0))):
+        with pytest.raises(ValueError):
+            _columns_to_matrix(ring, 2, [col])
+    for cols in ([(1, 2), (3,)], [(1, 2, 3)]):
+        with pytest.raises(ValueError, match="column length mismatch"):
+            _columns_to_matrix(RING_Z, 2, cols)
 
 
 def test_declared_shape_must_match_the_rows():
