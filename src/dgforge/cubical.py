@@ -33,13 +33,12 @@ from .cube import (
 from .linalg import (
     Matrix,
     RING_Q,
-    _units,
+    _columns_to_matrix,
     block_matrix,
     complex_homology,
     kernel,
     make_chain_map,
     make_complex,
-    q_kernel,
     restrict,
     solve,
     subcomplex,
@@ -326,7 +325,8 @@ class AssociatedComplex:
     """A chain model of a cubical group: level n sits in degree -n.
 
     `level_basis[n]` has columns the chosen basis of the model inside A(n);
-    for the full model it is the identity.
+    for the full model it is the identity.  `variant` names the model:
+    "full", "reduced", or a sign part built by `alternating_complex`.
     """
 
     group: CubicalAbelianGroup
@@ -574,40 +574,57 @@ def level_symmetry_matrix(A, g):
     return A.act(signed_as_cube_map(g))
 
 
-def _sign_average(n, group, size, nonzeros):
-    """(1/|G|) sum_g sgn(g) v_g over the group of `alternating_idempotent`,
-    for flat vectors v_g of length `size` given by `nonzeros(g)`, the
-    (position, value) pairs of their nonzero entries: signed values are
-    summed first and divided by |G| once, into Fractions."""
-    terms = alternating_idempotent(n, group)
-    acc = [0] * size
-    for c, g in terms:
-        negative = c < 0
-        for k, v in nonzeros(g):
-            acc[k] += -v if negative else v
-    quotients = {0: _units(RING_Q)[0]}
-    for t in acc:
-        if t not in quotients:
-            quotients[t] = Fraction(t, len(terms))
-    return [quotients[t] for t in acc]
+def sign_orbit_basis(A, n, group="F"):
+    """The sign part of level n as signed orbit sums, one column b_k per
+    orbit O_k of the signed symmetries on the basis of A(n) that the sign
+    character does not kill: entries +-1 on O_k and 0 elsewhere, so the
+    supports are disjoint.  The sign average of w is sum_k <b_k, w>/|O_k| b_k
+    (see `sign_coordinates`).  Every A(g) must be a signed permutation
+    matrix; otherwise a ValueError names the level."""
+    r = A.rank(n)
+    sums = [[0] * r for _ in range(r)]  # sums[i] = sum_g sgn(g) A(g) e_i
+    for c, g in alternating_idempotent(n, group):
+        entries = [(i, j, v) for j, row in enumerate(level_symmetry_matrix(A, g).rows)
+                   for i, v in enumerate(row) if v]
+        if any(v not in (1, -1) for _, _, v in entries) or not (
+            len(entries) == len({i for i, _, _ in entries}) == len({j for _, j, _ in entries}) == r
+        ):
+            raise ValueError(
+                "level %d: a signed symmetry does not act by a signed permutation matrix" % n
+            )
+        for i, j, v in entries:
+            sums[i][j] += 1 if (v > 0) == (c > 0) else -1
+    seen = set()
+    orbit_sums = []
+    for col in sums:
+        support = {j for j, t in enumerate(col) if t}
+        if support and not support & seen:
+            seen |= support
+            orbit_sums.append([(t > 0) - (t < 0) for t in col])
+    return _columns_to_matrix(A.ring, r, orbit_sums)
+
+
+def sign_coordinates(B, mat):
+    """Coordinates in the orbit basis B of `sign_orbit_basis` of the sign
+    average of each column of mat: <b_k, col>/|O_k|, over Q."""
+    rows = mat.rows
+    out = []
+    for k in range(B.ncols):
+        support = [(i, row[k] > 0) for i, row in enumerate(B.rows) if row[k]]
+        out.append(tuple(
+            Fraction(sum(rows[i][c] if plus else -rows[i][c] for i, plus in support), len(support))
+            for c in range(mat.ncols)
+        ))
+    return Matrix._trusted(RING_Q, tuple(out), mat.ncols)
 
 
 def alternating_projector(A, n, group="F"):
-    """The sign average on level n, read from the nonzero entries of each
-    A(g) only (a signed permutation has one per row)."""
+    """The sign average on level n as a dense matrix, read from the orbit
+    basis B: B diag(1/|O_k|) B^T."""
     if A.ring != RING_Q:
         raise ValueError("alternating projectors need rational coefficients")
-    r = A.rank(n)
-    zero = _units(RING_Q)[0]
-
-    def nonzeros(g):
-        # the identity test skips the shared zero without a Fraction call
-        rows = level_symmetry_matrix(A, g).rows
-        return ((i * r + j, v) for i, row in enumerate(rows)
-                for j, v in enumerate(row) if v is not zero and v)
-
-    flat = _sign_average(n, group, r * r, nonzeros)
-    return Matrix._trusted(RING_Q, tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(r)), r)
+    B = sign_orbit_basis(A, n, group)
+    return B * sign_coordinates(B, Matrix.identity(RING_Q, A.rank(n)))
 
 
 def alternating_trace_rank(A, n, group="F"):
@@ -621,27 +638,17 @@ def alternating_trace_rank(A, n, group="F"):
     return int(val)
 
 
-@dataclass(eq=False)
-class AlternatingComplex:
-    group: CubicalAbelianGroup
-    sign_group: str
-    model: AssociatedComplex
-    complex: object
-    level_basis: dict
-
-    def level_rank(self, n):
-        return self.complex.rank(-n)
-
-    def homology(self, n):
-        return complex_homology(self.complex, -n)
-
-
 def alternating_complex(A, group="F", variant=None):
-    """Sign-isotypic subcomplex over Q.
+    """Sign-isotypic subcomplex over Q of the full or reduced model, as an
+    `AssociatedComplex` of A over Q.
 
     Flip-and-permute symmetries preserve the full levels; plain permutations
     also preserve the reduced ones.  The flip group does not fix the eps=1
-    face conditions, so group "F" with the reduced model is refused.
+    face conditions, so group "F" with the reduced model is refused.  Every
+    symmetry must act by signed permutation matrices, as in every builtin
+    group; any other action raises a ValueError naming the level.  A full
+    level takes the signed orbit sums of `sign_orbit_basis` as basis, a
+    reduced one the part of the model basis R that the sign average fixes.
     """
     if variant is None:
         variant = "full" if group == "F" else "reduced"
@@ -649,16 +656,14 @@ def alternating_complex(A, group="F", variant=None):
         raise ValueError("flips do not preserve the reduced model")
     Aq = A.over_q()
     model = associated_complex(Aq, variant)
-    top = Aq.top
-    bases = {}
-    for n in range(top + 1):
-        e_full = alternating_projector(Aq, n, group)
-        B = model.level_basis[n]
-        e_model = restrict(B, e_full * B, "the sign projector")
-        ident = Matrix.identity(RING_Q, e_model.ncols)
-        bases[n] = q_kernel(ident - e_model)
-    cx = subcomplex(model.complex, {-n: bases[n] for n in range(top + 1)})
-    return AlternatingComplex(Aq, group, model, cx, bases)
+    coords = {}
+    for n in range(Aq.top + 1):
+        B = sign_orbit_basis(Aq, n, group)
+        R = model.level_basis[n]
+        coords[-n] = B if variant == "full" else kernel(R - B * sign_coordinates(B, R))
+    bases = {n: model.level_basis[n] * coords[-n] for n in range(Aq.top + 1)}
+    return AssociatedComplex(Aq, "alternating %s, %s" % (group, variant),
+                             subcomplex(model.complex, coords), bases)
 
 
 @dataclass(eq=False)
@@ -669,7 +674,10 @@ class AlternatingComparison:
 
 
 def alternating_comparison(A, hi=None):
-    """Homology rank agreement between the reduced model and both sign models."""
+    """Homology rank agreement between the reduced model and both sign models
+    in degrees 0..hi; an explicit hi must be at least 0."""
+    if hi is not None and hi < 0:
+        raise ValueError("empty window (0, %d): no degree would be compared" % hi)
     Aq = A.over_q()
     top = Aq.top
     if hi is None:

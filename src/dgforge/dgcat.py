@@ -20,8 +20,9 @@ vertices with the diagonal comultiplication.
 `CubicalEnrichment` keeps the reduced model of each level and projects
 composites back along the degenerate splitting.  `AlternatingEnrichment`
 is the same construction with another level model: its level data
-overrides only `model` (the sign-isotypic subcomplex) and `projector`
-(the sign average), and adds the box tensor product.  The level data is
+overrides only `model` (the sign-isotypic subcomplex, with the signed
+orbit sums as basis) and `project` (the coordinates of the sign average,
+read from those sums), and adds the box tensor product.  The level data is
 an object of its own that never refers to the enriched category, so an
 enrichment and its category are freed by reference counting.
 """
@@ -34,17 +35,15 @@ from .cube import (
     identity_map,
     front_projection,
     back_projection,
-    signed_as_cube_map,
     vertex_index,
 )
 from .cubical import (
     CubicalAbelianGroup,
-    _sign_average,
     alternating_complex,
-    alternating_projector,
     associated_complex,
     degenerate_splitting,
     generator_maps,
+    sign_coordinates,
 )
 from .linalg import (
     Matrix,
@@ -931,7 +930,7 @@ class _CubicalLevels:
     neither the category nor the enrichment, so reference counting frees
     all three (as `sheaf._RGammaData` does for the global-sections
     category).  A subclass with another level model overrides `model` and
-    `projector` together.
+    `project` together.
     """
 
     def __init__(self, host, cocube):
@@ -979,12 +978,14 @@ class _CubicalLevels:
             self._models[key] = associated_complex(self.group(x, y), "reduced")
         return self._models[key]
 
-    def projector(self, x, y, n):
-        """Projection of level n onto the reduced part."""
+    def project(self, x, y, n, raw):
+        """Model coordinates of the columns `raw` of level n, projected onto
+        the reduced part along the degenerate splitting."""
         key = (x, y, n)
         if key not in self._projectors:
             self._projectors[key] = degenerate_splitting(self.group(x, y), n).projector
-        return self._projectors[key]
+        return restrict(self.model(x, y).level_basis[n], self._projectors[key] * raw,
+                        "the projection")
 
     def hom(self, x, y):
         return self.model(x, y).complex
@@ -1015,8 +1016,8 @@ class _CubicalLevels:
         return C.compose(g, w).vector
 
     def composition(self, x, y, z, p, q):
-        """Compose on the full level n = -(p + q), then project back along
-        `projector(x, z, n)` and read off coordinates in the model basis."""
+        """Compose on the full level n = -(p + q), then `project` back to
+        coordinates in the model basis."""
         b, a = -p, -q
         n = a + b
         gfull = self.group(y, z).act(front_projection(b, a)) * self.model(y, z).level_basis[b]
@@ -1028,8 +1029,7 @@ class _CubicalLevels:
             for fcol in fcols
         ]
         raw = _columns_to_matrix(self.host.category.ring, self.group(x, z).rank(n), cols)
-        target = self.model(x, z).level_basis[n]
-        return restrict(target, self.projector(x, z, n) * raw, "the projected composition")
+        return self.project(x, z, n, raw)
 
 
 class CubicalEnrichment:
@@ -1089,32 +1089,16 @@ class _AlternatingLevels(_CubicalLevels):
     the model: the sign average takes the place of the degenerate splitting
     in composition, and also folds into the box tensor product."""
 
-    def __init__(self, host, cocube):
-        super().__init__(host, cocube)
-        self._alt_cube = {}
-
     def model(self, x, y):
         key = (x, y)
         if key not in self._models:
             self._models[key] = alternating_complex(self.group(x, y), group="F", variant="full")
         return self._models[key]
 
-    def projector(self, x, y, n):
-        """The sign average on level n."""
-        return alternating_projector(self.group(x, y), n, "F")
-
-    def _alt_cube_element(self, n):
-        """The averaged signed symmetries as an endomorphism of cube^n."""
-        if n not in self._alt_cube:
-            Q = self.cocube
-            cn = Q.cube(n)
-
-            def nonzeros(g):
-                return ((k, v) for k, v in enumerate(Q.image(signed_as_cube_map(g)).vector) if v)
-
-            size = self.host.category.hom(cn, cn).rank(0)
-            self._alt_cube[n] = HomElement(cn, cn, 0, tuple(_sign_average(n, "F", size, nonzeros)))
-        return self._alt_cube[n]
+    def project(self, x, y, n, raw):
+        """Coordinates of the sign average of the columns `raw` of level n
+        in the signed orbit sums that span the model."""
+        return sign_coordinates(self.model(x, y).level_basis[n], raw)
 
     def symmetry(self, x, y):
         t = self.host.symmetry(x, y)
@@ -1125,7 +1109,9 @@ class _AlternatingLevels(_CubicalLevels):
 
     def box_tensor(self, f, g):
         """f box g: split the cube, swap the middle factors, tensor in the
-        host, then average over the signed symmetries of the big cube."""
+        host, then average over the signed symmetries of the big cube.  That
+        average is precomposition with id (x) (sign average of the cube
+        images), which is the sign average of level N of Hom(xx, yy)."""
         host, Q = self.host, self.cocube
         C = host.category
         n, n2 = -f.degree, -g.degree
@@ -1147,9 +1133,8 @@ class _AlternatingLevels(_CubicalLevels):
         )
         pre = C.compose(mid, host.mor_tensor(C.identity(xx), split))
         tilde = C.compose(host.mor_tensor(self.embed(f), self.embed(g)), pre)
-        res = C.compose(tilde, host.mor_tensor(C.identity(xx), self._alt_cube_element(N)))
-        coords = restrict_vector(self.model(xx, yy).level_basis[N], res.vector, "the box tensor")
-        return HomElement(xx, yy, degree, coords)
+        coords = self.project(xx, yy, N, Matrix.column(C.ring, tilde.vector))
+        return HomElement(xx, yy, degree, tuple(coords.col(0)))
 
 
 class AlternatingEnrichment(CubicalEnrichment):
@@ -1177,18 +1162,16 @@ def alternating_enrichment(host, cocube, objects=None):
 
 def _levelwise_functor(src_enr, tgt_enr):
     """Identity on objects; on level n of each Hom pair, the source model's
-    basis under the target's projector, in target model coordinates."""
+    basis projected by the target, in target model coordinates."""
+    if src_enr.host is not tgt_enr.host:
+        raise ValueError("the two enrichments must come from the same host")
     src, tgt = src_enr.category, tgt_enr.category
     mor_maps = {}
     for x in src.objects:
         for y in src.objects:
             comps = {}
             for n in range(tgt_enr.cocube.top + 1):
-                comps[-n] = restrict(
-                    tgt_enr.model(x, y).level_basis[n],
-                    tgt_enr.levels.projector(x, y, n) * src_enr.model(x, y).level_basis[n],
-                    "the projection",
-                )
+                comps[-n] = tgt_enr.levels.project(x, y, n, src_enr.model(x, y).level_basis[n])
             mor_maps[(x, y)] = make_chain_map(src.hom(x, y), tgt.hom(x, y), comps)
     return DGFunctor(src, tgt, {x: x for x in src.objects}, mor_maps)
 

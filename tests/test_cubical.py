@@ -19,6 +19,7 @@ from dgforge.cube import (
     q_merge,
 )
 from dgforge.cubical import (
+    CubicalAbelianGroup,
     alternating_comparison,
     alternating_complex,
     alternating_projector,
@@ -40,6 +41,7 @@ from dgforge.cubical import (
     normalization_report,
     normalized_complex,
     reduced_level_basis,
+    sign_orbit_basis,
 )
 from dgforge.cube import alternating_idempotent
 from dgforge.dgcat import build_vertex_cubes, cubical_enrichment
@@ -50,8 +52,11 @@ from dgforge.linalg import (
     complex_homology,
     is_quasi_iso,
     make_chain_map,
+    q_kernel,
     q_rank,
+    restrict,
     solve,
+    subcomplex,
     zero_complex,
 )
 
@@ -334,6 +339,84 @@ def test_alternating_reduced_guard():
         alternating_complex(A, "F", "reduced")
 
 
+def dense_sign_part(A, group, variant):
+    """Reference sign part: per level, q_kernel(I - e) for the dense sign
+    average e restricted to the model, and the subcomplex on those kernels.
+    The bases are returned inside A(n)."""
+    model = associated_complex(A, variant)
+    coords = {}
+    for n in range(A.top + 1):
+        R = model.level_basis[n]
+        e = restrict(R, dense_alternating_projector(A, n, group) * R, "the sign projector")
+        coords[-n] = q_kernel(Matrix.identity(RING_Q, e.ncols) - e)
+    bases = {n: model.level_basis[n] * coords[-n] for n in range(A.top + 1)}
+    return bases, subcomplex(model.complex, coords)
+
+
+def _vertex_hom_group(x, y):
+    return cubical_enrichment(*build_vertex_cubes("Q", top=3)).group(x, y)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: functions_on_cubes(RING_Q, 4),
+        lambda: circle_chains(RING_Q, 3, extended=True),
+        lambda: constant_cubical(RING_Q, 2, 3),
+        lambda: _vertex_hom_group(1, 2),
+        lambda: _vertex_hom_group(2, 2),
+    ],
+)
+@pytest.mark.parametrize("group, variant", [("F", "full"), ("Sigma", "full"), ("Sigma", "reduced")])
+def test_orbit_sums_span_the_dense_sign_part(make, group, variant):
+    A = make()
+    alt = alternating_complex(A, group, variant)
+    bases, cx = dense_sign_part(A, group, variant)
+    for n in range(A.top + 1):
+        new, old = alt.level_basis[n], bases[n]
+        assert new.ncols == old.ncols
+        assert solve(old, new) is not None and solve(new, old) is not None
+        assert alt.homology(n) == complex_homology(cx, -n)
+        B = sign_orbit_basis(A, n, group)
+        assert B.ncols == alternating_trace_rank(A, n, group)
+        if variant == "full":
+            assert B == new
+        assert all(v in (0, 1, -1) for row in B.rows for v in row)
+        supports = [{i for i, v in enumerate(B.col(k)) if v} for k in range(B.ncols)]
+        assert all(supports)
+        assert sum(map(len, supports)) == len(set().union(*supports))
+
+
+def _conjugated_functions_on_cubes(top):
+    """functions_on_cubes(Q, top) in the basis P e_i at every level, for P
+    with ones on the diagonal and the superdiagonal: still a cubical group,
+    but the symmetries no longer act by signed permutation matrices."""
+    A = functions_on_cubes(RING_Q, top)
+
+    def P(r):
+        return Matrix(RING_Q, [[int(j in (i, i + 1)) for j in range(r)] for i in range(r)])
+
+    def P_inv(r):
+        return Matrix(RING_Q, [[(-1) ** (j - i) if j >= i else 0 for j in range(r)]
+                               for i in range(r)])
+
+    return CubicalAbelianGroup(
+        RING_Q, top, A.ranks,
+        lambda f: P_inv(A.rank(f.dom)) * A.act(f) * P(A.rank(f.cod)), extended=True,
+    )
+
+
+def test_sign_part_refuses_an_action_that_is_not_by_signed_permutations():
+    A = _conjugated_functions_on_cubes(2)
+    # the same group in another basis: the full complex keeps its homology,
+    # and level 1, where Sigma is trivial, still has a sign part
+    plain = associated_complex(functions_on_cubes(RING_Q, 2), "full")
+    assert all(associated_complex(A, "full").homology(n) == plain.homology(n) for n in range(3))
+    assert sign_orbit_basis(A, 1, "Sigma").ncols == 2
+    with pytest.raises(ValueError, match="level 2"):
+        alternating_complex(A, "Sigma", "full")
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -352,6 +435,12 @@ def test_alternating_comparison_rational_ranks():
     rep = alternating_comparison(circle_chains(RING_Z, 3, extended=True))
     ranks = {n: r0 for n, r0, _, _ in rep.table}
     assert ranks[0] == 1 and ranks[1] == 0
+
+
+def test_alternating_comparison_refuses_an_empty_window():
+    with pytest.raises(ValueError, match="empty window"):
+        alternating_comparison(functions_on_cubes(RING_Z, 3), hi=-1)
+    assert alternating_comparison(functions_on_cubes(RING_Z, 3), hi=0).window == (0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -690,6 +690,15 @@ def test_sign_average_projection_is_a_strict_equivalence(vertex2):
     assert dg_homotopy_equivalence_check(proj, window=(-1, 0)).ok
 
 
+def test_comparison_functors_refuse_enrichments_over_different_hosts():
+    h2 = build_vertex_cubes("Q", top=2, objects=(1,))
+    h3 = build_vertex_cubes("Q", top=3, objects=(1,))
+    with pytest.raises(ValueError, match="same host"):
+        alternating_inclusion_functor(alternating_enrichment(*h2), cubical_enrichment(*h3))
+    with pytest.raises(ValueError, match="same host"):
+        alternating_projection_functor(cubical_enrichment(*h2), alternating_enrichment(*h3))
+
+
 def test_collapse_functor_fails_with_a_witness_pair(fincor_z):
     enr = fincor_z[2]
     col = collapse_functor(enr.category)
