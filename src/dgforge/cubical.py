@@ -361,32 +361,15 @@ def associated_complex(A, variant="full"):
 # Degenerate splitting.
 
 
-@dataclass(eq=False)
-class LevelSplitting:
-    """A(n) = (reduced part) + (degenerate part), split by a projector."""
-
-    level: int
-    projector: Matrix
-    reduced_basis: Matrix
-    degenerate_basis: Matrix
-
-
-def slot_degeneracy_projector(A, n, i):
-    """Pullback of projection then eps=1 insertion in slot i; idempotent."""
-    return A.act(projection(n, i)) * A.act(insertion(n - 1, i, 1))
-
-
-def degenerate_splitting(A, n):
+def degenerate_projector(A, n):
+    """The idempotent on A(n) with image the reduced part and kernel the
+    degenerate part: the product over slots i of I - s_i, where the
+    idempotent s_i pulls back along projection, then eps=1 insertion."""
     ident = Matrix.identity(A.ring, A.rank(n))
     P = ident
     for i in range(1, n + 1):
-        P = (ident - slot_degeneracy_projector(A, n, i)) * P
-    return LevelSplitting(
-        level=n,
-        projector=P,
-        reduced_basis=kernel(ident - P),
-        degenerate_basis=kernel(P),
-    )
+        P = (ident - A.act(projection(n, i)) * A.act(insertion(n - 1, i, 1))) * P
+    return P
 
 
 # ---------------------------------------------------------------------------

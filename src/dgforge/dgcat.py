@@ -18,8 +18,11 @@ all the unit object, and a host whose cubes are spanned by the cube
 vertices with the diagonal comultiplication.
 
 `CubicalEnrichment` keeps the reduced model of each level and projects
-composites back along the degenerate splitting.  `AlternatingEnrichment`
-is the same construction with another level model: its level data
+composites back along the degenerate splitting.  Its level maps are read
+off the row-major free-module host, the only host the two builders make:
+precomposition with w is the matrix I (x) W^T, written from w's entries.
+`AlternatingEnrichment` is the same construction with another level
+model: its level data
 overrides only `model` (the sign-isotypic subcomplex, with the signed
 orbit sums as basis) and `project` (the coordinates of the sign average,
 read from those sums), and adds the box tensor product.  The level data is
@@ -41,7 +44,7 @@ from .cubical import (
     CubicalAbelianGroup,
     alternating_complex,
     associated_complex,
-    degenerate_splitting,
+    degenerate_projector,
     generator_maps,
     sign_coordinates,
 )
@@ -414,6 +417,8 @@ class H0Category:
         return _apply(self.comp[(x, y, z)], _kron_vec(gvec, fvec))
 
     def same_class(self, x, y, u, v):
+        if not len(u) == len(v) == self.boundaries[(x, y)].nrows:
+            raise ValueError("coordinate length mismatch")
         diff = [a - b for a, b in zip(u, v)]
         return solve_vector(self.boundaries[(x, y)], diff) is not None
 
@@ -762,6 +767,18 @@ def _row_major_product(nx, ny, nz, gvec, fvec):
     return tuple(out)
 
 
+def _precomposition(host, w, z):
+    """The matrix of g -> g . w on Hom(w.target, z), i.e. I_nz (x) W^T
+    (Van Loan 2000): column (iz, ib) is row ib of the row-major w placed
+    in block iz.  Ranks are read against the unit, which has rank 1."""
+    C = host.category
+    na, nb, nz = (C.hom(v, host.unit).rank(0) for v in (w.source, w.target, z))
+    rows = [w.vector[ib * na : (ib + 1) * na] for ib in range(nb)]
+    pad = (0,) * (nz * na)
+    cols = [pad[: iz * na] + row + pad[(iz + 1) * na :] for iz in range(nz) for row in rows]
+    return _columns_to_matrix(C.ring, nz * na, cols)
+
+
 def _row_major_identity(n):
     vec = [0] * (n * n)
     for i in range(n):
@@ -924,7 +941,9 @@ def build_vertex_cubes(ring="Q", top=3, objects=(1, 2)):
 class _CubicalLevels:
     """The level data of a cubical enrichment: per Hom pair the cubical
     group, its reduced model and the projectors along the degenerate
-    splitting, and the composition read from them.
+    splitting, and the composition read from them.  Action and composition
+    matrices are `_precomposition` matrices of the row-major free-module
+    host, the only host that `build_fincor` and `build_vertex_cubes` make.
 
     The enriched category's closures hold this object and it refers to
     neither the category nor the enrichment, so reference counting frees
@@ -953,22 +972,12 @@ class _CubicalLevels:
             C = host.category
             idx = C.identity(x)
 
-            def level(n):
-                return host.obj_tensor(x, Q.cube(n))
-
             def act(f):
-                u = host.mor_tensor(idx, Q.image(f))
-                r = C.hom(level(f.cod), y).rank(0)
-                cols = [
-                    C.compose(C.element(level(f.cod), y, 0,
-                                        tuple(1 if k == i else 0 for k in range(r))), u).vector
-                    for i in range(r)
-                ]
-                return _columns_to_matrix(C.ring, C.hom(level(f.dom), y).rank(0), cols)
+                return _precomposition(host, host.mor_tensor(idx, Q.image(f)), y)
 
+            ranks = [C.hom(self.level_object(x, n), y).rank(0) for n in range(Q.top + 1)]
             self._groups[key] = CubicalAbelianGroup(
-                C.ring, Q.top, [C.hom(level(n), y).rank(0) for n in range(Q.top + 1)],
-                act, extended=Q.extended, name="Hom(%r, %r)" % (x, y),
+                C.ring, Q.top, ranks, act, extended=Q.extended, name="Hom(%r, %r)" % (x, y),
             )
         return self._groups[key]
 
@@ -980,12 +989,17 @@ class _CubicalLevels:
 
     def project(self, x, y, n, raw):
         """Model coordinates of the columns `raw` of level n, projected onto
-        the reduced part along the degenerate splitting."""
+        the reduced part along the degenerate splitting: one product with the
+        projector in the model basis, solved for once per level together
+        with the check that its image is the span of the model basis."""
         key = (x, y, n)
         if key not in self._projectors:
-            self._projectors[key] = degenerate_splitting(self.group(x, y), n).projector
-        return restrict(self.model(x, y).level_basis[n], self._projectors[key] * raw,
-                        "the projection")
+            R = self.model(x, y).level_basis[n]
+            K = restrict(R, degenerate_projector(self.group(x, y), n), "the projection")
+            if K * R != Matrix.identity(R.ring, R.ncols):
+                raise ValueError("the projection does not fix the model at level %d" % n)
+            self._projectors[key] = K
+        return self._projectors[key] * raw
 
     def hom(self, x, y):
         return self.model(x, y).complex
@@ -1004,31 +1018,26 @@ class _CubicalLevels:
             self.level_object(f.source, n), f.target, 0, _apply(basis, f.vector)
         )
 
-    def _chat(self, x, y, z, gvec, fvec, n):
-        """g . (f (x) id_cube) . (id_x (x) delta) at a common level n."""
-        host, Q = self.host, self.cocube
-        C = host.category
-        cn = Q.cube(n)
-        g = C.element(self.level_object(y, n), z, 0, gvec)
-        f = C.element(self.level_object(x, n), y, 0, fvec)
-        dup = host.mor_tensor(C.identity(x), Q.delta(n))
-        w = C.compose(host.mor_tensor(f, C.identity(cn)), dup)
-        return C.compose(g, w).vector
-
     def composition(self, x, y, z, p, q):
         """Compose on the full level n = -(p + q), then `project` back to
-        coordinates in the model basis."""
+        model coordinates.  Column f_j gives w_j = (f_j (x) id) . (id_x (x)
+        delta_n) and one product for all g_i . w_j; raw column (i, j), g
+        outer as in `comp_matrix`, is column i of block j."""
+        host, Q = self.host, self.cocube
+        C = host.category
         b, a = -p, -q
         n = a + b
         gfull = self.group(y, z).act(front_projection(b, a)) * self.model(y, z).level_basis[b]
         ffull = self.group(x, y).act(back_projection(b, a)) * self.model(x, y).level_basis[a]
-        fcols = [tuple(ffull.col(j)) for j in range(ffull.ncols)]
-        cols = [
-            self._chat(x, y, z, tuple(gfull.col(i)), fcol, n)
-            for i in range(gfull.ncols)
-            for fcol in fcols
-        ]
-        raw = _columns_to_matrix(self.host.category.ring, self.group(x, z).rank(n), cols)
+        dup = host.mor_tensor(C.identity(x), Q.delta(n))
+        id_cube = C.identity(Q.cube(n))
+        blocks = []
+        for j in range(ffull.ncols):
+            f = C.element(self.level_object(x, n), y, 0, tuple(ffull.col(j)))
+            w = C.compose(host.mor_tensor(f, id_cube), dup)
+            blocks.append(_precomposition(host, w, z) * gfull)
+        cols = [tuple(blk.col(i)) for i in range(gfull.ncols) for blk in blocks]
+        raw = _columns_to_matrix(C.ring, self.group(x, z).rank(n), cols)
         return self.project(x, z, n, raw)
 
 
@@ -1163,8 +1172,8 @@ def alternating_enrichment(host, cocube, objects=None):
 def _levelwise_functor(src_enr, tgt_enr):
     """Identity on objects; on level n of each Hom pair, the source model's
     basis projected by the target, in target model coordinates."""
-    if src_enr.host is not tgt_enr.host:
-        raise ValueError("the two enrichments must come from the same host")
+    if src_enr.host is not tgt_enr.host or src_enr.cocube is not tgt_enr.cocube:
+        raise ValueError("the two enrichments must come from the same host and co-cubical object")
     src, tgt = src_enr.category, tgt_enr.category
     mor_maps = {}
     for x in src.objects:

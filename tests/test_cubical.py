@@ -32,7 +32,7 @@ from dgforge.cubical import (
     cubical_from_generator_matrices,
     cup_on_levels,
     cup_pairing,
-    degenerate_splitting,
+    degenerate_projector,
     diag_tensor,
     functions_on_cubes,
     generator_maps,
@@ -51,6 +51,7 @@ from dgforge.linalg import (
     RING_Z,
     complex_homology,
     is_quasi_iso,
+    kernel,
     make_chain_map,
     q_kernel,
     q_rank,
@@ -176,7 +177,7 @@ def test_full_homology_splits_into_reduced_and_degenerate():
     ):
         full = associated_complex(A, "full")
         red = associated_complex(A, "reduced")
-        degn = {n: degenerate_splitting(A, n).degenerate_basis for n in range(A.top + 1)}
+        degn = {n: kernel(degenerate_projector(A, n)) for n in range(A.top + 1)}
         ddiffs = {}
         for n in range(1, A.top + 1):
             ddiffs[-n] = solve(degn[n - 1], boundary_matrix(A, n) * degn[n])
@@ -206,6 +207,13 @@ def test_constant_full_complex_keeps_degenerate_homology():
 # Degenerate splitting.
 
 
+def splitting(A, n):
+    """The degenerate projector P of level n with bases of its image
+    (reduced part) and kernel (degenerate part)."""
+    P = degenerate_projector(A, n)
+    return P, kernel(Matrix.identity(A.ring, A.rank(n)) - P), kernel(P)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -218,23 +226,23 @@ def test_constant_full_complex_keeps_degenerate_homology():
 def test_degenerate_splitting(make):
     A = make()
     for n in range(A.top + 1):
-        sp = degenerate_splitting(A, n)
-        assert sp.projector * sp.projector == sp.projector
-        assert sp.reduced_basis.ncols + sp.degenerate_basis.ncols == A.rank(n)
+        P, red, degn = splitting(A, n)
+        assert P * P == P
+        assert red.ncols + degn.ncols == A.rank(n)
         # the projector image is the intersection of the eps=1 face kernels
         B = reduced_level_basis(A, n)
-        assert solve(B, sp.reduced_basis) is not None
-        assert solve(sp.reduced_basis, B) is not None
+        assert solve(B, red) is not None
+        assert solve(red, B) is not None
     # both summands are subcomplexes; in particular the boundary of a
     # degenerate element is again degenerate, so it dies in the quotient
     # model (the projector onto the complement kills it)
     for n in range(1, A.top + 1):
         d = boundary_matrix(A, n)
-        hi = degenerate_splitting(A, n)
-        lo = degenerate_splitting(A, n - 1)
-        assert solve(lo.reduced_basis, d * hi.reduced_basis) is not None
-        assert solve(lo.degenerate_basis, d * hi.degenerate_basis) is not None
-        assert (lo.projector * d * hi.degenerate_basis).is_zero()
+        _, hi_red, hi_degn = splitting(A, n)
+        lo_P, lo_red, lo_degn = splitting(A, n - 1)
+        assert solve(lo_red, d * hi_red) is not None
+        assert solve(lo_degn, d * hi_degn) is not None
+        assert (lo_P * d * hi_degn).is_zero()
 
 
 def test_degenerate_boundary_not_literally_zero():
@@ -243,9 +251,9 @@ def test_degenerate_boundary_not_literally_zero():
     # has boundary the constant function.  Only the image in the quotient
     # vanishes, which is what the splitting uses.
     A = functions_on_cubes(RING_Z, 2)
-    sp = degenerate_splitting(A, 2)
+    _, _, degn = splitting(A, 2)
     d = boundary_matrix(A, 2)
-    assert not (d * sp.degenerate_basis).is_zero()
+    assert not (d * degn).is_zero()
 
 
 # ---------------------------------------------------------------------------

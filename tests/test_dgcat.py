@@ -7,8 +7,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dgforge.cube import compose as compose_cube, insertion, involution
+from dgforge.cube import (
+    back_projection,
+    compose as compose_cube,
+    enumerate_homset,
+    front_projection,
+    insertion,
+    involution,
+)
+from dgforge import dgcat
+from dgforge.cubical import degenerate_projector
 from dgforge.dgcat import (
+    AlternatingEnrichment,
     CoCubicalObject,
     DGCategory,
     HomElement,
@@ -34,9 +44,11 @@ from dgforge.dgcat import (
 )
 from dgforge.linalg import (
     Matrix,
+    _columns_to_matrix,
     complex_homology,
     is_quasi_iso,
     make_chain_map,
+    restrict,
     single_complex,
     two_term_complex,
 )
@@ -241,6 +253,21 @@ def test_h0_of_twice_endomorphisms_is_z_mod_2(cxcat):
     assert one.ncols == 1
     assert h.same_class("a", "a", (1,), (3,))
     assert not h.same_class("a", "a", (1,), (0,))
+
+
+def test_same_class_refuses_vectors_of_the_wrong_length():
+    C = complexes_category({
+        "a": two_term_complex("Z", -1, Matrix("Z", [[2]])),
+        "b": single_complex("Z", 0, 2),
+    })
+    h = homotopy_category(C)
+    assert h.cycles[("b", "b")].ncols == 4
+    for u, v in (((1, 0, 0, 0, 99), (1, 0, 0, 0)), ((1, 0, 0, 0), (1, 0, 0)),
+                 ((1, 0, 0), (1, 0, 0))):
+        with pytest.raises(ValueError, match="coordinate length mismatch"):
+            h.same_class("b", "b", u, v)
+    assert h.same_class("b", "b", (1, 0, 0, 0), (1, 0, 0, 0))
+    assert not h.same_class("b", "b", (1, 0, 0, 0), (1, 0, 0, 1))
 
 
 def test_h0_invertibility_and_iso_search(cxcat):
@@ -699,6 +726,20 @@ def test_comparison_functors_refuse_enrichments_over_different_hosts():
         alternating_projection_functor(cubical_enrichment(*h2), alternating_enrichment(*h3))
 
 
+def test_comparison_functors_refuse_enrichments_over_different_cubes():
+    # same host and maps, but the second co-cubical object stops at level 2:
+    # the projection would drop level 3, the inclusion would ask for it
+    host, cocube = build_vertex_cubes("Q", top=3, objects=(1,))
+    short = CoCubicalObject(host, 2, True, cube=cocube.cube, image=cocube.image,
+                            delta=cocube.delta)
+    with pytest.raises(ValueError, match="co-cubical object"):
+        alternating_projection_functor(cubical_enrichment(host, cocube),
+                                       alternating_enrichment(host, short))
+    with pytest.raises(ValueError, match="co-cubical object"):
+        alternating_inclusion_functor(alternating_enrichment(host, short),
+                                      cubical_enrichment(host, cocube))
+
+
 def test_collapse_functor_fails_with_a_witness_pair(fincor_z):
     enr = fincor_z[2]
     col = collapse_functor(enr.category)
@@ -706,6 +747,103 @@ def test_collapse_functor_fails_with_a_witness_pair(fincor_z):
     report = dg_homotopy_equivalence_check(col, window=(-4, 0))
     assert not report.ok
     assert len(report.failing_pairs()) > 0
+
+
+# ---------------------------------------------------------------------------
+# Level data against the compose route.
+
+
+def compose_action(enr, x, y, f):
+    """Oracle for `group(x, y).act(f)`: compose every unit vector of
+    Hom(x (x) cube^f.cod, y) with u = id_x (x) image(f) through
+    `DGCategory.compose`, one column each."""
+    host = enr.host
+    C = host.category
+    u = host.mor_tensor(C.identity(x), enr.cocube.image(f))
+    cols = [C.compose(e, u).vector for e in C.basis(u.target, y, 0)]
+    return _columns_to_matrix(C.ring, C.hom(u.source, y).rank(0), cols)
+
+
+def chat_composition(enr, x, y, z, p, q):
+    """Oracle for `comp_matrix(x, y, z, p, q)`: every pair of model columns
+    composed one at a time as g . (f (x) id_cube) . (id_x (x) delta_n), with
+    the action matrices from `compose_action`, g outer; then projected
+    along the degenerate splitting (cubical) or by the level data's own
+    `project` (alternating), solving for each composite."""
+    host, Q = enr.host, enr.cocube
+    C = host.category
+    b, a = -p, -q
+    n = a + b
+    gfull = compose_action(enr, y, z, front_projection(b, a)) * enr.model(y, z).level_basis[b]
+    ffull = compose_action(enr, x, y, back_projection(b, a)) * enr.model(x, y).level_basis[a]
+    dup = host.mor_tensor(C.identity(x), Q.delta(n))
+    cols = []
+    for i in range(gfull.ncols):
+        g = C.element(enr.levels.level_object(y, n), z, 0, tuple(gfull.col(i)))
+        for j in range(ffull.ncols):
+            f = C.element(enr.levels.level_object(x, n), y, 0, tuple(ffull.col(j)))
+            w = C.compose(host.mor_tensor(f, C.identity(Q.cube(n))), dup)
+            cols.append(C.compose(g, w).vector)
+    raw = _columns_to_matrix(C.ring, enr.group(x, z).rank(n), cols)
+    if isinstance(enr, AlternatingEnrichment):
+        return enr.levels.project(x, z, n, raw)
+    P = degenerate_projector(enr.group(x, z), n)
+    return restrict(enr.model(x, z).level_basis[n], P * raw, "the projection")
+
+
+ORACLE_HOSTS = {
+    "vertex-Z-top2": lambda: build_vertex_cubes("Z", top=2, objects=(1, 2)),
+    "vertex-Q-top3": lambda: build_vertex_cubes("Q", top=3, objects=(1, 2)),
+    # every cube is the unit here, so higher levels add nothing new
+    "fincor-Q-top2": lambda: build_fincor([("p", "q"), ("u", "v")], ring="Q", top=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_HOSTS))
+def test_action_matrices_match_the_compose_route(name):
+    host, cocube = ORACLE_HOSTS[name]()
+    enr = cubical_enrichment(host, cocube)
+    top, objects = cocube.top, host.category.objects
+    checked = 0
+    for m, k in itertools.product(range(top + 1), repeat=2):
+        for f in enumerate_homset(m, k, extended=cocube.extended, bound=top):
+            # x != y: blocks of another size than the cube factor, on both sides
+            for x, y in itertools.permutations(objects, 2):
+                got = enr.group(x, y).act(f)
+                assert got == compose_action(enr, x, y, f), (name, f, x, y)
+                checked += not got.is_zero()
+    assert checked > 0
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_HOSTS))
+def test_composition_matches_the_per_pair_compose_route(name):
+    host, cocube = ORACLE_HOSTS[name]()
+    top = cocube.top
+    enrichments = [cubical_enrichment(host, cocube)]
+    if host.category.ring == "Q":
+        enrichments.append(alternating_enrichment(host, cocube))
+    checked = 0
+    for enr in enrichments:
+        C = enr.category
+        for x, y, z in itertools.product(C.objects, repeat=3):
+            for p, q in itertools.product(range(-top, 1), repeat=2):
+                if p + q < -top:
+                    continue
+                mat = C.comp_matrix(x, y, z, p, q)
+                if mat.nrows and mat.ncols:
+                    assert mat == chat_composition(enr, x, y, z, p, q), (name, x, y, z, p, q)
+                    checked += not mat.is_zero()
+    assert checked > 0
+
+
+def test_projection_must_fix_the_model_basis(monkeypatch):
+    # a projector that kills the reduced part would make every composite 0
+    host, cocube = build_vertex_cubes("Q", top=2, objects=(1,))
+    enr = cubical_enrichment(host, cocube)
+    monkeypatch.setattr(dgcat, "degenerate_projector",
+                        lambda A, n: Matrix.zero(A.ring, A.rank(n), A.rank(n)))
+    with pytest.raises(ValueError, match="does not fix the model at level 1"):
+        enr.category.comp_matrix(1, 1, 1, -1, 0)
 
 
 # ---------------------------------------------------------------------------
