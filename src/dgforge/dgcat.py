@@ -105,6 +105,14 @@ class DGCategory:
     outside `objects` are allowed so that a small listed category can sit
     inside a larger ambient one (the ambient Homs are what the cubical
     enrichment consumes).
+
+    Pass `comp_fn(x, y, z, p, q)` when composition is natively a matrix,
+    as in every category built on a base (it composes with the base's
+    matrices).  Pass `comp_vec_fn(x, y, z, p, q, gvec, fvec)` when it is
+    natively a formula on coordinate vectors (mapping complexes, the
+    free-module host, twisted complexes): `compose` then uses it directly
+    until the matrix is asked for, and the matrix is assembled from it
+    one pair of basis vectors at a time.
     """
 
     def __init__(self, ring, objects, hom_fn, comp_fn=None, id_fn=None,
@@ -359,42 +367,53 @@ def validate_dg(C):
 # Truncation and the homotopy category.
 
 
+def _restricted_category(C, objects, carrier, bases, unit, name):
+    """The category on `objects` whose Hom(x, y) is the subcomplex of
+    C.hom(carrier(x), carrier(y)) spanned by bases(x, y), a dict from
+    degree to basis columns that d preserves.  Composition is C's read
+    along the bases, restrict(B_xz, M (B_yz (x) B_xy)) with M the
+    composition matrix of C on the carriers, and the unit of x is the
+    coordinates of unit(x), a degree-0 vector on carrier(x).
+
+    Returns the category and the lookup of the bases, computed once per
+    pair.  The closures hold C and that cache, never the category, so
+    reference counting alone frees it."""
+    cache = {}
+
+    def basis(x, y):
+        if (x, y) not in cache:
+            cache[(x, y)] = bases(x, y)
+        return cache[(x, y)]
+
+    def comp_fn(x, y, z, p, q):
+        mat = C.comp_matrix(carrier(x), carrier(y), carrier(z), p, q)
+        mat = mul_kron(mat, basis(y, z)[p], basis(x, y)[q])
+        return restrict(basis(x, z)[p + q], mat, "the restricted composition")
+
+    cat = DGCategory(
+        C.ring, objects, lambda x, y: subcomplex(C.hom(carrier(x), carrier(y)), basis(x, y)),
+        comp_fn=comp_fn,
+        id_fn=lambda x: restrict_vector(basis(x, x)[0], unit(x), "the identity"),
+        name=name,
+    )
+    return cat, basis
+
+
 def truncate_nonpositive(C):
     """The canonical non-positive truncation: degrees below zero are kept,
     degree 0 becomes the kernel of d^0, positive degrees are dropped.
     Composition is restricted along the kernel embeddings; closed elements
     compose to closed elements, so the restriction always solves."""
-    kernels = {}
 
-    def kern(x, y):
-        if (x, y) not in kernels:
-            kernels[(x, y)] = kernel(C.hom(x, y).d(0))
-        return kernels[(x, y)]
-
-    def embed(x, y, n):
+    def bases(x, y):
         cx = C.hom(x, y)
-        if n < 0:
-            return Matrix.identity(C.ring, cx.rank(n))
-        if n == 0:
-            return kern(x, y)
-        return Matrix.zero(C.ring, cx.rank(n), 0)
+        return {n: kernel(cx.d(0)) if n == 0 else Matrix.identity(C.ring, cx.rank(n))
+                for n in range(min(cx.lo, 0), 1)}
 
-    def hom_fn(x, y):
-        cx = C.hom(x, y)
-        hi = min(cx.hi, 0)
-        return subcomplex(cx, {n: embed(x, y, n) for n in range(min(cx.lo, hi), hi + 1)})
-
-    def comp_fn(x, y, z, p, q):
-        mat = mul_kron(C.comp_matrix(x, y, z, p, q), embed(y, z, p), embed(x, y, q))
-        return restrict(embed(x, z, p + q), mat, "the truncated composition")
-
-    def id_fn(x):
-        return restrict_vector(kern(x, x), C.identity(x).vector, "the identity")
-
-    return DGCategory(
-        C.ring, C.objects, hom_fn, comp_fn=comp_fn, id_fn=id_fn,
-        name="tau<=0(%s)" % (C.name or "?"),
-    )
+    return _restricted_category(
+        C, C.objects, lambda x: x, bases, lambda x: C.identity(x).vector,
+        "tau<=0(%s)" % (C.name or "?"),
+    )[0]
 
 
 @dataclass(eq=False)
@@ -460,43 +479,37 @@ class H0Category:
 
 
 def homotopy_category(C):
+    """H^0 of C: cycles, boundaries and groups per pair, with composition
+    and units read off the Z^0 category."""
+    Z, basis = _cycles(C)
     cycles = {}
     boundaries = {}
     groups = {}
-    comp = {}
-    ident = {}
     for x in C.objects:
         for y in C.objects:
             cx = C.hom(x, y)
-            K = kernel(cx.d(0))
-            cycles[(x, y)] = K
+            K = cycles[(x, y)] = basis(x, y)[0]
             boundaries[(x, y)] = restrict(K, cx.d(-1), "the boundaries")
             groups[(x, y)] = complex_homology(cx, 0)
-    for x in C.objects:
-        for y in C.objects:
-            for z in C.objects:
-                mat = mul_kron(C.comp_matrix(x, y, z, 0, 0), cycles[(y, z)], cycles[(x, y)])
-                comp[(x, y, z)] = restrict(cycles[(x, z)], mat, "the composite of cycles")
-    for x in C.objects:
-        ident[x] = restrict_vector(cycles[(x, x)], C.identity(x).vector, "the identity")
-    return H0Category(C.ring, C.objects, cycles, boundaries, groups, comp, ident)
+    objs = C.objects
+    comp = {(x, y, z): Z.comp_matrix(x, y, z, 0, 0) for x in objs for y in objs for z in objs}
+    ident = {x: Z.identity(x).vector for x in objs}
+    return H0Category(C.ring, objs, cycles, boundaries, groups, comp, ident)
+
+
+def _cycles(C):
+    """Z^0 of C, concentrated in degree 0 with the kernels of d^0 as bases,
+    and the lookup of those bases."""
+    return _restricted_category(
+        C, C.objects, lambda x: x, lambda x, y: {0: kernel(C.hom(x, y).d(0))},
+        lambda x: C.identity(x).vector, "Z0(%s)" % (C.name or "?"),
+    )
 
 
 def cycles_category(C):
     """Z^0 of a DG category, returned as a DG category concentrated in
     degree 0 so the same law checker applies."""
-    H = homotopy_category(C)
-
-    def hom_fn(x, y):
-        return single_complex(C.ring, 0, H.cycles[(x, y)].ncols)
-
-    def comp_fn(x, y, z, p, q):
-        return H.comp[(x, y, z)]
-
-    return DGCategory(
-        C.ring, C.objects, hom_fn, comp_fn=comp_fn,
-        id_fn=lambda x: H.ident[x], name="Z0(%s)" % (C.name or "?"),
-    )
+    return _cycles(C)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +531,12 @@ class FunctorReport:
 
 
 def validate_functor(F):
-    failures = []
     C, D = F.source, F.target
-    for x in C.objects:
-        if x not in F.obj_map:
-            failures.append(DGFailure("object-map", (x,), "missing"))
+    failures = [DGFailure("object-map", (x,), "missing") for x in C.objects if x not in F.obj_map]
+    failures += [
+        DGFailure("hom-map", (x, y), "missing")
+        for x in C.objects for y in C.objects if (x, y) not in F.mor_maps
+    ]
     if failures:
         return FunctorReport(False, tuple(failures))
     for x in C.objects:
@@ -579,13 +593,14 @@ class EquivalenceReport:
         return tuple(pair for pair, rep in self.hom_reports if not rep.ok)
 
 
-def dg_homotopy_equivalence_check(F, window=None, search_bound=1):
+def dg_homotopy_equivalence_check(F, window=None):
     """Quasi-isomorphism on every Hom pair plus H^0 essential surjectivity.
 
     The surjectivity search compares each target object against the images
     of the source objects inside H^0 of the target, looking for a two-sided
-    inverse with bounded cycle coordinates; the bound keeps the search exact
-    and finite, at the price of missing isomorphisms with large entries.
+    inverse with cycle coordinates in {-1, 0, 1}.  The bound is fixed (the
+    default of `H0Category.iso_exists`); it keeps the search exact and
+    finite, at the price of missing isomorphisms with larger entries.
     """
     frep = validate_functor(F)
     if not frep.ok:
@@ -601,7 +616,7 @@ def dg_homotopy_equivalence_check(F, window=None, search_bound=1):
     missing = []
     images = [F.obj_map[a] for a in F.source.objects]
     for b in F.target.objects:
-        if not any(H.iso_exists(img, b, bound=search_bound) for img in images):
+        if not any(H.iso_exists(img, b) for img in images):
             missing.append(b)
             ok = False
     return EquivalenceReport(ok, frep, tuple(hom_reports), tuple(missing))

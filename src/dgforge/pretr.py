@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .linalg import (
     ChainComplex,
     Matrix,
-    _apply,
     _exact_vector,
     _columns_to_matrix,
     add_block,
@@ -30,12 +29,12 @@ from .linalg import (
     kernel,
     make_chain_map,
     make_complex,
+    mul_kron,
     restrict_vector,
     solve,
     solve_vector,
-    subcomplex,
 )
-from .dgcat import DGCategory, DGFunctor, HomElement, TensorDGData
+from .dgcat import DGCategory, DGFunctor, HomElement, TensorDGData, _restricted_category
 
 
 def _add_into(C, acc, key, elem):
@@ -107,30 +106,36 @@ class TwistedMorphism:
         return "TwistedMorphism(degree=%d, %d components)" % (self.degree, len(self.comps))
 
 
+def _components(C, targets, sources, degree, comps, what, at):
+    """The nonzero components of `comps`, sorted by position, each checked
+    against the entry lists: position range, degree degree + idx(b) -
+    idx(a), endpoints and vector length.  `what` and `at` word the errors."""
+    cleaned = []
+    for (a, b), elem in dict(comps).items():
+        if not (0 <= a < len(targets) and 0 <= b < len(sources)):
+            raise ValueError("%s position out of range" % what)
+        (ia, ka), (ib, kb) = targets[a], sources[b]
+        want = degree + ib - ia
+        if elem.degree != want:
+            raise ValueError("%s (%d, %d) must have degree %d" % (at, ia, ib, want))
+        if elem.source != kb or elem.target != ka:
+            raise ValueError("%s endpoints do not match the entries" % what)
+        if len(elem.vector) != C.hom(kb, ka).rank(want):
+            raise ValueError("%s vector length mismatch" % what)
+        if not elem.is_zero():
+            cleaned.append(((a, b), elem))
+    cleaned.sort(key=lambda item: item[0])
+    return tuple(cleaned)
+
+
 def twisted_morphism(source, target, degree, comps):
     """Normalized constructor: checks component types against the entry
     lists, drops zero components and sorts the rest."""
     if source.base is not target.base:
         raise ValueError("the two twisted complexes live over different bases")
-    C = source.base
-    cleaned = []
-    for (a, b), elem in dict(comps).items():
-        if not (0 <= a < len(target.entries) and 0 <= b < len(source.entries)):
-            raise ValueError("component position out of range")
-        want = degree + source.idx(b) - target.idx(a)
-        if elem.degree != want:
-            raise ValueError(
-                "component at entries (%d, %d) must have degree %d"
-                % (target.idx(a), source.idx(b), want)
-            )
-        if elem.source != source.obj(b) or elem.target != target.obj(a):
-            raise ValueError("component endpoints do not match the entries")
-        if len(elem.vector) != C.hom(elem.source, elem.target).rank(elem.degree):
-            raise ValueError("component vector length mismatch")
-        if not elem.is_zero():
-            cleaned.append(((a, b), elem))
-    cleaned.sort(key=lambda item: item[0])
-    return TwistedMorphism(source, target, degree, tuple(cleaned))
+    comps = _components(source.base, target.entries, source.entries, degree, comps,
+                        "component", "component at entries")
+    return TwistedMorphism(source, target, degree, comps)
 
 
 def morphism_bound(phi):
@@ -145,29 +150,13 @@ def assemble_twisted(base, entries, comps, e_bound=None):
     position) to structure elements.  Degree and endpoint violations and
     Maurer-Cartan failures are rejected."""
     entries = tuple((int(i), k) for i, k in entries)
-    cleaned = {}
-    for (a, b), elem in dict(comps).items():
-        if not (0 <= a < len(entries) and 0 <= b < len(entries)):
-            raise ValueError("structure map position out of range")
-        ia, ib = entries[a][0], entries[b][0]
-        want = ib - ia + 1
-        if elem.degree != want:
-            raise ValueError(
-                "structure map at (%d, %d) must have degree %d" % (ia, ib, want)
-            )
-        if elem.source != entries[b][1] or elem.target != entries[a][1]:
-            raise ValueError("structure map endpoints do not match the entries")
-        if len(elem.vector) != base.hom(elem.source, elem.target).rank(elem.degree):
-            raise ValueError("structure map vector length mismatch")
-        if not elem.is_zero():
-            cleaned[(a, b)] = elem
-    degs = [elem.degree for elem in cleaned.values()]
-    computed = max(degs) if degs else 0
+    e = _components(base, entries, entries, 1, comps, "structure map", "structure map at")
+    computed = max((elem.degree for _, elem in e), default=0)
     if e_bound is None:
         e_bound = computed
     elif computed > e_bound:
         raise ValueError("a structure map exceeds the declared bound")
-    tc = TwistedComplex(base, entries, tuple(sorted(cleaned.items())), e_bound)
+    tc = TwistedComplex(base, entries, e, e_bound)
     _check_mc(tc)
     return tc
 
@@ -293,16 +282,14 @@ class TwistedHom:
 
 def left_mult_matrix(C, x, y, z, g, q):
     """Matrix of h -> g o h on Hom(x,y)^q, for fixed g in Hom(y,z)."""
-    rows = C.hom(x, z).rank(q + g.degree)
-    cols = [C.compose(g, f).vector for f in C.basis(x, y, q)]
-    return _columns_to_matrix(C.ring, rows, cols)
+    gcol = Matrix.column(C.ring, g.vector)
+    return mul_kron(C.comp_matrix(x, y, z, g.degree, q), gcol, C.hom(x, y).rank(q))
 
 
 def right_mult_matrix(C, x, y, z, f, p):
     """Matrix of h -> h o f on Hom(y,z)^p, for fixed f in Hom(x,y)."""
-    rows = C.hom(x, z).rank(p + f.degree)
-    cols = [C.compose(h, f).vector for h in C.basis(y, z, p)]
-    return _columns_to_matrix(C.ring, rows, cols)
+    fcol = Matrix.column(C.ring, f.vector)
+    return mul_kron(C.comp_matrix(x, y, z, p, f.degree), C.hom(y, z).rank(p), fcol)
 
 
 def _hom_layout(E, F, n):
@@ -931,68 +918,42 @@ def _check_idempotent(C, ob):
         raise ValueError("the projector is not idempotent")
 
 
-class IdemCategory(DGCategory):
-    """Completion on a listed family of closed idempotents: the Hom complex
-    of a pair is the image of h -> q o h o p inside the ambient Hom, in the
-    basis of that image."""
-
-    def __init__(self, base, idems, name=""):
-        idems = dict(idems)
-        for ob in idems.values():
-            _check_idempotent(base, ob)
-        images = {}
-
-        # the closures hold the base, the idempotents and the image cache,
-        # never self, so reference counting alone frees the category
-        def image_complex(x, y):
-            if (x, y) not in images:
-                p = idems[x].projector
-                q = idems[y].projector
-                M, Nn = p.source, q.source
-                amb = base.hom(M, Nn)
-                bases = {}
-                for n in amb.degrees():
-                    pi = left_mult_matrix(base, M, Nn, Nn, q, n) * right_mult_matrix(
-                        base, M, M, Nn, p, n
-                    )
-                    bases[n] = kernel(Matrix.identity(base.ring, amb.rank(n)) - pi)
-                images[(x, y)] = (subcomplex(amb, bases), bases)
-            return images[(x, y)]
-
-        def expand(x, y, degree, vec):
-            """Ambient element behind image coordinates."""
-            amb = _apply(image_complex(x, y)[1][degree], vec)
-            return HomElement(idems[x].carrier, idems[y].carrier, degree, amb)
-
-        def embed(x, y, elem):
-            """Coordinates of an ambient element that lies in the image; the
-            element is cut down by the two projectors first, so embedding is
-            the retraction h -> q h p in coordinates."""
-            cut = base.compose(idems[y].projector, base.compose(elem, idems[x].projector))
-            basis = image_complex(x, y)[1][elem.degree]
-            coords = restrict_vector(basis, cut.vector, "the projected element")
-            return HomElement(x, y, elem.degree, coords)
-
-        def comp_vec(x, y, z, p, q, gvec, fvec):
-            g = expand(y, z, p, gvec)
-            f = expand(x, y, q, fvec)
-            return embed(x, z, base.compose(g, f)).vector
-
-        super().__init__(
-            base.ring, tuple(idems), lambda x, y: image_complex(x, y)[0],
-            comp_vec_fn=comp_vec,
-            id_fn=lambda x: embed(x, x, idems[x].projector).vector,
-            name=name or "idem(%s)" % (base.name or "?"),
-        )
-        self.embed = embed
-
-
 def idempotent_complete(C, idems=None):
     """DG category of (carrier, closed idempotent) pairs; with no argument
-    every object is paired with its identity, which embeds C."""
+    every object is paired with its identity, which embeds C.  The Hom
+    complex of a pair is the image of h -> q o h o p inside the ambient
+    Hom, in the basis of that image, and `embed(x, y, elem)` gives the
+    coordinates of q o elem o p in it."""
     if idems is None:
         idems = {x: IdempotentObject(x, C.identity(x)) for x in C.objects}
-    return IdemCategory(C, idems)
+    idems = dict(idems)
+    for ob in idems.values():
+        _check_idempotent(C, ob)
+
+    def image_bases(x, y):
+        p, q = idems[x].projector, idems[y].projector
+        M, N = p.source, q.source
+        amb = C.hom(M, N)
+        return {
+            n: kernel(
+                Matrix.identity(C.ring, amb.rank(n))
+                - left_mult_matrix(C, M, N, N, q, n) * right_mult_matrix(C, M, M, N, p, n)
+            )
+            for n in amb.degrees()
+        }
+
+    K, basis = _restricted_category(
+        C, tuple(idems), lambda x: idems[x].carrier, image_bases,
+        lambda x: idems[x].projector.vector, "idem(%s)" % (C.name or "?"),
+    )
+
+    def embed(x, y, elem):
+        cut = C.compose(idems[y].projector, C.compose(elem, idems[x].projector))
+        coords = restrict_vector(basis(x, y)[elem.degree], cut.vector, "the projected element")
+        return HomElement(x, y, elem.degree, coords)
+
+    K.embed = embed
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -1099,22 +1060,12 @@ class TwistInversion:
                 )
         inv = self
 
-        def hom_fn(a, b):
-            return inv.hom_complex(a, b)
-
-        def comp_vec(a, b, c, p, q, gvec, fvec):
-            C = inv.base
-            g = HomElement(
-                inv.carrier(*b), inv.carrier(*c), p, tuple(gvec)
-            )
-            f = HomElement(inv.carrier(*a), inv.carrier(*b), q, tuple(fvec))
-            return C.compose(g, f).vector
-
-        def id_fn(a):
-            return inv.base.identity(inv.carrier(*a)).vector
+        def comp_fn(a, b, c, p, q):
+            return inv.base.comp_matrix(inv.carrier(*a), inv.carrier(*b), inv.carrier(*c), p, q)
 
         return DGCategory(
-            self.base.ring, pairs, hom_fn, comp_vec_fn=comp_vec, id_fn=id_fn,
+            self.base.ring, pairs, inv.hom_complex, comp_fn=comp_fn,
+            id_fn=lambda a: inv.base.identity(inv.carrier(*a)).vector,
             name="inverted(%s)" % (self.base.name or "?"),
         )
 

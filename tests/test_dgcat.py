@@ -20,6 +20,7 @@ from dgforge.cubical import degenerate_projector
 from dgforge.dgcat import (
     AlternatingEnrichment,
     CoCubicalObject,
+    DGFailure,
     DGCategory,
     HomElement,
     alternating_enrichment,
@@ -315,6 +316,21 @@ def test_identity_functor_is_an_equivalence(cxcat):
     ident = DGFunctor(cxcat, cxcat, {x: x for x in cxcat.objects}, mor_maps)
     report = dg_homotopy_equivalence_check(ident, window=(-1, 1))
     assert report.ok
+
+
+def test_functor_with_a_missing_hom_map_is_reported_not_raised(cxcat):
+    # only ('a', 'a') is mapped: the other three pairs are reported as
+    # missing Hom maps, like a missing object, and no later check runs
+    cx = cxcat.hom("a", "a")
+    ident = make_chain_map(cx, cx, {n: Matrix.identity("Z", cx.rank(n)) for n in cx.degrees()})
+    F = DGFunctor(cxcat, cxcat, {"a": "a", "b": "b"}, {("a", "a"): ident})
+    report = validate_functor(F)
+    assert not report.ok
+    assert report.failures == tuple(
+        DGFailure("hom-map", pair, "missing") for pair in (("a", "b"), ("b", "a"), ("b", "b"))
+    )
+    with pytest.raises(ValueError, match="hom-map"):
+        dg_homotopy_equivalence_check(F)
 
 
 # ---------------------------------------------------------------------------

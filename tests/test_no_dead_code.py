@@ -1,7 +1,8 @@
-"""No dead code in the library: every module-level function and every
-non-dunder method defined in src/dgforge is referenced by name somewhere in
-src/ or tests/.  References are read from the syntax tree (a name or an
-attribute), so a docstring or comment that mentions a name does not count."""
+"""No dead code in the library: every module-level function, every
+module-level class and every non-dunder method defined in src/dgforge is
+referenced by name somewhere in src/ or tests/.  References are read from
+the syntax tree (a name or an attribute), so a docstring or comment that
+mentions a name does not count."""
 
 import ast
 import collections
@@ -11,12 +12,14 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def library_definitions():
-    """(path, name) of each module-level function and non-dunder method."""
+    """(path, name) of each module-level function and class and of each
+    non-dunder method."""
     for path in sorted((ROOT / "src" / "dgforge").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
                 yield path, node.name
             elif isinstance(node, ast.ClassDef):
+                yield path, node.name
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
                         yield path, item.name

@@ -17,18 +17,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dgforge.dgcat import (
+    HomElement,
     alternating_enrichment,
     build_fincor,
     build_vertex_cubes,
     complexes_category,
+    cycles_category,
     fincor_elements,
     fincor_matrix,
     fincor_vector,
+    truncate_nonpositive,
     validate_dg,
     validate_functor,
 )
 from dgforge.linalg import (
     Matrix,
+    _columns_to_matrix,
     block_matrix,
     complex_homology,
     cone_of_map,
@@ -38,6 +42,7 @@ from dgforge.linalg import (
     make_chain_map,
     make_complex,
     rank,
+    restrict_vector,
     single_complex,
     solve,
     tensor_complex,
@@ -60,10 +65,12 @@ from dgforge.pretr import (
     invert_twist,
     is_closed,
     kb_hom,
+    left_mult_matrix,
     make_twisted,
     morphism_bound,
     postcompose_chain_map,
     pretr_category,
+    right_mult_matrix,
     scale_twisted,
     shift,
     shift_mor,
@@ -1046,15 +1053,128 @@ def test_completion_keeps_differentials_inside_the_image(cx):
     assert complexes_agree(g, C.hom("a", "b"))
 
 
-def test_categories_are_freed_without_the_cyclic_collector(cx):
+# Oracles for composition in the categories built on a base: the
+# unit-vector `compose` routes that the composition matrices replaced.  Each
+# runs on a twin of the base (a fresh category on the same objects), whose
+# `compose` has no composition matrix cached and so takes the vector route.
+
+
+def fin_twin():
+    return build_fincor([("x", "y"), ("s",)], ring="Z", top=3)[0]
+
+
+def left_mult_by_compose(C, x, y, z, g, q):
+    """h -> g o h on Hom(x,y)^q, one `compose` per basis vector h."""
+    cols = [C.compose(g, h).vector for h in C.basis(x, y, q)]
+    return _columns_to_matrix(C.ring, C.hom(x, z).rank(q + g.degree), cols)
+
+
+def right_mult_by_compose(C, x, y, z, f, p):
+    """h -> h o f on Hom(y,z)^p, one `compose` per basis vector h."""
+    cols = [C.compose(h, f).vector for h in C.basis(y, z, p)]
+    return _columns_to_matrix(C.ring, C.hom(x, z).rank(p + f.degree), cols)
+
+
+def image_bases_by_compose(C, idems, x, y):
+    """Degree -> basis of the image of h -> q o h o p, from the compose
+    route of the multiplication matrices."""
+    p, q = idems[x].projector, idems[y].projector
+    M, N = p.source, q.source
+    amb = C.hom(M, N)
+    return {
+        n: kernel(
+            Matrix.identity(C.ring, amb.rank(n))
+            - left_mult_by_compose(C, M, N, N, q, n) * right_mult_by_compose(C, M, M, N, p, n)
+        )
+        for n in amb.degrees()
+    }
+
+
+def idem_composition_by_compose(C, idems, bases, x, y, z, p, q):
+    """The element-wise composition of the completion: each pair of image
+    basis vectors expanded to ambient elements, composed in the base, cut
+    by both projectors and read back in the image basis of (x, z)."""
+    cx, cy, cz = (idems[k].carrier for k in (x, y, z))
+    px, pz = idems[x].projector, idems[z].projector
+    G, F = bases[(y, z)][p], bases[(x, y)][q]
+    cols = []
+    for i in range(G.ncols):
+        g = HomElement(cy, cz, p, G.col(i))
+        for j in range(F.ncols):
+            h = C.compose(g, HomElement(cx, cy, q, F.col(j)))
+            cut = C.compose(pz, C.compose(h, px))
+            cols.append(restrict_vector(bases[(x, z)][p + q], cut.vector, "the oracle composite"))
+    return _columns_to_matrix(C.ring, bases[(x, z)][p + q].ncols, cols)
+
+
+def test_multiplication_matrices_match_the_compose_route(cx, fin):
+    for C, twin in ((cx[0], complexes_category(cx[1])), (fin.category, fin_twin().category)):
+        for x in C.objects:
+            for y in C.objects:
+                for z in C.objects:
+                    for p in C.hom(y, z).degrees():
+                        for q in C.hom(x, y).degrees():
+                            for g in C.basis(y, z, p):
+                                new = left_mult_matrix(C, x, y, z, g, q)
+                                assert new == left_mult_by_compose(twin, x, y, z, g, q)
+                            for f in C.basis(x, y, q):
+                                new = right_mult_matrix(C, x, y, z, f, p)
+                                assert new == right_mult_by_compose(twin, x, y, z, f, p)
+
+
+def idem_fixtures(cx, fin):
+    """(completion, twin of its base, idempotents): every identity over the
+    complexes, and the one/p/q split over the correspondences."""
+    C, _ = cx
+    yield idempotent_complete(C), complexes_category(cx[1]), {
+        x: IdempotentObject(x, C.identity(x)) for x in C.objects
+    }
+    F = fin.category
+    A, p = one_point_projector(F)
+    q = F.add(F.identity(A), F.scale(p, -1))
+    idems = {
+        "one": IdempotentObject(A, F.identity(A)),
+        "p": IdempotentObject(A, p),
+        "q": IdempotentObject(A, q),
+    }
+    yield idempotent_complete(F, idems), fin_twin().category, idems
+
+
+def test_idempotent_composition_matches_the_element_wise_route(cx, fin):
+    for K, twin, idems in idem_fixtures(cx, fin):
+        bases = {
+            (x, y): image_bases_by_compose(twin, idems, x, y) for x in K.objects for y in K.objects
+        }
+        for (x, y), basis in bases.items():
+            assert [K.hom(x, y).rank(n) for n in basis] == [b.ncols for b in basis.values()]
+        for x in K.objects:
+            unit = restrict_vector(bases[(x, x)][0], idems[x].projector.vector, "the oracle unit")
+            assert K.identity(x).vector == unit
+            for y in K.objects:
+                for z in K.objects:
+                    for p in bases[(y, z)]:
+                        for q in bases[(x, y)]:
+                            if K.hom(x, z).rank(p + q) == 0:
+                                continue
+                            assert K.comp_matrix(x, y, z, p, q) == idem_composition_by_compose(
+                                twin, idems, bases, x, y, z, p, q
+                            ), (x, y, z, p, q)
+
+
+def test_categories_are_freed_without_the_cyclic_collector(cx, fin):
     # the Hom and composition closures hold the registries and the base,
     # not the category, so reference counting alone frees each category
     # together with its caches
     C, _ = cx
+    L = (("s",),)
+    tw = tensor_twist_functor(fin, L, seeds=[(), (("x", "y"),)], depth=3)
     builders = {
         "complexes": lambda: complexes_category({"a": cx[1]["a"], "b": cx[1]["b"]}),
         "pretr": lambda: pretr_category(C, {"E": i0(C, "a"), "F": i0(C, "b")}),
         "idem": lambda: idempotent_complete(C),
+        "tau": lambda: truncate_nonpositive(C),
+        "z0": lambda: cycles_category(C),
+        "inverted": lambda: invert_twist(fin.category, tw, 1).category([((), 0), ((), 1)]),
     }
     was_enabled = gc.isenabled()
     gc.disable()
@@ -1131,3 +1251,36 @@ def test_non_stabilized_pairs_are_reported_and_refused(fin):
         invert_twist(C, tw, 1).stabilization(((), -1), ((), 0))
     with pytest.raises(ValueError, match="at least 1"):
         invert_twist(C, tw, 0)
+
+
+def twist_fixtures(fin):
+    """The inverted categories of the tests above: a stabilized twist by a
+    point and, unrequired to stabilize, a twist by two points."""
+    C = fin.category
+    L, A = (("s",),), (("x", "y"),)
+    tw = tensor_twist_functor(fin, L, seeds=[(), A], depth=4)
+    inv = invert_twist(C, tw, 2)
+    yield inv, inv.category([((), 0), (A, 0), ((), -1), (A, 1)])
+    yield inv, inv.category([(A, 0), (fin.obj_tensor(A, L), -1)])
+    tw2 = tensor_twist_functor(fin, (("x", "y"),), seeds=[()], depth=3)
+    inv2 = invert_twist(C, tw2, 2)
+    yield inv2, inv2.category([((), 0)], require_stable=False)
+
+
+def test_inverted_composition_matches_the_carrier_compose_route(fin):
+    twin = fin_twin().category
+    for inv, cat in twist_fixtures(fin):
+        for a in cat.objects:
+            for b in cat.objects:
+                for c in cat.objects:
+                    for p in cat.hom(b, c).degrees():
+                        for q in cat.hom(a, b).degrees():
+                            cols = [
+                                twin.compose(
+                                    HomElement(inv.carrier(*b), inv.carrier(*c), p, g.vector),
+                                    HomElement(inv.carrier(*a), inv.carrier(*b), q, f.vector),
+                                ).vector
+                                for g in cat.basis(b, c, p) for f in cat.basis(a, b, q)
+                            ]
+                            oracle = _columns_to_matrix(cat.ring, cat.hom(a, c).rank(p + q), cols)
+                            assert cat.comp_matrix(a, b, c, p, q) == oracle, (a, b, c, p, q)
