@@ -903,9 +903,10 @@ def totalize(ring, lo, hi, columns, across):
     map columns[p]^q -> columns[p+1]^q, asked for where columns[p]^q != 0."""
     ps = sorted(columns)
     start, ranks = _block_starts(lo, hi, ps, lambda n, p: columns[p].rank(n - p))
+    zero = _units(ring)[0]
     diffs = []
     for n in range(lo, hi):
-        entries = [[0] * ranks[n - lo] for _ in range(ranks[n + 1 - lo])]
+        entries = [[zero] * ranks[n - lo] for _ in range(ranks[n + 1 - lo])]
         for p in ps:
             q = n - p
             if columns[p].rank(q):
@@ -913,7 +914,7 @@ def totalize(ring, lo, hi, columns, across):
                 add_block(entries, columns[p].d(q), start[n + 1, p], start[n, p], sgn)
                 if p + 1 in columns:
                     add_block(entries, across(p, q), start[n + 1, p + 1], start[n, p])
-        diffs.append(Matrix(ring, entries, nrows=ranks[n + 1 - lo], ncols=ranks[n - lo]))
+        diffs.append(Matrix._trusted(ring, tuple(map(tuple, entries)), ranks[n - lo]))
     return make_complex(ring, lo, ranks, diffs)
 
 

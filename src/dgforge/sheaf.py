@@ -28,12 +28,14 @@ chain map, which the tests check on every fixture.
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .dgcat import DGCategory, DGFunctor
 from .linalg import (
     ChainMap,
     Matrix,
     _apply,
+    _units,
     add_block,
     block_diagonal,
     block_matrix,
@@ -41,6 +43,7 @@ from .linalg import (
     compose_chain_maps,
     direct_sum,
     identity_chain_map,
+    is_quasi_iso,
     kernel,
     make_chain_map,
     restrict,
@@ -66,13 +69,14 @@ class FiniteSite:
     The pair (x, y) lies in `order` exactly when every open containing x
     also contains y; opens are the up-closed subsets, canonically written
     as tuples in `points` order.  Every open is a union of minimal opens
-    up(x), so the opens and the inclusions between them are enumerated
-    once, when the site is built; equality and hashing still see only
-    `points` and `order`.
+    up(x), so the minimal opens, the opens and the inclusions between them
+    are enumerated once, when the site is built; equality and hashing
+    still see only `points` and `order`.
     """
 
     points: tuple
     order: frozenset
+    _up: dict = field(init=False, repr=False, compare=False)
     _opens: tuple = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
     _inclusions: tuple = field(init=False, repr=False, compare=False)
@@ -83,6 +87,9 @@ class FiniteSite:
         stray = sorted((p for p in self.order if not set(p) <= set(self.points)), key=repr)
         if stray:
             raise ValueError("relation mentions unknown point in (%r, %r)" % stray[0])
+        object.__setattr__(self, "_up", {
+            x: tuple(y for y in self.points if self.leq(x, y)) for x in self.points
+        })
         for x in self.points:
             if not self.leq(x, x):
                 raise ValueError("order relation is not reflexive at %r" % (x,))
@@ -113,9 +120,10 @@ class FiniteSite:
 
     def up(self, x):
         """The minimal open around x."""
-        if x not in self.points:
-            raise ValueError("unknown point %r" % (x,))
-        return tuple(y for y in self.points if self.leq(x, y))
+        try:
+            return self._up[x]
+        except KeyError:
+            raise ValueError("unknown point %r" % (x,)) from None
 
     def space(self):
         return tuple(self.points)
@@ -248,13 +256,34 @@ def minimal_cover(site):
 # Presheaves of chain complexes.
 
 
-@dataclass
+@dataclass(frozen=True)
 class Presheaf:
-    """Per-open chain complexes with a restriction map for every inclusion."""
+    """Per-open chain complexes with a restriction map for every inclusion.
+
+    Immutable: `vals` and `res` are read-only views of copies of the given
+    mappings and the window is read off once, so results derived from the
+    presheaf can be kept on it (see `cech_hypercohomology`).
+    """
 
     site: FiniteSite
-    vals: dict
-    res: dict
+    vals: MappingProxyType
+    res: MappingProxyType
+    _window: tuple = field(init=False, repr=False, compare=False)
+    _cache: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "vals", MappingProxyType(dict(self.vals)))
+        object.__setattr__(self, "res", MappingProxyType(dict(self.res)))
+        object.__setattr__(self, "_window", (
+            min(C.lo for C in self.vals.values()), max(C.hi for C in self.vals.values())
+        ))
+        object.__setattr__(self, "_cache", {})
+
+    def _memo(self, key, build):
+        """The value kept under key, built by build() on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def value(self, U):
         return self.vals[self.site.as_open(U)]
@@ -270,9 +299,7 @@ class Presheaf:
         return self.vals[self.site.space()].ring
 
     def window(self):
-        lo = min(C.lo for C in self.vals.values())
-        hi = max(C.hi for C in self.vals.values())
-        return lo, hi
+        return self._window
 
     def __repr__(self):
         return "Presheaf(%r over %d opens)" % (self.ring, len(self.vals))
@@ -441,6 +468,18 @@ def _positions(small, big):
     return [index[c] for c in small]
 
 
+def _zero_rows(ring, nrows, ncols):
+    """Rows of the ring's zero, for `add_block` to fill and `_filled` to seal."""
+    zero = _units(ring)[0]
+    return [[zero] * ncols for _ in range(nrows)]
+
+
+def _filled(ring, entries, ncols):
+    """The matrix on rows from `_zero_rows`: every entry is already a ring
+    element, since a ring element plus an int multiple of one stays one."""
+    return Matrix._trusted(ring, tuple(map(tuple, entries)), ncols)
+
+
 # ---------------------------------------------------------------------------
 # Sheafification by exact limits over points.
 
@@ -453,16 +492,45 @@ def sheafify(F):
     with those of F, so applying it twice changes nothing.
     """
     site = F.site
+    stalk = {x: F.stalk(x) for x in site.points}
+    vals, kbases = _limits(F)
+    above = {}
+    for U, V in site.inclusions():
+        above.setdefault(V, []).append(U)
+    comps = {(U, V): {} for U, V in site.inclusions()}
+    for V in kbases:
+        for n, basis in kbases[V].items():
+            small = _coordinates(V, lambda x: stalk[x].rank(n))
+            # the rows of each kernel basis at the points of V, side by
+            # side: one solve covers every open above V
+            projs = []
+            for U in above[V]:
+                ks = kbases[U][n]
+                rows = _positions(small, _coordinates(U, lambda x: stalk[x].rank(n)))
+                projs.append(ks.submatrix(rows, range(ks.ncols)))
+            coords = restrict(basis, block_matrix(F.ring, [projs]), "the limit projection")
+            starts = itertools.accumulate((P.ncols for P in projs), initial=0)
+            for U, start, P in zip(above[V], starts, projs):
+                comps[(U, V)][n] = coords.submatrix(
+                    range(coords.nrows), range(start, start + P.ncols)
+                )
+    res = {(U, V): ChainMap(vals[U], vals[V], comps[(U, V)]) for U, V in site.inclusions()}
+    return make_presheaf(site, vals, res, check=False)
+
+
+def _limits(F):
+    """The values of `sheafify(F)`, each a subcomplex of the sum of the
+    stalks, and per nonempty open and degree its kernel basis there."""
+    site = F.site
     ring = F.ring
     lo, hi = F.window()
-    stalk = {x: F.stalk(x) for x in site.points}
     kbases = {}
     vals = {}
     for U in site.opens():
         if not U:
             vals[U] = zero_complex(ring, lo, hi)
             continue
-        stalks = [stalk[x] for x in U]
+        stalks = [F.stalk(x) for x in U]
         pairs = [
             (xi, yi)
             for xi, x in enumerate(U)
@@ -491,23 +559,7 @@ def sheafify(F):
             ks[n] = kernel(block_matrix(ring, blocks))
         vals[U] = subcomplex(direct_sum(ring, lo, hi, stalks), ks)
         kbases[U] = ks
-    res = {}
-    for U, V in site.inclusions():
-        if not V:
-            res[(U, V)] = ChainMap(vals[U], vals[V], {})
-            continue
-        comps = {}
-        for n in range(lo, hi + 1):
-            # the rows of the kernel basis at the points of V
-            rows = _positions(
-                _coordinates(V, lambda x: stalk[x].rank(n)),
-                _coordinates(U, lambda x: stalk[x].rank(n)),
-            )
-            ks = kbases[U][n]
-            proj = ks.submatrix(rows, range(ks.ncols))
-            comps[n] = restrict(kbases[V][n], proj, "the limit projection")
-        res[(U, V)] = ChainMap(vals[U], vals[V], comps)
-    return make_presheaf(site, vals, res, check=False)
+    return vals, kbases
 
 
 def sheafification_map(F, aF=None):
@@ -532,10 +584,10 @@ def sheafification_map(F, aF=None):
 
 def _stalk_restrictions(F, U, n):
     """The restrictions of F(U) to the stalks at the points of U, stacked."""
-    rows = [
+    rows = tuple(
         row for x in U for row in F.restriction(U, F.site.up(x)).comp(n).rows
-    ]
-    return Matrix(F.ring, rows, nrows=len(rows), ncols=F.vals[U].rank(n))
+    )
+    return Matrix._trusted(F.ring, rows, F.vals[U].rank(n))
 
 
 # ---------------------------------------------------------------------------
@@ -617,14 +669,14 @@ class GodementTower:
         tgt = self.level_complex(q, U)
         soffs = _block_starts(self.chains(p, U), lambda c: self.chain_value(c).rank(n))
         toffs = _block_starts(self.chains(q, U), lambda c: self.chain_value(c).rank(n))
-        entries = [[0] * src.rank(n) for _ in range(tgt.rank(n))]
+        entries = _zero_rows(src.ring, tgt.rank(n), src.rank(n))
         for C in self.chains(q, U):
             pullback = tuple(C[f[i]] for i in range(p + 1))
             rmat = self.source.restriction(
                 self.site.up(pullback[-1]), self.site.up(C[-1])
             ).comp(n)
             add_block(entries, rmat, toffs[C], soffs[pullback])
-        return Matrix(src.ring, entries, nrows=tgt.rank(n), ncols=src.rank(n))
+        return _filled(src.ring, entries, src.rank(n))
 
     def coface_matrix(self, p, j, U, n):
         f = tuple(i if i < j else i + 1 for i in range(p + 1))
@@ -642,7 +694,7 @@ class GodementTower:
         tgt = self.level_complex(p + 1, U)
         soffs = _block_starts(self.chains(p, U), lambda c: self.chain_value(c).rank(n))
         toffs = _block_starts(self.chains(p + 1, U), lambda c: self.chain_value(c).rank(n))
-        entries = [[0] * src.rank(n) for _ in range(tgt.rank(n))]
+        entries = _zero_rows(src.ring, tgt.rank(n), src.rank(n))
         for C in self.chains(p + 1, U):
             for j in range(p + 2):
                 face = C[:j] + C[j + 1 :]
@@ -654,7 +706,7 @@ class GodementTower:
                 else:
                     rmat = Matrix.identity(src.ring, self.chain_value(face).rank(n))
                 add_block(entries, rmat, toffs[C], soffs[face], sgn)
-        return Matrix(src.ring, entries, nrows=tgt.rank(n), ncols=src.rank(n))
+        return _filled(src.ring, entries, src.rank(n))
 
     # -- totalization
 
@@ -802,10 +854,7 @@ def cech_total(F, cover=None):
     lo, hi = F.window()
     k = len(cover)
     # column p is the sum over the cover blocks: the meets of p + 1 opens
-    meets = {}
-    for p in range(k):
-        for idx in itertools.combinations(range(k), p + 1):
-            meets[idx] = site.meet(meets[idx[:-1]], cover[idx[-1]]) if p else cover[idx[0]]
+    meets = _cover_meets(site, cover)
     blocks = {p: [idx for idx in meets if len(idx) == p + 1] for p in range(k)}
     columns = {
         p: direct_sum(ring, lo, hi, [F.vals[meets[idx]] for idx in blocks[p]]) for p in blocks
@@ -817,7 +866,7 @@ def cech_total(F, cover=None):
         def rank(idx):
             return F.vals[meets[idx]].rank(q)
 
-        entries = [[0] * columns[p].rank(q) for _ in range(columns[p + 1].rank(q))]
+        entries = _zero_rows(ring, columns[p + 1].rank(q), columns[p].rank(q))
         soff, toff = _block_starts(blocks[p], rank), _block_starts(blocks[p + 1], rank)
         for idx in blocks[p]:
             if not rank(idx):
@@ -827,14 +876,48 @@ def cech_total(F, cover=None):
                 sgn = -1 if tidx.index(i) % 2 else 1
                 rmat = F.restriction(meets[idx], meets[tidx]).comp(q)
                 add_block(entries, rmat, toff[tidx], soff[idx], sgn)
-        return Matrix(ring, entries, nrows=len(entries), ncols=columns[p].rank(q))
+        return _filled(ring, entries, columns[p].rank(q))
 
     return totalize(ring, lo, hi + max(k - 1, 0), columns, insertion)
 
 
+def _cover_meets(site, cover):
+    """The meet of the opens of `cover` at each increasing tuple of their
+    indices, shortest tuples first."""
+    k = len(cover)
+    meets = {}
+    for p in range(k):
+        for idx in itertools.combinations(range(k), p + 1):
+            meets[idx] = site.meet(meets[idx[:-1]], cover[idx[-1]]) if p else cover[idx[0]]
+    return meets
+
+
+def _sheafified(F):
+    """`sheafify(F)`, computed once and kept on F."""
+    return F._memo("sheafify", lambda: sheafify(F))
+
+
 def cech_hypercohomology(F, n, cover=None):
-    """Homology of the cover complex of the associated sheaf."""
-    return complex_homology(cech_total(sheafify(F), cover), n)
+    """Homology of the cover complex of the associated sheaf, both kept
+    on F, so a sweep over the degrees builds each once.  Unchecked: the
+    answer is the hypercohomology only when the cover is Leray for the
+    sheaf, which `hypercohomology_compare` checks."""
+    cover = minimal_cover(F.site) if cover is None else tuple(F.site.as_open(V) for V in cover)
+    cx = F._memo(("cover", cover), lambda: cech_total(_sheafified(F), cover))
+    return complex_homology(cx, n)
+
+
+def _leray_witness(aF, cover):
+    """The text "cover not Leray at <meet>" for the first meet of the cover
+    where the augmentation of aF's reduced tower is not a quasi-isomorphism
+    on every degree of its cone (aF is not acyclic there), else None."""
+    T = godement_tower(aF, strict=True)
+    lo, hi = aF.window()
+    window = (lo - 1, hi + T.depth)
+    for V in dict.fromkeys(_cover_meets(aF.site, cover).values()):
+        if V and not is_quasi_iso(T.augmentation(V), window=window).ok:
+            return "cover not Leray at %r" % (V,)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +968,7 @@ class AWPairing:
         comps = {}
         for n in src.degrees():
             basis = tensor_basis(totF, totG, n)
-            entries = [[0] * len(basis) for _ in range(tgt.rank(n))]
+            entries = _zero_rows(ring, tgt.rank(n), len(basis))
             if basis and tgt.rank(n):
                 row = {coord: r for r, coord in enumerate(TP.layout(U, n))}
                 for col, (t, i, j) in enumerate(basis):
@@ -903,7 +986,7 @@ class AWPairing:
                         w = rmat.rows[r][u]
                         if w:
                             entries[row[(p + b, glued, pos[(q, r, v)])]][col] += sgn * w
-            comps[n] = Matrix(ring, entries, nrows=tgt.rank(n), ncols=len(basis))
+            comps[n] = _filled(ring, entries, len(basis))
         out = make_chain_map(src, tgt, comps, check=True)
         self._pairings[U] = out
         return out
@@ -1063,8 +1146,7 @@ class _RGammaData:
         starts = _block_starts(totYZ.degrees(), lambda t: totYZ.rank(t) * totXY.rank(n - t))
         off = starts.get(p, 0)
         w = totYZ.rank(p) * totXY.rank(q)
-        rows = [list(B.rows[r][off : off + w]) for r in range(B.nrows)]
-        return Matrix(B.ring, rows, nrows=B.nrows, ncols=w)
+        return Matrix._trusted(B.ring, tuple(row[off : off + w] for row in B.rows), w)
 
     def id_fn(self, X):
         T = self.tower(X, X)
@@ -1115,23 +1197,29 @@ def augmentation_functor(CP, R):
 
 @dataclass(frozen=True)
 class CompareReport:
+    """Both routes' answers in one degree; `witness` names a meet where the
+    minimal cover is not Leray, so that the cover route is no check."""
+
     degree: int
     via_tower: str
     via_cover: str
     stable: bool
+    witness: str | None
 
     @property
     def ok(self):
-        return self.stable and self.via_tower == self.via_cover
+        return self.stable and self.witness is None and self.via_tower == self.via_cover
 
 
 def hypercohomology_compare(CP, X, Y, n, depth=None, strict=True):
     """Homology of the global Hom total against the cover complex of the
-    sheafified Hom presheaf: two routes to the same group."""
+    sheafified Hom presheaf: two routes to the same group, the second
+    checked to be Leray on the minimal cover."""
     H = hom_presheaf(CP, X, Y)
     T = godement_tower(H, depth, strict=strict)
     g = complex_homology(T.total(CP.site.space()), n)
     c = cech_hypercohomology(H, n)
     cut = T.stable_upto()
     stable = cut is None or n <= cut
-    return CompareReport(n, g.describe(), c.describe(), stable)
+    witness = _leray_witness(_sheafified(H), minimal_cover(CP.site))
+    return CompareReport(n, g.describe(), c.describe(), stable, witness)

@@ -1,5 +1,9 @@
+import dataclasses
+import gc
 import itertools
 import random
+import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +17,7 @@ from dgforge.linalg import (
     identity_chain_map,
     is_quasi_iso,
     make_chain_map,
+    restrict,
     single_complex,
     tensor_basis,
     tensor_chain_map,
@@ -21,6 +26,8 @@ from dgforge.linalg import (
 )
 from dgforge.sheaf import (
     AWPairing,
+    _limits,
+    _sheafified,
     CompareReport,
     FiniteSite,
     Presheaf,
@@ -53,6 +60,7 @@ from dgforge.sheaf import (
     unit_presheaf,
     validate_presheaf,
 )
+from dgforge import sheaf as sheaf_module
 from util_gen import random_complex
 
 
@@ -292,6 +300,106 @@ def test_sheafification_map_validates(pseudo, t2):
     F = constant_presheaf(pseudo, t2)
     # construction runs the chain-map and naturality checks
     sheafification_map(F)
+
+
+def _mixed_torsion():
+    # Z^2 -> Z^2 with invariant factors 1 and 20 in a mixed basis
+    return two_term_complex("Z", 0, Matrix("Z", [[-67, -175], [92, 240]]))
+
+
+def _per_pair_projections(F):
+    """The oracle for the restrictions of `sheafify(F)`: one `restrict` per
+    inclusion U -> V and degree n, of the rows of U's kernel basis at the
+    points of V against V's kernel basis."""
+    _, kbases = _limits(F)
+    lo, hi = F.window()
+    out = {}
+    for U, V in F.site.inclusions():
+        if not V:
+            continue
+        for n in range(lo, hi + 1):
+            coords = [(x, k) for x in U for k in range(F.stalk(x).rank(n))]
+            rows = [i for i, (x, _) in enumerate(coords) if x in V]
+            ks = kbases[U][n]
+            out[(U, V, n)] = restrict(
+                kbases[V][n], ks.submatrix(rows, range(ks.ncols)), "the limit projection"
+            )
+    return out
+
+
+@pytest.mark.parametrize("name", ["point", "sierpinski", "pseudo_circle", "circle6",
+                                  "sphere6", "chain4"])
+def test_batched_limit_projections_match_the_per_pair_route(name, t2):
+    site = _oracle_sites()[name]
+    for K in (t2, _mixed_torsion()):
+        F = constant_presheaf(site, K)
+        aF = sheafify(F)
+        oracle = _per_pair_projections(F)
+        assert oracle
+        for (U, V, n), want in oracle.items():
+            assert aF.res[(U, V)].comp(n) == want, (U, V, n)
+        for U, V in site.inclusions():
+            if not V:
+                assert aF.res[(U, V)].comps == {}
+
+
+def test_a_degree_sweep_sheafifies_each_presheaf_once(pseudo, t2, monkeypatch):
+    calls = {"sheafify": [], "cech_total": []}
+    for name in calls:
+        real = getattr(sheaf_module, name)
+
+        def counting(F, *args, _real=real, _log=calls[name]):
+            _log.append(F)
+            return _real(F, *args)
+
+        monkeypatch.setattr(sheaf_module, name, counting)
+    F, G = constant_presheaf(pseudo, t2), constant_presheaf(pseudo, _mixed_torsion())
+    for P in (F, G):
+        for n in range(-1, 4):
+            cech_hypercohomology(P, n)
+    assert [id(P) for P in calls["sheafify"]] == [id(F), id(G)]
+    assert len(calls["cech_total"]) == 2
+    # another cover builds another cover complex on the same sheaf
+    two = [("a", "u", "v"), ("b", "u", "v")]
+    assert cech_hypercohomology(F, 1, cover=two).describe() == "Z/2"
+    assert cech_hypercohomology(F, 1, cover=reversed(two)).describe() == "Z/2"
+    assert len(calls["sheafify"]) == 2
+    assert len(calls["cech_total"]) == 4
+
+
+def test_presheaves_are_immutable(pseudo, t2):
+    G = constant_presheaf(pseudo, t2)
+    vals = dict(G.vals)
+    F = Presheaf(pseudo, vals, G.res)
+    with pytest.raises(TypeError):
+        F.vals[()] = t2
+    with pytest.raises(TypeError):
+        F.res[((), ())] = identity_chain_map(t2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        F.vals = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        F.site = pseudo
+    # the presheaf holds a copy of the mappings it was given
+    vals[()] = t2
+    assert F.vals[()].total_rank() == 0
+    assert F.window() == (0, 1)
+
+
+def test_presheaves_and_their_sheafifications_are_freed_without_the_cyclic_collector(
+    pseudo, t2
+):
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        F = constant_presheaf(pseudo, t2)
+        for n in range(0, 3):
+            cech_hypercohomology(F, n)
+        refs = (weakref.ref(F), weakref.ref(_sheafified(F)))
+        del F
+        assert all(ref() is None for ref in refs)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +728,34 @@ def test_torsion_of_a_mixed_differential_on_the_pseudo_circle(pseudo):
     assert cech_hypercohomology(F, 1).describe() == "Z/20"
 
 
+def test_q_sheaf_matrices_hold_fractions_only(pseudo):
+    # the tower, cover and pairing builders seal their rows without
+    # coercion, so an int left in a Q matrix would show here
+    C = two_term_complex("Q", 0, Matrix("Q", [[2], [Fraction(1, 3)]]))
+    F = constant_presheaf(pseudo, C)
+    X = pseudo.space()
+    mats = []
+    for strict in (True, False):
+        T = godement_tower(F, depth=2, strict=strict)
+        mats += [T.total(U).d(n) for U in pseudo.opens() for n in T.total(U).degrees()]
+        mats += T.augmentation(X).comps.values()
+    mats += [T.coface_matrix(0, 1, X, 0), T.codegeneracy_matrix(0, 0, X, 1)]
+    cover = cech_total(sheafify(F))
+    mats += [cover.d(n) for n in cover.degrees()]
+    mats += aw_cup(F, F, strict=True).pairing(X).comps.values()
+    base = build_fincor([("x", "y")], "Q", top=2)[0].category
+    R = rgamma(constant_category_presheaf(pseudo, base))
+    mats += [
+        R.comp_matrix(x, y, z, p, q)
+        for x, y, z in itertools.product(R.objects, repeat=3)
+        for p in R.hom(y, z).degrees()
+        for q in R.hom(x, y).degrees()
+    ]
+    assert sum(M.nrows * M.ncols for M in mats) > 1000
+    for M in mats:
+        assert all(type(v) is Fraction for row in M.rows for v in row)
+
+
 @given(st.data())
 def test_two_routes_agree_for_random_coefficients(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
@@ -843,13 +979,30 @@ def test_two_route_comparison_reports(sierp, pseudo, fincor_cat, t2):
             for y in fincor_cat.objects:
                 for n in range(0, 3):
                     r = hypercohomology_compare(CP, x, y, n)
-                    assert r.ok, (x, y, n, r)
+                    assert r.ok and r.witness is None, (x, y, n, r)
     torsion = complexes_category({"a": t2, "pt": single_complex("Z", 0, 1)})
     CPt = constant_category_presheaf(sierp, torsion)
     for n in range(-1, 3):
         r = hypercohomology_compare(CPt, "a", "a", n)
         assert r.ok, (n, r)
         assert r.via_tower == r.via_cover
+
+
+def test_the_comparison_names_a_meet_where_the_cover_is_not_leray():
+    # on the 6-point sphere the meet of up(a0) and up(a1) is a circle, so
+    # the minimal cover misses the class in degree two
+    sphere = _oracle_sites()["sphere6"]
+    CP = constant_category_presheaf(
+        sphere, complexes_category({"pt": single_complex("Z", 0, 1)})
+    )
+    reports = [hypercohomology_compare(CP, "pt", "pt", n) for n in range(3)]
+    assert [(r.degree, r.via_tower, r.via_cover) for r in reports] == [
+        (0, "Z", "Z"), (1, "0", "0"), (2, "Z", "0")
+    ]
+    for r in reports:
+        assert r.stable
+        assert r.witness == "cover not Leray at ('b0', 'b1', 'c0', 'c1')"
+        assert not r.ok
 
 
 def test_comparison_flags_shallow_full_towers(sierp, fincor_cat):
