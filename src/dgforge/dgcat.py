@@ -108,11 +108,11 @@ class DGCategory:
 
     Pass `comp_fn(x, y, z, p, q)` when composition is natively a matrix,
     as in every category built on a base (it composes with the base's
-    matrices).  Pass `comp_vec_fn(x, y, z, p, q, gvec, fvec)` when it is
-    natively a formula on coordinate vectors (mapping complexes, the
-    free-module host, twisted complexes): `compose` then uses it directly
-    until the matrix is asked for, and the matrix is assembled from it
-    one pair of basis vectors at a time.
+    matrices, and twisted complexes assemble theirs block by block).
+    Pass `comp_vec_fn(x, y, z, p, q, gvec, fvec)` when it is natively a
+    formula on coordinate vectors (mapping complexes and the free-module
+    host): `compose` then uses it directly until the matrix is asked for,
+    and the matrix is assembled from it one pair of basis vectors at a time.
     """
 
     def __init__(self, ring, objects, hom_fn, comp_fn=None, id_fn=None,

@@ -24,6 +24,7 @@ from .linalg import (
     Matrix,
     _exact_vector,
     _columns_to_matrix,
+    _units,
     add_block,
     complex_homology,
     kernel,
@@ -290,6 +291,30 @@ def right_mult_matrix(C, x, y, z, f, p):
     """Matrix of h -> h o f on Hom(y,z)^p, for fixed f in Hom(x,y)."""
     fcol = Matrix.column(C.ring, f.vector)
     return mul_kron(C.comp_matrix(x, y, z, p, f.degree), C.hom(y, z).rank(p), fcol)
+
+
+def _twisted_comp_matrix(HG, HF, HH, p, q):
+    """The composition matrix Hom(y,z)^p (x) Hom(x,y)^q -> Hom(x,z)^(p+q)
+    of the twisted Hom complexes HG, HF and HH.  Block (a, b) of g o f is
+    sum_c g_ac o f_cb with no signs (see `compose_twisted`): one composition
+    matrix of the base per pair of layout blocks (a, c), (c, b)."""
+    X, Y, Z = HF.source, HF.target, HG.target
+    C, rf = X.base, HF.complex.rank(q)
+    ncols = HG.complex.rank(p) * rf
+    mat = [[_units(C.ring)[0]] * ncols for _ in range(HH.complex.rank(p + q))]
+    target = {(a, b): off for a, b, off, _ in HH.block_layout(p + q)}
+    for a, c, off_ac, _ in HG.block_layout(p):
+        for c2, b, off_cb, fr in HF.block_layout(q):
+            if c2 != c or (a, b) not in target:
+                continue
+            block = C.comp_matrix(X.obj(b), Y.obj(c), Z.obj(a), p + Y.idx(c) - Z.idx(a),
+                                  q + X.idx(b) - Y.idx(c))
+            for r, row in enumerate(block.rows, target[(a, b)]):
+                for k, v in enumerate(row):
+                    if v:
+                        i, j = divmod(k, fr)
+                        mat[r][(off_ac + i) * rf + off_cb + j] += v
+    return Matrix._trusted(C.ring, tuple(map(tuple, mat)), ncols)
 
 
 def _hom_layout(E, F, n):
@@ -602,9 +627,10 @@ def commutativity(T, E, F):
 
 class PreTrCategory(DGCategory):
     """DG category whose objects name twisted complexes over a common base;
-    Hom complexes, composition and units all delegate to the componentwise
-    operations.  The registry can grow, so a total complex can join the
-    category its nested object was built over."""
+    Hom complexes and units are the componentwise ones, and each
+    composition matrix is assembled block by block from the base's.  The
+    registry can grow, so a total complex can join the category its nested
+    object was built over."""
 
     def __init__(self, base, complexes, name=""):
         self._base = base
@@ -622,14 +648,12 @@ class PreTrCategory(DGCategory):
                 homs[(x, y)] = twisted_hom_complex(tcs[x], tcs[y])
             return homs[(x, y)]
 
-        def comp_vec(x, y, z, p, q, gvec, fvec):
-            g = hom_data(y, z).element(p, gvec)
-            f = hom_data(x, y).element(q, fvec)
-            return hom_data(x, z).vector(compose_twisted(g, f))
+        def comp_fn(x, y, z, p, q):
+            return _twisted_comp_matrix(hom_data(y, z), hom_data(x, y), hom_data(x, z), p, q)
 
         super().__init__(
             base.ring, tuple(tcs), lambda x, y: hom_data(x, y).complex,
-            comp_vec_fn=comp_vec,
+            comp_fn=comp_fn,
             id_fn=lambda x: hom_data(x, x).vector(twisted_identity(tcs[x])),
             name=name or "pretr(%s)" % (base.name or "?"),
         )
@@ -854,10 +878,9 @@ def strict_inverse(u):
     checking u o v = id."""
     Y, R = u.source, u.target
     H = twisted_hom_complex(R, Y)
-    HY = twisted_hom_complex(Y, Y)
-    basis = H.basis(0)
-    cols = [HY.vector(compose_twisted(b, u)) for b in basis]
-    mat = _columns_to_matrix(Y.base.ring, HY.complex.rank(0), cols)
+    HU, HY = twisted_hom_complex(Y, R), twisted_hom_complex(Y, Y)
+    ucol = Matrix.column(Y.base.ring, HU.vector(u))
+    mat = mul_kron(_twisted_comp_matrix(H, HU, HY, 0, 0), H.complex.rank(0), ucol)
     sol = solve_vector(mat, HY.vector(twisted_identity(Y)))
     if sol is None:
         return None
@@ -882,17 +905,11 @@ def postcompose_chain_map(psi, T):
     by composing with a closed degree-0 psi."""
     if psi.degree != 0 or not is_closed(psi):
         raise ValueError("postcomposition needs a closed degree-0 morphism")
-    src = twisted_hom_complex(T, psi.source)
-    tgt = twisted_hom_complex(T, psi.target)
-    comps = {}
-    for n in src.complex.degrees():
-        cols = [
-            tgt.vector(compose_twisted(psi, b)) if tgt.complex.rank(n) else ()
-            for b in src.basis(n)
-        ]
-        comps[n] = _columns_to_matrix(
-            psi.source.base.ring, tgt.complex.rank(n), cols
-        )
+    src, tgt = twisted_hom_complex(T, psi.source), twisted_hom_complex(T, psi.target)
+    H = twisted_hom_complex(psi.source, psi.target)
+    gcol = Matrix.column(psi.source.base.ring, H.vector(psi))
+    comps = {n: mul_kron(_twisted_comp_matrix(H, src, tgt, 0, n), gcol, src.complex.rank(n))
+             for n in src.complex.degrees()}
     return make_chain_map(src.complex, tgt.complex, comps, check=True)
 
 

@@ -1012,14 +1012,20 @@ def aw_cup(F, G, depth=None, strict=False):
 # Presheaves of DG categories and their global-sections category.
 
 
-@dataclass
+@dataclass(frozen=True)
 class CategoryPresheaf:
     """A DG category per nonempty open with a restriction functor per
-    inclusion."""
+    inclusion; immutable, so each Hom presheaf is built once and kept."""
 
     site: FiniteSite
-    cats: dict
-    res: dict
+    cats: MappingProxyType
+    res: MappingProxyType
+    _cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _memo = Presheaf._memo
+
+    def __post_init__(self):
+        object.__setattr__(self, "cats", MappingProxyType(dict(self.cats)))
+        object.__setattr__(self, "res", MappingProxyType(dict(self.res)))
 
     def category(self, U):
         return self.cats[self.site.as_open(U)]
@@ -1069,12 +1075,16 @@ def hom_presheaf(CP, X, Y):
     return make_presheaf(site, vals, res, check=True)
 
 
-def composition_presheaf_map(CP, X, Y, Z, homs):
+def _hom_presheaf(CP, X, Y):
+    """`hom_presheaf(CP, X, Y)`, built once and kept on CP."""
+    return CP._memo(("hom", X, Y), lambda: hom_presheaf(CP, X, Y))
+
+
+def composition_presheaf_map(CP, X, Y, Z):
     """Per-open composition, bundled as a presheaf map from the tensor of
-    Hom presheaves; building it checks the Leibniz rule open by open.
-    `homs` maps each pair of the three objects to its `hom_presheaf`."""
+    Hom presheaves; building it checks the Leibniz rule open by open."""
     site = CP.site
-    HYZ, HXY, HXZ = homs[(Y, Z)], homs[(X, Y)], homs[(X, Z)]
+    HYZ, HXY, HXZ = (_hom_presheaf(CP, *pair) for pair in ((Y, Z), (X, Y), (X, Z)))
     src = tensor_presheaf(HYZ, HXY)
     comps = {}
     for U in site.opens():
@@ -1107,9 +1117,9 @@ class _RGammaData:
         self.strict = strict
         C = CP.category(self.S)
         self.base = C
-        self.homs = {(x, y): hom_presheaf(CP, x, y) for x in C.objects for y in C.objects}
         if depth is None:
-            spans = (hi - lo for lo, hi in (H.window() for H in self.homs.values()))
+            homs = (_hom_presheaf(CP, x, y) for x in C.objects for y in C.objects)
+            spans = (hi - lo for lo, hi in (H.window() for H in homs))
             depth = default_depth(CP.site, max(spans, default=0), strict)
         self.depth = depth
         self._towers = {}
@@ -1118,7 +1128,7 @@ class _RGammaData:
     def tower(self, X, Y):
         key = (X, Y)
         if key not in self._towers:
-            self._towers[key] = GodementTower(self.homs[key], self.depth, strict=self.strict)
+            self._towers[key] = GodementTower(_hom_presheaf(self.CP, X, Y), self.depth, self.strict)
         return self._towers[key]
 
     def hom_fn(self, X, Y):
@@ -1130,7 +1140,7 @@ class _RGammaData:
             TYZ = self.tower(y, z)
             TXY = self.tower(x, y)
             TXZ = self.tower(x, z)
-            cpm = composition_presheaf_map(self.CP, x, y, z, self.homs)
+            cpm = composition_presheaf_map(self.CP, x, y, z)
             TP = GodementTower(cpm.source, self.depth, strict=self.strict)
             pairing = AWPairing(TYZ, TXY, TP).pairing(self.S)
             push = tower_map_at(cpm, TP, TXZ, self.S)
@@ -1215,11 +1225,12 @@ def hypercohomology_compare(CP, X, Y, n, depth=None, strict=True):
     """Homology of the global Hom total against the cover complex of the
     sheafified Hom presheaf: two routes to the same group, the second
     checked to be Leray on the minimal cover."""
-    H = hom_presheaf(CP, X, Y)
+    H = _hom_presheaf(CP, X, Y)
     T = godement_tower(H, depth, strict=strict)
     g = complex_homology(T.total(CP.site.space()), n)
     c = cech_hypercohomology(H, n)
     cut = T.stable_upto()
     stable = cut is None or n <= cut
-    witness = _leray_witness(_sheafified(H), minimal_cover(CP.site))
+    aH, cover = _sheafified(H), minimal_cover(CP.site)
+    witness = aH._memo(("leray", cover), lambda: _leray_witness(aH, cover))
     return CompareReport(n, g.describe(), c.describe(), stable, witness)

@@ -11,6 +11,7 @@ tensor_complex and cone_of_map of the expansions.
 import gc
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -74,6 +75,7 @@ from dgforge.pretr import (
     scale_twisted,
     shift,
     shift_mor,
+    strict_inverse,
     stupid_truncation,
     tensor_pair,
     tensor_twist_functor,
@@ -1189,6 +1191,116 @@ def test_categories_are_freed_without_the_cyclic_collector(cx, fin):
     finally:
         if was_enabled:
             gc.enable()
+
+
+def over(twin, tcs):
+    """The same twisted complexes rebuilt over a twin of their base."""
+    return {k: assemble_twisted(twin, tc.entries, dict(tc.e)) for k, tc in tcs.items()}
+
+
+def pretr_composition_by_compose(homs, x, y, z, p, q):
+    """The composition matrix of twisted complexes, one `compose_twisted`
+    per pair of unit vectors of Hom(y,z)^p and Hom(x,y)^q; `homs` holds
+    the twisted Hom complex of each pair."""
+    HG, HF, HH = homs[(y, z)], homs[(x, y)], homs[(x, z)]
+    fs = HF.basis(q)
+    cols = [HH.vector(compose_twisted(g, f)) for g in HG.basis(p) for f in fs]
+    return _columns_to_matrix(HH.complex.ring, HH.complex.rank(p + q), cols)
+
+
+def assert_pretr_composition_matches(P, tcs, twin_tcs):
+    homs = {(x, y): twisted_hom_complex(twin_tcs[x], twin_tcs[y]) for x in tcs for y in tcs}
+    for x in tcs:
+        for y in tcs:
+            for z in tcs:
+                for p in P.hom(y, z).degrees():
+                    for q in P.hom(x, y).degrees():
+                        if P.hom(x, z).rank(p + q) == 0:
+                            continue
+                        want = pretr_composition_by_compose(homs, x, y, z, p, q)
+                        assert P.comp_matrix(x, y, z, p, q) == want, (x, y, z, p, q)
+
+
+def test_pretr_composition_matches_the_componentwise_route(cx, altv):
+    # the shapes of the pretr_laws benchmark: cones of closed degree-0 maps
+    # a -> pt, pt -> pt and a -> a over the four Z complexes
+    C, comps = cx
+    twin = complexes_category(comps)
+    rng = random.Random(2)
+    tcs = {}
+    for i, (s, t) in enumerate((("a", "pt"), ("pt", "pt"), ("a", "a"))):
+        phi = random_closed_morphism(rng, i0(C, s), i0(C, t))
+        assert not phi.is_zero()
+        tcs["t%d" % i] = cone(phi).cone
+    assert_pretr_composition_matches(pretr_category(C, tcs), tcs, over(twin, tcs))
+
+    Cv = altv.category
+    host, cocube = build_vertex_cubes(ring="Q", top=2, objects=(1, 2))
+    twin_v = alternating_enrichment(host, cocube).tensor.category
+    rng = random.Random(36)
+    tcs = {"v%d" % i: random_twisted(rng, Cv, list(Cv.objects), depth=2, max_entries=2)
+           for i in range(2)}
+    P = pretr_category(Cv, tcs)
+    assert_pretr_composition_matches(P, tcs, over(twin_v, tcs))
+    mats = [P.comp_matrix(x, y, z, p, q) for x in tcs for y in tcs for z in tcs
+            for p in P.hom(y, z).degrees() for q in P.hom(x, y).degrees()]
+    assert any(not m.is_zero() for m in mats)
+    assert all(type(v) is Fraction for m in mats for row in m.rows for v in row)
+
+    # a total complex registered after some matrices are already cached
+    P, EE = _nested_fixture(C, random.Random(1))
+    assert validate_dg(P).ok and P._comp
+    T, _, _ = tot_comparison(EE, key="tot")
+    tcs = {"E": P.tc("E"), "F": P.tc("F"), "tot": T}
+    assert_pretr_composition_matches(P, tcs, over(twin, tcs))
+
+
+def strict_inverse_by_compose(u):
+    """The inverse of u solved from one `compose_twisted` per basis element
+    of Hom(R, Y)^0, checked on both sides."""
+    Y, R = u.source, u.target
+    H, HY = twisted_hom_complex(R, Y), twisted_hom_complex(Y, Y)
+    cols = [HY.vector(compose_twisted(b, u)) for b in H.basis(0)]
+    mat = _columns_to_matrix(Y.base.ring, HY.complex.rank(0), cols)
+    sol = solve(mat, Matrix.column(Y.base.ring, HY.vector(twisted_identity(Y))))
+    if sol is None:
+        return None
+    v = H.element(0, sol.col(0))
+    return v if compose_twisted(u, v) == twisted_identity(R) else None
+
+
+def postcompose_by_compose(psi, T):
+    """The matrices of f -> psi o f on Hom(T, source), one `compose_twisted`
+    per basis element."""
+    src, tgt = twisted_hom_complex(T, psi.source), twisted_hom_complex(T, psi.target)
+    return {
+        n: _columns_to_matrix(
+            psi.source.base.ring, tgt.complex.rank(n),
+            [tgt.vector(compose_twisted(psi, b)) if tgt.complex.rank(n) else ()
+             for b in src.basis(n)],
+        )
+        for n in src.complex.degrees()
+    }
+
+
+def test_inverse_and_postcomposition_match_the_compose_route(cx, fin, altv):
+    C, _ = cx
+    rng = random.Random(67)
+    E, F = i0(C, "pt"), i0(C, "c")
+    K = cone(random_closed_morphism(rng, E, F))
+    for psi in (K.incl, K.proj):
+        for T in (i0(C, "pt"), i0(C, "b"), K.cone):
+            assert postcompose_chain_map(psi, T).comps == postcompose_by_compose(psi, T)
+    A, e = nilpotent_corr(fin.category)
+    Yf = make_twisted(fin.category, {0: A, 1: A, 2: A}, {(1, 0): e, (2, 1): e})
+    Cv = altv.category
+    Yv = cone(random_closed_morphism(random.Random(91), i0(Cv, 1), i0(Cv, 2))).cone
+    for Y in (Yf, Yv):
+        _, u, v = cone_reconstruction(Y)
+        assert v == strict_inverse_by_compose(u)
+    # a morphism that is not invertible has no strict inverse on either route
+    zero = zero_morphism(K.cone, K.cone)
+    assert strict_inverse(zero) is None and strict_inverse_by_compose(zero) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1005,6 +1005,40 @@ def test_the_comparison_names_a_meet_where_the_cover_is_not_leray():
         assert not r.ok
 
 
+def test_a_comparison_sweep_builds_the_hom_presheaf_its_sheaf_and_the_leray_check_once(
+    monkeypatch,
+):
+    calls = {"hom_presheaf": 0, "sheafify": 0, "_leray_witness": 0}
+    for name in calls:
+        real = getattr(sheaf_module, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(sheaf_module, name, counting)
+    sphere = _oracle_sites()["sphere6"]
+    CP = constant_category_presheaf(
+        sphere, complexes_category({"pt": single_complex("Z", 0, 1)})
+    )
+    reports = [hypercohomology_compare(CP, "pt", "pt", n) for n in range(3)]
+    assert [r.via_tower for r in reports] == ["Z", "0", "Z"]
+    assert calls == {"hom_presheaf": 1, "sheafify": 1, "_leray_witness": 1}
+    # the global-sections category reads the same Hom presheaf
+    rgamma(CP).hom("pt", "pt")
+    assert calls["hom_presheaf"] == 1
+
+
+def test_category_presheaves_are_immutable(sierp, fincor_cat):
+    CP = constant_category_presheaf(sierp, fincor_cat)
+    with pytest.raises(TypeError):
+        CP.cats[()] = fincor_cat
+    with pytest.raises(TypeError):
+        CP.res[((), ())] = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CP.cats = {}
+
+
 def test_comparison_flags_shallow_full_towers(sierp, fincor_cat):
     CP = constant_category_presheaf(sierp, fincor_cat)
     shallow = hypercohomology_compare(CP, (), (), 2, depth=2, strict=False)
