@@ -567,8 +567,8 @@ def sign_orbit_basis(A, n, group="F"):
     r = A.rank(n)
     sums = [[0] * r for _ in range(r)]  # sums[i] = sum_g sgn(g) A(g) e_i
     for c, g in alternating_idempotent(n, group):
-        entries = [(i, j, v) for j, row in enumerate(level_symmetry_matrix(A, g).rows)
-                   for i, v in enumerate(row) if v]
+        entries = [(i, j, v) for j, row in enumerate(level_symmetry_matrix(A, g).nonzero_rows())
+                   for i, v in row]
         if any(v not in (1, -1) for _, _, v in entries) or not (
             len(entries) == len({i for i, _, _ in entries}) == len({j for _, j, _ in entries}) == r
         ):
@@ -590,15 +590,15 @@ def sign_orbit_basis(A, n, group="F"):
 def sign_coordinates(B, mat):
     """Coordinates in the orbit basis B of `sign_orbit_basis` of the sign
     average of each column of mat: <b_k, col>/|O_k|, over Q."""
-    rows = mat.rows
-    out = []
-    for k in range(B.ncols):
-        support = [(i, row[k] > 0) for i, row in enumerate(B.rows) if row[k]]
-        out.append(tuple(
-            Fraction(sum(rows[i][c] if plus else -rows[i][c] for i, plus in support), len(support))
-            for c in range(mat.ncols)
-        ))
-    return Matrix._trusted(RING_Q, tuple(out), mat.ncols)
+    supports = B.transpose().nonzero_rows()
+    cols = []
+    for c in range(mat.ncols):
+        v = mat.col(c)
+        cols.append([
+            Fraction(sum(v[i] if b > 0 else -v[i] for i, b in support), len(support))
+            for support in supports
+        ])
+    return _columns_to_matrix(RING_Q, B.ncols, cols)
 
 
 def alternating_projector(A, n, group="F"):
@@ -615,7 +615,7 @@ def alternating_trace_rank(A, n, group="F"):
     val = Fraction(0)
     for c, g in alternating_idempotent(n, group):
         m = level_symmetry_matrix(A, g)
-        val += c * sum(m.rows[k][k] for k in range(m.nrows))
+        val += c * sum(m[k, k] for k in range(m.nrows))
     if val.denominator != 1:
         raise ValueError("trace average is not an integer")
     return int(val)

@@ -54,6 +54,7 @@ from .linalg import (
     _coerce,
     _exact_vector,
     _columns_to_matrix,
+    assemble,
     complex_homology,
     is_quasi_iso,
     hom_complex,
@@ -258,8 +259,8 @@ class DGReport:
 def _first_diff(a, b):
     for i in range(a.nrows):
         for j in range(a.ncols):
-            if a.rows[i][j] != b.rows[i][j]:
-                return "entry (%d, %d): %s != %s" % (i, j, a.rows[i][j], b.rows[i][j])
+            if a[i, j] != b[i, j]:
+                return "entry (%d, %d): %s != %s" % (i, j, a[i, j], b[i, j])
     return "equal"
 
 
@@ -784,14 +785,12 @@ def _row_major_product(nx, ny, nz, gvec, fvec):
 
 def _precomposition(host, w, z):
     """The matrix of g -> g . w on Hom(w.target, z), i.e. I_nz (x) W^T
-    (Van Loan 2000): column (iz, ib) is row ib of the row-major w placed
-    in block iz.  Ranks are read against the unit, which has rank 1."""
+    (Van Loan 2000), W^T having the rows of the row-major w as its columns.
+    Ranks are read against the unit, which has rank 1."""
     C = host.category
     na, nb, nz = (C.hom(v, host.unit).rank(0) for v in (w.source, w.target, z))
-    rows = [w.vector[ib * na : (ib + 1) * na] for ib in range(nb)]
-    pad = (0,) * (nz * na)
-    cols = [pad[: iz * na] + row + pad[(iz + 1) * na :] for iz in range(nz) for row in rows]
-    return _columns_to_matrix(C.ring, nz * na, cols)
+    wt = _columns_to_matrix(C.ring, na, [w.vector[ib * na : (ib + 1) * na] for ib in range(nb)])
+    return assemble(C.ring, nz * na, nz * nb, [(0, 0, nz, wt, 1)])
 
 
 def _row_major_identity(n):

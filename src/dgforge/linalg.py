@@ -1,20 +1,21 @@
-"""Exact dense linear algebra over Z and Q, plus chain complexes built on it.
+"""Exact linear algebra over Z and Q, plus chain complexes built on it.
 
 Everything downstream (cubical complexes, twisted complexes, sheaf towers)
 reduces to the primitives in this module: integer Smith normal form with a
 pinned pivot rule, saturated kernels, exact solving, homology with torsion,
 Hom-complexes and mapping cones.  No floats anywhere: an entry that is not
-an exact integer (over Z) or rational (over Q) is refused.  Matrices are
-dense tuples of tuples (soft practical limit around 512x512).
+an exact integer (over Z) or rational (over Q) is refused.
 
-Entries are coerced only at the public boundary (`Matrix(...)`,
-`Matrix.column`, `to_q`/`to_z` and the factor of `scale`): the Matrix
-operations, the eliminations and the complex builders whose entries
-already have the ring's type (int over Z, Fraction over Q) store them
-through the unchecked `Matrix._trusted`.  Law checks of
-the form "composition applied to a tensor of maps" use `mul_kron`, which
-computes M * (A (x) B) without forming the Kronecker product; the tensor
-and Hom complexes add their Kronecker blocks into rows with `add_kron`.
+How a matrix is stored (dense rows today) is this module's decision alone:
+other modules read entries through `m[i, j]` and `m.nonzero_rows()`, and
+fill matrices with `assemble`, a sum of signed Kronecker blocks
+scalar * (A (x) B) (Van Loan 2000), as the tensor, Hom, cone and total
+complexes here do.  Entries are coerced only at the public boundary
+(`Matrix(...)`, `Matrix.column`, `to_q`/`to_z`, the factor of `scale`);
+everything else stores entries of the ring's type (int over Z, Fraction
+over Q) unchecked.  Law checks of the form "composition applied to a
+tensor of maps" use `mul_kron`, which computes M * (A (x) B) without
+forming the Kronecker product.
 
 Subcomplexes, direct sums and double-complex totals come from four
 constructors: `restrict` (with `restrict_vector`) reads maps in the
@@ -23,6 +24,7 @@ degree, `direct_sum` stacks complexes block-diagonally, and `totalize`
 stacks the columns of a double complex, signing their differential (-1)^p.
 """
 
+import itertools
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -223,15 +225,23 @@ class Matrix:
         return Matrix._trusted(self.ring, self.rows + other.rows, self.ncols)
 
     def submatrix(self, row_idx, col_idx):
-        rows = self.rows
-        return Matrix._trusted(
-            self.ring,
-            tuple(tuple(rows[i][j] for j in col_idx) for i in row_idx),
-            len(col_idx),
-        )
+        rows, c = self.rows, col_idx
+        if type(c) is range and c.step == 1 and 0 <= c.start <= c.stop <= self.ncols:
+            # a run of columns is a slice of each row
+            picked = tuple(rows[i][c.start : c.stop] for i in row_idx)
+        else:
+            picked = tuple(tuple(rows[i][j] for j in c) for i in row_idx)
+        return Matrix._trusted(self.ring, picked, len(c))
 
     def col(self, j):
         return [row[j] for row in self.rows]
+
+    def nonzero_rows(self):
+        """For each row, the (column, value) pairs of its nonzero entries."""
+        if self.ncols == 1:  # a column: the fixed factor of most `mul_kron` calls
+            return [[(0, v)] if v else [] for v, in self.rows]
+        cols = range(self.ncols)
+        return [[(j, row[j]) for j in itertools.compress(cols, row)] for row in self.rows]
 
     def transpose(self):
         rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
@@ -262,7 +272,6 @@ def block_matrix(ring, blocks):
     `blocks[i][j]` sits at block-row i, block-column j.  Every block row must
     contain at least one real matrix fixing the row count, ditto columns.
     """
-    zero = _units(ring)[0]
     nbr = len(blocks)
     nbc = len(blocks[0]) if nbr else 0
     row_h = [None] * nbr
@@ -283,57 +292,83 @@ def block_matrix(ring, blocks):
                     raise ValueError("inconsistent block widths")
     if any(h is None for h in row_h) or any(w is None for w in col_w):
         raise ValueError("cannot infer shapes of empty block rows/columns")
-    rows = []
-    for i in range(nbr):
-        for r in range(row_h[i]):
-            row = ()
-            for j in range(nbc):
-                b = blocks[i][j]
-                row += (zero,) * col_w[j] if b is None else b.rows[r]
-            rows.append(row)
-    return Matrix._trusted(ring, tuple(rows), sum(col_w))
+    roff = list(itertools.accumulate(row_h, initial=0))
+    coff = list(itertools.accumulate(col_w, initial=0))
+    cells = ((i, j, blocks[i][j]) for i in range(nbr) for j in range(nbc))
+    terms = [(roff[i], coff[j], b, 1, 1) for i, j, b in cells if b is not None]
+    return assemble(ring, roff[-1], coff[-1], terms)
 
 
 def block_diagonal(ring, blocks):
     """The blocks along the diagonal, zero elsewhere; no blocks give 0 x 0."""
-    zero = _units(ring)[0]
     if any(b.ring != ring for b in blocks):
         raise ValueError("ring mismatch in block_diagonal")
-    width = sum(b.ncols for b in blocks)
-    rows = []
-    left = 0
-    for b in blocks:
-        pad_left = (zero,) * left
-        pad_right = (zero,) * (width - left - b.ncols)
-        for row in b.rows:
-            rows.append(pad_left + row + pad_right)
-        left += b.ncols
-    return Matrix._trusted(ring, tuple(rows), width)
+    roff = list(itertools.accumulate((b.nrows for b in blocks), initial=0))
+    coff = list(itertools.accumulate((b.ncols for b in blocks), initial=0))
+    terms = [(r, c, b, 1, 1) for r, c, b in zip(roff, coff, blocks)]
+    return assemble(ring, roff[-1], coff[-1], terms)
 
 
-def add_block(entries, block, roff, coff, scalar=1):
-    """Add scalar * block into the list-of-lists `entries` at (roff, coff)."""
-    for r, row in enumerate(block.rows):
-        out = entries[roff + r]
-        for c, v in enumerate(row):
-            if v:
-                out[coff + c] += scalar * v
+def assemble(ring, nrows, ncols, terms):
+    """The nrows x ncols matrix that is the sum, over the terms
+    (roff, coff, A, B, scalar), of scalar * (A (x) B) in the order of
+    `Matrix.kron` with its top-left entry at (roff, coff).
 
-
-def add_kron(entries, A, B, roff, coff, scalar=1):
-    """Add scalar * (A (x) B), in the order of `kron`, into the list of rows
-    `entries` at (roff, coff), visiting only pairs of nonzero entries."""
-    bn, bm = B.nrows, B.ncols
-    brows = [[(l, b) for l, b in enumerate(brow) if b] for brow in B.rows]
-    for i, arow in enumerate(A.rows):
-        for j, a in enumerate(arow):
-            if a:
-                a *= scalar
-                col = coff + j * bm
-                for t, brow in enumerate(brows, roff + i * bn):
-                    out = entries[t]
+    An int n in place of A or B stands for I_n, as in `mul_kron`:
+    (r, c, X, 1, s) is a block, (r, c, n, 1, s) an identity block and
+    (r, c, 1, 1, v) a single entry.  Only pairs of nonzero entries are
+    visited.  A, B and the scalar hold ring elements or ints, which are not
+    coerced; a term that leaves the frame raises ValueError.  An entry no
+    term has reached is still the ring's zero object, so the first ring
+    element written there is stored without an addition."""
+    zero = _units(ring)[0]
+    out = [[zero] * ncols for _ in range(nrows)]
+    for roff, coff, A, B, scalar in terms:
+        # (most terms have an int factor, read here without a call)
+        ar, ac = (A, A) if type(A) is int else _factor_shape(ring, A)
+        br, bc = (B, B) if type(B) is int else _factor_shape(ring, B)
+        if roff < 0 or coff < 0 or roff + ar * br > nrows or coff + ac * bc > ncols:
+            raise ValueError(
+                "a %dx%d term at (%d, %d) leaves the %dx%d frame"
+                % (ar * br, ac * bc, roff, coff, nrows, ncols)
+            )
+        if not scalar:
+            continue
+        if type(A) is int and type(B) is int:
+            # I_A (x) I_B = I_(AB): a single entry or one diagonal
+            if A == B == 1:
+                out[roff][coff] += scalar
+            else:
+                for t in range(A * B):
+                    out[roff + t][coff + t] += scalar
+        elif type(B) is int:
+            # A (x) I_B: each nonzero a of A puts scalar * a on the diagonal
+            # of block (i, j)
+            cols = range(ac)
+            for i, arow in enumerate(A.rows):
+                r = roff + i * B
+                for j in itertools.compress(cols, arow):
+                    s, c = arow[j] * scalar, coff + j * B
+                    for t in range(B):
+                        row, k = out[r + t], c + t
+                        row[k] = s if row[k] is zero else row[k] + s
+        else:
+            # a copy of B per nonzero entry of A, or per diagonal entry of I_A
+            if type(A) is int:
+                copies = [(roff + i * br, coff + i * bc, scalar) for i in range(A)]
+            else:
+                copies = [
+                    (roff + i * br, coff + j * bc, a * scalar)
+                    for i, arow in enumerate(A.nonzero_rows())
+                    for j, a in arow
+                ]
+            brows = B.nonzero_rows()
+            for r, c, s in copies:
+                for row, brow in zip(out[r : r + br], brows):
                     for l, b in brow:
-                        out[col + l] += a * b
+                        k, v = c + l, b if s == 1 else s * b
+                        row[k] = v if row[k] is zero else row[k] + v
+    return Matrix._trusted(ring, tuple(map(tuple, out)), ncols)
 
 
 def mul_kron(M, A, B):
@@ -355,7 +390,7 @@ def mul_kron(M, A, B):
     zero = _units(ring)[0]
     rows = M.rows
     if type(A) is not int:
-        arows = [[(j, a) for j, a in enumerate(arow) if a] for arow in A.rows]
+        arows = A.nonzero_rows()
         out = []
         for row in rows:
             acc = [zero] * (ac * br)
@@ -367,7 +402,7 @@ def mul_kron(M, A, B):
             out.append(tuple(acc))
         rows = tuple(out)
     if type(B) is not int:
-        brows = [[(l, b) for l, b in enumerate(brow) if b] for brow in B.rows]
+        brows = B.nonzero_rows()
         out = []
         for row in rows:
             acc = [zero] * (ac * bc)
@@ -383,11 +418,12 @@ def mul_kron(M, A, B):
 
 
 def _factor_shape(ring, X):
-    """(nrows, ncols) of a `mul_kron` factor; an int n is the n x n identity."""
+    """(nrows, ncols) of a `mul_kron` or `assemble` factor; an int n is the
+    n x n identity."""
     if type(X) is int:
         return X, X
     if X.ring != ring:
-        raise ValueError("ring mismatch in mul_kron")
+        raise ValueError("ring mismatch in a Kronecker factor")
     return X.nrows, X.ncols
 
 
@@ -466,8 +502,12 @@ def smith_normal_form(A):
     """Deterministic SNF over Z.
 
     Pivot rule: at each stage pick the nonzero entry of smallest absolute
-    value in the remaining submatrix, ties broken row-major.  Row operations
-    are mirrored into U, column operations into V, so U A V = D exactly.
+    value in the remaining submatrix, ties broken row-major.  Its row and
+    column are reduced by nearest-integer quotients, and the smallest
+    remainder among them becomes the pivot until none is left (Kannan and
+    Bachem 1979), which keeps the working entries from growing.  Row
+    operations are mirrored into U, column operations into V, so U A V = D
+    exactly.
     """
     if A.ring != RING_Z:
         raise ValueError("smith_normal_form needs a Z matrix")
@@ -518,25 +558,28 @@ def smith_normal_form(A):
         if a[t][t] < 0:
             negate_row(t)
         while True:
-            # clear column t below/above the pivot, re-pivoting on remainders
-            dirty = False
+            # reduce column t and row t by nearest-integer quotients, then
+            # pivot again on the smallest remainder among them
+            d = a[t][t]
+            rest = []
             for i in range(m):
                 if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    addmul_row(i, t, -q)
+                    addmul_row(i, t, -((2 * a[i][t] + d) // (2 * d)))
                     if a[i][t]:
-                        swap_rows(i, t)
-                        if a[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
+                        rest.append((abs(a[i][t]), i, t))
             for j in range(n):
                 if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    addmul_col(j, t, -q)
+                    addmul_col(j, t, -((2 * a[t][j] + d) // (2 * d)))
                     if a[t][j]:
-                        swap_cols(j, t)
-                        dirty = True
-            if dirty:
+                        rest.append((abs(a[t][j]), t, j))
+            if rest:
+                _, pi, pj = min(rest)
+                if pi != t:
+                    swap_rows(pi, t)
+                else:
+                    swap_cols(pj, t)
+                if a[t][t] < 0:
+                    negate_row(t)
                 continue
             # enforce divisibility of everything left by the pivot
             offender = None
@@ -597,27 +640,15 @@ def z_kernel(A):
 def z_solve(A, B):
     """Solve A X = B over Z exactly; returns X or None when unsolvable."""
     snf = smith_normal_form(A)
-    ub = snf.U * B
-    m, n = A.nrows, A.ncols
-    diag = [snf.D.rows[i][i] for i in range(min(m, n))]
-    r = sum(1 for d in diag if d)
-    y_rows = []
-    for i in range(n):
-        row = []
-        for j in range(B.ncols):
-            if i < r:
-                num = ub.rows[i][j]
-                if num % diag[i]:
-                    return None
-                row.append(num // diag[i])
-            else:
-                row.append(0)
-        y_rows.append(row)
-    for i in range(r, m):
-        if any(ub.rows[i][j] != 0 for j in range(B.ncols)):
-            return None
-    Y = Matrix._trusted(RING_Z, tuple(map(tuple, y_rows)), B.ncols)
-    return snf.V * Y
+    diag = snf.diagonal()
+    ub = (snf.U * B).rows
+    # U A V = D: row i of U B is d_i times row i of V^-1 X, and 0 beyond the rank
+    if any(any(row) for row in ub[len(diag) :]) or any(
+        v % d for row, d in zip(ub, diag) for v in row
+    ):
+        return None
+    Y = tuple(tuple(v // d for v in row) for row, d in zip(ub, diag))
+    return snf.V.submatrix(range(A.ncols), range(len(diag))) * Matrix._trusted(RING_Z, Y, B.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +709,11 @@ def q_solve(A, B):
     n = A.ncols
     if any(p >= n for p in pivots):
         return None
-    x_rows = [[Fraction(0)] * B.ncols for _ in range(n)]
+    # pivot variable p takes the right-hand side of its row, the free ones 0
+    x_rows = [(Fraction(0),) * B.ncols] * n
     for r, p in enumerate(pivots):
-        for j in range(B.ncols):
-            x_rows[p][j] = R.rows[r][n + j]
-    return Matrix._trusted(RING_Q, tuple(map(tuple, x_rows)), B.ncols)
+        x_rows[p] = R.rows[r][n:]
+    return Matrix._trusted(RING_Q, tuple(x_rows), B.ncols)
 
 
 def kernel(A):
@@ -903,18 +934,17 @@ def totalize(ring, lo, hi, columns, across):
     map columns[p]^q -> columns[p+1]^q, asked for where columns[p]^q != 0."""
     ps = sorted(columns)
     start, ranks = _block_starts(lo, hi, ps, lambda n, p: columns[p].rank(n - p))
-    zero = _units(ring)[0]
     diffs = []
     for n in range(lo, hi):
-        entries = [[zero] * ranks[n - lo] for _ in range(ranks[n + 1 - lo])]
+        terms = []
         for p in ps:
             q = n - p
             if columns[p].rank(q):
                 sgn = -1 if p % 2 else 1
-                add_block(entries, columns[p].d(q), start[n + 1, p], start[n, p], sgn)
+                terms.append((start[n + 1, p], start[n, p], columns[p].d(q), 1, sgn))
                 if p + 1 in columns:
-                    add_block(entries, across(p, q), start[n + 1, p + 1], start[n, p])
-        diffs.append(Matrix._trusted(ring, tuple(map(tuple, entries)), ranks[n - lo]))
+                    terms.append((start[n + 1, p + 1], start[n, p], across(p, q), 1, 1))
+        diffs.append(assemble(ring, ranks[n + 1 - lo], ranks[n - lo], terms))
     return make_complex(ring, lo, ranks, diffs)
 
 
@@ -957,19 +987,16 @@ def tensor_complex(C, D):
     hi = C.hi + D.hi
     ps = C.degrees()
     start, ranks = _block_starts(lo, hi, ps, lambda n, p: C.rank(p) * D.rank(n - p))
-    zero = _units(ring)[0]
     diffs = []
     for n in range(lo, hi):
-        rows = [[zero] * ranks[n - lo] for _ in range(ranks[n + 1 - lo])]
+        terms = []
         for p in ps:
             rc, rd = C.rank(p), D.rank(n - p)
             if rc and rd:
                 if C.rank(p + 1):
-                    add_kron(rows, C.d(p), Matrix.identity(ring, rd),
-                             start[n + 1, p + 1], start[n, p])
-                add_kron(rows, Matrix.identity(ring, rc), D.d(n - p),
-                         start[n + 1, p], start[n, p], -1 if p % 2 else 1)
-        diffs.append(Matrix._trusted(ring, tuple(map(tuple, rows)), ranks[n - lo]))
+                    terms.append((start[n + 1, p + 1], start[n, p], C.d(p), rd, 1))
+                terms.append((start[n + 1, p], start[n, p], rc, D.d(n - p), -1 if p % 2 else 1))
+        diffs.append(assemble(ring, ranks[n + 1 - lo], ranks[n - lo], terms))
     return make_complex(ring, lo, ranks, diffs, check=False)
 
 
@@ -1033,20 +1060,19 @@ def hom_complex(C, D):
     hi = D.hi - C.lo
     ps = C.degrees()
     start, ranks = _block_starts(lo, hi, ps, lambda n, p: D.rank(p + n) * C.rank(p))
-    zero = _units(ring)[0]
     diffs = []
     for n in range(lo, hi):
-        rows = [[zero] * ranks[n - lo] for _ in range(ranks[n + 1 - lo])]
+        terms = []
         sgn = 1 if n % 2 else -1
         for p in ps:
             rd, rc = D.rank(p + n), C.rank(p)
             if rd and rc:
-                add_kron(rows, D.d(p + n), Matrix.identity(ring, rc),
-                         start[n + 1, p], start[n, p])
+                terms.append((start[n + 1, p], start[n, p], D.d(p + n), rc, 1))
                 if C.rank(p - 1):
-                    add_kron(rows, Matrix.identity(ring, rd), C.d(p - 1).transpose(),
-                             start[n + 1, p - 1], start[n, p], sgn)
-        diffs.append(Matrix._trusted(ring, tuple(map(tuple, rows)), ranks[n - lo]))
+                    terms.append(
+                        (start[n + 1, p - 1], start[n, p], rd, C.d(p - 1).transpose(), sgn)
+                    )
+        diffs.append(assemble(ring, ranks[n + 1 - lo], ranks[n - lo], terms))
     return make_complex(ring, lo, ranks, diffs, check=False)
 
 
@@ -1136,10 +1162,13 @@ def tensor_chain_map(f, g, source=None, target=None):
         target = tensor_complex(f.target, g.target)
     # p runs over both windows, so zero-size blocks keep the layouts aligned
     ps = range(min(f.source.lo, f.target.lo), max(f.source.hi, f.target.hi) + 1)
-    comps = {
-        n: block_diagonal(source.ring, [f.comp(p).kron(g.comp(n - p)) for p in ps])
-        for n in source.degrees()
-    }
+    comps = {}
+    for n in source.degrees():
+        terms, r, c = [], 0, 0
+        for fp, gq in ((f.comp(p), g.comp(n - p)) for p in ps):
+            terms.append((r, c, fp, gq, 1))
+            r, c = r + fp.nrows * gq.nrows, c + fp.ncols * gq.ncols
+        comps[n] = assemble(source.ring, r, c, terms)
     return ChainMap(source, target, comps)
 
 
@@ -1153,38 +1182,17 @@ def cone_of_map(f):
     ranks = [D.rank(n) + C.rank(n + 1) for n in range(lo, hi + 1)]
     diffs = []
     for n in range(lo, hi):
-        diffs.append(
-            block_matrix(
-                ring,
-                [
-                    [D.d(n), f.comp(n + 1)],
-                    [Matrix.zero(ring, C.rank(n + 2), D.rank(n)), -C.d(n + 1)],
-                ],
-            )
-        )
+        rd, rd1 = D.rank(n), D.rank(n + 1)
+        terms = [(0, 0, D.d(n), 1, 1), (0, rd, f.comp(n + 1), 1, 1), (rd1, rd, C.d(n + 1), 1, -1)]
+        diffs.append(assemble(ring, ranks[n + 1 - lo], ranks[n - lo], terms))
     cone = make_complex(ring, lo, ranks, diffs, check=False)
-    incl = ChainMap(
-        D,
-        cone,
-        {
-            n: Matrix.identity(ring, D.rank(n)).vstack(
-                Matrix.zero(ring, C.rank(n + 1), D.rank(n))
-            )
-            for n in range(lo, hi + 1)
-        },
-    )
-    shifted = shift_complex(C, 1)
-    proj = ChainMap(
-        cone,
-        shifted,
-        {
-            n: Matrix.zero(ring, C.rank(n + 1), D.rank(n)).hstack(
-                Matrix.identity(ring, C.rank(n + 1))
-            )
-            for n in range(lo, hi + 1)
-        },
-    )
-    return cone, incl, proj
+    degs = range(lo, hi + 1)
+    incl = {n: assemble(ring, ranks[n - lo], D.rank(n), [(0, 0, D.rank(n), 1, 1)]) for n in degs}
+    proj = {
+        n: assemble(ring, C.rank(n + 1), ranks[n - lo], [(0, D.rank(n), C.rank(n + 1), 1, 1)])
+        for n in degs
+    }
+    return cone, ChainMap(D, cone, incl), ChainMap(cone, shift_complex(C, 1), proj)
 
 
 def complex_homology(C, n):

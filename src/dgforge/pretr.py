@@ -24,8 +24,7 @@ from .linalg import (
     Matrix,
     _exact_vector,
     _columns_to_matrix,
-    _units,
-    add_block,
+    assemble,
     complex_homology,
     kernel,
     make_chain_map,
@@ -300,21 +299,19 @@ def _twisted_comp_matrix(HG, HF, HH, p, q):
     matrix of the base per pair of layout blocks (a, c), (c, b)."""
     X, Y, Z = HF.source, HF.target, HG.target
     C, rf = X.base, HF.complex.rank(q)
-    ncols = HG.complex.rank(p) * rf
-    mat = [[_units(C.ring)[0]] * ncols for _ in range(HH.complex.rank(p + q))]
     target = {(a, b): off for a, b, off, _ in HH.block_layout(p + q)}
+    terms = []
     for a, c, off_ac, _ in HG.block_layout(p):
         for c2, b, off_cb, fr in HF.block_layout(q):
             if c2 != c or (a, b) not in target:
                 continue
             block = C.comp_matrix(X.obj(b), Y.obj(c), Z.obj(a), p + Y.idx(c) - Z.idx(a),
                                   q + X.idx(b) - Y.idx(c))
-            for r, row in enumerate(block.rows, target[(a, b)]):
-                for k, v in enumerate(row):
-                    if v:
-                        i, j = divmod(k, fr)
-                        mat[r][(off_ac + i) * rf + off_cb + j] += v
-    return Matrix._trusted(C.ring, tuple(map(tuple, mat)), ncols)
+            for r, row in enumerate(block.nonzero_rows(), target[(a, b)]):
+                for k, v in row:
+                    i, j = divmod(k, fr)
+                    terms.append((r, (off_ac + i) * rf + off_cb + j, 1, 1, v))
+    return assemble(C.ring, HH.complex.rank(p + q), HG.complex.rank(p) * rf, terms)
 
 
 def _hom_layout(E, F, n):
@@ -368,13 +365,12 @@ def twisted_hom_complex(E, F, window=None):
     for n in range(lo, hi):
         src = blocks[n]
         dst = blocks[n + 1]
-        dst_off = {(a, b): (off, r) for a, b, off, r in dst}
-        rows = ranks[n + 1 - lo]
-        mat = [[0] * ranks[n - lo] for _ in range(rows)]
+        dst_off = {(a, b): off for a, b, off, _ in dst}
+        terms = []
 
         def put(block, off_c, sub, scalar=1):
             if block in dst_off:
-                add_block(mat, sub, dst_off[block][0], off_c, scalar)
+                terms.append((dst_off[block], off_c, sub, 1, scalar))
             elif not sub.is_zero():
                 raise AssertionError("differential escapes the layout")
 
@@ -394,7 +390,7 @@ def twisted_hom_complex(E, F, window=None):
                         right_mult_matrix(C, E.obj(b3), x, y, h, m),
                         rsgn,
                     )
-        diffs.append(Matrix(C.ring, mat, nrows=rows, ncols=ranks[n - lo]))
+        diffs.append(assemble(C.ring, ranks[n + 1 - lo], ranks[n - lo], terms))
     cx = make_complex(C.ring, lo, ranks, diffs)
     return TwistedHom(E, F, cx, blocks)
 

@@ -15,8 +15,9 @@ complex, so their sign conventions agree by construction.
 Every stalk product has one coordinate layout: the pairs (key, local
 index), keys being the points of an open, the chains of a tower level or
 the cover blocks, in the order `direct_sum` and `totalize` stack them.
-Projections, inclusions and tower maps are read from that list, by
-selecting rows or columns or by `block_diagonal`.
+Projections and inclusions select its rows or columns; the tower, cover
+and pairing matrices are `linalg.assemble` terms placed at the offsets of
+their blocks.
 
 Two tower flavours are provided.  The full tower indexes level n by
 weakly increasing chains of n+1 points; the reduced tower keeps only
@@ -35,8 +36,7 @@ from .linalg import (
     ChainMap,
     Matrix,
     _apply,
-    _units,
-    add_block,
+    assemble,
     block_diagonal,
     block_matrix,
     complex_homology,
@@ -468,18 +468,6 @@ def _positions(small, big):
     return [index[c] for c in small]
 
 
-def _zero_rows(ring, nrows, ncols):
-    """Rows of the ring's zero, for `add_block` to fill and `_filled` to seal."""
-    zero = _units(ring)[0]
-    return [[zero] * ncols for _ in range(nrows)]
-
-
-def _filled(ring, entries, ncols):
-    """The matrix on rows from `_zero_rows`: every entry is already a ring
-    element, since a ring element plus an int multiple of one stays one."""
-    return Matrix._trusted(ring, tuple(map(tuple, entries)), ncols)
-
-
 # ---------------------------------------------------------------------------
 # Sheafification by exact limits over points.
 
@@ -543,20 +531,17 @@ def _limits(F):
             if not pairs:
                 ks[n] = Matrix.identity(ring, cols)
                 continue
-            blocks = []
+            # one block row per pair x < y: the stalk at y minus the
+            # restriction of the stalk at x to it
+            offs = list(itertools.accumulate((S.rank(n) for S in stalks), initial=0))
+            terms = []
+            roff = 0
             for xi, yi in pairs:
-                x, y = U[xi], U[yi]
-                row = []
-                rmat = F.restriction(site.up(x), site.up(y)).comp(n)
-                for zi, S in enumerate(stalks):
-                    if zi == yi:
-                        row.append(Matrix.identity(ring, S.rank(n)))
-                    elif zi == xi:
-                        row.append(rmat.scale(-1))
-                    else:
-                        row.append(Matrix.zero(ring, stalks[yi].rank(n), S.rank(n)))
-                blocks.append(row)
-            ks[n] = kernel(block_matrix(ring, blocks))
+                rmat = F.restriction(site.up(U[xi]), site.up(U[yi])).comp(n)
+                terms.append((roff, offs[yi], stalks[yi].rank(n), 1, 1))
+                terms.append((roff, offs[xi], rmat, 1, -1))
+                roff += stalks[yi].rank(n)
+            ks[n] = kernel(assemble(ring, roff, cols, terms))
         vals[U] = subcomplex(direct_sum(ring, lo, hi, stalks), ks)
         kbases[U] = ks
     return vals, kbases
@@ -584,10 +569,13 @@ def sheafification_map(F, aF=None):
 
 def _stalk_restrictions(F, U, n):
     """The restrictions of F(U) to the stalks at the points of U, stacked."""
-    rows = tuple(
-        row for x in U for row in F.restriction(U, F.site.up(x)).comp(n).rows
-    )
-    return Matrix._trusted(F.ring, rows, F.vals[U].rank(n))
+    terms = []
+    roff = 0
+    for x in U:
+        block = F.restriction(U, F.site.up(x)).comp(n)
+        terms.append((roff, 0, block, 1, 1))
+        roff += block.nrows
+    return assemble(F.ring, roff, F.vals[U].rank(n), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -669,14 +657,14 @@ class GodementTower:
         tgt = self.level_complex(q, U)
         soffs = _block_starts(self.chains(p, U), lambda c: self.chain_value(c).rank(n))
         toffs = _block_starts(self.chains(q, U), lambda c: self.chain_value(c).rank(n))
-        entries = _zero_rows(src.ring, tgt.rank(n), src.rank(n))
+        terms = []
         for C in self.chains(q, U):
             pullback = tuple(C[f[i]] for i in range(p + 1))
             rmat = self.source.restriction(
                 self.site.up(pullback[-1]), self.site.up(C[-1])
             ).comp(n)
-            add_block(entries, rmat, toffs[C], soffs[pullback])
-        return _filled(src.ring, entries, src.rank(n))
+            terms.append((toffs[C], soffs[pullback], rmat, 1, 1))
+        return assemble(src.ring, tgt.rank(n), src.rank(n), terms)
 
     def coface_matrix(self, p, j, U, n):
         f = tuple(i if i < j else i + 1 for i in range(p + 1))
@@ -694,7 +682,7 @@ class GodementTower:
         tgt = self.level_complex(p + 1, U)
         soffs = _block_starts(self.chains(p, U), lambda c: self.chain_value(c).rank(n))
         toffs = _block_starts(self.chains(p + 1, U), lambda c: self.chain_value(c).rank(n))
-        entries = _zero_rows(src.ring, tgt.rank(n), src.rank(n))
+        terms = []
         for C in self.chains(p + 1, U):
             for j in range(p + 2):
                 face = C[:j] + C[j + 1 :]
@@ -704,9 +692,9 @@ class GodementTower:
                         self.site.up(face[-1]), self.site.up(C[-1])
                     ).comp(n)
                 else:
-                    rmat = Matrix.identity(src.ring, self.chain_value(face).rank(n))
-                add_block(entries, rmat, toffs[C], soffs[face], sgn)
-        return _filled(src.ring, entries, src.rank(n))
+                    rmat = self.chain_value(face).rank(n)
+                terms.append((toffs[C], soffs[face], rmat, 1, sgn))
+        return assemble(src.ring, tgt.rank(n), src.rank(n), terms)
 
     # -- totalization
 
@@ -866,7 +854,7 @@ def cech_total(F, cover=None):
         def rank(idx):
             return F.vals[meets[idx]].rank(q)
 
-        entries = _zero_rows(ring, columns[p + 1].rank(q), columns[p].rank(q))
+        terms = []
         soff, toff = _block_starts(blocks[p], rank), _block_starts(blocks[p + 1], rank)
         for idx in blocks[p]:
             if not rank(idx):
@@ -875,8 +863,8 @@ def cech_total(F, cover=None):
                 tidx = tuple(sorted(idx + (i,)))
                 sgn = -1 if tidx.index(i) % 2 else 1
                 rmat = F.restriction(meets[idx], meets[tidx]).comp(q)
-                add_block(entries, rmat, toff[tidx], soff[idx], sgn)
-        return _filled(ring, entries, columns[p].rank(q))
+                terms.append((toff[tidx], soff[idx], rmat, 1, sgn))
+        return assemble(ring, columns[p + 1].rank(q), columns[p].rank(q), terms)
 
     return totalize(ring, lo, hi + max(k - 1, 0), columns, insertion)
 
@@ -968,7 +956,7 @@ class AWPairing:
         comps = {}
         for n in src.degrees():
             basis = tensor_basis(totF, totG, n)
-            entries = _zero_rows(ring, tgt.rank(n), len(basis))
+            terms = []
             if basis and tgt.rank(n):
                 row = {coord: r for r, coord in enumerate(TP.layout(U, n))}
                 for col, (t, i, j) in enumerate(basis):
@@ -983,10 +971,10 @@ class AWPairing:
                     pos = self._stalk_positions(UL, q + s)
                     sgn = -1 if (q * b) % 2 else 1
                     for r in range(rmat.nrows):
-                        w = rmat.rows[r][u]
+                        w = rmat[r, u]
                         if w:
-                            entries[row[(p + b, glued, pos[(q, r, v)])]][col] += sgn * w
-            comps[n] = _filled(ring, entries, len(basis))
+                            terms.append((row[(p + b, glued, pos[(q, r, v)])], col, 1, 1, sgn * w))
+            comps[n] = assemble(ring, tgt.rank(n), len(basis), terms)
         out = make_chain_map(src, tgt, comps, check=True)
         self._pairings[U] = out
         return out
@@ -1156,7 +1144,7 @@ class _RGammaData:
         starts = _block_starts(totYZ.degrees(), lambda t: totYZ.rank(t) * totXY.rank(n - t))
         off = starts.get(p, 0)
         w = totYZ.rank(p) * totXY.rank(q)
-        return Matrix._trusted(B.ring, tuple(row[off : off + w] for row in B.rows), w)
+        return B.submatrix(range(B.nrows), range(off, off + w))
 
     def id_fn(self, X):
         T = self.tower(X, X)
@@ -1224,9 +1212,10 @@ class CompareReport:
 def hypercohomology_compare(CP, X, Y, n, depth=None, strict=True):
     """Homology of the global Hom total against the cover complex of the
     sheafified Hom presheaf: two routes to the same group, the second
-    checked to be Leray on the minimal cover."""
+    checked to be Leray on the minimal cover.  The tower is kept on the Hom
+    presheaf per (depth, strict), so a degree sweep builds it once."""
     H = _hom_presheaf(CP, X, Y)
-    T = godement_tower(H, depth, strict=strict)
+    T = H._memo(("tower", depth, strict), lambda: godement_tower(H, depth, strict=strict))
     g = complex_homology(T.total(CP.site.space()), n)
     c = cech_hypercohomology(H, n)
     cut = T.stable_upto()

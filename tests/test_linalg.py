@@ -1,6 +1,8 @@
 """Exact linear algebra kernel: oracle-backed frozen values + invariants."""
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -14,8 +16,7 @@ from dgforge.linalg import (
     RING_Q,
     RING_Z,
     _columns_to_matrix,
-    add_block,
-    add_kron,
+    assemble,
     block_diagonal,
     block_matrix,
     complex_homology,
@@ -242,22 +243,51 @@ def test_mul_kron_refuses_mismatched_factors():
 
 
 @given(st.data())
-def test_add_kron_adds_the_scaled_kronecker_product(data):
+def test_assemble_adds_the_scaled_kronecker_products(data):
+    # oracle: each term's dense `kron`, scaled and added entry by entry
     rng = random.Random(data.draw(st.integers(0, 10**6)))
-    for ring in (RING_Z, RING_Q):
+    for ring, kind in ((RING_Z, int), (RING_Q, Fraction)):
+        scalars = [-2, -1, 1, 3] + ([Fraction(1, 2), Fraction(-2, 3)] if ring == RING_Q else [])
         for _ in range(5):
-            A = _sample_matrix(rng, ring, rng.randint(0, 3), rng.randint(0, 3))
-            B = _sample_matrix(rng, ring, rng.randint(0, 3), rng.randint(0, 3))
-            K = A.kron(B)
-            roff, coff = rng.randint(0, 2), rng.randint(0, 2)
-            base = _sample_matrix(rng, ring, K.nrows + roff + rng.randint(0, 2),
-                                  K.ncols + coff + rng.randint(0, 2))
-            scalar = rng.choice([-2, -1, 1, 3])
-            out = [list(row) for row in base.rows]
-            add_kron(out, A, B, roff, coff, scalar)
-            expected = [list(row) for row in base.rows]
-            add_block(expected, K, roff, coff, scalar)
-            assert out == expected
+            nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+            expected = [[0] * ncols for _ in range(nrows)]
+            terms = []
+            for _ in range(rng.randint(0, 5)):
+                if rng.random() < 0.25:  # a single entry
+                    (A, dense_a), (B, dense_b) = [(1, Matrix.identity(ring, 1))] * 2
+                else:
+                    A, dense_a = _kron_factor(rng, ring)
+                    B, dense_b = _kron_factor(rng, ring)
+                K = dense_a.kron(dense_b)
+                if K.nrows > nrows or K.ncols > ncols:
+                    continue
+                # small frames make the terms overlap
+                roff, coff = rng.randint(0, nrows - K.nrows), rng.randint(0, ncols - K.ncols)
+                scalar = rng.choice(scalars)
+                terms.append((roff, coff, A, B, scalar))
+                for i in range(K.nrows):
+                    for j in range(K.ncols):
+                        expected[roff + i][coff + j] += scalar * K[i, j]
+            out = assemble(ring, nrows, ncols, terms)
+            assert out == Matrix(ring, expected, nrows=nrows, ncols=ncols)
+            assert all(type(v) is kind for row in out.rows for v in row)
+
+
+def test_assemble_refuses_a_term_outside_the_frame():
+    X = Matrix(RING_Z, [[1, 2], [3, 4]])
+    assert assemble(RING_Z, 3, 3, [(1, 1, X, 1, 1), (0, 0, 1, 1, 5)])[2, 2] == 4
+    for term in (
+        (-1, 0, X, 1, 1),  # a negative offset once wrapped around the rows
+        (0, -1, 1, 1, 5),
+        (2, 0, X, 1, 1),
+        (0, 1, 2, X, 1),
+        (3, 0, 1, 1, 1),
+        (0, 2, X, 1, 0),
+    ):
+        with pytest.raises(ValueError, match="leaves the 3x3 frame"):
+            assemble(RING_Z, 3, 3, [term])
+    with pytest.raises(ValueError, match="ring"):
+        assemble(RING_Q, 3, 3, [(0, 0, X, 1, 1)])
 
 
 @pytest.mark.parametrize("ring, kind", [(RING_Z, int), (RING_Q, Fraction)])
@@ -297,6 +327,9 @@ def test_matrix_operations_keep_the_ring_entry_type(ring, kind):
         "mul_kron ids": mul_kron(a, 3, 1),
         "block_matrix": block_matrix(ring, [[a, None], [None, c]]),
         "block_diagonal": block_diagonal(ring, [a, c]),
+        "assemble": assemble(
+            ring, 4, 5, [(0, 0, a, 1, 1), (1, 2, 1, 1, 3), (2, 0, 2, 1, -1), (0, 3, c, 1, 2)]
+        ),
     }
     if ring == RING_Z:
         snf = smith_normal_form(a)
@@ -476,6 +509,75 @@ def test_heavily_mixed_homology_matches_the_oracle_on_the_unmixed_complex():
         mixed = conjugate_complex(rng, plain, steps_per_rank=10)
         for n in plain.degrees():
             assert complex_homology(mixed, n) == kernel_solve_homology(plain, n), n
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError inside the block once `seconds` of wall time have
+    passed, so that a computation that hangs fails with a traceback."""
+
+    def expire(signum, frame):
+        raise TimeoutError("over the %s s deadline" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def max_bits(A):
+    return max((abs(v).bit_length() for row in A.rows for v in row), default=0)
+
+
+# d^1 of the heavily mixed 29th complex of the test above (11-bit entries)
+# and the 38-bit basis of its kernel that the floor-quotient SNF returned
+MIXED_D1 = [
+    [-85, -20, 251, 27, 26, -85, -90, 359],
+    [258, 66, -789, -81, -96, 240, 267, -1056],
+    [-30, -9, 99, 9, 15, -24, -30, 117],
+]
+GROWN_KERNEL = [
+    [12785191, 9963996, 1394748, -2514816, -2607946506],
+    [772084038, 601715082, 84227343, -151867054, -157491105847],
+    [44572086, 34736758, 4862409, -8767221, -9091895142],
+    [-219420418, -171002855, -23936771, 43159463, 44757775810],
+    [223754620, 174380667, 24409593, -44011990, -45641874212],
+    [-64087655, -49945999, -6991380, 12605886, 13072716393],
+    [-1210, -943, -132, 238, 246818],
+    [0, 0, 0, 0, 1],
+]
+
+
+def test_snf_keeps_the_entries_of_a_grown_kernel_basis_bounded():
+    # Floor quotients that swapped each remainder in as the pivot grew the
+    # working entries to millions of bits on this 8 x 5 matrix.
+    d1, K = Matrix(RING_Z, MIXED_D1), Matrix(RING_Z, GROWN_KERNEL)
+    with deadline(5):
+        C = two_term_complex(RING_Z, 0, K)
+        assert complex_homology(C, 0) == HomologyGroup(0, ())
+        assert complex_homology(C, 1) == HomologyGroup(3, ())
+        kd1 = z_kernel(d1)
+        assert (d1 * kd1).is_zero() and kd1.ncols == 5
+        # the same lattice: each basis is an integral combination of the other
+        assert z_solve(K, kd1) is not None and z_solve(kd1, K) is not None
+    assert max_bits(d1) == 11
+    assert max_bits(kd1) <= 11
+
+
+def test_kernel_solve_homology_of_the_heavily_mixed_complex_returns():
+    rng = random.Random(43)
+    for _ in range(29):
+        plain = random_complex(rng, max_pieces=8, lo_range=(0, 1))
+        mixed = conjugate_complex(rng, plain, steps_per_rank=10)
+    assert mixed.d(1).rows == tuple(map(tuple, MIXED_D1))
+    with deadline(5):
+        for n in plain.degrees():
+            assert kernel_solve_homology(mixed, n) == complex_homology(plain, n), n
+        K = z_kernel(mixed.d(1))
+    assert max_bits(K) <= max_bits(mixed.d(1)) == 11
 
 
 def test_homology_refuses_a_broken_complex_with_a_zero_kernel():

@@ -1255,6 +1255,23 @@ def test_pretr_composition_matches_the_componentwise_route(cx, altv):
     assert_pretr_composition_matches(P, tcs, over(twin, tcs))
 
 
+def test_q_twisted_hom_differentials_hold_fractions_only(altv):
+    # the differential is assembled from the base's blocks without coercion
+    C = altv.category
+    rng = random.Random(36)
+    tcs = [random_twisted(rng, C, list(C.objects), depth=2, max_entries=2) for _ in range(2)]
+    assert any(E.e for E in tcs)
+    diffs = [
+        H.complex.d(n)
+        for E in tcs
+        for F in tcs
+        for H in [twisted_hom_complex(E, F)]
+        for n in H.complex.degrees()
+    ]
+    assert any(not d.is_zero() for d in diffs)
+    assert all(type(v) is Fraction for d in diffs for row in d.rows for v in row)
+
+
 def strict_inverse_by_compose(u):
     """The inverse of u solved from one `compose_twisted` per basis element
     of Hom(R, Y)^0, checked on both sides."""

@@ -1029,6 +1029,29 @@ def test_a_comparison_sweep_builds_the_hom_presheaf_its_sheaf_and_the_leray_chec
     assert calls["hom_presheaf"] == 1
 
 
+def test_a_comparison_sweep_builds_two_towers(monkeypatch):
+    # one tower of the Hom presheaf, kept on it, and one of its sheafified
+    # presheaf for the Leray check
+    calls = []
+    real = sheaf_module.godement_tower
+
+    def counting(F, *args, **kwargs):
+        calls.append(F)
+        return real(F, *args, **kwargs)
+
+    monkeypatch.setattr(sheaf_module, "godement_tower", counting)
+    sphere = _oracle_sites()["sphere6"]
+    CP = constant_category_presheaf(
+        sphere, complexes_category({"pt": single_complex("Z", 0, 1)})
+    )
+    reports = [hypercohomology_compare(CP, "pt", "pt", n) for n in range(3)]
+    assert [r.via_tower for r in reports] == ["Z", "0", "Z"]
+    assert len(calls) == 2 and calls[0] is not calls[1]
+    # another depth or flavour is another tower
+    hypercohomology_compare(CP, "pt", "pt", 0, depth=3, strict=False)
+    assert len(calls) == 3
+
+
 def test_category_presheaves_are_immutable(sierp, fincor_cat):
     CP = constant_category_presheaf(sierp, fincor_cat)
     with pytest.raises(TypeError):
