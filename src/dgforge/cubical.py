@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cube import (
+    SignedSymmetry,
     alternating_idempotent,
     back_projection,
     closure_walk,
@@ -26,6 +27,7 @@ from .cube import (
     insertion,
     projection,
     q_merge,
+    sign_character,
     signed_as_cube_map,
     vertex_index,
     vertices,
@@ -34,6 +36,7 @@ from .linalg import (
     Matrix,
     RING_Q,
     _columns_to_matrix,
+    assemble,
     block_matrix,
     complex_homology,
     kernel,
@@ -303,11 +306,10 @@ def diag_tensor(A, B):
 
 def boundary_matrix(A, n):
     """d: A(n) -> A(n-1), sum over slots of (-1)^i (eps=1 minus eps=0 faces)."""
-    out = Matrix.zero(A.ring, A.rank(n - 1), A.rank(n))
-    for i in range(1, n + 1):
-        diff = A.act(insertion(n - 1, i, 1)) - A.act(insertion(n - 1, i, 0))
-        out = out + (diff.scale(-1) if i % 2 else diff)
-    return out
+    return assemble(A.ring, A.rank(n - 1), A.rank(n), [
+        (0, 0, A.act(insertion(n - 1, i, eps)), 1, (-1) ** (i + eps + 1))
+        for i in range(1, n + 1) for eps in (1, 0)
+    ])
 
 
 def reduced_level_basis(A, n):
@@ -365,10 +367,11 @@ def degenerate_projector(A, n):
     """The idempotent on A(n) with image the reduced part and kernel the
     degenerate part: the product over slots i of I - s_i, where the
     idempotent s_i pulls back along projection, then eps=1 insertion."""
-    ident = Matrix.identity(A.ring, A.rank(n))
-    P = ident
+    r = A.rank(n)
+    P = Matrix.identity(A.ring, r)
     for i in range(1, n + 1):
-        P = (ident - A.act(projection(n, i)) * A.act(insertion(n - 1, i, 1))) * P
+        S = A.act(projection(n, i)) * A.act(insertion(n - 1, i, 1))
+        P = assemble(A.ring, r, r, [(0, 0, r, 1, 1), (0, 0, S, 1, -1)]) * P
     return P
 
 
@@ -560,30 +563,44 @@ def level_symmetry_matrix(A, g):
 def sign_orbit_basis(A, n, group="F"):
     """The sign part of level n as signed orbit sums, one column b_k per
     orbit O_k of the signed symmetries on the basis of A(n) that the sign
-    character does not kill: entries +-1 on O_k and 0 elsewhere, so the
-    supports are disjoint.  The sign average of w is sum_k <b_k, w>/|O_k| b_k
-    (see `sign_coordinates`).  Every A(g) must be a signed permutation
-    matrix; otherwise a ValueError names the level."""
-    r = A.rank(n)
-    sums = [[0] * r for _ in range(r)]  # sums[i] = sum_g sgn(g) A(g) e_i
-    for c, g in alternating_idempotent(n, group):
-        entries = [(i, j, v) for j, row in enumerate(level_symmetry_matrix(A, g).nonzero_rows())
-                   for i, v in row]
-        if any(v not in (1, -1) for _, _, v in entries) or not (
-            len(entries) == len({i for i, _, _ in entries}) == len({j for _, j, _ in entries}) == r
-        ):
+    character does not kill: +-1 on O_k (+1 at its smallest index) and 0
+    elsewhere.  The sign average of w is sum_k <b_k, w>/|O_k| b_k (see
+    `sign_coordinates`).  The orbits are walked with the generators (the
+    adjacent transpositions, and for F one flip), which assumes that A is a
+    functor; an orbit met twice with opposite signs is killed.  Each
+    generator must act by a signed permutation matrix, or a ValueError
+    names the level."""
+    if group not in ("F", "Sigma"):
+        raise ValueError("group must be 'F' or 'Sigma'")
+    r, ident = A.rank(n), tuple(range(n))
+    gens = [SignedSymmetry((0,) * n, ident[:k] + (k + 1, k) + ident[k + 2:]) for k in range(n - 1)]
+    if group == "F" and n:
+        gens.append(SignedSymmetry((1,) + (0,) * (n - 1), ident))
+    moves = []  # moves[h][i] = (k, s): A(h) e_i = +-e_k, and s is sgn(h) times that sign
+    for h in gens:
+        rows = level_symmetry_matrix(A, h).nonzero_rows()
+        move = {i: (k, sign_character(h) * int(v)) for k, row in enumerate(rows)
+                for i, v in row if len(row) == 1 and v in (1, -1)}
+        if len(move) != r:
             raise ValueError(
                 "level %d: a signed symmetry does not act by a signed permutation matrix" % n
             )
-        for i, j, v in entries:
-            sums[i][j] += 1 if (v > 0) == (c > 0) else -1
-    seen = set()
-    orbit_sums = []
-    for col in sums:
-        support = {j for j, t in enumerate(col) if t}
-        if support and not support & seen:
-            seen |= support
-            orbit_sums.append([(t > 0) - (t < 0) for t in col])
+        moves.append(move)
+    seen, orbit_sums = set(), []
+    for i in range(r):
+        if i in seen:
+            continue
+        label, orbit, alive = {i: 1}, [i], True  # label: the sign in the orbit sum
+        for j in orbit:
+            for move in moves:
+                k, s = move[j]
+                if k not in label:
+                    label[k] = s * label[j]
+                    orbit.append(k)
+                alive = alive and label[k] == s * label[j]
+        seen.update(orbit)
+        if alive:
+            orbit_sums.append([label.get(j, 0) for j in range(r)])
     return _columns_to_matrix(A.ring, r, orbit_sums)
 
 

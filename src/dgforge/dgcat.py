@@ -20,7 +20,8 @@ vertices with the diagonal comultiplication.
 `CubicalEnrichment` keeps the reduced model of each level and projects
 composites back along the degenerate splitting.  Its level maps are read
 off the row-major free-module host, the only host the two builders make:
-precomposition with w is the matrix I (x) W^T, written from w's entries.
+an action is the matrix I (x) W^T of precomposition with w, and a composite
+is the host's row-major product on the integer parts of the model columns.
 `AlternatingEnrichment` is the same construction with another level
 model: its level data
 overrides only `model` (the sign-isotypic subcomplex, with the signed
@@ -31,7 +32,9 @@ enrichment and its category are freed by reference counting.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cube import (
     closure_walk,
@@ -793,6 +796,14 @@ def _precomposition(host, w, z):
     return assemble(C.ring, nz * na, nz * nb, [(0, 0, nz, wt, 1)])
 
 
+def _int_columns(mat):
+    """Each column of mat as (ints, d): the column is ints / d, with d the
+    lcm of its denominators (1 over Z)."""
+    for col in map(mat.col, range(mat.ncols)):
+        d = math.lcm(*(v.denominator for v in col))
+        yield tuple(v.numerator * (d // v.denominator) for v in col), d
+
+
 def _row_major_identity(n):
     vec = [0] * (n * n)
     for i in range(n):
@@ -955,9 +966,11 @@ def build_vertex_cubes(ring="Q", top=3, objects=(1, 2)):
 class _CubicalLevels:
     """The level data of a cubical enrichment: per Hom pair the cubical
     group, its reduced model and the projectors along the degenerate
-    splitting, and the composition read from them.  Action and composition
-    matrices are `_precomposition` matrices of the row-major free-module
-    host, the only host that `build_fincor` and `build_vertex_cubes` make.
+    splitting, and the composition read from them.  They are read off the
+    row-major free-module host, the only host that `build_fincor` and
+    `build_vertex_cubes` make: action matrices are `_precomposition`
+    matrices, and composition multiplies row-major vectors of ints, each
+    model column cleared of its denominators, and divides once at the end.
 
     The enriched category's closures hold this object and it refers to
     neither the category nor the enrichment, so reference counting frees
@@ -1034,23 +1047,27 @@ class _CubicalLevels:
 
     def composition(self, x, y, z, p, q):
         """Compose on the full level n = -(p + q), then `project` back to
-        model coordinates.  Column f_j gives w_j = (f_j (x) id) . (id_x (x)
-        delta_n) and one product for all g_i . w_j; raw column (i, j), g
-        outer as in `comp_matrix`, is column i of block j."""
+        model coordinates.  On the integer columns of `_int_columns`, f_j
+        gives w_j = (f_j (x) id) . (id_x (x) delta_n), and raw column (i, j),
+        g outer as in `comp_matrix`, is the product g_i . w_j divided once by
+        the two denominators."""
         host, Q = self.host, self.cocube
         C = host.category
         b, a = -p, -q
         n = a + b
         gfull = self.group(y, z).act(front_projection(b, a)) * self.model(y, z).level_basis[b]
         ffull = self.group(x, y).act(back_projection(b, a)) * self.model(x, y).level_basis[a]
+        src = self.level_object(x, n)
         dup = host.mor_tensor(C.identity(x), Q.delta(n))
         id_cube = C.identity(Q.cube(n))
-        blocks = []
-        for j in range(ffull.ncols):
-            f = C.element(self.level_object(x, n), y, 0, tuple(ffull.col(j)))
-            w = C.compose(host.mor_tensor(f, id_cube), dup)
-            blocks.append(_precomposition(host, w, z) * gfull)
-        cols = [tuple(blk.col(i)) for i in range(gfull.ncols) for blk in blocks]
+        ws = [(C.compose(host.mor_tensor(C.element(src, y, 0, f), id_cube), dup).vector, d)
+              for f, d in _int_columns(ffull)]
+        nx, ny, nz = (C.hom(v, host.unit).rank(0) for v in (src, self.level_object(y, n), z))
+        cols = []
+        for g, dg in _int_columns(gfull):
+            for w, dw in ws:
+                col = _row_major_product(nx, ny, nz, g, w)
+                cols.append(col if dg * dw == 1 else [Fraction(v, dg * dw) for v in col])
         raw = _columns_to_matrix(C.ring, self.group(x, z).rank(n), cols)
         return self.project(x, z, n, raw)
 

@@ -49,6 +49,7 @@ from dgforge.linalg import (
     Matrix,
     RING_Q,
     RING_Z,
+    _columns_to_matrix,
     complex_homology,
     is_quasi_iso,
     kernel,
@@ -361,6 +362,40 @@ def dense_sign_part(A, group, variant):
     return bases, subcomplex(model.complex, coords)
 
 
+def orbit_sums_by_all_elements(A, n, group):
+    """Oracle for `sign_orbit_basis`: the signed orbit sums read off the
+    action matrix of every element of the group.  Column i of
+    sum_g sgn(g) A(g) is |Stab(i)| times the signed orbit sum through e_i,
+    or 0 when the sign character kills the orbit; each orbit is kept at its
+    smallest index, with its signs."""
+    r = A.rank(n)
+    sums = [[0] * r for _ in range(r)]  # sums[i] = sum_g sgn(g) A(g) e_i
+    for c, g in alternating_idempotent(n, group):
+        for j, row in enumerate(level_symmetry_matrix(A, g).nonzero_rows()):
+            for i, v in row:
+                sums[i][j] += 1 if (v > 0) == (c > 0) else -1
+    seen = set()
+    orbit_sums = []
+    for col in sums:
+        support = {j for j, t in enumerate(col) if t}
+        if support and not support & seen:
+            seen |= support
+            orbit_sums.append([(t > 0) - (t < 0) for t in col])
+    return _columns_to_matrix(A.ring, r, orbit_sums)
+
+
+def _counting_group(A):
+    """A as a fresh group that records the key of every action matrix it
+    builds (each one once, as the group caches them)."""
+    built = []
+
+    def act(f):
+        built.append((f.dom, f.cod, f.table))
+        return A.act(f)
+
+    return CubicalAbelianGroup(A.ring, A.top, A.ranks, act, extended=A.extended), built
+
+
 def _vertex_hom_group(x, y):
     return cubical_enrichment(*build_vertex_cubes("Q", top=3)).group(x, y)
 
@@ -386,7 +421,12 @@ def test_orbit_sums_span_the_dense_sign_part(make, group, variant):
         assert solve(old, new) is not None and solve(new, old) is not None
         assert alt.homology(n) == complex_homology(cx, -n)
         B = sign_orbit_basis(A, n, group)
+        assert B == orbit_sums_by_all_elements(A, n, group)
         assert B.ncols == alternating_trace_rank(A, n, group)
+        # the walk builds one matrix per generator: n - 1 transpositions and a flip
+        counted, built = _counting_group(A)
+        assert sign_orbit_basis(counted, n, group) == B
+        assert len({key for key in built if key[:2] == (n, n)}) <= n
         if variant == "full":
             assert B == new
         assert all(v in (0, 1, -1) for row in B.rows for v in row)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -848,6 +849,83 @@ def test_composition_matches_the_per_pair_compose_route(name):
                 mat = C.comp_matrix(x, y, z, p, q)
                 if mat.nrows and mat.ncols:
                     assert mat == chat_composition(enr, x, y, z, p, q), (name, x, y, z, p, q)
+                    checked += not mat.is_zero()
+    assert checked > 0
+
+
+def precomposition_block_composition(levels, x, y, z, p, q):
+    """Oracle for `_CubicalLevels.composition`: the block route it replaced.
+    Model column f_j gives w_j = (f_j (x) id) . (id_x (x) delta_n), whose
+    dense `_precomposition` matrix multiplies all left model columns at once
+    (in the ring's entries); raw column (i, j), g outer, is column i of
+    block j."""
+    host, Q = levels.host, levels.cocube
+    C = host.category
+    b, a = -p, -q
+    n = a + b
+    gfull = levels.group(y, z).act(front_projection(b, a)) * levels.model(y, z).level_basis[b]
+    ffull = levels.group(x, y).act(back_projection(b, a)) * levels.model(x, y).level_basis[a]
+    dup = host.mor_tensor(C.identity(x), Q.delta(n))
+    id_cube = C.identity(Q.cube(n))
+    blocks = []
+    for j in range(ffull.ncols):
+        f = C.element(levels.level_object(x, n), y, 0, tuple(ffull.col(j)))
+        w = C.compose(host.mor_tensor(f, id_cube), dup)
+        blocks.append(dgcat._precomposition(host, w, z) * gfull)
+    cols = [tuple(blk.col(i)) for i in range(gfull.ncols) for blk in blocks]
+    raw = _columns_to_matrix(C.ring, levels.group(x, z).rank(n), cols)
+    return levels.project(x, z, n, raw)
+
+
+def _rescaled_levels(host, cocube):
+    """Cubical level data whose model bases have their columns divided by
+    2 and 3 in turn: still bases of the same models, now with denominators."""
+    levels = dgcat._CubicalLevels(host, cocube)
+    objects = host.category.objects
+    for x, y in itertools.product(objects, repeat=2):
+        model = levels.model(x, y)
+        bases = {}
+        for n, B in model.level_basis.items():
+            diag = [[Fraction(1, 2 + k % 2) if k == j else 0 for j in range(B.ncols)]
+                    for k in range(B.ncols)]
+            bases[n] = B * Matrix("Q", diag, nrows=B.ncols, ncols=B.ncols)
+        levels._models[(x, y)] = dataclasses.replace(model, level_basis=bases)
+    return levels
+
+
+COMPOSITION_CASES = {
+    "vertex-Z-top3": lambda: build_vertex_cubes("Z", top=3, objects=(1, 2)),
+    "vertex-Q-top3": lambda: build_vertex_cubes("Q", top=3, objects=(1, 2)),
+    "fincor-Z-top3": lambda: build_fincor([("p", "q"), ("u", "v", "w")], ring="Z", top=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITION_CASES) + ["rescaled-vertex-Q-top3"])
+def test_composition_matches_the_precomposition_block_route(name):
+    host, cocube = COMPOSITION_CASES[name.replace("rescaled-", "")]()
+    ring = host.category.ring
+    if name.startswith("rescaled-"):
+        lv = _rescaled_levels(host, cocube)
+        assert {2, 3} <= {d for _, d in dgcat._int_columns(lv.model(2, 2).level_basis[2])}
+        cases = [(lv, DGCategory(ring, host.category.objects, lv.hom, comp_fn=lv.composition))]
+    else:
+        enrichments = [cubical_enrichment(host, cocube)]
+        if ring == "Q":
+            enrichments.append(alternating_enrichment(host, cocube))
+        cases = [(enr.levels, enr.category) for enr in enrichments]
+    top = cocube.top
+    checked = 0
+    for lv, C in cases:
+        for x, y, z in itertools.product(C.objects, repeat=3):
+            for p, q in itertools.product(range(-top, 1), repeat=2):
+                if p + q < -top:
+                    continue
+                mat = C.comp_matrix(x, y, z, p, q)
+                if mat.nrows and mat.ncols:
+                    assert mat == precomposition_block_composition(lv, x, y, z, p, q), (
+                        name, x, y, z, p, q)
+                    assert all(type(mat[i, j]) is (Fraction if ring == "Q" else int)
+                               for i in range(mat.nrows) for j in range(mat.ncols))
                     checked += not mat.is_zero()
     assert checked > 0
 
