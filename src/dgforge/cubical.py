@@ -608,14 +608,9 @@ def sign_coordinates(B, mat):
     """Coordinates in the orbit basis B of `sign_orbit_basis` of the sign
     average of each column of mat: <b_k, col>/|O_k|, over Q."""
     supports = B.transpose().nonzero_rows()
-    cols = []
-    for c in range(mat.ncols):
-        v = mat.col(c)
-        cols.append([
-            Fraction(sum(v[i] if b > 0 else -v[i] for i, b in support), len(support))
-            for support in supports
-        ])
-    return _columns_to_matrix(RING_Q, B.ncols, cols)
+    terms = [(k, i, 1, 1, Fraction(b, len(support)))
+             for k, support in enumerate(supports) for i, b in support]
+    return assemble(RING_Q, B.ncols, B.nrows, terms) * mat.to_q()
 
 
 def alternating_projector(A, n, group="F"):

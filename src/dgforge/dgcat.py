@@ -33,7 +33,7 @@ enrichment and its category are freed by reference counting.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cube import (
@@ -142,31 +142,29 @@ class DGCategory:
         return self._hom[key]
 
     def comp_matrix(self, x, y, z, p, q):
+        """The cached matrix first; the shape is read only on a miss, and a
+        matrix with no rows or no columns is not cached."""
+        key = (x, y, z, p, q)
+        mat = self._comp.get(key)
+        if mat is not None:
+            return mat
         rows = self.hom(x, z).rank(p + q)
         cols = self.hom(y, z).rank(p) * self.hom(x, y).rank(q)
         if rows == 0 or cols == 0:
             return Matrix.zero(self.ring, rows, cols)
-        key = (x, y, z, p, q)
-        if key not in self._comp:
-            mat = (self._comp_fn or self._assemble_comp)(x, y, z, p, q)
-            if mat.nrows != rows or mat.ncols != cols:
-                raise ValueError("composition matrix shape mismatch at %r" % (key,))
-            self._comp[key] = mat
-        return self._comp[key]
+        mat = (self._comp_fn or self._assemble_comp)(x, y, z, p, q)
+        if mat.nrows != rows or mat.ncols != cols:
+            raise ValueError("composition matrix shape mismatch at %r" % (key,))
+        self._comp[key] = mat
+        return mat
 
     def _assemble_comp(self, x, y, z, p, q):
         if self._comp_vec_fn is None:
             raise ValueError("no composition data for (%r, %r, %r)" % (x, y, z))
-        rg = self.hom(y, z).rank(p)
-        rf = self.hom(x, y).rank(q)
-        rows = self.hom(x, z).rank(p + q)
-        cols = []
-        for i in range(rg):
-            gvec = tuple(1 if k == i else 0 for k in range(rg))
-            for j in range(rf):
-                fvec = tuple(1 if k == j else 0 for k in range(rf))
-                cols.append(self._comp_vec_fn(x, y, z, p, q, gvec, fvec))
-        return _columns_to_matrix(self.ring, rows, cols)
+        fs = self.basis(x, y, q)
+        cols = [self._comp_vec_fn(x, y, z, p, q, g.vector, f.vector)
+                for g in self.basis(y, z, p) for f in fs]
+        return _columns_to_matrix(self.ring, self.hom(x, z).rank(p + q), cols)
 
     def identity(self, x):
         if x not in self._id:
@@ -677,14 +675,15 @@ def complexes_category(complexes, name="complexes"):
 # Co-cubical objects.
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CoCubicalObject:
     """A covariant assignment of host objects to cube levels.
 
     `cube(n)` is the object for level n with `cube(0)` the tensor unit,
     `image(f)` the degree-0 host element of a cube-category map f, and
     `delta(n)` the comultiplication at level n.  `top` bounds the levels
-    the enrichment will touch.
+    the enrichment will touch.  The object is immutable, so `report` runs
+    `validate_cocubical` once and keeps the result.
     """
 
     host: TensorDGData
@@ -693,6 +692,12 @@ class CoCubicalObject:
     cube: object
     image: object
     delta: object
+    _report: object = field(default=None, init=False, repr=False)
+
+    def report(self):
+        if self._report is None:
+            object.__setattr__(self, "_report", validate_cocubical(self))
+        return self._report
 
 
 @dataclass(frozen=True)
@@ -804,13 +809,6 @@ def _int_columns(mat):
         yield tuple(v.numerator * (d // v.denominator) for v in col), d
 
 
-def _row_major_identity(n):
-    vec = [0] * (n * n)
-    for i in range(n):
-        vec[i * n + i] = 1
-    return tuple(vec)
-
-
 def _free_module_host(ring, objects, rank, obj_tensor, unit, name):
     """Tensor data with Hom(x, y) free of rank rank(x) * rank(y) in degree 0,
     maps stored as row-major matrices.  The basis of x (x) y must be pairs
@@ -823,7 +821,8 @@ def _free_module_host(ring, objects, rank, obj_tensor, unit, name):
         return _row_major_product(rank(x), rank(y), rank(z), gvec, fvec)
 
     cat = DGCategory(ring, objects, hom_fn, comp_vec_fn=comp_vec,
-                     id_fn=lambda x: _row_major_identity(rank(x)), name=name)
+                     id_fn=lambda x: tuple(int(i == j) for i in range(rank(x))
+                                           for j in range(rank(x))), name=name)
 
     def mor_tensor(f, g):
         """f (x) g written straight from the two row-major vectors in the
@@ -1014,19 +1013,27 @@ class _CubicalLevels:
             self._models[key] = associated_complex(self.group(x, y), "reduced")
         return self._models[key]
 
-    def project(self, x, y, n, raw):
-        """Model coordinates of the columns `raw` of level n, projected onto
-        the reduced part along the degenerate splitting: one product with the
-        projector in the model basis, solved for once per level together
-        with the check that its image is the span of the model basis."""
+    def project(self, x, y, n, cols):
+        """Model coordinates of the level-n columns ints / d, given as the
+        pairs (ints, d) of `_int_columns`, projected onto the reduced part
+        along the degenerate splitting.  The projector in the model basis is
+        solved for once per level, together with the check that its image is
+        the span of the model basis, and kept as integers K / D; K is applied
+        to the ints, and each entry is divided once, by D * d."""
         key = (x, y, n)
         if key not in self._projectors:
             R = self.model(x, y).level_basis[n]
             K = restrict(R, degenerate_projector(self.group(x, y), n), "the projection")
             if K * R != Matrix.identity(R.ring, R.ncols):
                 raise ValueError("the projection does not fix the model at level %d" % n)
-            self._projectors[key] = K
-        return self._projectors[key] * raw
+            D = math.lcm(*(d for _, d in _int_columns(K)))
+            self._projectors[key] = K.scale(D).to_z(), D
+        K, D = self._projectors[key]
+        out = []
+        for col, d in cols:
+            img = _apply(K, col)
+            out.append(img if D * d == 1 else [Fraction(v, D * d) if v else 0 for v in img])
+        return _columns_to_matrix(self.host.category.ring, K.nrows, out)
 
     def hom(self, x, y):
         return self.model(x, y).complex
@@ -1063,13 +1070,9 @@ class _CubicalLevels:
         ws = [(C.compose(host.mor_tensor(C.element(src, y, 0, f), id_cube), dup).vector, d)
               for f, d in _int_columns(ffull)]
         nx, ny, nz = (C.hom(v, host.unit).rank(0) for v in (src, self.level_object(y, n), z))
-        cols = []
-        for g, dg in _int_columns(gfull):
-            for w, dw in ws:
-                col = _row_major_product(nx, ny, nz, g, w)
-                cols.append(col if dg * dw == 1 else [Fraction(v, dg * dw) for v in col])
-        raw = _columns_to_matrix(C.ring, self.group(x, z).rank(n), cols)
-        return self.project(x, z, n, raw)
+        cols = [(_row_major_product(nx, ny, nz, g, w), dg * dw)
+                for g, dg in _int_columns(gfull) for w, dw in ws]
+        return self.project(x, z, n, cols)
 
 
 class CubicalEnrichment:
@@ -1086,7 +1089,7 @@ class CubicalEnrichment:
     _level_type = _CubicalLevels
 
     def __init__(self, host, cocube, objects=None, name=""):
-        rep = validate_cocubical(cocube)
+        rep = cocube.report()
         if not rep.ok:
             raise ValueError("comultiplication axiom failed: %s" % rep.failures[0].law)
         self.host = host
@@ -1135,10 +1138,13 @@ class _AlternatingLevels(_CubicalLevels):
             self._models[key] = alternating_complex(self.group(x, y), group="F", variant="full")
         return self._models[key]
 
-    def project(self, x, y, n, raw):
-        """Coordinates of the sign average of the columns `raw` of level n
-        in the signed orbit sums that span the model."""
-        return sign_coordinates(self.model(x, y).level_basis[n], raw)
+    def project(self, x, y, n, cols):
+        """Coordinates of the sign average of the level-n columns ints / d,
+        given as pairs (ints, d), in the signed orbit sums that span the
+        model."""
+        raw = [col if d == 1 else [Fraction(v, d) for v in col] for col, d in cols]
+        B = self.model(x, y).level_basis[n]
+        return sign_coordinates(B, _columns_to_matrix(B.ring, B.nrows, raw))
 
     def symmetry(self, x, y):
         t = self.host.symmetry(x, y)
@@ -1173,7 +1179,8 @@ class _AlternatingLevels(_CubicalLevels):
         )
         pre = C.compose(mid, host.mor_tensor(C.identity(xx), split))
         tilde = C.compose(host.mor_tensor(self.embed(f), self.embed(g)), pre)
-        coords = self.project(xx, yy, N, Matrix.column(C.ring, tilde.vector))
+        B = self.model(xx, yy).level_basis[N]
+        coords = sign_coordinates(B, Matrix.column(C.ring, tilde.vector))
         return HomElement(xx, yy, degree, tuple(coords.col(0)))
 
 
@@ -1211,7 +1218,8 @@ def _levelwise_functor(src_enr, tgt_enr):
         for y in src.objects:
             comps = {}
             for n in range(tgt_enr.cocube.top + 1):
-                comps[-n] = tgt_enr.levels.project(x, y, n, src_enr.model(x, y).level_basis[n])
+                basis = src_enr.model(x, y).level_basis[n]
+                comps[-n] = tgt_enr.levels.project(x, y, n, _int_columns(basis))
             mor_maps[(x, y)] = make_chain_map(src.hom(x, y), tgt.hom(x, y), comps)
     return DGFunctor(src, tgt, {x: x for x in src.objects}, mor_maps)
 

@@ -6,9 +6,13 @@ pinned pivot rule, saturated kernels, exact solving, homology with torsion,
 Hom-complexes and mapping cones.  No floats anywhere: an entry that is not
 an exact integer (over Z) or rational (over Q) is refused.
 
-How a matrix is stored (dense rows today) is this module's decision alone:
-other modules read entries through `m[i, j]` and `m.nonzero_rows()`, and
-fill matrices with `assemble`, a sum of signed Kronecker blocks
+How a matrix is stored is this module's decision alone.  Each row holds
+its nonzero entries only, so the kernels (products, `mul_kron`, `assemble`,
+sums, stacking, transposes) visit nothing else; the eliminations (SNF,
+`q_rref`, `det_z`) copy into dense working lists first, and `Matrix.rows`
+builds the dense tuples on demand for readers outside the library.  Other
+modules read entries through `m[i, j]` and `m.nonzero_rows()`, and fill
+matrices with `assemble`, a sum of signed Kronecker blocks
 scalar * (A (x) B) (Van Loan 2000), as the tensor, Hom, cone and total
 complexes here do.  Entries are coerced only at the public boundary
 (`Matrix(...)`, `Matrix.column`, `to_q`/`to_z`, the factor of `scale`);
@@ -28,7 +32,6 @@ import itertools
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add as _add, neg as _neg
 
 
 RING_Z = "Z"
@@ -69,58 +72,64 @@ def _exact_vector(ring, values):
 
 
 class Matrix:
-    """Immutable dense matrix over Z (python ints) or Q (Fractions)."""
+    """Immutable matrix over Z (python ints) or Q (Fractions), stored as
+    sparse rows: row i is a dict {column: entry} of its nonzero entries.
+    No zero is ever stored, so equal matrices have equal rows, and a row
+    dict is never changed once sealed, so matrices share rows freely."""
 
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    __slots__ = ("ring", "nrows", "ncols", "_rows", "_dense")
 
     def __init__(self, ring, rows, nrows=None, ncols=None):
-        if ring not in (RING_Z, RING_Q):
-            raise ValueError("unknown ring %r" % (ring,))
-        rows = tuple(tuple(_coerce(ring, v) for v in row) for row in rows)
-        if rows:
-            width = len(rows[0])
-            for row in rows:
-                if len(row) != width:
-                    raise ValueError("ragged rows")
-        else:
-            width = 0 if ncols is None else ncols
-            if nrows and width:
-                raise ValueError("nrows mismatch")
-            if nrows:
-                rows = tuple(() for _ in range(nrows))
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows) if nrows is None else nrows)
-        object.__setattr__(self, "ncols", width)
-        if nrows is not None and nrows != len(rows) and rows:
+        _units(ring)
+        rows = [[_coerce(ring, v) for v in row] for row in rows] or [()] * (nrows or 0)
+        width = len(rows[0]) if rows else ncols or 0
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged rows")
+        if nrows is not None and nrows != len(rows):
             raise ValueError("nrows mismatch")
         if ncols is not None and ncols != width:
             raise ValueError("ncols mismatch")
+        _seal(self, ring, tuple(map(_sparse_row, rows)), width)
 
     @staticmethod
     def _trusted(ring, rows, ncols):
-        """The matrix on `rows`, a tuple of tuples of length ncols whose
-        entries already have the ring's type; nothing is coerced or checked."""
-        m = object.__new__(Matrix)
-        object.__setattr__(m, "ring", ring)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "nrows", len(rows))
-        object.__setattr__(m, "ncols", ncols)
-        return m
+        """The matrix on `rows`, a tuple of dicts {column: entry} that hold
+        only nonzero entries of the ring's type; nothing is coerced or
+        checked."""
+        return _seal(object.__new__(Matrix), ring, rows, ncols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    @property
+    def rows(self):
+        """The dense rows, a tuple of tuples with zeros of the ring's type,
+        for readers outside the library; built on first use and kept."""
+        try:
+            return self._dense
+        except AttributeError:
+            _set_dense(self, tuple(map(tuple, self._lists())))
+            return self._dense
+
+    def _lists(self):
+        """Fresh dense row lists of the entries, the working copy that the
+        eliminations start from."""
+        zero = _units(self.ring)[0]
+        out = [[zero] * self.ncols for _ in self._rows]
+        for dense, row in zip(out, self._rows):
+            for j, v in row.items():
+                dense[j] = v
+        return out
+
     @staticmethod
     def zero(ring, nrows, ncols):
-        zero, _ = _units(ring)
-        return Matrix._trusted(ring, ((zero,) * ncols,) * nrows, ncols)
+        _units(ring)
+        return Matrix._trusted(ring, ({},) * nrows, ncols)
 
     @staticmethod
     def identity(ring, n):
-        zero, one = _units(ring)
-        row = (zero,) * n
-        return Matrix._trusted(ring, tuple(row[:i] + (one,) + row[i + 1:] for i in range(n)), n)
+        one = _units(ring)[1]
+        return Matrix._trusted(ring, tuple({i: one} for i in range(n)), n)
 
     @staticmethod
     def column(ring, entries):
@@ -128,49 +137,57 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return self._rows[i].get(self._column(j), _UNITS[self.ring][0])
+
+    def _column(self, j):
+        """j, or an IndexError when it is not a column index."""
+        if not 0 <= j < self.ncols:
+            raise IndexError("column %r of a matrix with %d columns" % (j, self.ncols))
+        return j
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.ring == other.ring
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
+        return isinstance(other, Matrix) and (self.ring, self.nrows, self.ncols, self._rows) == (
+            other.ring, other.nrows, other.ncols, other._rows)
 
     def __hash__(self):
-        return hash((self.ring, self.nrows, self.ncols, self.rows))
+        rows = tuple(frozenset(row.items()) for row in self._rows)
+        return hash((self.ring, self.nrows, self.ncols, rows))
 
     def __repr__(self):
         return "Matrix(%s, %d x %d)" % (self.ring, self.nrows, self.ncols)
 
     def is_zero(self):
-        return all(v == 0 for row in self.rows for v in row)
+        return not any(self._rows)
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return Matrix._trusted(
-            self.ring,
-            tuple(tuple(map(_add, r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-            self.ncols,
-        )
+        out = []
+        for r1, r2 in zip(self._rows, other._rows):
+            row = r1 or r2
+            if r1 and r2:
+                row = dict(r1)
+                for j, v in r2.items():
+                    _add_entry(row, j, v)
+            out.append(row)
+        return Matrix._trusted(self.ring, tuple(out), self.ncols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix._trusted(
-            self.ring, tuple(tuple(map(_neg, row)) for row in self.rows), self.ncols
-        )
+        return self.scale(-1)
 
     def scale(self, c):
         c = _coerce(self.ring, c)
+        if not c:
+            return Matrix.zero(self.ring, self.nrows, self.ncols)
         return Matrix._trusted(
-            self.ring, tuple(tuple(c * v for v in row) for row in self.rows), self.ncols
+            self.ring, tuple({j: c * v for j, v in row.items()} for row in self._rows), self.ncols
         )
 
     def __mul__(self, other):
+        """Row by row (Gustavson 1978): row i of the product is the sum of
+        a * (row k of other) over the entries a at (i, k)."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ring != other.ring:
@@ -180,90 +197,116 @@ class Matrix:
                 "shape mismatch: %dx%d times %dx%d"
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
-        if self.ncols == 0 or other.ncols == 0:
-            return Matrix.zero(self.ring, self.nrows, other.ncols)
-        zero = _units(self.ring)[0]
-        out = []
-        for row in self.rows:
-            acc = [zero] * other.ncols
-            for k, a in enumerate(row):
-                if a:
-                    orow = other.rows[k]
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += a * b
-            out.append(tuple(acc))
+        brows, out = other._rows, []
+        for arow in self._rows:
+            if len(arow) == 1:  # a multiple of one row of other: nothing cancels
+                ((k, a),) = arow.items()
+                out.append(brows[k] if a == 1 else {j: a * b for j, b in brows[k].items()})
+                continue
+            acc = {}
+            for k, a in arow.items():
+                for j, b in brows[k].items():
+                    _add_entry(acc, j, a * b)
+            out.append(acc)
         return Matrix._trusted(self.ring, tuple(out), other.ncols)
 
     def kron(self, other):
         """Kronecker product; row/column index order is (i_self, i_other) row-major."""
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch in kron")
-        zero = _units(self.ring)[0]
-        blank = [zero] * other.ncols
-        out = []
-        for r1 in self.rows:
-            for r2 in other.rows:
-                row = []
-                for a in r1:
-                    row.extend([a * b for b in r2] if a else blank)
-                out.append(tuple(row))
-        return Matrix._trusted(self.ring, tuple(out), self.ncols * other.ncols)
+        nrows, ncols = self.nrows * other.nrows, self.ncols * other.ncols
+        return assemble(self.ring, nrows, ncols, [(0, 0, self, other, 1)])
 
     def hstack(self, other):
         if self.nrows != other.nrows or self.ring != other.ring:
             raise ValueError("hstack mismatch")
-        return Matrix._trusted(
-            self.ring,
-            tuple(r1 + r2 for r1, r2 in zip(self.rows, other.rows)),
-            self.ncols + other.ncols,
-        )
+        terms = [(0, 0, self, 1, 1), (0, self.ncols, other, 1, 1)]
+        return assemble(self.ring, self.nrows, self.ncols + other.ncols, terms)
 
     def vstack(self, other):
         if self.ncols != other.ncols or self.ring != other.ring:
             raise ValueError("vstack mismatch")
-        return Matrix._trusted(self.ring, self.rows + other.rows, self.ncols)
+        return Matrix._trusted(self.ring, self._rows + other._rows, self.ncols)
 
     def submatrix(self, row_idx, col_idx):
-        rows, c = self.rows, col_idx
-        if type(c) is range and c.step == 1 and 0 <= c.start <= c.stop <= self.ncols:
-            # a run of columns is a slice of each row
-            picked = tuple(rows[i][c.start : c.stop] for i in row_idx)
+        rows, c = self._rows, col_idx
+        if c == range(self.ncols):  # every column: the rows themselves
+            picked = tuple(rows[i] for i in row_idx)
+        elif type(c) is range and c.step == 1 and 0 <= c.start <= c.stop <= self.ncols:
+            lo, hi = c.start, c.stop  # a run of columns: the entries inside it, shifted
+            picked = tuple({j - lo: v for j, v in rows[i].items() if lo <= j < hi} for i in row_idx)
         else:
-            picked = tuple(tuple(rows[i][j] for j in c) for i in row_idx)
+            where = {}  # old column -> its new columns (a column may be picked twice)
+            for new, j in enumerate(c):
+                where.setdefault(self._column(j), []).append(new)
+            picked = tuple({new: v for j, v in rows[i].items() if j in where for new in where[j]}
+                           for i in row_idx)
         return Matrix._trusted(self.ring, picked, len(c))
 
     def col(self, j):
-        return [row[j] for row in self.rows]
+        j, zero = self._column(j), _units(self.ring)[0]
+        return [row.get(j, zero) for row in self._rows]
 
     def nonzero_rows(self):
         """For each row, the (column, value) pairs of its nonzero entries."""
-        if self.ncols == 1:  # a column: the fixed factor of most `mul_kron` calls
-            return [[(0, v)] if v else [] for v, in self.rows]
-        cols = range(self.ncols)
-        return [[(j, row[j]) for j in itertools.compress(cols, row)] for row in self.rows]
+        return [row.items() for row in self._rows]
 
     def transpose(self):
-        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
-        return Matrix._trusted(self.ring, rows, self.nrows)
+        out = tuple({} for _ in range(self.ncols))
+        for i, row in enumerate(self._rows):
+            for j, v in row.items():
+                out[j][i] = v
+        return Matrix._trusted(self.ring, out, self.nrows)
 
     def to_q(self):
-        if self.ring == RING_Q:
-            return self
-        return Matrix(RING_Q, self.rows, nrows=self.nrows, ncols=self.ncols)
+        return self._over(RING_Q)
 
     def to_z(self):
-        if self.ring == RING_Z:
+        return self._over(RING_Z)
+
+    def _over(self, ring):
+        """This matrix over `ring`, every entry coerced into it."""
+        if self.ring == ring:
             return self
-        return Matrix(RING_Z, self.rows, nrows=self.nrows, ncols=self.ncols)
+        rows = tuple({j: _coerce(ring, v) for j, v in row.items()} for row in self._rows)
+        return Matrix._trusted(ring, rows, self.ncols)
 
     def _check_same_shape(self, other):
-        if (
-            self.ring != other.ring
-            or self.nrows != other.nrows
-            or self.ncols != other.ncols
-        ):
+        if (self.ring, self.nrows, self.ncols) != (other.ring, other.nrows, other.ncols):
             raise ValueError("shape/ring mismatch")
+
+
+# The slots' own setters: `Matrix.__setattr__` refuses every assignment.
+_set_ring, _set_rows, _set_nrows, _set_ncols, _set_dense = (
+    Matrix.__dict__[name].__set__ for name in ("ring", "_rows", "nrows", "ncols", "_dense")
+)
+
+
+def _seal(m, ring, rows, ncols):
+    _set_ring(m, ring)
+    _set_rows(m, rows)
+    _set_nrows(m, len(rows))
+    _set_ncols(m, ncols)
+    return m
+
+
+def _sparse_row(row):
+    """The nonzero entries of a dense row, as {column: entry}."""
+    return {j: v for j, v in enumerate(row) if v}
+
+
+def _from_lists(ring, rows, ncols):
+    """The matrix on dense row lists of ring elements, the output of an
+    elimination; its zeros are dropped."""
+    return Matrix._trusted(ring, tuple(map(_sparse_row, rows)), ncols)
+
+
+def _add_entry(row, k, v):
+    """row[k] += v in a sparse row, removing the entry when it cancels."""
+    if k in row:
+        v += row[k]
+        if not v:
+            del row[k]
+            return
+    row[k] = v
 
 
 def block_matrix(ring, blocks):
@@ -272,31 +315,21 @@ def block_matrix(ring, blocks):
     `blocks[i][j]` sits at block-row i, block-column j.  Every block row must
     contain at least one real matrix fixing the row count, ditto columns.
     """
-    nbr = len(blocks)
-    nbc = len(blocks[0]) if nbr else 0
-    row_h = [None] * nbr
-    col_w = [None] * nbc
-    for i in range(nbr):
-        for j in range(nbc):
-            b = blocks[i][j]
-            if b is not None:
-                if b.ring != ring:
-                    raise ValueError("ring mismatch in block_matrix")
-                if row_h[i] is None:
-                    row_h[i] = b.nrows
-                elif row_h[i] != b.nrows:
-                    raise ValueError("inconsistent block heights")
-                if col_w[j] is None:
-                    col_w[j] = b.ncols
-                elif col_w[j] != b.ncols:
-                    raise ValueError("inconsistent block widths")
-    if any(h is None for h in row_h) or any(w is None for w in col_w):
+    cells = [(i, j, b) for i, bs in enumerate(blocks) for j, b in enumerate(bs) if b is not None]
+    heights, widths = {}, {}
+    for i, j, b in cells:
+        if b.ring != ring:
+            raise ValueError("ring mismatch in block_matrix")
+        if heights.setdefault(i, b.nrows) != b.nrows:
+            raise ValueError("inconsistent block heights")
+        if widths.setdefault(j, b.ncols) != b.ncols:
+            raise ValueError("inconsistent block widths")
+    nbc = len(blocks[0]) if blocks else 0
+    if len(heights) < len(blocks) or len(widths) < nbc:
         raise ValueError("cannot infer shapes of empty block rows/columns")
-    roff = list(itertools.accumulate(row_h, initial=0))
-    coff = list(itertools.accumulate(col_w, initial=0))
-    cells = ((i, j, blocks[i][j]) for i in range(nbr) for j in range(nbc))
-    terms = [(roff[i], coff[j], b, 1, 1) for i, j, b in cells if b is not None]
-    return assemble(ring, roff[-1], coff[-1], terms)
+    roff = list(itertools.accumulate(map(heights.get, range(len(blocks))), initial=0))
+    coff = list(itertools.accumulate(map(widths.get, range(nbc)), initial=0))
+    return assemble(ring, roff[-1], coff[-1], [(roff[i], coff[j], b, 1, 1) for i, j, b in cells])
 
 
 def block_diagonal(ring, blocks):
@@ -318,11 +351,11 @@ def assemble(ring, nrows, ncols, terms):
     (r, c, X, 1, s) is a block, (r, c, n, 1, s) an identity block and
     (r, c, 1, 1, v) a single entry.  Only pairs of nonzero entries are
     visited.  A, B and the scalar hold ring elements or ints, which are not
-    coerced; a term that leaves the frame raises ValueError.  An entry no
-    term has reached is still the ring's zero object, so the first ring
-    element written there is stored without an addition."""
-    zero = _units(ring)[0]
-    out = [[zero] * ncols for _ in range(nrows)]
+    coerced, except that a scalar written alone (A and B both ints) is
+    turned into the ring's type; a term that leaves the frame raises
+    ValueError.  An entry that the terms cancel is removed."""
+    kind = type(_units(ring)[0])
+    out = [{} for _ in range(nrows)]
     for roff, coff, A, B, scalar in terms:
         # (most terms have an int factor, read here without a call)
         ar, ac = (A, A) if type(A) is int else _factor_shape(ring, A)
@@ -336,22 +369,22 @@ def assemble(ring, nrows, ncols, terms):
             continue
         if type(A) is int and type(B) is int:
             # I_A (x) I_B = I_(AB): a single entry or one diagonal
-            if A == B == 1:
-                out[roff][coff] += scalar
-            else:
-                for t in range(A * B):
-                    out[roff + t][coff + t] += scalar
+            if type(scalar) is not kind:
+                scalar = kind(scalar)
+            for t in range(A * B):
+                _add_entry(out[roff + t], coff + t, scalar)
         elif type(B) is int:
-            # A (x) I_B: each nonzero a of A puts scalar * a on the diagonal
-            # of block (i, j)
-            cols = range(ac)
-            for i, arow in enumerate(A.rows):
-                r = roff + i * B
-                for j in itertools.compress(cols, arow):
-                    s, c = arow[j] * scalar, coff + j * B
-                    for t in range(B):
-                        row, k = out[r + t], c + t
-                        row[k] = s if row[k] is zero else row[k] + s
+            # A (x) I_B: row t of block row i holds scalar * a at column
+            # j * B + t for each nonzero a at (i, j) (for B = 1, row i of A)
+            for i, arow in enumerate(A._rows):
+                arow = arow.items() if scalar == 1 else [(j, a * scalar) for j, a in arow.items()]
+                for t in range(B):
+                    row, c = out[roff + i * B + t], coff + t
+                    if not row:  # nothing to add to: the entries go in as they are
+                        row.update((c + j * B, a) for j, a in arow)
+                        continue
+                    for j, a in arow:
+                        _add_entry(row, c + j * B, a)
         else:
             # a copy of B per nonzero entry of A, or per diagonal entry of I_A
             if type(A) is int:
@@ -359,16 +392,16 @@ def assemble(ring, nrows, ncols, terms):
             else:
                 copies = [
                     (roff + i * br, coff + j * bc, a * scalar)
-                    for i, arow in enumerate(A.nonzero_rows())
-                    for j, a in arow
+                    for i, arow in enumerate(A._rows)
+                    for j, a in arow.items()
                 ]
-            brows = B.nonzero_rows()
+            brows = B._rows
             for r, c, s in copies:
-                for row, brow in zip(out[r : r + br], brows):
-                    for l, b in brow:
-                        k, v = c + l, b if s == 1 else s * b
-                        row[k] = v if row[k] is zero else row[k] + v
-    return Matrix._trusted(ring, tuple(map(tuple, out)), ncols)
+                for t, brow in enumerate(brows, r):
+                    row = out[t]
+                    for l, b in brow.items():
+                        _add_entry(row, c + l, b if s == 1 else s * b)
+    return Matrix._trusted(ring, tuple(out), ncols)
 
 
 def mul_kron(M, A, B):
@@ -377,7 +410,8 @@ def mul_kron(M, A, B):
     An int n in place of A or B stands for the n x n identity.  Read a row
     of M as the matrix R with R[i][t] = row[i * B.nrows + t]; its image is
     A^T R B flattened row-major (Van Loan 2000), computed as R -> A^T R
-    (columns of M times A (x) I) and then -> (A^T R) B (times I (x) B).
+    (columns of M times A (x) I) and then -> (A^T R) B (times I (x) B),
+    each on the nonzero entries alone.
     """
     ring = M.ring
     ar, ac = _factor_shape(ring, A)
@@ -387,34 +421,28 @@ def mul_kron(M, A, B):
             "shape mismatch: %dx%d times (%dx%d kron %dx%d)"
             % (M.nrows, M.ncols, ar, ac, br, bc)
         )
-    zero = _units(ring)[0]
-    rows = M.rows
+    rows = M._rows
     if type(A) is not int:
-        arows = A.nonzero_rows()
-        out = []
+        arows, out = A._rows, []
         for row in rows:
-            acc = [zero] * (ac * br)
-            for k, v in enumerate(row):
-                if v:
-                    i, t = divmod(k, br)
-                    for j, a in arows[i]:
-                        acc[j * br + t] += a * v
-            out.append(tuple(acc))
-        rows = tuple(out)
+            acc = {}
+            for k, v in row.items():
+                i, t = divmod(k, br)
+                for j, a in arows[i].items():
+                    _add_entry(acc, j * br + t, a * v)
+            out.append(acc)
+        rows = out
     if type(B) is not int:
-        brows = B.nonzero_rows()
-        out = []
+        brows, out = B._rows, []
         for row in rows:
-            acc = [zero] * (ac * bc)
-            for k, v in enumerate(row):
-                if v:
-                    j, t = divmod(k, br)
-                    base = j * bc
-                    for l, b in brows[t]:
-                        acc[base + l] += v * b
-            out.append(tuple(acc))
-        rows = tuple(out)
-    return Matrix._trusted(ring, rows, ac * bc)
+            acc = {}
+            for k, v in row.items():
+                j, t = divmod(k, br)
+                for l, b in brows[t].items():
+                    _add_entry(acc, j * bc + l, v * b)
+            out.append(acc)
+        rows = out
+    return Matrix._trusted(ring, tuple(rows), ac * bc)
 
 
 def _factor_shape(ring, X):
@@ -429,32 +457,31 @@ def _factor_shape(ring, X):
 
 def _apply(mat, vec):
     """mat * vec for a coordinate tuple, as a tuple."""
-    return tuple((mat * Matrix.column(mat.ring, list(vec))).col(0))
+    if len(vec) != mat.ncols:
+        raise ValueError("shape mismatch: %dx%d times a vector of length %d"
+                         % (mat.nrows, mat.ncols, len(vec)))
+    vec, zero = _exact_vector(mat.ring, vec), _units(mat.ring)[0]
+    return tuple(sum([v * vec[j] for j, v in row.items()]) if row else zero for row in mat._rows)
 
 
 def _columns_to_matrix(ring, nrows, cols):
     """The nrows x len(cols) matrix with these columns.  Entries of the
-    ring's type are kept, each distinct int is converted once (ints stay
-    ints over Z), and anything else goes through `_coerce`."""
+    ring's type are kept, each distinct nonzero int is converted once (ints
+    stay ints over Z), and anything else goes through `_coerce`."""
     if any(len(col) != nrows for col in cols):
         raise ValueError("column length mismatch")
-    zero, one = _units(ring)
-    kind = type(zero)
-    known = {0: zero, 1: one}
-
-    def entry(v):
-        t = type(v)
-        if t is kind:
-            return v
-        if t is int:
-            q = known.get(v)
-            if q is None:
-                q = known[v] = kind(v)
-            return q
-        return _coerce(ring, v)
-
-    rows = tuple(tuple(entry(col[r]) for col in cols) for r in range(nrows))
-    return Matrix._trusted(ring, rows, len(cols))
+    kind, known = type(_units(ring)[0]), {}
+    out = tuple({} for _ in range(nrows))
+    for c, col in enumerate(cols):
+        for r, v in enumerate(col):
+            if type(v) is not kind:
+                if type(v) is not int:
+                    v = _coerce(ring, v)
+                elif v:
+                    v = known.get(v) or known.setdefault(v, kind(v))
+            if v:
+                out[r][c] = v
+    return Matrix._trusted(ring, out, len(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +498,8 @@ class SmithDecomposition:
     V: Matrix
 
     def diagonal(self):
-        return [
-            self.D.rows[i][i]
-            for i in range(min(self.D.nrows, self.D.ncols))
-            if self.D.rows[i][i] != 0
-        ]
+        rows = self.D._rows
+        return [rows[i][i] for i in range(min(self.D.nrows, self.D.ncols)) if i in rows[i]]
 
     @property
     def rank(self):
@@ -512,7 +536,7 @@ def smith_normal_form(A):
     if A.ring != RING_Z:
         raise ValueError("smith_normal_form needs a Z matrix")
     m, n = A.nrows, A.ncols
-    a = [list(row) for row in A.rows]
+    a = A._lists()
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -598,9 +622,7 @@ def smith_normal_form(A):
         t += 1
 
     return SmithDecomposition(
-        U=Matrix._trusted(RING_Z, tuple(map(tuple, u)), m),
-        D=Matrix._trusted(RING_Z, tuple(map(tuple, a)), n),
-        V=Matrix._trusted(RING_Z, tuple(map(tuple, v)), n),
+        U=_from_lists(RING_Z, u, m), D=_from_lists(RING_Z, a, n), V=_from_lists(RING_Z, v, n)
     )
 
 
@@ -611,9 +633,8 @@ def det_z(A):
     n = A.nrows
     if n == 0:
         return 1
-    a = [list(row) for row in A.rows]
-    sign = 1
-    prev = 1
+    a = A._lists()
+    sign = prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k]), None)
@@ -632,22 +653,18 @@ def det_z(A):
 def z_kernel(A):
     """Columns form a saturated basis of ker(A) over Z (a direct summand)."""
     snf = smith_normal_form(A)
-    r = snf.rank
-    cols = list(range(r, A.ncols))
-    return snf.V.submatrix(range(A.ncols), cols)
+    return snf.V.submatrix(range(A.ncols), range(snf.rank, A.ncols))
 
 
 def z_solve(A, B):
     """Solve A X = B over Z exactly; returns X or None when unsolvable."""
     snf = smith_normal_form(A)
     diag = snf.diagonal()
-    ub = (snf.U * B).rows
+    ub = (snf.U * B)._rows
     # U A V = D: row i of U B is d_i times row i of V^-1 X, and 0 beyond the rank
-    if any(any(row) for row in ub[len(diag) :]) or any(
-        v % d for row, d in zip(ub, diag) for v in row
-    ):
+    if any(ub[len(diag) :]) or any(v % d for row, d in zip(ub, diag) for v in row.values()):
         return None
-    Y = tuple(tuple(v // d for v in row) for row, d in zip(ub, diag))
+    Y = tuple({j: v // d for j, v in row.items()} for row, d in zip(ub, diag))
     return snf.V.submatrix(range(A.ncols), range(len(diag))) * Matrix._trusted(RING_Z, Y, B.ncols)
 
 
@@ -658,10 +675,9 @@ def z_solve(A, B):
 
 def q_rref(A):
     """Reduced row echelon form over Q; returns (R, pivot_columns)."""
-    a = [[Fraction(v) for v in row] for row in A.rows]
+    a = [[Fraction(v) for v in row] for row in A._lists()]
     m, n = A.nrows, A.ncols
-    pivots = []
-    r = 0
+    pivots, r = [], 0
     for j in range(n):
         sel = next((i for i in range(r, m) if a[i][j] != 0), None)
         if sel is None:
@@ -677,7 +693,7 @@ def q_rref(A):
         r += 1
         if r == m:
             break
-    return Matrix._trusted(RING_Q, tuple(map(tuple, a)), n), pivots
+    return _from_lists(RING_Q, a, n), pivots
 
 
 def q_rank(A):
@@ -686,34 +702,25 @@ def q_rank(A):
 
 def q_kernel(A):
     """Columns form a basis of ker(A) over Q."""
-    A = A.to_q()
-    R, pivots = q_rref(A)
-    n = A.ncols
-    free = [j for j in range(n) if j not in pivots]
-    cols = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -R.rows[r][f]
-        cols.append(vec)
-    return Matrix._trusted(RING_Q, tuple(zip(*cols)) if cols else ((),) * n, len(cols))
+    R, pivots = q_rref(A.to_q())
+    free = [j for j in range(A.ncols) if j not in pivots]
+    # free column f gives the vector e_f - sum over the pivots p (row r) of R[r, f] e_p
+    terms = [(f, c, 1, 1, 1) for c, f in enumerate(free)]
+    terms += [(p, c, 1, 1, -R[r, f]) for c, f in enumerate(free) for r, p in enumerate(pivots)]
+    return assemble(RING_Q, A.ncols, len(free), terms)
 
 
 def q_solve(A, B):
     """Solve A X = B over Q; returns one solution or None."""
-    A = A.to_q()
-    B = B.to_q()
+    A, B = A.to_q(), B.to_q()
     aug = A.hstack(B)
     R, pivots = q_rref(aug)
     n = A.ncols
     if any(p >= n for p in pivots):
         return None
     # pivot variable p takes the right-hand side of its row, the free ones 0
-    x_rows = [(Fraction(0),) * B.ncols] * n
-    for r, p in enumerate(pivots):
-        x_rows[p] = R.rows[r][n:]
-    return Matrix._trusted(RING_Q, tuple(x_rows), B.ncols)
+    rhs = [(p, 0, R.submatrix([r], range(n, R.ncols)), 1, 1) for r, p in enumerate(pivots)]
+    return assemble(RING_Q, n, B.ncols, rhs)
 
 
 def kernel(A):
@@ -824,13 +831,8 @@ class ChainComplex:
         return sum(self.ranks)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ChainComplex)
-            and self.ring == other.ring
-            and self.lo == other.lo
-            and self.ranks == other.ranks
-            and self.diffs == other.diffs
-        )
+        return isinstance(other, ChainComplex) and (self.ring, self.lo, self.ranks, self.diffs) == (
+            other.ring, other.lo, other.ranks, other.diffs)
 
     def __hash__(self):
         return hash((self.ring, self.lo, self.ranks, self.diffs))
@@ -849,19 +851,14 @@ def make_complex(ring, lo, ranks, diffs=None, check=True):
 
     diffs may be a dict {deg: Matrix} or a list aligned with ranks[:-1].
     """
-    ranks = list(ranks)
-    if not ranks:
-        ranks = [0]
+    ranks = list(ranks) or [0]
     n = len(ranks)
     if isinstance(diffs, dict):
         stray = [deg for deg in diffs if not lo <= deg < lo + n - 1]
         if stray:
             raise ValueError("differentials at degrees %r leave the window %d..%d"
                              % (stray, lo, lo + n - 1))
-        dl = []
-        for k in range(n - 1):
-            deg = lo + k
-            dl.append(diffs.get(deg, Matrix.zero(ring, ranks[k + 1], ranks[k])))
+        dl = [diffs.get(lo + k, Matrix.zero(ring, ranks[k + 1], ranks[k])) for k in range(n - 1)]
     elif diffs is None:
         dl = [Matrix.zero(ring, ranks[k + 1], ranks[k]) for k in range(n - 1)]
     else:
@@ -1037,14 +1034,10 @@ def hom_element_vector(C, D, n, mats):
     for p in range(C.lo, C.hi + 1):
         rc, rd = C.rank(p), D.rank(p + n)
         if rc and rd:
-            m = mats.get(p)
-            if m is None:
-                vec.extend([0] * (rc * rd))
-            else:
-                if m.nrows != rd or m.ncols != rc:
-                    raise ValueError("component shape mismatch at degree %d" % p)
-                for row in m.rows:
-                    vec.extend(row)
+            m = mats.get(p) or Matrix.zero(C.ring, rd, rc)
+            if m.nrows != rd or m.ncols != rc:
+                raise ValueError("component shape mismatch at degree %d" % p)
+            vec.extend(itertools.chain.from_iterable(m._lists()))
     return tuple(vec)
 
 

@@ -970,8 +970,7 @@ class AWPairing:
                     rmat = TF.source.restriction(site.up(c[-1]), UL).comp(q)
                     pos = self._stalk_positions(UL, q + s)
                     sgn = -1 if (q * b) % 2 else 1
-                    for r in range(rmat.nrows):
-                        w = rmat[r, u]
+                    for r, w in enumerate(rmat.col(u)):
                         if w:
                             terms.append((row[(p + b, glued, pos[(q, r, v)])], col, 1, 1, sgn * w))
             comps[n] = assemble(ring, tgt.rank(n), len(basis), terms)

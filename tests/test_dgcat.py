@@ -418,17 +418,18 @@ def test_builtin_cocubical_structures_validate(fincor_z, vertex2):
     assert validate_cocubical(vertex2[1]).ok
 
 
+def pinned_delta(n):
+    """A vertex-cube comultiplication with the second output coordinate
+    stuck at vertex 0: not symmetric."""
+    dom = 2 ** n
+    vec = [0] * (dom * dom * dom)
+    for u in range(dom):
+        vec[(u * dom + 0) * dom + u] = 1
+    return HomElement(dom, dom * dom, 0, tuple(vec))
+
+
 def test_broken_comultiplication_is_reported_by_axiom_name(vertex2):
     host, cocube = vertex2[0], vertex2[1]
-
-    def pinned_delta(n):
-        # second output coordinate stuck at vertex 0: not symmetric
-        dom = 2 ** n
-        vec = [0] * (dom * dom * dom)
-        for u in range(dom):
-            vec[(u * dom + 0) * dom + u] = 1
-        return HomElement(dom, dom * dom, 0, tuple(vec))
-
     bad = CoCubicalObject(host, 2, True, cube=cocube.cube,
                           image=cocube.image, delta=pinned_delta)
     report = validate_cocubical(bad)
@@ -436,6 +437,37 @@ def test_broken_comultiplication_is_reported_by_axiom_name(vertex2):
     assert "symmetric" in {f.law for f in report.failures}
     with pytest.raises(ValueError, match="symmetric"):
         cubical_enrichment(host, bad)
+
+
+def counted_validation(monkeypatch):
+    """The co-cubical objects that `validate_cocubical` is run on, in order."""
+    seen, real = [], dgcat.validate_cocubical
+    monkeypatch.setattr(dgcat, "validate_cocubical",
+                        lambda Q, bound=None: seen.append(Q) or real(Q, bound))
+    return seen
+
+
+def test_each_cocubical_object_is_validated_once(monkeypatch):
+    host, cocube = build_vertex_cubes(ring="Q", top=2, objects=(1,))
+    seen = counted_validation(monkeypatch)
+    enrichments = [cubical_enrichment(host, cocube), alternating_enrichment(host, cocube)]
+    assert seen == [cocube] and all(validate_dg(e.category).ok for e in enrichments)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cocube.top = 3
+
+
+def test_a_bad_cocubical_object_is_validated_once_and_refused_each_time(vertex2, monkeypatch):
+    host, cocube = vertex2[0], vertex2[1]
+    bad = CoCubicalObject(host, 2, True, cube=cocube.cube,
+                          image=cocube.image, delta=pinned_delta)
+    seen = counted_validation(monkeypatch)
+    messages = []
+    for build in (cubical_enrichment, alternating_enrichment, cubical_enrichment):
+        with pytest.raises(ValueError, match="comultiplication axiom failed: ") as err:
+            build(host, bad)
+        messages.append(str(err.value))
+    assert seen == [bad]
+    assert messages == ["comultiplication axiom failed: %s" % validate_cocubical(bad).failures[0].law] * 3
 
 
 def test_broken_generator_relation_is_reported_as_functoriality(vertex2):
@@ -803,7 +835,7 @@ def chat_composition(enr, x, y, z, p, q):
             cols.append(C.compose(g, w).vector)
     raw = _columns_to_matrix(C.ring, enr.group(x, z).rank(n), cols)
     if isinstance(enr, AlternatingEnrichment):
-        return enr.levels.project(x, z, n, raw)
+        return enr.levels.project(x, z, n, dgcat._int_columns(raw))
     P = degenerate_projector(enr.group(x, z), n)
     return restrict(enr.model(x, z).level_basis[n], P * raw, "the projection")
 
@@ -874,19 +906,50 @@ def precomposition_block_composition(levels, x, y, z, p, q):
         blocks.append(dgcat._precomposition(host, w, z) * gfull)
     cols = [tuple(blk.col(i)) for i in range(gfull.ncols) for blk in blocks]
     raw = _columns_to_matrix(C.ring, levels.group(x, z).rank(n), cols)
-    return levels.project(x, z, n, raw)
+    return levels.project(x, z, n, dgcat._int_columns(raw))
 
 
-def _rescaled_levels(host, cocube):
-    """Cubical level data whose model bases have their columns divided by
-    2 and 3 in turn: still bases of the same models, now with denominators."""
+@pytest.mark.parametrize("scaling, name", [("", "vertex-Z-top3"), ("", "vertex-Q-top3"),
+                                           ("rescaled", "vertex-Q-top3"),
+                                           ("upscaled", "vertex-Q-top3")])
+def test_projection_of_integer_columns_is_the_fraction_product(scaling, name):
+    # oracle: the projector K in the model basis, solved for over the ring,
+    # times the columns made into ring elements first.  Model columns
+    # multiplied by 2 and 3 put denominators into K.
+    host, cocube = COMPOSITION_CASES[name]()
+    factor = {"rescaled": lambda k: Fraction(1, 2 + k % 2), "upscaled": lambda k: 2 + k % 2}
+    lv = _rescaled_levels(host, cocube, factor[scaling]) if scaling else dgcat._CubicalLevels(
+        host, cocube)
+    ring = host.category.ring
+    kind = Fraction if ring == "Q" else int
+    rng = random.Random(11)
+    denominators = []
+    for x, y in itertools.product(host.category.objects, repeat=2):
+        for n in range(cocube.top + 1):
+            r = lv.group(x, y).rank(n)
+            cols = [(tuple(rng.choice((0, 0, 1, -2, 3)) for _ in range(r)), d)
+                    for d in ((1, 2, 6) if ring == "Q" else (1, 1))]
+            K = restrict(lv.model(x, y).level_basis[n],
+                         degenerate_projector(lv.group(x, y), n), "the projection")
+            raw = _columns_to_matrix(ring, r, [[Fraction(v, d) for v in c] for c, d in cols])
+            got = lv.project(x, y, n, cols)
+            assert got == K * raw, (name, x, y, n)
+            assert all(type(got[i, j]) is kind for i in range(got.nrows) for j in range(got.ncols))
+            denominators += [v.denominator for row in K.nonzero_rows() for _, v in row]
+    assert (max(denominators) > 1) == (scaling == "upscaled")
+
+
+def _rescaled_levels(host, cocube, factor=lambda k: Fraction(1, 2 + k % 2)):
+    """Cubical level data whose model bases have column k multiplied by
+    factor(k), by default divided by 2 and 3 in turn: still bases of the same
+    models, now with denominators."""
     levels = dgcat._CubicalLevels(host, cocube)
     objects = host.category.objects
     for x, y in itertools.product(objects, repeat=2):
         model = levels.model(x, y)
         bases = {}
         for n, B in model.level_basis.items():
-            diag = [[Fraction(1, 2 + k % 2) if k == j else 0 for j in range(B.ncols)]
+            diag = [[factor(k) if k == j else 0 for j in range(B.ncols)]
                     for k in range(B.ncols)]
             bases[n] = B * Matrix("Q", diag, nrows=B.ncols, ncols=B.ncols)
         levels._models[(x, y)] = dataclasses.replace(model, level_basis=bases)

@@ -15,6 +15,7 @@ from dgforge.linalg import (
     Matrix,
     RING_Q,
     RING_Z,
+    _apply,
     _columns_to_matrix,
     assemble,
     block_diagonal,
@@ -288,6 +289,169 @@ def test_assemble_refuses_a_term_outside_the_frame():
             assemble(RING_Z, 3, 3, [term])
     with pytest.raises(ValueError, match="ring"):
         assemble(RING_Q, 3, 3, [(0, 0, X, 1, 1)])
+
+
+# -- the sparse storage against the dense kernels it replaced ----------------
+
+KIND = {RING_Z: int, RING_Q: Fraction}
+
+
+def dense_mul(ring, a, b, ncols):
+    """The dense `Matrix.__mul__`: rows of a times the rows of b."""
+    zero = KIND[ring](0)
+    out = []
+    for row in a:
+        acc = [zero] * ncols
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[k]):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _dense_nonzero(rows):
+    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+
+
+def _dims(X):
+    """(nrows, ncols) of a Kronecker factor; an int n is I_n."""
+    return (X, X) if type(X) is int else (X.nrows, X.ncols)
+
+
+def dense_mul_kron(M, A, B):
+    """The dense `mul_kron`: each row of M as R with R[i][t] at i * B.nrows + t,
+    then R -> A^T R -> (A^T R) B, on dense rows."""
+    ring, zero = M.ring, KIND[M.ring](0)
+    (ar, ac), (br, bc) = _dims(A), _dims(B)
+    rows = M.rows
+    if type(A) is not int:
+        arows, out = _dense_nonzero(A.rows), []
+        for row in rows:
+            acc = [zero] * (ac * br)
+            for k, v in enumerate(row):
+                if v:
+                    i, t = divmod(k, br)
+                    for j, a in arows[i]:
+                        acc[j * br + t] += a * v
+            out.append(tuple(acc))
+        rows = tuple(out)
+    if type(B) is not int:
+        brows, out = _dense_nonzero(B.rows), []
+        for row in rows:
+            acc = [zero] * (ac * bc)
+            for k, v in enumerate(row):
+                if v:
+                    j, t = divmod(k, br)
+                    for l, b in brows[t]:
+                        acc[j * bc + l] += v * b
+            out.append(tuple(acc))
+        rows = tuple(out)
+    return tuple(rows)
+
+
+def dense_assemble(ring, nrows, ncols, terms):
+    """The dense `assemble`: every term's Kronecker block, formed in full
+    (an int n as I_n), scaled and added into rows filled with the ring's zero."""
+    out = [[KIND[ring](0)] * ncols for _ in range(nrows)]
+    for roff, coff, A, B, scalar in terms:
+        A, B = [Matrix.identity(ring, X) if type(X) is int else X for X in (A, B)]
+        block = A.kron(B).rows
+        for i, brow in enumerate(block):
+            for j, v in enumerate(brow):
+                out[roff + i][coff + j] += scalar * v
+    return tuple(map(tuple, out))
+
+
+def assert_stored(m, rows, ncols):
+    """m has these dense rows, entries of the ring's type, and stores no zero."""
+    assert (m.nrows, m.ncols) == (len(rows), ncols)
+    assert m.rows == tuple(map(tuple, rows))
+    assert all(type(v) is KIND[m.ring] for row in m.rows for v in row)
+    assert all(v != 0 for row in m.nonzero_rows() for _, v in row)
+
+
+@given(st.data())
+def test_sparse_kernels_match_the_dense_oracle(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    for ring in (RING_Z, RING_Q):
+        m, n, k = (rng.randint(0, 4) for _ in range(3))
+        a, b = _sample_matrix(rng, ring, m, n), _sample_matrix(rng, ring, m, n)
+        c = _sample_matrix(rng, ring, n, k)
+        ra, rb = a.rows, b.rows
+        assert_stored(a * c, dense_mul(ring, ra, c.rows, k), k)
+        assert_stored(a + b, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(ra, rb)], n)
+        assert_stored(a - b, [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ra, rb)], n)
+        assert_stored(-a, [[-x for x in row] for row in ra], n)
+        s = rng.choice([0, -1, 2] + ([Fraction(-1, 2)] if ring == RING_Q else []))
+        assert_stored(a.scale(s), [[KIND[ring](s * x) for x in row] for row in ra], n)
+        assert_stored(a.kron(c), [[x * y for x in r1 for y in r2] for r1 in ra for r2 in c.rows],
+                      n * k)
+        assert_stored(a.hstack(b), [r1 + r2 for r1, r2 in zip(ra, rb)], 2 * n)
+        assert_stored(a.vstack(b), ra + rb, n)
+        rows = [rng.randrange(m) for _ in range(rng.randint(0, 3))] if m else []
+        for cols in ([rng.randrange(n) for _ in range(rng.randint(0, 4))] if n else [],
+                     range(rng.randint(0, n), n)):
+            assert_stored(a.submatrix(rows, cols), [[ra[i][j] for j in cols] for i in rows],
+                          len(cols))
+        assert_stored(a.transpose(), list(zip(*ra)) if m else [()] * n, m)
+        assert a.is_zero() == all(v == 0 for row in ra for v in row)
+        assert [list(row) for row in a.nonzero_rows()] == _dense_nonzero(ra)
+        vec = [rng.choice((0, 1, -2)) for _ in range(n)]
+        got = _apply(a, vec)
+        assert got == tuple(sum(x * y for x, y in zip(row, vec)) for row in ra)
+        assert all(type(v) is KIND[ring] for v in got)
+        cols = [[rng.choice((0, 0, 1, -3)) for _ in range(m)] for _ in range(n)]
+        by_rows = [[col[r] for col in cols] for r in range(m)] if cols else [()] * m
+        assert_stored(_columns_to_matrix(ring, m, cols), by_rows, n)
+        (A, _), (B, _) = _kron_factor(rng, ring), _kron_factor(rng, ring)
+        (ar, ac), (br, bc) = _dims(A), _dims(B)
+        M = _sample_matrix(rng, ring, m, ar * br)
+        assert_stored(mul_kron(M, A, B), dense_mul_kron(M, A, B), ac * bc)
+        terms = []
+        for _ in range(rng.randint(0, 4)):
+            (A, _), (B, _) = _kron_factor(rng, ring), _kron_factor(rng, ring)
+            h, w = _dims(A)[0] * _dims(B)[0], _dims(A)[1] * _dims(B)[1]
+            if h <= 5 and w <= 5:
+                terms.append((rng.randint(0, 5 - h), rng.randint(0, 5 - w), A, B,
+                              rng.choice((1, -1, 2))))
+        assert_stored(assemble(ring, 5, 5, terms), dense_assemble(ring, 5, 5, terms), 5)
+
+
+@pytest.mark.parametrize("ring", [RING_Z, RING_Q])
+def test_cancelled_entries_are_not_stored(ring):
+    A = Matrix(ring, [[1, 0, -2], [0, 0, 3]])
+    zero = Matrix.zero(ring, 2, 3)
+    for m in (A + (-A), A - A, A.scale(0)):
+        assert m == zero and hash(m) == hash(zero)
+        assert not any(m.nonzero_rows()) and m.is_zero()
+    # the terms cancel entry by entry: 2 I_2 - I_2 - I_2, and X - X in a corner
+    X = Matrix(ring, [[1, 2], [0, -1]])
+    terms = [(0, 0, 2, 1, 2), (0, 0, 2, 1, -1), (0, 0, 1, 2, -1), (1, 1, X, 1, 1), (1, 1, 1, X, -1)]
+    out = assemble(ring, 3, 3, terms)
+    assert out == Matrix.zero(ring, 3, 3) and not any(out.nonzero_rows())
+    # every product cancels: [1 0 1 0] (A (x) I_2) with A = [1, -1]^T, and
+    # [1 1] (I_1 (x) B) with the rows of B opposite
+    M = Matrix(ring, [[1, 0, 1, 0]])
+    out = mul_kron(M, Matrix(ring, [[1], [-1]]), 2)
+    assert out == Matrix.zero(ring, 1, 2) and not any(out.nonzero_rows())
+    out = mul_kron(Matrix(ring, [[1, 1]]), 1, Matrix(ring, [[1, 2], [-1, -2]]))
+    assert out == Matrix.zero(ring, 1, 2) and not any(out.nonzero_rows())
+    assert Matrix(ring, [[1, 1]]) * Matrix(ring, [[3], [-3]]) == Matrix.zero(ring, 1, 1)
+
+
+def test_the_dense_view_is_read_only_and_typed():
+    q = Matrix(RING_Q, [[0, Fraction(1, 2)], [0, 0]])
+    assert q.rows == ((0, Fraction(1, 2)), (0, 0)) and q.rows is q.rows
+    assert all(type(v) is Fraction for row in q.rows for v in row)
+    with pytest.raises(AttributeError):
+        q.rows = ((1, 1), (1, 1))
+    assert Matrix.zero(RING_Z, 2, 0).rows == ((), ())
+    with pytest.raises(IndexError):
+        q[0, 2]
+    with pytest.raises(IndexError):
+        q.submatrix([0], [2])
 
 
 @pytest.mark.parametrize("ring, kind", [(RING_Z, int), (RING_Q, Fraction)])

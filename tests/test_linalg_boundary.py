@@ -2,16 +2,27 @@
 in src/dgforge seals rows with `Matrix._trusted`, reads the ring's zero
 and one through `_units`, or reads `Matrix.rows`.  Matrices are built with
 the `linalg` constructors (`assemble` above all) and read through
-`m[i, j]` and `m.nonzero_rows()`.  References are read from the syntax
-tree, so a docstring or comment that mentions a name does not count."""
+`m[i, j]` and `m.nonzero_rows()`.  Inside `linalg`, rows are stored
+sparse: only the dense view `Matrix.rows` builds dense rows for readers,
+and only the eliminations copy a matrix into dense working lists
+(`Matrix._lists`), so the kernels never densify.  References are read
+from the syntax tree, so a docstring or comment that mentions a name does
+not count."""
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+LINALG = ROOT / "src" / "dgforge" / "linalg.py"
 
 FORBIDDEN_ATTRIBUTES = {"_trusted", "rows"}
 FORBIDDEN_NAMES = {"_units"}
+
+# The functions of linalg.py allowed to read each dense form.
+DENSE_READERS = {
+    "rows": set(),
+    "_lists": {"Matrix.rows", "smith_normal_form", "det_z", "q_rref", "hom_element_vector"},
+}
 
 
 def boundary_crossings(path):
@@ -27,6 +38,28 @@ def boundary_crossings(path):
                     yield node.lineno, "import " + alias.name
 
 
+def dense_reads(path):
+    """(function, attribute) for each read of `.rows` or `._lists` in path.
+    A read belongs to the module-level function or method around it, named
+    `f` or `Class.f` (nested functions count as their owner's body), or to
+    `<module>` outside every function."""
+    found = []
+
+    def visit(node, owner, prefix):
+        for child in ast.iter_child_nodes(node):
+            if owner is None and isinstance(child, ast.ClassDef):
+                visit(child, None, child.name + ".")
+            elif owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix + child.name, prefix)
+            else:
+                if isinstance(child, ast.Attribute) and child.attr in DENSE_READERS:
+                    found.append((owner or "<module>", child.attr))
+                visit(child, owner, prefix)
+
+    visit(ast.parse(path.read_text()), None, "")
+    return found
+
+
 def test_only_linalg_knows_how_a_matrix_is_stored():
     crossings = [
         "%s:%d %s" % (path.name, line, what)
@@ -35,6 +68,14 @@ def test_only_linalg_knows_how_a_matrix_is_stored():
         for line, what in boundary_crossings(path)
     ]
     assert not crossings, "outside linalg: " + ", ".join(crossings)
+
+
+def test_only_the_view_and_the_eliminations_densify():
+    reads = dense_reads(LINALG)
+    assert ("Matrix.rows", "_lists") in reads
+    stray = sorted({"%s reads .%s" % (fn, attr) for fn, attr in reads
+                    if fn not in DENSE_READERS[attr]})
+    assert not stray, "dense reads in linalg: " + ", ".join(stray)
 
 
 def test_the_boundary_check_sees_each_kind_of_crossing(tmp_path):
@@ -46,4 +87,22 @@ def test_the_boundary_check_sees_each_kind_of_crossing(tmp_path):
     )
     assert sorted(boundary_crossings(path)) == [
         (1, "import _units"), (3, "._trusted"), (3, ".rows"), (3, "_units")
+    ]
+
+
+def test_the_dense_read_check_names_the_reading_function(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "class Matrix:\n"
+        "    def __mul__(self, other):\n"
+        "        def row(i):\n"
+        "            return other.rows[i]\n"
+        "        return [row(i) for i in range(3)], self._lists()\n"
+        "def mul_kron(M):\n"
+        "    return M.rows\n"
+        "WIDTH = len(Matrix().rows)\n"
+    )
+    assert sorted(dense_reads(path)) == [
+        ("<module>", "rows"), ("Matrix.__mul__", "_lists"), ("Matrix.__mul__", "rows"),
+        ("mul_kron", "rows"),
     ]
