@@ -58,7 +58,9 @@ from .linalg import (
     _exact_vector,
     _columns_to_matrix,
     assemble,
+    assemble_strided,
     complex_homology,
+    differing_entries,
     is_quasi_iso,
     hom_complex,
     hom_compose_vec,
@@ -168,7 +170,7 @@ class DGCategory:
 
     def identity(self, x):
         if x not in self._id:
-            vec = tuple(self._id_fn(x))
+            vec = _exact_vector(self.ring, self._id_fn(x))
             if len(vec) != self.hom(x, x).rank(0):
                 raise ValueError("identity vector length mismatch at %r" % (x,))
             self._id[x] = HomElement(x, x, 0, vec)
@@ -257,11 +259,13 @@ class DGReport:
         return sorted({f.law for f in self.failures})
 
 
+def _diff_note(i, j, a, b):
+    return "entry (%d, %d): %s != %s" % (i, j, a, b)
+
+
 def _first_diff(a, b):
-    for i in range(a.nrows):
-        for j in range(a.ncols):
-            if a[i, j] != b[i, j]:
-                return "entry (%d, %d): %s != %s" % (i, j, a[i, j], b[i, j])
+    for i, j, u, v in differing_entries(a, b):
+        return _diff_note(i, j, u, v)
     return "equal"
 
 
@@ -269,15 +273,100 @@ def _ranked_degrees(cx):
     return [n for n in cx.degrees() if cx.rank(n)]
 
 
+@dataclass(frozen=True, eq=False)
+class _TotalHom:
+    """A Hom complex as one free module, its degrees in ascending order:
+    degree n starts at coordinate start[n], coords[k] is the (degree, index)
+    of coordinate k, d is the total differential and sign is diag((-1)^n)."""
+
+    cx: object
+    start: dict
+    rank: int
+    coords: list
+    d: Matrix
+    sign: Matrix
+
+
+def _total_hom(cx):
+    start = dict(zip(cx.degrees(), itertools.accumulate(cx.ranks, initial=0)))
+    n = cx.total_rank()
+    d = assemble(cx.ring, n, n,
+                 [(start[k + 1], start[k], cx.d(k), 1, 1) for k in range(cx.lo, cx.hi)])
+    sign = assemble(cx.ring, n, n, [(start[k], start[k], cx.rank(k), 1, -1 if k % 2 else 1)
+                                    for k in cx.degrees()])
+    coords = [(k, i) for k in cx.degrees() for i in range(cx.rank(k))]
+    return _TotalHom(cx, start, n, coords, d, sign)
+
+
+def _total_composition(C, x, y, z, tot):
+    """M_xyz : Hom(y,z)_tot (x) Hom(x,y)_tot -> Hom(x,z)_tot, its columns in
+    the order of `Matrix.kron`, holding the entries of C's composition
+    blocks as they are."""
+    g, f, h = tot[y, z], tot[x, y], tot[x, z]
+    terms = [(h.start[p + q], g.start[p] * f.rank + f.start[q], C.comp_matrix(x, y, z, p, q),
+              f.cx.rank(q), f.rank)
+             for p in _ranked_degrees(g.cx) for q in _ranked_degrees(f.cx) if h.cx.rank(p + q)]
+    return assemble_strided(C.ring, h.rank, g.rank * f.rank, terms)
+
+
+def _leibniz_failures(x, y, z, tot, M):
+    """d M = M (d (x) 1 + sign (x) d) on the total, with the degree pairs
+    (p, q) below the window of Hom(x, z) left out."""
+    g, f, h = tot[y, z], tot[x, y], tot[x, z]
+    lhs = h.d * M
+    rhs = mul_kron(M, g.d, f.rank) + mul_kron(M, g.sign, f.d)
+    notes = {}
+    for i, col, u, v in differing_entries(lhs, rhs) if lhs != rhs else ():
+        (p, a), (q, b) = g.coords[col // f.rank], f.coords[col % f.rank]
+        if p + q >= h.cx.lo and (p, q) not in notes:
+            notes[p, q] = _diff_note(h.coords[i][1], a * f.cx.rank(q) + b, u, v)
+    return [DGFailure("leibniz", (x, y, z) + pq, notes[pq]) for pq in sorted(notes)]
+
+
+def _assoc_failures(x, y, z, w, tot, comp):
+    """M_xyw (M_yzw (x) 1) = M_xzw (1 (x) M_xyz) on the total, with the
+    degree triples (p, q, r) whose p + q leaves the window of Hom(y, w) or
+    whose q + r leaves that of Hom(x, z) left out."""
+    hz, g, f, mid_l, mid_r = tot[z, w], tot[y, z], tot[x, y], tot[y, w].cx, tot[x, z].cx
+    lhs = mul_kron(comp[x, y, w], comp[y, z, w], f.rank)
+    rhs = mul_kron(comp[x, z, w], hz.rank, comp[x, y, z])
+    notes = {}
+    for i, col, u, v in differing_entries(lhs, rhs) if lhs != rhs else ():
+        hg, k = divmod(col, f.rank)
+        (p, a), (q, b), (r, c) = hz.coords[hg // g.rank], g.coords[hg % g.rank], f.coords[k]
+        if (mid_l.lo <= p + q <= mid_l.hi and mid_r.lo <= q + r <= mid_r.hi
+                and (p, q, r) not in notes):
+            local = (a * g.cx.rank(q) + b) * f.cx.rank(r) + c
+            notes[p, q, r] = _diff_note(tot[x, w].coords[i][1], local, u, v)
+    return [DGFailure("assoc", (x, y, z, w) + pqr, notes[pqr]) for pqr in sorted(notes)]
+
+
 def validate_dg(C):
     """Check d^2, closed units, the Leibniz rule, associativity and the unit
     laws over the listed objects; every violation is reported with its
-    location and a differing matrix entry.
+    location and a differing matrix entry.  A category with no objects
+    fails with the law "objects": there is nothing to check.
 
-    Degree pairs whose composite falls below the window of the target Hom
-    are skipped: the dropped composition makes the laws unobservable there,
-    and the window edge is not evidence either way.
+    The Leibniz rule and associativity are checked once per object tuple,
+    on totals: each Hom complex lists its degrees in ascending order, and
+    the total composition matrix M_xyz has its columns in the order of
+    `Matrix.kron` on Hom(y,z)_tot (x) Hom(x,y)_tot.  Column (p, q) of such
+    a product lands in the single row block of its degree, so a differing
+    entry is mapped back to its degrees and to its (row, column) inside
+    the degree block of the per-degree law.  Degree pairs whose composite
+    falls below the window of the target Hom are left out, and so are the
+    associativity triples whose inner composite p + q or q + r leaves the
+    window of its Hom: the dropped composition makes the laws unobservable
+    there, and the window edge is not evidence either way.  d^2 and the
+    unit laws are checked degree by degree.
+
+    The failures come law by law (dsq, the unit's degree and closedness,
+    leibniz, assoc, unit-left and unit-right), each in the order of its
+    objects and then of its degrees, one per degree block, with the first
+    differing entry of the block in row-major order as the note.
     """
+    if not C.objects:
+        return DGReport(ok=False, failures=(DGFailure("objects", (), "no objects"),))
     failures = []
 
     def mismatch(law, where, lhs, rhs):
@@ -299,51 +388,13 @@ def validate_dg(C):
         if not C.differential(e).is_zero():
             failures.append(DGFailure("unit-closed", (x,), "d(id) != 0"))
 
-    for x in C.objects:
-        for y in C.objects:
-            for z in C.objects:
-                gz = C.hom(y, z)
-                fz = C.hom(x, y)
-                lo = C.hom(x, z).lo
-                for p in _ranked_degrees(gz):
-                    for q in _ranked_degrees(fz):
-                        if p + q < lo:
-                            continue
-                        rq = fz.rank(q)
-                        rp = gz.rank(p)
-                        lhs = C.hom(x, z).d(p + q) * C.comp_matrix(x, y, z, p, q)
-                        rhs = mul_kron(C.comp_matrix(x, y, z, p + 1, q), gz.d(p), rq)
-                        term = mul_kron(C.comp_matrix(x, y, z, p, q + 1), rp, fz.d(q))
-                        rhs = rhs + (term.scale(-1) if p % 2 else term)
-                        mismatch("leibniz", (x, y, z, p, q), lhs, rhs)
-
-    for x in C.objects:
-        for y in C.objects:
-            for z in C.objects:
-                for w in C.objects:
-                    hz = C.hom(z, w)
-                    gz = C.hom(y, z)
-                    fz = C.hom(x, y)
-                    mid_l = C.hom(y, w)
-                    mid_r = C.hom(x, z)
-                    for p in _ranked_degrees(hz):
-                        for q in _ranked_degrees(gz):
-                            if not (mid_l.lo <= p + q <= mid_l.hi):
-                                continue
-                            for r in _ranked_degrees(fz):
-                                if not (mid_r.lo <= q + r <= mid_r.hi):
-                                    continue
-                                rr = fz.rank(r)
-                                rp = hz.rank(p)
-                                lhs = mul_kron(
-                                    C.comp_matrix(x, y, w, p + q, r),
-                                    C.comp_matrix(y, z, w, p, q), rr,
-                                )
-                                rhs = mul_kron(
-                                    C.comp_matrix(x, z, w, p, q + r),
-                                    rp, C.comp_matrix(x, y, z, q, r),
-                                )
-                                mismatch("assoc", (x, y, z, w, p, q, r), lhs, rhs)
+    objs = C.objects
+    tot = {(x, y): _total_hom(C.hom(x, y)) for x in objs for y in objs}
+    comp = {xyz: _total_composition(C, *xyz, tot) for xyz in itertools.product(objs, repeat=3)}
+    for x, y, z in itertools.product(objs, repeat=3):
+        failures += _leibniz_failures(x, y, z, tot, comp[x, y, z])
+    for x, y, z, w in itertools.product(objs, repeat=4):
+        failures += _assoc_failures(x, y, z, w, tot, comp)
 
     for x in C.objects:
         for y in C.objects:
@@ -533,7 +584,12 @@ class FunctorReport:
 
 
 def validate_functor(F):
+    """Check the Hom maps, chain maps, units and composition of F over its
+    source objects; a functor with no source objects fails with the law
+    "objects": there is nothing to check."""
     C, D = F.source, F.target
+    if not C.objects:
+        return FunctorReport(False, (DGFailure("objects", (), "no objects"),))
     failures = [DGFailure("object-map", (x,), "missing") for x in C.objects if x not in F.obj_map]
     failures += [
         DGFailure("hom-map", (x, y), "missing")
@@ -652,6 +708,8 @@ def complexes_category(complexes, name="complexes"):
     """DG category with Hom the mapping complexes and plain componentwise
     composition; the Koszul signs live entirely in the Hom differential."""
     items = dict(complexes)
+    if not items:
+        raise ValueError("no complexes to build a category from")
     rings = {cx.ring for cx in items.values()}
     if len(rings) != 1:
         raise ValueError("all complexes must share a ring")

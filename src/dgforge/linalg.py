@@ -11,15 +11,17 @@ its nonzero entries only, so the kernels (products, `mul_kron`, `assemble`,
 sums, stacking, transposes) visit nothing else; the eliminations (SNF,
 `q_rref`, `det_z`) copy into dense working lists first, and `Matrix.rows`
 builds the dense tuples on demand for readers outside the library.  Other
-modules read entries through `m[i, j]` and `m.nonzero_rows()`, and fill
+modules read entries through `m[i, j]`, `m.nonzero_rows()` and
+`differing_entries` (the entries where two matrices differ), and fill
 matrices with `assemble`, a sum of signed Kronecker blocks
 scalar * (A (x) B) (Van Loan 2000), as the tensor, Hom, cone and total
-complexes here do.  Entries are coerced only at the public boundary
-(`Matrix(...)`, `Matrix.column`, `to_q`/`to_z`, the factor of `scale`);
-everything else stores entries of the ring's type (int over Z, Fraction
-over Q) unchecked.  Law checks of the form "composition applied to a
-tensor of maps" use `mul_kron`, which computes M * (A (x) B) without
-forming the Kronecker product.
+complexes here do, or with `assemble_strided`, which moves blocks into
+place among the columns of a Kronecker product of totals.  Entries are
+coerced only at the public boundary (`Matrix(...)`, `Matrix.column`,
+`to_q`/`to_z`, the factor of `scale`); everything else stores entries of
+the ring's type (int over Z, Fraction over Q) unchecked.  Law checks of
+the form "composition applied to a tensor of maps" use `mul_kron`, which
+computes M * (A (x) B) without forming the Kronecker product.
 
 Subcomplexes, direct sums and double-complex totals come from four
 constructors: `restrict` (with `restrict_vector`) reads maps in the
@@ -402,6 +404,48 @@ def assemble(ring, nrows, ncols, terms):
                     for l, b in brow.items():
                         _add_entry(row, c + l, b if s == 1 else s * b)
     return Matrix._trusted(ring, tuple(out), ncols)
+
+
+def assemble_strided(ring, nrows, ncols, terms):
+    """The nrows x ncols matrix that holds, for each term
+    (roff, coff, M, run, stride), entry (i, j) of M at row roff + i and
+    column coff + (j // run) * stride + j % run: the columns of M laid down
+    in runs of `run`, one run every `stride` columns.
+
+    That is where a block on U^p (x) V^q sits among the columns of the
+    Kronecker product of two totals U (x) V, in the order of `Matrix.kron`:
+    coff = start(U^p) * rank(V) + start(V^q), run = rank(V^q) and
+    stride = rank(V).  Entries are moved as they are, with no arithmetic,
+    so the blocks must not overlap; a term that leaves the frame raises
+    ValueError."""
+    out = [{} for _ in range(nrows)]
+    for roff, coff, M, run, stride in terms:
+        if M.ring != ring:
+            raise ValueError("ring mismatch in assemble_strided")
+        last = M.ncols - 1
+        if roff < 0 or coff < 0 or roff + M.nrows > nrows or not 0 < run <= stride or (
+                M.ncols and coff + last // run * stride + last % run >= ncols):
+            raise ValueError(
+                "a %dx%d block at (%d, %d) in runs of %d every %d leaves the %dx%d frame"
+                % (M.nrows, M.ncols, roff, coff, run, stride, nrows, ncols))
+        where = [coff + j // run * stride + j % run for j in range(M.ncols)]
+        for i, mrow in enumerate(M._rows, roff):
+            out[i].update((where[j], v) for j, v in mrow.items())
+    return Matrix._trusted(ring, tuple(out), ncols)
+
+
+def differing_entries(A, B):
+    """(i, j, A[i, j], B[i, j]) for each entry where A and B differ, in
+    row-major order, read from the stored rows: a row that is the same on
+    both sides is passed over whole."""
+    A._check_same_shape(B)
+    zero = _units(A.ring)[0]
+    for i, (ra, rb) in enumerate(zip(A._rows, B._rows)):
+        if ra != rb:
+            for j in sorted(ra.keys() | rb.keys()):
+                a, b = ra.get(j, zero), rb.get(j, zero)
+                if a != b:
+                    yield i, j, a, b
 
 
 def mul_kron(M, A, B):

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import operator
 import random
 import weakref
 from fractions import Fraction
@@ -23,6 +24,7 @@ from dgforge.dgcat import (
     CoCubicalObject,
     DGFailure,
     DGCategory,
+    DGReport,
     HomElement,
     alternating_enrichment,
     alternating_inclusion_functor,
@@ -43,6 +45,7 @@ from dgforge.dgcat import (
     validate_dg,
     validate_functor,
     DGFunctor,
+    FunctorReport,
 )
 from dgforge.linalg import (
     Matrix,
@@ -50,11 +53,14 @@ from dgforge.linalg import (
     complex_homology,
     is_quasi_iso,
     make_chain_map,
+    make_complex,
+    mul_kron,
     restrict,
     single_complex,
     two_term_complex,
 )
-from util_gen import random_complex, random_hom_vector
+from dgforge.pretr import cone, i0, make_twisted, pretr_category
+from util_gen import random_closed_morphism, random_complex, random_hom_vector, random_twisted
 
 
 def flip_composition_signs(C):
@@ -216,6 +222,322 @@ def test_random_complex_pairs_form_a_lawful_category(seed):
         "y": random_complex(rng, max_pieces=2, lo_range=(-1, 1)),
     })
     assert validate_dg(cat).ok
+
+
+def test_a_category_without_objects_fails():
+    C = DGCategory("Z", [], lambda x, y: single_complex("Z", 0, 1))
+    none = DGFailure("objects", (), "no objects")
+    assert validate_dg(C) == DGReport(ok=False, failures=(none,))
+    assert validate_functor(DGFunctor(C, C, {}, {})) == FunctorReport(False, (none,))
+    with pytest.raises(ValueError, match="functor data fails: objects"):
+        dg_homotopy_equivalence_check(DGFunctor(C, C, {}, {}))
+    with pytest.raises(ValueError, match="no complexes"):
+        complexes_category({})
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_identity_vectors_must_be_exact(ring):
+    def category(unit):
+        return DGCategory(ring, ("x",), lambda x, y: single_complex(ring, 0, 1),
+                          comp_fn=lambda *key: Matrix(ring, [[1]]), id_fn=lambda x: unit)
+
+    with pytest.raises(ValueError, match="must be"):
+        category((1.0,)).identity("x")
+    e = category((Fraction(2, 2),)).identity("x")
+    assert e.vector == (1,) and type(e.vector[0]) is (int if ring == "Z" else Fraction)
+    assert category([1]).identity("x").vector == (1,)
+
+
+# ---------------------------------------------------------------------------
+# The law checker against the per-degree reference.
+
+
+def first_diff(a, b):
+    for i in range(a.nrows):
+        for j in range(a.ncols):
+            if a[i, j] != b[i, j]:
+                return "entry (%d, %d): %s != %s" % (i, j, a[i, j], b[i, j])
+    return "equal"
+
+
+def ranked_degrees(cx):
+    return [n for n in cx.degrees() if cx.rank(n)]
+
+
+def leibniz_sides(C, x, y, z, p, q):
+    """d (g f) and d(g) f + (-1)^p g d(f) on Hom(y,z)^p (x) Hom(x,y)^q."""
+    gz, fz = C.hom(y, z), C.hom(x, y)
+    lhs = C.hom(x, z).d(p + q) * C.comp_matrix(x, y, z, p, q)
+    rhs = mul_kron(C.comp_matrix(x, y, z, p + 1, q), gz.d(p), fz.rank(q))
+    term = mul_kron(C.comp_matrix(x, y, z, p, q + 1), gz.rank(p), fz.d(q))
+    return lhs, rhs + (term.scale(-1) if p % 2 else term)
+
+
+def per_degree_validate_dg(C):
+    """Reference for `validate_dg`: the law checker it replaced, with the
+    Leibniz rule and associativity checked one degree pair (or triple) at
+    a time on the composition blocks."""
+    if not C.objects:
+        return DGReport(ok=False, failures=(DGFailure("objects", (), "no objects"),))
+    failures = []
+
+    def mismatch(law, where, lhs, rhs):
+        if lhs != rhs:
+            failures.append(DGFailure(law, where, first_diff(lhs, rhs)))
+
+    for x in C.objects:
+        for y in C.objects:
+            cx = C.hom(x, y)
+            for n in cx.degrees():
+                if not (cx.d(n + 1) * cx.d(n)).is_zero():
+                    failures.append(DGFailure("dsq", (x, y, n), "d(n+1) d(n) != 0"))
+    for x in C.objects:
+        e = C.identity(x)
+        if e.degree != 0:
+            failures.append(DGFailure("unit-degree", (x,), "degree %d" % e.degree))
+        if not C.differential(e).is_zero():
+            failures.append(DGFailure("unit-closed", (x,), "d(id) != 0"))
+    for x, y, z in itertools.product(C.objects, repeat=3):
+        for p in ranked_degrees(C.hom(y, z)):
+            for q in ranked_degrees(C.hom(x, y)):
+                if p + q >= C.hom(x, z).lo:
+                    mismatch("leibniz", (x, y, z, p, q), *leibniz_sides(C, x, y, z, p, q))
+    for x, y, z, w in itertools.product(C.objects, repeat=4):
+        mid_l, mid_r = C.hom(y, w), C.hom(x, z)
+        for p in ranked_degrees(C.hom(z, w)):
+            for q in ranked_degrees(C.hom(y, z)):
+                if not mid_l.lo <= p + q <= mid_l.hi:
+                    continue
+                for r in ranked_degrees(C.hom(x, y)):
+                    if mid_r.lo <= q + r <= mid_r.hi:
+                        lhs = mul_kron(C.comp_matrix(x, y, w, p + q, r),
+                                       C.comp_matrix(y, z, w, p, q), C.hom(x, y).rank(r))
+                        rhs = mul_kron(C.comp_matrix(x, z, w, p, q + r),
+                                       C.hom(z, w).rank(p), C.comp_matrix(x, y, z, q, r))
+                        mismatch("assoc", (x, y, z, w, p, q, r), lhs, rhs)
+    for x, y in itertools.product(C.objects, repeat=2):
+        idy = Matrix.column(C.ring, list(C.identity(y).vector))
+        idx = Matrix.column(C.ring, list(C.identity(x).vector))
+        for q in ranked_degrees(C.hom(x, y)):
+            rq = C.hom(x, y).rank(q)
+            eye = Matrix.identity(C.ring, rq)
+            mismatch("unit-left", (x, y, q), mul_kron(C.comp_matrix(x, y, y, 0, q), idy, rq), eye)
+            mismatch("unit-right", (x, y, q), mul_kron(C.comp_matrix(x, x, y, q, 0), rq, idx), eye)
+    return DGReport(ok=not failures, failures=tuple(failures))
+
+
+def base_complexes():
+    """Four complexes with windows of width 0 to 2, so that composites leave
+    the windows of the Hom complexes on both sides."""
+    return complexes_category({
+        "a": two_term_complex("Z", 0, Matrix("Z", [[2]])),
+        "b": make_complex("Z", -1, [1, 2, 1], [Matrix("Z", [[1], [0]]), Matrix("Z", [[0, 3]])]),
+        "pt": single_complex("Z", 0, 1),
+        "c": make_complex("Z", -1, [1, 2, 1], [Matrix("Z", [[1], [0]]), Matrix("Z", [[0, 0]])]),
+    })
+
+
+def pretr_cones():
+    """Pre-Tr on the cones of three nonzero closed degree-0 maps a -> pt,
+    pt -> pt and a -> a of the base complexes."""
+    C = base_complexes()
+    rng = random.Random(5)
+    tcs = {}
+    for i, (s, t) in enumerate((("a", "pt"), ("pt", "pt"), ("a", "a"))):
+        f = random_closed_morphism(rng, i0(C, s), i0(C, t))
+        while f.is_zero():
+            f = random_closed_morphism(rng, i0(C, s), i0(C, t))
+        tcs["t%d" % i] = cone(f).cone
+    return pretr_category(C, tcs)
+
+
+def pretr_nested():
+    """Pre-Tr over Pre-Tr: the cone EE of a nonzero closed map F -> E of
+    twisted complexes over the base complexes, next to F itself."""
+    C = base_complexes()
+    rng = random.Random(20)
+    E, F = (random_twisted(rng, C, list(C.objects), depth=1, max_entries=3) for _ in "EF")
+    f = random_closed_morphism(rng, F, E)
+    assert len(E.e) and len(F.e) and not f.is_zero()
+    P = pretr_category(C, {"E": E, "F": F})
+    EE = make_twisted(P, {0: "F", 1: "E"}, {(1, 0): P.as_element("F", "E", f)})
+    return pretr_category(P, {"EE": EE, "F": i0(P, "F")})
+
+
+def vertex_categories(build, ring):
+    host, cocube = build_vertex_cubes(ring=ring, top=2, objects=(1, 2))
+    return build(host, cocube).category
+
+
+LAW_CASES = {
+    "complexes-Z": lambda: complexes_category({
+        "a": two_term_complex("Z", 0, Matrix("Z", [[2]])), "b": single_complex("Z", 0, 1)}),
+    "complexes-Q": lambda: complexes_category({
+        k: random_complex(random.Random(k), ring="Q", max_pieces=2, lo_range=(-1, 1))
+        for k in (3, 4)}),
+    "pretr-cones": pretr_cones,
+    "pretr-nested": pretr_nested,
+    "alternating-Q": lambda: vertex_categories(alternating_enrichment, "Q"),
+    "cubical-Z": lambda: vertex_categories(cubical_enrichment, "Z"),
+}
+_law_cases = {}
+
+
+def law_case(name):
+    """The category LAW_CASES[name], built once per test session."""
+    if name not in _law_cases:
+        _law_cases[name] = LAW_CASES[name]()
+    return _law_cases[name]
+
+
+def composition_blocks(C):
+    """The keys (x, y, z, p, q) of the composition blocks with rows and
+    columns."""
+    return [(x, y, z, p, q) for x, y, z in itertools.product(C.objects, repeat=3)
+            for p in ranked_degrees(C.hom(y, z)) for q in ranked_degrees(C.hom(x, y))
+            if C.hom(x, z).rank(p + q)]
+
+
+def corrupted(C, kind, block=None, entry=0, objects=None):
+    """C with its composition changed: "flip" scales degrees (p, q) by
+    (-1)^(pq), "scale" doubles the block with key `block` and "plus1" adds 1
+    to its entry number `entry` (row-major, modulo the block's size).  The
+    objects are C's unless `objects` are given."""
+
+    def comp(*key):
+        mat = C.comp_matrix(*key)
+        if kind == "flip":
+            return mat.scale(-1) if (key[3] * key[4]) % 2 else mat
+        if key != block or kind == "none":
+            return mat
+        if kind == "scale":
+            return mat.scale(2)
+        rows = [list(row) for row in mat.rows]
+        i, j = divmod(entry % (mat.nrows * mat.ncols), mat.ncols)
+        rows[i][j] += 1
+        return Matrix(C.ring, rows, nrows=mat.nrows, ncols=mat.ncols)
+
+    return DGCategory(C.ring, C.objects if objects is None else objects, C.hom, comp_fn=comp,
+                      id_fn=lambda x: C.identity(x).vector)
+
+
+@given(st.sampled_from(sorted(LAW_CASES)), st.sampled_from(("none", "flip", "scale", "plus1")),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_validate_dg_equals_the_per_degree_reference(name, kind, pick, entry):
+    C = law_case(name)
+    blocks = composition_blocks(C)
+    bad = corrupted(C, kind, blocks[pick % len(blocks)], entry)
+    assert validate_dg(bad) == per_degree_validate_dg(bad)
+
+
+@pytest.mark.parametrize("name", sorted(LAW_CASES))
+def test_each_law_case_passes_and_its_flipped_control_fails_as_the_reference_does(name):
+    C = law_case(name)
+    assert validate_dg(C) == per_degree_validate_dg(C) == DGReport(ok=True, failures=())
+    bad = corrupted(C, "flip")
+    report = validate_dg(bad)
+    assert report == per_degree_validate_dg(bad)
+    # the flip breaks the Leibniz rule only where a differential meets an
+    # odd-odd composite, and in the depth-2 enrichments none does
+    assert report.ok == (name in ("alternating-Q", "cubical-Z"))
+
+
+def test_the_flipped_control_fails_leibniz_four_times_on_one_cone():
+    bad = corrupted(law_case("pretr-cones"), "flip", objects=("t1",))
+    report = validate_dg(bad)
+    assert report.laws_failed() == ["leibniz"] and len(report.failures) == 4
+    assert report == per_degree_validate_dg(bad)
+
+
+@pytest.mark.parametrize("kind", ["scale", "plus1"])
+def test_every_corrupted_block_is_reported_as_the_reference_does(kind):
+    C = law_case("pretr-cones")
+    failed = set()
+    for block in composition_blocks(C)[::20]:
+        bad = corrupted(C, kind, block)
+        report = validate_dg(bad)
+        assert report == per_degree_validate_dg(bad), block
+        failed.update(report.laws_failed())
+    assert {"leibniz", "assoc"} <= failed
+
+
+def test_the_leibniz_window_edge_is_skipped_as_in_the_reference():
+    # the cubical enrichment drops composites below level 2: at p + q = lo - 1
+    # the two sides of the Leibniz rule differ, and the law is not checked there
+    C = law_case("cubical-Z")
+    edge = [(x, y, z, p, q) for x, y, z in itertools.product(C.objects, repeat=3)
+            for p in ranked_degrees(C.hom(y, z)) for q in ranked_degrees(C.hom(x, y))
+            if p + q == C.hom(x, z).lo - 1]
+    differing = [key for key in edge if operator.ne(*leibniz_sides(C, *key))]
+    assert differing
+    assert validate_dg(C) == per_degree_validate_dg(C) == DGReport(ok=True, failures=())
+    # a corrupted block at the lowest degree lo: its own pair is checked, the
+    # edge pairs next to it are not
+    blocks = set(composition_blocks(C))
+    corners = {(x, y, z, p + 1, q) for x, y, z, p, q in differing}
+    corners |= {(x, y, z, p, q + 1) for x, y, z, p, q in differing}
+    assert corners & blocks
+    for block in sorted(corners & blocks):
+        bad = corrupted(C, "plus1", block)
+        report = validate_dg(bad)
+        assert not report.ok and report == per_degree_validate_dg(bad)
+
+
+def test_laws_take_two_products_per_object_tuple(monkeypatch):
+    P = pretr_cones()
+    assert validate_dg(P).ok  # fills the composition cache
+    calls = []
+    real = dgcat.mul_kron
+    monkeypatch.setattr(dgcat, "mul_kron", lambda M, A, B: calls.append(M) or real(M, A, B))
+    assert validate_dg(P).ok
+    n = len(P.objects)
+    units = sum(len(ranked_degrees(P.hom(x, y))) for x in P.objects for y in P.objects)
+    # leibniz 2 per triple, assoc 2 per quadruple, the unit laws 2 per degree
+    assert len(calls) == 2 * n ** 3 + 2 * n ** 4 + 2 * units
+
+
+# ---------------------------------------------------------------------------
+# Negative controls: one broken category per law.
+
+
+def test_a_complex_with_nonzero_d_squared_fails_dsq_only():
+    # End(x) = Z in degrees -2, -1, 0 with d = 1 twice; the unit composes as
+    # the identity and the two negative degrees compose to 0
+    hom = make_complex("Z", -2, [1, 1, 1], [Matrix("Z", [[1]])] * 2, check=False)
+    C = DGCategory("Z", ("x",), lambda x, y: hom,
+                   comp_fn=lambda x, y, z, p, q: Matrix("Z", [[int(0 in (p, q))]]),
+                   id_fn=lambda x: (1,))
+    report = validate_dg(C)
+    assert report == DGReport(False, (DGFailure("dsq", ("x", "x", -2), "d(n+1) d(n) != 0"),))
+    assert report == per_degree_validate_dg(C)
+
+
+def test_a_doubled_composition_block_fails_assoc_only():
+    # two objects with Hom = Z everywhere; g f doubled for f: u -> v, g: v -> u
+    C = complexes_category({"u": single_complex("Z", 0, 1), "v": single_complex("Z", 0, 1)})
+    bad = corrupted(C, "scale", ("u", "v", "u", 0, 0))
+    report = validate_dg(bad)
+    assert report.laws_failed() == ["assoc"]
+    assert report.failures == (
+        DGFailure("assoc", ("u", "v", "u", "v", 0, 0, 0), "entry (0, 0): 1 != 2"),
+        DGFailure("assoc", ("v", "u", "v", "u", 0, 0, 0), "entry (0, 0): 2 != 1"),
+    )
+    assert report == per_degree_validate_dg(bad)
+
+
+def test_a_wrong_unit_fails_the_unit_laws_only():
+    # Hom = Z except Hom(y, x) = 0, composition 1, and the unit of y is 2
+    C = DGCategory("Z", ("x", "y"), lambda x, y: single_complex("Z", 0, int((x, y) != ("y", "x"))),
+                   comp_fn=lambda *key: Matrix("Z", [[1]]),
+                   id_fn=lambda x: (2,) if x == "y" else (1,))
+    report = validate_dg(C)
+    assert report.laws_failed() == ["unit-left", "unit-right"]
+    assert report.failures == (
+        DGFailure("unit-left", ("x", "y", 0), "entry (0, 0): 2 != 1"),
+        DGFailure("unit-left", ("y", "y", 0), "entry (0, 0): 2 != 1"),
+        DGFailure("unit-right", ("y", "y", 0), "entry (0, 0): 2 != 1"),
+    )
+    assert report == per_degree_validate_dg(C)
 
 
 # ---------------------------------------------------------------------------

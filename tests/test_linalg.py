@@ -18,12 +18,14 @@ from dgforge.linalg import (
     _apply,
     _columns_to_matrix,
     assemble,
+    assemble_strided,
     block_diagonal,
     block_matrix,
     complex_homology,
     compose_chain_maps,
     cone_of_map,
     det_z,
+    differing_entries,
     direct_sum,
     hom_basis,
     hom_complex,
@@ -289,6 +291,64 @@ def test_assemble_refuses_a_term_outside_the_frame():
             assemble(RING_Z, 3, 3, [term])
     with pytest.raises(ValueError, match="ring"):
         assemble(RING_Q, 3, 3, [(0, 0, X, 1, 1)])
+
+
+@given(st.data())
+def test_assemble_strided_puts_each_block_on_its_kronecker_columns(data):
+    # oracle: U (x) V for graded totals U and V (ranks u[p], v[q]); column
+    # (a, b) of the block on U^p (x) V^q is written by hand at the column
+    # of (start(U^p) + a, start(V^q) + b) in the order of `kron`
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    for ring in (RING_Z, RING_Q):
+        u = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
+        v = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
+        ustart = [sum(u[:p]) for p in range(len(u))]
+        vstart = [sum(v[:q]) for q in range(len(v))]
+        nrows, nv = rng.randint(0, 4), sum(v)
+        expected = [[0] * (sum(u) * nv) for _ in range(nrows)]
+        terms = []
+        for p in range(len(u)):
+            for q in range(len(v)):
+                if not u[p] * v[q] or rng.random() < 0.3:
+                    continue
+                h = rng.randint(0, nrows)
+                roff, M = rng.randint(0, nrows - h), _sample_matrix(rng, ring, h, u[p] * v[q])
+                terms.append((roff, ustart[p] * nv + vstart[q], M, v[q], nv))
+                for i in range(h):
+                    for j in range(M.ncols):
+                        a, b = divmod(j, v[q])
+                        expected[roff + i][(ustart[p] + a) * nv + vstart[q] + b] = M[i, j]
+        out = assemble_strided(ring, nrows, sum(u) * nv, terms)
+        assert out == Matrix(ring, expected, nrows=nrows, ncols=sum(u) * nv)
+        # the entries are moved, not recomputed
+        moved = {id(e) for _, _, M, _, _ in terms for row in M.nonzero_rows() for _, e in row}
+        assert all(id(e) in moved for row in out.nonzero_rows() for _, e in row)
+
+
+def test_assemble_strided_refuses_a_block_outside_the_frame():
+    X = Matrix(RING_Z, [[1, 2], [3, 4]])
+    got = assemble_strided(RING_Z, 2, 6, [(0, 1, X, 1, 3)])
+    assert got == Matrix(RING_Z, [[0, 1, 0, 0, 2, 0], [0, 3, 0, 0, 4, 0]])
+    for term in ((1, 0, X, 1, 3), (-1, 0, X, 1, 3), (0, -1, X, 1, 3), (0, 3, X, 1, 3),
+                 (0, 0, X, 2, 1), (0, 0, X, 0, 1)):
+        with pytest.raises(ValueError, match="leaves the 2x6 frame"):
+            assemble_strided(RING_Z, 2, 6, [term])
+    with pytest.raises(ValueError, match="ring"):
+        assemble_strided(RING_Q, 2, 6, [(0, 0, X, 1, 3)])
+
+
+@given(st.data())
+def test_differing_entries_are_the_dense_differences_in_row_major_order(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    for ring in (RING_Z, RING_Q):
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        a = _sample_matrix(rng, ring, m, n)
+        b = a if rng.random() < 0.3 else _sample_matrix(rng, ring, m, n)
+        expected = [(i, j, a[i, j], b[i, j]) for i in range(m) for j in range(n)
+                    if a[i, j] != b[i, j]]
+        assert list(differing_entries(a, b)) == expected
+    with pytest.raises(ValueError, match="mismatch"):
+        list(differing_entries(Matrix.zero(RING_Z, 1, 2), Matrix.zero(RING_Z, 2, 1)))
 
 
 # -- the sparse storage against the dense kernels it replaced ----------------
