@@ -511,24 +511,45 @@ class H0Category:
         return solve(lhs, rhs) is not None
 
     def iso_exists(self, x, y, bound=1):
+        """True when the search finds an isomorphism x -> y; False when
+        there is provably none; NOT_FOUND_WITHIN_BOUND, also falsy, when the
+        search ran out.  It tries the cycle coordinates in [-bound, bound]
+        for a cycle basis of rank at most 6, the signed unit vectors above
+        that.  Proofs: with no cycles the only candidate is 0, and an
+        isomorphism makes the H^0 groups Hom(x, y), End(x) and End(y)
+        isomorphic (composing with it is a bijection)."""
         if x == y:
             return True
         r = self.cycles[(x, y)].ncols
         if r == 0:
             # the only candidate is 0, an isomorphism between zero objects only
             return self.groups[(x, x)].is_zero() and self.groups[(y, y)].is_zero()
-        if r <= 6:
-            values = range(-bound, bound + 1)
-            for coords in itertools.product(values, repeat=r):
-                if any(coords) and self.is_invertible(x, y, coords):
-                    return True
+        if not self.groups[(x, y)] == self.groups[(x, x)] == self.groups[(y, y)]:
             return False
-        for i in range(r):
-            for s in (1, -1):
-                coords = tuple(s if k == i else 0 for k in range(r))
-                if self.is_invertible(x, y, coords):
-                    return True
+        if r <= 6:
+            candidates = itertools.product(range(-bound, bound + 1), repeat=r)
+        else:
+            candidates = (tuple(s if k == i else 0 for k in range(r))
+                          for i in range(r) for s in (1, -1))
+        if any(any(coords) and self.is_invertible(x, y, coords) for coords in candidates):
+            return True
+        return NOT_FOUND_WITHIN_BOUND
+
+
+class _NotFoundWithinBound:
+    """The result of a bounded search that ran out: falsy like "no", but
+    no proof that nothing exists."""
+
+    __slots__ = ()
+
+    def __bool__(self):
         return False
+
+    def __repr__(self):
+        return "NOT_FOUND_WITHIN_BOUND"
+
+
+NOT_FOUND_WITHIN_BOUND = _NotFoundWithinBound()
 
 
 def homotopy_category(C):
@@ -645,7 +666,8 @@ class EquivalenceReport:
     ok: bool
     functor: FunctorReport
     hom_reports: tuple  # ((x, y), QuasiIsoReport) pairs
-    missing_objects: tuple
+    missing_objects: tuple  # provably isomorphic to no image
+    undecided_objects: tuple  # no isomorphism found within the search bound
 
     def failing_pairs(self):
         return tuple(pair for pair, rep in self.hom_reports if not rep.ok)
@@ -658,7 +680,10 @@ def dg_homotopy_equivalence_check(F, window=None):
     of the source objects inside H^0 of the target, looking for a two-sided
     inverse with cycle coordinates in {-1, 0, 1}.  The bound is fixed (the
     default of `H0Category.iso_exists`); it keeps the search exact and
-    finite, at the price of missing isomorphisms with larger entries.
+    finite, at the price of missing isomorphisms with larger entries.  A
+    target object is missing when no image can be isomorphic to it, and
+    undecided when the search found no isomorphism without ruling one out;
+    either makes the report not ok.
     """
     frep = validate_functor(F)
     if not frep.ok:
@@ -671,13 +696,19 @@ def dg_homotopy_equivalence_check(F, window=None):
             hom_reports.append(((x, y), rep))
             ok = ok and rep.ok
     H = homotopy_category(F.target)
-    missing = []
+    missing, undecided = [], []
     images = [F.obj_map[a] for a in F.source.objects]
     for b in F.target.objects:
-        if not any(H.iso_exists(img, b) for img in images):
-            missing.append(b)
+        verdicts = []
+        for img in images:
+            verdicts.append(H.iso_exists(img, b))
+            if verdicts[-1]:
+                break
+        else:
             ok = False
-    return EquivalenceReport(ok, frep, tuple(hom_reports), tuple(missing))
+            gave_up = any(v is NOT_FOUND_WITHIN_BOUND for v in verdicts)
+            (undecided if gave_up else missing).append(b)
+    return EquivalenceReport(ok, frep, tuple(hom_reports), tuple(missing), tuple(undecided))
 
 
 # ---------------------------------------------------------------------------

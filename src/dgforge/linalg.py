@@ -8,8 +8,8 @@ an exact integer (over Z) or rational (over Q) is refused.
 
 How a matrix is stored is this module's decision alone.  Each row holds
 its nonzero entries only, so the kernels (products, `mul_kron`, `assemble`,
-sums, stacking, transposes) visit nothing else; the eliminations (SNF,
-`q_rref`, `det_z`) copy into dense working lists first, and `Matrix.rows`
+sums, stacking, transposes) and the Smith elimination visit nothing else;
+`q_rref` and `det_z` copy into dense working lists first, and `Matrix.rows`
 builds the dense tuples on demand for readers outside the library.  Other
 modules read entries through `m[i, j]`, `m.nonzero_rows()` and
 `differing_entries` (the entries where two matrices differ), and fill
@@ -77,9 +77,16 @@ class Matrix:
     """Immutable matrix over Z (python ints) or Q (Fractions), stored as
     sparse rows: row i is a dict {column: entry} of its nonzero entries.
     No zero is ever stored, so equal matrices have equal rows, and a row
-    dict is never changed once sealed, so matrices share rows freely."""
+    dict is never changed once sealed, so matrices share rows freely.
 
-    __slots__ = ("ring", "nrows", "ncols", "_rows", "_dense")
+    Two results are kept on the matrix once computed, like any function of
+    its entries, and `==` and `hash` never read them: the dense view
+    `rows`, and the result of its Smith elimination (`_smith`).  That is
+    the invariant factors alone (`rank`, `complex_homology`; over Q the
+    rank, as that many ones), or the full decomposition once
+    `smith_normal_form` is asked for, which then stays."""
+
+    __slots__ = ("ring", "nrows", "ncols", "_rows", "_dense", "_smith")
 
     def __init__(self, ring, rows, nrows=None, ncols=None):
         _units(ring)
@@ -277,8 +284,9 @@ class Matrix:
 
 
 # The slots' own setters: `Matrix.__setattr__` refuses every assignment.
-_set_ring, _set_rows, _set_nrows, _set_ncols, _set_dense = (
-    Matrix.__dict__[name].__set__ for name in ("ring", "_rows", "nrows", "ncols", "_dense")
+_set_ring, _set_rows, _set_nrows, _set_ncols, _set_dense, _set_smith = (
+    Matrix.__dict__[name].__set__
+    for name in ("ring", "_rows", "nrows", "ncols", "_dense", "_smith")
 )
 
 
@@ -535,7 +543,8 @@ def _columns_to_matrix(ring, nrows, cols):
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ... , di >= 0."""
+    """U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ... , di >= 0;
+    `smith_normal_form` keeps it on A."""
 
     U: Matrix
     D: Matrix
@@ -550,72 +559,71 @@ class SmithDecomposition:
         return len(self.diagonal())
 
 
-def _find_pivot(a, t, m, n):
-    """Smallest nonzero |entry| in the trailing submatrix, ties row-major."""
+def _find_pivot(a, t):
+    """Smallest nonzero |entry| in the rows from t on, ties row-major (those
+    rows hold no entry left of column t)."""
     best = None
-    for i in range(t, m):
+    for i in range(t, len(a)):
         row = a[i]
-        for j in range(t, n):
-            v = row[j]
-            if v:
-                av = -v if v < 0 else v
-                if best is None or av < best[0]:
-                    best = (av, i, j)
-                    if av == 1:
-                        return best
+        if row:
+            av, j = min((-v if v < 0 else v, j) for j, v in row.items())
+            if best is None or av < best[0]:
+                best = (av, i, j)
+                if av == 1:
+                    return best
     return best
 
 
-def smith_normal_form(A):
-    """Deterministic SNF over Z.
+def _smith_reduce(a, ncols, u, v):
+    """Reduce `a`, the sparse working rows of a Z matrix with `ncols`
+    columns, to its Smith form in place; return the invariant factors
+    d1 | d2 | ... , as a tuple.
 
     Pivot rule: at each stage pick the nonzero entry of smallest absolute
     value in the remaining submatrix, ties broken row-major.  Its row and
     column are reduced by nearest-integer quotients, and the smallest
     remainder among them becomes the pivot until none is left (Kannan and
     Bachem 1979), which keeps the working entries from growing.  Row
-    operations are mirrored into U, column operations into V, so U A V = D
-    exactly.
+    operations are mirrored into the rows of u and column operations into
+    those of v, so U A V = D exactly; with u and v None no transform is
+    built.
     """
-    if A.ring != RING_Z:
-        raise ValueError("smith_normal_form needs a Z matrix")
-    m, n = A.nrows, A.ncols
-    a = A._lists()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rowwise = (a,) if u is None else (a, u)
+    colwise = (a,) if v is None else (a, v)
 
     def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
+        for s in rowwise:
+            s[i], s[k] = s[k], s[i]
 
     def swap_cols(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
+        for s in colwise:
+            for row in s:
+                x, y = row.pop(j, 0), row.pop(k, 0)
+                if x:
+                    row[k] = x
+                if y:
+                    row[j] = y
 
     def addmul_row(dst, src, c):
-        arow, srow = a[dst], a[src]
-        for j in range(n):
-            arow[j] += c * srow[j]
-        urow, usrc = u[dst], u[src]
-        for j in range(m):
-            urow[j] += c * usrc[j]
+        for s in rowwise:
+            row = s[dst]
+            for j, x in s[src].items():
+                _add_entry(row, j, c * x)
 
     def addmul_col(dst, src, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
+        for s in colwise:
+            for row in s:
+                x = row.get(src)
+                if x:
+                    _add_entry(row, dst, c * x)
 
     def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        for s in rowwise:
+            s[i] = {j: -x for j, x in s[i].items()}
 
-    t = 0
-    bound = min(m, n)
-    while t < bound:
-        piv = _find_pivot(a, t, m, n)
+    m, t = len(a), 0
+    while t < min(m, ncols):
+        piv = _find_pivot(a, t)
         if piv is None:
             break
         _, pi, pj = piv
@@ -628,18 +636,25 @@ def smith_normal_form(A):
         while True:
             # reduce column t and row t by nearest-integer quotients, then
             # pivot again on the smallest remainder among them
+            # (a zero quotient changes nothing and must not store a zero)
             d = a[t][t]
             rest = []
             for i in range(m):
-                if i != t and a[i][t]:
-                    addmul_row(i, t, -((2 * a[i][t] + d) // (2 * d)))
-                    if a[i][t]:
-                        rest.append((abs(a[i][t]), i, t))
-            for j in range(n):
-                if j != t and a[t][j]:
-                    addmul_col(j, t, -((2 * a[t][j] + d) // (2 * d)))
-                    if a[t][j]:
-                        rest.append((abs(a[t][j]), t, j))
+                x = a[i].get(t)
+                if x and i != t:
+                    c = (2 * x + d) // (2 * d)
+                    if c:
+                        addmul_row(i, t, -c)
+                        x = a[i].get(t)
+                    if x:
+                        rest.append((abs(x), i, t))
+            for j, x in [(j, x) for j, x in a[t].items() if j != t]:
+                c = (2 * x + d) // (2 * d)
+                if c:
+                    addmul_col(j, t, -c)
+                    x = a[t].get(j)
+                if x:
+                    rest.append((abs(x), t, j))
             if rest:
                 _, pi, pj = min(rest)
                 if pi != t:
@@ -649,25 +664,52 @@ def smith_normal_form(A):
                 if a[t][t] < 0:
                     negate_row(t)
                 continue
-            # enforce divisibility of everything left by the pivot
-            offender = None
-            d = a[t][t]
-            for i in range(t + 1, m):
-                row = a[i]
-                for j in range(t + 1, n):
-                    if row[j] % d:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # enforce divisibility of everything left by the pivot (1
+            # divides everything)
+            if d == 1:
+                break
+            offender = next((i for i in range(t + 1, m) if any(x % d for x in a[i].values())),
+                            None)
             if offender is None:
                 break
             addmul_row(t, offender, 1)
         t += 1
+    return tuple(a[i][i] for i in range(t))
 
-    return SmithDecomposition(
-        U=_from_lists(RING_Z, u, m), D=_from_lists(RING_Z, a, n), V=_from_lists(RING_Z, v, n)
-    )
+
+def smith_normal_form(A):
+    """Deterministic SNF over Z, by `_smith_reduce` with U and V built,
+    kept on A: a second call returns the same decomposition.
+    """
+    if A.ring != RING_Z:
+        raise ValueError("smith_normal_form needs a Z matrix")
+    kept = getattr(A, "_smith", None)
+    if isinstance(kept, SmithDecomposition):
+        return kept
+    m, n = A.nrows, A.ncols
+    a, u, v = [dict(row) for row in A._rows], [{i: 1} for i in range(m)], [{j: 1} for j in range(n)]
+    _smith_reduce(a, n, u, v)
+    snf = SmithDecomposition(*(Matrix._trusted(RING_Z, tuple(rows), k)
+                               for rows, k in ((u, m), (a, n), (v, n))))
+    _set_smith(A, snf)
+    return snf
+
+
+def _invariant_factors(A):
+    """The nonzero invariant factors d1 | d2 | ... of A, as a tuple, kept on
+    A.  Over Z they come from `_smith_reduce` without U and V, or from the
+    diagonal of A's kept decomposition; over Q they are rank-many ones
+    (`q_rank`).  A matrix with no stored entries has none."""
+    kept = getattr(A, "_smith", None)
+    if kept is None:
+        if A.is_zero():
+            return ()
+        if A.ring == RING_Z:
+            kept = _smith_reduce([dict(row) for row in A._rows], A.ncols, None, None)
+        else:
+            kept = (1,) * q_rank(A)
+        _set_smith(A, kept)
+    return kept if type(kept) is tuple else tuple(kept.diagonal())
 
 
 def det_z(A):
@@ -796,10 +838,10 @@ def restrict_vector(basis, vec, what):
 
 
 def rank(A):
-    """Rank via SNF for Z, elimination for Q (two genuinely distinct routes)."""
-    if A.ring == RING_Z:
-        return smith_normal_form(A).rank
-    return q_rank(A)
+    """The number of invariant factors: over Z from the Smith elimination
+    without transforms, over Q from `q_rref` (two genuinely distinct
+    routes); kept on A either way."""
+    return len(_invariant_factors(A))
 
 
 # ---------------------------------------------------------------------------
@@ -1238,13 +1280,14 @@ def complex_homology(C, n):
     ker d^n is a direct summand of C^n, so the torsion is the invariant
     factors of d^(n-1) above 1 and the free rank is rank C^n - rank d^n -
     rank d^(n-1) (Dumas, Heckenbach, Saunders and Welker 2003): no kernel
-    basis, no solve.  Raises AssertionError when d^n d^(n-1) != 0.
+    basis, no solve, no U or V.  The invariant factors are kept on each
+    differential, so a sweep over the degrees eliminates each once.
+    Raises AssertionError when d^n d^(n-1) != 0.
     """
     dn, dprev = C.d(n), C.d(n - 1)
     if not (dn * dprev).is_zero():
         raise AssertionError("image not contained in kernel: complex is broken")
-    # over Q every nonzero invariant factor is a unit
-    inv = smith_normal_form(dprev).diagonal() if C.ring == RING_Z else [1] * q_rank(dprev)
+    inv = _invariant_factors(dprev)
     return HomologyGroup(C.rank(n) - rank(dn) - len(inv), tuple(d for d in inv if d > 1))
 
 

@@ -622,6 +622,52 @@ def test_objects_with_no_maps_between_them_are_isomorphic_only_when_zero():
     assert homotopy_category(zero).iso_exists("x", "y")
 
 
+def _doubling_category():
+    """Hom = Z in degree 0 between x and y, with x -> y -> x and y -> x -> y
+    composing to twice the identity (Hom(y, x) is 2Z inside Z), and an
+    object z with End(z) = Z and no maps to or from the others."""
+    def rank(a, b):
+        return 1 if a == b or {a, b} == {"x", "y"} else 0
+
+    def comp(a, b, c, p, q):
+        if rank(a, b) and rank(b, c) and rank(a, c):
+            return Matrix("Z", [[2 if a == c != b else 1]])
+        return Matrix.zero("Z", rank(a, c), rank(b, c) * rank(a, b))
+
+    return DGCategory("Z", ("x", "y", "z"), lambda a, b: single_complex("Z", 0, rank(a, b)),
+                      comp_fn=comp, id_fn=lambda a: (1,))
+
+
+def test_a_bounded_iso_search_that_runs_out_says_so(cxcat):
+    C = _doubling_category()
+    assert validate_dg(C).ok
+    h = homotopy_category(C)
+    # every candidate f: x -> y has g f = 2 k id: there is no isomorphism, but
+    # all three H^0 groups are Z, so the search cannot rule one out
+    for bound in (1, 3):
+        assert h.iso_exists("x", "y", bound) is dgcat.NOT_FOUND_WITHIN_BOUND
+        assert h.iso_exists("y", "x", bound) is dgcat.NOT_FOUND_WITHIN_BOUND
+    assert not h.iso_exists("x", "y")
+    # no cycles between x and z, and End(z) = Z: provably no isomorphism
+    assert h.iso_exists("x", "z") is False
+    assert h.iso_exists("x", "x") is True
+    # End(a) = Z/2 and End(b) = Z in H^0: provably no isomorphism either
+    assert homotopy_category(cxcat).iso_exists("a", "b") is False
+
+
+def test_the_equivalence_report_lists_undecided_objects_apart_from_missing_ones():
+    C = _doubling_category()
+    S = DGCategory("Z", ("x",), lambda a, b: single_complex("Z", 0, 1),
+                   comp_fn=lambda *args: Matrix("Z", [[1]]), id_fn=lambda a: (1,))
+    hom = S.hom("x", "x")
+    F = DGFunctor(S, C, {"x": "x"}, {("x", "x"): make_chain_map(hom, hom, {0: Matrix("Z", [[1]])})})
+    report = dg_homotopy_equivalence_check(F, window=(-1, 0))
+    assert not report.ok
+    assert report.failing_pairs() == ()
+    assert report.missing_objects == ("z",)
+    assert report.undecided_objects == ("y",)
+
+
 def test_cycles_category_is_lawful_and_contains_identities(cxcat):
     z0 = cycles_category(cxcat)
     assert validate_dg(z0).ok

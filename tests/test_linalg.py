@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from dgforge import linalg
 from dgforge.linalg import (
     ChainComplex,
     ChainMap,
@@ -17,6 +18,7 @@ from dgforge.linalg import (
     RING_Z,
     _apply,
     _columns_to_matrix,
+    _invariant_factors,
     assemble,
     assemble_strided,
     block_diagonal,
@@ -43,6 +45,7 @@ from dgforge.linalg import (
     q_rank,
     q_rref,
     q_solve,
+    rank,
     shift_complex,
     single_complex,
     smith_normal_form,
@@ -56,6 +59,7 @@ from dgforge.linalg import (
     z_solve,
     zero_complex,
 )
+from dgforge.sheaf import constant_presheaf, godement_tower, pseudo_circle_site
 from util_gen import conjugate_complex, random_complex, random_hom_vector, random_z_matrix
 
 
@@ -593,10 +597,12 @@ def test_snf_trivial_cases():
 
 
 def test_snf_pivot_determinism():
-    # Two runs produce identical transforms, not merely identical D.
+    # Two runs produce identical transforms, not merely identical D; the
+    # second runs on an equal matrix, since A keeps its first result.
     A = Matrix(RING_Z, [[0, 5, 3], [2, -1, 4], [6, 0, -2]])
     s1 = smith_normal_form(A)
-    s2 = smith_normal_form(A)
+    s2 = smith_normal_form(Matrix(RING_Z, A.rows))
+    assert s2 is not s1
     assert s1.U == s2.U and s1.V == s2.V and s1.D == s2.D
 
 
@@ -633,6 +639,89 @@ def test_snf_matches_sympy_invariant_factors():
         factors = invariant_factors(sympy.Matrix(A.rows), domain=sympy.ZZ)
         expected = [abs(int(d)) for d in factors if d != 0]
         assert smith_normal_form(A).diagonal() == expected, (seed, A.rows)
+
+
+# entries of a few bits, and now and then of 70
+_SNF_ENTRIES = st.one_of(st.integers(-4, 4), st.integers(-4, 4), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def _z_matrices(draw):
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(_SNF_ENTRIES, min_size=n, max_size=n), min_size=m, max_size=m))
+    return Matrix(RING_Z, rows, nrows=m, ncols=n)
+
+
+@given(_z_matrices(), st.booleans())
+def test_kept_invariant_factors_match_the_decomposition_and_sympy(A, invariants_first):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    twin = Matrix(RING_Z, A.rows, nrows=A.nrows, ncols=A.ncols)
+    before = hash(A)
+    if invariants_first:
+        inv = _invariant_factors(A)
+        snf = smith_normal_form(A)
+    else:
+        snf = smith_normal_form(A)
+        inv = _invariant_factors(A)
+    assert snf.U * A * snf.V == snf.D
+    assert list(inv) == snf.diagonal()
+    assert all(d > 0 for d in inv) and all(b % a == 0 for a, b in zip(inv, inv[1:]))
+    S = sympy_snf(sympy.Matrix(A.nrows, A.ncols, [A[i, j] for i in range(A.nrows) for j in range(A.ncols)]), domain=sympy.ZZ)
+    assert list(inv) == [abs(int(S[i, i])) for i in range(min(A.nrows, A.ncols)) if S[i, i]]
+    # kept: a second call returns the same results
+    assert smith_normal_form(A) is snf and _invariant_factors(A) == inv and rank(A) == len(inv)
+    # and invisible to == and hash, whatever either side keeps
+    assert A == twin and twin == A and hash(A) == hash(twin) == before
+    assert _invariant_factors(twin) == inv
+    assert A == twin and hash(A) == hash(twin) == before
+
+
+def _recording(monkeypatch, name, record):
+    """Replace linalg.<name> by a wrapper that appends record(*args) to a
+    list, before the call, and returns that list."""
+    calls, real = [], getattr(linalg, name)
+
+    def recorded(*args):
+        calls.append(record(*args))
+        return real(*args)
+
+    monkeypatch.setattr(linalg, name, recorded)
+    return calls
+
+
+def test_a_homology_sweep_eliminates_each_differential_once_without_transforms(monkeypatch):
+    K = make_complex(RING_Z, -1, [1, 2, 1], [Matrix(RING_Z, [[2], [0]]), Matrix(RING_Z, [[0, 3]])])
+    site = pseudo_circle_site()
+    tot = godement_tower(constant_presheaf(site, K), strict=True).total(site.space())
+    nonzero = [d for d in tot.diffs if not d.is_zero()]
+    assert len(nonzero) >= 3
+
+    def entries(rows, ncols):
+        return repr(([sorted(row) for row in rows], ncols))
+
+    # each elimination: its working rows as they come in, and its transforms
+    calls = _recording(monkeypatch, "_smith_reduce",
+                       lambda a, ncols, u, v: (entries((r.items() for r in a), ncols), u, v))
+    monkeypatch.setattr(linalg, "smith_normal_form", None)  # the sweep must not reach it
+    first = [complex_homology(tot, n) for n in tot.degrees()]
+    assert sorted(c[0] for c in calls) == sorted(entries(d.nonzero_rows(), d.ncols) for d in nonzero)
+    assert all(u is None and v is None for _, u, v in calls)
+    # a second sweep reads the kept invariant factors
+    assert [complex_homology(tot, n) for n in tot.degrees()] == first
+    assert len(calls) == len(nonzero)
+
+
+def test_a_q_homology_sweep_runs_one_rref_per_nonzero_differential(monkeypatch):
+    C = random_complex(random.Random(11))
+    CQ = make_complex(RING_Q, C.lo, C.ranks, [d.to_q() for d in C.diffs])
+    nonzero = [d for d in CQ.diffs if not d.is_zero()]
+    assert len(nonzero) >= 2
+    calls = _recording(monkeypatch, "q_rref", lambda A: A)
+    groups = [complex_homology(CQ, n) for n in CQ.degrees()]
+    assert sorted(map(id, calls)) == sorted(map(id, nonzero))
+    assert [h.free_rank for h in groups] == [complex_homology(C, n).free_rank for n in C.degrees()]
 
 
 @given(st.data())
