@@ -8,20 +8,20 @@ an exact integer (over Z) or rational (over Q) is refused.
 
 How a matrix is stored is this module's decision alone.  Each row holds
 its nonzero entries only, so the kernels (products, `mul_kron`, `assemble`,
-sums, stacking, transposes) and the Smith elimination visit nothing else;
-`q_rref` and `det_z` copy into dense working lists first, and `Matrix.rows`
-builds the dense tuples on demand for readers outside the library.  Other
-modules read entries through `m[i, j]`, `m.nonzero_rows()` and
-`differing_entries` (the entries where two matrices differ), and fill
-matrices with `assemble`, a sum of signed Kronecker blocks
-scalar * (A (x) B) (Van Loan 2000), as the tensor, Hom, cone and total
-complexes here do, or with `assemble_strided`, which moves blocks into
-place among the columns of a Kronecker product of totals.  Entries are
-coerced only at the public boundary (`Matrix(...)`, `Matrix.column`,
-`to_q`/`to_z`, the factor of `scale`); everything else stores entries of
-the ring's type (int over Z, Fraction over Q) unchecked.  Law checks of
-the form "composition applied to a tensor of maps" use `mul_kron`, which
-computes M * (A (x) B) without forming the Kronecker product.
+sums, stacking, transposes) and both eliminations (Smith over Z, `q_rref`
+over Q) visit nothing else; the one dense form is `Matrix.rows`, built on
+demand for readers outside the library.  Other modules read entries
+through `m[i, j]`, `m.nonzero_rows()` and `differing_entries` (the
+entries where two matrices differ), and fill matrices with `assemble`, a
+sum of signed Kronecker blocks scalar * (A (x) B) (Van Loan 2000), as the
+tensor, Hom, cone and total complexes here do, or with
+`assemble_strided`, which moves blocks into place among the columns of a
+Kronecker product of totals.  Entries are coerced only at the public
+boundary (`Matrix(...)`, `Matrix.column`, `to_q`/`to_z`, the factor of
+`scale`); everything else stores entries of the ring's type (int over Z,
+Fraction over Q) unchecked.  Law checks of the form "composition applied
+to a tensor of maps" use `mul_kron`, which computes M * (A (x) B) without
+forming the Kronecker product.
 
 Subcomplexes, direct sums and double-complex totals come from four
 constructors: `restrict` (with `restrict_vector`) reads maps in the
@@ -78,12 +78,15 @@ class Matrix:
     sparse rows: row i is a dict {column: entry} of its nonzero entries.
     No zero is ever stored, so equal matrices have equal rows, and a row
     dict is never changed once sealed, so matrices share rows freely.
+    Indices are checked: `m[i, j]` and `submatrix` raise IndexError for a
+    row or a column outside the matrix, negative ones included.
 
     Two results are kept on the matrix once computed, like any function of
     its entries, and `==` and `hash` never read them: the dense view
-    `rows`, and the result of its Smith elimination (`_smith`).  That is
-    the invariant factors alone (`rank`, `complex_homology`; over Q the
-    rank, as that many ones), or the full decomposition once
+    `rows`, the one dense form of a matrix, which no function of this
+    module reads, and the result of its Smith elimination (`_smith`).
+    That is the invariant factors alone (`rank`, `complex_homology`; over
+    Q the rank, as that many ones), or the full decomposition once
     `smith_normal_form` is asked for, which then stays."""
 
     __slots__ = ("ring", "nrows", "ncols", "_rows", "_dense", "_smith")
@@ -98,7 +101,7 @@ class Matrix:
             raise ValueError("nrows mismatch")
         if ncols is not None and ncols != width:
             raise ValueError("ncols mismatch")
-        _seal(self, ring, tuple(map(_sparse_row, rows)), width)
+        _seal(self, ring, tuple({j: v for j, v in enumerate(row) if v} for row in rows), width)
 
     @staticmethod
     def _trusted(ring, rows, ncols):
@@ -113,22 +116,14 @@ class Matrix:
     @property
     def rows(self):
         """The dense rows, a tuple of tuples with zeros of the ring's type,
-        for readers outside the library; built on first use and kept."""
+        for readers outside the library; built on first use and kept.  It
+        is the only dense form of a matrix that this module builds."""
         try:
             return self._dense
         except AttributeError:
-            _set_dense(self, tuple(map(tuple, self._lists())))
+            zero, cols = itertools.repeat(_units(self.ring)[0]), range(self.ncols)
+            _set_dense(self, tuple(tuple(map(row.get, cols, zero)) for row in self._rows))
             return self._dense
-
-    def _lists(self):
-        """Fresh dense row lists of the entries, the working copy that the
-        eliminations start from."""
-        zero = _units(self.ring)[0]
-        out = [[zero] * self.ncols for _ in self._rows]
-        for dense, row in zip(out, self._rows):
-            for j, v in row.items():
-                dense[j] = v
-        return out
 
     @staticmethod
     def zero(ring, nrows, ncols):
@@ -146,13 +141,8 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self._rows[i].get(self._column(j), _UNITS[self.ring][0])
-
-    def _column(self, j):
-        """j, or an IndexError when it is not a column index."""
-        if not 0 <= j < self.ncols:
-            raise IndexError("column %r of a matrix with %d columns" % (j, self.ncols))
-        return j
+        return self._rows[_index(i, self.nrows, "row")].get(
+            _index(j, self.ncols, "column"), _UNITS[self.ring][0])
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and (self.ring, self.nrows, self.ncols, self._rows) == (
@@ -236,22 +226,31 @@ class Matrix:
         return Matrix._trusted(self.ring, self._rows + other._rows, self.ncols)
 
     def submatrix(self, row_idx, col_idx):
-        rows, c = self._rows, col_idx
+        """The rows row_idx and columns col_idx, each a range or a sequence;
+        an IndexError names the first index outside the matrix (a range of
+        rows is checked by its two ends)."""
+        rows, n, c = self._rows, self.nrows, col_idx
+        if row_idx != range(n):  # every row: the stored tuple itself
+            ends = (row_idx[0], row_idx[-1]) if type(row_idx) is range and row_idx else row_idx
+            if ends and not (0 <= min(ends) and max(ends) < n):
+                for i in row_idx:
+                    _index(i, n, "row")
+            rows = tuple(map(rows.__getitem__, row_idx))
         if c == range(self.ncols):  # every column: the rows themselves
-            picked = tuple(rows[i] for i in row_idx)
+            picked = rows
         elif type(c) is range and c.step == 1 and 0 <= c.start <= c.stop <= self.ncols:
             lo, hi = c.start, c.stop  # a run of columns: the entries inside it, shifted
-            picked = tuple({j - lo: v for j, v in rows[i].items() if lo <= j < hi} for i in row_idx)
+            picked = tuple({j - lo: v for j, v in row.items() if lo <= j < hi} for row in rows)
         else:
             where = {}  # old column -> its new columns (a column may be picked twice)
             for new, j in enumerate(c):
-                where.setdefault(self._column(j), []).append(new)
-            picked = tuple({new: v for j, v in rows[i].items() if j in where for new in where[j]}
-                           for i in row_idx)
+                where.setdefault(_index(j, self.ncols, "column"), []).append(new)
+            picked = tuple({new: v for j, v in row.items() if j in where for new in where[j]}
+                           for row in rows)
         return Matrix._trusted(self.ring, picked, len(c))
 
     def col(self, j):
-        j, zero = self._column(j), _units(self.ring)[0]
+        j, zero = _index(j, self.ncols, "column"), _units(self.ring)[0]
         return [row.get(j, zero) for row in self._rows]
 
     def nonzero_rows(self):
@@ -298,15 +297,11 @@ def _seal(m, ring, rows, ncols):
     return m
 
 
-def _sparse_row(row):
-    """The nonzero entries of a dense row, as {column: entry}."""
-    return {j: v for j, v in enumerate(row) if v}
-
-
-def _from_lists(ring, rows, ncols):
-    """The matrix on dense row lists of ring elements, the output of an
-    elimination; its zeros are dropped."""
-    return Matrix._trusted(ring, tuple(map(_sparse_row, rows)), ncols)
+def _index(k, n, what):
+    """k, or an IndexError when it is not one of n row or column indices."""
+    if not 0 <= k < n:
+        raise IndexError("%s %r of a matrix with %d %ss" % (what, k, n, what))
+    return k
 
 
 def _add_entry(row, k, v):
@@ -712,30 +707,6 @@ def _invariant_factors(A):
     return kept if type(kept) is tuple else tuple(kept.diagonal())
 
 
-def det_z(A):
-    """Integer determinant by Bareiss fraction-free elimination."""
-    if A.nrows != A.ncols:
-        raise ValueError("det of non-square matrix")
-    n = A.nrows
-    if n == 0:
-        return 1
-    a = A._lists()
-    sign = prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def z_kernel(A):
     """Columns form a saturated basis of ker(A) over Z (a direct summand)."""
     snf = smith_normal_form(A)
@@ -760,26 +731,30 @@ def z_solve(A, B):
 
 
 def q_rref(A):
-    """Reduced row echelon form over Q; returns (R, pivot_columns)."""
-    a = [[Fraction(v) for v in row] for row in A._lists()]
-    m, n = A.nrows, A.ncols
-    pivots, r = [], 0
-    for j in range(n):
-        sel = next((i for i in range(r, m) if a[i][j] != 0), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        inv = 1 / a[r][j]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][j] != 0:
-                c = a[i][j]
-                a[i] = [x - c * y for x, y in zip(a[i], a[r])]
-        pivots.append(j)
-        r += 1
-        if r == m:
-            break
-    return _from_lists(RING_Q, a, n), pivots
+    """Reduced row echelon form over Q; returns (R, pivot_columns).
+
+    Gauss-Jordan elimination on the sparse rows: only stored entries are
+    made Fractions (a Z matrix gives its echelon form over Q).  Each step
+    pivots on the remaining row with the smallest leading column, scales
+    it to a leading 1 and clears that column from every other row, so the
+    pivot rows come out in echelon order and the zero rows go last.  The
+    reduced form is unique, so R is the one that dense elimination gives."""
+    rest, done, pivots = [dict(row) for row in A.to_q()._rows if row], [], []
+    while rest:
+        p, k = min((min(r), k) for k, r in enumerate(rest))
+        row = rest.pop(k)
+        if row[p] != 1:
+            inv = 1 / row[p]
+            row = {j: v * inv for j, v in row.items()}
+        for other in itertools.chain(done, rest):
+            c = other.get(p)
+            if c:
+                for j, v in row.items():
+                    _add_entry(other, j, -c * v)
+        rest = [r for r in rest if r]
+        done.append(row)
+        pivots.append(p)
+    return Matrix._trusted(RING_Q, tuple(done) + ({},) * (A.nrows - len(done)), A.ncols), pivots
 
 
 def q_rank(A):
@@ -1115,15 +1090,19 @@ def hom_element_matrices(C, D, n, vec):
 
 
 def hom_element_vector(C, D, n, mats):
-    """Flatten per-degree matrices back to Hom(C,D)^n coordinates."""
-    vec = []
+    """Flatten per-degree matrices back to Hom(C,D)^n coordinates, written
+    from the stored entries."""
+    vec, zero = [], _units(C.ring)[0]
     for p in range(C.lo, C.hi + 1):
         rc, rd = C.rank(p), D.rank(p + n)
         if rc and rd:
-            m = mats.get(p) or Matrix.zero(C.ring, rd, rc)
+            m, start = mats.get(p) or Matrix.zero(C.ring, rd, rc), len(vec)
             if m.nrows != rd or m.ncols != rc:
                 raise ValueError("component shape mismatch at degree %d" % p)
-            vec.extend(itertools.chain.from_iterable(m._lists()))
+            vec.extend([zero] * (rd * rc))
+            for i, row in enumerate(m._rows):
+                for j, v in row.items():
+                    vec[start + i * rc + j] = v
     return tuple(vec)
 
 

@@ -26,7 +26,6 @@ from dgforge.linalg import (
     complex_homology,
     compose_chain_maps,
     cone_of_map,
-    det_z,
     differing_entries,
     direct_sum,
     hom_basis,
@@ -146,6 +145,55 @@ def tensor_chain_map_elementwise(f, g, source):
     return comps
 
 
+def det_z(A):
+    """Integer determinant by Bareiss fraction-free elimination."""
+    if A.nrows != A.ncols:
+        raise ValueError("det of non-square matrix")
+    n = A.nrows
+    if n == 0:
+        return 1
+    a = [list(row) for row in A.rows]
+    sign = prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def dense_q_rref(A):
+    """Reduced row echelon form over Q by Gauss-Jordan elimination on dense
+    rows of Fractions, column by column, pivoting on the first nonzero
+    entry: the route of `q_rref` without sparse rows."""
+    a = [[Fraction(v) for v in row] for row in A.rows]
+    m, n = A.nrows, A.ncols
+    pivots, r = [], 0
+    for j in range(n):
+        sel = next((i for i in range(r, m) if a[i][j] != 0), None)
+        if sel is None:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        inv = 1 / a[r][j]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(m):
+            if i != r and a[i][j] != 0:
+                c = a[i][j]
+                a[i] = [x - c * y for x, y in zip(a[i], a[r])]
+        pivots.append(j)
+        r += 1
+        if r == m:
+            break
+    return Matrix(RING_Q, a, nrows=m, ncols=n), pivots
+
+
 def cokernel_enumeration(k):
     """Order and structure of Z / kZ by explicit residue enumeration."""
     if k == 0:
@@ -198,6 +246,19 @@ def test_columns_become_a_matrix_of_the_ring_type():
     for cols in ([(1, 2), (3,)], [(1, 2, 3)]):
         with pytest.raises(ValueError, match="column length mismatch"):
             _columns_to_matrix(RING_Z, 2, cols)
+
+
+def test_row_indices_are_checked_like_column_indices():
+    m = Matrix(RING_Z, [[1, 2], [3, 4]])
+    for i, j in ((-1, 0), (2, 0), (0, -1), (0, 2)):
+        with pytest.raises(IndexError, match="of a matrix with 2"):
+            m[i, j]
+    for rows in ([-1], [0, 2], range(-1, 1), range(3), range(2, -1, -1)):
+        with pytest.raises(IndexError, match="row -?[0-9]+ of a matrix with 2 rows"):
+            m.submatrix(rows, range(2))
+    assert m.submatrix(range(1, -1, -1), range(2)) == Matrix(RING_Z, [[3, 4], [1, 2]])
+    assert m.submatrix(range(2, 2), [1, 0]) == Matrix.zero(RING_Z, 0, 2)
+    assert m.submatrix([1, 1], range(1, 2)) == Matrix(RING_Z, [[4], [4]])
 
 
 def test_declared_shape_must_match_the_rows():
@@ -750,6 +811,38 @@ def test_z_solve_roundtrip(data):
 def test_z_solve_unsolvable():
     A = Matrix(RING_Z, [[2]])
     assert z_solve(A, Matrix(RING_Z, [[1]])) is None
+
+
+def _sparse_matrix(rng, ring, nrows, ncols):
+    """A random matrix that is mostly zero, with some whole zero rows and
+    columns and, over Q, entries with denominators up to 7."""
+    dead_rows = set(rng.sample(range(nrows), rng.randint(0, nrows)))
+    dead_cols = set(rng.sample(range(ncols), rng.randint(0, ncols)))
+    density = rng.choice((0.15, 0.3, 0.6))
+
+    def entry(i, j):
+        if i in dead_rows or j in dead_cols or rng.random() > density:
+            return 0
+        num = rng.choice((-1, 1)) * rng.randint(1, 9)
+        return num if ring == RING_Z else Fraction(num, rng.randint(1, 7))
+
+    rows = [[entry(i, j) for j in range(ncols)] for i in range(nrows)]
+    return Matrix(ring, rows, nrows=nrows, ncols=ncols)
+
+
+def test_q_rref_matches_the_dense_elimination():
+    rng = random.Random(2265)
+    cases = [_sample_matrix(rng, RING_Q, m, n) for m in range(7) for n in range(7) for _ in range(4)]
+    cases += [_sparse_matrix(rng, RING_Q, rng.randint(0, 9), rng.randint(0, 9)) for _ in range(300)]
+    # a Z matrix gives its echelon form over Q
+    cases += [_sample_matrix(rng, RING_Z, m, n) for m in range(7) for n in range(7)]
+    cases += [_sparse_matrix(rng, RING_Z, rng.randint(0, 9), rng.randint(0, 9)) for _ in range(100)]
+    cases += [Matrix.identity(RING_Q, 3), Matrix.zero(RING_Z, 2, 3),
+              Matrix(RING_Q, [[0, 2, 4], [0, 1, 2], [0, 0, 0], [0, 3, 7]])]
+    for A in cases:
+        R, pivots = q_rref(A)
+        assert (R, pivots) == dense_q_rref(A), A.rows
+        assert R.ring == RING_Q and all(type(v) is Fraction for row in R.nonzero_rows() for _, v in row)
 
 
 @given(st.data())
