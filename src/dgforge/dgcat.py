@@ -20,15 +20,15 @@ vertices with the diagonal comultiplication.
 `CubicalEnrichment` keeps the reduced model of each level and projects
 composites back along the degenerate splitting.  Its level maps are read
 off the row-major free-module host, the only host the two builders make:
-an action is the matrix I (x) W^T of precomposition with w, and a composite
-is the host's row-major product on the integer parts of the model columns.
-`AlternatingEnrichment` is the same construction with another level
-model: its level data
-overrides only `model` (the sign-isotypic subcomplex, with the signed
-orbit sums as basis) and `project` (the coordinates of the sign average,
-read from those sums), and adds the box tensor product.  The level data is
-an object of its own that never refers to the enriched category, so an
-enrichment and its category are freed by reference counting.
+an action is the matrix I (x) U^T of precomposition with id (x) u, and the
+composites of all pairs of model columns are one sparse product of their
+integer parts.  `AlternatingEnrichment` is the same construction with
+another level model: its level data overrides only `model` (the
+sign-isotypic subcomplex, with the signed orbit sums as basis) and
+`project` (the coordinates of the sign average, read from those sums),
+and adds the box tensor product.  The level data is an object of its own
+that never refers to the enriched category, so an enrichment and its
+category are freed by reference counting.
 """
 
 import itertools
@@ -57,8 +57,10 @@ from .linalg import (
     _coerce,
     _exact_vector,
     _columns_to_matrix,
+    RING_Z,
     assemble,
     assemble_strided,
+    blocks_as_columns,
     complex_homology,
     differing_entries,
     is_quasi_iso,
@@ -70,6 +72,7 @@ from .linalg import (
     mul_kron,
     restrict,
     restrict_vector,
+    scale_columns,
     single_complex,
     solve,
     solve_vector,
@@ -880,22 +883,32 @@ def _row_major_product(nx, ny, nz, gvec, fvec):
     return tuple(out)
 
 
-def _precomposition(host, w, z):
-    """The matrix of g -> g . w on Hom(w.target, z), i.e. I_nz (x) W^T
-    (Van Loan 2000), W^T having the rows of the row-major w as its columns.
-    Ranks are read against the unit, which has rank 1."""
-    C = host.category
-    na, nb, nz = (C.hom(v, host.unit).rank(0) for v in (w.source, w.target, z))
-    wt = _columns_to_matrix(C.ring, na, [w.vector[ib * na : (ib + 1) * na] for ib in range(nb)])
-    return assemble(C.ring, nz * na, nz * nb, [(0, 0, nz, wt, 1)])
+def _host_rank(host, v):
+    """The rank of a free-module host object, read against the unit."""
+    return host.category.hom(v, host.unit).rank(0)
+
+
+def _side_by_side(M, n):
+    """Each column of M read row-major as an n-column matrix, the matrices
+    side by side: the inverse of `blocks_as_columns`."""
+    return blocks_as_columns(M.transpose(), n).transpose()
+
+
+def _precomposition(host, k, u):
+    """The matrix of g -> g . (id (x) u) on the maps out of an object of
+    rank k tensored with u.target: I_k (x) U^T, U the image matrix of u,
+    as g is row-major (Van Loan 2000)."""
+    col = _columns_to_matrix(host.category.ring, len(u.vector), [u.vector])
+    ut = blocks_as_columns(col.transpose(), _host_rank(host, u.source))
+    return assemble(host.category.ring, k * ut.nrows, k * ut.ncols, [(0, 0, k, ut, 1)])
 
 
 def _int_columns(mat):
-    """Each column of mat as (ints, d): the column is ints / d, with d the
-    lcm of its denominators (1 over Z)."""
-    for col in map(mat.col, range(mat.ncols)):
-        d = math.lcm(*(v.denominator for v in col))
-        yield tuple(v.numerator * (d // v.denominator) for v in col), d
+    """mat as the pair (ints, dens) that `project` takes: column j of mat is
+    column j of the integer matrix ints divided by dens[j], the lcm of its
+    denominators (1 over Z)."""
+    dens = [math.lcm(*(v.denominator for _, v in col)) for col in mat.transpose().nonzero_rows()]
+    return scale_columns(mat, dens, RING_Z), dens
 
 
 def _free_module_host(ring, objects, rank, obj_tensor, unit, name):
@@ -1054,11 +1067,11 @@ def build_vertex_cubes(ring="Q", top=3, objects=(1, 2)):
 class _CubicalLevels:
     """The level data of a cubical enrichment: per Hom pair the cubical
     group, its reduced model and the projectors along the degenerate
-    splitting, and the composition read from them.  They are read off the
-    row-major free-module host, the only host that `build_fincor` and
-    `build_vertex_cubes` make: action matrices are `_precomposition`
-    matrices, and composition multiplies row-major vectors of ints, each
-    model column cleared of its denominators, and divides once at the end.
+    splitting, and the composition read from them.  All are matrices over
+    the row-major free-module host, the only host that `build_fincor` and
+    `build_vertex_cubes` make: an action is a `_precomposition` matrix, and
+    composition is one sparse product of integer matrices, the model
+    columns cleared of their denominators, divided once at the end.
 
     The enriched category's closures hold this object and it refers to
     neither the category nor the enrichment, so reference counting frees
@@ -1073,6 +1086,7 @@ class _CubicalLevels:
         self._groups = {}
         self._models = {}
         self._projectors = {}
+        self._deltas = {}
 
     def level_object(self, x, n):
         return self.host.obj_tensor(x, self.cocube.cube(n))
@@ -1085,10 +1099,10 @@ class _CubicalLevels:
         if key not in self._groups:
             host, Q = self.host, self.cocube
             C = host.category
-            idx = C.identity(x)
+            k = _host_rank(host, x) * _host_rank(host, y)
 
             def act(f):
-                return _precomposition(host, host.mor_tensor(idx, Q.image(f)), y)
+                return _precomposition(host, k, Q.image(f))
 
             ranks = [C.hom(self.level_object(x, n), y).rank(0) for n in range(Q.top + 1)]
             self._groups[key] = CubicalAbelianGroup(
@@ -1102,27 +1116,23 @@ class _CubicalLevels:
             self._models[key] = associated_complex(self.group(x, y), "reduced")
         return self._models[key]
 
-    def project(self, x, y, n, cols):
-        """Model coordinates of the level-n columns ints / d, given as the
-        pairs (ints, d) of `_int_columns`, projected onto the reduced part
-        along the degenerate splitting.  The projector in the model basis is
-        solved for once per level, together with the check that its image is
-        the span of the model basis, and kept as integers K / D; K is applied
-        to the ints, and each entry is divided once, by D * d."""
+    def project(self, x, y, n, ints, dens):
+        """Model coordinates of the level-n columns of ints / dens, the pair
+        of `_int_columns`, projected along the degenerate splitting: the one
+        product K * ints, column j divided once by D * dens[j].  The
+        projector K / D in the model basis, K an integer matrix, is solved
+        for once per level, with the check that it fixes the model basis."""
         key = (x, y, n)
         if key not in self._projectors:
             R = self.model(x, y).level_basis[n]
             K = restrict(R, degenerate_projector(self.group(x, y), n), "the projection")
             if K * R != Matrix.identity(R.ring, R.ncols):
                 raise ValueError("the projection does not fix the model at level %d" % n)
-            D = math.lcm(*(d for _, d in _int_columns(K)))
+            D = math.lcm(*_int_columns(K)[1])
             self._projectors[key] = K.scale(D).to_z(), D
         K, D = self._projectors[key]
-        out = []
-        for col, d in cols:
-            img = _apply(K, col)
-            out.append(img if D * d == 1 else [Fraction(v, D * d) if v else 0 for v in img])
-        return _columns_to_matrix(self.host.category.ring, K.nrows, out)
+        ring = self.host.category.ring
+        return scale_columns(K * ints, [Fraction(1, D * d) for d in dens], ring)
 
     def hom(self, x, y):
         return self.model(x, y).complex
@@ -1143,25 +1153,31 @@ class _CubicalLevels:
 
     def composition(self, x, y, z, p, q):
         """Compose on the full level n = -(p + q), then `project` back to
-        model coordinates.  On the integer columns of `_int_columns`, f_j
-        gives w_j = (f_j (x) id) . (id_x (x) delta_n), and raw column (i, j),
-        g outer as in `comp_matrix`, is the product g_i . w_j divided once by
-        the two denominators."""
-        host, Q = self.host, self.cocube
-        C = host.category
+        model coordinates, as one sparse product of integer matrices.  The
+        model columns moved to level n and cleared of their denominators by
+        `_int_columns` are the maps g_i: y (x) cube^n -> z and
+        f_j: x (x) cube^n -> y.  With F the f_j side by side and Delta the
+        matrix of delta_n, W = (F (x) I) (I (x) Delta) holds the maps
+        w_j = (f_j (x) id) . (id_x (x) delta_n) side by side; with G the g_i
+        side by side, G (I (x) W) holds g_i . w_j as block (i, j), g outer as
+        in `comp_matrix`, and `blocks_as_columns` makes the blocks the raw
+        columns, each divided once by its two denominators.  The structure
+        maps of the cubes must be integral, as in both builders."""
         b, a = -p, -q
         n = a + b
-        gfull = self.group(y, z).act(front_projection(b, a)) * self.model(y, z).level_basis[b]
-        ffull = self.group(x, y).act(back_projection(b, a)) * self.model(x, y).level_basis[a]
-        src = self.level_object(x, n)
-        dup = host.mor_tensor(C.identity(x), Q.delta(n))
-        id_cube = C.identity(Q.cube(n))
-        ws = [(C.compose(host.mor_tensor(C.element(src, y, 0, f), id_cube), dup).vector, d)
-              for f, d in _int_columns(ffull)]
-        nx, ny, nz = (C.hom(v, host.unit).rank(0) for v in (src, self.level_object(y, n), z))
-        cols = [(_row_major_product(nx, ny, nz, g, w), dg * dw)
-                for g, dg in _int_columns(gfull) for w, dw in ws]
-        return self.project(x, z, n, cols)
+        nx, ny, c = (_host_rank(self.host, v) for v in (x, y, self.cocube.cube(n)))
+        G, gdens = _int_columns(
+            self.group(y, z).act(front_projection(b, a)) * self.model(y, z).level_basis[b])
+        F, fdens = _int_columns(
+            self.group(x, y).act(back_projection(b, a)) * self.model(x, y).level_basis[a])
+        if n not in self._deltas:
+            vec = self.cocube.delta(n).vector
+            self._deltas[n] = _side_by_side(_columns_to_matrix(RING_Z, c ** 3, [vec]), c)
+        fh = _side_by_side(F, nx * c)
+        W = mul_kron(assemble(RING_Z, ny * c, fh.ncols * c, [(0, 0, fh, c, 1)]), F.ncols * nx,
+                     self._deltas[n])
+        raw = blocks_as_columns(mul_kron(_side_by_side(G, ny * c), G.ncols, W), nx * c)
+        return self.project(x, z, n, raw, [dg * df for dg in gdens for df in fdens])
 
 
 class CubicalEnrichment:
@@ -1227,13 +1243,13 @@ class _AlternatingLevels(_CubicalLevels):
             self._models[key] = alternating_complex(self.group(x, y), group="F", variant="full")
         return self._models[key]
 
-    def project(self, x, y, n, cols):
-        """Coordinates of the sign average of the level-n columns ints / d,
-        given as pairs (ints, d), in the signed orbit sums that span the
-        model."""
-        raw = [col if d == 1 else [Fraction(v, d) for v in col] for col, d in cols]
-        B = self.model(x, y).level_basis[n]
-        return sign_coordinates(B, _columns_to_matrix(B.ring, B.nrows, raw))
+    def project(self, x, y, n, ints, dens):
+        """Coordinates of the sign average of the level-n columns of
+        ints / dens, the pair of `_int_columns`, in the signed orbit sums
+        that span the model: the coordinates of ints, column j divided
+        once by dens[j]."""
+        coords = sign_coordinates(self.model(x, y).level_basis[n], ints)
+        return scale_columns(coords, [Fraction(1, d) for d in dens], coords.ring)
 
     def symmetry(self, x, y):
         t = self.host.symmetry(x, y)
@@ -1308,7 +1324,7 @@ def _levelwise_functor(src_enr, tgt_enr):
             comps = {}
             for n in range(tgt_enr.cocube.top + 1):
                 basis = src_enr.model(x, y).level_basis[n]
-                comps[-n] = tgt_enr.levels.project(x, y, n, _int_columns(basis))
+                comps[-n] = tgt_enr.levels.project(x, y, n, *_int_columns(basis))
             mor_maps[(x, y)] = make_chain_map(src.hom(x, y), tgt.hom(x, y), comps)
     return DGFunctor(src, tgt, {x: x for x in src.objects}, mor_maps)
 

@@ -18,8 +18,8 @@ tensor, Hom, cone and total complexes here do, or with
 `assemble_strided`, which moves blocks into place among the columns of a
 Kronecker product of totals.  Entries are coerced only at the public
 boundary (`Matrix(...)`, `Matrix.column`, `to_q`/`to_z`, the factor of
-`scale`); everything else stores entries of the ring's type (int over Z,
-Fraction over Q) unchecked.  Law checks of the form "composition applied
+`scale`, the products of `scale_columns`); everything else stores entries
+of the ring's type (int over Z, Fraction over Q) unchecked.  Law checks of the form "composition applied
 to a tensor of maps" use `mul_kron`, which computes M * (A (x) B) without
 forming the Kronecker product.
 
@@ -509,6 +509,32 @@ def _apply(mat, vec):
                          % (mat.nrows, mat.ncols, len(vec)))
     vec, zero = _exact_vector(mat.ring, vec), _units(mat.ring)[0]
     return tuple(sum([v * vec[j] for j, v in row.items()]) if row else zero for row in mat._rows)
+
+
+def blocks_as_columns(M, n):
+    """The (m * n) x k matrix whose column j is block j of M, its columns
+    j * n up to (j + 1) * n, read row-major; M is m x (k * n), n >= 1, and
+    its entries are moved as they are.  On the transpose it is the inverse:
+    blocks_as_columns(X.transpose(), n).transpose() reads each column of X
+    row-major as an n-column block, side by side."""
+    k, rest = divmod(M.ncols, n) if n >= 1 else (0, 1)
+    if rest:
+        raise ValueError("%d columns are not blocks of %d" % (M.ncols, n))
+    out = tuple({} for _ in range(M.nrows * n))
+    for a, row in enumerate(M._rows):
+        for c, v in row.items():
+            j, s = divmod(c, n)
+            out[a * n + s][j] = v
+    return Matrix._trusted(M.ring, out, k)
+
+
+def scale_columns(M, factors, ring):
+    """M with column j times the nonzero factors[j], over `ring`: each
+    product is coerced into it (a ValueError when it leaves it)."""
+    if len(factors) != M.ncols or not all(factors):
+        raise ValueError("need one nonzero factor per column")
+    rows = tuple({j: _coerce(ring, v * factors[j]) for j, v in row.items()} for row in M._rows)
+    return Matrix._trusted(ring, rows, M.ncols)
 
 
 def _columns_to_matrix(ring, nrows, cols):

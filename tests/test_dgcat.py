@@ -18,9 +18,8 @@ from dgforge.cube import (
     involution,
 )
 from dgforge import dgcat
-from dgforge.cubical import degenerate_projector
+from dgforge.cubical import degenerate_projector, sign_coordinates
 from dgforge.dgcat import (
-    AlternatingEnrichment,
     CoCubicalObject,
     DGFailure,
     DGCategory,
@@ -1184,9 +1183,8 @@ def compose_action(enr, x, y, f):
 def chat_composition(enr, x, y, z, p, q):
     """Oracle for `comp_matrix(x, y, z, p, q)`: every pair of model columns
     composed one at a time as g . (f (x) id_cube) . (id_x (x) delta_n), with
-    the action matrices from `compose_action`, g outer; then projected
-    along the degenerate splitting (cubical) or by the level data's own
-    `project` (alternating), solving for each composite."""
+    the action matrices from `compose_action`, g outer; then projected by
+    `project_raw`."""
     host, Q = enr.host, enr.cocube
     C = host.category
     b, a = -p, -q
@@ -1202,10 +1200,17 @@ def chat_composition(enr, x, y, z, p, q):
             w = C.compose(host.mor_tensor(f, C.identity(Q.cube(n))), dup)
             cols.append(C.compose(g, w).vector)
     raw = _columns_to_matrix(C.ring, enr.group(x, z).rank(n), cols)
-    if isinstance(enr, AlternatingEnrichment):
-        return enr.levels.project(x, z, n, dgcat._int_columns(raw))
-    P = degenerate_projector(enr.group(x, z), n)
-    return restrict(enr.model(x, z).level_basis[n], P * raw, "the projection")
+    return project_raw(enr.levels, x, z, n, raw)
+
+
+def project_raw(levels, x, z, n, raw):
+    """The level-n columns of raw in model coordinates, read off the ring
+    matrices: the sign average through the orbit sums (alternating), or
+    the degenerate projector solved for in the model basis (cubical)."""
+    B = levels.model(x, z).level_basis[n]
+    if isinstance(levels, dgcat._AlternatingLevels):
+        return sign_coordinates(B, raw)
+    return restrict(B, degenerate_projector(levels.group(x, z), n) * raw, "the projection")
 
 
 ORACLE_HOSTS = {
@@ -1253,12 +1258,26 @@ def test_composition_matches_the_per_pair_compose_route(name):
     assert checked > 0
 
 
-def precomposition_block_composition(levels, x, y, z, p, q):
-    """Oracle for `_CubicalLevels.composition`: the block route it replaced.
-    Model column f_j gives w_j = (f_j (x) id) . (id_x (x) delta_n), whose
-    dense `_precomposition` matrix multiplies all left model columns at once
-    (in the ring's entries); raw column (i, j), g outer, is column i of
-    block j."""
+def row_major_product(nx, ny, nz, gvec, fvec):
+    """g . f for g: ny -> nz and f: nx -> ny stored as dense row-major
+    vectors, one multiply-add per pair of entries."""
+    out = [0] * (nx * nz)
+    for iz in range(nz):
+        for iy in range(ny):
+            c = gvec[iz * ny + iy]
+            if c == 0:
+                continue
+            base = iy * nx
+            for ix in range(nx):
+                out[iz * nx + ix] += c * fvec[base + ix]
+    return tuple(out)
+
+
+def dense_level_maps(levels, x, y, z, p, q):
+    """n = -(p + q), the g model columns moved to level n as the ring matrix
+    gfull, for each f model column f_j moved to level n the row-major
+    vector w_j = (f_j (x) id_cube) . (id_x (x) delta_n), composed in the
+    host, and the ranks nx, ny, nz of x (x) cube^n, y (x) cube^n and z."""
     host, Q = levels.host, levels.cocube
     C = host.category
     b, a = -p, -q
@@ -1267,14 +1286,38 @@ def precomposition_block_composition(levels, x, y, z, p, q):
     ffull = levels.group(x, y).act(back_projection(b, a)) * levels.model(x, y).level_basis[a]
     dup = host.mor_tensor(C.identity(x), Q.delta(n))
     id_cube = C.identity(Q.cube(n))
+    ws = [C.compose(host.mor_tensor(C.element(levels.level_object(x, n), y, 0, tuple(col)),
+                                    id_cube), dup).vector
+          for col in map(ffull.col, range(ffull.ncols))]
+    objs = (levels.level_object(x, n), levels.level_object(y, n), z)
+    return (n, gfull, ws, *(dgcat._host_rank(host, v) for v in objs))
+
+
+def dense_composition(levels, x, y, z, p, q):
+    """Oracle for `_CubicalLevels.composition`: the dense route that the
+    one sparse product replaced.  Raw column (i, j), g outer, is
+    `row_major_product` of g_i and w_j, in the ring's entries; then
+    `project_raw`."""
+    n, gfull, ws, nx, ny, nz = dense_level_maps(levels, x, y, z, p, q)
+    cols = [row_major_product(nx, ny, nz, gfull.col(i), w)
+            for i in range(gfull.ncols) for w in ws]
+    raw = _columns_to_matrix(levels.host.category.ring, nx * nz, cols)
+    return project_raw(levels, x, z, n, raw)
+
+
+def precomposition_block_composition(levels, x, y, z, p, q):
+    """Oracle for `_CubicalLevels.composition`: the block route.  The
+    precomposition matrix I_nz (x) W_j^T of w_j, W_j its row-major matrix,
+    multiplies all left model columns at once (in the ring's entries);
+    raw column (i, j), g outer, is column i of block j."""
+    n, gfull, ws, nx, ny, nz = dense_level_maps(levels, x, y, z, p, q)
+    ring = levels.host.category.ring
     blocks = []
-    for j in range(ffull.ncols):
-        f = C.element(levels.level_object(x, n), y, 0, tuple(ffull.col(j)))
-        w = C.compose(host.mor_tensor(f, id_cube), dup)
-        blocks.append(dgcat._precomposition(host, w, z) * gfull)
+    for w in ws:
+        wt = Matrix(ring, [w[r * nx : (r + 1) * nx] for r in range(ny)], ny, nx).transpose()
+        blocks.append(Matrix.identity(ring, nz).kron(wt) * gfull)
     cols = [tuple(blk.col(i)) for i in range(gfull.ncols) for blk in blocks]
-    raw = _columns_to_matrix(C.ring, levels.group(x, z).rank(n), cols)
-    return levels.project(x, z, n, dgcat._int_columns(raw))
+    return project_raw(levels, x, z, n, _columns_to_matrix(ring, nx * nz, cols))
 
 
 @pytest.mark.parametrize("scaling, name", [("", "vertex-Z-top3"), ("", "vertex-Q-top3"),
@@ -1295,12 +1338,14 @@ def test_projection_of_integer_columns_is_the_fraction_product(scaling, name):
     for x, y in itertools.product(host.category.objects, repeat=2):
         for n in range(cocube.top + 1):
             r = lv.group(x, y).rank(n)
-            cols = [(tuple(rng.choice((0, 0, 1, -2, 3)) for _ in range(r)), d)
-                    for d in ((1, 2, 6) if ring == "Q" else (1, 1))]
+            dens = (1, 2, 6) if ring == "Q" else (1, 1)
+            ints = _columns_to_matrix("Z", r, [[rng.choice((0, 0, 1, -2, 3)) for _ in range(r)]
+                                               for _ in dens])
             K = restrict(lv.model(x, y).level_basis[n],
                          degenerate_projector(lv.group(x, y), n), "the projection")
-            raw = _columns_to_matrix(ring, r, [[Fraction(v, d) for v in c] for c, d in cols])
-            got = lv.project(x, y, n, cols)
+            raw = _columns_to_matrix(ring, r, [[Fraction(v, d) for v in ints.col(j)]
+                                               for j, d in enumerate(dens)])
+            got = lv.project(x, y, n, ints, dens)
             assert got == K * raw, (name, x, y, n)
             assert all(type(got[i, j]) is kind for i in range(got.nrows) for j in range(got.ncols))
             denominators += [v.denominator for row in K.nonzero_rows() for _, v in row]
@@ -1328,6 +1373,7 @@ COMPOSITION_CASES = {
     "vertex-Z-top3": lambda: build_vertex_cubes("Z", top=3, objects=(1, 2)),
     "vertex-Q-top3": lambda: build_vertex_cubes("Q", top=3, objects=(1, 2)),
     "fincor-Z-top3": lambda: build_fincor([("p", "q"), ("u", "v", "w")], ring="Z", top=3),
+    "fincor-Q-top3": lambda: build_fincor([("p", "q"), ("u", "v", "w")], ring="Q", top=3),
 }
 
 
@@ -1337,7 +1383,7 @@ def test_composition_matches_the_precomposition_block_route(name):
     ring = host.category.ring
     if name.startswith("rescaled-"):
         lv = _rescaled_levels(host, cocube)
-        assert {2, 3} <= {d for _, d in dgcat._int_columns(lv.model(2, 2).level_basis[2])}
+        assert {2, 3} <= set(dgcat._int_columns(lv.model(2, 2).level_basis[2])[1])
         cases = [(lv, DGCategory(ring, host.category.objects, lv.hom, comp_fn=lv.composition))]
     else:
         enrichments = [cubical_enrichment(host, cocube)]
@@ -1353,8 +1399,11 @@ def test_composition_matches_the_precomposition_block_route(name):
                     continue
                 mat = C.comp_matrix(x, y, z, p, q)
                 if mat.nrows and mat.ncols:
-                    assert mat == precomposition_block_composition(lv, x, y, z, p, q), (
-                        name, x, y, z, p, q)
+                    # two oracles: the precomposition blocks and the dense
+                    # row-major product, both on host-composed w_j
+                    for oracle in (precomposition_block_composition, dense_composition):
+                        assert mat == oracle(lv, x, y, z, p, q), (
+                            oracle.__name__, name, x, y, z, p, q)
                     assert all(type(mat[i, j]) is (Fraction if ring == "Q" else int)
                                for i in range(mat.nrows) for j in range(mat.ncols))
                     checked += not mat.is_zero()

@@ -1,6 +1,8 @@
 """Exact linear algebra kernel: oracle-backed frozen values + invariants."""
 
 import contextlib
+import itertools
+import math
 import random
 import signal
 from fractions import Fraction
@@ -23,6 +25,7 @@ from dgforge.linalg import (
     assemble_strided,
     block_diagonal,
     block_matrix,
+    blocks_as_columns,
     complex_homology,
     compose_chain_maps,
     cone_of_map,
@@ -45,6 +48,7 @@ from dgforge.linalg import (
     q_rref,
     q_solve,
     rank,
+    scale_columns,
     shift_complex,
     single_complex,
     smith_normal_form,
@@ -495,6 +499,59 @@ def assert_stored(m, rows, ncols):
     assert m.rows == tuple(map(tuple, rows))
     assert all(type(v) is KIND[m.ring] for row in m.rows for v in row)
     assert all(v != 0 for row in m.nonzero_rows() for _, v in row)
+
+
+def dense_blocks_as_columns(rows, n):
+    """Column j is block j (columns j * n up to (j + 1) * n) of the dense
+    rows, read row-major."""
+    k = len(rows[0]) // n if rows else 0
+    return [[row[j * n + s] for j in range(k)] for row in rows for s in range(n)]
+
+
+def _sparse_sample(rng, ring, nrows, ncols):
+    """A matrix with zero rows, zero columns and, over Q, non-integer
+    Fractions."""
+    values = (0, 0, 0, 1, -2, 3) + ((Fraction(1, 2), Fraction(-5, 3)) if ring == RING_Q else ())
+    dead = {j for j in range(ncols) if rng.random() < 0.3}
+    rows = [[0 if j in dead or i % 3 == 2 else rng.choice(values) for j in range(ncols)]
+            for i in range(nrows)]
+    return Matrix(ring, rows, nrows=nrows, ncols=ncols)
+
+
+def test_blocks_become_columns_as_the_dense_oracle_reads_them():
+    # every shape 0..4 x 0..4 and every block width that divides it:
+    # zero blocks, empty stacks (no blocks) and matrices with no rows
+    rng = random.Random(5)
+    for ring in (RING_Z, RING_Q):
+        for m, ncols in itertools.product(range(5), repeat=2):
+            for n in (n for n in range(1, 5) if ncols % n == 0):
+                for _ in range(3):
+                    M = _sparse_sample(rng, ring, m, ncols)
+                    got = blocks_as_columns(M, n)
+                    assert_stored(got, dense_blocks_as_columns(M.rows, n), ncols // n)
+                    # on the transpose it is the inverse: each column read
+                    # row-major as an n-column block, side by side
+                    assert blocks_as_columns(got.transpose(), n).transpose() == M
+    for bad in (0, 3):
+        with pytest.raises(ValueError, match="not blocks of"):
+            blocks_as_columns(Matrix.zero(RING_Z, 2, 4), bad)
+
+
+def test_column_scaling_is_exact_and_of_the_ring_type():
+    rng = random.Random(6)
+    for m, k in itertools.product(range(5), repeat=2):
+        M = _sparse_sample(rng, RING_Q, m, k)
+        dens = [math.lcm(*(M[i, j].denominator for i in range(m))) for j in range(k)]
+        ints = scale_columns(M, dens, RING_Z)
+        assert_stored(ints, [[M[i, j] * dens[j] for j in range(k)] for i in range(m)], k)
+        back = scale_columns(ints, [Fraction(1, d) for d in dens], RING_Q)
+        assert back == M
+        assert_stored(back, M.rows, k)
+    with pytest.raises(ValueError):
+        scale_columns(Matrix(RING_Q, [[Fraction(1, 2)]]), [1], RING_Z)
+    for factors in ([], [1, 0]):
+        with pytest.raises(ValueError, match="nonzero factor per column"):
+            scale_columns(Matrix.zero(RING_Z, 1, 2), factors, RING_Z)
 
 
 @given(st.data())
