@@ -6,7 +6,8 @@ coordinate vectors.  Everything is checked as an exact matrix identity:
 the Leibniz rule, associativity, the unit laws, and later the enrichment
 laws are all statements of the form "these two integer (or rational)
 matrices are equal", so a law either holds on the nose or fails with a
-coordinate witness.
+coordinate witness.  Composition matrices come from `comp_fn` alone: for
+mapping complexes and the free-module host, `linalg.hom_composition_matrix`.
 
 The second half of the module builds DG categories out of ordinary
 additive tensor data: a co-cubical object with a comultiplication turns
@@ -65,7 +66,7 @@ from .linalg import (
     differing_entries,
     is_quasi_iso,
     hom_complex,
-    hom_compose_vec,
+    hom_composition_matrix,
     identity_hom_vector,
     kernel,
     make_chain_map,
@@ -115,13 +116,14 @@ class DGCategory:
     inside a larger ambient one (the ambient Homs are what the cubical
     enrichment consumes).
 
-    Pass `comp_fn(x, y, z, p, q)` when composition is natively a matrix,
-    as in every category built on a base (it composes with the base's
-    matrices, and twisted complexes assemble theirs block by block).
-    Pass `comp_vec_fn(x, y, z, p, q, gvec, fvec)` when it is natively a
-    formula on coordinate vectors (mapping complexes and the free-module
-    host): `compose` then uses it directly until the matrix is asked for,
-    and the matrix is assembled from it one pair of basis vectors at a time.
+    `comp_fn(x, y, z, p, q)` is the one source of composition matrices,
+    called when a matrix is asked for: categories on a base compose with
+    the base's matrices, twisted complexes fill theirs block by block, and
+    mapping complexes and the free-module host call `hom_composition_matrix`.
+    `compose` uses `comp_vec_fn(x, y, z, p, q, gvec, fvec)`, if given, until
+    the matrix is cached.  Only the free-module host passes it: its matrix
+    holds rank(x) rank(y) rank(z) entries per triple and its maps are very
+    sparse: composing through it made the enriched law checks 8x slower.
     """
 
     def __init__(self, ring, objects, hom_fn, comp_fn=None, id_fn=None,
@@ -157,19 +159,13 @@ class DGCategory:
         cols = self.hom(y, z).rank(p) * self.hom(x, y).rank(q)
         if rows == 0 or cols == 0:
             return Matrix.zero(self.ring, rows, cols)
-        mat = (self._comp_fn or self._assemble_comp)(x, y, z, p, q)
+        if self._comp_fn is None:
+            raise ValueError("no composition data for (%r, %r, %r)" % (x, y, z))
+        mat = self._comp_fn(x, y, z, p, q)
         if mat.nrows != rows or mat.ncols != cols:
             raise ValueError("composition matrix shape mismatch at %r" % (key,))
         self._comp[key] = mat
         return mat
-
-    def _assemble_comp(self, x, y, z, p, q):
-        if self._comp_vec_fn is None:
-            raise ValueError("no composition data for (%r, %r, %r)" % (x, y, z))
-        fs = self.basis(x, y, q)
-        cols = [self._comp_vec_fn(x, y, z, p, q, g.vector, f.vector)
-                for g in self.basis(y, z, p) for f in fs]
-        return _columns_to_matrix(self.ring, self.hom(x, z).rank(p + q), cols)
 
     def identity(self, x):
         if x not in self._id:
@@ -488,9 +484,6 @@ class H0Category:
     def hom_group(self, x, y):
         return self.groups[(x, y)]
 
-    def compose(self, x, y, z, gvec, fvec):
-        return _apply(self.comp[(x, y, z)], _kron_vec(gvec, fvec))
-
     def same_class(self, x, y, u, v):
         if not len(u) == len(v) == self.boundaries[(x, y)].nrows:
             raise ValueError("coordinate length mismatch")
@@ -752,12 +745,11 @@ def complexes_category(complexes, name="complexes"):
     def hom_fn(x, y):
         return hom_complex(items[x], items[y])
 
-    def comp_vec(x, y, z, p, q, gvec, fvec):
-        return hom_compose_vec(items[x], items[y], items[z], p, gvec, q, fvec)
+    def comp_fn(x, y, z, p, q):
+        return hom_composition_matrix(items[x], items[y], items[z], p, q)
 
     return DGCategory(
-        ring, tuple(sorted(items)), hom_fn,
-        comp_vec_fn=comp_vec,
+        ring, tuple(sorted(items)), hom_fn, comp_fn=comp_fn,
         id_fn=lambda x: identity_hom_vector(items[x]),
         name=name,
     )
@@ -919,10 +911,13 @@ def _free_module_host(ring, objects, rank, obj_tensor, unit, name):
     def hom_fn(x, y):
         return single_complex(ring, 0, rank(x) * rank(y))
 
+    def comp_fn(x, y, z, p, q):
+        return hom_composition_matrix(*(single_complex(ring, 0, rank(v)) for v in (x, y, z)), p, q)
+
     def comp_vec(x, y, z, p, q, gvec, fvec):
         return _row_major_product(rank(x), rank(y), rank(z), gvec, fvec)
 
-    cat = DGCategory(ring, objects, hom_fn, comp_vec_fn=comp_vec,
+    cat = DGCategory(ring, objects, hom_fn, comp_fn=comp_fn, comp_vec_fn=comp_vec,
                      id_fn=lambda x: tuple(int(i == j) for i in range(rank(x))
                                            for j in range(rank(x))), name=name)
 

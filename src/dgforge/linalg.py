@@ -14,14 +14,15 @@ demand for readers outside the library.  Other modules read entries
 through `m[i, j]`, `m.nonzero_rows()` and `differing_entries` (the
 entries where two matrices differ), and fill matrices with `assemble`, a
 sum of signed Kronecker blocks scalar * (A (x) B) (Van Loan 2000), as the
-tensor, Hom, cone and total complexes here do, or with
+tensor, Hom, cone and total complexes and the composition matrix of
+mapping complexes (`hom_composition_matrix`) here do, or with
 `assemble_strided`, which moves blocks into place among the columns of a
 Kronecker product of totals.  Entries are coerced only at the public
 boundary (`Matrix(...)`, `Matrix.column`, `to_q`/`to_z`, the factor of
 `scale`, the products of `scale_columns`); everything else stores entries
-of the ring's type (int over Z, Fraction over Q) unchecked.  Law checks of the form "composition applied
-to a tensor of maps" use `mul_kron`, which computes M * (A (x) B) without
-forming the Kronecker product.
+of the ring's type (int over Z, Fraction over Q) unchecked.  Law checks
+of the form "composition applied to a tensor of maps" use `mul_kron`,
+which computes M * (A (x) B) without forming the Kronecker product.
 
 Subcomplexes, direct sums and double-complex totals come from four
 constructors: `restrict` (with `restrict_vector`) reads maps in the
@@ -30,6 +31,7 @@ degree, `direct_sum` stacks complexes block-diagonally, and `totalize`
 stacks the columns of a double complex, signing their differential (-1)^p.
 """
 
+import heapq
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -761,23 +763,32 @@ def q_rref(A):
 
     Gauss-Jordan elimination on the sparse rows: only stored entries are
     made Fractions (a Z matrix gives its echelon form over Q).  Each step
-    pivots on the remaining row with the smallest leading column, scales
-    it to a leading 1 and clears that column from every other row, so the
-    pivot rows come out in echelon order and the zero rows go last.  The
-    reduced form is unique, so R is the one that dense elimination gives."""
-    rest, done, pivots = [dict(row) for row in A.to_q()._rows if row], [], []
-    while rest:
-        p, k = min((min(r), k) for k, r in enumerate(rest))
-        row = rest.pop(k)
+    pivots on the least (leading column, row index) of a heap, scales that
+    row to a leading 1 and clears its column from the done rows and from
+    the remaining rows that lead with it, the only ones that hold it; they
+    go back on the heap unless emptied.  The reduced form is unique, so R
+    is the one that dense elimination gives."""
+    rest = [dict(row) for row in A.to_q()._rows if row]
+    heap, done, pivots = [(min(r), k) for k, r in enumerate(rest)], [], []
+    heapq.heapify(heap)
+    while heap:
+        p, k = heapq.heappop(heap)
+        row = rest[k]
         if row[p] != 1:
             inv = 1 / row[p]
             row = {j: v * inv for j, v in row.items()}
-        for other in itertools.chain(done, rest):
+        for other in done:
             c = other.get(p)
             if c:
                 for j, v in row.items():
                     _add_entry(other, j, -c * v)
-        rest = [r for r in rest if r]
+        while heap and heap[0][0] == p:
+            i = heapq.heappop(heap)[1]
+            other, c = rest[i], rest[i][p]
+            for j, v in row.items():
+                _add_entry(other, j, -c * v)
+            if other:
+                heapq.heappush(heap, (min(other), i))
         done.append(row)
         pivots.append(p)
     return Matrix._trusted(RING_Q, tuple(done) + ({},) * (A.nrows - len(done)), A.ncols), pivots
@@ -1084,58 +1095,10 @@ def tensor_complex(C, D):
     return make_complex(ring, lo, ranks, diffs, check=False)
 
 
-def hom_basis(C, D, n):
-    """Ordered basis of Hom(C, D)^n: triples (p, i, j) = matrix unit E_ij in
-    Hom(C^p, D^(p+n)), blocks by ascending p, entries row-major."""
-    out = []
-    for p in range(C.lo, C.hi + 1):
-        if C.rank(p) and D.rank(p + n):
-            for i in range(D.rank(p + n)):
-                for j in range(C.rank(p)):
-                    out.append((p, i, j))
-    return out
-
-
-def hom_element_matrices(C, D, n, vec):
-    """Unflatten a Hom(C,D)^n coordinate vector into per-degree matrices;
-    a ValueError when its length is not the rank of Hom(C,D)^n (a short
-    vector leaves a row of some block short)."""
-    mats = {}
-    idx = 0
-    for p in range(C.lo, C.hi + 1):
-        rc, rd = C.rank(p), D.rank(p + n)
-        if rc and rd:
-            rows = []
-            for i in range(rd):
-                rows.append(list(vec[idx + i * rc : idx + (i + 1) * rc]))
-            idx += rd * rc
-            mats[p] = Matrix(C.ring, rows, nrows=rd, ncols=rc)
-    if idx != len(vec):
-        raise ValueError("a Hom^%d vector needs %d coordinates, got %d" % (n, idx, len(vec)))
-    return mats
-
-
-def hom_element_vector(C, D, n, mats):
-    """Flatten per-degree matrices back to Hom(C,D)^n coordinates, written
-    from the stored entries."""
-    vec, zero = [], _units(C.ring)[0]
-    for p in range(C.lo, C.hi + 1):
-        rc, rd = C.rank(p), D.rank(p + n)
-        if rc and rd:
-            m, start = mats.get(p) or Matrix.zero(C.ring, rd, rc), len(vec)
-            if m.nrows != rd or m.ncols != rc:
-                raise ValueError("component shape mismatch at degree %d" % p)
-            vec.extend([zero] * (rd * rc))
-            for i, row in enumerate(m._rows):
-                for j, v in row.items():
-                    vec[start + i * rc + j] = v
-    return tuple(vec)
-
-
 def hom_complex(C, D):
     """Hom(C, D)^n = prod_p Hom(C^p, D^(p+n)), d f = d_D f - (-1)^n f d_C.
 
-    f_p is stored row-major, as in `hom_basis`, so d_D f_p = (d_D (x) 1) f_p
+    f_p is stored row-major, blocks by ascending p, so d_D f_p = (d_D (x) 1) f_p
     and f_p d_C^(p-1) = (1 (x) (d_C^(p-1))^T) f_p (Van Loan 2000)."""
     if C.ring != D.ring:
         raise ValueError("ring mismatch")
@@ -1160,25 +1123,35 @@ def hom_complex(C, D):
     return make_complex(ring, lo, ranks, diffs, check=False)
 
 
-def hom_compose_vec(C, D, E, n_g, vec_g, n_f, vec_f):
-    """Compose Hom(D,E)^n_g with Hom(C,D)^n_f into Hom(C,E)^(n_g+n_f).
+def hom_composition_matrix(C, D, E, p, q):
+    """The matrix of Hom(D,E)^p (x) Hom(C,D)^q -> Hom(C,E)^(p+q), g outer
+    as in `kron`: plain componentwise composition (g f)_r = g_(r+q) f_r,
+    no signs (the Koszul signs of the graded Hom live in its differential).
 
-    Plain componentwise composition (g . f)_p = g_(p+n_f) . f_p, no signs:
-    the Koszul signs of the graded Hom live in the differential, not here.
-    """
-    g = hom_element_matrices(D, E, n_g, vec_g)
-    f = hom_element_matrices(C, D, n_f, vec_f)
-    out = {}
-    for p, fp in f.items():
-        gp = g.get(p + n_f)
-        if gp is not None:
-            out[p] = gp * fp
-    return hom_element_vector(C, E, n_g + n_f, out)
+    With the blocks row-major, as in `hom_complex`, entry (a, k) of
+    g_(r+q) f_r is the sum over i of g[a, i] f[i, k], so the map is one
+    identity block I_c per (a, i), c = rank C^r (Van Loan 2000)."""
+    if not C.ring == D.ring == E.ring:
+        raise ValueError("ring mismatch")
+
+    def starts(X, Y, n):
+        start, (rk,) = _block_starts(n, n, X.degrees(), lambda _, r: Y.rank(r + n) * X.rank(r))
+        return {r: s for (_, r), s in start.items()}, rk
+
+    (g, rg), (f, rf), (h, rh) = starts(D, E, p), starts(C, D, q), starts(C, E, p + q)
+    terms = []
+    for r in C.degrees():
+        c, d, e = C.rank(r), D.rank(r + q), E.rank(r + p + q)
+        terms += [(h[r] + a * c, (g[r + q] + a * d) * rf + f[r] + i * (rf + c), c, 1, 1)
+                  for a in range(e) for i in range(d) if c]
+    return assemble(C.ring, rh, rg * rf, terms)
 
 
 def identity_hom_vector(C):
-    mats = {p: Matrix.identity(C.ring, C.rank(p)) for p in C.degrees() if C.rank(p)}
-    return hom_element_vector(C, C, 0, mats)
+    """The identity of C in Hom(C, C)^0: the row-major I_(rank C^p) for each p."""
+    zero, one = _units(C.ring)
+    return tuple(one if k % (C.rank(p) + 1) == 0 else zero
+                 for p in C.degrees() for k in range(C.rank(p) ** 2))
 
 
 class ChainMap:

@@ -31,11 +31,8 @@ from dgforge.linalg import (
     cone_of_map,
     differing_entries,
     direct_sum,
-    hom_basis,
     hom_complex,
-    hom_compose_vec,
-    hom_element_matrices,
-    hom_element_vector,
+    hom_composition_matrix,
     identity_chain_map,
     identity_hom_vector,
     is_quasi_iso,
@@ -62,7 +59,15 @@ from dgforge.linalg import (
     z_solve,
     zero_complex,
 )
+from dgforge.dgcat import _row_major_product
 from dgforge.sheaf import constant_presheaf, godement_tower, pseudo_circle_site
+from hom_oracle import (
+    hom_basis,
+    hom_compose_vec,
+    hom_element_matrices,
+    hom_element_vector,
+    per_basis_pair_composition,
+)
 from util_gen import conjugate_complex, random_complex, random_hom_vector, random_z_matrix
 
 
@@ -1284,6 +1289,64 @@ def test_identity_hom_vector_is_unit():
         f = random_hom_vector(rng, H.rank(n))
         assert hom_compose_vec(C, C, D, n, f, 0, idC) == f
         assert hom_compose_vec(C, D, D, 0, idD, n, f) == f
+
+
+def _composition_cases(rng, ring):
+    """Triples of complexes: random ones, ones with zero ranks inside their
+    window, and ones whose windows lie far apart, so that some Hom windows
+    do not meet."""
+    sparse = make_complex(ring, -1, [0, 2, 0, 1], [Matrix.zero(ring, 2, 0), Matrix.zero(ring, 0, 2),
+                                                   Matrix.zero(ring, 1, 0)])
+    far, empty = single_complex(ring, 6, 2), single_complex(ring, 0, 0)
+    cases = [tuple(random_complex(rng, ring, max_pieces=2) for _ in range(3)) for _ in range(12)]
+    cases += [(sparse, sparse, sparse), (far, sparse, far), (sparse, far, sparse),
+              (empty, sparse, far), (random_complex(rng, ring), far, random_complex(rng, ring))]
+    return cases
+
+
+@pytest.mark.parametrize("ring, seed", [(RING_Z, 61), (RING_Q, 67)])
+def test_hom_composition_matrix_matches_the_per_basis_pair_assembly(ring, seed):
+    rng = random.Random(seed)
+    for C, D, E in _composition_cases(rng, ring):
+        HDE, HCD = hom_complex(D, E), hom_complex(C, D)
+        # every (p, q) of both Hom windows, and one degree past each edge
+        for p in range(HDE.lo - 1, HDE.hi + 2):
+            for q in range(HCD.lo - 1, HCD.hi + 2):
+                M = hom_composition_matrix(C, D, E, p, q)
+                assert M == per_basis_pair_composition(C, D, E, p, q), (p, q)
+                assert (M.nrows, M.ncols) == (hom_complex(C, E).rank(p + q),
+                                              HDE.rank(p) * HCD.rank(q))
+                assert M.ring == ring and all(type(v) is KIND[ring] for row in M.rows for v in row)
+
+
+def test_hom_composition_matrix_refuses_mixed_rings():
+    Z, Q = single_complex(RING_Z, 0, 1), single_complex(RING_Q, 0, 1)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        hom_composition_matrix(Z, Q, Z, 0, 0)
+
+
+@pytest.mark.parametrize("ring", [RING_Z, RING_Q])
+def test_hom_composition_matrix_on_single_degrees_is_the_row_major_product(ring):
+    for nx, ny, nz in itertools.product(range(4), repeat=3):
+        M = hom_composition_matrix(*(single_complex(ring, 0, n) for n in (nx, ny, nz)), 0, 0)
+        cols = [_row_major_product(nx, ny, nz, g, f)
+                for g in Matrix.identity(RING_Z, ny * nz).rows
+                for f in Matrix.identity(RING_Z, nx * ny).rows]
+        assert M == _columns_to_matrix(ring, nx * nz, cols), (nx, ny, nz)
+        assert all(type(v) is KIND[ring] for row in M.rows for v in row)
+
+
+@pytest.mark.parametrize("ring, seed", [(RING_Z, 71), (RING_Q, 73)])
+def test_identity_hom_vector_is_the_block_identity(ring, seed):
+    rng = random.Random(seed)
+    cases = [random_complex(rng, ring) for _ in range(10)]
+    cases += [single_complex(ring, 0, 0), single_complex(ring, 3, 2),
+              make_complex(ring, -1, [2, 0, 1], [Matrix.zero(ring, 0, 2), Matrix.zero(ring, 1, 0)])]
+    for C in cases:
+        mats = {p: Matrix.identity(ring, C.rank(p)) for p in C.degrees() if C.rank(p)}
+        old = hom_element_vector(C, C, 0, mats)
+        new = identity_hom_vector(C)
+        assert new == old and [type(v) for v in new] == [type(v) for v in old]
 
 
 def test_cone_and_quasi_iso():

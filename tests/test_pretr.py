@@ -38,7 +38,6 @@ from dgforge.linalg import (
     complex_homology,
     cone_of_map,
     hom_complex,
-    hom_element_matrices,
     kernel,
     make_chain_map,
     make_complex,
@@ -90,6 +89,7 @@ from dgforge.pretr import (
     unit_twisted,
     zero_morphism,
 )
+from hom_oracle import hom_element_matrices
 from util_gen import (
     random_closed_morphism,
     random_twisted,
