@@ -28,6 +28,7 @@ chain map, which the tests check on every fixture.
 """
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -38,7 +39,6 @@ from .linalg import (
     _apply,
     assemble,
     block_diagonal,
-    block_matrix,
     complex_homology,
     compose_chain_maps,
     direct_sum,
@@ -256,27 +256,61 @@ def minimal_cover(site):
 # Presheaves of chain complexes.
 
 
+class _Lazy(Mapping):
+    """A read-only mapping over fixed keys whose value at a key is built by
+    build(key) on first read and then kept."""
+
+    def __init__(self, keys, build):
+        self._keys = dict.fromkeys(keys)
+        self._build = build
+        self._built = {}
+
+    def __getitem__(self, key):
+        if key not in self._built:
+            if key not in self._keys:
+                raise KeyError(key)
+            self._built[key] = self._build(key)
+        return self._built[key]
+
+    def __contains__(self, key):
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
 @dataclass(frozen=True)
 class Presheaf:
     """Per-open chain complexes with a restriction map for every inclusion.
 
     Immutable: `vals` and `res` are read-only views of copies of the given
-    mappings and the window is read off once, so results derived from the
-    presheaf can be kept on it (see `cech_hypercohomology`).
+    mappings, or the lazy mappings of `sheafify`, kept as given.  The ring
+    and the window (lo, hi) are read off the values unless given; a lazy
+    presheaf is given both, so reading them builds no value.  Results
+    derived from the presheaf can be kept on it (see
+    `cech_hypercohomology`).
     """
 
     site: FiniteSite
-    vals: MappingProxyType
-    res: MappingProxyType
-    _window: tuple = field(init=False, repr=False, compare=False)
+    vals: Mapping
+    res: Mapping
+    ring: str = field(default=None, compare=False)
+    bounds: tuple = field(default=None, repr=False, compare=False)
     _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vals", MappingProxyType(dict(self.vals)))
-        object.__setattr__(self, "res", MappingProxyType(dict(self.res)))
-        object.__setattr__(self, "_window", (
-            min(C.lo for C in self.vals.values()), max(C.hi for C in self.vals.values())
-        ))
+        if not isinstance(self.vals, _Lazy):
+            object.__setattr__(self, "vals", MappingProxyType(dict(self.vals)))
+            object.__setattr__(self, "res", MappingProxyType(dict(self.res)))
+        if self.ring is None:
+            object.__setattr__(self, "ring", self.vals[self.site.space()].ring)
+        if self.bounds is None:
+            object.__setattr__(self, "bounds", (
+                min(C.lo for C in self.vals.values()), max(C.hi for C in self.vals.values())
+            ))
         object.__setattr__(self, "_cache", {})
 
     def _memo(self, key, build):
@@ -294,12 +328,8 @@ class Presheaf:
     def stalk(self, x):
         return self.value(self.site.up(x))
 
-    @property
-    def ring(self):
-        return self.vals[self.site.space()].ring
-
     def window(self):
-        return self._window
+        return self.bounds
 
     def __repr__(self):
         return "Presheaf(%r over %d opens)" % (self.ring, len(self.vals))
@@ -476,75 +506,62 @@ def sheafify(F):
     """The associated sheaf: value on U is the limit of the stalks over
     the points of U, computed as an exact kernel; restrictions project.
 
+    Lazy: a value, with its kernel bases, and a restriction, one `restrict`
+    per degree, are built on first read and kept, so a cover complex pays
+    only for the opens and inclusions it reads.  The builders hold the
+    stalks, the restrictions between them and the ring, never F.
+
     The result only depends on the stalks of F, and its own stalks agree
     with those of F, so applying it twice changes nothing.
     """
-    site = F.site
+    site, ring, (lo, hi) = F.site, F.ring, F.window()
     stalk = {x: F.stalk(x) for x in site.points}
-    vals, kbases = _limits(F)
-    above = {}
-    for U, V in site.inclusions():
-        above.setdefault(V, []).append(U)
-    comps = {(U, V): {} for U, V in site.inclusions()}
-    for V in kbases:
-        for n, basis in kbases[V].items():
-            small = _coordinates(V, lambda x: stalk[x].rank(n))
-            # the rows of each kernel basis at the points of V, side by
-            # side: one solve covers every open above V
-            projs = []
-            for U in above[V]:
-                ks = kbases[U][n]
-                rows = _positions(small, _coordinates(U, lambda x: stalk[x].rank(n)))
-                projs.append(ks.submatrix(rows, range(ks.ncols)))
-            coords = restrict(basis, block_matrix(F.ring, [projs]), "the limit projection")
-            starts = itertools.accumulate((P.ncols for P in projs), initial=0)
-            for U, start, P in zip(above[V], starts, projs):
-                comps[(U, V)][n] = coords.submatrix(
-                    range(coords.nrows), range(start, start + P.ncols)
-                )
-    res = {(U, V): ChainMap(vals[U], vals[V], comps[(U, V)]) for U, V in site.inclusions()}
-    return make_presheaf(site, vals, res, check=False)
-
-
-def _limits(F):
-    """The values of `sheafify(F)`, each a subcomplex of the sum of the
-    stalks, and per nonempty open and degree its kernel basis there."""
-    site = F.site
-    ring = F.ring
-    lo, hi = F.window()
+    between = {
+        (x, y): F.restriction(site.up(x), site.up(y))
+        for x in site.points for y in site.up(x) if x != y
+    }
     kbases = {}
-    vals = {}
-    for U in site.opens():
+
+    def value(U):
         if not U:
-            vals[U] = zero_complex(ring, lo, hi)
-            continue
-        stalks = [F.stalk(x) for x in U]
-        pairs = [
-            (xi, yi)
-            for xi, x in enumerate(U)
-            for yi, y in enumerate(U)
-            if x != y and site.leq(x, y)
-        ]
-        ks = {}
+            return zero_complex(ring, lo, hi)
+        stalks = [stalk[x] for x in U]
+        pairs = [(xi, yi) for xi, x in enumerate(U) for yi, y in enumerate(U) if (x, y) in between]
+        ks = kbases[U] = {}
         for n in range(lo, hi + 1):
-            cols = sum(S.rank(n) for S in stalks)
+            ranks = [S.rank(n) for S in stalks]
             if not pairs:
-                ks[n] = Matrix.identity(ring, cols)
+                ks[n] = Matrix.identity(ring, sum(ranks))
                 continue
             # one block row per pair x < y: the stalk at y minus the
             # restriction of the stalk at x to it
-            offs = list(itertools.accumulate((S.rank(n) for S in stalks), initial=0))
+            offs = list(itertools.accumulate(ranks, initial=0))
             terms = []
             roff = 0
             for xi, yi in pairs:
-                rmat = F.restriction(site.up(U[xi]), site.up(U[yi])).comp(n)
-                terms.append((roff, offs[yi], stalks[yi].rank(n), 1, 1))
-                terms.append((roff, offs[xi], rmat, 1, -1))
-                roff += stalks[yi].rank(n)
-            ks[n] = kernel(assemble(ring, roff, cols, terms))
-        vals[U] = subcomplex(direct_sum(ring, lo, hi, stalks), ks)
-        kbases[U] = ks
-    return vals, kbases
+                terms.append((roff, offs[yi], ranks[yi], 1, 1))
+                terms.append((roff, offs[xi], between[(U[xi], U[yi])].comp(n), 1, -1))
+                roff += ranks[yi]
+            ks[n] = kernel(assemble(ring, roff, offs[-1], terms))
+        return subcomplex(direct_sum(ring, lo, hi, stalks), ks)
+
+    vals = _Lazy(site.opens(), value)
+
+    def restriction(UV):
+        """The rows of U's kernel bases at the points of V, in V's bases."""
+        U, V = UV
+        src, tgt = vals[U], vals[V]  # reading a value builds its kernel bases
+        comps = {}
+        if V:
+            for n in range(lo, hi + 1):
+                rank = lambda x: stalk[x].rank(n)
+                ks = kbases[U][n]
+                rows = _positions(_coordinates(V, rank), _coordinates(U, rank))
+                comps[n] = restrict(kbases[V][n], ks.submatrix(rows, range(ks.ncols)),
+                                    "the limit projection")
+        return ChainMap(src, tgt, comps)
+
+    return Presheaf(site, vals, _Lazy(site.inclusions(), restriction), ring, (lo, hi))
 
 
 def sheafification_map(F, aF=None):
@@ -887,7 +904,8 @@ def _sheafified(F):
 
 def cech_hypercohomology(F, n, cover=None):
     """Homology of the cover complex of the associated sheaf, both kept
-    on F, so a sweep over the degrees builds each once.  Unchecked: the
+    on F, so a sweep over the degrees builds each once; the sheaf is lazy,
+    so only its values on the meets of the cover are built.  Unchecked: the
     answer is the hypercohomology only when the cover is Leray for the
     sheaf, which `hypercohomology_compare` checks."""
     cover = minimal_cover(F.site) if cover is None else tuple(F.site.as_open(V) for V in cover)

@@ -59,7 +59,7 @@ from dgforge.linalg import (
     z_solve,
     zero_complex,
 )
-from dgforge.dgcat import _row_major_product
+from dgforge.dgcat import HomElement, _row_major_product, complexes_category
 from dgforge.sheaf import constant_presheaf, godement_tower, pseudo_circle_site
 from hom_oracle import (
     hom_basis,
@@ -1261,19 +1261,21 @@ def test_hom_vector_matrix_roundtrip():
 
 
 def test_hom_vectors_of_the_wrong_length_are_refused():
-    # Hom(C, C)^0 of C = Z --2--> Z has rank 2; extra coordinates were dropped
+    # Hom(C, C)^0 of C = Z --2--> Z has rank 2; the category refuses any
+    # other length, whether an element is made, differentiated or composed
     C = two_term_complex(RING_Z, 0, Matrix(RING_Z, [[2]]))
-    for vec in ((1, 2, 99, 98), (1, 2, 3)):
-        with pytest.raises(ValueError, match="needs 2 coordinates, got %d" % len(vec)):
-            hom_element_matrices(C, C, 0, vec)
-    for vec in ((1,), ()):
-        with pytest.raises(ValueError):
-            hom_element_matrices(C, C, 0, vec)
-    with pytest.raises(ValueError, match="needs 2 coordinates"):
-        hom_compose_vec(C, C, C, 0, (1, 1, 5), 0, (1, 1))
-    with pytest.raises(ValueError, match="needs 2 coordinates"):
-        hom_compose_vec(C, C, C, 0, (1, 1), 0, (1, 1, 5))
-    assert hom_compose_vec(C, C, C, 0, (1, 1), 0, (2, 3)) == (2, 3)
+    cat = complexes_category({"c": C})
+    for vec in ((1, 2, 99, 98), (1, 2, 3), (1,), ()):
+        with pytest.raises(ValueError, match="coordinate length mismatch"):
+            cat.element("c", "c", 0, vec)
+        bad = HomElement("c", "c", 0, vec)
+        good = cat.element("c", "c", 0, (1, 1))
+        for call in (lambda: cat.differential(bad), lambda: cat.compose(bad, good),
+                     lambda: cat.compose(good, bad)):
+            with pytest.raises(ValueError, match="coordinate length mismatch"):
+                call()
+    two_three = cat.element("c", "c", 0, (2, 3))
+    assert cat.compose(cat.element("c", "c", 0, (1, 1)), two_three) == two_three
 
 
 def test_identity_hom_vector_is_unit():

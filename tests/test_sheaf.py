@@ -12,13 +12,18 @@ from dgforge.dgcat import build_fincor, complexes_category, validate_dg, validat
 from dgforge.linalg import (
     ChainMap,
     Matrix,
+    assemble,
+    block_matrix,
     compose_chain_maps,
     complex_homology,
+    direct_sum,
     identity_chain_map,
     is_quasi_iso,
+    kernel,
     make_chain_map,
     restrict,
     single_complex,
+    subcomplex,
     tensor_basis,
     tensor_chain_map,
     two_term_complex,
@@ -26,7 +31,9 @@ from dgforge.linalg import (
 )
 from dgforge.sheaf import (
     AWPairing,
-    _limits,
+    _coordinates,
+    _cover_meets,
+    _positions,
     _sheafified,
     CompareReport,
     FiniteSite,
@@ -167,8 +174,10 @@ def _oracle_sites():
     }
 
 
-@pytest.mark.parametrize("name", ["point", "sierpinski", "pseudo_circle", "circle6",
-                                  "sphere6", "chain4"])
+SITE_NAMES = ["point", "sierpinski", "pseudo_circle", "circle6", "sphere6", "chain4"]
+
+
+@pytest.mark.parametrize("name", SITE_NAMES)
 def test_site_opens_and_inclusions_match_the_subset_walk(name):
     site = _oracle_sites()[name]
     reference = _up_closed_subsets(site)
@@ -307,6 +316,90 @@ def _mixed_torsion():
     return two_term_complex("Z", 0, Matrix("Z", [[-67, -175], [92, 240]]))
 
 
+def _limits(F):
+    """The values of `eager_sheafify(F)`, each a subcomplex of the sum of
+    the stalks, and per nonempty open and degree its kernel basis there."""
+    site = F.site
+    ring = F.ring
+    lo, hi = F.window()
+    kbases = {}
+    vals = {}
+    for U in site.opens():
+        if not U:
+            vals[U] = zero_complex(ring, lo, hi)
+            continue
+        stalks = [F.stalk(x) for x in U]
+        pairs = [
+            (xi, yi)
+            for xi, x in enumerate(U)
+            for yi, y in enumerate(U)
+            if x != y and site.leq(x, y)
+        ]
+        ks = {}
+        for n in range(lo, hi + 1):
+            cols = sum(S.rank(n) for S in stalks)
+            if not pairs:
+                ks[n] = Matrix.identity(ring, cols)
+                continue
+            # one block row per pair x < y: the stalk at y minus the
+            # restriction of the stalk at x to it
+            offs = list(itertools.accumulate((S.rank(n) for S in stalks), initial=0))
+            terms = []
+            roff = 0
+            for xi, yi in pairs:
+                rmat = F.restriction(site.up(U[xi]), site.up(U[yi])).comp(n)
+                terms.append((roff, offs[yi], stalks[yi].rank(n), 1, 1))
+                terms.append((roff, offs[xi], rmat, 1, -1))
+                roff += stalks[yi].rank(n)
+            ks[n] = kernel(assemble(ring, roff, cols, terms))
+        vals[U] = subcomplex(direct_sum(ring, lo, hi, stalks), ks)
+        kbases[U] = ks
+    return vals, kbases
+
+
+def eager_sheafify(F):
+    """The oracle for `sheafify`: every limit built at once, and the limit
+    projections solved once per open V for every open above V, with the
+    rows of their kernel bases at the points of V side by side."""
+    site = F.site
+    stalk = {x: F.stalk(x) for x in site.points}
+    vals, kbases = _limits(F)
+    above = {}
+    for U, V in site.inclusions():
+        above.setdefault(V, []).append(U)
+    comps = {(U, V): {} for U, V in site.inclusions()}
+    for V in kbases:
+        for n, basis in kbases[V].items():
+            small = _coordinates(V, lambda x: stalk[x].rank(n))
+            projs = []
+            for U in above[V]:
+                ks = kbases[U][n]
+                rows = _positions(small, _coordinates(U, lambda x: stalk[x].rank(n)))
+                projs.append(ks.submatrix(rows, range(ks.ncols)))
+            coords = restrict(basis, block_matrix(F.ring, [projs]), "the limit projection")
+            starts = itertools.accumulate((P.ncols for P in projs), initial=0)
+            for U, start, P in zip(above[V], starts, projs):
+                comps[(U, V)][n] = coords.submatrix(
+                    range(coords.nrows), range(start, start + P.ncols)
+                )
+    res = {(U, V): ChainMap(vals[U], vals[V], comps[(U, V)]) for U, V in site.inclusions()}
+    return make_presheaf(site, vals, res, check=False)
+
+
+@pytest.mark.parametrize("name", SITE_NAMES)
+def test_lazy_sheafification_matches_the_eager_oracle(name, t2):
+    site = _oracle_sites()[name]
+    for K in (t2, _mixed_torsion()):
+        F = constant_presheaf(site, K)
+        aF, want = sheafify(F), eager_sheafify(F)
+        assert (aF.ring, aF.window()) == (want.ring, want.window())
+        for U in site.opens():
+            assert aF.vals[U] == want.vals[U], U
+        for key in site.inclusions():
+            assert aF.res[key] == want.res[key], key
+        assert validate_presheaf(aF)
+
+
 def _per_pair_projections(F):
     """The oracle for the restrictions of `sheafify(F)`: one `restrict` per
     inclusion U -> V and degree n, of the rows of U's kernel basis at the
@@ -327,9 +420,8 @@ def _per_pair_projections(F):
     return out
 
 
-@pytest.mark.parametrize("name", ["point", "sierpinski", "pseudo_circle", "circle6",
-                                  "sphere6", "chain4"])
-def test_batched_limit_projections_match_the_per_pair_route(name, t2):
+@pytest.mark.parametrize("name", SITE_NAMES)
+def test_limit_projections_match_the_per_pair_oracle(name, t2):
     site = _oracle_sites()[name]
     for K in (t2, _mixed_torsion()):
         F = constant_presheaf(site, K)
@@ -341,6 +433,37 @@ def test_batched_limit_projections_match_the_per_pair_route(name, t2):
         for U, V in site.inclusions():
             if not V:
                 assert aF.res[(U, V)].comps == {}
+
+
+def test_a_cover_sweep_builds_only_the_limits_it_reads(t2, monkeypatch):
+    site = _oracle_sites()["circle6"]
+    built = []
+
+    class Counting(sheaf_module._Lazy):
+        def __init__(self, keys, build):
+            def counting(key):
+                built.append(key)
+                return build(key)
+
+            super().__init__(keys, counting)
+
+    monkeypatch.setattr(sheaf_module, "_Lazy", Counting)
+    F = constant_presheaf(site, t2)
+    aF = _sheafified(F)
+    assert (aF.ring, aF.window()) == ("Z", (0, 1))
+    assert all(key in aF.res for key in site.inclusions()) and ("M0", "m0") not in aF.vals
+    assert built == []
+    for n in range(-1, 8):
+        cech_hypercohomology(F, n)
+    values = [key for key in built if key in site.opens()]
+    restrictions = [key for key in built if key in site.inclusions()]
+    assert len(values) + len(restrictions) == len(built)
+    # the meets of the minimal cover: its six opens and the empty open
+    meets = set(_cover_meets(site, minimal_cover(site)).values())
+    assert len(site.opens()) == 18 and len(site.inclusions()) == 129
+    assert sorted(values) == sorted(meets) and len(values) == 7
+    assert len(set(restrictions)) == len(restrictions) <= 16
+    assert all(U in meets and V in meets for U, V in restrictions)
 
 
 def test_a_degree_sweep_sheafifies_each_presheaf_once(pseudo, t2, monkeypatch):
@@ -383,6 +506,18 @@ def test_presheaves_are_immutable(pseudo, t2):
     vals[()] = t2
     assert F.vals[()].total_rank() == 0
     assert F.window() == (0, 1)
+    # a sheafification keeps its lazy mappings, with the same keys and refusals
+    aF = sheafify(G)
+    with pytest.raises(TypeError):
+        aF.vals[()] = t2
+    with pytest.raises(TypeError):
+        aF.res[((), ())] = identity_chain_map(t2)
+    with pytest.raises(KeyError):
+        aF.vals[("u", "a")]
+    with pytest.raises(KeyError):
+        aF.res[(("u",), ("v",))]
+    assert tuple(dict(aF.vals)) == pseudo.opens()
+    assert tuple(dict(aF.res)) == pseudo.inclusions()
 
 
 def test_presheaves_and_their_sheafifications_are_freed_without_the_cyclic_collector(
