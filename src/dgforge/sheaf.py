@@ -4,20 +4,21 @@ A site here is a finite poset.  Opens are the up-closed subsets, the
 minimal open around a point is its up-set, and the stalk of a presheaf is
 its value on that minimal open.  Replacing a presheaf by the tower of
 iterated stalk products gives a cosimplicial resolution whose total
-complex computes hypercohomology; a front-face/back-face pairing makes
-the construction weakly monoidal, and pushing a presheaf of DG categories
-through it yields a global-sections DG category whose Hom complexes carry
-that hypercohomology.  An alternating cover complex over the minimal
-opens serves as the independent second route for every homology claim.
-One function, `linalg.totalize`, totalizes both the tower and the cover
-complex, so their sign conventions agree by construction.
+complex computes hypercohomology; a front-face/back-face pairing, given
+a product of stalks, makes the construction weakly monoidal, and with the
+composition of Hom stalks it yields a global-sections DG category whose
+Hom complexes carry that hypercohomology.  An alternating cover complex
+over the minimal opens serves as the independent second route for every
+homology claim.  One function, `linalg.totalize`, totalizes both the
+tower and the cover complex, so their sign conventions agree by
+construction.
 
 Every stalk product has one coordinate layout: the pairs (key, local
 index), keys being the points of an open, the chains of a tower level or
 the cover blocks, in the order `direct_sum` and `totalize` stack them.
-Projections and inclusions select its rows or columns; the tower, cover
-and pairing matrices are `linalg.assemble` terms placed at the offsets of
-their blocks.
+Projections and inclusions select its rows or columns; the tower and
+cover matrices are `linalg.assemble` terms placed at the offsets of their
+blocks, the pairing `linalg.assemble_strided` blocks.
 
 Two tower flavours are provided.  The full tower indexes level n by
 weakly increasing chains of n+1 points; the reduced tower keeps only
@@ -38,6 +39,7 @@ from .linalg import (
     Matrix,
     _apply,
     assemble,
+    assemble_strided,
     block_diagonal,
     complex_homology,
     compose_chain_maps,
@@ -46,6 +48,7 @@ from .linalg import (
     is_quasi_iso,
     kernel,
     make_chain_map,
+    mul_kron,
     restrict,
     single_complex,
     subcomplex,
@@ -727,13 +730,16 @@ class GodementTower:
             )
         return self._totals[U]
 
+    def blocks(self, U, n):
+        """The blocks of total degree n at U, in order, as the pairs
+        (level, chain), and the rank of a block."""
+        levels = [(p, c) for p in range(self.depth + 1) for c in self.chains(p, U)]
+        return levels, lambda pc: self.chain_value(pc[1]).rank(n - pc[0])
+
     def layout(self, U, n):
         """The coordinates of total degree n at U, in order: one triple
         (level, chain, local index) per column."""
-        U = self.site.as_open(U)
-        levels = [(p, c) for p in range(self.depth + 1) for c in self.chains(p, U)]
-        coords = _coordinates(levels, lambda pc: self.chain_value(pc[1]).rank(n - pc[0]))
-        return tuple((p, c, k) for (p, c), k in coords)
+        return tuple((p, c, k) for (p, c), k in _coordinates(*self.blocks(U, n)))
 
     def augmentation(self, U):
         """The restriction-to-stalks inclusion of F(U) into total degree
@@ -933,13 +939,19 @@ def _leray_witness(aF, cover):
 class AWPairing:
     """The weakly monoidal structure of the tower: a chain pairing
 
-        total(F) (x) total(G) -> total(F (x) G)
+        total(F) (x) total(G) -> total(P)
 
     placing the first factor on the front face of a chain and the second
     on the back face, with the Koszul sign (-1)^(q*b) for an internal
-    degree q front block meeting a level b back block."""
+    degree q front block meeting a level b back block.
 
-    def __init__(self, left, right, product):
+    The product of stalks is data: stalk_product(U, q, s) is the matrix
+    F(U)^q (x) G(U)^s -> P(U)^(q+s) at a minimal open U, its columns in
+    the order of `kron`.  The cup product (`aw_cup`) passes the inclusion
+    of that block into (F (x) G)(U)^(q+s); global-sections composition
+    (`rgamma`) passes the composition of the Hom stalks."""
+
+    def __init__(self, left, right, product, stalk_product):
         if not (left.depth == right.depth == product.depth):
             raise ValueError("depth mismatch")
         if not (left.strict == right.strict == product.strict):
@@ -947,70 +959,66 @@ class AWPairing:
         self.left = left
         self.right = right
         self.product = product
+        self.stalk_product = stalk_product
         self._pairings = {}
-        self._positions = {}
+        self._glue = {}
 
-    def _stalk_positions(self, UL, n):
-        key = (UL, n)
-        if key not in self._positions:
-            self._positions[key] = _tensor_positions(
-                self.left.source.vals[UL], self.right.source.vals[UL], n
-            )
-        return self._positions[key]
+    def _glued(self, x, y, q, s, sgn):
+        """sgn times the stalk product at up(y) after the restriction of the
+        front factor from up(x): F(up x)^q (x) G(up y)^s -> P(up y)^(q+s)."""
+        key = (x, y, q, s, sgn)
+        if key not in self._glue:
+            F, V = self.left.source, self.left.site.up(y)
+            M = mul_kron(self.stalk_product(V, q, s), F.restriction(F.site.up(x), V).comp(q),
+                         self.right.source.stalk(y).rank(s))
+            self._glue[key] = M.scale(sgn)
+        return self._glue[key]
 
     def pairing(self, U):
-        site = self.left.site
-        U = site.as_open(U)
+        """The pairing at U: the block of a front chain c and a back chain
+        c' that starts where c ends lands on the glued chain c + c'[1:]."""
+        U = self.left.site.as_open(U)
         if U in self._pairings:
             return self._pairings[U]
         TF, TG, TP = self.left, self.right, self.product
-        totF = TF.total(U)
-        totG = TG.total(U)
-        src = tensor_complex(totF, totG)
-        tgt = TP.total(U)
-        ring = src.ring
-        layoutF = {t: TF.layout(U, t) for t in totF.degrees()}
-        layoutG = {t: TG.layout(U, t) for t in totG.degrees()}
+        totF, totG = TF.total(U), TG.total(U)
+        src, tgt = tensor_complex(totF, totG), TP.total(U)
         comps = {}
         for n in src.degrees():
-            basis = tensor_basis(totF, totG, n)
-            terms = []
-            if basis and tgt.rank(n):
-                row = {coord: r for r, coord in enumerate(TP.layout(U, n))}
-                for col, (t, i, j) in enumerate(basis):
-                    p, c, u = layoutF[t][i]
-                    b, cprime, v = layoutG[n - t][j]
-                    if p + b > TP.depth or c[-1] != cprime[0]:
-                        continue
-                    q, s = t - p, n - t - b
-                    glued = c + cprime[1:]
-                    UL = site.up(glued[-1])
-                    rmat = TF.source.restriction(site.up(c[-1]), UL).comp(q)
-                    pos = self._stalk_positions(UL, q + s)
-                    sgn = -1 if (q * b) % 2 else 1
-                    for r, w in enumerate(rmat.col(u)):
-                        if w:
-                            terms.append((row[(p + b, glued, pos[(q, r, v)])], col, 1, 1, sgn * w))
-            comps[n] = assemble(ring, tgt.rank(n), len(basis), terms)
-        out = make_chain_map(src, tgt, comps, check=True)
-        self._pairings[U] = out
-        return out
-
-
-def _tensor_positions(A, B, n):
-    return {key: idx for idx, key in enumerate(tensor_basis(A, B, n))}
+            rows, terms, coff = _block_starts(*TP.blocks(U, n)), [], 0
+            for t in totF.degrees():
+                # totF^t (x) totG^(n-t), in the column order of `kron`
+                stride = totG.rank(n - t)
+                back = [(b, c2, g0, TG.chain_value(c2).rank(n - t - b))
+                        for (b, c2), g0 in _block_starts(*TG.blocks(U, n - t)).items()]
+                for ((p, c), f0), (b, c2, g0, run) in itertools.product(
+                        _block_starts(*TF.blocks(U, t)).items(), back):
+                    if run and c2[0] == c[-1] and p + b <= TP.depth:
+                        q, s = t - p, n - t - b
+                        M = self._glued(c[-1], c2[-1], q, s, -1 if q * b % 2 else 1)
+                        terms.append((rows[(p + b, c + c2[1:])], coff + f0 * stride + g0, M,
+                                      run, stride))
+                coff += totF.rank(t) * stride
+            comps[n] = assemble_strided(src.ring, tgt.rank(n), src.rank(n), terms)
+        self._pairings[U] = make_chain_map(src, tgt, comps, check=True)
+        return self._pairings[U]
 
 
 def aw_cup(F, G, depth=None, strict=False):
-    """Build matching towers for F, G and F (x) G and return the pairing."""
-    loF, hiF = F.window()
-    loG, hiG = G.window()
+    """Build matching towers for F, G and F (x) G and return the pairing
+    whose stalk product is the inclusion of F(U)^q (x) G(U)^s into
+    (F (x) G)(U)^(q+s), at its place in `tensor_basis`."""
     if depth is None:
-        depth = default_depth(F.site, (hiF - loF) + (hiG - loG), strict)
-    TF = godement_tower(F, depth, strict=strict)
-    TG = godement_tower(G, depth, strict=strict)
-    TP = godement_tower(tensor_presheaf(F, G), depth, strict=strict)
-    return AWPairing(TF, TG, TP)
+        depth = default_depth(F.site, sum(hi - lo for lo, hi in (F.window(), G.window())), strict)
+    FG = tensor_presheaf(F, G)
+
+    def inclusion(U, q, s):
+        A, B = F.vals[U], G.vals[U]
+        width = A.rank(q) * B.rank(s)
+        start = sum(A.rank(t) * B.rank(q + s - t) for t in range(A.lo, q))
+        return assemble(FG.ring, FG.vals[U].rank(q + s), width, [(start, 0, width, 1, 1)])
+
+    return AWPairing(*(godement_tower(P, depth, strict=strict) for P in (F, G, FG)), inclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -1085,35 +1093,6 @@ def _hom_presheaf(CP, X, Y):
     return CP._memo(("hom", X, Y), lambda: hom_presheaf(CP, X, Y))
 
 
-def composition_presheaf_map(CP, X, Y, Z):
-    """Per-open composition, bundled as a presheaf map from the tensor of
-    Hom presheaves; building it checks the Leibniz rule open by open."""
-    site = CP.site
-    HYZ, HXY, HXZ = (_hom_presheaf(CP, *pair) for pair in ((Y, Z), (X, Y), (X, Z)))
-    src = tensor_presheaf(HYZ, HXY)
-    comps = {}
-    for U in site.opens():
-        if not U:
-            comps[U] = ChainMap(src.vals[U], HXZ.vals[U], {})
-            continue
-        cat = CP.category(U)
-        XU, YU, ZU = (CP.restrict_object(W, U) for W in (X, Y, Z))
-        cmap = {}
-        for n in src.vals[U].degrees():
-            pieces = []
-            for p in HYZ.vals[U].degrees():
-                q = n - p
-                if HYZ.vals[U].rank(p) and HXY.vals[U].rank(q):
-                    pieces.append(cat.comp_matrix(XU, YU, ZU, p, q))
-            if pieces:
-                mat = pieces[0]
-                for m in pieces[1:]:
-                    mat = mat.hstack(m)
-                cmap[n] = mat
-        comps[U] = make_chain_map(src.vals[U], HXZ.vals[U], cmap, check=True)
-    return make_presheaf_map(src, HXZ, comps, check=True)
-
-
 class _RGammaData:
     def __init__(self, CP, depth, strict):
         self.CP = CP
@@ -1142,15 +1121,28 @@ class _RGammaData:
     def big_comp(self, x, y, z):
         key = (x, y, z)
         if key not in self._bigcomp:
-            TYZ = self.tower(y, z)
-            TXY = self.tower(x, y)
-            TXZ = self.tower(x, z)
-            cpm = composition_presheaf_map(self.CP, x, y, z)
-            TP = GodementTower(cpm.source, self.depth, strict=self.strict)
-            pairing = AWPairing(TYZ, TXY, TP).pairing(self.S)
-            push = tower_map_at(cpm, TP, TXZ, self.S)
-            self._bigcomp[key] = compose_chain_maps(push, pairing)
+            towers = (self.tower(y, z), self.tower(x, y), self.tower(x, z))
+            self._bigcomp[key] = AWPairing(*towers, self._composition(x, y, z)).pairing(self.S)
         return self._bigcomp[key]
+
+    def _composition(self, x, y, z):
+        """The composition of the Hom stalks as a stalk product, checked to
+        commute with every restriction between minimal opens: all of it
+        that the pairing reads."""
+        CP, site = self.CP, self.site
+        H = [_hom_presheaf(CP, *pair) for pair in ((y, z), (x, y), (x, z))]
+
+        def composition(U, p, q):
+            XU, YU, ZU = (CP.restrict_object(W, U) for W in (x, y, z))
+            return CP.category(U).comp_matrix(XU, YU, ZU, p, q)
+
+        for U, V in ((site.up(a), site.up(b)) for a in site.points for b in site.up(a) if b != a):
+            rYZ, rXY, rXZ = (h.restriction(U, V) for h in H)
+            for p, q in itertools.product(H[0].vals[U].degrees(), H[1].vals[U].degrees()):
+                if rXZ.comp(p + q) * composition(U, p, q) != mul_kron(
+                        composition(V, p, q), rYZ.comp(p), rXY.comp(q)):
+                    raise ValueError("map fails to commute with restriction %r -> %r" % (U, V))
+        return composition
 
     def comp_fn(self, x, y, z, p, q):
         n = p + q
@@ -1171,8 +1163,9 @@ class _RGammaData:
 def rgamma(CP, depth=None, strict=True):
     """The global-sections DG category of a presheaf of DG categories:
     same objects as over the whole space, Hom complexes the totals of the
-    stalk-product towers of the Hom presheaves, composition through the
-    front-face/back-face pairing.
+    stalk-product towers of the Hom presheaves, composition the
+    front-face/back-face pairing whose stalk product is the composition of
+    the Hom stalks.
 
     The reduced tower is the default: its levels vanish beyond the poset
     dimension, so no degree needs a truncation flag.

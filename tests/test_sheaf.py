@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dgforge.dgcat import build_fincor, complexes_category, validate_dg, validate_functor
+from dgforge.dgcat import (
+    DGFunctor,
+    build_fincor,
+    complexes_category,
+    validate_dg,
+    validate_functor,
+)
 from dgforge.linalg import (
     ChainMap,
     Matrix,
@@ -26,11 +32,14 @@ from dgforge.linalg import (
     subcomplex,
     tensor_basis,
     tensor_chain_map,
+    tensor_complex,
     two_term_complex,
     zero_complex,
 )
 from dgforge.sheaf import (
     AWPairing,
+    CategoryPresheaf,
+    GodementTower,
     _coordinates,
     _cover_meets,
     _positions,
@@ -976,17 +985,13 @@ def test_pairing_is_associative_up_to_the_canonical_regroupings(sierp, t2):
     H = constant_presheaf(sierp, z1)
     depth = 2
     X = sierp.space()
-    TF, TG, TH = (godement_tower(P, depth) for P in (F, G, H))
     FG, GH = tensor_presheaf(F, G), tensor_presheaf(G, H)
-    TFG, TGH = godement_tower(FG, depth), godement_tower(GH, depth)
-    TL = godement_tower(tensor_presheaf(FG, H), depth)
-    TR = godement_tower(tensor_presheaf(F, GH), depth)
-    mu_FG = AWPairing(TF, TG, TFG).pairing(X)
-    mu_GH = AWPairing(TG, TH, TGH).pairing(X)
-    mu_L = AWPairing(TFG, TH, TL).pairing(X)
-    mu_R = AWPairing(TF, TGH, TR).pairing(X)
-    assoc_tot = tower_map_at(tensor_presheaf_assoc(F, G, H), TL, TR, X)
-    totF, totG, totH = TF.total(X), TG.total(X), TH.total(X)
+    cup_FG, cup_GH = aw_cup(F, G, depth), aw_cup(G, H, depth)
+    cup_L, cup_R = aw_cup(FG, H, depth), aw_cup(F, GH, depth)
+    mu_FG, mu_GH = cup_FG.pairing(X), cup_GH.pairing(X)
+    mu_L, mu_R = cup_L.pairing(X), cup_R.pairing(X)
+    assoc_tot = tower_map_at(tensor_presheaf_assoc(F, G, H), cup_L.product, cup_R.product, X)
+    totF, totG, totH = cup_FG.left.total(X), cup_GH.left.total(X), cup_GH.right.total(X)
     lhs = compose_chain_maps(
         assoc_tot,
         compose_chain_maps(mu_L, tensor_chain_map(mu_FG, identity_chain_map(totH))),
@@ -1005,12 +1010,175 @@ def test_pairing_is_associative_up_to_the_canonical_regroupings(sierp, t2):
 def test_tower_mismatch_raises(sierp):
     F = constant_presheaf(sierp, single_complex("Z", 0, 1))
     FF = tensor_presheaf(F, F)
+    inclusion = aw_cup(F, F, depth=1).stalk_product
     with pytest.raises(ValueError, match="depth"):
-        AWPairing(godement_tower(F, 2), godement_tower(F, 3), godement_tower(FF, 2))
+        AWPairing(godement_tower(F, 2), godement_tower(F, 3), godement_tower(FF, 2), inclusion)
     with pytest.raises(ValueError, match="flavour"):
         AWPairing(
-            godement_tower(F, 1), godement_tower(F, 1), godement_tower(FF, 1, strict=True)
+            godement_tower(F, 1), godement_tower(F, 1), godement_tower(FF, 1, strict=True),
+            inclusion,
         )
+
+
+def tensor_position_pairing(TF, TG, TP, U):
+    """The oracle for the pairing of `aw_cup`: entry by entry, each front
+    entry restricted to the stalk of the glued chain and written at the
+    position of its tensor with the back entry in `tensor_basis`."""
+    site = TF.site
+    totF, totG = TF.total(U), TG.total(U)
+    src, tgt = tensor_complex(totF, totG), TP.total(U)
+    layoutF = {t: TF.layout(U, t) for t in totF.degrees()}
+    layoutG = {t: TG.layout(U, t) for t in totG.degrees()}
+    comps = {}
+    for n in src.degrees():
+        basis = tensor_basis(totF, totG, n)
+        row = {coord: r for r, coord in enumerate(TP.layout(U, n))}
+        terms = []
+        for col, (t, i, j) in enumerate(basis):
+            p, c, u = layoutF[t][i]
+            b, c2, v = layoutG[n - t][j]
+            if p + b > TP.depth or c[-1] != c2[0]:
+                continue
+            q, s = t - p, n - t - b
+            glued = c + c2[1:]
+            UL = site.up(glued[-1])
+            rmat = TF.source.restriction(site.up(c[-1]), UL).comp(q)
+            basisL = tensor_basis(TF.source.vals[UL], TG.source.vals[UL], q + s)
+            pos = {key: idx for idx, key in enumerate(basisL)}
+            sgn = -1 if (q * b) % 2 else 1
+            for r, w in enumerate(rmat.col(u)):
+                if w:
+                    terms.append((row[(p + b, glued, pos[(q, r, v)])], col, 1, 1, sgn * w))
+        comps[n] = assemble(src.ring, tgt.rank(n), src.rank(n), terms)
+    return make_chain_map(src, tgt, comps, check=True)
+
+
+@pytest.mark.parametrize("name", ["point", "sierpinski", "pseudo_circle", "circle6"])
+def test_cup_pairing_matches_the_tensor_position_oracle(name, t2):
+    site = _oracle_sites()[name]
+    rng = random.Random(7)
+    K = random_complex(rng, max_pieces=2, lo_range=(-1, 1))
+    z1 = single_complex("Z", 0, 1)
+    for A, B in ((t2, t2), (t2, z1), (K, t2), (_mixed_torsion(), K)):
+        F, G = constant_presheaf(site, A), constant_presheaf(site, B)
+        for strict in (True, False):
+            cup = aw_cup(F, G, depth=2, strict=strict)
+            for U in site.opens():
+                want = tensor_position_pairing(cup.left, cup.right, cup.product, U)
+                assert cup.pairing(U) == want, (strict, U)
+
+
+def composition_presheaf_map(CP, X, Y, Z):
+    """Per-open composition, bundled as a presheaf map from the tensor of
+    Hom presheaves; building it checks the Leibniz rule open by open and
+    naturality on every inclusion."""
+    site = CP.site
+    HYZ, HXY, HXZ = (hom_presheaf(CP, *pair) for pair in ((Y, Z), (X, Y), (X, Z)))
+    src = tensor_presheaf(HYZ, HXY)
+    comps = {}
+    for U in site.opens():
+        if not U:
+            comps[U] = ChainMap(src.vals[U], HXZ.vals[U], {})
+            continue
+        cat = CP.category(U)
+        XU, YU, ZU = (CP.restrict_object(W, U) for W in (X, Y, Z))
+        cmap = {}
+        for n in src.vals[U].degrees():
+            pieces = [
+                cat.comp_matrix(XU, YU, ZU, p, n - p)
+                for p in HYZ.vals[U].degrees()
+                if HYZ.vals[U].rank(p) and HXY.vals[U].rank(n - p)
+            ]
+            if pieces:
+                cmap[n] = block_matrix(CP.category(U).ring, [pieces])
+        comps[U] = make_chain_map(src.vals[U], HXZ.vals[U], cmap, check=True)
+    return make_presheaf_map(src, HXZ, comps, check=True)
+
+
+def pushed_composition(CP, x, y, z, depth, strict):
+    """The oracle for global-sections composition: the pairing into the
+    tower of the tensor of Hom presheaves, entry by entry, followed by the
+    composition presheaf map pushed through the towers."""
+    cpm = composition_presheaf_map(CP, x, y, z)
+    HYZ, HXY, HXZ = (hom_presheaf(CP, *pair) for pair in ((y, z), (x, y), (x, z)))
+    TYZ, TXY, TXZ, TP = (GodementTower(H, depth, strict) for H in (HYZ, HXY, HXZ, cpm.source))
+    S = CP.site.space()
+    pairing = tensor_position_pairing(TYZ, TXY, TP, S)
+    return compose_chain_maps(tower_map_at(cpm, TP, TXZ, S), pairing)
+
+
+def _oracle_bases():
+    rng = random.Random(13)
+    return {
+        "fincor": build_fincor([("x", "y")], "Z", top=2)[0].category,
+        "torsion": complexes_category({
+            "a": two_term_complex("Z", 0, Matrix("Z", [[2]])),
+            "pt": single_complex("Z", 0, 1),
+        }),
+        "random": complexes_category({
+            k: random_complex(rng, max_pieces=2, lo_range=(-1, 1)) for k in ("u", "v")
+        }),
+    }
+
+
+@pytest.mark.parametrize("base", ["fincor", "torsion", "random"])
+@pytest.mark.parametrize("name", ["point", "sierpinski", "pseudo_circle", "circle6"])
+def test_global_sections_composition_matches_the_pushed_oracle(name, base):
+    site = _oracle_sites()[name]
+    C = _oracle_bases()[base]
+    CP = constant_category_presheaf(site, C)
+    # the random base has Hom stalks that vanish under nonzero products
+    assert (base != "random") or any(
+        C.hom(y, z).rank(p) and C.hom(x, y).rank(q) and not C.hom(x, z).rank(p + q)
+        for x, y, z in itertools.product(C.objects, repeat=3)
+        for p, q in itertools.product(C.hom(y, z).degrees(), C.hom(x, y).degrees())
+    )
+    # the reduced tower at its default depth, and a full tower deep enough
+    # for degenerate chains on every level, where that stays small
+    flavours = [(True, site.dimension())] + [(False, 2)] * (site.dimension() <= 1)
+    for strict, depth in flavours:
+        R = rgamma(CP, depth, strict)
+        for x, y, z in itertools.product(R.objects, repeat=3):
+            want = pushed_composition(CP, x, y, z, depth, strict)
+            for p, q in itertools.product(R.hom(y, z).degrees(), R.hom(x, y).degrees()):
+                rows, cols = R.hom(x, z).rank(p + q), R.hom(y, z).rank(p) * R.hom(x, y).rank(q)
+                B = want.comp(p + q)
+                start = sum(
+                    R.hom(y, z).rank(t) * R.hom(x, y).rank(p + q - t)
+                    for t in range(R.hom(y, z).lo, p)
+                )
+                assert R.comp_matrix(x, y, z, p, q) == B.submatrix(
+                    range(rows), range(start, start + cols)
+                ), (strict, x, y, z, p, q)
+
+
+def _doubling_presheaf(site, C):
+    """C on every nonempty open, with a restriction functor that scales
+    every morphism by 2 along up(s) -> up(eta) (and so to the empty open):
+    restrictions compose, but not with composition."""
+    X, E = site.space(), ("eta",)
+    cats = {X: C, E: C}
+    res = {}
+    for U, V in site.inclusions():
+        if V:
+            scale = 2 if (U, V) == (X, E) else 1
+            mor_maps = {
+                (a, b): ChainMap(C.hom(a, b), C.hom(a, b), {
+                    n: Matrix.identity(C.ring, C.hom(a, b).rank(n)).scale(scale)
+                    for n in C.hom(a, b).degrees()
+                })
+                for a in C.objects for b in C.objects
+            }
+            res[(U, V)] = DGFunctor(C, C, {a: a for a in C.objects}, mor_maps)
+    return CategoryPresheaf(site, cats, res)
+
+
+def test_composition_must_commute_with_restriction(sierp):
+    C = complexes_category({"pt": single_complex("Z", 0, 1)})
+    CP = _doubling_presheaf(sierp, C)
+    assert validate_presheaf(hom_presheaf(CP, "pt", "pt"))
+    with pytest.raises(ValueError, match="fails to commute with restriction"):
+        rgamma(CP).comp_matrix("pt", "pt", "pt", 0, 0)
 
 
 @given(st.data())
