@@ -316,10 +316,7 @@ def reduced_level_basis(A, n):
     """Saturated basis of the intersection of the eps=1 face kernels."""
     if n == 0:
         return Matrix.identity(A.ring, A.rank(0))
-    stacked = A.act(insertion(n - 1, 1, 1))
-    for i in range(2, n + 1):
-        stacked = stacked.vstack(A.act(insertion(n - 1, i, 1)))
-    return kernel(stacked)
+    return kernel(block_matrix(A.ring, [[A.act(insertion(n - 1, i, 1))] for i in range(1, n + 1)]))
 
 
 @dataclass(eq=False)
@@ -425,10 +422,8 @@ def normalized_complex(A):
         """Basis of the reduced level n on which the eps=0 faces in `conds` vanish."""
         if not conds:
             return Matrix.identity(A.ring, B0[n].ncols)
-        stacked = A.act(insertion(n - 1, conds[0], 0)) * B0[n]
-        for i in conds[1:]:
-            stacked = stacked.vstack(A.act(insertion(n - 1, i, 0)) * B0[n])
-        return kernel(stacked)
+        faces = [[A.act(insertion(n - 1, i, 0)) * B0[n]] for i in conds]
+        return kernel(block_matrix(A.ring, faces))
 
     stages = range(0, max(top - 1, 1))
     stage_basis = {}

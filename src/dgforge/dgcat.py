@@ -61,6 +61,8 @@ from .linalg import (
     RING_Z,
     assemble,
     assemble_strided,
+    block_matrix,
+    block_offsets,
     blocks_as_columns,
     complex_homology,
     differing_entries,
@@ -287,8 +289,7 @@ class _TotalHom:
 
 
 def _total_hom(cx):
-    start = dict(zip(cx.degrees(), itertools.accumulate(cx.ranks, initial=0)))
-    n = cx.total_rank()
+    start, n = block_offsets(cx.degrees(), cx.rank)
     d = assemble(cx.ring, n, n,
                  [(start[k + 1], start[k], cx.d(k), 1, 1) for k in range(cx.lo, cx.hi)])
     sign = assemble(cx.ring, n, n, [(start[k], start[k], cx.rank(k), 1, -1 if k % 2 else 1)
@@ -500,9 +501,7 @@ class H0Category:
         m2 = mul_kron(self.comp[(y, x, y)], fcol, rg)
         bxx = self.boundaries[(x, x)]
         byy = self.boundaries[(y, y)]
-        top = m1.hstack(bxx).hstack(Matrix.zero(ring, m1.nrows, byy.ncols))
-        bot = m2.hstack(Matrix.zero(ring, m2.nrows, bxx.ncols)).hstack(byy)
-        lhs = top.vstack(bot)
+        lhs = block_matrix(ring, [[m1, bxx, None], [m2, None, byy]])
         rhs = Matrix.column(ring, list(self.ident[x]) + list(self.ident[y]))
         return solve(lhs, rhs) is not None
 
@@ -786,8 +785,12 @@ class CoCubicalObject:
 
 @dataclass(frozen=True)
 class CoCubicalReport:
+    """The verdict on the cube levels 0..checked_upto only; it claims
+    nothing about the levels above, up to the object's top."""
+
     ok: bool
     failures: tuple
+    checked_upto: int
 
 
 def validate_cocubical(Q, bound=None):
@@ -795,11 +798,14 @@ def validate_cocubical(Q, bound=None):
     comultiplication axioms, each reported under its own name.
 
     The closure walk is exact but exponential in the level bound, so the
-    default stops at 3 without merges and 2 with them; the table-driven
-    builders below are functorial at every level by construction.
+    default stops at 3 without merges and 2 with them, and the report
+    names the level it stopped at; the table-driven builders below are
+    functorial at every level by construction.
     """
     if bound is None:
         bound = min(Q.top, 2 if Q.extended else 3)
+    elif not 0 <= bound <= Q.top:
+        raise ValueError("bound %d outside the levels 0..%d of the object" % (bound, Q.top))
     host = Q.host
     C = host.category
     failures = []
@@ -854,7 +860,7 @@ def validate_cocubical(Q, bound=None):
         rhs = C.compose(host.mor_tensor(Q.image(g), Q.image(g)), Q.delta(g.dom))
         if lhs != rhs:
             note("co-cubical", (g.dom, g.cod), "delta is not natural for %s" % token)
-    return CoCubicalReport(ok=not failures, failures=tuple(failures))
+    return CoCubicalReport(ok=not failures, failures=tuple(failures), checked_upto=bound)
 
 
 # ---------------------------------------------------------------------------

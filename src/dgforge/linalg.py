@@ -28,7 +28,8 @@ Subcomplexes, direct sums and double-complex totals come from four
 constructors: `restrict` (with `restrict_vector`) reads maps in the
 coordinates of a basis, `subcomplex` cuts a complex down to one basis per
 degree, `direct_sum` stacks complexes block-diagonally, and `totalize`
-stacks the columns of a double complex, signing their differential (-1)^p.
+stacks the columns of a double complex at the block starts that
+`block_offsets` gives, signing their differential (-1)^p.
 """
 
 import heapq
@@ -334,19 +335,19 @@ def block_matrix(ring, blocks):
     nbc = len(blocks[0]) if blocks else 0
     if len(heights) < len(blocks) or len(widths) < nbc:
         raise ValueError("cannot infer shapes of empty block rows/columns")
-    roff = list(itertools.accumulate(map(heights.get, range(len(blocks))), initial=0))
-    coff = list(itertools.accumulate(map(widths.get, range(nbc)), initial=0))
-    return assemble(ring, roff[-1], coff[-1], [(roff[i], coff[j], b, 1, 1) for i, j, b in cells])
+    roff, nrows = block_offsets(range(len(blocks)), heights.get)
+    coff, ncols = block_offsets(range(nbc), widths.get)
+    return assemble(ring, nrows, ncols, [(roff[i], coff[j], b, 1, 1) for i, j, b in cells])
 
 
 def block_diagonal(ring, blocks):
     """The blocks along the diagonal, zero elsewhere; no blocks give 0 x 0."""
     if any(b.ring != ring for b in blocks):
         raise ValueError("ring mismatch in block_diagonal")
-    roff = list(itertools.accumulate((b.nrows for b in blocks), initial=0))
-    coff = list(itertools.accumulate((b.ncols for b in blocks), initial=0))
-    terms = [(r, c, b, 1, 1) for r, c, b in zip(roff, coff, blocks)]
-    return assemble(ring, roff[-1], coff[-1], terms)
+    roff, nrows = block_offsets(range(len(blocks)), lambda i: blocks[i].nrows)
+    coff, ncols = block_offsets(range(len(blocks)), lambda i: blocks[i].ncols)
+    terms = [(roff[i], coff[i], b, 1, 1) for i, b in enumerate(blocks)]
+    return assemble(ring, nrows, ncols, terms)
 
 
 def assemble(ring, nrows, ncols, terms):
@@ -1028,34 +1029,32 @@ def totalize(ring, lo, hi, columns, across):
     p, and d is (-1)^p times the column differential plus across(p, q), the
     map columns[p]^q -> columns[p+1]^q, asked for where columns[p]^q != 0."""
     ps = sorted(columns)
-    start, ranks = _block_starts(lo, hi, ps, lambda n, p: columns[p].rank(n - p))
+    start, ranks = zip(*(block_offsets(ps, lambda p: columns[p].rank(n - p))
+                         for n in range(lo, hi + 1)))
     diffs = []
     for n in range(lo, hi):
         terms = []
+        src, tgt = start[n - lo], start[n + 1 - lo]
         for p in ps:
             q = n - p
             if columns[p].rank(q):
                 sgn = -1 if p % 2 else 1
-                terms.append((start[n + 1, p], start[n, p], columns[p].d(q), 1, sgn))
+                terms.append((tgt[p], src[p], columns[p].d(q), 1, sgn))
                 if p + 1 in columns:
-                    terms.append((start[n + 1, p + 1], start[n, p], across(p, q), 1, 1))
+                    terms.append((tgt[p + 1], src[p], across(p, q), 1, 1))
         diffs.append(assemble(ring, ranks[n + 1 - lo], ranks[n - lo], terms))
     return make_complex(ring, lo, ranks, diffs)
 
 
-def _block_starts(lo, hi, ps, size):
-    """(start, ranks) of a degreewise stack of blocks by ascending p:
-    start[n, p] is the first coordinate of block p in degree n, whose rank
-    is size(n, p), and ranks[n - lo] is the rank of degree n."""
-    start = {}
-    ranks = []
-    for n in range(lo, hi + 1):
-        off = 0
-        for p in ps:
-            start[n, p] = off
-            off += size(n, p)
-        ranks.append(off)
-    return start, ranks
+def block_offsets(keys, size):
+    """(start, total) of a stack of blocks in key order, the block at a key
+    having size(key) coordinates: start[key] is the first coordinate of
+    that block and total the size of the stack."""
+    start, total = {}, 0
+    for key in keys:
+        start[key] = total
+        total += size(key)
+    return start, total
 
 
 def tensor_basis(C, D, n):
@@ -1081,16 +1080,18 @@ def tensor_complex(C, D):
     lo = C.lo + D.lo
     hi = C.hi + D.hi
     ps = C.degrees()
-    start, ranks = _block_starts(lo, hi, ps, lambda n, p: C.rank(p) * D.rank(n - p))
+    start, ranks = zip(*(block_offsets(ps, lambda p: C.rank(p) * D.rank(n - p))
+                         for n in range(lo, hi + 1)))
     diffs = []
     for n in range(lo, hi):
         terms = []
+        src, tgt = start[n - lo], start[n + 1 - lo]
         for p in ps:
             rc, rd = C.rank(p), D.rank(n - p)
             if rc and rd:
                 if C.rank(p + 1):
-                    terms.append((start[n + 1, p + 1], start[n, p], C.d(p), rd, 1))
-                terms.append((start[n + 1, p], start[n, p], rc, D.d(n - p), -1 if p % 2 else 1))
+                    terms.append((tgt[p + 1], src[p], C.d(p), rd, 1))
+                terms.append((tgt[p], src[p], rc, D.d(n - p), -1 if p % 2 else 1))
         diffs.append(assemble(ring, ranks[n + 1 - lo], ranks[n - lo], terms))
     return make_complex(ring, lo, ranks, diffs, check=False)
 
@@ -1106,19 +1107,19 @@ def hom_complex(C, D):
     lo = D.lo - C.hi
     hi = D.hi - C.lo
     ps = C.degrees()
-    start, ranks = _block_starts(lo, hi, ps, lambda n, p: D.rank(p + n) * C.rank(p))
+    start, ranks = zip(*(block_offsets(ps, lambda p: D.rank(p + n) * C.rank(p))
+                         for n in range(lo, hi + 1)))
     diffs = []
     for n in range(lo, hi):
         terms = []
         sgn = 1 if n % 2 else -1
+        src, tgt = start[n - lo], start[n + 1 - lo]
         for p in ps:
             rd, rc = D.rank(p + n), C.rank(p)
             if rd and rc:
-                terms.append((start[n + 1, p], start[n, p], D.d(p + n), rc, 1))
+                terms.append((tgt[p], src[p], D.d(p + n), rc, 1))
                 if C.rank(p - 1):
-                    terms.append(
-                        (start[n + 1, p - 1], start[n, p], rd, C.d(p - 1).transpose(), sgn)
-                    )
+                    terms.append((tgt[p - 1], src[p], rd, C.d(p - 1).transpose(), sgn))
         diffs.append(assemble(ring, ranks[n + 1 - lo], ranks[n - lo], terms))
     return make_complex(ring, lo, ranks, diffs, check=False)
 
@@ -1134,11 +1135,8 @@ def hom_composition_matrix(C, D, E, p, q):
     if not C.ring == D.ring == E.ring:
         raise ValueError("ring mismatch")
 
-    def starts(X, Y, n):
-        start, (rk,) = _block_starts(n, n, X.degrees(), lambda _, r: Y.rank(r + n) * X.rank(r))
-        return {r: s for (_, r), s in start.items()}, rk
-
-    (g, rg), (f, rf), (h, rh) = starts(D, E, p), starts(C, D, q), starts(C, E, p + q)
+    (g, rg), (f, rf), (h, rh) = (block_offsets(X.degrees(), lambda r: Y.rank(r + n) * X.rank(r))
+                                 for X, Y, n in ((D, E, p), (C, D, q), (C, E, p + q)))
     terms = []
     for r in C.degrees():
         c, d, e = C.rank(r), D.rank(r + q), E.rank(r + p + q)

@@ -25,6 +25,7 @@ from .linalg import (
     _exact_vector,
     _columns_to_matrix,
     assemble,
+    block_offsets,
     complex_homology,
     kernel,
     make_chain_map,
@@ -315,16 +316,13 @@ def _twisted_comp_matrix(HG, HF, HH, p, q):
 
 
 def _hom_layout(E, F, n):
+    """The blocks (a, b, start, rank) of Hom(E, F)^n of nonzero rank, in
+    order, and the rank of Hom(E, F)^n."""
     C = E.base
-    layout = []
-    off = 0
-    for a in range(len(F.entries)):
-        for b in range(len(E.entries)):
-            r = C.hom(E.obj(b), F.obj(a)).rank(n + E.idx(b) - F.idx(a))
-            if r:
-                layout.append((a, b, off, r))
-                off += r
-    return tuple(layout), off
+    rank = {(a, b): C.hom(E.obj(b), F.obj(a)).rank(n + E.idx(b) - F.idx(a))
+            for a in range(len(F.entries)) for b in range(len(E.entries))}
+    start, total = block_offsets(rank, rank.get)
+    return tuple((a, b, start[a, b], r) for (a, b), r in rank.items() if r), total
 
 
 def twisted_hom_complex(E, F, window=None):
@@ -679,15 +677,11 @@ def pretr_category(base, complexes, name=""):
 
 
 def _flatten(P, EE):
-    entries = []
-    offsets = []
-    for A in range(len(EE.entries)):
-        offsets.append(len(entries))
-        inner = P.tc(EE.obj(A))
-        l = EE.idx(A)
-        for i, k in inner.entries:
-            entries.append((l + i, k))
-    return tuple(entries), offsets
+    """The entries of the flattened twisted complex, and the first of them
+    that comes from each outer entry."""
+    inner = [(EE.idx(A), P.tc(EE.obj(A)).entries) for A in range(len(EE.entries))]
+    offsets = block_offsets(range(len(inner)), lambda A: len(inner[A][1]))[0]
+    return tuple((l + i, k) for l, entries in inner for i, k in entries), offsets
 
 
 def total_complex(EE):

@@ -16,9 +16,11 @@ construction.
 Every stalk product has one coordinate layout: the pairs (key, local
 index), keys being the points of an open, the chains of a tower level or
 the cover blocks, in the order `direct_sum` and `totalize` stack them.
-Projections and inclusions select its rows or columns; the tower and
-cover matrices are `linalg.assemble` terms placed at the offsets of their
-blocks, the pairing `linalg.assemble_strided` blocks.
+The limit, tower and cover matrices are `linalg.assemble` terms at the
+block starts of `linalg.block_offsets`, the pairing `assemble_strided`
+blocks.  An inclusion of one layout in another is the 0/1 `_placement`, a
+projection its transpose; the tower's structure maps, the coboundary
+among them, come from one builder, `GodementTower._structure`.
 
 Two tower flavours are provided.  The full tower indexes level n by
 weakly increasing chains of n+1 points; the reduced tower keeps only
@@ -41,6 +43,7 @@ from .linalg import (
     assemble,
     assemble_strided,
     block_diagonal,
+    block_offsets,
     complex_homology,
     compose_chain_maps,
     direct_sum,
@@ -449,22 +452,15 @@ def tensor_assoc_map(A, B, C):
     BC = tensor_complex(B, C)
     src = tensor_complex(AB, C)
     tgt = tensor_complex(A, BC)
+    ab = {t: tensor_basis(A, B, t) for t in AB.degrees()}
+    bc = {m: {key: idx for idx, key in enumerate(tensor_basis(B, C, m))} for m in BC.degrees()}
     comps = {}
     for n in src.degrees():
-        sbasis = tensor_basis(AB, C, n)
-        tbasis = tensor_basis(A, BC, n)
-        if not sbasis or not tbasis:
-            continue
-        ab = {t: tensor_basis(A, B, t) for t in AB.degrees()}
-        bc = {m: {key: idx for idx, key in enumerate(tensor_basis(B, C, m))}
-              for m in BC.degrees()}
         regrouped = []
-        for t, ij, k in sbasis:
+        for t, ij, k in tensor_basis(AB, C, n):
             a, i, j = ab[t][ij]
             regrouped.append((a, i, bc[n - a][(t - a, j, k)]))
-        comps[n] = Matrix.identity(src.ring, len(tbasis)).submatrix(
-            range(len(tbasis)), _positions(regrouped, tbasis)
-        )
+        comps[n] = _placement(src.ring, regrouped, tensor_basis(A, BC, n))
     return make_chain_map(src, tgt, comps, check=True)
 
 
@@ -480,7 +476,8 @@ def tensor_presheaf_assoc(F, G, H):
 # ---------------------------------------------------------------------------
 # Coordinates of stalk products: a sum over keys (points, chains, cover
 # blocks) stacks its summands in key order, as `direct_sum` does, so its
-# coordinates are the pairs (key, local index) in that order.
+# coordinates are the pairs (key, local index) in that order, and its
+# blocks start where `block_offsets` says.
 
 
 def _coordinates(keys, rank):
@@ -489,16 +486,13 @@ def _coordinates(keys, rank):
     return tuple((key, k) for key in keys for k in range(rank(key)))
 
 
-def _block_starts(keys, rank):
-    """The first coordinate of each key's block in the same sum."""
-    keys = tuple(keys)
-    return dict(zip(keys, itertools.accumulate((rank(key) for key in keys), initial=0)))
-
-
-def _positions(small, big):
-    """The position in the coordinate list `big` of each coordinate of `small`."""
+def _placement(ring, small, big):
+    """The 0/1 inclusion of the coordinate list `small` into `big`, which
+    holds each coordinate of `small`: column j is the unit vector at the
+    position of small[j] in `big`.  Its transpose is the projection."""
     index = {c: i for i, c in enumerate(big)}
-    return [index[c] for c in small]
+    terms = [(index[c], j, 1, 1, 1) for j, c in enumerate(small)]
+    return assemble(ring, len(big), len(small), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -528,25 +522,22 @@ def sheafify(F):
     def value(U):
         if not U:
             return zero_complex(ring, lo, hi)
-        stalks = [stalk[x] for x in U]
-        pairs = [(xi, yi) for xi, x in enumerate(U) for yi, y in enumerate(U) if (x, y) in between]
+        pairs = [(x, y) for x in U for y in U if (x, y) in between]
         ks = kbases[U] = {}
         for n in range(lo, hi + 1):
-            ranks = [S.rank(n) for S in stalks]
+            start, total = block_offsets(U, lambda x: stalk[x].rank(n))
             if not pairs:
-                ks[n] = Matrix.identity(ring, sum(ranks))
+                ks[n] = Matrix.identity(ring, total)
                 continue
             # one block row per pair x < y: the stalk at y minus the
             # restriction of the stalk at x to it
-            offs = list(itertools.accumulate(ranks, initial=0))
+            rows, nrows = block_offsets(pairs, lambda xy: stalk[xy[1]].rank(n))
             terms = []
-            roff = 0
-            for xi, yi in pairs:
-                terms.append((roff, offs[yi], ranks[yi], 1, 1))
-                terms.append((roff, offs[xi], between[(U[xi], U[yi])].comp(n), 1, -1))
-                roff += ranks[yi]
-            ks[n] = kernel(assemble(ring, roff, offs[-1], terms))
-        return subcomplex(direct_sum(ring, lo, hi, stalks), ks)
+            for x, y in pairs:
+                terms.append((rows[x, y], start[y], stalk[y].rank(n), 1, 1))
+                terms.append((rows[x, y], start[x], between[(x, y)].comp(n), 1, -1))
+            ks[n] = kernel(assemble(ring, nrows, total, terms))
+        return subcomplex(direct_sum(ring, lo, hi, [stalk[x] for x in U]), ks)
 
     vals = _Lazy(site.opens(), value)
 
@@ -557,9 +548,9 @@ def sheafify(F):
         comps = {}
         if V:
             for n in range(lo, hi + 1):
-                rank = lambda x: stalk[x].rank(n)
+                start = block_offsets(U, lambda x: stalk[x].rank(n))[0]
                 ks = kbases[U][n]
-                rows = _positions(_coordinates(V, rank), _coordinates(U, rank))
+                rows = [start[x] + k for x in V for k in range(stalk[x].rank(n))]
                 comps[n] = restrict(kbases[V][n], ks.submatrix(rows, range(ks.ncols)),
                                     "the limit projection")
         return ChainMap(src, tgt, comps)
@@ -575,9 +566,6 @@ def sheafification_map(F, aF=None):
     lo, hi = F.window()
     comps = {}
     for U in site.opens():
-        if not U:
-            comps[U] = ChainMap(F.vals[U], aF.vals[U], {})
-            continue
         cmap = {}
         for n in range(lo, hi + 1):
             # the limit's kernel inclusion is the stack of aF's restrictions
@@ -589,17 +577,18 @@ def sheafification_map(F, aF=None):
 
 def _stalk_restrictions(F, U, n):
     """The restrictions of F(U) to the stalks at the points of U, stacked."""
-    terms = []
-    roff = 0
-    for x in U:
-        block = F.restriction(U, F.site.up(x)).comp(n)
-        terms.append((roff, 0, block, 1, 1))
-        roff += block.nrows
-    return assemble(F.ring, roff, F.vals[U].rank(n), terms)
+    blocks = {x: F.restriction(U, F.site.up(x)).comp(n) for x in U}
+    rows, nrows = block_offsets(U, lambda x: blocks[x].nrows)
+    return assemble(F.ring, nrows, F.vals[U].rank(n), [(rows[x], 0, blocks[x], 1, 1) for x in U])
 
 
 # ---------------------------------------------------------------------------
 # The stalk-product tower.
+
+
+def _coface(p, j):
+    """The monotone map [p] -> [p+1] that skips j."""
+    return tuple(i if i < j else i + 1 for i in range(p + 1))
 
 
 class GodementTower:
@@ -655,11 +644,9 @@ class GodementTower:
         src = self.level_complex(p, U)
         comps = {}
         for n in range(self.lo, self.hi + 1):
-            big = _coordinates(self.chains(p, U), lambda c: self.chain_value(c).rank(n))
-            small = _coordinates(self.chains(p, V), lambda c: self.chain_value(c).rank(n))
-            comps[n] = Matrix.identity(src.ring, len(big)).submatrix(
-                _positions(small, big), range(len(big))
-            )
+            rank = lambda c: self.chain_value(c).rank(n)
+            comps[n] = _placement(src.ring, _coordinates(self.chains(p, V), rank),
+                                  _coordinates(self.chains(p, U), rank)).transpose()
         return ChainMap(src, self.level_complex(p, V), comps)
 
     # -- the cosimplicial structure (full tower only)
@@ -672,49 +659,40 @@ class GodementTower:
         f = tuple(f)
         if len(f) != p + 1 or any(f[i] > f[i + 1] for i in range(p)) or f[-1] > q or f[0] < 0:
             raise ValueError("not a monotone map [%d] -> [%d]: %r" % (p, q, f))
-        U = self.site.as_open(U)
-        src = self.level_complex(p, U)
-        tgt = self.level_complex(q, U)
-        soffs = _block_starts(self.chains(p, U), lambda c: self.chain_value(c).rank(n))
-        toffs = _block_starts(self.chains(q, U), lambda c: self.chain_value(c).rank(n))
-        terms = []
-        for C in self.chains(q, U):
-            pullback = tuple(C[f[i]] for i in range(p + 1))
-            rmat = self.source.restriction(
-                self.site.up(pullback[-1]), self.site.up(C[-1])
-            ).comp(n)
-            terms.append((toffs[C], soffs[pullback], rmat, 1, 1))
-        return assemble(src.ring, tgt.rank(n), src.rank(n), terms)
+        return self._structure(p, q, [(f, 1)], U, n)
 
     def coface_matrix(self, p, j, U, n):
-        f = tuple(i if i < j else i + 1 for i in range(p + 1))
-        return self.cosimplicial_matrix(p, p + 1, f, U, n)
+        return self.cosimplicial_matrix(p, p + 1, _coface(p, j), U, n)
 
     def codegeneracy_matrix(self, p, j, U, n):
         f = tuple(i if i <= j else i - 1 for i in range(p + 2))
         return self.cosimplicial_matrix(p + 1, p, f, U, n)
 
     def delta_matrix(self, p, U, n):
-        """Alternating sum of the faces, level p -> p+1, assembled
-        directly from the chain combinatorics (works for both flavours)."""
-        U = self.site.as_open(U)
-        src = self.level_complex(p, U)
-        tgt = self.level_complex(p + 1, U)
-        soffs = _block_starts(self.chains(p, U), lambda c: self.chain_value(c).rank(n))
-        toffs = _block_starts(self.chains(p + 1, U), lambda c: self.chain_value(c).rank(n))
+        """Alternating sum of the cofaces, level p -> p+1 (works for both
+        flavours: a face of a strictly increasing chain is one too)."""
+        return self._structure(p, p + 1, [(_coface(p, j), -1 if j % 2 else 1)
+                                          for j in range(p + 2)], U, n)
+
+    def _structure(self, p, q, maps, U, n):
+        """Matrix at internal degree n and open U of the sum of sgn times
+        the structure map from level p to level q of f, over the pairs
+        (f, sgn) in `maps`.  The block of f at a chain C of level q reads
+        the chain f^*C = (C[f(0)], ..., C[f(p)]) through the restriction of
+        its last stalk to that of C, an identity block where both end at
+        the same point."""
+        rank = lambda c: self.chain_value(c).rank(n)
+        (soffs, ncols), (toffs, nrows) = (block_offsets(self.chains(r, U), rank) for r in (p, q))
         terms = []
-        for C in self.chains(p + 1, U):
-            for j in range(p + 2):
-                face = C[:j] + C[j + 1 :]
-                sgn = -1 if j % 2 else 1
-                if j == p + 1:
-                    rmat = self.source.restriction(
-                        self.site.up(face[-1]), self.site.up(C[-1])
-                    ).comp(n)
-                else:
-                    rmat = self.chain_value(face).rank(n)
-                terms.append((toffs[C], soffs[face], rmat, 1, sgn))
-        return assemble(src.ring, tgt.rank(n), src.rank(n), terms)
+        for C in self.chains(q, U):
+            x = C[-1]
+            for f, sgn in maps:
+                pullback = tuple(map(C.__getitem__, f))
+                y = pullback[-1]
+                rmat = rank(C) if y == x else self.source.restriction(
+                    self.site.up(y), self.site.up(x)).comp(n)
+                terms.append((toffs[C], soffs[pullback], rmat, 1, sgn))
+        return assemble(self.source.ring, nrows, ncols, terms)
 
     # -- totalization
 
@@ -749,9 +727,9 @@ class GodementTower:
         tgt = self.total(U)
         comps = {}
         for n in range(self.lo, self.hi + 1):
+            # the stalk restrictions, placed on level zero
             stacked = _stalk_restrictions(self.source, U, n)
-            pad = Matrix.zero(src.ring, tgt.rank(n) - stacked.nrows, stacked.ncols)
-            comps[n] = stacked.vstack(pad)
+            comps[n] = assemble(src.ring, tgt.rank(n), src.rank(n), [(0, 0, stacked, 1, 1)])
         return make_chain_map(src, tgt, comps, check=True)
 
     def stable_upto(self):
@@ -773,16 +751,12 @@ def reduced_inclusion(Tred, Tfull, U):
         raise ValueError("expected a reduced tower and a full tower, in that order")
     if Tfull.depth < Tred.depth:
         raise ValueError("the full tower is too shallow to receive the inclusion")
-    site = Tred.site
-    U = site.as_open(U)
+    U = Tred.site.as_open(U)
     src = Tred.total(U)
     tgt = Tfull.total(U)
     comps = {}
     for n in range(Tred.lo, Tred.hi + Tred.depth + 1):
-        big = Tfull.layout(U, n)
-        comps[n] = Matrix.identity(src.ring, len(big)).submatrix(
-            range(len(big)), _positions(Tred.layout(U, n), big)
-        )
+        comps[n] = _placement(src.ring, Tred.layout(U, n), Tfull.layout(U, n))
     return make_chain_map(src, tgt, comps, check=True)
 
 
@@ -808,10 +782,7 @@ def total_godement(F, depth=None, strict=False):
     for U, V in site.inclusions():
         comps = {}
         for n in range(T.lo, T.hi + T.depth + 1):
-            big = T.layout(U, n)
-            comps[n] = Matrix.identity(F.ring, len(big)).submatrix(
-                _positions(T.layout(V, n), big), range(len(big))
-            )
+            comps[n] = _placement(F.ring, T.layout(V, n), T.layout(U, n)).transpose()
         res[(U, V)] = ChainMap(vals[U], vals[V], comps)
     return make_presheaf(site, vals, res, check=False)
 
@@ -878,7 +849,7 @@ def cech_total(F, cover=None):
             return F.vals[meets[idx]].rank(q)
 
         terms = []
-        soff, toff = _block_starts(blocks[p], rank), _block_starts(blocks[p + 1], rank)
+        (soff, ncols), (toff, nrows) = (block_offsets(blocks[r], rank) for r in (p, p + 1))
         for idx in blocks[p]:
             if not rank(idx):
                 continue
@@ -887,7 +858,7 @@ def cech_total(F, cover=None):
                 sgn = -1 if tidx.index(i) % 2 else 1
                 rmat = F.restriction(meets[idx], meets[tidx]).comp(q)
                 terms.append((toff[tidx], soff[idx], rmat, 1, sgn))
-        return assemble(ring, columns[p + 1].rank(q), columns[p].rank(q), terms)
+        return assemble(ring, nrows, ncols, terms)
 
     return totalize(ring, lo, hi + max(k - 1, 0), columns, insertion)
 
@@ -985,20 +956,20 @@ class AWPairing:
         src, tgt = tensor_complex(totF, totG), TP.total(U)
         comps = {}
         for n in src.degrees():
-            rows, terms, coff = _block_starts(*TP.blocks(U, n)), [], 0
+            rows, terms = block_offsets(*TP.blocks(U, n))[0], []
+            # totF^t (x) totG^(n-t) starts at column cols[t], in the order of `kron`
+            cols = block_offsets(totF.degrees(), lambda t: totF.rank(t) * totG.rank(n - t))[0]
             for t in totF.degrees():
-                # totF^t (x) totG^(n-t), in the column order of `kron`
                 stride = totG.rank(n - t)
                 back = [(b, c2, g0, TG.chain_value(c2).rank(n - t - b))
-                        for (b, c2), g0 in _block_starts(*TG.blocks(U, n - t)).items()]
+                        for (b, c2), g0 in block_offsets(*TG.blocks(U, n - t))[0].items()]
                 for ((p, c), f0), (b, c2, g0, run) in itertools.product(
-                        _block_starts(*TF.blocks(U, t)).items(), back):
+                        block_offsets(*TF.blocks(U, t))[0].items(), back):
                     if run and c2[0] == c[-1] and p + b <= TP.depth:
                         q, s = t - p, n - t - b
                         M = self._glued(c[-1], c2[-1], q, s, -1 if q * b % 2 else 1)
-                        terms.append((rows[(p + b, c + c2[1:])], coff + f0 * stride + g0, M,
+                        terms.append((rows[(p + b, c + c2[1:])], cols[t] + f0 * stride + g0, M,
                                       run, stride))
-                coff += totF.rank(t) * stride
             comps[n] = assemble_strided(src.ring, tgt.rank(n), src.rank(n), terms)
         self._pairings[U] = make_chain_map(src, tgt, comps, check=True)
         return self._pairings[U]
@@ -1064,27 +1035,14 @@ def constant_category_presheaf(site, C):
 def hom_presheaf(CP, X, Y):
     """The per-open Hom complexes of a pair of global objects."""
     site = CP.site
-    S = site.space()
-    ring = CP.category(S).ring
-    vals = {}
-    win = None
-    for U in site.opens():
-        if not U:
-            continue
-        XU = CP.restrict_object(X, U)
-        YU = CP.restrict_object(Y, U)
-        cx = CP.category(U).hom(XU, YU)
-        vals[U] = cx
-        win = (cx.lo, cx.hi) if win is None else (min(win[0], cx.lo), max(win[1], cx.hi))
-    vals[()] = zero_complex(ring, win[0], win[1])
-    res = {}
-    for U, V in site.inclusions():
-        if not V:
-            res[(U, V)] = ChainMap(vals[U], vals[()], {})
-        else:
-            XU = CP.restrict_object(X, U)
-            YU = CP.restrict_object(Y, U)
-            res[(U, V)] = CP.functor(U, V).mor_maps[(XU, YU)]
+    pair = {U: (CP.restrict_object(X, U), CP.restrict_object(Y, U)) for U in site.opens() if U}
+    vals = {U: CP.category(U).hom(*pair[U]) for U in pair}
+    lo, hi = min(cx.lo for cx in vals.values()), max(cx.hi for cx in vals.values())
+    vals[()] = zero_complex(CP.category(site.space()).ring, lo, hi)
+    res = {
+        (U, V): CP.functor(U, V).mor_maps[pair[U]] if V else ChainMap(vals[U], vals[()], {})
+        for U, V in site.inclusions()
+    }
     return make_presheaf(site, vals, res, check=True)
 
 
@@ -1150,7 +1108,7 @@ class _RGammaData:
         totYZ = self.hom_fn(y, z)
         totXY = self.hom_fn(x, y)
         # the block of totYZ^p (x) totXY^q among the columns of degree n
-        starts = _block_starts(totYZ.degrees(), lambda t: totYZ.rank(t) * totXY.rank(n - t))
+        starts = block_offsets(totYZ.degrees(), lambda t: totYZ.rank(t) * totXY.rank(n - t))[0]
         off = starts.get(p, 0)
         w = totYZ.rank(p) * totXY.rank(q)
         return B.submatrix(range(B.nrows), range(off, off + w))

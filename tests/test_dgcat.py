@@ -785,6 +785,20 @@ def test_builtin_cocubical_structures_validate(fincor_z, vertex2):
     assert validate_cocubical(vertex2[1]).ok
 
 
+def test_a_cocubical_report_names_the_highest_level_it_checked():
+    host, merged = build_fincor([("x", "y")], "Z", top=5)
+    plain = CoCubicalObject(host, 5, False, cube=merged.cube,
+                            image=merged.image, delta=merged.delta)
+    # the default walk stops below top 5, and the report says where
+    assert validate_cocubical(plain).checked_upto == 3
+    assert validate_cocubical(merged).checked_upto == 2
+    assert validate_cocubical(merged, bound=1).checked_upto == 1
+    # no report on no levels, nor on levels above the top
+    for bound in (-1, 6):
+        with pytest.raises(ValueError, match="outside the levels 0..5"):
+            validate_cocubical(merged, bound=bound)
+
+
 def pinned_delta(n):
     """A vertex-cube comultiplication with the second output coordinate
     stuck at vertex 0: not symmetric."""

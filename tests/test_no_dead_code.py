@@ -1,6 +1,7 @@
 """No dead code in the library: every module-level function, every
 module-level class and every non-dunder method defined in src/dgforge is
-referenced by name somewhere in src/ or tests/.  References are read from
+referenced by name somewhere in src/ or tests/, and every name a module
+imports at module level is used in that module.  References are read from
 the syntax tree (a name or an attribute), so a docstring or comment that
 mentions a name does not count."""
 
@@ -47,3 +48,17 @@ def test_every_library_function_has_a_reference():
         if not counts[name]
     )
     assert not unreferenced, "no reference to: " + ", ".join(unreferenced)
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted((ROOT / "src" / "dgforge").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            "%s: %s" % (path.name, name)
+            for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            if name not in used
+        ]
+    assert not unused, "unused imports: " + ", ".join(unused)

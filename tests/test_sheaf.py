@@ -42,7 +42,7 @@ from dgforge.sheaf import (
     GodementTower,
     _coordinates,
     _cover_meets,
-    _positions,
+    _hom_presheaf,
     _sheafified,
     CompareReport,
     FiniteSite,
@@ -364,6 +364,12 @@ def _limits(F):
         vals[U] = subcomplex(direct_sum(ring, lo, hi, stalks), ks)
         kbases[U] = ks
     return vals, kbases
+
+
+def _positions(small, big):
+    """The position in the coordinate list `big` of each coordinate of `small`."""
+    index = {c: i for i, c in enumerate(big)}
+    return [index[c] for c in small]
 
 
 def eager_sheafify(F):
@@ -1073,7 +1079,7 @@ def composition_presheaf_map(CP, X, Y, Z):
     Hom presheaves; building it checks the Leibniz rule open by open and
     naturality on every inclusion."""
     site = CP.site
-    HYZ, HXY, HXZ = (hom_presheaf(CP, *pair) for pair in ((Y, Z), (X, Y), (X, Z)))
+    HYZ, HXY, HXZ = (_hom_presheaf(CP, *pair) for pair in ((Y, Z), (X, Y), (X, Z)))
     src = tensor_presheaf(HYZ, HXY)
     comps = {}
     for U in site.opens():
@@ -1100,7 +1106,7 @@ def pushed_composition(CP, x, y, z, depth, strict):
     tower of the tensor of Hom presheaves, entry by entry, followed by the
     composition presheaf map pushed through the towers."""
     cpm = composition_presheaf_map(CP, x, y, z)
-    HYZ, HXY, HXZ = (hom_presheaf(CP, *pair) for pair in ((y, z), (x, y), (x, z)))
+    HYZ, HXY, HXZ = (_hom_presheaf(CP, *pair) for pair in ((y, z), (x, y), (x, z)))
     TYZ, TXY, TXZ, TP = (GodementTower(H, depth, strict) for H in (HYZ, HXY, HXZ, cpm.source))
     S = CP.site.space()
     pairing = tensor_position_pairing(TYZ, TXY, TP, S)
