@@ -62,15 +62,16 @@ from .linalg import (
     assemble,
     assemble_strided,
     block_matrix,
-    block_offsets,
     blocks_as_columns,
     complex_homology,
     differing_entries,
+    flat_total,
     is_quasi_iso,
     hom_complex,
     hom_composition_matrix,
     identity_hom_vector,
     kernel,
+    leibniz_mismatches,
     make_chain_map,
     mul_kron,
     restrict,
@@ -274,30 +275,6 @@ def _ranked_degrees(cx):
     return [n for n in cx.degrees() if cx.rank(n)]
 
 
-@dataclass(frozen=True, eq=False)
-class _TotalHom:
-    """A Hom complex as one free module, its degrees in ascending order:
-    degree n starts at coordinate start[n], coords[k] is the (degree, index)
-    of coordinate k, d is the total differential and sign is diag((-1)^n)."""
-
-    cx: object
-    start: dict
-    rank: int
-    coords: list
-    d: Matrix
-    sign: Matrix
-
-
-def _total_hom(cx):
-    start, n = block_offsets(cx.degrees(), cx.rank)
-    d = assemble(cx.ring, n, n,
-                 [(start[k + 1], start[k], cx.d(k), 1, 1) for k in range(cx.lo, cx.hi)])
-    sign = assemble(cx.ring, n, n, [(start[k], start[k], cx.rank(k), 1, -1 if k % 2 else 1)
-                                    for k in cx.degrees()])
-    coords = [(k, i) for k in cx.degrees() for i in range(cx.rank(k))]
-    return _TotalHom(cx, start, n, coords, d, sign)
-
-
 def _total_composition(C, x, y, z, tot):
     """M_xyz : Hom(y,z)_tot (x) Hom(x,y)_tot -> Hom(x,z)_tot, its columns in
     the order of `Matrix.kron`, holding the entries of C's composition
@@ -310,13 +287,11 @@ def _total_composition(C, x, y, z, tot):
 
 
 def _leibniz_failures(x, y, z, tot, M):
-    """d M = M (d (x) 1 + sign (x) d) on the total, with the degree pairs
+    """`leibniz_mismatches` of M on the flat totals, with the degree pairs
     (p, q) below the window of Hom(x, z) left out."""
     g, f, h = tot[y, z], tot[x, y], tot[x, z]
-    lhs = h.d * M
-    rhs = mul_kron(M, g.d, f.rank) + mul_kron(M, g.sign, f.d)
     notes = {}
-    for i, col, u, v in differing_entries(lhs, rhs) if lhs != rhs else ():
+    for i, col, u, v in leibniz_mismatches(h, g, f, M):
         (p, a), (q, b) = g.coords[col // f.rank], f.coords[col % f.rank]
         if p + q >= h.cx.lo and (p, q) not in notes:
             notes[p, q] = _diff_note(h.coords[i][1], a * f.cx.rank(q) + b, u, v)
@@ -389,7 +364,7 @@ def validate_dg(C):
             failures.append(DGFailure("unit-closed", (x,), "d(id) != 0"))
 
     objs = C.objects
-    tot = {(x, y): _total_hom(C.hom(x, y)) for x in objs for y in objs}
+    tot = {(x, y): flat_total(C.hom(x, y)) for x in objs for y in objs}
     comp = {xyz: _total_composition(C, *xyz, tot) for xyz in itertools.product(objs, repeat=3)}
     for x, y, z in itertools.product(objs, repeat=3):
         failures += _leibniz_failures(x, y, z, tot, comp[x, y, z])

@@ -22,7 +22,8 @@ boundary (`Matrix(...)`, `Matrix.column`, `to_q`/`to_z`, the factor of
 `scale`, the products of `scale_columns`); everything else stores entries
 of the ring's type (int over Z, Fraction over Q) unchecked.  Law checks
 of the form "composition applied to a tensor of maps" use `mul_kron`,
-which computes M * (A (x) B) without forming the Kronecker product.
+which computes M * (A (x) B) without forming the Kronecker product, as
+the Leibniz check on `flat_total`s, `leibniz_mismatches`, does.
 
 Subcomplexes, direct sums and double-complex totals come from four
 constructors: `restrict` (with `restrict_vector`) reads maps in the
@@ -1094,6 +1095,39 @@ def tensor_complex(C, D):
                 terms.append((tgt[p], src[p], rc, D.d(n - p), -1 if p % 2 else 1))
         diffs.append(assemble(ring, ranks[n + 1 - lo], ranks[n - lo], terms))
     return make_complex(ring, lo, ranks, diffs, check=False)
+
+
+@dataclass(frozen=True, eq=False)
+class FlatTotal:
+    """A complex as one free module, its degrees in ascending order:
+    degree n starts at coordinate start[n], coords[k] is the (degree, index)
+    of coordinate k, d is the total differential and sign is diag((-1)^n)."""
+
+    cx: object
+    start: dict
+    rank: int
+    coords: list
+    d: Matrix
+    sign: Matrix
+
+
+def flat_total(cx):
+    start, n = block_offsets(cx.degrees(), cx.rank)
+    d = assemble(cx.ring, n, n,
+                 [(start[k + 1], start[k], cx.d(k), 1, 1) for k in range(cx.lo, cx.hi)])
+    sign = assemble(cx.ring, n, n, [(start[k], start[k], cx.rank(k), 1, -1 if k % 2 else 1)
+                                    for k in cx.degrees()])
+    coords = [(k, i) for k in cx.degrees() for i in range(cx.rank(k))]
+    return FlatTotal(cx, start, n, coords, d, sign)
+
+
+def leibniz_mismatches(P, L, R, M):
+    """The entries (i, j, lhs, rhs) where d_P M != M (d_L (x) 1 + sign_L (x)
+    d_R), in row-major order, for M from the flat totals L (x) R, its columns
+    in the order of `kron`, to the flat total P: none when M is a chain map
+    from the tensor complex of L and R.  One `mul_kron` per term."""
+    rhs = mul_kron(M, L.d, R.rank) + mul_kron(M, L.sign, R.d)
+    return differing_entries(P.d * M, rhs)
 
 
 def hom_complex(C, D):

@@ -17,10 +17,11 @@ Every stalk product has one coordinate layout: the pairs (key, local
 index), keys being the points of an open, the chains of a tower level or
 the cover blocks, in the order `direct_sum` and `totalize` stack them.
 The limit, tower and cover matrices are `linalg.assemble` terms at the
-block starts of `linalg.block_offsets`, the pairing `assemble_strided`
-blocks.  An inclusion of one layout in another is the 0/1 `_placement`, a
-projection its transpose; the tower's structure maps, the coboundary
-among them, come from one builder, `GodementTower._structure`.
+block starts of `linalg.block_offsets`, the pairing one matrix of
+`assemble_strided` blocks on the flat totals.  An inclusion of one
+layout in another is the 0/1 `_placement`, a projection its transpose;
+the tower's structure maps, the coboundary among them, come from one
+builder, `GodementTower._structure`.
 
 Two tower flavours are provided.  The full tower indexes level n by
 weakly increasing chains of n+1 points; the reduced tower keeps only
@@ -47,9 +48,11 @@ from .linalg import (
     complex_homology,
     compose_chain_maps,
     direct_sum,
+    flat_total,
     identity_chain_map,
     is_quasi_iso,
     kernel,
+    leibniz_mismatches,
     make_chain_map,
     mul_kron,
     restrict,
@@ -604,41 +607,31 @@ class GodementTower:
         self.depth = depth
         self.strict = strict
         self.lo, self.hi = source.window()
-        self._chains = {}
-        self._level_cx = {}
-        self._totals = {}
-        self._level_sheaves = {}
+        self._cache = {}
+
+    _memo = Presheaf._memo
 
     # -- chain bookkeeping
 
     def chains(self, p, U):
         U = self.site.as_open(U)
-        key = (p, U)
-        if key not in self._chains:
-            self._chains[key] = self.site.chains(p + 1, inside=U, strict=self.strict)
-        return self._chains[key]
+        return self._memo(("chains", p, U),
+                          lambda: self.site.chains(p + 1, inside=U, strict=self.strict))
 
     def chain_value(self, c):
         return self.source.stalk(c[-1])
 
     def level_complex(self, p, U):
         U = self.site.as_open(U)
-        key = (p, U)
-        if key not in self._level_cx:
-            self._level_cx[key] = direct_sum(
-                self.source.ring, self.lo, self.hi,
-                [self.chain_value(c) for c in self.chains(p, U)],
-            )
-        return self._level_cx[key]
+        return self._memo(("level", p, U), lambda: direct_sum(
+            self.source.ring, self.lo, self.hi, [self.chain_value(c) for c in self.chains(p, U)]))
 
     def level(self, p):
         """Level p as an honest presheaf (restriction = chain projection)."""
-        if p not in self._level_sheaves:
-            site = self.site
-            vals = {U: self.level_complex(p, U) for U in site.opens()}
-            res = {(U, V): self._chain_projection(p, U, V) for U, V in site.inclusions()}
-            self._level_sheaves[p] = make_presheaf(site, vals, res, check=False)
-        return self._level_sheaves[p]
+        site = self.site
+        return self._memo(("presheaf", p), lambda: make_presheaf(
+            site, {U: self.level_complex(p, U) for U in site.opens()},
+            {(U, V): self._chain_projection(p, U, V) for U, V in site.inclusions()}, check=False))
 
     def _chain_projection(self, p, U, V):
         src = self.level_complex(p, U)
@@ -700,24 +693,30 @@ class GodementTower:
         """The total complex at U: cosimplicial direction plus (-1)^level
         times the coefficient differential."""
         U = self.site.as_open(U)
-        if U not in self._totals:
-            self._totals[U] = totalize(
-                self.source.ring, self.lo, self.hi + self.depth,
-                {p: self.level_complex(p, U) for p in range(self.depth + 1)},
-                lambda p, q: self.delta_matrix(p, U, q),
-            )
-        return self._totals[U]
+        return self._memo(("total", U), lambda: totalize(
+            self.source.ring, self.lo, self.hi + self.depth,
+            {p: self.level_complex(p, U) for p in range(self.depth + 1)},
+            lambda p, q: self.delta_matrix(p, U, q)))
 
-    def blocks(self, U, n):
-        """The blocks of total degree n at U, in order, as the pairs
-        (level, chain), and the rank of a block."""
-        levels = [(p, c) for p in range(self.depth + 1) for c in self.chains(p, U)]
-        return levels, lambda pc: self.chain_value(pc[1]).rank(n - pc[0])
+    def flat(self, U):
+        """`total(U)` as one free module (`linalg.flat_total`)."""
+        U = self.site.as_open(U)
+        return self._memo(("flat", U), lambda: flat_total(self.total(U)))
+
+    def blocks(self, U):
+        """The blocks of the total at U in the order of its coordinates
+        (those of `flat`), as the triples (degree, level, chain), and the
+        rank of a block."""
+        keys = [(n, p, c) for n in range(self.lo, self.hi + self.depth + 1)
+                for p in range(self.depth + 1) for c in self.chains(p, U)]
+        return keys, lambda npc: self.chain_value(npc[2]).rank(npc[0] - npc[1])
 
     def layout(self, U, n):
         """The coordinates of total degree n at U, in order: one triple
         (level, chain, local index) per column."""
-        return tuple((p, c, k) for (p, c), k in _coordinates(*self.blocks(U, n)))
+        keys, rank = self.blocks(U)
+        coords = _coordinates([key for key in keys if key[0] == n], rank)
+        return tuple((p, c, k) for (_, p, c), k in coords)
 
     def augmentation(self, U):
         """The restriction-to-stalks inclusion of F(U) into total degree
@@ -931,48 +930,45 @@ class AWPairing:
         self.right = right
         self.product = product
         self.stalk_product = stalk_product
-        self._pairings = {}
-        self._glue = {}
+        self._cache = {}
+
+    _memo = Presheaf._memo
 
     def _glued(self, x, y, q, s, sgn):
         """sgn times the stalk product at up(y) after the restriction of the
         front factor from up(x): F(up x)^q (x) G(up y)^s -> P(up y)^(q+s)."""
-        key = (x, y, q, s, sgn)
-        if key not in self._glue:
-            F, V = self.left.source, self.left.site.up(y)
-            M = mul_kron(self.stalk_product(V, q, s), F.restriction(F.site.up(x), V).comp(q),
-                         self.right.source.stalk(y).rank(s))
-            self._glue[key] = M.scale(sgn)
-        return self._glue[key]
+        F, V = self.left.source, self.left.site.up(y)
+        return self._memo((x, y, q, s, sgn), lambda: mul_kron(
+            self.stalk_product(V, q, s), F.restriction(F.site.up(x), V).comp(q),
+            self.right.source.stalk(y).rank(s)).scale(sgn))
 
     def pairing(self, U):
-        """The pairing at U: the block of a front chain c and a back chain
-        c' that starts where c ends lands on the glued chain c + c'[1:]."""
+        """The pairing at U, one matrix from the flat totals totF (x) totG,
+        its columns in the order of `kron`, to the flat total of totP: the
+        block of a front chain c and a back chain c' that starts where c
+        ends lands on the glued chain c + c'[1:].  A ValueError names the
+        first entry where it is not a chain map (`linalg.leibniz_mismatches`)."""
         U = self.left.site.as_open(U)
-        if U in self._pairings:
-            return self._pairings[U]
         TF, TG, TP = self.left, self.right, self.product
-        totF, totG = TF.total(U), TG.total(U)
-        src, tgt = tensor_complex(totF, totG), TP.total(U)
-        comps = {}
-        for n in src.degrees():
-            rows, terms = block_offsets(*TP.blocks(U, n))[0], []
-            # totF^t (x) totG^(n-t) starts at column cols[t], in the order of `kron`
-            cols = block_offsets(totF.degrees(), lambda t: totF.rank(t) * totG.rank(n - t))[0]
-            for t in totF.degrees():
-                stride = totG.rank(n - t)
-                back = [(b, c2, g0, TG.chain_value(c2).rank(n - t - b))
-                        for (b, c2), g0 in block_offsets(*TG.blocks(U, n - t))[0].items()]
-                for ((p, c), f0), (b, c2, g0, run) in itertools.product(
-                        block_offsets(*TF.blocks(U, t))[0].items(), back):
-                    if run and c2[0] == c[-1] and p + b <= TP.depth:
-                        q, s = t - p, n - t - b
-                        M = self._glued(c[-1], c2[-1], q, s, -1 if q * b % 2 else 1)
-                        terms.append((rows[(p + b, c + c2[1:])], cols[t] + f0 * stride + g0, M,
-                                      run, stride))
-            comps[n] = assemble_strided(src.ring, tgt.rank(n), src.rank(n), terms)
-        self._pairings[U] = make_chain_map(src, tgt, comps, check=True)
-        return self._pairings[U]
+        rows = block_offsets(*TP.blocks(U))[0]
+        keys, rank = TG.blocks(U)
+        back = {}  # (degree, level, chain, start, rank) of the back blocks, by first point
+        for (u, b, c2), g0 in block_offsets(keys, rank)[0].items():
+            back.setdefault(c2[0], []).append((u, b, c2, g0, rank((u, b, c2))))
+        F, G, P = (T.flat(U) for T in (TF, TG, TP))
+        terms = []
+        for (t, p, c), f0 in block_offsets(*TF.blocks(U))[0].items():
+            for u, b, c2, g0, run in back.get(c[-1], ()):
+                row = rows.get((t + u, p + b, c + c2[1:]))  # None beyond the depth or the window
+                if run and row is not None:
+                    q, s = t - p, u - b
+                    M = self._glued(c[-1], c2[-1], q, s, -1 if q * b % 2 else 1)
+                    terms.append((row, f0 * G.rank + g0, M, run, G.rank))
+        mu = assemble_strided(P.cx.ring, P.rank, F.rank * G.rank, terms)
+        for i, j, lhs, rhs in leibniz_mismatches(P, F, G, mu):
+            raise ValueError("the pairing at %r is no chain map: entry (%d, %d): %s != %s"
+                             % (U, i, j, lhs, rhs))
+        return mu
 
 
 def aw_cup(F, G, depth=None, strict=False):
@@ -1064,24 +1060,21 @@ class _RGammaData:
             spans = (hi - lo for lo, hi in (H.window() for H in homs))
             depth = default_depth(CP.site, max(spans, default=0), strict)
         self.depth = depth
-        self._towers = {}
-        self._bigcomp = {}
+        self._cache = {}
+
+    _memo = Presheaf._memo
 
     def tower(self, X, Y):
-        key = (X, Y)
-        if key not in self._towers:
-            self._towers[key] = GodementTower(_hom_presheaf(self.CP, X, Y), self.depth, self.strict)
-        return self._towers[key]
+        return self._memo(("tower", X, Y), lambda: GodementTower(
+            _hom_presheaf(self.CP, X, Y), self.depth, self.strict))
 
     def hom_fn(self, X, Y):
         return self.tower(X, Y).total(self.S)
 
     def big_comp(self, x, y, z):
-        key = (x, y, z)
-        if key not in self._bigcomp:
-            towers = (self.tower(y, z), self.tower(x, y), self.tower(x, z))
-            self._bigcomp[key] = AWPairing(*towers, self._composition(x, y, z)).pairing(self.S)
-        return self._bigcomp[key]
+        towers = (self.tower(y, z), self.tower(x, y), self.tower(x, z))
+        return self._memo(("pairing", x, y, z), lambda: AWPairing(
+            *towers, self._composition(x, y, z)).pairing(self.S))
 
     def _composition(self, x, y, z):
         """The composition of the Hom stalks as a stalk product, checked to
@@ -1103,15 +1096,12 @@ class _RGammaData:
         return composition
 
     def comp_fn(self, x, y, z, p, q):
-        n = p + q
-        B = self.big_comp(x, y, z).comp(n)
-        totYZ = self.hom_fn(y, z)
-        totXY = self.hom_fn(x, y)
-        # the block of totYZ^p (x) totXY^q among the columns of degree n
-        starts = block_offsets(totYZ.degrees(), lambda t: totYZ.rank(t) * totXY.rank(n - t))[0]
-        off = starts.get(p, 0)
-        w = totYZ.rank(p) * totXY.rank(q)
-        return B.submatrix(range(B.nrows), range(off, off + w))
+        g, f, h = (self.tower(*pair).flat(self.S) for pair in ((y, z), (x, y), (x, z)))
+        mu, gp, fq = self.big_comp(x, y, z), g.cx.rank(p), f.cx.rank(q)
+        # the rows of totXZ^(p+q) and the columns of totYZ^p (x) totXY, then totXY^q in each run
+        runs = mu.submatrix(range(h.start[p + q], h.start[p + q] + h.cx.rank(p + q)),
+                            range(g.start[p] * f.rank, (g.start[p] + gp) * f.rank))
+        return mul_kron(runs, gp, assemble(mu.ring, f.rank, fq, [(f.start[q], 0, fq, 1, 1)]))
 
     def id_fn(self, X):
         T = self.tower(X, X)

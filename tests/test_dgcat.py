@@ -17,7 +17,7 @@ from dgforge.cube import (
     insertion,
     involution,
 )
-from dgforge import dgcat
+from dgforge import dgcat, linalg
 from dgforge.cubical import degenerate_projector, sign_coordinates
 from dgforge.dgcat import (
     CoCubicalObject,
@@ -486,8 +486,10 @@ def test_laws_take_two_products_per_object_tuple(monkeypatch):
     P = pretr_cones()
     assert validate_dg(P).ok  # fills the composition cache
     calls = []
-    real = dgcat.mul_kron
-    monkeypatch.setattr(dgcat, "mul_kron", lambda M, A, B: calls.append(M) or real(M, A, B))
+    real = linalg.mul_kron
+    # the Leibniz products run inside `linalg.leibniz_mismatches`, the rest in dgcat
+    for module in (dgcat, linalg):
+        monkeypatch.setattr(module, "mul_kron", lambda M, A, B: calls.append(M) or real(M, A, B))
     assert validate_dg(P).ok
     n = len(P.objects)
     units = sum(len(ranked_degrees(P.hom(x, y))) for x in P.objects for y in P.objects)

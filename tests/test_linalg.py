@@ -31,12 +31,14 @@ from dgforge.linalg import (
     cone_of_map,
     differing_entries,
     direct_sum,
+    flat_total,
     hom_complex,
     hom_composition_matrix,
     identity_chain_map,
     identity_hom_vector,
     is_quasi_iso,
     kernel,
+    leibniz_mismatches,
     make_chain_map,
     make_complex,
     mul_kron,
@@ -1131,6 +1133,30 @@ def test_tensor_complex_smoke():
     # d^2 = 0 is implied by construction; verify explicitly once
     for n in range(T.lo, T.hi - 1):
         assert (T.d(n + 1) * T.d(n)).is_zero()
+
+
+@pytest.mark.parametrize("ring, seed", [(RING_Z, 41), (RING_Q, 43)])
+def test_leibniz_mismatches_reads_the_tensor_complex_differential(ring, seed):
+    # the kron coordinates of the flat totals of C and D, placed at their
+    # positions in tensor_complex(C, D), form a chain map: no mismatch; the
+    # same map with its sign flipped in a degree where d != 0 gives some
+    rng = random.Random(seed)
+    flips = 0
+    for _ in range(10):
+        C, D = random_complex(rng, ring), random_complex(rng, ring)
+        L, R, P = flat_total(C), flat_total(D), flat_total(tensor_complex(C, D))
+        terms = {n: [(P.start[n] + k, (L.start[p] + i) * R.rank + R.start[n - p] + j, 1, 1, 1)
+                     for k, (p, i, j) in enumerate(tensor_basis(C, D, n))]
+                 for n in P.cx.degrees()}
+        M = assemble(ring, P.rank, L.rank * R.rank, [t for n in terms for t in terms[n]])
+        assert list(leibniz_mismatches(P, L, R, M)) == []
+        for n in P.cx.degrees():
+            if not P.cx.d(n).is_zero():
+                flip = [(r, c, 1, 1, -2) for r, c, *_ in terms[n]]
+                flipped = assemble(ring, M.nrows, M.ncols, [(0, 0, M, 1, 1)] + flip)
+                assert list(leibniz_mismatches(P, L, R, flipped)) != [], n
+                flips += 1
+    assert flips
 
 
 @pytest.mark.parametrize("ring, seed", [(RING_Z, 31), (RING_Q, 37)])

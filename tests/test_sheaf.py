@@ -892,7 +892,7 @@ def test_q_sheaf_matrices_hold_fractions_only(pseudo):
     mats += [T.coface_matrix(0, 1, X, 0), T.codegeneracy_matrix(0, 0, X, 1)]
     cover = cech_total(sheafify(F))
     mats += [cover.d(n) for n in cover.degrees()]
-    mats += aw_cup(F, F, strict=True).pairing(X).comps.values()
+    mats += pairing_chain_map(aw_cup(F, F, strict=True), X).comps.values()
     base = build_fincor([("x", "y")], "Q", top=2)[0].category
     R = rgamma(constant_category_presheaf(pseudo, base))
     mats += [
@@ -921,6 +921,22 @@ def test_two_routes_agree_for_random_coefficients(data):
 # the front-face/back-face pairing
 
 
+def pairing_chain_map(cup, U):
+    """The pairing at U as a chain map on tensor_complex(totF, totG), per
+    degree, read off the one matrix on the flat totals and checked by
+    `make_chain_map` against the differential of the tensor complex: the
+    tensor-differential route, kept as an oracle."""
+    F, G, P = (T.flat(U) for T in (cup.left, cup.right, cup.product))
+    mu, src = cup.pairing(U), tensor_complex(F.cx, G.cx)
+    comps = {}
+    for n in src.degrees():
+        cols = [(F.start[t] + i) * G.rank + G.start[n - t] + j
+                for t, i, j in tensor_basis(F.cx, G.cx, n)]
+        rows = range(P.start[n], P.start[n] + P.cx.rank(n)) if n in P.start else range(0)
+        comps[n] = mu.submatrix(rows, cols)
+    return make_chain_map(src, P.cx, comps, check=True)
+
+
 def test_pairing_is_a_chain_map_on_all_fixtures(sierp, pseudo, t2):
     z1 = single_complex("Z", 0, 1)
     # construction runs the exact chain-map check; internal degrees of the
@@ -938,7 +954,7 @@ def test_pairing_is_a_chain_map_on_all_fixtures(sierp, pseudo, t2):
 
 def test_pairing_degree_zero_hand_block(sierp):
     F = constant_presheaf(sierp, single_complex("Z", 0, 1))
-    mu = aw_cup(F, F, depth=2).pairing(sierp.space())
+    mu = pairing_chain_map(aw_cup(F, F, depth=2), sierp.space())
     assert mu.comp(0).rows == ((1, 0, 0, 0), (0, 0, 0, 1))
 
 
@@ -950,7 +966,7 @@ def test_unit_laws_hold_literally(sierp, t2):
     left = aw_cup(U1, F, depth=3)
     eps1 = left.left.augmentation(X).comp(0)
     totU, totF = left.left.total(X), left.right.total(X)
-    m = left.pairing(X)
+    m = pairing_chain_map(left, X)
     for n in totF.degrees():
         basis = tensor_basis(totU, totF, n)
         got = m.comp(n)
@@ -967,7 +983,7 @@ def test_unit_laws_hold_literally(sierp, t2):
     right = aw_cup(F, U1, depth=3)
     eps1r = right.right.augmentation(X).comp(0)
     totF2, totU2 = right.left.total(X), right.right.total(X)
-    mr = right.pairing(X)
+    mr = pairing_chain_map(right, X)
     for n in totF2.degrees():
         basis = tensor_basis(totF2, totU2, n)
         got = mr.comp(n)
@@ -994,8 +1010,8 @@ def test_pairing_is_associative_up_to_the_canonical_regroupings(sierp, t2):
     FG, GH = tensor_presheaf(F, G), tensor_presheaf(G, H)
     cup_FG, cup_GH = aw_cup(F, G, depth), aw_cup(G, H, depth)
     cup_L, cup_R = aw_cup(FG, H, depth), aw_cup(F, GH, depth)
-    mu_FG, mu_GH = cup_FG.pairing(X), cup_GH.pairing(X)
-    mu_L, mu_R = cup_L.pairing(X), cup_R.pairing(X)
+    mu_FG, mu_GH = pairing_chain_map(cup_FG, X), pairing_chain_map(cup_GH, X)
+    mu_L, mu_R = pairing_chain_map(cup_L, X), pairing_chain_map(cup_R, X)
     assoc_tot = tower_map_at(tensor_presheaf_assoc(F, G, H), cup_L.product, cup_R.product, X)
     totF, totG, totH = cup_FG.left.total(X), cup_GH.left.total(X), cup_GH.right.total(X)
     lhs = compose_chain_maps(
@@ -1024,6 +1040,53 @@ def test_tower_mismatch_raises(sierp):
             godement_tower(F, 1), godement_tower(F, 1), godement_tower(FF, 1, strict=True),
             inclusion,
         )
+
+
+@pytest.mark.parametrize("name", ["pseudo_circle", "circle6"])
+def test_the_pairing_check_fails_on_a_stalk_product_with_one_flipped_block(name, t2):
+    # a negative control: the stalk product scaled by -1 on one minimal open
+    # and one degree pair (q, s) breaks the Leibniz rule of the pairing
+    site = _oracle_sites()[name]
+    X = site.space()
+    F = constant_presheaf(site, t2)
+    for strict in (False, True):
+        cup = aw_cup(F, F, strict=strict)
+        AWPairing(cup.left, cup.right, cup.product, cup.stalk_product).pairing(X)
+        for x, q, s in itertools.product(site.points, t2.degrees(), t2.degrees()):
+
+            def flipped(V, q2, s2, key=(site.up(x), q, s)):
+                M = cup.stalk_product(V, q2, s2)
+                return M.scale(-1) if (V, q2, s2) == key else M
+
+            with pytest.raises(ValueError, match="no chain map"):
+                AWPairing(cup.left, cup.right, cup.product, flipped).pairing(X)
+
+
+def test_the_pairing_builds_no_tensor_complex(pseudo, t2, monkeypatch):
+    calls = []
+    real = sheaf_module.tensor_complex
+    monkeypatch.setattr(sheaf_module, "tensor_complex",
+                        lambda C, D: calls.append((C, D)) or real(C, D))
+    R = rgamma(constant_category_presheaf(pseudo, _oracle_bases()["torsion"]), strict=False)
+    for x, y, z in itertools.product(R.objects, repeat=3):
+        for p, q in itertools.product(R.hom(y, z).degrees(), R.hom(x, y).degrees()):
+            R.comp_matrix(x, y, z, p, q)
+    assert calls == []
+    cup = aw_cup(constant_presheaf(pseudo, t2), constant_presheaf(pseudo, t2))
+    del calls[:]  # the tensor presheaf of the construction builds its values
+    for U in pseudo.opens():
+        cup.pairing(U)
+    assert calls == []
+
+
+def test_full_tower_composition_at_the_default_depth(pseudo):
+    rng = random.Random(14)
+    base = complexes_category({
+        k: random_complex(rng, max_pieces=2, lo_range=(-1, 1)) for k in ("u", "v")
+    })
+    R = rgamma(constant_category_presheaf(pseudo, base), strict=False)
+    assert R._rgamma_data.depth == 4
+    assert validate_dg(R).ok
 
 
 def tensor_position_pairing(TF, TG, TP, U):
@@ -1071,7 +1134,7 @@ def test_cup_pairing_matches_the_tensor_position_oracle(name, t2):
             cup = aw_cup(F, G, depth=2, strict=strict)
             for U in site.opens():
                 want = tensor_position_pairing(cup.left, cup.right, cup.product, U)
-                assert cup.pairing(U) == want, (strict, U)
+                assert pairing_chain_map(cup, U) == want, (strict, U)
 
 
 def composition_presheaf_map(CP, X, Y, Z):
