@@ -112,14 +112,14 @@ class CubicalAbelianGroup:
 # Builtin groups.
 
 
-def constant_cubical(ring, rank_, top, extended=True):
+def constant_cubical(ring, rank_, top):
     ident = Matrix.identity(ring, rank_)
     return CubicalAbelianGroup(
         ring,
         top,
         [rank_] * (top + 1),
         lambda f: ident,
-        extended=extended,
+        extended=True,
         name="constant rank %d" % rank_,
     )
 

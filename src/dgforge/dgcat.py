@@ -286,34 +286,27 @@ def _total_composition(C, x, y, z, tot):
     return assemble_strided(C.ring, h.rank, g.rank * f.rank, terms)
 
 
-def _leibniz_failures(x, y, z, tot, M):
-    """`leibniz_mismatches` of M on the flat totals, with the degree pairs
-    (p, q) below the window of Hom(x, z) left out."""
-    g, f, h = tot[y, z], tot[x, y], tot[x, z]
+def _block_failures(law, where, diffs, rows, cols, keep):
+    """One failure per degree block that holds a differing entry
+    (i, j, lhs, rhs) of `diffs`, in the order of the blocks' degrees.
+    Row i is a coordinate of the flat total `rows`, column j one of the
+    Kronecker product of the flat totals `cols`, outer first; the block of
+    (i, j) is the tuple of the degrees of j's factors, and its note is its
+    first differing entry, in the block's own (row, column) coordinates.
+    Blocks whose degrees fail `keep` are left out; with keep None, none is."""
     notes = {}
-    for i, col, u, v in leibniz_mismatches(h, g, f, M):
-        (p, a), (q, b) = g.coords[col // f.rank], f.coords[col % f.rank]
-        if p + q >= h.cx.lo and (p, q) not in notes:
-            notes[p, q] = _diff_note(h.coords[i][1], a * f.cx.rank(q) + b, u, v)
-    return [DGFailure("leibniz", (x, y, z) + pq, notes[pq]) for pq in sorted(notes)]
-
-
-def _assoc_failures(x, y, z, w, tot, comp):
-    """M_xyw (M_yzw (x) 1) = M_xzw (1 (x) M_xyz) on the total, with the
-    degree triples (p, q, r) whose p + q leaves the window of Hom(y, w) or
-    whose q + r leaves that of Hom(x, z) left out."""
-    hz, g, f, mid_l, mid_r = tot[z, w], tot[y, z], tot[x, y], tot[y, w].cx, tot[x, z].cx
-    lhs = mul_kron(comp[x, y, w], comp[y, z, w], f.rank)
-    rhs = mul_kron(comp[x, z, w], hz.rank, comp[x, y, z])
-    notes = {}
-    for i, col, u, v in differing_entries(lhs, rhs) if lhs != rhs else ():
-        hg, k = divmod(col, f.rank)
-        (p, a), (q, b), (r, c) = hz.coords[hg // g.rank], g.coords[hg % g.rank], f.coords[k]
-        if (mid_l.lo <= p + q <= mid_l.hi and mid_r.lo <= q + r <= mid_r.hi
-                and (p, q, r) not in notes):
-            local = (a * g.cx.rank(q) + b) * f.cx.rank(r) + c
-            notes[p, q, r] = _diff_note(tot[x, w].coords[i][1], local, u, v)
-    return [DGFailure("assoc", (x, y, z, w) + pqr, notes[pqr]) for pqr in sorted(notes)]
+    for i, j, u, v in diffs:
+        coords = []
+        for t in reversed(cols):
+            j, k = divmod(j, t.rank)
+            coords.append(t.coords[k])
+        degs = tuple(deg for deg, _ in reversed(coords))
+        if degs not in notes and (keep is None or keep(*degs)):
+            local = 0
+            for t, (deg, a) in zip(cols, reversed(coords)):
+                local = local * t.cx.rank(deg) + a
+            notes[degs] = _diff_note(rows.coords[i][1], local, u, v)
+    return [DGFailure(law, where + degs, notes[degs]) for degs in sorted(notes)]
 
 
 def validate_dg(C):
@@ -322,72 +315,67 @@ def validate_dg(C):
     location and a differing matrix entry.  A category with no objects
     fails with the law "objects": there is nothing to check.
 
-    The Leibniz rule and associativity are checked once per object tuple,
-    on totals: each Hom complex lists its degrees in ascending order, and
-    the total composition matrix M_xyz has its columns in the order of
-    `Matrix.kron` on Hom(y,z)_tot (x) Hom(x,y)_tot.  Column (p, q) of such
-    a product lands in the single row block of its degree, so a differing
-    entry is mapped back to its degrees and to its (row, column) inside
+    Every law but the unit's degree and closedness is checked once per
+    object pair or tuple, as one identity on totals: each Hom complex lists
+    its degrees in ascending order (`flat_total`), and the total
+    composition matrix M_xyz has its columns in the order of `Matrix.kron`
+    on Hom(y,z)_tot (x) Hom(x,y)_tot.  Each column block of such a product
+    lands in the single row block of its degree, so `_block_failures` maps
+    a differing entry back to its degrees and to its (row, column) inside
     the degree block of the per-degree law.  Degree pairs whose composite
     falls below the window of the target Hom are left out, and so are the
     associativity triples whose inner composite p + q or q + r leaves the
     window of its Hom: the dropped composition makes the laws unobservable
-    there, and the window edge is not evidence either way.  d^2 and the
-    unit laws are checked degree by degree.
+    there, and the window edge is not evidence either way.
 
     The failures come law by law (dsq, the unit's degree and closedness,
-    leibniz, assoc, unit-left and unit-right), each in the order of its
-    objects and then of its degrees, one per degree block, with the first
-    differing entry of the block in row-major order as the note.
+    leibniz, assoc, then the unit laws with left before right in each
+    degree), each in the order of its objects and then of its degrees, one
+    per degree block, with the first differing entry of the block in
+    row-major order as the note (dsq notes only "d(n+1) d(n) != 0").
     """
     if not C.objects:
         return DGReport(ok=False, failures=(DGFailure("objects", (), "no objects"),))
+    objs = C.objects
+    tot = {(x, y): flat_total(C.hom(x, y)) for x in objs for y in objs}
     failures = []
+    for (x, y), t in tot.items():
+        sq = differing_entries(t.d * t.d, Matrix.zero(C.ring, t.rank, t.rank))
+        failures += [DGFailure("dsq", f.where, "d(n+1) d(n) != 0")
+                     for f in _block_failures("dsq", (x, y), sq, t, (t,), None)]
 
-    def mismatch(law, where, lhs, rhs):
-        if lhs != rhs:
-            failures.append(DGFailure(law, where, _first_diff(lhs, rhs)))
-
-    for x in C.objects:
-        for y in C.objects:
-            cx = C.hom(x, y)
-            for n in cx.degrees():
-                sq = cx.d(n + 1) * cx.d(n)
-                if not sq.is_zero():
-                    failures.append(DGFailure("dsq", (x, y, n), "d(n+1) d(n) != 0"))
-
-    for x in C.objects:
+    for x in objs:
         e = C.identity(x)
         if e.degree != 0:
             failures.append(DGFailure("unit-degree", (x,), "degree %d" % e.degree))
         if not C.differential(e).is_zero():
             failures.append(DGFailure("unit-closed", (x,), "d(id) != 0"))
 
-    objs = C.objects
-    tot = {(x, y): flat_total(C.hom(x, y)) for x in objs for y in objs}
     comp = {xyz: _total_composition(C, *xyz, tot) for xyz in itertools.product(objs, repeat=3)}
     for x, y, z in itertools.product(objs, repeat=3):
-        failures += _leibniz_failures(x, y, z, tot, comp[x, y, z])
+        g, f, h = tot[y, z], tot[x, y], tot[x, z]
+        diffs = leibniz_mismatches(h, g, f, comp[x, y, z])
+        failures += _block_failures("leibniz", (x, y, z), diffs, h, (g, f),
+                                    lambda p, q: p + q >= h.cx.lo)
     for x, y, z, w in itertools.product(objs, repeat=4):
-        failures += _assoc_failures(x, y, z, w, tot, comp)
+        mid_l, mid_r, f = tot[y, w].cx, tot[x, z].cx, tot[x, y]
+        lhs = mul_kron(comp[x, y, w], comp[y, z, w], f.rank)
+        rhs = mul_kron(comp[x, z, w], tot[z, w].rank, comp[x, y, z])
+        failures += _block_failures(
+            "assoc", (x, y, z, w), differing_entries(lhs, rhs), tot[x, w],
+            (tot[z, w], tot[y, z], f),
+            lambda p, q, r: mid_l.lo <= p + q <= mid_l.hi and mid_r.lo <= q + r <= mid_r.hi)
 
-    for x in C.objects:
-        for y in C.objects:
-            fz = C.hom(x, y)
-            idy = Matrix.column(C.ring, list(C.identity(y).vector))
-            idx = Matrix.column(C.ring, list(C.identity(x).vector))
-            for q in _ranked_degrees(fz):
-                rq = fz.rank(q)
-                eye = Matrix.identity(C.ring, rq)
-                mismatch(
-                    "unit-left", (x, y, q),
-                    mul_kron(C.comp_matrix(x, y, y, 0, q), idy, rq), eye,
-                )
-                mismatch(
-                    "unit-right", (x, y, q),
-                    mul_kron(C.comp_matrix(x, x, y, q, 0), rq, idx), eye,
-                )
-
+    # the unit of x as one column on the flat total of Hom(x, x)
+    units = {x: Matrix.column(C.ring, [C.identity(x).vector[i] if n == 0 else 0
+                                       for n, i in tot[x, x].coords]) for x in objs}
+    for (x, y), t in tot.items():
+        eye = Matrix.identity(C.ring, t.rank)
+        left = differing_entries(mul_kron(comp[x, y, y], units[y], t.rank), eye)
+        right = differing_entries(mul_kron(comp[x, x, y], t.rank, units[x]), eye)
+        failures += sorted(_block_failures("unit-left", (x, y), left, t, (t,), None)
+                           + _block_failures("unit-right", (x, y), right, t, (t,), None),
+                           key=lambda fail: fail.where[2])
     return DGReport(ok=not failures, failures=tuple(failures))
 
 
@@ -705,7 +693,7 @@ class TensorDGData:
 # The category of complexes as a DG category.
 
 
-def complexes_category(complexes, name="complexes"):
+def complexes_category(complexes):
     """DG category with Hom the mapping complexes and plain componentwise
     composition; the Koszul signs live entirely in the Hom differential."""
     items = dict(complexes)
@@ -724,8 +712,7 @@ def complexes_category(complexes, name="complexes"):
 
     return DGCategory(
         ring, tuple(sorted(items)), hom_fn, comp_fn=comp_fn,
-        id_fn=lambda x: identity_hom_vector(items[x]),
-        name=name,
+        id_fn=lambda x: identity_hom_vector(items[x]), name="complexes",
     )
 
 
@@ -1200,8 +1187,8 @@ class CubicalEnrichment:
         return self.model(x, y).level_basis[0]
 
 
-def cubical_enrichment(host, cocube, objects=None, name=""):
-    return CubicalEnrichment(host, cocube, objects=objects, name=name)
+def cubical_enrichment(host, cocube, objects=None):
+    return CubicalEnrichment(host, cocube, objects=objects)
 
 
 # ---------------------------------------------------------------------------
@@ -1271,21 +1258,20 @@ class AlternatingEnrichment(CubicalEnrichment):
 
     _level_type = _AlternatingLevels
 
-    def __init__(self, host, cocube, objects=None):
+    def __init__(self, host, cocube):
         if host.category.ring != "Q":
             raise ValueError("the alternating enrichment needs rational coefficients")
         if not cocube.extended:
             raise ValueError("the alternating enrichment needs the extended cube maps")
-        super().__init__(host, cocube, objects=objects,
-                         name="alt(%s)" % (host.category.name or "?"))
+        super().__init__(host, cocube, name="alt(%s)" % (host.category.name or "?"))
         self.tensor = TensorDGData(
             self.category, host.unit, host.obj_tensor,
             self.levels.box_tensor, self.levels.symmetry,
         )
 
 
-def alternating_enrichment(host, cocube, objects=None):
-    return AlternatingEnrichment(host, cocube, objects=objects)
+def alternating_enrichment(host, cocube):
+    return AlternatingEnrichment(host, cocube)
 
 
 def _levelwise_functor(src_enr, tgt_enr):

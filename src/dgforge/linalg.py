@@ -25,12 +25,13 @@ of the form "composition applied to a tensor of maps" use `mul_kron`,
 which computes M * (A (x) B) without forming the Kronecker product, as
 the Leibniz check on `flat_total`s, `leibniz_mismatches`, does.
 
-Subcomplexes, direct sums and double-complex totals come from four
-constructors: `restrict` (with `restrict_vector`) reads maps in the
-coordinates of a basis, `subcomplex` cuts a complex down to one basis per
-degree, `direct_sum` stacks complexes block-diagonally, and `totalize`
-stacks the columns of a double complex at the block starts that
-`block_offsets` gives, signing their differential (-1)^p.
+Subcomplexes come from `restrict` (with `restrict_vector`), which reads
+maps in the coordinates of a basis, and `subcomplex`, which cuts a complex
+down to one basis per degree.  Every complex stacked from degree blocks is
+a `block_complex`, one `assemble` per differential at the block starts of
+`block_offsets`: `direct_sum` (block-diagonal), `totalize` (the columns of
+a double complex, signed (-1)^p), the tensor and Hom complexes, and the
+twisted Hom complexes of `pretr`.
 """
 
 import heapq
@@ -1015,13 +1016,26 @@ def subcomplex(C, bases):
     return make_complex(C.ring, lo, [bases[n].ncols for n in range(lo, hi + 1)], diffs)
 
 
+def block_complex(ring, blocks, terms, check):
+    """The complex whose degree n is a stack of blocks: blocks is
+    {degree: {key: rank}}, its degrees ascending and contiguous, each block
+    list in stacking order, and d^n is the `assemble` of terms(n, src, tgt),
+    src and tgt the block starts {key: first coordinate} of degrees n and
+    n+1.  `check` is passed on to `make_complex`."""
+    degs = list(blocks)
+    start, ranks = zip(*(block_offsets(blocks[n], blocks[n].get) for n in degs))
+    diffs = [assemble(ring, ranks[k + 1], ranks[k], terms(n, start[k], start[k + 1]))
+             for k, n in enumerate(degs[:-1])]
+    return make_complex(ring, degs[0], ranks, diffs, check=check)
+
+
 def direct_sum(ring, lo, hi, complexes):
     """The direct sum of `complexes`, in order, on the window lo..hi."""
     if any(C.ring != ring for C in complexes):
         raise ValueError("ring mismatch")
-    ranks = [sum(C.rank(n) for C in complexes) for n in range(lo, hi + 1)]
-    diffs = [block_diagonal(ring, [C.d(n) for C in complexes]) for n in range(lo, hi)]
-    return make_complex(ring, lo, ranks, diffs, check=False)
+    blocks = {n: {k: C.rank(n) for k, C in enumerate(complexes)} for n in range(lo, hi + 1)}
+    return block_complex(ring, blocks, lambda n, src, tgt: [
+        (tgt[k], src[k], C.d(n), 1, 1) for k, C in enumerate(complexes) if C.rank(n)], False)
 
 
 def totalize(ring, lo, hi, columns, across):
@@ -1030,21 +1044,17 @@ def totalize(ring, lo, hi, columns, across):
     p, and d is (-1)^p times the column differential plus across(p, q), the
     map columns[p]^q -> columns[p+1]^q, asked for where columns[p]^q != 0."""
     ps = sorted(columns)
-    start, ranks = zip(*(block_offsets(ps, lambda p: columns[p].rank(n - p))
-                         for n in range(lo, hi + 1)))
-    diffs = []
-    for n in range(lo, hi):
-        terms = []
-        src, tgt = start[n - lo], start[n + 1 - lo]
+
+    def terms(n, src, tgt):
         for p in ps:
             q = n - p
             if columns[p].rank(q):
-                sgn = -1 if p % 2 else 1
-                terms.append((tgt[p], src[p], columns[p].d(q), 1, sgn))
+                yield tgt[p], src[p], columns[p].d(q), 1, -1 if p % 2 else 1
                 if p + 1 in columns:
-                    terms.append((tgt[p + 1], src[p], across(p, q), 1, 1))
-        diffs.append(assemble(ring, ranks[n + 1 - lo], ranks[n - lo], terms))
-    return make_complex(ring, lo, ranks, diffs)
+                    yield tgt[p + 1], src[p], across(p, q), 1, 1
+
+    blocks = {n: {p: columns[p].rank(n - p) for p in ps} for n in range(lo, hi + 1)}
+    return block_complex(ring, blocks, terms, True)
 
 
 def block_offsets(keys, size):
@@ -1077,24 +1087,19 @@ def tensor_complex(C, D):
     block p+1, and (-1)^p 1 (x) d_D maps it to itself."""
     if C.ring != D.ring:
         raise ValueError("ring mismatch")
-    ring = C.ring
-    lo = C.lo + D.lo
-    hi = C.hi + D.hi
     ps = C.degrees()
-    start, ranks = zip(*(block_offsets(ps, lambda p: C.rank(p) * D.rank(n - p))
-                         for n in range(lo, hi + 1)))
-    diffs = []
-    for n in range(lo, hi):
-        terms = []
-        src, tgt = start[n - lo], start[n + 1 - lo]
+
+    def terms(n, src, tgt):
         for p in ps:
             rc, rd = C.rank(p), D.rank(n - p)
             if rc and rd:
                 if C.rank(p + 1):
-                    terms.append((tgt[p + 1], src[p], C.d(p), rd, 1))
-                terms.append((tgt[p], src[p], rc, D.d(n - p), -1 if p % 2 else 1))
-        diffs.append(assemble(ring, ranks[n + 1 - lo], ranks[n - lo], terms))
-    return make_complex(ring, lo, ranks, diffs, check=False)
+                    yield tgt[p + 1], src[p], C.d(p), rd, 1
+                yield tgt[p], src[p], rc, D.d(n - p), -1 if p % 2 else 1
+
+    blocks = {n: {p: C.rank(p) * D.rank(n - p) for p in ps}
+              for n in range(C.lo + D.lo, C.hi + D.hi + 1)}
+    return block_complex(C.ring, blocks, terms, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1137,25 +1142,19 @@ def hom_complex(C, D):
     and f_p d_C^(p-1) = (1 (x) (d_C^(p-1))^T) f_p (Van Loan 2000)."""
     if C.ring != D.ring:
         raise ValueError("ring mismatch")
-    ring = C.ring
-    lo = D.lo - C.hi
-    hi = D.hi - C.lo
     ps = C.degrees()
-    start, ranks = zip(*(block_offsets(ps, lambda p: D.rank(p + n) * C.rank(p))
-                         for n in range(lo, hi + 1)))
-    diffs = []
-    for n in range(lo, hi):
-        terms = []
-        sgn = 1 if n % 2 else -1
-        src, tgt = start[n - lo], start[n + 1 - lo]
+
+    def terms(n, src, tgt):
         for p in ps:
             rd, rc = D.rank(p + n), C.rank(p)
             if rd and rc:
-                terms.append((tgt[p], src[p], D.d(p + n), rc, 1))
+                yield tgt[p], src[p], D.d(p + n), rc, 1
                 if C.rank(p - 1):
-                    terms.append((tgt[p - 1], src[p], rd, C.d(p - 1).transpose(), sgn))
-        diffs.append(assemble(ring, ranks[n + 1 - lo], ranks[n - lo], terms))
-    return make_complex(ring, lo, ranks, diffs, check=False)
+                    yield tgt[p - 1], src[p], rd, C.d(p - 1).transpose(), 1 if n % 2 else -1
+
+    blocks = {n: {p: D.rank(p + n) * C.rank(p) for p in ps}
+              for n in range(D.lo - C.hi, D.hi - C.lo + 1)}
+    return block_complex(C.ring, blocks, terms, False)
 
 
 def hom_composition_matrix(C, D, E, p, q):

@@ -25,6 +25,7 @@ from .linalg import (
     _exact_vector,
     _columns_to_matrix,
     assemble,
+    block_complex,
     block_offsets,
     complex_homology,
     kernel,
@@ -229,12 +230,11 @@ def dsum_twisted(A, B):
 
 @dataclass(eq=False)
 class TwistedHom:
-    """The graded Hom complex between two twisted complexes on a degree
-    window, with the block layout needed to pass between coordinate vectors
-    and componentwise morphisms.  Degrees outside the materialized window
-    are silently rank zero, so homology at the window boundary is relative
-    to the window; the default window covers every degree the base Hom
-    complexes can populate, which makes the boundary honest."""
+    """The graded Hom complex between two twisted complexes, with the block
+    layout needed to pass between coordinate vectors and componentwise
+    morphisms: `blocks[n]` lists the blocks (a, b, start, rank) of degree n
+    of nonzero rank.  The complex covers every degree the base Hom
+    complexes populate, so the zero ranks beyond it are honest."""
 
     source: TwistedComplex
     target: TwistedComplex
@@ -315,17 +315,7 @@ def _twisted_comp_matrix(HG, HF, HH, p, q):
     return assemble(C.ring, HH.complex.rank(p + q), HG.complex.rank(p) * rf, terms)
 
 
-def _hom_layout(E, F, n):
-    """The blocks (a, b, start, rank) of Hom(E, F)^n of nonzero rank, in
-    order, and the rank of Hom(E, F)^n."""
-    C = E.base
-    rank = {(a, b): C.hom(E.obj(b), F.obj(a)).rank(n + E.idx(b) - F.idx(a))
-            for a in range(len(F.entries)) for b in range(len(E.entries))}
-    start, total = block_offsets(rank, rank.get)
-    return tuple((a, b, start[a, b], r) for (a, b), r in rank.items() if r), total
-
-
-def twisted_hom_complex(E, F, window=None):
+def twisted_hom_complex(E, F):
     """Hom(E, F) as a chain complex whose degree-n piece collects the
     components of degree n + idx(source) - idx(target), with differential
 
@@ -333,64 +323,39 @@ def twisted_hom_complex(E, F, window=None):
                        + sum_c f_{ac} phi_{cb}
                        - (-1)^n sum_c phi_{ac} e_{cb}.
 
+    Its degrees run over every degree that a base Hom complex populates.
     The construction validates d^2 = 0 exactly on every instantiation."""
     if E.base is not F.base:
         raise ValueError("the two twisted complexes live over different bases")
     C = E.base
-    if window is None:
-        degs = set()
-        for a in range(len(F.entries)):
-            for b in range(len(E.entries)):
-                cx = C.hom(E.obj(b), F.obj(a))
-                shiftt = F.idx(a) - E.idx(b)
-                for m in cx.degrees():
-                    if cx.rank(m):
-                        degs.add(m + shiftt)
-        if not degs:
-            return TwistedHom(E, F, make_complex(C.ring, 0, [0]), {})
-        lo, hi = min(degs), max(degs)
-    else:
-        lo, hi = window
-    blocks = {}
-    ranks = []
-    for n in range(lo, hi + 1):
-        layout, total = _hom_layout(E, F, n)
-        blocks[n] = layout
-        ranks.append(total)
-    diffs = []
-    fe = dict(F.e)
-    ee = dict(E.e)
-    for n in range(lo, hi):
-        src = blocks[n]
-        dst = blocks[n + 1]
-        dst_off = {(a, b): off for a, b, off, _ in dst}
-        terms = []
+    homs = {(a, b): (C.hom(E.obj(b), F.obj(a)), E.idx(b) - F.idx(a))
+            for a in range(len(F.entries)) for b in range(len(E.entries))}
+    degs = [m - shift for cx, shift in homs.values() for m in cx.degrees() if cx.rank(m)]
+    if not degs:
+        return TwistedHom(E, F, make_complex(C.ring, 0, [0]), {})
+    blocks = {n: {ab: cx.rank(n + shift) for ab, (cx, shift) in homs.items()}
+              for n in range(min(degs), max(degs) + 1)}
 
-        def put(block, off_c, sub, scalar=1):
-            if block in dst_off:
-                terms.append((dst_off[block], off_c, sub, 1, scalar))
-            elif not sub.is_zero():
-                raise AssertionError("differential escapes the layout")
-
-        for a, b, off_c, r in src:
-            m = n + E.idx(b) - F.idx(a)
-            x, y = E.obj(b), F.obj(a)
-            sgn = -1 if F.idx(a) % 2 else 1
-            put((a, b), off_c, C.hom(x, y).d(m), sgn)
-            for (a2, a3), g in fe.items():
+    def terms(n, src, tgt):
+        rsgn = 1 if n % 2 else -1
+        for (a, b), off in src.items():
+            if not blocks[n][a, b]:
+                continue
+            (cx, shift), x, y = homs[a, b], E.obj(b), F.obj(a)
+            m = n + shift
+            yield tgt[a, b], off, cx.d(m), 1, -1 if F.idx(a) % 2 else 1
+            for (a2, a3), g in F.e:
                 if a3 == a:
-                    put((a2, b), off_c, left_mult_matrix(C, x, y, F.obj(a2), g, m))
-            rsgn = 1 if n % 2 else -1
-            for (b2, b3), h in ee.items():
+                    yield tgt[a2, b], off, left_mult_matrix(C, x, y, F.obj(a2), g, m), 1, 1
+            for (b2, b3), h in E.e:
                 if b2 == b:
-                    put(
-                        (a, b3), off_c,
-                        right_mult_matrix(C, E.obj(b3), x, y, h, m),
-                        rsgn,
-                    )
-        diffs.append(assemble(C.ring, ranks[n + 1 - lo], ranks[n - lo], terms))
-    cx = make_complex(C.ring, lo, ranks, diffs)
-    return TwistedHom(E, F, cx, blocks)
+                    yield tgt[a, b3], off, right_mult_matrix(C, E.obj(b3), x, y, h, m), 1, rsgn
+
+    layout = {}
+    for n, ranks in blocks.items():
+        start = block_offsets(ranks, ranks.get)[0]
+        layout[n] = tuple((a, b, start[a, b], r) for (a, b), r in ranks.items() if r)
+    return TwistedHom(E, F, block_complex(C.ring, blocks, terms, True), layout)
 
 
 def twisted_differential(phi):
@@ -626,7 +591,7 @@ class PreTrCategory(DGCategory):
     registry can grow, so a total complex can join the category its nested
     object was built over."""
 
-    def __init__(self, base, complexes, name=""):
+    def __init__(self, base, complexes):
         self._base = base
         self._tcs = tcs = dict(complexes)
         for key, tc in tcs.items():
@@ -649,7 +614,7 @@ class PreTrCategory(DGCategory):
             base.ring, tuple(tcs), lambda x, y: hom_data(x, y).complex,
             comp_fn=comp_fn,
             id_fn=lambda x: hom_data(x, x).vector(twisted_identity(tcs[x])),
-            name=name or "pretr(%s)" % (base.name or "?"),
+            name="pretr(%s)" % (base.name or "?"),
         )
         self.hom_data = hom_data
 
@@ -672,8 +637,8 @@ class PreTrCategory(DGCategory):
         return HomElement(x, y, phi.degree, self.hom_data(x, y).vector(phi))
 
 
-def pretr_category(base, complexes, name=""):
-    return PreTrCategory(base, complexes, name=name)
+def pretr_category(base, complexes):
+    return PreTrCategory(base, complexes)
 
 
 def _flatten(P, EE):

@@ -786,9 +786,9 @@ def total_godement(F, depth=None, strict=False):
     return make_presheaf(site, vals, res, check=False)
 
 
-def godement_augmentation(F, depth=None, strict=False):
+def godement_augmentation(F, strict=False):
     """The augmentation as a map of presheaves into the total."""
-    T = godement_tower(F, depth, strict=strict)
+    T = godement_tower(F, strict=strict)
     total = total_godement(F, T.depth, strict=strict)
     comps = {U: make_chain_map(F.vals[U], total.vals[U], T.augmentation(U).comps, check=False)
              for U in F.site.opens()}

@@ -492,9 +492,8 @@ def test_laws_take_two_products_per_object_tuple(monkeypatch):
         monkeypatch.setattr(module, "mul_kron", lambda M, A, B: calls.append(M) or real(M, A, B))
     assert validate_dg(P).ok
     n = len(P.objects)
-    units = sum(len(ranked_degrees(P.hom(x, y))) for x in P.objects for y in P.objects)
-    # leibniz 2 per triple, assoc 2 per quadruple, the unit laws 2 per degree
-    assert len(calls) == 2 * n ** 3 + 2 * n ** 4 + 2 * units
+    # leibniz 2 per triple, assoc 2 per quadruple, the unit laws 2 per pair
+    assert len(calls) == 2 * n ** 3 + 2 * n ** 4 + 2 * n ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +510,34 @@ def test_a_complex_with_nonzero_d_squared_fails_dsq_only():
     report = validate_dg(C)
     assert report == DGReport(False, (DGFailure("dsq", ("x", "x", -2), "d(n+1) d(n) != 0"),))
     assert report == per_degree_validate_dg(C)
+
+
+def test_d_squared_in_two_degrees_of_two_hom_pairs_is_reported_as_the_reference_does():
+    # End(x) = End(y) = Z in degrees -3..0 with d = 1 three times, so d^2 != 0
+    # at -3 and -2; Hom(x, y) = Hom(y, x) = 0
+    hom = make_complex("Z", -3, [1] * 4, [Matrix("Z", [[1]])] * 3, check=False)
+    C = DGCategory("Z", ("x", "y"),
+                   lambda x, y: hom if x == y else single_complex("Z", 0, 0),
+                   comp_fn=lambda x, y, z, p, q: Matrix("Z", [[int(0 in (p, q))]]),
+                   id_fn=lambda x: (1,))
+    report = validate_dg(C)
+    assert [f for f in report.failures if f.law == "dsq"] == [
+        DGFailure("dsq", (x, x, n), "d(n+1) d(n) != 0") for x in "xy" for n in (-3, -2)]
+    assert report == per_degree_validate_dg(C)
+
+
+def test_a_doubled_unit_fails_left_before_right_in_each_degree_as_the_reference_does():
+    # End(u) has the three ranked degrees -1, 0 and 1
+    C = complexes_category({"u": make_complex("Z", -1, [1, 1], [Matrix("Z", [[0]])]),
+                            "v": single_complex("Z", 0, 1)})
+    assert len(ranked_degrees(C.hom("u", "u"))) == 3
+    bad = DGCategory("Z", C.objects, C.hom, comp_fn=C.comp_matrix,
+                     id_fn=lambda x: tuple(v * (1 + (x == "u")) for v in C.identity(x).vector))
+    report = validate_dg(bad)
+    assert report.laws_failed() == ["unit-left", "unit-right"]
+    units = [(f.law, f.where) for f in report.failures if f.where[:2] == ("u", "u")]
+    assert units == [(law, ("u", "u", q)) for q in (-1, 0, 1) for law in ("unit-left", "unit-right")]
+    assert report == per_degree_validate_dg(bad)
 
 
 def test_a_doubled_composition_block_fails_assoc_only():

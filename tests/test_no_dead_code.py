@@ -62,3 +62,77 @@ def test_every_module_level_import_is_used():
             if name not in used
         ]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def defaulted_parameters():
+    """(path, callable name, parameter name, position) of each parameter with
+    a default on a module-level function, a method or a constructor (an
+    `__init__`, listed under its class name) in src/dgforge.  The position
+    is the one a call passes the parameter at: `self` and `cls` are not
+    counted."""
+    for path in sorted((ROOT / "src" / "dgforge").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            defs = [(node.name, node, 0)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        bound = not any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
+                                        for dec in item.decorator_list)
+                        name = node.name if item.name == "__init__" else item.name
+                        defs.append((name, item, int(bound)))
+            for name, fn, skip in defs:
+                args = fn.args.posonlyargs + fn.args.args
+                for pos, arg in enumerate(args[len(args) - len(fn.args.defaults):]):
+                    yield path, name, arg.arg, len(args) - len(fn.args.defaults) + pos - skip
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                    if default is not None:
+                        yield path, name, arg.arg, None
+
+
+def calls_by_name():
+    """For each callable name, the calls to it in src/, tests/ and perfbench/
+    as (positional argument count, keyword names).  Only the positions before
+    a `*` argument count, since its length is not in the syntax tree; a `**`
+    argument counts as every keyword, and `super().__init__(...)` as a call
+    to each base class named."""
+    calls = collections.defaultdict(list)
+    for top in ("src", "tests", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            bases = {}
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    names = [b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                             for b in cls.bases]
+                    for node in ast.walk(cls):
+                        bases[node] = names
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name):
+                    names = [func.id]
+                elif not isinstance(func, ast.Attribute):
+                    continue
+                elif (func.attr == "__init__" and isinstance(func.value, ast.Call)
+                      and getattr(func.value.func, "id", None) == "super"):
+                    names = [b for b in bases.get(node, ()) if b]
+                else:
+                    names = [func.attr]
+                npos = next((k for k, a in enumerate(node.args) if isinstance(a, ast.Starred)),
+                            len(node.args))
+                keywords = {kw.arg for kw in node.keywords}
+                for name in names:
+                    calls[name].append((npos, keywords))
+    return calls
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    calls = calls_by_name()
+    unset = sorted(
+        "%s: %s(%s)" % (path.name, name, param)
+        for path, name, param, pos in defaulted_parameters()
+        if not any(param in keywords or None in keywords or (pos is not None and npos > pos)
+                   for npos, keywords in calls[name])
+    )
+    assert not unset, "defaulted parameters that no call sets: " + ", ".join(unset)
