@@ -436,9 +436,9 @@ def assemble_strided(ring, nrows, ncols, terms):
             raise ValueError(
                 "a %dx%d block at (%d, %d) in runs of %d every %d leaves the %dx%d frame"
                 % (M.nrows, M.ncols, roff, coff, run, stride, nrows, ncols))
-        where = [coff + j // run * stride + j % run for j in range(M.ncols)]
         for i, mrow in enumerate(M._rows, roff):
-            out[i].update((where[j], v) for j, v in mrow.items())
+            if mrow:
+                out[i].update((coff + j // run * stride + j % run, v) for j, v in mrow.items())
     return Matrix._trusted(ring, tuple(out), ncols)
 
 
@@ -611,9 +611,41 @@ def _smith_reduce(a, ncols, u, v):
     remainder among them becomes the pivot until none is left (Kannan and
     Bachem 1979), which keeps the working entries from growing.  Row
     operations are mirrored into the rows of u and column operations into
-    those of v, so U A V = D exactly; with u and v None no transform is
-    built.
+    those of v, so U A V = D exactly.
+
+    With u and v None no transform is built, and unit pivots come first,
+    by row operations alone: a +-1 entry clears its column, and its row
+    then leaves with one invariant factor 1, since the column operations
+    that would clear it change that row only.  The unit is taken in a
+    shortest row, ties broken by row order and then column order, to keep
+    fill-in small (Kaczynski, Mrozek and Slusarek 1998).  The pivot loop
+    then runs on the residual: the rows left over, less those that
+    cancelled to nothing.  So `a` is left holding the residual's Smith
+    form, and the result is one 1 per unit pivot followed by its factors.
     """
+    units = 0
+    if u is None and v is None:
+        rows = [row for row in a if row]
+        while True:
+            best, size = None, ncols + 1
+            for i, row in enumerate(rows):
+                if len(row) < size and (1 in row.values() or -1 in row.values()):
+                    best, size = i, len(row)
+                    if size == 1:
+                        break
+            if best is None:
+                break
+            prow = rows.pop(best)
+            j = min(j for j, x in prow.items() if x == 1 or x == -1)
+            p = prow[j]
+            for row in rows:
+                x = row.get(j)
+                if x:
+                    c = -x * p  # p is its own inverse
+                    for k, y in prow.items():
+                        _add_entry(row, k, c * y)
+            units += 1
+        a[:] = [row for row in rows if row]
     rowwise = (a,) if u is None else (a, u)
     colwise = (a,) if v is None else (a, v)
 
@@ -700,7 +732,7 @@ def _smith_reduce(a, ncols, u, v):
                 break
             addmul_row(t, offender, 1)
         t += 1
-    return tuple(a[i][i] for i in range(t))
+    return (1,) * units + tuple(a[i][i] for i in range(t))
 
 
 def smith_normal_form(A):
@@ -1289,8 +1321,11 @@ def complex_homology(C, n):
     ker d^n is a direct summand of C^n, so the torsion is the invariant
     factors of d^(n-1) above 1 and the free rank is rank C^n - rank d^n -
     rank d^(n-1) (Dumas, Heckenbach, Saunders and Welker 2003): no kernel
-    basis, no solve, no U or V.  The invariant factors are kept on each
-    differential, so a sweep over the degrees eliminates each once.
+    basis, no solve, no U or V.  That elimination takes the +-1 pivots
+    first by row operations alone, each worth one factor 1, and runs the
+    pivot loop only on the residual (`_smith_reduce`).  The invariant
+    factors are kept on each differential, so a sweep over the degrees
+    eliminates each once.
     Raises AssertionError when d^n d^(n-1) != 0.
     """
     dn, dprev = C.d(n), C.d(n - 1)

@@ -24,7 +24,7 @@ from .linalg import (
     Matrix,
     _exact_vector,
     _columns_to_matrix,
-    assemble,
+    assemble_strided,
     block_complex,
     block_offsets,
     complex_homology,
@@ -297,22 +297,19 @@ def _twisted_comp_matrix(HG, HF, HH, p, q):
     """The composition matrix Hom(y,z)^p (x) Hom(x,y)^q -> Hom(x,z)^(p+q)
     of the twisted Hom complexes HG, HF and HH.  Block (a, b) of g o f is
     sum_c g_ac o f_cb with no signs (see `compose_twisted`): one composition
-    matrix of the base per pair of layout blocks (a, c), (c, b)."""
+    matrix of the base per pair of layout blocks (a, c), (c, b), placed
+    among the Kronecker columns as `dgcat._total_composition` places its
+    blocks.  The blocks do not overlap: distinct (a, c) give distinct
+    column runs, and distinct (a, b) distinct rows."""
     X, Y, Z = HF.source, HF.target, HG.target
     C, rf = X.base, HF.complex.rank(q)
     target = {(a, b): off for a, b, off, _ in HH.block_layout(p + q)}
-    terms = []
-    for a, c, off_ac, _ in HG.block_layout(p):
-        for c2, b, off_cb, fr in HF.block_layout(q):
-            if c2 != c or (a, b) not in target:
-                continue
-            block = C.comp_matrix(X.obj(b), Y.obj(c), Z.obj(a), p + Y.idx(c) - Z.idx(a),
-                                  q + X.idx(b) - Y.idx(c))
-            for r, row in enumerate(block.nonzero_rows(), target[(a, b)]):
-                for k, v in row:
-                    i, j = divmod(k, fr)
-                    terms.append((r, (off_ac + i) * rf + off_cb + j, 1, 1, v))
-    return assemble(C.ring, HH.complex.rank(p + q), HG.complex.rank(p) * rf, terms)
+    terms = [(target[a, b], off_ac * rf + off_cb,
+              C.comp_matrix(X.obj(b), Y.obj(c), Z.obj(a), p + Y.idx(c) - Z.idx(a),
+                            q + X.idx(b) - Y.idx(c)), fr, rf)
+             for a, c, off_ac, _ in HG.block_layout(p)
+             for c2, b, off_cb, fr in HF.block_layout(q) if c2 == c and (a, b) in target]
+    return assemble_strided(C.ring, HH.complex.rank(p + q), HG.complex.rank(p) * rf, terms)
 
 
 def twisted_hom_complex(E, F):

@@ -389,11 +389,15 @@ def validate_presheaf(F):
 
 
 def constant_presheaf(site, C):
-    """Value C on every nonempty open, identity restrictions."""
+    """Value C on every nonempty open, identity restrictions.  A
+    `ChainMap` is immutable, so every restriction between nonempty opens
+    is one shared identity map, and every one from a nonempty open to the
+    empty open one shared map into it."""
     empty = zero_complex(C.ring, C.lo, C.hi)
     vals = {U: (C if U else empty) for U in site.opens()}
+    ident, into_empty = identity_chain_map(C), ChainMap(C, empty, {})
     res = {
-        (U, V): identity_chain_map(C) if V else ChainMap(vals[U], empty, {})
+        (U, V): ident if V else into_empty if U else ChainMap(empty, empty, {})
         for U, V in site.inclusions()
     }
     return make_presheaf(site, vals, res, check=False)

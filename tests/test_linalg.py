@@ -849,6 +849,50 @@ def test_a_q_homology_sweep_runs_one_rref_per_nonzero_differential(monkeypatch):
     assert [h.free_rank for h in groups] == [complex_homology(C, n).free_rank for n in C.degrees()]
 
 
+def test_unit_pivots_agree_with_the_transforms_and_sympy():
+    # the transform-free elimination takes its +-1 pivots first; the route
+    # with U and V skips that pass, and sympy is a third route
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    unit_free = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        m, n = (30, 30) if seed % 10 == 0 else (rng.randint(1, 30), rng.randint(1, 30))
+        # mostly 0 and +-1 with some 2s; every fourth matrix holds no unit
+        pool = [0] * 12 + ([1, -1] * 3 if seed % 4 != 3 else [3, -3, 4]) + [2, -2]
+        rows = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+        unit_free += not any(x in (1, -1) for row in rows for x in row)
+        expected = [abs(int(d)) for d in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ) if d]
+        assert list(_invariant_factors(Matrix(RING_Z, rows))) == expected, seed
+        assert smith_normal_form(Matrix(RING_Z, rows)).diagonal() == expected, seed
+    assert unit_free >= 5
+
+
+def test_unit_pivots_on_a_minus_one_and_a_row_that_cancels():
+    # the shortest row with a unit holds -1: row 1 gains 3 * row 0
+    a = [{0: -1, 1: 2}, {0: 3, 1: 4}]
+    assert linalg._smith_reduce(a, 2, None, None) == (1, 10)
+    assert a == [{0: 10}]
+    # row 1 is twice row 0 and cancels to nothing; only row 2 is left
+    a = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 3}]
+    assert linalg._smith_reduce(a, 2, None, None) == (1, 3)
+    assert a == [{0: 3}]
+    for rows, expected in (([[-1, 2], [3, 4]], [1, 10]), ([[1, 2], [2, 4], [0, 3]], [1, 3])):
+        assert smith_normal_form(Matrix(RING_Z, rows)).diagonal() == expected
+
+
+def test_unit_pivots_can_leave_nothing_for_the_pivot_loop(monkeypatch):
+    # the incidence matrix of a 5-cycle: every pivot is -1, and the last
+    # edge cancels to nothing against the other four
+    rows = [[-1 if j == i else 1 if j == (i + 1) % 5 else 0 for j in range(5)] for i in range(5)]
+    calls = _recording(monkeypatch, "_find_pivot", lambda a, t: t)
+    assert _invariant_factors(Matrix(RING_Z, rows)) == (1, 1, 1, 1)
+    assert calls == []
+    assert smith_normal_form(Matrix(RING_Z, rows)).diagonal() == [1, 1, 1, 1]
+    assert calls
+
+
 @given(st.data())
 def test_z_kernel_saturated(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))

@@ -252,6 +252,17 @@ def test_constant_presheaf_validates(pseudo, t2):
     assert F.value(()).total_rank() == 0
 
 
+def test_constant_presheaf_shares_one_identity_restriction(pseudo, t2):
+    F = constant_presheaf(pseudo, t2)
+    inner = [F.res[U, V] for U, V in pseudo.inclusions() if V]
+    assert len(inner) > len(pseudo.opens())
+    assert all(f is inner[0] for f in inner)
+    assert inner[0] == identity_chain_map(t2)
+    onto_empty = [F.res[U, ()] for U in pseudo.opens() if U]
+    assert len(onto_empty) > 1 and all(f is onto_empty[0] for f in onto_empty)
+    assert validate_presheaf(F)
+
+
 def test_validate_presheaf_catches_broken_functoriality(pseudo):
     z1 = single_complex("Z", 0, 1)
     F = constant_presheaf(pseudo, z1)
