@@ -265,12 +265,6 @@ def _diff_note(i, j, a, b):
     return "entry (%d, %d): %s != %s" % (i, j, a, b)
 
 
-def _first_diff(a, b):
-    for i, j, u, v in differing_entries(a, b):
-        return _diff_note(i, j, u, v)
-    return "equal"
-
-
 def _ranked_degrees(cx):
     return [n for n in cx.degrees() if cx.rank(n)]
 
@@ -565,57 +559,59 @@ class FunctorReport:
 def validate_functor(F):
     """Check the Hom maps, chain maps, units and composition of F over its
     source objects; a functor with no source objects fails with the law
-    "objects": there is nothing to check."""
+    "objects".  A missing object or Hom map, or a Hom map between the wrong
+    complexes or with a component of the wrong shape, fails under
+    "object-map" or "hom-map", and then no law is checked.
+
+    The laws are checked once per object pair or triple on the flat totals
+    of `validate_dg`, with Phi_xy the Hom map as one block-diagonal matrix:
+    D Phi = Phi D (chain-map) and Phi_xz M_xyz = N (Phi_yz (x) Phi_xy)
+    (composition-image), M and N the total compositions of C and D, leaving
+    out the composites outside the window of Hom(x, z); those outside the
+    window of Hom(Fx, Fz) have no rows.  The failures come law by law
+    (chain-map, unit-image, composition-image), each in the order of its
+    objects and degrees, one per degree block with its first differing
+    entry as the note, as in `validate_dg`."""
     C, D = F.source, F.target
     if not C.objects:
         return FunctorReport(False, (DGFailure("objects", (), "no objects"),))
-    failures = [DGFailure("object-map", (x,), "missing") for x in C.objects if x not in F.obj_map]
-    failures += [
-        DGFailure("hom-map", (x, y), "missing")
-        for x in C.objects for y in C.objects if (x, y) not in F.mor_maps
-    ]
+    objs, fo = C.objects, F.obj_map
+    pairs = list(itertools.product(objs, repeat=2))
+    failures = [DGFailure("object-map", (x,), "missing") for x in objs if x not in fo]
+    failures += [DGFailure("hom-map", xy, "missing") for xy in pairs if xy not in F.mor_maps]
     if failures:
         return FunctorReport(False, tuple(failures))
-    for x in C.objects:
-        for y in C.objects:
-            cmap = F.mor_maps[(x, y)]
-            src = C.hom(x, y)
-            tgt = D.hom(F.obj_map[x], F.obj_map[y])
-            if cmap.source != src or cmap.target != tgt:
-                failures.append(DGFailure("hom-map", (x, y), "wrong complexes"))
-                continue
-            for n in src.degrees():
-                lhs = tgt.d(n) * cmap.comp(n)
-                rhs = cmap.comp(n + 1) * src.d(n)
-                if lhs != rhs:
-                    failures.append(DGFailure("chain-map", (x, y, n), _first_diff(lhs, rhs)))
-    for x in C.objects:
-        e = C.identity(x)
-        img = _apply(F.mor_maps[(x, x)].comp(0), e.vector)
-        if img != D.identity(F.obj_map[x]).vector:
-            failures.append(DGFailure("unit-image", (x,), "F(id) != id"))
-    for x in C.objects:
-        for y in C.objects:
-            for z in C.objects:
-                fx, fy, fz = F.obj_map[x], F.obj_map[y], F.obj_map[z]
-                tgt = D.hom(fx, fz)
-                gz = C.hom(y, z)
-                fzc = C.hom(x, y)
-                for p in _ranked_degrees(gz):
-                    for q in _ranked_degrees(fzc):
-                        if not (tgt.lo <= p + q <= tgt.hi):
-                            continue
-                        if not (C.hom(x, z).lo <= p + q <= C.hom(x, z).hi):
-                            continue
-                        lhs = F.mor_maps[(x, z)].comp(p + q) * C.comp_matrix(x, y, z, p, q)
-                        rhs = mul_kron(
-                            D.comp_matrix(fx, fy, fz, p, q),
-                            F.mor_maps[(y, z)].comp(p), F.mor_maps[(x, y)].comp(q),
-                        )
-                        if lhs != rhs:
-                            failures.append(
-                                DGFailure("composition-image", (x, y, z, p, q), _first_diff(lhs, rhs))
-                            )
+    for x, y in pairs:
+        cmap, src, tgt = F.mor_maps[x, y], C.hom(x, y), D.hom(fo[x], fo[y])
+        if cmap.source != src or cmap.target != tgt:
+            failures.append(DGFailure("hom-map", (x, y), "wrong complexes"))
+            continue
+        failures += [DGFailure("hom-map", (x, y), "wrong shape at degree %d" % n)
+                     for n, m in sorted(cmap.comps.items())
+                     if (m.nrows, m.ncols) != (tgt.rank(n), src.rank(n))]
+    if failures:
+        return FunctorReport(False, tuple(failures))
+
+    tot_c = {xy: flat_total(C.hom(*xy)) for xy in pairs}
+    tot_d = {(fo[x], fo[y]): flat_total(D.hom(fo[x], fo[y])) for x, y in pairs}
+    phi = {}
+    for x, y in pairs:
+        S, T = tot_c[x, y], tot_d[fo[x], fo[y]]
+        phi[x, y] = P = assemble(C.ring, T.rank, S.rank, [
+            (T.start[n], S.start[n], m, 1, 1)
+            for n, m in F.mor_maps[x, y].comps.items() if m.nrows and m.ncols])
+        failures += _block_failures("chain-map", (x, y), differing_entries(T.d * P, P * S.d),
+                                    T, (S,), None)
+    failures += [DGFailure("unit-image", (x,), "F(id) != id") for x in objs
+                 if _apply(F.mor_maps[x, x].comp(0), C.identity(x).vector)
+                 != D.identity(fo[x]).vector]
+    for x, y, z in itertools.product(objs, repeat=3):
+        S, T = tot_c[x, z], tot_d[fo[x], fo[z]]
+        lhs = phi[x, z] * _total_composition(C, x, y, z, tot_c)
+        rhs = mul_kron(_total_composition(D, fo[x], fo[y], fo[z], tot_d), phi[y, z], phi[x, y])
+        failures += _block_failures("composition-image", (x, y, z), differing_entries(lhs, rhs),
+                                    T, (tot_c[y, z], tot_c[x, y]),
+                                    lambda p, q: S.cx.lo <= p + q <= S.cx.hi)
     return FunctorReport(ok=not failures, failures=tuple(failures))
 
 

@@ -50,6 +50,7 @@ from dgforge.linalg import (
     Matrix,
     _columns_to_matrix,
     complex_homology,
+    identity_chain_map,
     is_quasi_iso,
     make_chain_map,
     make_complex,
@@ -59,6 +60,7 @@ from dgforge.linalg import (
     two_term_complex,
 )
 from dgforge.pretr import cone, i0, make_twisted, pretr_category
+from dgforge.sheaf import augmentation_functor, constant_category_presheaf, rgamma, sierpinski_site
 from util_gen import random_closed_morphism, random_complex, random_hom_vector, random_twisted
 
 
@@ -323,6 +325,56 @@ def per_degree_validate_dg(C):
             mismatch("unit-left", (x, y, q), mul_kron(C.comp_matrix(x, y, y, 0, q), idy, rq), eye)
             mismatch("unit-right", (x, y, q), mul_kron(C.comp_matrix(x, x, y, q, 0), rq, idx), eye)
     return DGReport(ok=not failures, failures=tuple(failures))
+
+
+def per_degree_validate_functor(F):
+    """Reference for `validate_functor`: the checker it replaced, with the
+    chain-map law checked one degree and the composition-image law one
+    degree pair at a time on the components, after the same checks of the
+    object and Hom maps."""
+    C, D = F.source, F.target
+    if not C.objects:
+        return FunctorReport(False, (DGFailure("objects", (), "no objects"),))
+    pairs = list(itertools.product(C.objects, repeat=2))
+    failures = [DGFailure("object-map", (x,), "missing") for x in C.objects if x not in F.obj_map]
+    failures += [DGFailure("hom-map", xy, "missing") for xy in pairs if xy not in F.mor_maps]
+    if failures:
+        return FunctorReport(False, tuple(failures))
+    for x, y in pairs:
+        cmap, src, tgt = F.mor_maps[x, y], C.hom(x, y), D.hom(F.obj_map[x], F.obj_map[y])
+        if cmap.source != src or cmap.target != tgt:
+            failures.append(DGFailure("hom-map", (x, y), "wrong complexes"))
+            continue
+        for n, m in sorted(cmap.comps.items()):
+            if (m.nrows, m.ncols) != (tgt.rank(n), src.rank(n)):
+                failures.append(DGFailure("hom-map", (x, y), "wrong shape at degree %d" % n))
+    if failures:
+        return FunctorReport(False, tuple(failures))
+    for x, y in pairs:
+        cmap, src, tgt = F.mor_maps[x, y], C.hom(x, y), D.hom(F.obj_map[x], F.obj_map[y])
+        for n in src.degrees():
+            lhs = tgt.d(n) * cmap.comp(n)
+            rhs = cmap.comp(n + 1) * src.d(n)
+            if lhs != rhs:
+                failures.append(DGFailure("chain-map", (x, y, n), first_diff(lhs, rhs)))
+    for x in C.objects:
+        img = linalg._apply(F.mor_maps[(x, x)].comp(0), C.identity(x).vector)
+        if img != D.identity(F.obj_map[x]).vector:
+            failures.append(DGFailure("unit-image", (x,), "F(id) != id"))
+    for x, y, z in itertools.product(C.objects, repeat=3):
+        fx, fy, fz = F.obj_map[x], F.obj_map[y], F.obj_map[z]
+        tgt, hxz = D.hom(fx, fz), C.hom(x, z)
+        for p in ranked_degrees(C.hom(y, z)):
+            for q in ranked_degrees(C.hom(x, y)):
+                if not (tgt.lo <= p + q <= tgt.hi and hxz.lo <= p + q <= hxz.hi):
+                    continue
+                lhs = F.mor_maps[(x, z)].comp(p + q) * C.comp_matrix(x, y, z, p, q)
+                rhs = mul_kron(D.comp_matrix(fx, fy, fz, p, q),
+                               F.mor_maps[(y, z)].comp(p), F.mor_maps[(x, y)].comp(q))
+                if lhs != rhs:
+                    failures.append(
+                        DGFailure("composition-image", (x, y, z, p, q), first_diff(lhs, rhs)))
+    return FunctorReport(ok=not failures, failures=tuple(failures))
 
 
 def base_complexes():
@@ -728,6 +780,36 @@ def test_functor_with_a_missing_hom_map_is_reported_not_raised(cxcat):
     )
     with pytest.raises(ValueError, match="hom-map"):
         dg_homotopy_equivalence_check(F)
+
+
+def identity_functor(C):
+    """The identity of C, one `identity_chain_map` per Hom pair."""
+    mor_maps = {(x, y): identity_chain_map(C.hom(x, y)) for x in C.objects for y in C.objects}
+    return DGFunctor(C, C, {x: x for x in C.objects}, mor_maps)
+
+
+def test_a_hom_map_between_the_wrong_complexes_is_reported_not_raised(cxcat):
+    # the identity of Z^3 in degree 0 sits on ('a', 'b'): no law is checked
+    # against it, and no composite is multiplied through it
+    F = identity_functor(cxcat)
+    F.mor_maps[("a", "b")] = identity_chain_map(single_complex("Z", 0, 3))
+    report = validate_functor(F)
+    assert report == FunctorReport(False, (DGFailure("hom-map", ("a", "b"), "wrong complexes"),))
+    with pytest.raises(ValueError, match="hom-map"):
+        dg_homotopy_equivalence_check(F)
+
+
+def test_a_component_of_the_wrong_shape_is_reported_not_raised(cxcat):
+    F = identity_functor(cxcat)
+    cx = cxcat.hom("a", "a")
+    comps = dict(F.mor_maps[("a", "a")].comps)
+    comps[1] = Matrix.identity("Z", cx.rank(1) + 1)
+    comps[-1] = Matrix.zero("Z", cx.rank(-1), 2)
+    F.mor_maps[("a", "a")] = linalg.ChainMap(cx, cx, comps)
+    assert validate_functor(F) == FunctorReport(False, (
+        DGFailure("hom-map", ("a", "a"), "wrong shape at degree -1"),
+        DGFailure("hom-map", ("a", "a"), "wrong shape at degree 1"),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -1206,6 +1288,106 @@ def test_collapse_functor_fails_with_a_witness_pair(fincor_z):
     report = dg_homotopy_equivalence_check(col, window=(-4, 0))
     assert not report.ok
     assert len(report.failing_pairs()) > 0
+
+
+def augmentation(site, C, strict):
+    """The global-sections embedding of C into rgamma of the constant
+    category presheaf on the site."""
+    CP = constant_category_presheaf(site, C)
+    return augmentation_functor(CP, rgamma(CP, strict=strict))
+
+
+FUNCTOR_CASES = {
+    "inclusion-fincor": lambda get: alternating_inclusion_functor(get("fincor_q")[3],
+                                                                  get("fincor_q")[2]),
+    "inclusion-vertex": lambda get: alternating_inclusion_functor(get("vertex2")[3],
+                                                                  get("vertex2")[2]),
+    "projection-vertex": lambda get: alternating_projection_functor(get("vertex2")[2],
+                                                                    get("vertex2")[3]),
+    "tensor-action": lambda get: tensor_action(get("vertex2")[0], get("vertex2")[2]).functor(2),
+    "collapse": lambda get: collapse_functor(get("fincor_z")[2].category),
+    "augmentation-fincor": lambda get: augmentation(
+        sierpinski_site(), build_fincor([("x", "y")], "Z", top=2)[0].category, True),
+    "augmentation-torsion": lambda get: augmentation(
+        sierpinski_site(), complexes_category({
+            "a": two_term_complex("Z", 0, Matrix("Z", [[2]])), "pt": single_complex("Z", 0, 1)}),
+        False),
+}
+
+
+def perturbed(F, rng):
+    """F with one entry of one of its components moved by -1, 1 or 2; None
+    when no component has an entry."""
+    slots = [(xy, n, m) for xy, cmap in F.mor_maps.items()
+             for n, m in cmap.comps.items() if m.nrows and m.ncols]
+    if not slots:
+        return None
+    xy, n, m = rng.choice(slots)
+    rows = [list(row) for row in m.rows]
+    rows[rng.randrange(m.nrows)][rng.randrange(m.ncols)] += rng.choice((-1, 1, 2))
+    cmap = F.mor_maps[xy]
+    comps = dict(cmap.comps)
+    comps[n] = Matrix(m.ring, rows, nrows=m.nrows, ncols=m.ncols)
+    mor_maps = dict(F.mor_maps)
+    mor_maps[xy] = linalg.ChainMap(cmap.source, cmap.target, comps)
+    return DGFunctor(F.source, F.target, F.obj_map, mor_maps)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTOR_CASES))
+def test_validate_functor_equals_the_per_degree_reference(name, request):
+    F = FUNCTOR_CASES[name](request.getfixturevalue)
+    assert validate_functor(F) == per_degree_validate_functor(F)
+    rng = random.Random(name)
+    for _ in range(6):
+        bad = perturbed(F, rng)
+        if bad is not None:
+            assert validate_functor(bad) == per_degree_validate_functor(bad)
+
+
+def test_composites_outside_the_source_window_are_skipped_as_in_the_reference():
+    # e in degree -1 with e e = e2 != 0 in the target, while the source
+    # window stops at -1: F(e) F(e) has nowhere to come from, and is not
+    # evidence; a source window that reaches -2 with nothing in it is
+    def one_object(ranks, lo):
+        cx = make_complex("Z", lo, ranks)
+        return DGCategory("Z", ("o",), lambda x, y: cx, id_fn=lambda x: (1,),
+                          comp_fn=lambda *key: Matrix("Z", [[1]]))
+
+    D = one_object([1, 1, 1], -2)
+    edge = DGFailure("composition-image", ("o", "o", "o", -1, -1), "entry (0, 0): 0 != 1")
+    for C, failures in ((one_object([1, 1], -1), ()), (one_object([0, 1, 1], -2), (edge,))):
+        inc = make_chain_map(C.hom("o", "o"), D.hom("o", "o"),
+                             {n: Matrix("Z", [[1]]) for n in (-1, 0)})
+        F = DGFunctor(C, D, {"o": "o"}, {("o", "o"): inc})
+        assert validate_functor(F) == per_degree_validate_functor(F) == FunctorReport(
+            not failures, failures)
+
+
+def test_one_changed_entry_gives_the_chain_map_failures_around_its_degree(cxcat):
+    # End(a): d(-1) = [[2], [2]] and d(0) = [[2, -2]]; with entry (0, 1) of
+    # the degree-0 component set to 1, D F = [[2], [2]] against F D = [[4], [2]]
+    # at degree -1, and D F = [[2, 0]] against F D = [[2, -2]] at degree 0
+    F = identity_functor(cxcat)
+    cmap = F.mor_maps[("a", "a")]
+    comps = dict(cmap.comps)
+    comps[0] = Matrix("Z", [[1, 1], [0, 1]])
+    F.mor_maps[("a", "a")] = linalg.ChainMap(cmap.source, cmap.target, comps)
+    report = validate_functor(F)
+    assert [f for f in report.failures if f.law == "chain-map"] == [
+        DGFailure("chain-map", ("a", "a", -1), "entry (0, 0): 2 != 4"),
+        DGFailure("chain-map", ("a", "a", 0), "entry (0, 1): 0 != -2"),
+    ]
+    assert report == per_degree_validate_functor(F)
+
+
+def test_a_functor_that_doubles_an_endomorphism_complex_fails_the_unit_image(cxcat):
+    F = identity_functor(cxcat)
+    cx = cxcat.hom("b", "b")
+    F.mor_maps[("b", "b")] = make_chain_map(cx, cx, {0: Matrix("Z", [[2]])})
+    report = validate_functor(F)
+    assert [f for f in report.failures if f.law != "composition-image"] == [
+        DGFailure("unit-image", ("b",), "F(id) != id")]
+    assert report == per_degree_validate_functor(F)
 
 
 # ---------------------------------------------------------------------------
