@@ -36,6 +36,7 @@ from .linalg import (
     Matrix,
     RING_Q,
     _columns_to_matrix,
+    _integer,
     assemble,
     block_matrix,
     complex_homology,
@@ -64,7 +65,7 @@ class CubicalAbelianGroup:
             raise ValueError("one rank per level 0..top expected")
         self.ring = ring
         self.top = top
-        self.ranks = tuple(int(r) for r in ranks)
+        self.ranks = tuple(_integer(r, "rank") for r in ranks)
         self.extended = extended
         self.name = name
         self._act_fn = act_fn

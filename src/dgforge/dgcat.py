@@ -1359,10 +1359,7 @@ class TensorAction:
                     cols = [
                         self.act_on(ida, f).vector for f in enr.category.basis(x, y, deg)
                     ]
-                    if cols:
-                        comps[deg] = _columns_to_matrix(src.ring, tgt.rank(deg), cols)
-                    else:
-                        comps[deg] = Matrix.zero(src.ring, tgt.rank(deg), 0)
+                    comps[deg] = _columns_to_matrix(src.ring, tgt.rank(deg), cols)
                 mor_maps[(x, y)] = make_chain_map(src, tgt, comps)
         return DGFunctor(enr.category, enr.category, obj_map, mor_maps)
 

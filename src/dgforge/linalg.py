@@ -55,16 +55,23 @@ def _units(ring):
         raise ValueError("unknown ring %r" % (ring,)) from None
 
 
+def _integer(value, what):
+    """The value as an int: an int, another `numbers.Integral` or a Fraction
+    of denominator 1.  Anything else is refused with a ValueError that
+    names `what`, so no float or string is ever truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, numbers.Integral) or (
+        isinstance(value, Fraction) and value.denominator == 1
+    ):
+        return int(value)
+    raise ValueError("%s must be an integer: %r" % (what, value))
+
+
 def _coerce(ring, value):
     """The entry as an int (Z) or a Fraction (Q); inexact values are refused."""
     if ring == RING_Z:
-        if type(value) is int:
-            return value
-        if isinstance(value, numbers.Integral) or (
-            isinstance(value, Fraction) and value.denominator == 1
-        ):
-            return int(value)
-        raise ValueError("entry of a Z matrix must be an integer: %r" % (value,))
+        return _integer(value, "entry of a Z matrix")
     if type(value) is Fraction:
         return value
     if isinstance(value, numbers.Rational):

@@ -24,6 +24,7 @@ from .linalg import (
     Matrix,
     _exact_vector,
     _columns_to_matrix,
+    _integer,
     assemble_strided,
     block_complex,
     block_offsets,
@@ -151,7 +152,7 @@ def assemble_twisted(base, entries, comps, e_bound=None):
     """Entry-level constructor; `comps` maps (target position, source
     position) to structure elements.  Degree and endpoint violations and
     Maurer-Cartan failures are rejected."""
-    entries = tuple((int(i), k) for i, k in entries)
+    entries = tuple((_integer(i, "entry index"), k) for i, k in entries)
     e = _components(base, entries, entries, 1, comps, "structure map", "structure map at")
     computed = max((elem.degree for _, elem in e), default=0)
     if e_bound is None:

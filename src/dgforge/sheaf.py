@@ -2,16 +2,18 @@
 
 A site here is a finite poset.  Opens are the up-closed subsets, the
 minimal open around a point is its up-set, and the stalk of a presheaf is
-its value on that minimal open.  Replacing a presheaf by the tower of
-iterated stalk products gives a cosimplicial resolution whose total
-complex computes hypercohomology; a front-face/back-face pairing, given
-a product of stalks, makes the construction weakly monoidal, and with the
-composition of Hom stalks it yields a global-sections DG category whose
-Hom complexes carry that hypercohomology.  An alternating cover complex
-over the minimal opens serves as the independent second route for every
-homology claim.  One function, `linalg.totalize`, totalizes both the
-tower and the cover complex, so their sign conventions agree by
-construction.
+its value on that minimal open.  A site lists its opens, exponentially
+many, only when asked, and a presheaf builds each value and restriction
+on first read, so the tower and the cover complex read only stalks and
+meets.  Replacing a presheaf by the tower of iterated stalk products
+gives a cosimplicial resolution whose total complex computes
+hypercohomology; a front-face/back-face pairing, given a product of
+stalks, makes the construction weakly monoidal, and with the composition
+of Hom stalks it yields a global-sections DG category whose Hom complexes
+carry that hypercohomology.  An alternating cover complex over the
+minimal opens is the independent second route for every homology claim.
+One function, `linalg.totalize`, totalizes both, so their sign
+conventions agree by construction.
 
 Every stalk product has one coordinate layout: the pairs (key, local
 index), keys being the points of an open, the chains of a tower level or
@@ -77,18 +79,18 @@ class FiniteSite:
 
     The pair (x, y) lies in `order` exactly when every open containing x
     also contains y; opens are the up-closed subsets, canonically written
-    as tuples in `points` order.  Every open is a union of minimal opens
-    up(x), so the minimal opens, the opens and the inclusions between them
-    are enumerated once, when the site is built; equality and hashing
-    still see only `points` and `order`.
+    as tuples in `points` order.  Besides the minimal opens up(x) the site
+    keeps one memo: `as_open` decides openness by the up-closure test and
+    keeps each canonical tuple, so a repeated lookup is one dict read, and
+    `opens` and `inclusions`, exponential in the number of points, are
+    listed on first read.  Equality and hashing see only `points` and
+    `order`.
     """
 
     points: tuple
     order: frozenset
     _up: dict = field(init=False, repr=False, compare=False)
-    _opens: tuple = field(init=False, repr=False, compare=False)
-    _index: dict = field(init=False, repr=False, compare=False)
-    _inclusions: tuple = field(init=False, repr=False, compare=False)
+    _cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
@@ -110,19 +112,6 @@ class FiniteSite:
                 if gap is not None:
                     raise ValueError("order relation is not transitive: %r <= %r <= %r"
                                      % (x, y, gap))
-        found = {frozenset()}
-        for x in self.points:
-            found |= {S.union(self.up(x)) for S in found}
-        rank = {x: i for i, x in enumerate(self.points)}
-        opens = sorted(
-            (tuple(x for x in self.points if x in S) for S in found),
-            key=lambda U: (len(U), [rank[x] for x in U]),
-        )
-        object.__setattr__(self, "_opens", tuple(opens))
-        object.__setattr__(self, "_index", {frozenset(U): U for U in opens})
-        object.__setattr__(self, "_inclusions", tuple(
-            (U, V) for U in opens for V in opens if set(V) <= set(U)
-        ))
 
     def leq(self, x, y):
         return (x, y) in self.order
@@ -138,79 +127,86 @@ class FiniteSite:
         return tuple(self.points)
 
     def as_open(self, subset):
+        """The canonical tuple of an open given as any iterable of its points."""
         sub = frozenset(subset)
-        U = self._index.get(sub)
+        U = self._cache.get(sub)
         if U is not None:
             return U
-        unknown = sub - set(self.points)
+        unknown = sub - self._up.keys()
         if unknown:
             raise ValueError("unknown points %r" % (sorted(unknown),))
-        bad = next(
-            (x, y) for x in self.points if x in sub
-            for y in self.points if self.leq(x, y) and y not in sub
-        )
-        raise ValueError("subset is not up-closed: contains %r but not %r" % bad)
+        bad = next(((x, y) for x in self.points if x in sub
+                    for y in self._up[x] if y not in sub), None)
+        if bad is not None:
+            raise ValueError("subset is not up-closed: contains %r but not %r" % bad)
+        return self._cache.setdefault(sub, tuple(x for x in self.points if x in sub))
 
     def is_open(self, subset):
-        return frozenset(subset) in self._index
+        try:
+            self.as_open(subset)
+        except ValueError:
+            return False
+        return True
+
+    def _is_key(self, U):
+        """Whether U is an open in canonical form: a key of a presheaf's values."""
+        return self.is_open(U) and self._cache[frozenset(U)] == U  # kept by is_open
+
+    def _is_inclusion(self, UV):
+        """Whether UV is a pair of keys (U, V), V inside U: a key of restrictions."""
+        return len(UV) == 2 and all(map(self._is_key, UV)) and set(UV[1]) <= set(UV[0])
 
     def opens(self):
-        """Every open, smallest first, ties broken by point order."""
-        return self._opens
+        """Every open, smallest first, ties broken by point order; each open
+        is a union of minimal opens, and the list is built on first read."""
+        if "opens" not in self._cache:
+            found = {frozenset()}
+            for x in self.points:
+                found |= {S.union(self._up[x]) for S in found}
+            rank = {x: i for i, x in enumerate(self.points)}
+            opens = (self._cache.setdefault(S, tuple(x for x in self.points if x in S))
+                     for S in found)
+            self._cache["opens"] = tuple(sorted(
+                opens, key=lambda U: (len(U), [rank[x] for x in U])))
+        return self._cache["opens"]
 
     def inclusions(self):
-        """Every pair (U, V) of opens with V inside U, in `opens` order."""
-        return self._inclusions
+        """Every pair (U, V) of opens with V inside U, in `opens` order;
+        built on first read."""
+        if "inclusions" not in self._cache:
+            opens = [(U, set(U)) for U in self.opens()]
+            self._cache["inclusions"] = tuple(
+                (U, V) for U, u in opens for V, v in opens if v <= u)
+        return self._cache["inclusions"]
 
     def meet(self, U, V):
         sub = set(U) & set(V)
         return tuple(x for x in self.points if x in sub)
 
     def dimension(self):
-        """Length (in edges) of the longest strictly increasing chain."""
-        best = 0
-        for length in range(1, len(self.points) + 1):
-            if self.chains(length, strict=True):
-                best = length - 1
-        return best
+        """Length (in edges) of the longest strictly increasing chain: one
+        pass over the points by growing up-set, each after those above it."""
+        height = {}
+        for x in sorted(self.points, key=lambda x: len(self._up[x])):
+            height[x] = max((height[y] + 1 for y in self._up[x] if y != x), default=0)
+        return max(height.values(), default=0)
 
     def chains(self, length, inside=None, strict=False):
         """Weakly increasing point tuples (strictly increasing if `strict`)
         of the given length starting in `inside` (default: anywhere), in
         lexicographic point order."""
-        U = self.space() if inside is None else inside
-        out = []
-
-        def rec(prefix):
-            if len(prefix) == length:
-                out.append(tuple(prefix))
-                return
-            if not prefix:
-                cand = U
-            else:
-                cand = [y for y in self.up(prefix[-1]) if not (strict and y == prefix[-1])]
-            for y in cand:
-                rec(prefix + [y])
-
-        if length > 0:
-            rec([])
+        out = [(x,) for x in (self.space() if inside is None else inside)] if length > 0 else []
+        for _ in range(length - 1):
+            out = [c + (y,) for c in out for y in self.up(c[-1]) if not (strict and y == c[-1])]
         return tuple(out)
 
     def components(self, U):
         """Connected components of an open under comparability."""
-        rest = list(U)
-        comps = []
+        rest, comps = list(U), []
         while rest:
-            block = {rest[0]}
-            grew = True
-            while grew:
-                grew = False
-                for x in rest:
-                    if x in block:
-                        continue
-                    if any(self.leq(x, y) or self.leq(y, x) for y in block):
-                        block.add(x)
-                        grew = True
+            block = [rest[0]]
+            for x in block:  # the loop also visits the points it appends
+                block += [y for y in rest if y not in block and (self.leq(x, y) or self.leq(y, x))]
             comps.append(tuple(x for x in self.points if x in block))
             rest = [x for x in rest if x not in block]
         return tuple(comps)
@@ -224,13 +220,8 @@ def make_site(points, below=()):
     containing x also contains y"."""
     points = tuple(points)
     rel = {(x, x) for x in points} | {(x, y) for x, y in below}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(tuple(rel), repeat=2):
-            if b == c and (a, d) not in rel:
-                rel.add((a, d))
-                changed = True
+    for z in points:  # Warshall: close under the pairs through z
+        rel |= {(x, y) for x, w in rel if w == z for v, y in rel if v == z}
     return FiniteSite(points, frozenset(rel))
 
 
@@ -253,12 +244,7 @@ def pseudo_circle_site():
 
 def minimal_cover(site):
     """The minimal opens of all points, deduplicated in point order."""
-    out = []
-    for x in site.points:
-        U = site.up(x)
-        if U not in out:
-            out.append(U)
-    return tuple(out)
+    return tuple(dict.fromkeys(site.up(x) for x in site.points))
 
 
 # ---------------------------------------------------------------------------
@@ -266,41 +252,45 @@ def minimal_cover(site):
 
 
 class _Lazy(Mapping):
-    """A read-only mapping over fixed keys whose value at a key is built by
-    build(key) on first read and then kept."""
+    """A read-only mapping whose keys pass the test member(key) and are
+    listed by keys() only when iterated or counted; the value at a key is
+    built by build(key) on first read and then kept."""
 
-    def __init__(self, keys, build):
-        self._keys = dict.fromkeys(keys)
+    def __init__(self, member, keys, build):
+        self._member = member
+        self._keys = keys
         self._build = build
         self._built = {}
 
     def __getitem__(self, key):
         if key not in self._built:
-            if key not in self._keys:
+            if not self._member(key):
                 raise KeyError(key)
             self._built[key] = self._build(key)
         return self._built[key]
 
     def __contains__(self, key):
-        return key in self._keys
+        return key in self._built or self._member(key)
 
     def __iter__(self):
-        return iter(self._keys)
+        return iter(self._keys())
 
     def __len__(self):
-        return len(self._keys)
+        return len(self._keys())
 
 
 @dataclass(frozen=True)
 class Presheaf:
     """Per-open chain complexes with a restriction map for every inclusion.
 
-    Immutable: `vals` and `res` are read-only views of copies of the given
-    mappings, or the lazy mappings of `sheafify`, kept as given.  The ring
-    and the window (lo, hi) are read off the values unless given; a lazy
-    presheaf is given both, so reading them builds no value.  Results
-    derived from the presheaf can be kept on it (see
-    `cech_hypercohomology`).
+    Immutable: `vals` and `res` are `_Lazy` mappings.  A mapping given from
+    outside is held as one over a copy; the builders of the library
+    (`constant_presheaf`, `tensor_presheaf`, `sheafify`) pass their own,
+    which build a value or a restriction on first read, so a computation
+    pays only for the opens and inclusions it reads.  The ring and the
+    window (lo, hi) are read off the values unless given; a lazy presheaf
+    is given both, so reading them builds no value.  Results derived from
+    the presheaf can be kept on it (see `cech_hypercohomology`).
     """
 
     site: FiniteSite
@@ -311,9 +301,10 @@ class Presheaf:
     _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.vals, _Lazy):
-            object.__setattr__(self, "vals", MappingProxyType(dict(self.vals)))
-            object.__setattr__(self, "res", MappingProxyType(dict(self.res)))
+        for name, given in (("vals", self.vals), ("res", self.res)):
+            if not isinstance(given, _Lazy):
+                copy = dict(given)
+                object.__setattr__(self, name, _Lazy(copy.__contains__, copy.keys, copy.get))
         if self.ring is None:
             object.__setattr__(self, "ring", self.vals[self.site.space()].ring)
         if self.bounds is None:
@@ -348,12 +339,10 @@ def make_presheaf(site, vals, res, check=True):
     """Normalize keys, fill in identity restrictions, and (by default)
     verify shapes, chain-map property and functoriality."""
     vals = {site.as_open(U): C for U, C in vals.items()}
-    for U in site.opens():
-        if U not in vals:
-            raise ValueError("no value supplied for open %r" % (U,))
-    full = {}
-    for (U, V), f in res.items():
-        full[(site.as_open(U), site.as_open(V))] = f
+    missing = [U for U in site.opens() if U not in vals]
+    if missing:
+        raise ValueError("no value supplied for open %r" % (missing[0],))
+    full = {(site.as_open(U), site.as_open(V)): f for (U, V), f in res.items()}
     for U in site.opens():
         if (U, U) not in full:
             full[(U, U)] = identity_chain_map(vals[U])
@@ -389,18 +378,17 @@ def validate_presheaf(F):
 
 
 def constant_presheaf(site, C):
-    """Value C on every nonempty open, identity restrictions.  A
-    `ChainMap` is immutable, so every restriction between nonempty opens
-    is one shared identity map, and every one from a nonempty open to the
-    empty open one shared map into it."""
+    """Value C on every nonempty open, identity restrictions, each read
+    off on first use.  A `ChainMap` is immutable, so every restriction
+    between nonempty opens is one shared identity map, and every one from
+    a nonempty open to the empty open one shared map into it."""
     empty = zero_complex(C.ring, C.lo, C.hi)
-    vals = {U: (C if U else empty) for U in site.opens()}
     ident, into_empty = identity_chain_map(C), ChainMap(C, empty, {})
-    res = {
-        (U, V): ident if V else into_empty if U else ChainMap(empty, empty, {})
-        for U, V in site.inclusions()
-    }
-    return make_presheaf(site, vals, res, check=False)
+    on_empty = ChainMap(empty, empty, {})
+    vals = _Lazy(site._is_key, site.opens, lambda U: C if U else empty)
+    res = _Lazy(site._is_inclusion, site.inclusions,
+                lambda UV: ident if UV[1] else into_empty if UV[0] else on_empty)
+    return Presheaf(site, vals, res, C.ring, (C.lo, C.hi))
 
 
 def unit_presheaf(site, ring):
@@ -408,16 +396,15 @@ def unit_presheaf(site, ring):
 
 
 def tensor_presheaf(F, G):
+    """The tensor product of the values and of the restrictions, each built
+    on first read; its window is the sum of the two windows."""
     if F.site is not G.site and F.site != G.site:
         raise ValueError("presheaves live on different sites")
-    site = F.site
-    vals = {U: tensor_complex(F.vals[U], G.vals[U]) for U in site.opens()}
-    res = {}
-    for (U, V) in F.res:
-        res[(U, V)] = tensor_chain_map(
-            F.res[(U, V)], G.res[(U, V)], source=vals[U], target=vals[V]
-        )
-    return make_presheaf(site, vals, res, check=False)
+    site, (flo, fhi), (glo, ghi) = F.site, F.window(), G.window()
+    vals = _Lazy(site._is_key, site.opens, lambda U: tensor_complex(F.vals[U], G.vals[U]))
+    res = _Lazy(site._is_inclusion, site.inclusions, lambda UV: tensor_chain_map(
+        F.res[UV], G.res[UV], source=vals[UV[0]], target=vals[UV[1]]))
+    return Presheaf(site, vals, res, F.ring, (flo + glo, fhi + ghi))
 
 
 @dataclass
@@ -546,7 +533,7 @@ def sheafify(F):
             ks[n] = kernel(assemble(ring, nrows, total, terms))
         return subcomplex(direct_sum(ring, lo, hi, [stalk[x] for x in U]), ks)
 
-    vals = _Lazy(site.opens(), value)
+    vals = _Lazy(site._is_key, site.opens, value)
 
     def restriction(UV):
         """The rows of U's kernel bases at the points of V, in V's bases."""
@@ -562,7 +549,8 @@ def sheafify(F):
                                     "the limit projection")
         return ChainMap(src, tgt, comps)
 
-    return Presheaf(site, vals, _Lazy(site.inclusions(), restriction), ring, (lo, hi))
+    res = _Lazy(site._is_inclusion, site.inclusions, restriction)
+    return Presheaf(site, vals, res, ring, (lo, hi))
 
 
 def sheafification_map(F, aF=None):
@@ -826,20 +814,18 @@ def cech_total(F, cover=None):
 
     The values of F are used as given; feed it a sheaf (for instance the
     output of `sheafify`) when the answer should be a cohomology group of
-    the space.
+    the space.  When F(∅) = 0, as for every sheaf, a cover block with an
+    empty meet is zero, so the walk of the nerve leaves those blocks out;
+    otherwise it reads every tuple of cover indices.
     """
-    site = F.site
-    if cover is None:
-        cover = minimal_cover(site)
-    cover = tuple(site.as_open(V) for V in cover)
+    site, ring, (lo, hi) = F.site, F.ring, F.window()
+    cover = tuple(site.as_open(V) for V in (minimal_cover(site) if cover is None else cover))
     covered = set().union(*[set(V) for V in cover]) if cover else set()
     if covered != set(site.points):
         raise ValueError("cover misses points %r" % (sorted(set(site.points) - covered),))
-    ring = F.ring
-    lo, hi = F.window()
     k = len(cover)
     # column p is the sum over the cover blocks: the meets of p + 1 opens
-    meets = _cover_meets(site, cover)
+    meets = _cover_meets(site, cover, not F.value(()).total_rank())
     blocks = {p: [idx for idx in meets if len(idx) == p + 1] for p in range(k)}
     columns = {
         p: direct_sum(ring, lo, hi, [F.vals[meets[idx]] for idx in blocks[p]]) for p in blocks
@@ -853,27 +839,35 @@ def cech_total(F, cover=None):
 
         terms = []
         (soff, ncols), (toff, nrows) = (block_offsets(blocks[r], rank) for r in (p, p + 1))
-        for idx in blocks[p]:
-            if not rank(idx):
-                continue
-            for i in set(range(k)) - set(idx):
-                tidx = tuple(sorted(idx + (i,)))
-                sgn = -1 if tidx.index(i) % 2 else 1
-                rmat = F.restriction(meets[idx], meets[tidx]).comp(q)
-                terms.append((toff[tidx], soff[idx], rmat, 1, sgn))
+        # the faces of a block of the walk are in the walk: their meets are larger
+        for tidx in blocks[p + 1]:
+            for j in range(p + 2):
+                idx = tidx[:j] + tidx[j + 1:]
+                if rank(idx):
+                    rmat = F.restriction(meets[idx], meets[tidx]).comp(q)
+                    terms.append((toff[tidx], soff[idx], rmat, 1, -1 if j % 2 else 1))
         return assemble(ring, nrows, ncols, terms)
 
     return totalize(ring, lo, hi + max(k - 1, 0), columns, insertion)
 
 
-def _cover_meets(site, cover):
+def _cover_meets(site, cover, prune):
     """The meet of the opens of `cover` at each increasing tuple of their
-    indices, shortest tuples first."""
-    k = len(cover)
-    meets = {}
-    for p in range(k):
-        for idx in itertools.combinations(range(k), p + 1):
-            meets[idx] = site.meet(meets[idx[:-1]], cover[idx[-1]]) if p else cover[idx[0]]
+    indices, shortest tuples first and each length in the order of
+    `itertools.combinations`.  With `prune`, a tuple whose meet is empty is
+    left out and not extended: every tuple that extends it meets in the
+    empty open too."""
+    meets = {(i,): V for i, V in enumerate(cover) if V or not prune}
+    level = list(meets)
+    while level:
+        longer = []
+        for idx in level:
+            for i in range(idx[-1] + 1, len(cover)):
+                W = site.meet(meets[idx], cover[i])
+                if W or not prune:
+                    meets[idx + (i,)] = W
+                    longer.append(idx + (i,))
+        level = longer
     return meets
 
 
@@ -900,7 +894,7 @@ def _leray_witness(aF, cover):
     T = godement_tower(aF, strict=True)
     lo, hi = aF.window()
     window = (lo - 1, hi + T.depth)
-    for V in dict.fromkeys(_cover_meets(aF.site, cover).values()):
+    for V in dict.fromkeys(_cover_meets(aF.site, cover, True).values()):
         if V and not is_quasi_iso(T.augmentation(V), window=window).ok:
             return "cover not Leray at %r" % (V,)
     return None

@@ -6,6 +6,7 @@ enumeration, trace formulas, mapping-cone acyclicity).
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,21 @@ def test_act_validates_window_and_extension():
     plain = circle_chains(RING_Z, 2, extended=False)
     with pytest.raises(ValueError):
         plain.act(merge(2, 1))
+
+
+@pytest.mark.parametrize("rank_", [0.5, Fraction(3, 2), 2.0], ids=repr)
+def test_a_rank_that_is_no_integer_is_refused(rank_):
+    # int() would truncate 0.5 to 0 and Fraction(3, 2) to 1
+    ident = Matrix.identity(RING_Z, 1)
+    with pytest.raises(ValueError, match=r"^rank must be an integer: %s$"
+                       % re.escape(repr(rank_))):
+        CubicalAbelianGroup(RING_Z, 1, [1, rank_], lambda f: ident)
+
+
+def test_an_integral_rank_is_read_as_an_int():
+    A = CubicalAbelianGroup(RING_Z, 2, [1, Fraction(2, 2), 1],
+                            lambda f: Matrix.identity(RING_Z, 1))
+    assert A.ranks == (1, 1, 1) and all(type(r) is int for r in A.ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ tensor_complex and cone_of_map of the expansions.
 
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -977,6 +978,33 @@ def test_top_cone_reconstruction_over_the_alternating_base(altv):
     w, u, v = cone_reconstruction(Y)
     assert is_closed(w)
     assert compose_twisted(v, u) == twisted_identity(Y)
+
+
+@pytest.mark.parametrize("index", [0.7, Fraction(3, 2), 1.0, "1"], ids=repr)
+def test_an_entry_index_that_is_no_integer_is_refused(fin, index):
+    # int() would truncate 0.7 to 0 and Fraction(3, 2) to 1
+    C = fin.category
+    A, _ = nilpotent_corr(C)
+    with pytest.raises(ValueError, match=r"^entry index must be an integer: %s$"
+                       % re.escape(repr(index))):
+        assemble_twisted(C, [(index, A)], {})
+
+
+def test_an_integral_entry_index_is_read_as_an_int(fin):
+    C = fin.category
+    A, _ = nilpotent_corr(C)
+    for index in (Fraction(4, 2), True):
+        E = assemble_twisted(C, [(index, A)], {})
+        assert E.entries == ((int(index), A),) and type(E.entries[0][0]) is int
+        assert E == assemble_twisted(C, [(int(index), A)], {})
+
+
+def test_a_shift_that_is_no_integer_is_refused(cx):
+    C, _ = cx
+    E = random_twisted(random.Random(3), C, list(C.objects), depth=2, max_entries=3)
+    assert E.entries
+    with pytest.raises(ValueError, match="entry index must be an integer"):
+        shift(E, 0.5)
 
 
 def test_reconstruction_rejects_repeated_indices(fin):

@@ -33,6 +33,7 @@ from dgforge.linalg import (
     tensor_basis,
     tensor_chain_map,
     tensor_complex,
+    totalize,
     two_term_complex,
     zero_complex,
 )
@@ -160,12 +161,16 @@ def _up_closed_subsets(site):
     return tuple(out)
 
 
+def _circle(k):
+    """The circle with 2k points, as the sheaf benchmark builds it: minima
+    m_i, each below the maxima M_i and M_(i+1 mod k)."""
+    mins, maxs = ["m%d" % i for i in range(k)], ["M%d" % i for i in range(k)]
+    return make_site(mins + maxs, [(mins[i], maxs[j]) for i in range(k) for j in (i, (i + 1) % k)])
+
+
 def _oracle_sites():
-    # the 6-point circle of the sheaf benchmark: m_i below M_i and M_(i+1 mod 3)
-    circle = make_site(
-        ("m0", "m1", "m2", "M0", "M1", "M2"),
-        [("m%d" % i, "M%d" % j) for i in range(3) for j in (i, (i + 1) % 3)],
-    )
+    # the 6-point circle of the sheaf benchmark
+    circle = _circle(3)
     # the 6-point sphere: two points below two points below two points
     sphere = make_site(
         ("a0", "a1", "b0", "b1", "c0", "c1"),
@@ -232,6 +237,33 @@ def test_make_site_rejects_cycles_and_duplicates():
 def test_site_order_must_be_a_partial_order(order, message):
     with pytest.raises(ValueError, match=message):
         FiniteSite(("a", "b", "c"), frozenset(order))
+
+
+def _longest_chain_oracle(site):
+    """Edges in the largest set of pairwise comparable points, found among
+    all subsets of the points."""
+    return max(
+        len(S) - 1
+        for r in range(1, len(site.points) + 1)
+        for S in itertools.combinations(site.points, r)
+        if all(site.leq(x, y) or site.leq(y, x) for x, y in itertools.combinations(S, 2))
+    )
+
+
+@pytest.mark.parametrize("name", SITE_NAMES)
+def test_dimension_matches_the_chain_oracle(name):
+    site = _oracle_sites()[name]
+    assert site.dimension() == _longest_chain_oracle(site)
+    longest = site.chains(site.dimension() + 1, strict=True)
+    assert longest and not site.chains(site.dimension() + 2, strict=True)
+
+
+def test_dimension_of_larger_posets():
+    # a chain of 12 points, a 20-point circle, and a chain of 3 beside a point
+    chain = make_site(range(12), [(i, i + 1) for i in range(11)])
+    assert chain.dimension() == 11 and len(chain.up(0)) == 12
+    assert _circle(10).dimension() == 1
+    assert make_site("abcd", [("a", "b"), ("b", "c")]).dimension() == 2
 
 
 def test_relation_closure_is_transitive():
@@ -466,15 +498,17 @@ def test_a_cover_sweep_builds_only_the_limits_it_reads(t2, monkeypatch):
     built = []
 
     class Counting(sheaf_module._Lazy):
-        def __init__(self, keys, build):
+        def __init__(self, member, keys, build):
             def counting(key):
                 built.append(key)
                 return build(key)
 
-            super().__init__(keys, counting)
+            super().__init__(member, keys, counting)
 
-    monkeypatch.setattr(sheaf_module, "_Lazy", Counting)
+    # the constant presheaf is lazy too: build it first, so that only the
+    # reads of its sheafification are counted
     F = constant_presheaf(site, t2)
+    monkeypatch.setattr(sheaf_module, "_Lazy", Counting)
     aF = _sheafified(F)
     assert (aF.ring, aF.window()) == ("Z", (0, 1))
     assert all(key in aF.res for key in site.inclusions()) and ("M0", "m0") not in aF.vals
@@ -484,8 +518,9 @@ def test_a_cover_sweep_builds_only_the_limits_it_reads(t2, monkeypatch):
     values = [key for key in built if key in site.opens()]
     restrictions = [key for key in built if key in site.inclusions()]
     assert len(values) + len(restrictions) == len(built)
-    # the meets of the minimal cover: its six opens and the empty open
-    meets = set(_cover_meets(site, minimal_cover(site)).values())
+    # the meets of the minimal cover over the full walk: its six opens and
+    # the empty open, which the cover complex reads to decide on the walk
+    meets = set(_cover_meets(site, minimal_cover(site), False).values())
     assert len(site.opens()) == 18 and len(site.inclusions()) == 129
     assert sorted(values) == sorted(meets) and len(values) == 7
     assert len(set(restrictions)) == len(restrictions) <= 16
@@ -542,6 +577,10 @@ def test_presheaves_are_immutable(pseudo, t2):
         aF.vals[("u", "a")]
     with pytest.raises(KeyError):
         aF.res[(("u",), ("v",))]
+    # membership is a test: an open is a key in its canonical form only
+    assert ("u", "v") in aF.vals and ("v", "u") not in aF.vals and ("u", "v") in G.vals
+    assert ((("u", "v"), ("u",)) in aF.res and (("v", "u"), ("u",)) not in aF.res
+            and (("u",), ("u", "v")) not in aF.res and ((), (), ()) not in aF.res)
     assert tuple(dict(aF.vals)) == pseudo.opens()
     assert tuple(dict(aF.res)) == pseudo.inclusions()
 
@@ -928,6 +967,115 @@ def test_two_routes_agree_for_random_coefficients(data):
         assert complex_homology(tot, n).describe() == cech_hypercohomology(F, n).describe()
 
 
+def _full_walk_cover_complex(F, cover):
+    """The oracle for `cech_total`: one block per increasing tuple of cover
+    indices, all 2^k - 1 of them in `itertools.combinations` order, and the
+    insertion of each missing index with its sign."""
+    site, ring, (lo, hi) = F.site, F.ring, F.window()
+    cover = tuple(site.as_open(V) for V in cover)
+    k = len(cover)
+    blocks = {p: list(itertools.combinations(range(k), p + 1)) for p in range(k)}
+    meet = {idx: tuple(x for x in site.points if all(x in cover[i] for i in idx))
+            for p in blocks for idx in blocks[p]}
+    columns = {p: direct_sum(ring, lo, hi, [F.vals[meet[idx]] for idx in blocks[p]])
+               for p in blocks}
+
+    def insertion(p, q):
+        rank = lambda idx: F.vals[meet[idx]].rank(q)
+        soff = dict(zip(blocks[p], itertools.accumulate(map(rank, blocks[p]), initial=0)))
+        toff = dict(zip(blocks[p + 1], itertools.accumulate(map(rank, blocks[p + 1]), initial=0)))
+        terms = []
+        for idx in blocks[p]:
+            for i in sorted(set(range(k)) - set(idx)):
+                tidx = tuple(sorted(idx + (i,)))
+                rmat = F.restriction(meet[idx], meet[tidx]).comp(q)
+                terms.append((toff[tidx], soff[idx], rmat, 1, -1 if tidx.index(i) % 2 else 1))
+        return assemble(ring, sum(map(rank, blocks[p + 1])), sum(map(rank, blocks[p])), terms)
+
+    return totalize(ring, lo, hi + max(k - 1, 0), columns, insertion)
+
+
+def _walked(monkeypatch):
+    """The number of blocks of each nerve walk of `cech_total` from now on."""
+    sizes, real = [], sheaf_module._cover_meets
+    monkeypatch.setattr(sheaf_module, "_cover_meets",
+                        lambda *args: sizes.append(len(real(*args))) or real(*args))
+    return sizes
+
+
+# blocks of the minimal cover's nerve with a nonempty meet, of 2^k - 1
+NONEMPTY_MEETS = {"point": (1, 1), "sierpinski": (3, 3), "pseudo_circle": (11, 15),
+                  "circle6": (18, 63), "sphere6": (47, 63), "chain4": (15, 15)}
+
+
+@pytest.mark.parametrize("name", SITE_NAMES)
+def test_the_cover_walk_stops_at_empty_meets_and_gives_the_full_walks_complex(
+        name, monkeypatch):
+    site = _oracle_sites()[name]
+    aF = sheafify(constant_presheaf(site, _mixed_torsion()))
+    assert aF.value(()).total_rank() == 0
+    sizes = _walked(monkeypatch)
+    cx = cech_total(aF)
+    assert cx == _full_walk_cover_complex(aF, minimal_cover(site))
+    assert tuple(sizes) == (NONEMPTY_MEETS[name][0],)
+    assert 2 ** len(minimal_cover(site)) - 1 == NONEMPTY_MEETS[name][1]
+    # the empty open in the cover is left out of the walk with its tuples
+    cover = minimal_cover(site) + ((),)
+    assert cech_total(aF, cover) == _full_walk_cover_complex(aF, cover)
+    assert sizes[1] == NONEMPTY_MEETS[name][0]
+
+
+@pytest.mark.parametrize("name", SITE_NAMES)
+def test_a_presheaf_with_sections_on_the_empty_open_keeps_the_full_walk(name, monkeypatch):
+    site = _oracle_sites()[name]
+    K = _mixed_torsion()
+    # the constant presheaf extended to the empty open: K there too
+    F = make_presheaf(site, {U: K for U in site.opens()},
+                      {UV: identity_chain_map(K) for UV in site.inclusions()})
+    assert F.value(()).total_rank() == 4
+    sizes = _walked(monkeypatch)
+    cx = cech_total(F)
+    assert cx == _full_walk_cover_complex(F, minimal_cover(site))
+    assert tuple(sizes) == (NONEMPTY_MEETS[name][1],)
+    if NONEMPTY_MEETS[name][0] < NONEMPTY_MEETS[name][1]:
+        # the blocks over empty meets carry K, so the walk cannot skip them
+        assert cx != cech_total(sheafify(F))
+
+
+@pytest.mark.parametrize("k", [3, 10])
+def test_the_circle_with_2k_points_lists_no_open_on_either_route(k, monkeypatch):
+    # the 20-point circle has 15,127 opens and 10,764,221 inclusions, which
+    # neither route needs: the tower reads stalks and the restrictions
+    # between minimal opens, the cover complex the meets of its cover
+    listed = []
+    for name in ("opens", "inclusions"):
+        def counting(self, _real=getattr(FiniteSite, name), _name=name):
+            listed.append(_name)
+            return _real(self)
+
+        monkeypatch.setattr(FiniteSite, name, counting)
+    site = _circle(k)
+    F = constant_presheaf(site, _mixed_torsion())
+    T = godement_tower(F, strict=True)
+    tot = T.total(site.space())
+    assert (tot.lo, tot.hi) == (0, 2)
+    hs = [complex_homology(tot, n).describe() for n in tot.degrees()]
+    assert hs == ["0", "Z/20", "Z/20"]
+    assert [cech_hypercohomology(F, n).describe() for n in tot.degrees()] == hs
+    # the augmentation is a quasi-isomorphism on each minimal open, over
+    # every degree of its cone
+    lo, hi = F.window()
+    for x in site.points:
+        assert is_quasi_iso(T.augmentation(site.up(x)), window=(lo - 1, hi + T.depth)).ok
+    assert listed == []
+    # the blocks of the walk: the 2k minimal opens, the k meets of two minima
+    # and the 2k of a minimum with a maximum above it, and the k triples
+    # meeting in one maximum
+    sizes = _walked(monkeypatch)
+    cech_total(_sheafified(F))
+    assert sizes == [6 * k]
+
+
 # ---------------------------------------------------------------------------
 # the front-face/back-face pairing
 
@@ -1084,7 +1232,10 @@ def test_the_pairing_builds_no_tensor_complex(pseudo, t2, monkeypatch):
             R.comp_matrix(x, y, z, p, q)
     assert calls == []
     cup = aw_cup(constant_presheaf(pseudo, t2), constant_presheaf(pseudo, t2))
-    del calls[:]  # the tensor presheaf of the construction builds its values
+    # the tensor presheaf of the construction builds its values on first
+    # read: read them all before counting
+    assert len(dict(cup.product.source.vals)) == len(pseudo.opens())
+    del calls[:]
     for U in pseudo.opens():
         cup.pairing(U)
     assert calls == []
