@@ -1299,26 +1299,26 @@ def tensor_chain_map(f, g, source=None, target=None):
     return ChainMap(source, target, comps)
 
 
-def cone_of_map(f):
-    """Cone(f)^n = D^n + C^(n+1), d = [[d_D, f],[0, -d_C]]; returns
-    (cone, inclusion D -> cone, projection cone -> C[1])."""
+def _cone_complex(f):
+    """Cone(f)^n = D^n + C^(n+1), d = [[d_D, f],[0, -d_C]]."""
     C, D = f.source, f.target
-    ring = C.ring
-    lo = min(D.lo, C.lo - 1)
-    hi = max(D.hi, C.hi - 1)
+    lo, hi = min(D.lo, C.lo - 1), max(D.hi, C.hi - 1)
     ranks = [D.rank(n) + C.rank(n + 1) for n in range(lo, hi + 1)]
     diffs = []
     for n in range(lo, hi):
         rd, rd1 = D.rank(n), D.rank(n + 1)
         terms = [(0, 0, D.d(n), 1, 1), (0, rd, f.comp(n + 1), 1, 1), (rd1, rd, C.d(n + 1), 1, -1)]
-        diffs.append(assemble(ring, ranks[n + 1 - lo], ranks[n - lo], terms))
-    cone = make_complex(ring, lo, ranks, diffs, check=False)
-    degs = range(lo, hi + 1)
-    incl = {n: assemble(ring, ranks[n - lo], D.rank(n), [(0, 0, D.rank(n), 1, 1)]) for n in degs}
-    proj = {
-        n: assemble(ring, C.rank(n + 1), ranks[n - lo], [(0, D.rank(n), C.rank(n + 1), 1, 1)])
-        for n in degs
-    }
+        diffs.append(assemble(C.ring, ranks[n + 1 - lo], ranks[n - lo], terms))
+    return make_complex(C.ring, lo, ranks, diffs, check=False)
+
+
+def cone_of_map(f):
+    """`_cone_complex(f)`, the inclusion D -> cone and the projection cone -> C[1]."""
+    C, D, cone = f.source, f.target, _cone_complex(f)
+    degs = cone.degrees()
+    incl = {n: assemble(C.ring, cone.rank(n), D.rank(n), [(0, 0, D.rank(n), 1, 1)]) for n in degs}
+    proj = {n: assemble(C.ring, C.rank(n + 1), cone.rank(n), [(0, D.rank(n), C.rank(n + 1), 1, 1)])
+            for n in degs}
     return cone, ChainMap(D, cone, incl), ChainMap(cone, shift_complex(C, 1), proj)
 
 
@@ -1353,7 +1353,7 @@ class QuasiIsoReport:
 
 
 def is_quasi_iso(f, window=None):
-    """True when the mapping cone of f is acyclic on the (interior of the) window.
+    """True when the mapping cone of f (`_cone_complex`) is acyclic on the (interior of the) window.
 
     The cone's homology at its own boundary degrees is an artifact of
     truncation, so those degrees are never consulted unless the caller's
@@ -1361,7 +1361,7 @@ def is_quasi_iso(f, window=None):
     """
     if window is not None and window[0] > window[1]:
         raise ValueError("empty window %r: no degree would be checked" % (window,))
-    cone, _, _ = cone_of_map(f)
+    cone = _cone_complex(f)
     lo, hi = (cone.lo + 1, cone.hi - 1) if window is None else window
     failing = []
     for n in range(lo, hi + 1):

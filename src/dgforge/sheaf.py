@@ -36,7 +36,6 @@ chain map, which the tests check on every fixture.
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 from .dgcat import DGCategory, DGFunctor
 from .linalg import (
@@ -81,10 +80,10 @@ class FiniteSite:
     also contains y; opens are the up-closed subsets, canonically written
     as tuples in `points` order.  Besides the minimal opens up(x) the site
     keeps one memo: `as_open` decides openness by the up-closure test and
-    keeps each canonical tuple, so a repeated lookup is one dict read, and
-    `opens` and `inclusions`, exponential in the number of points, are
-    listed on first read.  Equality and hashing see only `points` and
-    `order`.
+    keeps each canonical tuple under its frozenset and under itself, so an
+    open in canonical form costs one dict read; `opens` and `inclusions`,
+    exponential in the number of points, are listed on first read.
+    Equality and hashing see only `points` and `order`.
     """
 
     points: tuple
@@ -128,18 +127,22 @@ class FiniteSite:
 
     def as_open(self, subset):
         """The canonical tuple of an open given as any iterable of its points."""
+        U = self._cache.get(subset) if subset.__class__ is tuple else None
+        if U is not None:  # a canonical open, kept under itself
+            return U
         sub = frozenset(subset)
         U = self._cache.get(sub)
-        if U is not None:
-            return U
-        unknown = sub - self._up.keys()
-        if unknown:
-            raise ValueError("unknown points %r" % (sorted(unknown),))
-        bad = next(((x, y) for x in self.points if x in sub
-                    for y in self._up[x] if y not in sub), None)
-        if bad is not None:
-            raise ValueError("subset is not up-closed: contains %r but not %r" % bad)
-        return self._cache.setdefault(sub, tuple(x for x in self.points if x in sub))
+        if U is None:
+            unknown = sub - self._up.keys()
+            if unknown:
+                raise ValueError("unknown points %r" % (sorted(unknown),))
+            bad = next(((x, y) for x in self.points if x in sub
+                        for y in self._up[x] if y not in sub), None)
+            if bad is not None:
+                raise ValueError("subset is not up-closed: contains %r but not %r" % bad)
+            U = self._cache[sub] = tuple(x for x in self.points if x in sub)
+        self._cache[U] = U
+        return U
 
     def is_open(self, subset):
         try:
@@ -279,18 +282,27 @@ class _Lazy(Mapping):
         return len(self._keys())
 
 
+def _hold_lazy(obj, names):
+    """Hold each named mapping of the frozen obj as `_Lazy`, one given from outside over a copy."""
+    for name in names:
+        given = getattr(obj, name)
+        if not isinstance(given, _Lazy):
+            copy = dict(given)
+            object.__setattr__(obj, name, _Lazy(copy.__contains__, copy.keys, copy.get))
+
+
 @dataclass(frozen=True)
 class Presheaf:
     """Per-open chain complexes with a restriction map for every inclusion.
 
     Immutable: `vals` and `res` are `_Lazy` mappings.  A mapping given from
     outside is held as one over a copy; the builders of the library
-    (`constant_presheaf`, `tensor_presheaf`, `sheafify`) pass their own,
-    which build a value or a restriction on first read, so a computation
-    pays only for the opens and inclusions it reads.  The ring and the
-    window (lo, hi) are read off the values unless given; a lazy presheaf
-    is given both, so reading them builds no value.  Results derived from
-    the presheaf can be kept on it (see `cech_hypercohomology`).
+    (`constant_presheaf`, `tensor_presheaf`, `sheafify`, `hom_presheaf`)
+    pass their own, which build a value or a restriction on first read, so
+    a computation pays only for the opens and inclusions it reads.  The ring
+    and the window (lo, hi) are read off the values unless given; a lazy
+    presheaf is given both, so reading them, or the repr, builds no value.
+    Results derived from the presheaf can be kept on it (see `cech_hypercohomology`).
     """
 
     site: FiniteSite
@@ -301,10 +313,7 @@ class Presheaf:
     _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, given in (("vals", self.vals), ("res", self.res)):
-            if not isinstance(given, _Lazy):
-                copy = dict(given)
-                object.__setattr__(self, name, _Lazy(copy.__contains__, copy.keys, copy.get))
+        _hold_lazy(self, ("vals", "res"))
         if self.ring is None:
             object.__setattr__(self, "ring", self.vals[self.site.space()].ring)
         if self.bounds is None:
@@ -332,7 +341,7 @@ class Presheaf:
         return self.bounds
 
     def __repr__(self):
-        return "Presheaf(%r over %d opens)" % (self.ring, len(self.vals))
+        return "Presheaf(%r in degrees %d..%d)" % ((self.ring,) + self.bounds)
 
 
 def make_presheaf(site, vals, res, check=True):
@@ -992,18 +1001,17 @@ def aw_cup(F, G, depth=None, strict=False):
 
 @dataclass(frozen=True)
 class CategoryPresheaf:
-    """A DG category per nonempty open with a restriction functor per
-    inclusion; immutable, so each Hom presheaf is built once and kept."""
+    """Immutable: a DG category per nonempty open and a restriction functor per
+    inclusion of nonempty opens, `_Lazy` as in `Presheaf`; Hom presheaves kept."""
 
     site: FiniteSite
-    cats: MappingProxyType
-    res: MappingProxyType
+    cats: Mapping
+    res: Mapping
     _cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _memo = Presheaf._memo
 
     def __post_init__(self):
-        object.__setattr__(self, "cats", MappingProxyType(dict(self.cats)))
-        object.__setattr__(self, "res", MappingProxyType(dict(self.res)))
+        _hold_lazy(self, ("cats", "res"))
 
     def category(self, U):
         return self.cats[self.site.as_open(U)]
@@ -1016,28 +1024,40 @@ class CategoryPresheaf:
 
 
 def constant_category_presheaf(site, C):
-    obj_map = {x: x for x in C.objects}
-    mor_maps = {(x, y): identity_chain_map(C.hom(x, y)) for x in C.objects for y in C.objects}
-    cats = {U: C for U in site.opens() if U}
-    res = {
-        (U, V): DGFunctor(C, C, dict(obj_map), dict(mor_maps))
-        for U, V in site.inclusions() if V
-    }
+    """C on every nonempty open, read on demand; one identity functor along every inclusion."""
+    ident = DGFunctor(C, C, {x: x for x in C.objects}, {
+        (x, y): identity_chain_map(C.hom(x, y)) for x in C.objects for y in C.objects})
+    cats = _Lazy(lambda U: bool(U) and site._is_key(U), lambda: site.opens()[1:], lambda U: C)
+    res = _Lazy(lambda UV: site._is_inclusion(UV) and bool(UV[1]),
+                lambda: tuple(UV for UV in site.inclusions() if UV[1]), lambda UV: ident)
     return CategoryPresheaf(site, cats, res)
 
 
 def hom_presheaf(CP, X, Y):
-    """The per-open Hom complexes of a pair of global objects."""
-    site = CP.site
-    pair = {U: (CP.restrict_object(X, U), CP.restrict_object(Y, U)) for U in site.opens() if U}
-    vals = {U: CP.category(U).hom(*pair[U]) for U in pair}
-    lo, hi = min(cx.lo for cx in vals.values()), max(cx.hi for cx in vals.values())
-    vals[()] = zero_complex(CP.category(site.space()).ring, lo, hi)
-    res = {
-        (U, V): CP.functor(U, V).mor_maps[pair[U]] if V else ChainMap(vals[U], vals[()], {})
-        for U, V in site.inclusions()
-    }
-    return make_presheaf(site, vals, res, check=True)
+    """The Hom complexes of a pair of global objects, a lazy presheaf: each
+    value and restriction is built on first read, a restriction checked as
+    a chain map then; the window is the hull over the whole space S and the
+    minimal opens.  Functoriality is checked where the towers, augmentation
+    and sheafification read it: the identity at each up(a), composition
+    along up(a) ⊇ up(b) ⊇ up(c) and S ⊇ up(a) ⊇ up(b) (`validate_presheaf`
+    checks all).  The builders hold CP.cats and CP.res, never CP: its memo
+    keeps the result (`_hom_presheaf`)."""
+    site, cats, functors, S = CP.site, CP.cats, CP.res, CP.site.space()
+    pair = lambda U: tuple(functors[(S, U)].obj_map[W] for W in (X, Y))
+    vals = _Lazy(site._is_key, site.opens,
+                 lambda U: cats[U].hom(*pair(U)) if U else zero_complex(cats[S].ring, lo, hi))
+    res = _Lazy(site._is_inclusion, site.inclusions, lambda UV: make_chain_map(
+        vals[UV[0]], vals[UV[1]], functors[UV].mor_maps[pair(UV[0])].comps if UV[1] else {}))
+    up, ups = site.up, minimal_cover(site)
+    lo, hi = min(vals[U].lo for U in (S,) + ups), max(vals[U].hi for U in (S,) + ups)
+    for U in ups:
+        if res[(U, U)] != identity_chain_map(vals[U]):
+            raise ValueError("restriction along %r -> itself is not the identity" % (U,))
+    for U, V, W in [(up(a), up(b), up(c)) for a in site.points for b in up(a) for c in up(b)
+                    if a != b != c] + [(S, up(a), up(b)) for a in site.points for b in up(a)]:
+        if compose_chain_maps(res[(V, W)], res[(U, V)]) != res[(U, W)]:
+            raise ValueError("restrictions fail to compose along %r -> %r -> %r" % (U, V, W))
+    return Presheaf(site, vals, res, cats[S].ring, (lo, hi))
 
 
 def _hom_presheaf(CP, X, Y):

@@ -1067,6 +1067,22 @@ def test_the_circle_with_2k_points_lists_no_open_on_either_route(k, monkeypatch)
     lo, hi = F.window()
     for x in site.points:
         assert is_quasi_iso(T.augmentation(site.up(x)), window=(lo - 1, hi + T.depth)).ok
+    # global sections of the correspondence category read the Hom stalks,
+    # the restrictions between minimal opens and those from the whole space
+    C = build_fincor([("x", "y")], "Z", top=2)[0].category
+    CP = constant_category_presheaf(site, C)
+    R = rgamma(CP)
+    for x, y in itertools.product(C.objects, repeat=2):
+        want = complex_homology(C.hom(x, y), 0).describe()
+        assert [complex_homology(R.hom(x, y), n).describe() for n in (0, 1)] == [want, want]
+        assert all(hypercohomology_compare(CP, x, y, n).ok for n in (0, 1))
+    aug = augmentation_functor(CP, R)
+    assert validate_functor(aug).ok
+    for x, y, z in itertools.product(C.objects, repeat=3):
+        g, f = C.basis(y, z, 0)[0], C.basis(x, y, 0)[0]
+        image = lambda a, b, e: aug.mor_maps[(a, b)].comp(0) * Matrix.column(C.ring, e.vector)
+        assert R.comp_matrix(x, y, z, 0, 0) * image(y, z, g).kron(image(x, y, f)) == image(
+            x, z, C.compose(g, f))
     assert listed == []
     # the blocks of the walk: the 2k minimal opens, the k meets of two minima
     # and the 2k of a minimum with a maximum above it, and the k triples
@@ -1383,19 +1399,16 @@ def test_global_sections_composition_matches_the_pushed_oracle(name, base):
                 ), (strict, x, y, z, p, q)
 
 
-def _doubling_presheaf(site, C):
-    """C on every nonempty open, with a restriction functor that scales
-    every morphism by 2 along up(s) -> up(eta) (and so to the empty open):
-    restrictions compose, but not with composition."""
-    X, E = site.space(), ("eta",)
-    cats = {X: C, E: C}
+def _rescaled_presheaf(site, C, scale):
+    """C on every nonempty open, with the restriction functor along (U, V)
+    scaling the Homs in degree n by scale(U, V, n)."""
+    cats = {U: C for U in site.opens() if U}
     res = {}
     for U, V in site.inclusions():
         if V:
-            scale = 2 if (U, V) == (X, E) else 1
             mor_maps = {
                 (a, b): ChainMap(C.hom(a, b), C.hom(a, b), {
-                    n: Matrix.identity(C.ring, C.hom(a, b).rank(n)).scale(scale)
+                    n: Matrix.identity(C.ring, C.hom(a, b).rank(n)).scale(scale(U, V, n))
                     for n in C.hom(a, b).degrees()
                 })
                 for a in C.objects for b in C.objects
@@ -1405,8 +1418,10 @@ def _doubling_presheaf(site, C):
 
 
 def test_composition_must_commute_with_restriction(sierp):
+    # every morphism doubles along up(s) -> up(eta): restrictions compose,
+    # but not with composition
     C = complexes_category({"pt": single_complex("Z", 0, 1)})
-    CP = _doubling_presheaf(sierp, C)
+    CP = _rescaled_presheaf(sierp, C, lambda U, V, n: 2 if (U, V) == (sierp.space(), ("eta",)) else 1)
     assert validate_presheaf(hom_presheaf(CP, "pt", "pt"))
     with pytest.raises(ValueError, match="fails to commute with restriction"):
         rgamma(CP).comp_matrix("pt", "pt", "pt", 0, 0)
@@ -1610,3 +1625,86 @@ def test_hom_presheaf_windows_and_restrictions(sierp, fincor_cat):
     H = hom_presheaf(CP, (), (("x", "y"),))
     validate_presheaf(H)
     assert H.value(sierp.space()).rank(0) == 2
+
+
+def eager_hom_presheaf(CP, X, Y):
+    """The oracle for `hom_presheaf`: a value on every open and a
+    restriction along every inclusion, the window the hull over every
+    value, and every composite checked by `make_presheaf`."""
+    site = CP.site
+    pair = {U: (CP.restrict_object(X, U), CP.restrict_object(Y, U)) for U in site.opens() if U}
+    vals = {U: CP.category(U).hom(*pair[U]) for U in pair}
+    lo, hi = min(cx.lo for cx in vals.values()), max(cx.hi for cx in vals.values())
+    vals[()] = zero_complex(CP.category(site.space()).ring, lo, hi)
+    res = {
+        (U, V): CP.functor(U, V).mor_maps[pair[U]] if V else ChainMap(vals[U], vals[()], {})
+        for U, V in site.inclusions()
+    }
+    return make_presheaf(site, vals, res, check=True)
+
+
+@pytest.mark.parametrize("base", ["fincor", "torsion", "random"])
+@pytest.mark.parametrize("name", SITE_NAMES)
+def test_the_lazy_hom_presheaf_matches_the_eager_oracle(name, base):
+    site = _oracle_sites()[name]
+    C = _oracle_bases()[base]
+    CP = constant_category_presheaf(site, C)
+    for x, y in itertools.product(C.objects, repeat=2):
+        H, want = hom_presheaf(CP, x, y), eager_hom_presheaf(CP, x, y)
+        assert H.window() == want.window() and H.ring == want.ring
+        assert all(H.vals[U] == want.vals[U] for U in site.opens())
+        assert all(H.res[UV] == want.res[UV] for UV in site.inclusions())
+        assert set(H.vals) == set(want.vals) and set(H.res) == set(want.res)
+
+
+# each control: a site, the restriction functors as rescalings, and the
+# message that both the lazy presheaf and the eager oracle raise
+HOM_PRESHEAF_CONTROLS = {
+    # -1 along up(p1) -> up(p3) between minimal opens, 1 elsewhere
+    "composition": ("chain4", lambda U, V, n: -1 if (U, V) == (("p1", "p2", "p3"), ("p3",)) else 1,
+                    "restrictions fail to compose along"),
+    # -1 along up(p2) -> itself
+    "identity": ("chain4", lambda U, V, n: -1 if U == V == ("p2", "p3") else 1,
+                 r"restriction along \('p2', 'p3'\) -> itself is not the identity"),
+    # the whole pseudo-circle -> up(a) kills degree 0 of every Hom only
+    "chain-map": ("pseudo_circle",
+                  lambda U, V, n: 0 if (U, V, n) == (("a", "b", "u", "v"), ("a", "u", "v"), 0) else 1,
+                  "chain map fails to commute with d"),
+}
+
+
+@pytest.mark.parametrize("control", sorted(HOM_PRESHEAF_CONTROLS))
+def test_the_hom_presheaf_refuses_restrictions_that_the_towers_would_misread(control, t2):
+    name, scale, message = HOM_PRESHEAF_CONTROLS[control]
+    CP = _rescaled_presheaf(_oracle_sites()[name], complexes_category({"a": t2}), scale)
+    for build in (hom_presheaf, eager_hom_presheaf):
+        with pytest.raises(ValueError, match=message):
+            build(CP, "a", "a")
+
+
+def test_a_category_presheaf_is_freed_without_the_cyclic_collector(pseudo, fincor_cat):
+    # CP keeps its Hom presheaves, whose builders hold its categories and
+    # functors but never CP
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        CP = constant_category_presheaf(pseudo, fincor_cat)
+        R = rgamma(CP)
+        for x, y in itertools.product(R.objects, repeat=2):
+            assert complex_homology(R.hom(x, y), 1).describe() != "0"
+            assert hypercohomology_compare(CP, x, y, 1).ok
+        ref = weakref.ref(CP)
+        del CP, R
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_presheaf_repr_lists_no_open(monkeypatch):
+    listed = []
+    real = FiniteSite.opens
+    monkeypatch.setattr(FiniteSite, "opens", lambda self: listed.append(1) or real(self))
+    F = constant_presheaf(_circle(10), single_complex("Z", 0, 1))
+    assert repr(F) == "Presheaf('Z' in degrees 0..0)"
+    assert listed == []
