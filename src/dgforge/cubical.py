@@ -40,6 +40,7 @@ from .linalg import (
     assemble,
     block_matrix,
     complex_homology,
+    cut_complex,
     kernel,
     make_chain_map,
     make_complex,
@@ -352,6 +353,7 @@ def associated_complex(A, variant="full"):
         raise ValueError("variant must be 'full' or 'reduced'")
     diffs = {-n: boundary_matrix(A, n) for n in range(1, top + 1)}
     cx = make_complex(A.ring, -top, [A.rank(-deg) for deg in range(-top, 1)], diffs)
+    cx = cut_complex(cx, lo=-top)  # no level above top sends boundaries into degree -top
     if variant == "reduced":
         cx = subcomplex(cx, {-n: bases[n] for n in range(top + 1)})
     return AssociatedComplex(A, variant, cx, bases)
@@ -388,10 +390,10 @@ class NormalizedComplex:
 
     All matrices are written in the coordinates of the reduced model F:
     `include[n]` embeds NF_n, `project[n]` retracts onto it, `homotopy[n]`
-    maps F_(n-1) to F_n, and dh + hd = id - include . project away from the
-    window edge.  `stage_basis[(M, n)]`, `stage_project[(M, n)]` and
-    `stage_homotopy[(M, n)]` expose the construction one merge slot at a
-    time; stage -1 is the reduced model itself.
+    maps F_(n-1) to F_n, and dh + hd = id - include . project at the levels
+    n >= 1 that the cut of F leaves exact.  `stage_basis[(M, n)]`,
+    `stage_project[(M, n)]` and `stage_homotopy[(M, n)]` expose the
+    construction one merge slot at a time; stage -1 is F itself.
     """
 
     group: CubicalAbelianGroup
@@ -520,7 +522,7 @@ def normalization_report(N):
                     N.stage_homotopy[(M, n)].is_zero(),
                     "stage %d homotopy should vanish at level %d" % (M, n),
                 )
-            if 1 <= n <= top - 1:
+            if 1 <= n and N.reduced.complex.exact(-n):
                 lhs = DF[n + 1] * N.stage_homotopy[(M, n + 1)] + N.stage_homotopy[(M, n)] * DF[n]
                 rhs = ident - PF
                 expect(
@@ -532,7 +534,7 @@ def normalization_report(N):
         ident = Matrix.identity(A.ring, fdim)
         nf_id = Matrix.identity(A.ring, N.include[n].ncols)
         expect(N.project[n] * N.include[n] == nf_id, "retraction not a left inverse at level %d" % n)
-        if 1 <= n <= top - 1:
+        if 1 <= n and N.reduced.complex.exact(-n):
             lhs = DF[n + 1] * N.homotopy[n + 1] + N.homotopy[n] * DF[n]
             rhs = ident - N.include[n] * N.project[n]
             expect(lhs == rhs, "total homotopy identity fails at level %d" % n)
@@ -666,27 +668,26 @@ class AlternatingComparison:
 
 def alternating_comparison(A, hi=None):
     """Homology rank agreement between the reduced model and both sign models
-    in degrees 0..hi; an explicit hi must be at least 0."""
+    in the degrees 0..hi that the cut of the reduced model leaves exact; an
+    explicit hi must be at least 0."""
     if hi is not None and hi < 0:
         raise ValueError("empty window (0, %d): no degree would be compared" % hi)
     Aq = A.over_q()
-    top = Aq.top
-    if hi is None:
-        hi = top - 1
-    hi = min(hi, top - 1)
     reduced = associated_complex(Aq, "reduced")
     alt_f = alternating_complex(Aq, "F", "full")
     alt_s = alternating_complex(Aq, "Sigma", "reduced")
+    degrees = [n for n in range(Aq.top + 1)
+               if reduced.complex.exact(-n) and (hi is None or n <= hi)]
     rows = []
     ok = True
-    for n in range(0, hi + 1):
+    for n in degrees:
         r0 = reduced.homology(n).free_rank
         r1 = alt_f.homology(n).free_rank
         r2 = alt_s.homology(n).free_rank
         rows.append((n, r0, r1, r2))
         if not r0 == r1 == r2:
             ok = False
-    return AlternatingComparison(ok, (0, hi), tuple(rows))
+    return AlternatingComparison(ok, (0, degrees[-1] if degrees else -1), tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -936,20 +936,24 @@ class ChainComplex:
     """Bounded complex of free modules in a degree window [lo, hi].
 
     `d(n)` maps degree n to degree n+1; differentials whose source or target
-    falls outside the window are zero by convention, so homology at the window
-    boundary assumes the complex continues by zero.  Only `make_complex`
-    checks d^2 = 0; `complex_homology` checks it in the degree it reads.
+    falls outside the window are zero by convention.  Up to degree a and
+    from degree b on, `cut = (a, b)`, the complex no longer equals the object
+    it truncates (None: a real bound).  `cut_complex` sets it, `subcomplex`,
+    `shift_complex` and the cone keep it; `block_complex` sets none.  Only
+    `make_complex` checks d^2 = 0; `complex_homology` checks it in the
+    degree it reads.
     """
 
-    __slots__ = ("ring", "lo", "hi", "ranks", "diffs")
+    __slots__ = ("ring", "lo", "hi", "ranks", "diffs", "cut")
 
-    def __init__(self, ring, lo, ranks, diffs):
+    def __init__(self, ring, lo, ranks, diffs, cut=(None, None)):
         # ranks: tuple indexed by deg-lo; diffs: tuple of len(ranks)-1 matrices
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "ranks", tuple(ranks))
         object.__setattr__(self, "hi", lo + len(self.ranks) - 1)
         object.__setattr__(self, "diffs", tuple(diffs))
+        object.__setattr__(self, "cut", cut)
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainComplex is immutable")
@@ -967,22 +971,29 @@ class ChainComplex:
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
+    def exact(self, n):
+        """True when the homology of degree n is that of the truncated object."""
+        a, b = self.cut
+        return (a is None or n > a) and (b is None or n < b)
+
     def total_rank(self):
         return sum(self.ranks)
 
     def __eq__(self, other):
-        return isinstance(other, ChainComplex) and (self.ring, self.lo, self.ranks, self.diffs) == (
-            other.ring, other.lo, other.ranks, other.diffs)
+        return isinstance(other, ChainComplex) and (
+            self.ring, self.lo, self.ranks, self.diffs, self.cut) == (
+            other.ring, other.lo, other.ranks, other.diffs, other.cut)
 
     def __hash__(self):
-        return hash((self.ring, self.lo, self.ranks, self.diffs))
+        return hash((self.ring, self.lo, self.ranks, self.diffs, self.cut))
 
     def __repr__(self):
-        return "ChainComplex(%s, [%d..%d], ranks=%s)" % (
+        return "ChainComplex(%s, [%d..%d], ranks=%s%s)" % (
             self.ring,
             self.lo,
             self.hi,
             list(self.ranks),
+            "" if self.cut == (None, None) else ", cut=%r" % (self.cut,),
         )
 
 
@@ -1033,26 +1044,33 @@ def two_term_complex(ring, lo_deg, matrix):
     return make_complex(ring, lo_deg, [matrix.ncols, matrix.nrows], [matrix])
 
 
+def cut_complex(C, lo=None, hi=None):
+    """C with the cut (lo, hi): see `ChainComplex`."""
+    return ChainComplex(C.ring, C.lo, C.ranks, C.diffs, (lo, hi))
+
+
 def shift_complex(C, k):
-    """C[k]^n = C^(n+k) with differential scaled by (-1)^k."""
+    """C[k]^n = C^(n+k) with differential scaled by (-1)^k, the cut moved along."""
     sgn = -1 if k % 2 else 1
     return ChainComplex(
         C.ring,
         C.lo - k,
         C.ranks,
         tuple(m.scale(sgn) for m in C.diffs),
+        tuple(None if end is None else end - k for end in C.cut),
     )
 
 
 def subcomplex(C, bases):
     """The subcomplex spanned by the columns of bases[n] in C^n, for n from
-    min(bases) to max(bases), with d restricted by `restrict`."""
+    min(bases) to max(bases), with d restricted by `restrict` and C's cut."""
     lo, hi = min(bases), max(bases)
     diffs = [
         restrict(bases[n + 1], C.d(n) * bases[n], "the differential at degree %d" % n)
         for n in range(lo, hi)
     ]
-    return make_complex(C.ring, lo, [bases[n].ncols for n in range(lo, hi + 1)], diffs)
+    sub = make_complex(C.ring, lo, [bases[n].ncols for n in range(lo, hi + 1)], diffs)
+    return ChainComplex(C.ring, lo, sub.ranks, sub.diffs, C.cut)
 
 
 def block_complex(ring, blocks, terms, check):
@@ -1300,7 +1318,8 @@ def tensor_chain_map(f, g, source=None, target=None):
 
 
 def _cone_complex(f):
-    """Cone(f)^n = D^n + C^(n+1), d = [[d_D, f],[0, -d_C]]."""
+    """Cone(f)^n = D^n + C^(n+1), d = [[d_D, f],[0, -d_C]], cut wherever D
+    or C[1] is: the larger low end and the smaller high end."""
     C, D = f.source, f.target
     lo, hi = min(D.lo, C.lo - 1), max(D.hi, C.hi - 1)
     ranks = [D.rank(n) + C.rank(n + 1) for n in range(lo, hi + 1)]
@@ -1309,7 +1328,9 @@ def _cone_complex(f):
         rd, rd1 = D.rank(n), D.rank(n + 1)
         terms = [(0, 0, D.d(n), 1, 1), (0, rd, f.comp(n + 1), 1, 1), (rd1, rd, C.d(n + 1), 1, -1)]
         diffs.append(assemble(C.ring, ranks[n + 1 - lo], ranks[n - lo], terms))
-    return make_complex(C.ring, lo, ranks, diffs, check=False)
+    ends = zip((max, min), D.cut, (None if end is None else end - 1 for end in C.cut))
+    cut = tuple(pick([e for e in pair if e is not None], default=None) for pick, *pair in ends)
+    return ChainComplex(C.ring, lo, ranks, diffs, cut)
 
 
 def cone_of_map(f):
@@ -1353,19 +1374,20 @@ class QuasiIsoReport:
 
 
 def is_quasi_iso(f, window=None):
-    """True when the mapping cone of f (`_cone_complex`) is acyclic on the (interior of the) window.
+    """True when the mapping cone of f (`_cone_complex`) is acyclic on the window.
 
-    The cone's homology at its own boundary degrees is an artifact of
-    truncation, so those degrees are never consulted unless the caller's
-    window forces them.  An explicit window (lo, hi) must have lo <= hi.
+    The default window is the cone's degrees that its cut leaves exact
+    (`ChainComplex.exact`); when there is none, the report is not ok.  An
+    explicit window (lo, hi) must have lo <= hi.
     """
     if window is not None and window[0] > window[1]:
         raise ValueError("empty window %r: no degree would be checked" % (window,))
     cone = _cone_complex(f)
-    lo, hi = (cone.lo + 1, cone.hi - 1) if window is None else window
+    exact = [n for n in cone.degrees() if cone.exact(n)]
+    lo, hi = window or (min(exact, default=cone.lo), max(exact, default=cone.lo - 1))
     failing = []
     for n in range(lo, hi + 1):
         h = complex_homology(cone, n)
         if not h.is_zero():
             failing.append((n, h.describe()))
-    return QuasiIsoReport(not failing, (lo, hi), tuple(failing))
+    return QuasiIsoReport(lo <= hi and not failing, (lo, hi), tuple(failing))

@@ -48,6 +48,7 @@ from .linalg import (
     block_offsets,
     complex_homology,
     compose_chain_maps,
+    cut_complex,
     direct_sum,
     flat_total,
     identity_chain_map,
@@ -373,17 +374,20 @@ def validate_presheaf(F):
             raise ValueError("missing restriction %r -> %r" % (U, V))
         make_chain_map(F.vals[U], F.vals[V], F.res[(U, V)].comps, check=True)
         below.setdefault(U, []).append(V)
-    for U in site.opens():
-        if F.res[(U, U)] != identity_chain_map(F.vals[U]):
-            raise ValueError("restriction along %r -> itself is not the identity" % (U,))
-    for U, V in site.inclusions():
-        for W in below[V]:
-            lhs = compose_chain_maps(F.res[(V, W)], F.res[(U, V)])
-            if lhs != F.res[(U, W)]:
-                raise ValueError(
-                    "restrictions fail to compose along %r -> %r -> %r" % (U, V, W)
-                )
+    _check_functorial(F.vals, F.res, site.opens(),
+                      ((U, V, W) for U, V in site.inclusions() for W in below[V]))
     return True
+
+
+def _check_functorial(vals, res, opens, triples):
+    """Raise unless res is the identity at each open of `opens` and
+    composes along U -> V -> W for each (U, V, W) of `triples`."""
+    for U in opens:
+        if res[(U, U)] != identity_chain_map(vals[U]):
+            raise ValueError("restriction along %r -> itself is not the identity" % (U,))
+    for U, V, W in triples:
+        if compose_chain_maps(res[(V, W)], res[(U, V)]) != res[(U, W)]:
+            raise ValueError("restrictions fail to compose along %r -> %r -> %r" % (U, V, W))
 
 
 def constant_presheaf(site, C):
@@ -692,12 +696,15 @@ class GodementTower:
 
     def total(self, U):
         """The total complex at U: cosimplicial direction plus (-1)^level
-        times the coefficient differential."""
+        times the coefficient differential, cut from degree lo + depth on,
+        where the levels beyond the depth would reach, unless the tower is
+        reduced and as deep as the site: its levels end there."""
         U = self.site.as_open(U)
-        return self._memo(("total", U), lambda: totalize(
+        cut = None if self.strict and self.depth >= self.site.dimension() else self.lo + self.depth
+        return self._memo(("total", U), lambda: cut_complex(totalize(
             self.source.ring, self.lo, self.hi + self.depth,
             {p: self.level_complex(p, U) for p in range(self.depth + 1)},
-            lambda p, q: self.delta_matrix(p, U, q)))
+            lambda p, q: self.delta_matrix(p, U, q)), hi=cut))
 
     def flat(self, U):
         """`total(U)` as one free module (`linalg.flat_total`)."""
@@ -731,13 +738,6 @@ class GodementTower:
             stacked = _stalk_restrictions(self.source, U, n)
             comps[n] = assemble(src.ring, tgt.rank(n), src.rank(n), [(0, 0, stacked, 1, 1)])
         return make_chain_map(src, tgt, comps, check=True)
-
-    def stable_upto(self):
-        """Largest total degree whose homology is unaffected by the depth
-        cut; None means every degree (the reduced tower at full depth)."""
-        if self.strict and self.depth >= self.site.dimension():
-            return None
-        return self.lo + self.depth - 1
 
     def __repr__(self):
         kind = "reduced" if self.strict else "full"
@@ -899,12 +899,11 @@ def cech_hypercohomology(F, n, cover=None):
 def _leray_witness(aF, cover):
     """The text "cover not Leray at <meet>" for the first meet of the cover
     where the augmentation of aF's reduced tower is not a quasi-isomorphism
-    on every degree of its cone (aF is not acyclic there), else None."""
+    on every degree of its cone, none of them cut (aF is not acyclic
+    there), else None."""
     T = godement_tower(aF, strict=True)
-    lo, hi = aF.window()
-    window = (lo - 1, hi + T.depth)
     for V in dict.fromkeys(_cover_meets(aF.site, cover, True).values()):
-        if V and not is_quasi_iso(T.augmentation(V), window=window).ok:
+        if V and not is_quasi_iso(T.augmentation(V)).ok:
             return "cover not Leray at %r" % (V,)
     return None
 
@@ -1050,13 +1049,9 @@ def hom_presheaf(CP, X, Y):
         vals[UV[0]], vals[UV[1]], functors[UV].mor_maps[pair(UV[0])].comps if UV[1] else {}))
     up, ups = site.up, minimal_cover(site)
     lo, hi = min(vals[U].lo for U in (S,) + ups), max(vals[U].hi for U in (S,) + ups)
-    for U in ups:
-        if res[(U, U)] != identity_chain_map(vals[U]):
-            raise ValueError("restriction along %r -> itself is not the identity" % (U,))
-    for U, V, W in [(up(a), up(b), up(c)) for a in site.points for b in up(a) for c in up(b)
-                    if a != b != c] + [(S, up(a), up(b)) for a in site.points for b in up(a)]:
-        if compose_chain_maps(res[(V, W)], res[(U, V)]) != res[(U, W)]:
-            raise ValueError("restrictions fail to compose along %r -> %r -> %r" % (U, V, W))
+    _check_functorial(vals, res, ups, [
+        (up(a), up(b), up(c)) for a in site.points for b in up(a) for c in up(b) if a != b != c
+    ] + [(S, up(a), up(b)) for a in site.points for b in up(a)])
     return Presheaf(site, vals, res, cats[S].ring, (lo, hi))
 
 
@@ -1134,7 +1129,8 @@ def rgamma(CP, depth=None, strict=True):
     the Hom stalks.
 
     The reduced tower is the default: its levels vanish beyond the poset
-    dimension, so no degree needs a truncation flag.
+    dimension, so at its default depth the Hom totals carry no cut; another
+    depth or the full tower cuts them (`GodementTower.total`).
     """
     data = _RGammaData(CP, depth, strict)
     C = data.base
@@ -1188,14 +1184,15 @@ class CompareReport:
 def hypercohomology_compare(CP, X, Y, n, depth=None, strict=True):
     """Homology of the global Hom total against the cover complex of the
     sheafified Hom presheaf: two routes to the same group, the second
-    checked to be Leray on the minimal cover.  The tower is kept on the Hom
-    presheaf per (depth, strict), so a degree sweep builds it once."""
+    checked to be Leray on the minimal cover.  A degree that the cut of the
+    total leaves inexact is reported with `stable=False`.  The tower is
+    kept on CP per (X, Y, depth, strict), so a degree sweep builds it once;
+    the tower holds the Hom presheaf, which holds nothing of CP."""
     H = _hom_presheaf(CP, X, Y)
-    T = H._memo(("tower", depth, strict), lambda: godement_tower(H, depth, strict=strict))
-    g = complex_homology(T.total(CP.site.space()), n)
+    T = CP._memo(("tower", X, Y, depth, strict), lambda: godement_tower(H, depth, strict=strict))
+    tot = T.total(CP.site.space())
+    g = complex_homology(tot, n)
     c = cech_hypercohomology(H, n)
-    cut = T.stable_upto()
-    stable = cut is None or n <= cut
     aH, cover = _sheafified(H), minimal_cover(CP.site)
     witness = aH._memo(("leray", cover), lambda: _leray_witness(aH, cover))
-    return CompareReport(n, g.describe(), c.describe(), stable, witness)
+    return CompareReport(n, g.describe(), c.describe(), tot.exact(n), witness)

@@ -299,6 +299,15 @@ def test_normalized_circle_extended():
     assert N.complex.rank(0) == 1 and N.complex.rank(-1) >= 1
 
 
+@pytest.mark.parametrize("top", [1, 3])
+def test_the_complex_of_a_cubical_group_is_cut_at_its_top(top):
+    # the levels above the top are left out: degree -top reads no boundaries
+    for variant in ("full", "reduced"):
+        cx = associated_complex(functions_on_cubes(RING_Z, top), variant).complex
+        assert not cx.exact(-top) and cx.exact(-top + 1) and cx.exact(0)
+    assert alternating_complex(constant_cubical(RING_Z, 1, top)).complex.cut == (-top, None)
+
+
 def test_normalized_constant():
     A = constant_cubical(RING_Z, 3, 4)
     N = normalized_complex(A)

@@ -1256,6 +1256,10 @@ def test_sign_average_projection_is_a_strict_equivalence(vertex2):
     proj = alternating_projection_functor(enr, alt)
     assert validate_functor(proj).ok
     assert dg_homotopy_equivalence_check(proj, window=(-1, 0)).ok
+    # both Hom models are cut at the top: the default window is the same one
+    report = dg_homotopy_equivalence_check(proj)
+    assert report.ok
+    assert {rep.window for _, rep in report.hom_reports} == {(-1, 0)}
 
 
 def test_comparison_functors_refuse_enrichments_over_different_hosts():
@@ -1288,6 +1292,10 @@ def test_collapse_functor_fails_with_a_witness_pair(fincor_z):
     report = dg_homotopy_equivalence_check(col, window=(-4, 0))
     assert not report.ok
     assert len(report.failing_pairs()) > 0
+    # the default window reads the cut of the source Homs, moved down by one
+    default = dg_homotopy_equivalence_check(col)
+    assert {rep.window for _, rep in default.hom_reports} == {(-4, 0)}
+    assert default.failing_pairs() == report.failing_pairs()
 
 
 def augmentation(site, C, strict):

@@ -1440,13 +1440,15 @@ def test_quasi_iso_refuses_an_empty_explicit_window():
     assert is_quasi_iso(f, window=(0, 0)).ok
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the default window is the interior of the cone, empty for Z -> 0",
-)
 def test_quasi_iso_default_window_sees_a_lost_class():
     f = make_chain_map(single_complex(RING_Z, 0, 1), single_complex(RING_Z, 0, 0), {})
     assert not is_quasi_iso(f).ok
+
+
+def test_quasi_iso_default_window_is_every_cone_degree_of_an_uncut_map():
+    # the cone of the identity of Z in degree 0 sits in degrees -1 and 0
+    rep = is_quasi_iso(identity_chain_map(single_complex(RING_Z, 0, 1)))
+    assert rep.ok and rep.window == (-1, 0)
 
 
 def test_cone_triangle_maps_are_chain_maps():

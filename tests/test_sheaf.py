@@ -15,9 +15,11 @@ from dgforge.dgcat import (
     validate_dg,
     validate_functor,
 )
+from dgforge.cubical import associated_complex, functions_on_cubes
 from dgforge.linalg import (
     ChainMap,
     Matrix,
+    _cone_complex,
     assemble,
     block_matrix,
     compose_chain_maps,
@@ -756,10 +758,42 @@ def test_total_homology_tables(sierp, pseudo):
 def test_depth_cut_flags_unstable_degrees(sierp):
     F = constant_presheaf(sierp, single_complex("Z", 0, 1))
     T = godement_tower(F, depth=2)
-    assert T.stable_upto() == 1
-    junk = complex_homology(T.total(sierp.space()), 2)
+    tot = T.total(sierp.space())
+    assert [n for n in range(-1, 4) if tot.exact(n)] == [-1, 0, 1]
+    junk = complex_homology(tot, 2)
     assert junk.describe() != "0"
-    assert godement_tower(F, strict=True).stable_upto() is None
+    reduced = godement_tower(F, strict=True).total(sierp.space())
+    assert reduced.cut == (None, None) and all(reduced.exact(n) for n in range(-5, 6))
+    CP = constant_category_presheaf(sierp, complexes_category({"pt": single_complex("Z", 0, 1)}))
+    assert [hypercohomology_compare(CP, "pt", "pt", n, depth=2, strict=False).stable
+            for n in range(3)] == [True, True, False]
+
+
+def test_a_cone_takes_its_cut_from_both_sides(sierp):
+    # a tower total cut from degree 2 on, and a cubical complex cut up to -1
+    tower = godement_tower(constant_presheaf(sierp, single_complex("Z", 0, 1)), depth=2)
+    tot = tower.total(sierp.space())
+    cube = associated_complex(functions_on_cubes("Z", 1)).complex
+    assert (tot.cut, cube.cut) == ((None, 2), (-1, None))
+    # Cone(f) = D + C[1]: the cut of C moves down by one
+    assert _cone_complex(make_chain_map(tot, cube, {})).cut == (-1, 1)
+    assert _cone_complex(make_chain_map(cube, tot, {})).cut == (-2, 2)
+    # the larger low end and the smaller high end win
+    assert _cone_complex(identity_chain_map(cube)).cut == (-1, None)
+    assert _cone_complex(identity_chain_map(tot)).cut == (None, 1)
+    # and the default window of the quasi-isomorphism check reads them
+    assert is_quasi_iso(identity_chain_map(tot)).window == (-1, 0)
+    assert is_quasi_iso(make_chain_map(cube, tot, {})).window == (-1, 1)
+
+
+def test_a_default_window_with_no_exact_degree_is_not_ok(sierp):
+    # depth 0 cuts the total from degree 0 on: the cone of its identity sits
+    # in degrees -1 and 0, and both are cut
+    tot = godement_tower(constant_presheaf(sierp, single_complex("Z", 0, 1)), depth=0).total(
+        sierp.space())
+    rep = is_quasi_iso(identity_chain_map(tot))
+    assert not rep.ok and rep.failing == () and rep.window[0] > rep.window[1]
+    assert is_quasi_iso(identity_chain_map(tot), window=(-1, 0)).ok
 
 
 def test_total_on_one_point_site_is_the_value(t2):
@@ -1695,6 +1729,22 @@ def test_a_category_presheaf_is_freed_without_the_cyclic_collector(pseudo, finco
             assert hypercohomology_compare(CP, x, y, 1).ok
         ref = weakref.ref(CP)
         del CP, R
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_hom_presheaf_is_freed_without_the_cyclic_collector(pseudo, fincor_cat):
+    # the comparison keeps its tower on CP, not on the Hom presheaf that the
+    # tower reads, so the Hom presheaf and its tower form no cycle
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        CP = constant_category_presheaf(pseudo, fincor_cat)
+        assert hypercohomology_compare(CP, (), (), 0).ok
+        ref = weakref.ref(_hom_presheaf(CP, (), ()))
+        del CP
         assert ref() is None
     finally:
         if was_enabled:
