@@ -666,18 +666,14 @@ class AlternatingComparison:
     table: tuple  # rows (n, reduced_rank, flip_full_rank, perm_reduced_rank)
 
 
-def alternating_comparison(A, hi=None):
+def alternating_comparison(A):
     """Homology rank agreement between the reduced model and both sign models
-    in the degrees 0..hi that the cut of the reduced model leaves exact; an
-    explicit hi must be at least 0."""
-    if hi is not None and hi < 0:
-        raise ValueError("empty window (0, %d): no degree would be compared" % hi)
+    in the degrees that the cut of the reduced model leaves exact."""
     Aq = A.over_q()
     reduced = associated_complex(Aq, "reduced")
     alt_f = alternating_complex(Aq, "F", "full")
     alt_s = alternating_complex(Aq, "Sigma", "reduced")
-    degrees = [n for n in range(Aq.top + 1)
-               if reduced.complex.exact(-n) and (hi is None or n <= hi)]
+    degrees = [n for n in range(Aq.top + 1) if reduced.complex.exact(-n)]
     rows = []
     ok = True
     for n in degrees:
@@ -699,12 +695,6 @@ def cup_on_levels(A, B, a, b):
     return A.act(front_projection(a, b)).kron(B.act(back_projection(a, b)))
 
 
-def _window_slice(C, lo, hi):
-    ranks = [C.rank(n) for n in range(lo, hi + 1)]
-    diffs = {n: C.d(n) for n in range(lo, hi)}
-    return make_complex(C.ring, lo, ranks, diffs)
-
-
 @dataclass(eq=False)
 class CupPairing:
     source: object
@@ -714,13 +704,14 @@ class CupPairing:
 
 
 def cup_pairing(A, B):
-    """Chain map from the tensor of the full complexes to the full complex of
-    the diagonal tensor group, on the common window."""
+    """Chain map from the tensor of the full complexes, from degree -top up
+    (a subcomplex), to the full complex of the diagonal tensor group."""
     T = diag_tensor(A, B)
     CA = associated_complex(A, "full").complex
     CB = associated_complex(B, "full").complex
     target = associated_complex(T, "full")
-    src = _window_slice(tensor_complex(CA, CB), -T.top, 0)
+    full = tensor_complex(CA, CB)
+    src = subcomplex(full, {n: Matrix.identity(T.ring, full.rank(n)) for n in range(-T.top, 1)})
     comps = {}
     for deg in range(-T.top, 1):
         # block p of the source degree deg is CA^p (x) CB^(deg-p), levels -p and p-deg

@@ -280,6 +280,12 @@ def _total_composition(C, x, y, z, tot):
     return assemble_strided(C.ring, h.rank, g.rank * f.rank, terms)
 
 
+def _observable(cx, n):
+    """Whether a law may read a composite in degree n of cx: n is stored, or
+    the cut says that cx is honestly zero there (`exact`)."""
+    return cx.lo <= n <= cx.hi or cx.exact(n)
+
+
 def _block_failures(law, where, diffs, rows, cols, keep):
     """One failure per degree block that holds a differing entry
     (i, j, lhs, rhs) of `diffs`, in the order of the blocks' degrees.
@@ -316,11 +322,9 @@ def validate_dg(C):
     on Hom(y,z)_tot (x) Hom(x,y)_tot.  Each column block of such a product
     lands in the single row block of its degree, so `_block_failures` maps
     a differing entry back to its degrees and to its (row, column) inside
-    the degree block of the per-degree law.  Degree pairs whose composite
-    falls below the window of the target Hom are left out, and so are the
-    associativity triples whose inner composite p + q or q + r leaves the
-    window of its Hom: the dropped composition makes the laws unobservable
-    there, and the window edge is not evidence either way.
+    the degree block of the per-degree law.  A Leibniz or associativity
+    block is left out where the truncation dropped a composite it reads,
+    p + q (or q + r): where it is not `_observable` in its Hom.
 
     The failures come law by law (dsq, the unit's degree and closedness,
     leibniz, assoc, then the unit laws with left before right in each
@@ -350,7 +354,7 @@ def validate_dg(C):
         g, f, h = tot[y, z], tot[x, y], tot[x, z]
         diffs = leibniz_mismatches(h, g, f, comp[x, y, z])
         failures += _block_failures("leibniz", (x, y, z), diffs, h, (g, f),
-                                    lambda p, q: p + q >= h.cx.lo)
+                                    lambda p, q: _observable(h.cx, p + q))
     for x, y, z, w in itertools.product(objs, repeat=4):
         mid_l, mid_r, f = tot[y, w].cx, tot[x, z].cx, tot[x, y]
         lhs = mul_kron(comp[x, y, w], comp[y, z, w], f.rank)
@@ -358,7 +362,7 @@ def validate_dg(C):
         failures += _block_failures(
             "assoc", (x, y, z, w), differing_entries(lhs, rhs), tot[x, w],
             (tot[z, w], tot[y, z], f),
-            lambda p, q, r: mid_l.lo <= p + q <= mid_l.hi and mid_r.lo <= q + r <= mid_r.hi)
+            lambda p, q, r: _observable(mid_l, p + q) and _observable(mid_r, q + r))
 
     # the unit of x as one column on the flat total of Hom(x, x)
     units = {x: Matrix.column(C.ring, [C.identity(x).vector[i] if n == 0 else 0
@@ -567,10 +571,10 @@ def validate_functor(F):
     of `validate_dg`, with Phi_xy the Hom map as one block-diagonal matrix:
     D Phi = Phi D (chain-map) and Phi_xz M_xyz = N (Phi_yz (x) Phi_xy)
     (composition-image), M and N the total compositions of C and D, leaving
-    out the composites outside the window of Hom(x, z); those outside the
-    window of Hom(Fx, Fz) have no rows.  The failures come law by law
-    (chain-map, unit-image, composition-image), each in the order of its
-    objects and degrees, one per degree block with its first differing
+    out the composites that are not `_observable` in Hom(x, z); those
+    outside the window of Hom(Fx, Fz) have no rows.  The failures come law
+    by law (chain-map, unit-image, composition-image), each in the order of
+    its objects and degrees, one per degree block with its first differing
     entry as the note, as in `validate_dg`."""
     C, D = F.source, F.target
     if not C.objects:
@@ -611,7 +615,7 @@ def validate_functor(F):
         rhs = mul_kron(_total_composition(D, fo[x], fo[y], fo[z], tot_d), phi[y, z], phi[x, y])
         failures += _block_failures("composition-image", (x, y, z), differing_entries(lhs, rhs),
                                     T, (tot_c[y, z], tot_c[x, y]),
-                                    lambda p, q: S.cx.lo <= p + q <= S.cx.hi)
+                                    lambda p, q: _observable(S.cx, p + q))
     return FunctorReport(ok=not failures, failures=tuple(failures))
 
 
@@ -627,8 +631,9 @@ class EquivalenceReport:
         return tuple(pair for pair, rep in self.hom_reports if not rep.ok)
 
 
-def dg_homotopy_equivalence_check(F, window=None):
-    """Quasi-isomorphism on every Hom pair plus H^0 essential surjectivity.
+def dg_homotopy_equivalence_check(F):
+    """Quasi-isomorphism on every Hom pair, on the degrees that the cut of
+    its cone leaves exact (`is_quasi_iso`), plus H^0 essential surjectivity.
 
     The surjectivity search compares each target object against the images
     of the source objects inside H^0 of the target, looking for a two-sided
@@ -646,7 +651,7 @@ def dg_homotopy_equivalence_check(F, window=None):
     ok = True
     for x in F.source.objects:
         for y in F.source.objects:
-            rep = is_quasi_iso(F.mor_maps[(x, y)], window=window)
+            rep = is_quasi_iso(F.mor_maps[(x, y)])
             hom_reports.append(((x, y), rep))
             ok = ok and rep.ok
     H = homotopy_category(F.target)

@@ -938,10 +938,12 @@ class ChainComplex:
     `d(n)` maps degree n to degree n+1; differentials whose source or target
     falls outside the window are zero by convention.  Up to degree a and
     from degree b on, `cut = (a, b)`, the complex no longer equals the object
-    it truncates (None: a real bound).  `cut_complex` sets it, `subcomplex`,
-    `shift_complex` and the cone keep it; `block_complex` sets none.  Only
-    `make_complex` checks d^2 = 0; `complex_homology` checks it in the
-    degree it reads.
+    it truncates (None: a real bound).  `cut_complex` sets it, `subcomplex`
+    and `shift_complex` keep it, the cone and `pretr`'s twisted Hom take the
+    `meet_cuts` of their pieces.  Direct sums, tensor and Hom complexes and
+    totals carry none: a total would be exact nowhere, its columns' cuts
+    moved up by their index.  Only `make_complex` checks d^2 = 0;
+    `complex_homology` checks it in the degree it reads.
     """
 
     __slots__ = ("ring", "lo", "hi", "ranks", "diffs", "cut")
@@ -1049,6 +1051,14 @@ def cut_complex(C, lo=None, hi=None):
     return ChainComplex(C.ring, C.lo, C.ranks, C.diffs, (lo, hi))
 
 
+def meet_cuts(cuts, shifts):
+    """The cut of a complex built from pieces cut at `cuts`, piece k moved
+    up by shifts[k]: the largest low end and the smallest high end."""
+    lows = [a + k for (a, _), k in zip(cuts, shifts) if a is not None]
+    highs = [b + k for (_, b), k in zip(cuts, shifts) if b is not None]
+    return max(lows, default=None), min(highs, default=None)
+
+
 def shift_complex(C, k):
     """C[k]^n = C^(n+k) with differential scaled by (-1)^k, the cut moved along."""
     sgn = -1 if k % 2 else 1
@@ -1090,6 +1100,8 @@ def direct_sum(ring, lo, hi, complexes):
     """The direct sum of `complexes`, in order, on the window lo..hi."""
     if any(C.ring != ring for C in complexes):
         raise ValueError("ring mismatch")
+    if any(C.rank(n) for C in complexes for n in C.degrees() if not lo <= n <= hi):
+        raise ValueError("a summand leaves the window %d..%d" % (lo, hi))
     blocks = {n: {k: C.rank(n) for k, C in enumerate(complexes)} for n in range(lo, hi + 1)}
     return block_complex(ring, blocks, lambda n, src, tgt: [
         (tgt[k], src[k], C.d(n), 1, 1) for k, C in enumerate(complexes) if C.rank(n)], False)
@@ -1101,6 +1113,8 @@ def totalize(ring, lo, hi, columns, across):
     p, and d is (-1)^p times the column differential plus across(p, q), the
     map columns[p]^q -> columns[p+1]^q, asked for where columns[p]^q != 0."""
     ps = sorted(columns)
+    if any(C.rank(q) for p, C in columns.items() for q in C.degrees() if not lo <= p + q <= hi):
+        raise ValueError("a column leaves the window %d..%d" % (lo, hi))
 
     def terms(n, src, tgt):
         for p in ps:
@@ -1328,9 +1342,7 @@ def _cone_complex(f):
         rd, rd1 = D.rank(n), D.rank(n + 1)
         terms = [(0, 0, D.d(n), 1, 1), (0, rd, f.comp(n + 1), 1, 1), (rd1, rd, C.d(n + 1), 1, -1)]
         diffs.append(assemble(C.ring, ranks[n + 1 - lo], ranks[n - lo], terms))
-    ends = zip((max, min), D.cut, (None if end is None else end - 1 for end in C.cut))
-    cut = tuple(pick([e for e in pair if e is not None], default=None) for pick, *pair in ends)
-    return ChainComplex(C.ring, lo, ranks, diffs, cut)
+    return ChainComplex(C.ring, lo, ranks, diffs, meet_cuts((D.cut, C.cut), (0, -1)))
 
 
 def cone_of_map(f):

@@ -29,9 +29,11 @@ from .linalg import (
     block_complex,
     block_offsets,
     complex_homology,
+    cut_complex,
     kernel,
     make_chain_map,
     make_complex,
+    meet_cuts,
     mul_kron,
     restrict_vector,
     solve,
@@ -321,8 +323,9 @@ def twisted_hom_complex(E, F):
                        + sum_c f_{ac} phi_{cb}
                        - (-1)^n sum_c phi_{ac} e_{cb}.
 
-    Its degrees run over every degree that a base Hom complex populates.
-    The construction validates d^2 = 0 exactly on every instantiation."""
+    Its degrees are all that a base Hom complex populates, and its cut is
+    the `meet_cuts` of theirs, each moved down by its block shift, as for an
+    iterated cone.  Construction validates d^2 = 0 exactly on every instantiation."""
     if E.base is not F.base:
         raise ValueError("the two twisted complexes live over different bases")
     C = E.base
@@ -353,7 +356,8 @@ def twisted_hom_complex(E, F):
     for n, ranks in blocks.items():
         start = block_offsets(ranks, ranks.get)[0]
         layout[n] = tuple((a, b, start[a, b], r) for (a, b), r in ranks.items() if r)
-    return TwistedHom(E, F, block_complex(C.ring, blocks, terms, True), layout)
+    cut = meet_cuts([cx.cut for cx, _ in homs.values()], [-k for _, k in homs.values()])
+    return TwistedHom(E, F, cut_complex(block_complex(C.ring, blocks, terms, True), *cut), layout)
 
 
 def twisted_differential(phi):

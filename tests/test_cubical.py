@@ -510,12 +510,6 @@ def test_alternating_comparison_rational_ranks():
     assert ranks[0] == 1 and ranks[1] == 0
 
 
-def test_alternating_comparison_refuses_an_empty_window():
-    with pytest.raises(ValueError, match="empty window"):
-        alternating_comparison(functions_on_cubes(RING_Z, 3), hi=-1)
-    assert alternating_comparison(functions_on_cubes(RING_Z, 3), hi=0).window == (0, 0)
-
-
 # ---------------------------------------------------------------------------
 # The cup pairing.
 

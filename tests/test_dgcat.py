@@ -50,6 +50,7 @@ from dgforge.linalg import (
     Matrix,
     _columns_to_matrix,
     complex_homology,
+    cut_complex,
     identity_chain_map,
     is_quasi_iso,
     make_chain_map,
@@ -274,10 +275,17 @@ def leibniz_sides(C, x, y, z, p, q):
     return lhs, rhs + (term.scale(-1) if p % 2 else term)
 
 
+def observable(cx, n):
+    """Whether a composite landing in degree n of cx is evidence: n is a
+    stored degree, or one where the cut says cx is honestly zero."""
+    return cx.lo <= n <= cx.hi or cx.exact(n)
+
+
 def per_degree_validate_dg(C):
     """Reference for `validate_dg`: the law checker it replaced, with the
     Leibniz rule and associativity checked one degree pair (or triple) at
-    a time on the composition blocks."""
+    a time on the composition blocks, and a block left out where a
+    composite it reads is not `observable`."""
     if not C.objects:
         return DGReport(ok=False, failures=(DGFailure("objects", (), "no objects"),))
     failures = []
@@ -301,16 +309,16 @@ def per_degree_validate_dg(C):
     for x, y, z in itertools.product(C.objects, repeat=3):
         for p in ranked_degrees(C.hom(y, z)):
             for q in ranked_degrees(C.hom(x, y)):
-                if p + q >= C.hom(x, z).lo:
+                if observable(C.hom(x, z), p + q):
                     mismatch("leibniz", (x, y, z, p, q), *leibniz_sides(C, x, y, z, p, q))
     for x, y, z, w in itertools.product(C.objects, repeat=4):
         mid_l, mid_r = C.hom(y, w), C.hom(x, z)
         for p in ranked_degrees(C.hom(z, w)):
             for q in ranked_degrees(C.hom(y, z)):
-                if not mid_l.lo <= p + q <= mid_l.hi:
+                if not observable(mid_l, p + q):
                     continue
                 for r in ranked_degrees(C.hom(x, y)):
-                    if mid_r.lo <= q + r <= mid_r.hi:
+                    if observable(mid_r, q + r):
                         lhs = mul_kron(C.comp_matrix(x, y, w, p + q, r),
                                        C.comp_matrix(y, z, w, p, q), C.hom(x, y).rank(r))
                         rhs = mul_kron(C.comp_matrix(x, z, w, p, q + r),
@@ -331,7 +339,9 @@ def per_degree_validate_functor(F):
     """Reference for `validate_functor`: the checker it replaced, with the
     chain-map law checked one degree and the composition-image law one
     degree pair at a time on the components, after the same checks of the
-    object and Hom maps."""
+    object and Hom maps.  A composite outside the window of the target Hom
+    has no rows, and one that is not `observable` in the source is left
+    out."""
     C, D = F.source, F.target
     if not C.objects:
         return FunctorReport(False, (DGFailure("objects", (), "no objects"),))
@@ -366,7 +376,7 @@ def per_degree_validate_functor(F):
         tgt, hxz = D.hom(fx, fz), C.hom(x, z)
         for p in ranked_degrees(C.hom(y, z)):
             for q in ranked_degrees(C.hom(x, y)):
-                if not (tgt.lo <= p + q <= tgt.hi and hxz.lo <= p + q <= hxz.hi):
+                if not (tgt.lo <= p + q <= tgt.hi and observable(hxz, p + q)):
                     continue
                 lhs = F.mor_maps[(x, z)].comp(p + q) * C.comp_matrix(x, y, z, p, q)
                 rhs = mul_kron(D.comp_matrix(fx, fy, fz, p, q),
@@ -420,6 +430,11 @@ def vertex_categories(build, ring):
     return build(host, cocube).category
 
 
+def pretr_over(C):
+    """Pre-Tr on the objects of C, each in degree 0."""
+    return pretr_category(C, {x: i0(C, x) for x in C.objects})
+
+
 LAW_CASES = {
     "complexes-Z": lambda: complexes_category({
         "a": two_term_complex("Z", 0, Matrix("Z", [[2]])), "b": single_complex("Z", 0, 1)}),
@@ -430,6 +445,7 @@ LAW_CASES = {
     "pretr-nested": pretr_nested,
     "alternating-Q": lambda: vertex_categories(alternating_enrichment, "Q"),
     "cubical-Z": lambda: vertex_categories(cubical_enrichment, "Z"),
+    "pretr-over-cubical": lambda: pretr_over(vertex_categories(cubical_enrichment, "Z")),
 }
 _law_cases = {}
 
@@ -490,7 +506,7 @@ def test_each_law_case_passes_and_its_flipped_control_fails_as_the_reference_doe
     assert report == per_degree_validate_dg(bad)
     # the flip breaks the Leibniz rule only where a differential meets an
     # odd-odd composite, and in the depth-2 enrichments none does
-    assert report.ok == (name in ("alternating-Q", "cubical-Z"))
+    assert report.ok == (name in ("alternating-Q", "cubical-Z", "pretr-over-cubical"))
 
 
 def test_the_flipped_control_fails_leibniz_four_times_on_one_cone():
@@ -554,14 +570,18 @@ def test_laws_take_two_products_per_object_tuple(monkeypatch):
 
 def test_a_complex_with_nonzero_d_squared_fails_dsq_only():
     # End(x) = Z in degrees -2, -1, 0 with d = 1 twice; the unit composes as
-    # the identity and the two negative degrees compose to 0
+    # the identity and the two negative degrees compose to 0.  The composites
+    # below -2 are dropped: cut there, d^2 is the only failure; uncut, the
+    # dropped composites fail the Leibniz rule at -3 as well
     hom = make_complex("Z", -2, [1, 1, 1], [Matrix("Z", [[1]])] * 2, check=False)
-    C = DGCategory("Z", ("x",), lambda x, y: hom,
-                   comp_fn=lambda x, y, z, p, q: Matrix("Z", [[int(0 in (p, q))]]),
-                   id_fn=lambda x: (1,))
-    report = validate_dg(C)
-    assert report == DGReport(False, (DGFailure("dsq", ("x", "x", -2), "d(n+1) d(n) != 0"),))
-    assert report == per_degree_validate_dg(C)
+    dsq = DGFailure("dsq", ("x", "x", -2), "d(n+1) d(n) != 0")
+    leibniz = [DGFailure("leibniz", ("x", "x", "x") + pq, "entry (0, 0): 0 != 1")
+               for pq in ((-2, -1), (-1, -2))]
+    for cx, failures in ((cut_complex(hom, lo=-2), (dsq,)), (hom, (dsq, *leibniz))):
+        C = DGCategory("Z", ("x",), lambda x, y: cx,
+                       comp_fn=lambda x, y, z, p, q: Matrix("Z", [[int(0 in (p, q))]]),
+                       id_fn=lambda x: (1,))
+        assert validate_dg(C) == per_degree_validate_dg(C) == DGReport(False, failures)
 
 
 def test_d_squared_in_two_degrees_of_two_hom_pairs_is_reported_as_the_reference_does():
@@ -741,7 +761,7 @@ def test_the_equivalence_report_lists_undecided_objects_apart_from_missing_ones(
                    comp_fn=lambda *args: Matrix("Z", [[1]]), id_fn=lambda a: (1,))
     hom = S.hom("x", "x")
     F = DGFunctor(S, C, {"x": "x"}, {("x", "x"): make_chain_map(hom, hom, {0: Matrix("Z", [[1]])})})
-    report = dg_homotopy_equivalence_check(F, window=(-1, 0))
+    report = dg_homotopy_equivalence_check(F)
     assert not report.ok
     assert report.failing_pairs() == ()
     assert report.missing_objects == ("z",)
@@ -763,7 +783,7 @@ def test_identity_functor_is_an_equivalence(cxcat):
             comps = {n: Matrix.identity("Z", cx.rank(n)) for n in cx.degrees()}
             mor_maps[(x, y)] = make_chain_map(cx, cx, comps)
     ident = DGFunctor(cxcat, cxcat, {x: x for x in cxcat.objects}, mor_maps)
-    report = dg_homotopy_equivalence_check(ident, window=(-1, 1))
+    report = dg_homotopy_equivalence_check(ident)
     assert report.ok
 
 
@@ -1225,10 +1245,14 @@ def test_alternating_inclusion_is_an_equivalence_on_correspondences(fincor_q):
     host, cocube, enr, alt = fincor_q
     inc = alternating_inclusion_functor(alt, enr)
     assert validate_functor(inc).ok
-    report = dg_homotopy_equivalence_check(inc, window=(-3, 0))
+    report = dg_homotopy_equivalence_check(inc)
     assert report.ok
     assert report.failing_pairs() == ()
     assert report.missing_objects == ()
+    # the default window stops at -2, where the cut at the top -3 begins;
+    # read on down to -3 too
+    assert {rep.window for _, rep in report.hom_reports} == {(-2, 0)}
+    assert all(is_quasi_iso(m, window=(-3, 0)).ok for m in inc.mor_maps.values())
 
 
 def test_vertex_inclusion_is_not_strict_and_the_check_says_so(vertex2):
@@ -1240,7 +1264,7 @@ def test_vertex_inclusion_is_not_strict_and_the_check_says_so(vertex2):
     # the defect sits exactly where two depth-one elements meet depth two
     assert {f.where[-2:] for f in report.failures} == {(-1, -1)}
     with pytest.raises(ValueError, match="functor"):
-        dg_homotopy_equivalence_check(inc, window=(-1, 0))
+        dg_homotopy_equivalence_check(inc)
 
 
 def test_vertex_inclusion_is_still_a_quasi_iso_on_each_pair(vertex2):
@@ -1255,8 +1279,7 @@ def test_sign_average_projection_is_a_strict_equivalence(vertex2):
     host, cocube, enr, alt = vertex2
     proj = alternating_projection_functor(enr, alt)
     assert validate_functor(proj).ok
-    assert dg_homotopy_equivalence_check(proj, window=(-1, 0)).ok
-    # both Hom models are cut at the top: the default window is the same one
+    # both Hom models are cut at the top -2: the default window stops at -1
     report = dg_homotopy_equivalence_check(proj)
     assert report.ok
     assert {rep.window for _, rep in report.hom_reports} == {(-1, 0)}
@@ -1289,13 +1312,11 @@ def test_collapse_functor_fails_with_a_witness_pair(fincor_z):
     enr = fincor_z[2]
     col = collapse_functor(enr.category)
     assert validate_functor(col).ok
-    report = dg_homotopy_equivalence_check(col, window=(-4, 0))
+    report = dg_homotopy_equivalence_check(col)
     assert not report.ok
     assert len(report.failing_pairs()) > 0
     # the default window reads the cut of the source Homs, moved down by one
-    default = dg_homotopy_equivalence_check(col)
-    assert {rep.window for _, rep in default.hom_reports} == {(-4, 0)}
-    assert default.failing_pairs() == report.failing_pairs()
+    assert {rep.window for _, rep in report.hom_reports} == {(-4, 0)}
 
 
 def augmentation(site, C, strict):
@@ -1354,16 +1375,20 @@ def test_validate_functor_equals_the_per_degree_reference(name, request):
 
 def test_composites_outside_the_source_window_are_skipped_as_in_the_reference():
     # e in degree -1 with e e = e2 != 0 in the target, while the source
-    # window stops at -1: F(e) F(e) has nowhere to come from, and is not
-    # evidence; a source window that reaches -2 with nothing in it is
-    def one_object(ranks, lo):
-        cx = make_complex("Z", lo, ranks)
+    # window stops at -1.  Uncut, the source is honestly 0 in degree -2, so
+    # e e = 0 there and F fails to preserve it, as it does when the source
+    # window reaches -2 with nothing in it; cut at -1, the source dropped
+    # e e, and F(e) F(e) is no evidence either way
+    def one_object(cx):
         return DGCategory("Z", ("o",), lambda x, y: cx, id_fn=lambda x: (1,),
                           comp_fn=lambda *key: Matrix("Z", [[1]]))
 
-    D = one_object([1, 1, 1], -2)
+    D = one_object(make_complex("Z", -2, [1, 1, 1]))
     edge = DGFailure("composition-image", ("o", "o", "o", -1, -1), "entry (0, 0): 0 != 1")
-    for C, failures in ((one_object([1, 1], -1), ()), (one_object([0, 1, 1], -2), (edge,))):
+    short = make_complex("Z", -1, [1, 1])
+    for source, failures in ((short, (edge,)), (cut_complex(short, lo=-1), ()),
+                             (make_complex("Z", -2, [0, 1, 1]), (edge,))):
+        C = one_object(source)
         inc = make_chain_map(C.hom("o", "o"), D.hom("o", "o"),
                              {n: Matrix("Z", [[1]]) for n in (-1, 0)})
         F = DGFunctor(C, D, {"o": "o"}, {("o", "o"): inc})

@@ -1218,6 +1218,19 @@ def test_totalize_reproduces_the_tensor_complex(ring, seed):
         assert T == tensor_complex(C, D)
 
 
+def test_direct_sum_and_totalize_refuse_a_piece_that_leaves_their_window():
+    # Z -2-> Z in degrees -1, 0 has H^0 = Z/2; on the window 0..0 its degree
+    # -1 would be dropped, and H^0 read as Z
+    C = two_term_complex(RING_Z, -1, Matrix(RING_Z, [[2]]))
+    assert complex_homology(C, 0).describe() == "Z/2"
+    with pytest.raises(ValueError, match="window 0..0"):
+        direct_sum(RING_Z, 0, 0, [C])
+    with pytest.raises(ValueError, match="window 0..0"):
+        totalize(RING_Z, 0, 0, {0: C}, None)
+    assert complex_homology(direct_sum(RING_Z, -1, 0, [C]), 0).describe() == "Z/2"
+    assert complex_homology(totalize(RING_Z, -1, 0, {0: C}, None), 0).describe() == "Z/2"
+
+
 def _random_chain_map(rng, C, D):
     """A random combination of a kernel basis of d^0 on Hom(C, D)."""
     H = hom_complex(C, D)

@@ -89,14 +89,14 @@ def defaulted_parameters():
                         yield path, name, arg.arg, None
 
 
-def calls_by_name():
-    """For each callable name, the calls to it in src/, tests/ and perfbench/
-    as (positional argument count, keyword names).  Only the positions before
-    a `*` argument count, since its length is not in the syntax tree; a `**`
-    argument counts as every keyword, and `super().__init__(...)` as a call
-    to each base class named."""
+def calls_by_name(tops):
+    """For each callable name, the calls to it in the directories `tops`
+    (such as "src") as (positional argument count, keyword names).  Only the
+    positions before a `*` argument count, since its length is not in the
+    syntax tree; a `**` argument counts as every keyword, and
+    `super().__init__(...)` as a call to each base class named."""
     calls = collections.defaultdict(list)
-    for top in ("src", "tests", "perfbench"):
+    for top in tops:
         for path in (ROOT / top).rglob("*.py"):
             tree = ast.parse(path.read_text())
             bases = {}
@@ -127,12 +127,18 @@ def calls_by_name():
     return calls
 
 
-def test_every_defaulted_parameter_is_set_by_some_call():
-    calls = calls_by_name()
-    unset = sorted(
+def unset_parameters(tops):
+    """The defaulted parameters that no call in the directories `tops` sets,
+    each as "file: callable(parameter)"."""
+    calls = calls_by_name(tops)
+    return sorted(
         "%s: %s(%s)" % (path.name, name, param)
         for path, name, param, pos in defaulted_parameters()
         if not any(param in keywords or None in keywords or (pos is not None and npos > pos)
                    for npos, keywords in calls[name])
     )
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    unset = unset_parameters(("src", "tests", "perfbench"))
     assert not unset, "defaulted parameters that no call sets: " + ", ".join(unset)
