@@ -893,7 +893,7 @@ def _free_module_host(ring, objects, rank, obj_tensor, unit, name):
     def mor_tensor(f, g):
         """f (x) g written straight from the two row-major vectors in the
         order of `Matrix.kron`: a zero block for each zero entry of f, and
-        entries kept as they come (ints stay ints over Q)."""
+        the products kept as they come (int * int stays int)."""
         if f.degree or g.degree:
             raise ValueError("free-module maps are concentrated in degree 0")
         a, b, c, d = rank(f.source), rank(f.target), rank(g.source), rank(g.target)
@@ -1250,7 +1250,7 @@ class _AlternatingLevels(_CubicalLevels):
         tilde = C.compose(host.mor_tensor(self.embed(f), self.embed(g)), pre)
         B = self.model(xx, yy).level_basis[N]
         coords = sign_coordinates(B, Matrix.column(C.ring, tilde.vector))
-        return HomElement(xx, yy, degree, tuple(coords.col(0)))
+        return HomElement(xx, yy, degree, _exact_vector(C.ring, coords.col(0)))
 
 
 class AlternatingEnrichment(CubicalEnrichment):

@@ -18,9 +18,11 @@ tensor, Hom, cone and total complexes and the composition matrix of
 mapping complexes (`hom_composition_matrix`) here do, or with
 `assemble_strided`, which moves blocks into place among the columns of a
 Kronecker product of totals.  Entries are coerced only at the public
-boundary (`Matrix(...)`, `Matrix.column`, `to_q`/`to_z`, the factor of
-`scale`, the products of `scale_columns`); everything else stores entries
-of the ring's type (int over Z, Fraction over Q) unchecked.  Law checks
+boundary (`Matrix(...)`, `Matrix.column`, `to_z`, the factor of `scale`,
+the products of `scale_columns`, the rows of `q_rref`), by `_coerce`: over
+Q as over Z an integral entry is an int, and a Fraction holds only a
+non-integer.  Everything else stores entries unchecked: int * int stays
+int, and a Fraction arises only where a Fraction went in.  Law checks
 of the form "composition applied to a tensor of maps" use `mul_kron`,
 which computes M * (A (x) B) without forming the Kronecker product, as
 the Leibniz check on `flat_total`s, `leibniz_mismatches`, does.
@@ -44,8 +46,8 @@ from fractions import Fraction
 RING_Z = "Z"
 RING_Q = "Q"
 
-# The zero and the one of each ring, in the ring's entry type.
-_UNITS = {RING_Z: (0, 1), RING_Q: (Fraction(0), Fraction(1))}
+# The zero and the one of each ring: ints over Q too.
+_UNITS = {RING_Z: (0, 1), RING_Q: (0, 1)}
 
 
 def _units(ring):
@@ -69,25 +71,29 @@ def _integer(value, what):
 
 
 def _coerce(ring, value):
-    """The entry as an int (Z) or a Fraction (Q); inexact values are refused."""
+    """The entry as an int over Z; over Q an int when it is integral and a
+    Fraction otherwise.  Inexact values are refused."""
     if ring == RING_Z:
         return _integer(value, "entry of a Z matrix")
-    if type(value) is Fraction:
+    if type(value) is int:
         return value
-    if isinstance(value, numbers.Rational):
-        return Fraction(value)
-    raise ValueError("entry of a Q matrix must be rational: %r" % (value,))
+    if type(value) is not Fraction:
+        if not isinstance(value, numbers.Rational):
+            raise ValueError("entry of a Q matrix must be rational: %r" % (value,))
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _exact_vector(ring, values):
-    """The values as a tuple of exact ring elements: ints are kept as they
-    are (over Q too), anything else goes through `_coerce`."""
+    """The values as a tuple of exact ring elements by the rule of
+    `_coerce`: ints are kept as they are, over Q too."""
     return tuple(v if type(v) is int else _coerce(ring, v) for v in values)
 
 
 class Matrix:
-    """Immutable matrix over Z (python ints) or Q (Fractions), stored as
-    sparse rows: row i is a dict {column: entry} of its nonzero entries.
+    """Immutable matrix over Z or Q, its entries as `_coerce` makes them,
+    stored as sparse rows: row i is a dict {column: entry} of its nonzero
+    entries.
     No zero is ever stored, so equal matrices have equal rows, and a row
     dict is never changed once sealed, so matrices share rows freely.
     Indices are checked: `m[i, j]` and `submatrix` raise IndexError for a
@@ -127,9 +133,9 @@ class Matrix:
 
     @property
     def rows(self):
-        """The dense rows, a tuple of tuples with zeros of the ring's type,
-        for readers outside the library; built on first use and kept.  It
-        is the only dense form of a matrix that this module builds."""
+        """The dense rows, a tuple of tuples with int zeros, for readers
+        outside the library; built on first use and kept.  It is the only
+        dense form of a matrix that this module builds."""
         try:
             return self._dense
         except AttributeError:
@@ -277,17 +283,15 @@ class Matrix:
         return Matrix._trusted(self.ring, out, self.nrows)
 
     def to_q(self):
-        return self._over(RING_Q)
+        """This matrix over Q: a Z matrix's rows, shared, are Q rows."""
+        return self if self.ring == RING_Q else Matrix._trusted(RING_Q, self._rows, self.ncols)
 
     def to_z(self):
-        return self._over(RING_Z)
-
-    def _over(self, ring):
-        """This matrix over `ring`, every entry coerced into it."""
-        if self.ring == ring:
+        """This matrix over Z, every entry coerced into it."""
+        if self.ring == RING_Z:
             return self
-        rows = tuple({j: _coerce(ring, v) for j, v in row.items()} for row in self._rows)
-        return Matrix._trusted(ring, rows, self.ncols)
+        rows = tuple({j: _coerce(RING_Z, v) for j, v in row.items()} for row in self._rows)
+        return Matrix._trusted(RING_Z, rows, self.ncols)
 
     def _check_same_shape(self, other):
         if (self.ring, self.nrows, self.ncols) != (other.ring, other.nrows, other.ncols):
@@ -368,10 +372,10 @@ def assemble(ring, nrows, ncols, terms):
     (r, c, X, 1, s) is a block, (r, c, n, 1, s) an identity block and
     (r, c, 1, 1, v) a single entry.  Only pairs of nonzero entries are
     visited.  A, B and the scalar hold ring elements or ints, which are not
-    coerced, except that a scalar written alone (A and B both ints) is
-    turned into the ring's type; a term that leaves the frame raises
-    ValueError.  An entry that the terms cancel is removed."""
-    kind = type(_units(ring)[0])
+    coerced, except that a scalar written alone (A and B both ints) goes
+    through `_coerce`; a term that leaves the frame raises ValueError.  An
+    entry that the terms cancel is removed."""
+    _units(ring)  # an unknown ring is refused
     out = [{} for _ in range(nrows)]
     for roff, coff, A, B, scalar in terms:
         # (most terms have an int factor, read here without a call)
@@ -386,8 +390,8 @@ def assemble(ring, nrows, ncols, terms):
             continue
         if type(A) is int and type(B) is int:
             # I_A (x) I_B = I_(AB): a single entry or one diagonal
-            if type(scalar) is not kind:
-                scalar = kind(scalar)
+            if type(scalar) is not int:
+                scalar = _coerce(ring, scalar)
             for t in range(A * B):
                 _add_entry(out[roff + t], coff + t, scalar)
         elif type(B) is int:
@@ -550,20 +554,15 @@ def scale_columns(M, factors, ring):
 
 
 def _columns_to_matrix(ring, nrows, cols):
-    """The nrows x len(cols) matrix with these columns.  Entries of the
-    ring's type are kept, each distinct nonzero int is converted once (ints
-    stay ints over Z), and anything else goes through `_coerce`."""
+    """The nrows x len(cols) matrix with these columns, its entries by the
+    rule of `_coerce`."""
     if any(len(col) != nrows for col in cols):
         raise ValueError("column length mismatch")
-    kind, known = type(_units(ring)[0]), {}
     out = tuple({} for _ in range(nrows))
     for c, col in enumerate(cols):
         for r, v in enumerate(col):
-            if type(v) is not kind:
-                if type(v) is not int:
-                    v = _coerce(ring, v)
-                elif v:
-                    v = known.get(v) or known.setdefault(v, kind(v))
+            if type(v) is not int:
+                v = _coerce(ring, v)
             if v:
                 out[r][c] = v
     return Matrix._trusted(ring, out, len(cols))
@@ -803,21 +802,22 @@ def z_solve(A, B):
 def q_rref(A):
     """Reduced row echelon form over Q; returns (R, pivot_columns).
 
-    Gauss-Jordan elimination on the sparse rows: only stored entries are
-    made Fractions (a Z matrix gives its echelon form over Q).  Each step
-    pivots on the least (leading column, row index) of a heap, scales that
-    row to a leading 1 and clears its column from the done rows and from
-    the remaining rows that lead with it, the only ones that hold it; they
-    go back on the heap unless emptied.  The reduced form is unique, so R
-    is the one that dense elimination gives."""
-    rest = [dict(row) for row in A.to_q()._rows if row]
+    Gauss-Jordan elimination on the sparse rows (a Z matrix's rows are Q
+    rows): it makes a Fraction only of stored entries, by exact division,
+    and seals R by `_coerce`.  Each step pivots on the least (leading
+    column, row index) of a heap, scales that row to a leading 1 and clears
+    its column from the done rows and from the remaining rows that lead
+    with it, the only ones that hold it; they go back on the heap unless
+    emptied.  The reduced form is unique, so R is the one that dense
+    elimination gives."""
+    rest = [dict(row) for row in A._rows if row]
     heap, done, pivots = [(min(r), k) for k, r in enumerate(rest)], [], []
     heapq.heapify(heap)
     while heap:
         p, k = heapq.heappop(heap)
         row = rest[k]
         if row[p] != 1:
-            inv = 1 / row[p]
+            inv = Fraction(1) / row[p]
             row = {j: v * inv for j, v in row.items()}
         for other in done:
             c = other.get(p)
@@ -833,16 +833,17 @@ def q_rref(A):
                 heapq.heappush(heap, (min(other), i))
         done.append(row)
         pivots.append(p)
-    return Matrix._trusted(RING_Q, tuple(done) + ({},) * (A.nrows - len(done)), A.ncols), pivots
+    done = tuple({j: _coerce(RING_Q, v) for j, v in row.items()} for row in done)
+    return Matrix._trusted(RING_Q, done + ({},) * (A.nrows - len(done)), A.ncols), pivots
 
 
 def q_rank(A):
-    return len(q_rref(A.to_q())[1])
+    return len(q_rref(A)[1])
 
 
 def q_kernel(A):
     """Columns form a basis of ker(A) over Q."""
-    R, pivots = q_rref(A.to_q())
+    R, pivots = q_rref(A)
     free = [j for j in range(A.ncols) if j not in pivots]
     # free column f gives the vector e_f - sum over the pivots p (row r) of R[r, f] e_p
     terms = [(f, c, 1, 1, 1) for c, f in enumerate(free)]
@@ -852,8 +853,7 @@ def q_kernel(A):
 
 def q_solve(A, B):
     """Solve A X = B over Q; returns one solution or None."""
-    A, B = A.to_q(), B.to_q()
-    aug = A.hstack(B)
+    aug = A.to_q().hstack(B.to_q())
     R, pivots = q_rref(aug)
     n = A.ncols
     if any(p >= n for p in pivots):

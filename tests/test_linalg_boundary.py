@@ -6,7 +6,9 @@ the `linalg` constructors (`assemble` above all) and read through
 sparse: the kernels and both eliminations read the stored rows alone,
 and only the dense view `Matrix.rows` builds dense rows, for readers
 outside the library, so no function in `linalg` reads `.rows` or builds
-a dense working copy (`._lists`).  References are read from the syntax
+a dense working copy (`._lists`).  Over Q an integral entry is an int,
+so an int / int would be a float: every true division in src/dgforge has
+a `Fraction(...)` call on its left.  References are read from the syntax
 tree, so a docstring or comment that mentions a name does not count."""
 
 import ast
@@ -57,6 +59,20 @@ def dense_reads(path):
     return found
 
 
+def float_divisions(path):
+    """(line, source) of each true division in path that may make a float:
+    `a / b` whose left operand is not a `Fraction(...)` call, and every
+    `a /= b`."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            left = node.left
+            if not (isinstance(left, ast.Call) and isinstance(left.func, ast.Name)
+                    and left.func.id == "Fraction"):
+                yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            yield node.lineno, ast.unparse(node)
+
+
 def test_only_linalg_knows_how_a_matrix_is_stored():
     crossings = [
         "%s:%d %s" % (path.name, line, what)
@@ -70,6 +86,29 @@ def test_only_linalg_knows_how_a_matrix_is_stored():
 def test_only_the_view_and_the_eliminations_densify():
     stray = sorted({"%s reads .%s" % (fn, attr) for fn, attr in dense_reads(LINALG)})
     assert not stray, "dense reads in linalg: " + ", ".join(stray)
+
+
+def test_every_true_division_is_exact():
+    floats = [
+        "%s:%d %s" % (path.name, line, source)
+        for path in sorted((ROOT / "src" / "dgforge").glob("*.py"))
+        for line, source in float_divisions(path)
+    ]
+    assert not floats, "divisions that may make a float: " + ", ".join(floats)
+
+
+def test_the_division_check_sees_each_kind_of_float(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from fractions import Fraction\n"
+        "def f(a, b):\n"
+        "    a /= b\n"
+        "    return Fraction(1) / a, 1 / a, Fraction / a, a // b, (a / b) / Fraction(2)\n"
+    )
+    assert sorted(float_divisions(path)) == [
+        (3, "a /= b"), (4, "1 / a"), (4, "Fraction / a"), (4, "a / b"),
+        (4, "a / b / Fraction(2)"),
+    ]
 
 
 def test_the_boundary_check_sees_each_kind_of_crossing(tmp_path):

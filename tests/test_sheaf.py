@@ -80,7 +80,7 @@ from dgforge.sheaf import (
     validate_presheaf,
 )
 from dgforge import sheaf as sheaf_module
-from util_gen import random_complex
+from util_gen import canonical_entry, random_complex
 
 
 @pytest.fixture(scope="module")
@@ -962,9 +962,9 @@ def test_torsion_of_a_mixed_differential_on_the_pseudo_circle(pseudo):
     assert cech_hypercohomology(F, 1).describe() == "Z/20"
 
 
-def test_q_sheaf_matrices_hold_fractions_only(pseudo):
+def test_q_sheaf_matrices_follow_the_entry_rule(pseudo):
     # the tower, cover and pairing builders seal their rows without
-    # coercion, so an int left in a Q matrix would show here
+    # coercion, so a float or a Fraction of denominator 1 would show here
     C = two_term_complex("Q", 0, Matrix("Q", [[2], [Fraction(1, 3)]]))
     F = constant_presheaf(pseudo, C)
     X = pseudo.space()
@@ -987,7 +987,7 @@ def test_q_sheaf_matrices_hold_fractions_only(pseudo):
     ]
     assert sum(M.nrows * M.ncols for M in mats) > 1000
     for M in mats:
-        assert all(type(v) is Fraction for row in M.rows for v in row)
+        assert all(canonical_entry("Q", v) for row in M.rows for v in row)
 
 
 @given(st.data())

@@ -1,6 +1,8 @@
-"""Shared deterministic generators for randomized unit tests."""
+"""Shared deterministic generators for randomized unit tests, and the two
+entry rules that tests pin matrix entries to."""
 
 import random
+from fractions import Fraction
 
 from dgforge.linalg import (
     Matrix,
@@ -20,6 +22,19 @@ from dgforge.pretr import (
     twisted_hom_complex,
     zero_morphism,
 )
+
+
+def exact_entry(ring, v):
+    """v is an entry the kernels may store: an int over Z; over Q an int or
+    a Fraction (of denominator 1 only where a Fraction factor went in),
+    never a float."""
+    return type(v) is int or (ring == RING_Q and type(v) is Fraction)
+
+
+def canonical_entry(ring, v):
+    """v is an entry as the producers seal it (`linalg._coerce`): an int
+    over Z; over Q an int, or a Fraction that is not an integer."""
+    return type(v) is int or (ring == RING_Q and type(v) is Fraction and v.denominator != 1)
 
 
 def random_z_matrix(rng, nrows, ncols, bound=9):
