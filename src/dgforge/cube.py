@@ -13,6 +13,7 @@ face/degeneracy bookkeeping.
 """
 
 import itertools
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -69,10 +70,12 @@ def compose(g, f):
     )
 
 
+@lru_cache(maxsize=None)
 def identity_map(n):
     return CubeMap(n, n, vertices(n), word=())
 
 
+@lru_cache(maxsize=None)
 def insertion(n, i, eps):
     """eta_{n,i,eps}: n -> n+1, insert the constant eps at slot i (1-based)."""
     if not 1 <= i <= n + 1:
@@ -83,6 +86,7 @@ def insertion(n, i, eps):
     return CubeMap(n, n + 1, table, word=("eta(%d,%d,%d)" % (n, i, eps),))
 
 
+@lru_cache(maxsize=None)
 def projection(n, i):
     """p_{n,i}: n -> n-1, delete slot i (1-based)."""
     if not 1 <= i <= n:
@@ -91,6 +95,7 @@ def projection(n, i):
     return CubeMap(n, n - 1, table, word=("p(%d,%d)" % (n, i),))
 
 
+@lru_cache(maxsize=None)
 def involution(n, i):
     """tau_{n,i}: flip coordinate i."""
     if not 1 <= i <= n:
@@ -101,6 +106,7 @@ def involution(n, i):
     return CubeMap(n, n, table, word=("tau(%d,%d)" % (n, i),))
 
 
+@lru_cache(maxsize=None)
 def transposition(n, i):
     """Swap coordinates i and i+1."""
     if not 1 <= i <= n - 1:
@@ -133,6 +139,7 @@ def permutation_map(n, perm):
     return out
 
 
+@lru_cache(maxsize=None)
 def merge(n, i):
     """mu at slots (i, i+1): n -> n-1 with output slot i equal to x_i * x_{i+1}."""
     if not 1 <= i <= n - 1:
@@ -153,6 +160,7 @@ def q_merge(n, i):
     return compose(involution(n - 1, i), mid)
 
 
+@lru_cache(maxsize=None)
 def front_projection(n, m):
     """(n+m) -> n keeping the first n coordinates."""
     out = identity_map(n + m)
@@ -161,6 +169,7 @@ def front_projection(n, m):
     return out
 
 
+@lru_cache(maxsize=None)
 def back_projection(n, m):
     """(n+m) -> m keeping the last m coordinates."""
     out = identity_map(n + m)
@@ -174,8 +183,9 @@ def back_projection(n, m):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def generator_maps(top, extended=False):
-    """Every one-step generator between levels 0..top, keyed by word token."""
+    """Every one-step generator between levels 0..top, keyed by word token (read-only)."""
     gens = []
     for n in range(top):
         for i in range(1, n + 2):
@@ -189,35 +199,36 @@ def generator_maps(top, extended=False):
             gens.append(transposition(n, i))
             if extended:
                 gens.append(merge(n, i))
-    return {g.word[0]: g for g in gens}
+    return types.MappingProxyType({g.word[0]: g for g in gens})
 
 
-def closure_walk(bound, extended=False):
-    """Breadth-first walk of the maps generated between levels 0..bound.
+@lru_cache(maxsize=None)
+def closure_walk(bound, extended=False, /):
+    """Breadth-first walk of the maps generated between levels 0..bound, as
+    the tuple of its steps, built once per process and positional pair.
 
     The walk starts from the identities and composes each map f it reaches
-    with every generator out of f.cod.  It yields each step as
-    (f, token, h, new): h is the generator `token` after f, and `new` says
-    whether the table of h is met here for the first time.  Only new maps
-    are walked further; callers keep whatever they attach to the maps.
+    with every generator out of f.cod.  A step (f, token, h, new) says whether
+    the table of the generator `token` after f is new; h is the map first met
+    with that table, so each map is held once.  Only new maps are walked further.
     """
     gens = {m: [] for m in range(bound + 1)}
     for token, g in generator_maps(bound, extended).items():
         gens[g.dom].append((token, g))
     frontier = [identity_map(m) for m in range(bound + 1)]
-    seen = {(f.dom, f.cod, f.table) for f in frontier}
+    seen = {f: f for f in frontier}
+    steps = []
     while frontier:
         nxt = []
         for f in frontier:
             for token, g in gens[f.cod]:
                 h = compose(g, f)
-                key = (h.dom, h.cod, h.table)
-                new = key not in seen
-                if new:
-                    seen.add(key)
+                first = seen.setdefault(h, h)
+                if first is h:
                     nxt.append(h)
-                yield f, token, h, new
+                steps.append((f, token, first, first is h))
         frontier = nxt
+    return tuple(steps)
 
 
 @lru_cache(maxsize=None)

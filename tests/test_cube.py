@@ -11,10 +11,12 @@ from dgforge.cube import (
     CubeMap,
     alternating_idempotent,
     back_projection,
+    closure_walk,
     compose,
     convolve,
     enumerate_homset,
     front_projection,
+    generator_maps,
     homset_contains,
     identity_map,
     insertion,
@@ -262,6 +264,54 @@ def test_homset_closure_words_witness_tables():
                 raise AssertionError("unexpected token %r" % token)
             cur = compose(g, cur)
         assert cur.table == f.table
+
+
+def reference_walk(bound, extended):
+    """The closure walk written out: breadth first from the identities, each
+    new map composed with every generator out of its codomain in the order of
+    `generator_maps`; a step is (f, token, h, new) with maps as their keys."""
+    gens = generator_maps(bound, extended)
+    frontier = [CubeMap(m, m, vertices(m)) for m in range(bound + 1)]
+    seen = {(f.dom, f.cod, f.table) for f in frontier}
+    steps = []
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for token, g in gens.items():
+                if g.dom != f.cod:
+                    continue
+                h = compose(g, f)
+                key = (h.dom, h.cod, h.table)
+                if key not in seen:
+                    nxt.append(h)
+                steps.append(((f.dom, f.cod, f.table), token, key, key not in seen))
+                seen.add(key)
+        frontier = nxt
+    return steps
+
+
+@pytest.mark.parametrize("bound, extended, size", [(2, True, 582), (3, False, 4512)])
+def test_the_cached_closure_walk_is_the_written_out_walk(bound, extended, size):
+    walk = closure_walk(bound, extended)
+    assert walk is closure_walk(bound, extended) and len(walk) == size
+    assert [((f.dom, f.cod, f.table), token, (h.dom, h.cod, h.table), new)
+            for f, token, h, new in walk] == reference_walk(bound, extended)
+    # a repeated table is the map met first, so the walk holds each map once
+    first = {f: f for f in map(identity_map, range(bound + 1))}
+    first.update((h, h) for _, _, h, new in walk if new)
+    assert all(f is first[f] and h is first[h] for f, _, h, _ in walk)
+
+
+def test_cube_maps_are_shared_and_the_generator_table_is_read_only():
+    assert insertion(1, 2, 0) is insertion(1, 2, 0)
+    assert front_projection(1, 2) is front_projection(1, 2)
+    gens = generator_maps(2, True)
+    assert gens is generator_maps(2, True) and gens["mu(2,1)"] is merge(2, 1)
+    with pytest.raises(TypeError):
+        gens["x"] = identity_map(0)
+    # a keyword spelling would be a second cache entry, so it is refused
+    with pytest.raises(TypeError):
+        closure_walk(2, extended=True)
 
 
 # ---------------------------------------------------------------------------

@@ -646,6 +646,19 @@ def test_a_wrong_unit_fails_the_unit_laws_only():
     assert report == per_degree_validate_dg(C)
 
 
+def test_a_unit_that_is_not_a_cycle_fails_unit_closed():
+    # End(x) = Z e -> Z t with d e = t, e the unit and every product of
+    # degrees adding up to 0 or 1 equal to 1: the unit laws and assoc hold,
+    # and d(e e) = t != 2 t = d(e) e + e d(e), so Leibniz fails with it
+    hom = make_complex("Z", 0, [1, 1], [Matrix("Z", [[1]])])
+    C = DGCategory("Z", ("x",), lambda x, y: hom,
+                   comp_fn=lambda *key: Matrix("Z", [[1]]), id_fn=lambda x: (1,))
+    report = validate_dg(C)
+    assert report.laws_failed() == ["leibniz", "unit-closed"]
+    assert report.failures[0] == DGFailure("unit-closed", ("x",), "d(id) != 0")
+    assert report == per_degree_validate_dg(C)
+
+
 # ---------------------------------------------------------------------------
 # Truncation, H^0 and Z^0.
 
@@ -974,6 +987,17 @@ def test_each_cocubical_object_is_validated_once(monkeypatch):
         cocube.top = 3
 
 
+def test_a_cocubical_check_reads_each_image_and_delta_once():
+    host, cocube = build_vertex_cubes(ring="Q", top=2, objects=(1,))
+    images, deltas = [], []
+    Q = CoCubicalObject(host, 2, True, cube=cocube.cube,
+                        image=lambda f: images.append(f) or cocube.image(f),
+                        delta=lambda n: deltas.append(n) or cocube.delta(n))
+    assert validate_cocubical(Q).ok
+    # 14 generators and 99 maps (identities included) at level bound 2
+    assert len(images) <= 14 + 99 and sorted(deltas) == [0, 1, 2]
+
+
 def test_a_bad_cocubical_object_is_validated_once_and_refused_each_time(vertex2, monkeypatch):
     host, cocube = vertex2[0], vertex2[1]
     bad = CoCubicalObject(host, 2, True, cube=cocube.cube,
@@ -1009,6 +1033,67 @@ def test_broken_generator_relation_is_reported_as_functoriality(vertex2):
     assert ((1, 2), "direct image disagrees with a factorization through tau(2,2)") in notes
     with pytest.raises(ValueError, match="functoriality"):
         cubical_enrichment(host, bad)
+
+
+class RankOne:
+    """An object of rank one in the vertex host that is not its unit 1; its
+    tensor square is itself."""
+
+    def __int__(self):
+        return 1
+
+    def __mul__(self, other):
+        return self
+
+
+def square_delta(n):
+    """A comultiplication on V(n) (x) V(n), V the vertex cube: v (x) w goes to
+    the mean of (v (x) v) (x) (w (x) w) and its twist.  It is natural for the
+    diagonal action, symmetric and counital, and not coassociative where v != w."""
+    k = 2 ** n
+    dom = k * k
+    vec = [0] * (dom * dom * dom)
+    for v, w in itertools.product(range(k), repeat=2):
+        vv, ww = v * k + v, w * k + w
+        vec[(vv * dom + ww) * dom + v * k + w] += Fraction(1, 2)
+        vec[(ww * dom + vv) * dom + v * k + w] += Fraction(1, 2)
+    return HomElement(dom, dom * dom, 0, tuple(vec))
+
+
+def broken_cocubes(host, cocube):
+    """Co-cubical objects at top 2 on the vertex host, each breaking one law."""
+    C = host.category
+    point = RankOne()
+
+    def cube(n):
+        return 2 ** n if n else point
+
+    return {
+        # cube(0) is an object of rank one other than the tensor unit
+        "unit-object": dict(
+            cube=cube,
+            image=lambda f: dataclasses.replace(cocube.image(f), source=cube(f.dom),
+                                                target=cube(f.cod)),
+            delta=lambda n: dataclasses.replace(cocube.delta(n), source=cube(n),
+                                                target=cube(n) * cube(n))),
+        # delta doubled everywhere: still natural, symmetric and coassociative
+        "co-unital": dict(cube=cocube.cube, image=cocube.image,
+                          delta=lambda n: C.scale(cocube.delta(n), 2)),
+        "co-associative": dict(
+            cube=lambda n: 4 ** n, delta=square_delta,
+            image=lambda f: host.mor_tensor(cocube.image(f), cocube.image(f))),
+        # delta doubled on cube^2 only: the maps into and out of level 2 see it
+        "co-cubical": dict(cube=cocube.cube, image=cocube.image,
+                           delta=lambda n: C.scale(cocube.delta(n), 1 + (n == 2))),
+    }
+
+
+@pytest.mark.parametrize("law", ["unit-object", "co-unital", "co-associative", "co-cubical"])
+def test_each_comultiplication_law_is_reported_when_only_it_breaks(vertex2, law):
+    host, cocube = vertex2[0], vertex2[1]
+    bad = CoCubicalObject(host, 2, True, **broken_cocubes(host, cocube)[law])
+    report = validate_cocubical(bad)
+    assert {f.law for f in report.failures} == {law}
 
 
 # ---------------------------------------------------------------------------
