@@ -19,9 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-DEFAULT_DIM_BOUND = 4
-
-
 @lru_cache(maxsize=None)
 def vertices(m):
     return tuple(itertools.product((0, 1), repeat=m))
@@ -184,7 +181,7 @@ def back_projection(n, m):
 
 
 @lru_cache(maxsize=None)
-def generator_maps(top, extended=False):
+def generator_maps(top, extended, /):
     """Every one-step generator between levels 0..top, keyed by word token (read-only)."""
     gens = []
     for n in range(top):
@@ -203,7 +200,7 @@ def generator_maps(top, extended=False):
 
 
 @lru_cache(maxsize=None)
-def closure_walk(bound, extended=False, /):
+def closure_walk(bound, extended, /):
     """Breadth-first walk of the maps generated between levels 0..bound, as
     the tuple of its steps, built once per process and positional pair.
 
@@ -249,17 +246,13 @@ def _closure(bound, extended):
     return out
 
 
-def enumerate_homset(m, n, extended=False, bound=DEFAULT_DIM_BOUND):
-    """All maps m -> n in the (extended) cube category, sorted by table."""
+def enumerate_homset(m, n, bound, extended=False):
+    """All maps m -> n in the (extended) cube category, sorted by table.
+    Only tests set `extended`: the category with merges, counted against its closed form."""
     if m > bound or n > bound:
         raise ValueError("dimensions exceed the closure bound %d" % bound)
     table = _closure(bound, extended).get((m, n), {})
     return tuple(table[k] for k in sorted(table))
-
-
-def homset_contains(f, extended=False, bound=DEFAULT_DIM_BOUND):
-    table = _closure(bound, extended).get((f.dom, f.cod), {})
-    return f.table in table
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +314,7 @@ def sign_character(g):
     return s
 
 
-def signed_symmetry_group(n, group="F"):
+def signed_symmetry_group(n, group):
     """All elements of F_n = (Z/2)^n x| Sigma_n, or just Sigma_n."""
     perms = list(itertools.permutations(range(n)))
     if group == "Sigma":
@@ -343,7 +336,7 @@ def signed_as_cube_map(g):
     return CubeMap(n, n, table, word=("sym",))
 
 
-def alternating_idempotent(n, group="F"):
+def alternating_idempotent(n, group):
     """(1/|G|) sum sgn(g) g in Q[G]; idempotent, image = sign-isotypic part.
 
     Returned as a tuple of (coefficient, SignedSymmetry) pairs in the fixed

@@ -169,7 +169,7 @@ def _table_support(m, t):
     return frozenset(supp)
 
 
-def interval_value_tables(m, extended=False):
+def interval_value_tables(m, extended):
     """Value tables of every map m -> 1 of cubes, as 0/1 tuples.
 
     The plain list is constants and (possibly flipped) coordinates.  With
@@ -208,12 +208,12 @@ def _canonical_cell(t):
     return min(t, comp)
 
 
-def circle_cell_tables(m, extended=False):
+def circle_cell_tables(m, extended):
     """Cells of the circle at level m: one-output maps modulo complement."""
     return tuple(sorted({_canonical_cell(t) for t in interval_value_tables(m, extended)}))
 
 
-def circle_chains(ring, top, extended=False):
+def circle_chains(ring, top, extended):
     """Chains on the cubical set with circle geometry.
 
     Level m is the free module on maps m -> 1 identified with their
@@ -253,6 +253,7 @@ def cubical_from_generator_matrices(ring, top, ranks, matrices, extended=False, 
     generator words must receive the same matrix, otherwise the data does not
     define a functor and a ValueError reports the violation.  The eager check
     walks the whole morphism closure, so keep top small (<= 3 with merges).
+    Only tests set `extended` and `name`: a named group with merges rebuilt from its generators.
     """
     gens = generator_maps(top, extended)
     missing = [tok for tok in gens if tok not in matrices]
@@ -558,7 +559,7 @@ def level_symmetry_matrix(A, g):
     return A.act(signed_as_cube_map(g))
 
 
-def sign_orbit_basis(A, n, group="F"):
+def sign_orbit_basis(A, n, group):
     """The sign part of level n as signed orbit sums, one column b_k per
     orbit O_k of the signed symmetries on the basis of A(n) that the sign
     character does not kill: +-1 on O_k (+1 at its smallest index) and 0
@@ -611,7 +612,7 @@ def sign_coordinates(B, mat):
     return assemble(RING_Q, B.ncols, B.nrows, terms) * mat.to_q()
 
 
-def alternating_projector(A, n, group="F"):
+def alternating_projector(A, n, group):
     """The sign average on level n as a dense matrix, read from the orbit
     basis B: B diag(1/|O_k|) B^T."""
     if A.ring != RING_Q:
@@ -620,7 +621,7 @@ def alternating_projector(A, n, group="F"):
     return B * sign_coordinates(B, Matrix.identity(RING_Q, A.rank(n)))
 
 
-def alternating_trace_rank(A, n, group="F"):
+def alternating_trace_rank(A, n, group):
     """Rank of the sign part from the character formula, as a cross-check."""
     val = Fraction(0)
     for c, g in alternating_idempotent(n, group):

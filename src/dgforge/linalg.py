@@ -1033,7 +1033,7 @@ def make_complex(ring, lo, ranks, diffs=None, check=True):
     return ChainComplex(ring, lo, ranks, dl)
 
 
-def zero_complex(ring, lo=0, hi=0):
+def zero_complex(ring, lo, hi):
     return make_complex(ring, lo, [0] * (hi - lo + 1))
 
 

@@ -194,7 +194,8 @@ def _check_mc(tc):
 
 
 def make_twisted(base, objects, e, e_bound=None):
-    """One object per index, structure maps keyed by index pairs (i, j)."""
+    """One object per index, structure maps keyed by index pairs (i, j).
+    Only tests set `e_bound`: a declared bound below the structure maps."""
     items = sorted(dict(objects).items())
     pos = {i: a for a, (i, _) in enumerate(items)}
     comps = {}
@@ -410,6 +411,7 @@ def twisted_identity(E):
 
 
 def zero_morphism(E, F, degree=0):
+    """Only tests set `degree`: a zero morphism of nonzero degree."""
     return twisted_morphism(E, F, degree, {})
 
 
@@ -693,7 +695,7 @@ def tot_morphism(PSI):
     return twisted_morphism(src, tgt, PSI.degree, comps)
 
 
-def tot_comparison(EE, key="tot"):
+def tot_comparison(EE, key):
     """Register the total complex and return (tot, rho, lam): rho projects
     the one-entry wrapper of the total complex onto each nested column and
     lam includes each column; they are mutually inverse closed degree-0
@@ -897,7 +899,8 @@ def idempotent_complete(C, idems=None):
     every object is paired with its identity, which embeds C.  The Hom
     complex of a pair is the image of h -> q o h o p inside the ambient
     Hom, in the basis of that image, and `embed(x, y, elem)` gives the
-    coordinates of q o elem o p in it."""
+    coordinates of q o elem o p in it.  Only tests set `idems`: a proper
+    summand, and idempotents that are refused."""
     if idems is None:
         idems = {x: IdempotentObject(x, C.identity(x)) for x in C.objects}
     idems = dict(idems)
@@ -1021,6 +1024,7 @@ class TwistInversion:
         return StabilizationReport((a, b), tuple(rows))
 
     def category(self, pairs, require_stable=True):
+        """The DG category on `pairs`; only tests set `require_stable`: a non-stable stage."""
         pairs = tuple(pairs)
         if require_stable:
             bad = []

@@ -21,9 +21,11 @@ the cover blocks, in the order `direct_sum` and `totalize` stack them.
 The limit, tower and cover matrices are `linalg.assemble` terms at the
 block starts of `linalg.block_offsets`, the pairing one matrix of
 `assemble_strided` blocks on the flat totals.  An inclusion of one
-layout in another is the 0/1 `_placement`, a projection its transpose;
-the tower's structure maps, the coboundary among them, come from one
-builder, `GodementTower._structure`.
+layout in another is the 0/1 `_placement`; the tower's structure maps,
+the coboundary among them, come from one builder, `GodementTower._structure`.
+The maps of presheaves over every open (the restrictions of a tower
+total, the augmentation and sheafification as natural maps) are test
+oracles; the library reads them one open at a time.
 
 Two tower flavours are provided.  The full tower indexes level n by
 weakly increasing chains of n+1 points; the reduced tower keeps only
@@ -44,7 +46,6 @@ from .linalg import (
     _apply,
     assemble,
     assemble_strided,
-    block_diagonal,
     block_offsets,
     complex_homology,
     compose_chain_maps,
@@ -58,7 +59,6 @@ from .linalg import (
     make_chain_map,
     mul_kron,
     restrict,
-    single_complex,
     subcomplex,
     tensor_basis,
     tensor_chain_map,
@@ -347,7 +347,8 @@ class Presheaf:
 
 def make_presheaf(site, vals, res, check=True):
     """Normalize keys, fill in identity restrictions, and (by default)
-    verify shapes, chain-map property and functoriality."""
+    verify shapes, chain-map property and functoriality.  Only tests set
+    `check`: the unchecked eager oracle of a tower's totals."""
     vals = {site.as_open(U): C for U, C in vals.items()}
     missing = [U for U in site.opens() if U not in vals]
     if missing:
@@ -404,10 +405,6 @@ def constant_presheaf(site, C):
     return Presheaf(site, vals, res, C.ring, (C.lo, C.hi))
 
 
-def unit_presheaf(site, ring):
-    return constant_presheaf(site, single_complex(ring, 0, 1))
-
-
 def tensor_presheaf(F, G):
     """The tensor product of the values and of the restrictions, each built
     on first read; its window is the sum of the two windows."""
@@ -418,38 +415,6 @@ def tensor_presheaf(F, G):
     res = _Lazy(site._is_inclusion, site.inclusions, lambda UV: tensor_chain_map(
         F.res[UV], G.res[UV], source=vals[UV[0]], target=vals[UV[1]]))
     return Presheaf(site, vals, res, F.ring, (flo + glo, fhi + ghi))
-
-
-@dataclass
-class PresheafMap:
-    """A degree-0 map of presheaves: one chain map per open, commuting
-    with restrictions."""
-
-    source: Presheaf
-    target: Presheaf
-    comps: dict
-
-    def at(self, U):
-        return self.comps[self.source.site.as_open(U)]
-
-
-def make_presheaf_map(source, target, comps, check=True):
-    site = source.site
-    comps = {site.as_open(U): f for U, f in comps.items()}
-    phi = PresheafMap(source, target, comps)
-    if check:
-        for U in site.opens():
-            if U not in comps:
-                raise ValueError("missing component at open %r" % (U,))
-            make_chain_map(source.vals[U], target.vals[U], comps[U].comps, check=True)
-        for (U, V) in source.res:
-            lhs = compose_chain_maps(comps[V], source.res[(U, V)])
-            rhs = compose_chain_maps(target.res[(U, V)], comps[U])
-            if lhs != rhs:
-                raise ValueError(
-                    "map fails to commute with restriction %r -> %r" % (U, V)
-                )
-    return phi
 
 
 def tensor_assoc_map(A, B, C):
@@ -469,15 +434,6 @@ def tensor_assoc_map(A, B, C):
             regrouped.append((a, i, bc[n - a][(t - a, j, k)]))
         comps[n] = _placement(src.ring, regrouped, tensor_basis(A, BC, n))
     return make_chain_map(src, tgt, comps, check=True)
-
-
-def tensor_presheaf_assoc(F, G, H):
-    src = tensor_presheaf(tensor_presheaf(F, G), H)
-    tgt = tensor_presheaf(F, tensor_presheaf(G, H))
-    comps = {
-        U: tensor_assoc_map(F.vals[U], G.vals[U], H.vals[U]) for U in F.site.opens()
-    }
-    return make_presheaf_map(src, tgt, comps, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -566,23 +522,6 @@ def sheafify(F):
     return Presheaf(site, vals, res, ring, (lo, hi))
 
 
-def sheafification_map(F, aF=None):
-    """The canonical comparison of F with its associated sheaf."""
-    site = F.site
-    if aF is None:
-        aF = sheafify(F)
-    lo, hi = F.window()
-    comps = {}
-    for U in site.opens():
-        cmap = {}
-        for n in range(lo, hi + 1):
-            # the limit's kernel inclusion is the stack of aF's restrictions
-            limit = _stalk_restrictions(aF, U, n)
-            cmap[n] = restrict(limit, _stalk_restrictions(F, U, n), "the stalk restrictions")
-        comps[U] = ChainMap(F.vals[U], aF.vals[U], cmap)
-    return make_presheaf_map(F, aF, comps, check=True)
-
-
 def _stalk_restrictions(F, U, n):
     """The restrictions of F(U) to the stalks at the points of U, stacked."""
     blocks = {x: F.restriction(U, F.site.up(x)).comp(n) for x in U}
@@ -604,7 +543,7 @@ class GodementTower:
     points starting in U; with `strict=True` only strictly increasing
     chains are kept (the reduced tower)."""
 
-    def __init__(self, source, depth, strict=False):
+    def __init__(self, source, depth, strict):
         if depth < 0:
             raise ValueError("depth must be nonnegative")
         self.source = source
@@ -630,22 +569,6 @@ class GodementTower:
         U = self.site.as_open(U)
         return self._memo(("level", p, U), lambda: direct_sum(
             self.source.ring, self.lo, self.hi, [self.chain_value(c) for c in self.chains(p, U)]))
-
-    def level(self, p):
-        """Level p as an honest presheaf (restriction = chain projection)."""
-        site = self.site
-        return self._memo(("presheaf", p), lambda: make_presheaf(
-            site, {U: self.level_complex(p, U) for U in site.opens()},
-            {(U, V): self._chain_projection(p, U, V) for U, V in site.inclusions()}, check=False))
-
-    def _chain_projection(self, p, U, V):
-        src = self.level_complex(p, U)
-        comps = {}
-        for n in range(self.lo, self.hi + 1):
-            rank = lambda c: self.chain_value(c).rank(n)
-            comps[n] = _placement(src.ring, _coordinates(self.chains(p, V), rank),
-                                  _coordinates(self.chains(p, U), rank)).transpose()
-        return ChainMap(src, self.level_complex(p, V), comps)
 
     # -- the cosimplicial structure (full tower only)
 
@@ -760,7 +683,7 @@ def reduced_inclusion(Tred, Tfull, U):
     return make_chain_map(src, tgt, comps, check=True)
 
 
-def default_depth(site, window_len, strict=False):
+def default_depth(site, window_len, strict):
     if strict:
         return site.dimension()
     return site.dimension() + window_len + 1
@@ -771,46 +694,6 @@ def godement_tower(F, depth=None, strict=False):
     if depth is None:
         depth = default_depth(F.site, hi - lo, strict)
     return GodementTower(F, depth, strict=strict)
-
-
-def total_godement(F, depth=None, strict=False):
-    """The tower's total complexes bundled as a presheaf."""
-    T = godement_tower(F, depth, strict=strict)
-    site = F.site
-    vals = {U: T.total(U) for U in site.opens()}
-    res = {}
-    for U, V in site.inclusions():
-        comps = {}
-        for n in range(T.lo, T.hi + T.depth + 1):
-            comps[n] = _placement(F.ring, T.layout(V, n), T.layout(U, n)).transpose()
-        res[(U, V)] = ChainMap(vals[U], vals[V], comps)
-    return make_presheaf(site, vals, res, check=False)
-
-
-def godement_augmentation(F, strict=False):
-    """The augmentation as a map of presheaves into the total."""
-    T = godement_tower(F, strict=strict)
-    total = total_godement(F, T.depth, strict=strict)
-    comps = {U: make_chain_map(F.vals[U], total.vals[U], T.augmentation(U).comps, check=False)
-             for U in F.site.opens()}
-    return make_presheaf_map(F, total, comps, check=True)
-
-
-def tower_map_at(phi, Tsrc, Ttgt, U):
-    """Apply a presheaf map levelwise through two towers of equal shape."""
-    if Tsrc.depth != Ttgt.depth or Tsrc.strict != Ttgt.strict:
-        raise ValueError("depth mismatch")
-    U = Tsrc.site.as_open(U)
-    src = Tsrc.total(U)
-    tgt = Ttgt.total(U)
-    comps = {}
-    for n in range(min(Tsrc.lo, Ttgt.lo), max(Tsrc.hi + Tsrc.depth, Ttgt.hi + Ttgt.depth) + 1):
-        comps[n] = block_diagonal(src.ring, [
-            phi.at(Tsrc.site.up(c[-1])).comp(n - p)
-            for p in range(Tsrc.depth + 1)
-            for c in Tsrc.chains(p, U)
-        ])
-    return make_chain_map(src, tgt, comps, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +773,8 @@ def cech_hypercohomology(F, n, cover=None):
     on F, so a sweep over the degrees builds each once; the sheaf is lazy,
     so only its values on the meets of the cover are built.  Unchecked: the
     answer is the hypercohomology only when the cover is Leray for the
-    sheaf, which `hypercohomology_compare` checks."""
+    sheaf, which `hypercohomology_compare` checks.  Only tests set `cover`:
+    a cover other than the minimal one; the `dgforge` command is to set it."""
     cover = minimal_cover(F.site) if cover is None else tuple(F.site.as_open(V) for V in cover)
     cx = F._memo(("cover", cover), lambda: cech_total(_sheafified(F), cover))
     return complex_homology(cx, n)
@@ -980,7 +864,8 @@ class AWPairing:
 def aw_cup(F, G, depth=None, strict=False):
     """Build matching towers for F, G and F (x) G and return the pairing
     whose stalk product is the inclusion of F(U)^q (x) G(U)^s into
-    (F (x) G)(U)^(q+s), at its place in `tensor_basis`."""
+    (F (x) G)(U)^(q+s), at its place in `tensor_basis`.  Only tests set
+    `depth` and `strict`: a chosen depth or flavour."""
     if depth is None:
         depth = default_depth(F.site, sum(hi - lo for lo, hi in (F.window(), G.window())), strict)
     FG = tensor_presheaf(F, G)
@@ -1130,7 +1015,9 @@ def rgamma(CP, depth=None, strict=True):
 
     The reduced tower is the default: its levels vanish beyond the poset
     dimension, so at its default depth the Hom totals carry no cut; another
-    depth or the full tower cuts them (`GodementTower.total`).
+    depth or the full tower cuts them (`GodementTower.total`).  Only tests set
+    `depth` and `strict`; the reduced-against-full comparison and the
+    `dgforge` command are to call it with them.
     """
     data = _RGammaData(CP, depth, strict)
     C = data.base
@@ -1187,7 +1074,9 @@ def hypercohomology_compare(CP, X, Y, n, depth=None, strict=True):
     checked to be Leray on the minimal cover.  A degree that the cut of the
     total leaves inexact is reported with `stable=False`.  The tower is
     kept on CP per (X, Y, depth, strict), so a degree sweep builds it once;
-    the tower holds the Hom presheaf, which holds nothing of CP."""
+    the tower holds the Hom presheaf, which holds nothing of CP.  Only tests
+    set `depth` and `strict`; the reduced-against-full comparison and the
+    `dgforge` command are to call it with them."""
     H = _hom_presheaf(CP, X, Y)
     T = CP._memo(("tower", X, Y, depth, strict), lambda: godement_tower(H, depth, strict=strict))
     tot = T.total(CP.site.space())

@@ -17,7 +17,6 @@ from dgforge.cube import (
     enumerate_homset,
     front_projection,
     generator_maps,
-    homset_contains,
     identity_map,
     insertion,
     involution,
@@ -230,8 +229,8 @@ def test_frozen_homset_sizes():
 
 def test_merge_membership():
     mu = merge(2, 1)
-    assert not homset_contains(mu, extended=False, bound=3)
-    assert homset_contains(mu, extended=True, bound=3)
+    assert mu not in enumerate_homset(2, 1, extended=False, bound=3)
+    assert mu in enumerate_homset(2, 1, extended=True, bound=3)
 
 
 def test_enumerate_homset_deterministic_and_bounded():
@@ -312,6 +311,8 @@ def test_cube_maps_are_shared_and_the_generator_table_is_read_only():
     # a keyword spelling would be a second cache entry, so it is refused
     with pytest.raises(TypeError):
         closure_walk(2, extended=True)
+    with pytest.raises(TypeError):
+        generator_maps(2, extended=True)
 
 
 # ---------------------------------------------------------------------------

@@ -559,7 +559,7 @@ def test_cup_degree_zero_is_plain_tensor():
 
 def test_generator_matrices_rebuild_functions():
     ref = functions_on_cubes(RING_Z, 2)
-    mats = {tok: ref.act(g) for tok, g in generator_maps(2, extended=True).items()}
+    mats = {tok: ref.act(g) for tok, g in generator_maps(2, True).items()}
     built = cubical_from_generator_matrices(
         RING_Z, 2, ref.ranks, mats, extended=True, name="rebuilt"
     )
@@ -573,7 +573,7 @@ def test_generator_matrices_rebuild_functions():
 
 def test_generator_matrices_detect_broken_functor():
     ref = functions_on_cubes(RING_Z, 2)
-    mats = {tok: ref.act(g) for tok, g in generator_maps(2, extended=False).items()}
+    mats = {tok: ref.act(g) for tok, g in generator_maps(2, False).items()}
     # swapping one involution matrix for a non-permutation breaks the
     # relation tau . tau = id, which the closure walk must notice
     mats["tau(1,1)"] = Matrix(RING_Z, [[1, 1], [0, 1]])
@@ -583,7 +583,7 @@ def test_generator_matrices_detect_broken_functor():
 
 def test_generator_matrices_reject_missing_or_misshapen():
     ref = functions_on_cubes(RING_Z, 2)
-    mats = {tok: ref.act(g) for tok, g in generator_maps(2, extended=False).items()}
+    mats = {tok: ref.act(g) for tok, g in generator_maps(2, False).items()}
     incomplete = dict(mats)
     del incomplete["p(1,1)"]
     with pytest.raises(ValueError, match="no matrix"):

@@ -1,7 +1,8 @@
 """No dead code in the library: every module-level function, every
 module-level class and every non-dunder method defined in src/dgforge is
-referenced by name somewhere in src/ or tests/, and every name a module
-imports at module level is used in that module.  References are read from
+referenced by name somewhere in src/ or tests/, every name a module
+imports at module level is used in that module, and every default is both
+overridden and relied on by some call.  References are read from
 the syntax tree (a name or an attribute), so a docstring or comment that
 mentions a name does not count."""
 
@@ -127,18 +128,43 @@ def calls_by_name(tops):
     return calls
 
 
-def unset_parameters(tops):
-    """The defaulted parameters that no call in the directories `tops` sets,
-    each as "file: callable(parameter)"."""
+def _calls_setting(tops):
+    """Per defaulted parameter, its label "file: callable(parameter)" and
+    whether each call in the directories `tops` sets it."""
     calls = calls_by_name(tops)
-    return sorted(
-        "%s: %s(%s)" % (path.name, name, param)
-        for path, name, param, pos in defaulted_parameters()
-        if not any(param in keywords or None in keywords or (pos is not None and npos > pos)
-                   for npos, keywords in calls[name])
-    )
+    for path, name, param, pos in defaulted_parameters():
+        yield "%s: %s(%s)" % (path.name, name, param), [
+            param in keywords or None in keywords or (pos is not None and npos > pos)
+            for npos, keywords in calls[name]]
+
+
+def unset_parameters(tops):
+    """The defaulted parameters that no call in the directories `tops` sets."""
+    return sorted(label for label, sets in _calls_setting(tops) if not any(sets))
+
+
+def overridden_defaults(tops):
+    """The defaulted parameters that every call in the directories `tops`
+    sets: defaults that no call relies on."""
+    return sorted(label for label, sets in _calls_setting(tops) if all(sets))
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
     unset = unset_parameters(("src", "tests", "perfbench"))
     assert not unset, "defaulted parameters that no call sets: " + ", ".join(unset)
+
+
+def test_every_default_is_relied_on_by_some_call():
+    dead = overridden_defaults(("src", "tests", "perfbench"))
+    assert not dead, "defaults that every call overrides: " + ", ".join(dead)
+
+
+# The options that only tests set, each a candidate for a library caller or
+# for deletion; lower the count when one goes, never raise it.
+OPTIONS_ONLY_TESTS_SET = 17
+
+
+def test_the_options_only_tests_set_do_not_grow():
+    unset = unset_parameters(("src", "perfbench"))
+    assert len(unset) <= OPTIONS_ONLY_TESTS_SET, (
+        "%d options that only tests set: %s" % (len(unset), ", ".join(unset)))

@@ -56,30 +56,24 @@ from dgforge.sheaf import (
     cech_total,
     constant_category_presheaf,
     constant_presheaf,
-    godement_augmentation,
     godement_tower,
     hom_presheaf,
     hypercohomology_compare,
     make_presheaf,
-    make_presheaf_map,
     make_site,
     minimal_cover,
     point_site,
     pseudo_circle_site,
     reduced_inclusion,
     rgamma,
-    sheafification_map,
     sheafify,
     sierpinski_site,
     tensor_assoc_map,
     tensor_presheaf,
-    tensor_presheaf_assoc,
-    total_godement,
-    tower_map_at,
-    unit_presheaf,
     validate_presheaf,
 )
 from dgforge import sheaf as sheaf_module
+from presheaf_oracle import check_presheaf_map, sheafification_eta, total_presheaf, tower_map_at
 from util_gen import canonical_entry, random_complex
 
 
@@ -350,19 +344,18 @@ def test_sheafify_fixes_sheaves(sierp, t2):
     # satisfy the gluing condition
     F = constant_presheaf(sierp, t2)
     aF = sheafify(F)
-    eta = sheafification_map(F, aF)
     for U in sierp.opens():
         if not U:
             continue
         for n in t2.degrees():
             assert aF.vals[U].rank(n) == t2.rank(n)
-            assert eta.at(U).comp(n) == Matrix.identity("Z", t2.rank(n))
+            assert sheafification_eta(F, aF, U).comp(n) == Matrix.identity("Z", t2.rank(n))
 
 
 def test_sheafification_map_validates(pseudo, t2):
     F = constant_presheaf(pseudo, t2)
-    # construction runs the chain-map and naturality checks
-    sheafification_map(F)
+    aF = sheafify(F)
+    check_presheaf_map(F, aF, lambda U: sheafification_eta(F, aF, U))
 
 
 def _mixed_torsion():
@@ -769,6 +762,20 @@ def test_depth_cut_flags_unstable_degrees(sierp):
             for n in range(3)] == [True, True, False]
 
 
+def test_a_reduced_tower_shallower_than_its_site_is_cut():
+    # negative control for the reduced tower's cut: on the 6-point sphere
+    # (dimension 2) the depth-1 total stops one level short, and its H^1 = Z^7
+    # is a truncation artefact that only the cut marks
+    site = _oracle_sites()["sphere6"]
+    F = constant_presheaf(site, single_complex("Z", 0, 1))
+    short = GodementTower(F, 1, True).total(site.space())
+    assert short.cut == (None, 1) and not short.exact(1)
+    assert complex_homology(short, 1).describe() == "Z^7"
+    full = GodementTower(F, 2, True).total(site.space())
+    assert full.cut == (None, None)
+    assert [complex_homology(full, n).describe() for n in range(3)] == ["Z", "0", "Z"]
+
+
 def test_a_cone_takes_its_cut_from_both_sides(sierp):
     # a tower total cut from degree 2 on, and a cubical complex cut up to -1
     tower = godement_tower(constant_presheaf(sierp, single_complex("Z", 0, 1)), depth=2)
@@ -858,12 +865,12 @@ def test_augmentation_fails_on_the_whole_pseudo_circle(pseudo):
     assert not is_quasi_iso(T.augmentation(pseudo.space()), window=(0, 1)).ok
 
 
-def test_presheaf_level_augmentation_and_total_validate(pseudo, t2):
+def test_tower_augmentation_and_total_validate(pseudo, t2):
     F = constant_presheaf(pseudo, t2)
-    godement_augmentation(F, strict=True)
-    validate_presheaf(total_godement(F, strict=True))
     T = godement_tower(F, strict=True)
-    validate_presheaf(T.level(1))
+    total = total_presheaf(T)
+    validate_presheaf(total)
+    check_presheaf_map(F, total, T.augmentation)
 
 
 def test_tower_maps_are_natural_for_restriction(pseudo):
@@ -873,19 +880,12 @@ def test_tower_maps_are_natural_for_restriction(pseudo):
     D = two_term_complex("Z", -1, Matrix("Z", [[2]]))
     f = make_chain_map(C, D, {0: Matrix("Z", [[1]])})
     FC, FD = constant_presheaf(pseudo, C), constant_presheaf(pseudo, D)
-    comps = {U: f if U else ChainMap(FC.vals[U], FD.vals[U], {}) for U in pseudo.opens()}
-    phi = make_presheaf_map(FC, FD, comps)
+    phi = check_presheaf_map(FC, FD, lambda U: f if U else ChainMap(FC.vals[U], FD.vals[U], {}))
     for strict in (False, True):
         depth = None if strict else 2
         TC, TD = godement_tower(FC, depth, strict), godement_tower(FD, depth, strict)
-        resC = total_godement(FC, TC.depth, strict).res
-        resD = total_godement(FD, TD.depth, strict).res
-        for U, V in pseudo.inclusions():
-            if not V:
-                continue
-            lhs = compose_chain_maps(resD[(U, V)], tower_map_at(phi, TC, TD, U))
-            rhs = compose_chain_maps(tower_map_at(phi, TC, TD, V), resC[(U, V)])
-            assert lhs == rhs, (strict, U, V)
+        check_presheaf_map(total_presheaf(TC), total_presheaf(TD),
+                           lambda U: tower_map_at(phi, TC, TD, U))
 
 
 def test_reduced_inclusion_is_a_quasi_iso(sierp, pseudo, t2):
@@ -1169,7 +1169,7 @@ def test_pairing_degree_zero_hand_block(sierp):
 
 def test_unit_laws_hold_literally(sierp, t2):
     F = constant_presheaf(sierp, t2)
-    U1 = unit_presheaf(sierp, "Z")
+    U1 = constant_presheaf(sierp, single_complex("Z", 0, 1))
     X = sierp.space()
 
     left = aw_cup(U1, F, depth=3)
@@ -1221,7 +1221,9 @@ def test_pairing_is_associative_up_to_the_canonical_regroupings(sierp, t2):
     cup_L, cup_R = aw_cup(FG, H, depth), aw_cup(F, GH, depth)
     mu_FG, mu_GH = pairing_chain_map(cup_FG, X), pairing_chain_map(cup_GH, X)
     mu_L, mu_R = pairing_chain_map(cup_L, X), pairing_chain_map(cup_R, X)
-    assoc_tot = tower_map_at(tensor_presheaf_assoc(F, G, H), cup_L.product, cup_R.product, X)
+    assoc = check_presheaf_map(tensor_presheaf(FG, H), tensor_presheaf(F, GH),
+                               lambda U: tensor_assoc_map(F.vals[U], G.vals[U], H.vals[U]))
+    assoc_tot = tower_map_at(assoc, cup_L.product, cup_R.product, X)
     totF, totG, totH = cup_FG.left.total(X), cup_GH.left.total(X), cup_GH.right.total(X)
     lhs = compose_chain_maps(
         assoc_tot,
@@ -1350,8 +1352,8 @@ def test_cup_pairing_matches_the_tensor_position_oracle(name, t2):
 
 
 def composition_presheaf_map(CP, X, Y, Z):
-    """Per-open composition, bundled as a presheaf map from the tensor of
-    Hom presheaves; building it checks the Leibniz rule open by open and
+    """Per-open composition from the tensor of Hom presheaves, that tensor
+    and the checked map; the check runs the Leibniz rule open by open and
     naturality on every inclusion."""
     site = CP.site
     HYZ, HXY, HXZ = (_hom_presheaf(CP, *pair) for pair in ((Y, Z), (X, Y), (X, Z)))
@@ -1373,16 +1375,16 @@ def composition_presheaf_map(CP, X, Y, Z):
             if pieces:
                 cmap[n] = block_matrix(CP.category(U).ring, [pieces])
         comps[U] = make_chain_map(src.vals[U], HXZ.vals[U], cmap, check=True)
-    return make_presheaf_map(src, HXZ, comps, check=True)
+    return src, check_presheaf_map(src, HXZ, comps.__getitem__)
 
 
 def pushed_composition(CP, x, y, z, depth, strict):
     """The oracle for global-sections composition: the pairing into the
     tower of the tensor of Hom presheaves, entry by entry, followed by the
     composition presheaf map pushed through the towers."""
-    cpm = composition_presheaf_map(CP, x, y, z)
+    src, cpm = composition_presheaf_map(CP, x, y, z)
     HYZ, HXY, HXZ = (_hom_presheaf(CP, *pair) for pair in ((y, z), (x, y), (x, z)))
-    TYZ, TXY, TXZ, TP = (GodementTower(H, depth, strict) for H in (HYZ, HXY, HXZ, cpm.source))
+    TYZ, TXY, TXZ, TP = (GodementTower(H, depth, strict) for H in (HYZ, HXY, HXZ, src))
     S = CP.site.space()
     pairing = tensor_position_pairing(TYZ, TXY, TP, S)
     return compose_chain_maps(tower_map_at(cpm, TP, TXZ, S), pairing)
