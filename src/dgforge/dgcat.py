@@ -22,8 +22,8 @@ vertices with the diagonal comultiplication.
 composites back along the degenerate splitting.  Its level maps are read
 off the row-major free-module host, the only host the two builders make:
 an action is the matrix I (x) U^T of precomposition with id (x) u, and the
-composites of all pairs of model columns are one sparse product of their
-integer parts.  `AlternatingEnrichment` is the same construction with
+composites of all pairs of model columns are one sparse product in the
+host's ring.  `AlternatingEnrichment` is the same construction with
 another level model: its level data overrides only `model` (the
 sign-isotypic subcomplex, with the signed orbit sums as basis) and
 `project` (the coordinates of the sign average, read from those sums),
@@ -33,9 +33,7 @@ category are freed by reference counting.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .cube import (
     closure_walk,
@@ -58,11 +56,11 @@ from .linalg import (
     _coerce,
     _exact_vector,
     _columns_to_matrix,
-    RING_Z,
     assemble,
     assemble_strided,
     block_matrix,
     blocks_as_columns,
+    canonical,
     complex_homology,
     differing_entries,
     flat_total,
@@ -76,7 +74,6 @@ from .linalg import (
     mul_kron,
     restrict,
     restrict_vector,
-    scale_columns,
     single_complex,
     solve,
     solve_vector,
@@ -862,14 +859,6 @@ def _precomposition(host, k, u):
     return assemble(host.category.ring, k * ut.nrows, k * ut.ncols, [(0, 0, k, ut, 1)])
 
 
-def _int_columns(mat):
-    """mat as the pair (ints, dens) that `project` takes: column j of mat is
-    column j of the integer matrix ints divided by dens[j], the lcm of its
-    denominators (1 over Z)."""
-    dens = [math.lcm(*(v.denominator for _, v in col)) for col in mat.transpose().nonzero_rows()]
-    return scale_columns(mat, dens, RING_Z), dens
-
-
 def _free_module_host(ring, objects, rank, obj_tensor, unit, name):
     """Tensor data with Hom(x, y) free of rank rank(x) * rank(y) in degree 0,
     maps stored as row-major matrices.  The basis of x (x) y must be pairs
@@ -1032,8 +1021,7 @@ class _CubicalLevels:
     splitting, and the composition read from them.  All are matrices over
     the row-major free-module host, the only host that `build_fincor` and
     `build_vertex_cubes` make: an action is a `_precomposition` matrix, and
-    composition is one sparse product of integer matrices, the model
-    columns cleared of their denominators, divided once at the end.
+    composition is one sparse product of the model columns.
 
     The enriched category's closures hold this object and it refers to
     neither the category nor the enrichment, so reference counting frees
@@ -1078,23 +1066,19 @@ class _CubicalLevels:
             self._models[key] = associated_complex(self.group(x, y), "reduced")
         return self._models[key]
 
-    def project(self, x, y, n, ints, dens):
-        """Model coordinates of the level-n columns of ints / dens, the pair
-        of `_int_columns`, projected along the degenerate splitting: the one
-        product K * ints, column j divided once by D * dens[j].  The
-        projector K / D in the model basis, K an integer matrix, is solved
-        for once per level, with the check that it fixes the model basis."""
+    def project(self, x, y, n, mat):
+        """Model coordinates of the level-n columns of mat, projected along
+        the degenerate splitting: the one product K * mat.  The projector K
+        in the model basis is solved for once per level, with the check
+        that it fixes the model basis."""
         key = (x, y, n)
         if key not in self._projectors:
             R = self.model(x, y).level_basis[n]
             K = restrict(R, degenerate_projector(self.group(x, y), n), "the projection")
             if K * R != Matrix.identity(R.ring, R.ncols):
                 raise ValueError("the projection does not fix the model at level %d" % n)
-            D = math.lcm(*_int_columns(K)[1])
-            self._projectors[key] = K.scale(D).to_z(), D
-        K, D = self._projectors[key]
-        ring = self.host.category.ring
-        return scale_columns(K * ints, [Fraction(1, D * d) for d in dens], ring)
+            self._projectors[key] = K
+        return canonical(self._projectors[key] * mat)
 
     def hom(self, x, y):
         return self.model(x, y).complex
@@ -1115,31 +1099,28 @@ class _CubicalLevels:
 
     def composition(self, x, y, z, p, q):
         """Compose on the full level n = -(p + q), then `project` back to
-        model coordinates, as one sparse product of integer matrices.  The
-        model columns moved to level n and cleared of their denominators by
-        `_int_columns` are the maps g_i: y (x) cube^n -> z and
-        f_j: x (x) cube^n -> y.  With F the f_j side by side and Delta the
-        matrix of delta_n, W = (F (x) I) (I (x) Delta) holds the maps
+        model coordinates, as one sparse product in the host's ring.  The
+        model columns moved to level n are the maps g_i: y (x) cube^n -> z
+        and f_j: x (x) cube^n -> y.  With F the f_j side by side and Delta
+        the matrix of delta_n, W = (F (x) I) (I (x) Delta) holds the maps
         w_j = (f_j (x) id) . (id_x (x) delta_n) side by side; with G the g_i
         side by side, G (I (x) W) holds g_i . w_j as block (i, j), g outer as
         in `comp_matrix`, and `blocks_as_columns` makes the blocks the raw
-        columns, each divided once by its two denominators.  The structure
-        maps of the cubes must be integral, as in both builders."""
+        columns."""
         b, a = -p, -q
         n = a + b
+        ring = self.host.category.ring
         nx, ny, c = (_host_rank(self.host, v) for v in (x, y, self.cocube.cube(n)))
-        G, gdens = _int_columns(
-            self.group(y, z).act(front_projection(b, a)) * self.model(y, z).level_basis[b])
-        F, fdens = _int_columns(
-            self.group(x, y).act(back_projection(b, a)) * self.model(x, y).level_basis[a])
+        G = self.group(y, z).act(front_projection(b, a)) * self.model(y, z).level_basis[b]
+        F = self.group(x, y).act(back_projection(b, a)) * self.model(x, y).level_basis[a]
         if n not in self._deltas:
             vec = self.cocube.delta(n).vector
-            self._deltas[n] = _side_by_side(_columns_to_matrix(RING_Z, c ** 3, [vec]), c)
+            self._deltas[n] = _side_by_side(_columns_to_matrix(ring, c ** 3, [vec]), c)
         fh = _side_by_side(F, nx * c)
-        W = mul_kron(assemble(RING_Z, ny * c, fh.ncols * c, [(0, 0, fh, c, 1)]), F.ncols * nx,
+        W = mul_kron(assemble(ring, ny * c, fh.ncols * c, [(0, 0, fh, c, 1)]), F.ncols * nx,
                      self._deltas[n])
         raw = blocks_as_columns(mul_kron(_side_by_side(G, ny * c), G.ncols, W), nx * c)
-        return self.project(x, z, n, raw, [dg * df for dg in gdens for df in fdens])
+        return self.project(x, z, n, raw)
 
 
 class CubicalEnrichment:
@@ -1205,13 +1186,10 @@ class _AlternatingLevels(_CubicalLevels):
             self._models[key] = alternating_complex(self.group(x, y), group="F", variant="full")
         return self._models[key]
 
-    def project(self, x, y, n, ints, dens):
-        """Coordinates of the sign average of the level-n columns of
-        ints / dens, the pair of `_int_columns`, in the signed orbit sums
-        that span the model: the coordinates of ints, column j divided
-        once by dens[j]."""
-        coords = sign_coordinates(self.model(x, y).level_basis[n], ints)
-        return scale_columns(coords, [Fraction(1, d) for d in dens], coords.ring)
+    def project(self, x, y, n, mat):
+        """Coordinates of the sign average of the level-n columns of mat in
+        the signed orbit sums that span the model."""
+        return canonical(sign_coordinates(self.model(x, y).level_basis[n], mat))
 
     def symmetry(self, x, y):
         t = self.host.symmetry(x, y)
@@ -1282,10 +1260,9 @@ def _levelwise_functor(src_enr, tgt_enr):
     mor_maps = {}
     for x in src.objects:
         for y in src.objects:
-            comps = {}
-            for n in range(tgt_enr.cocube.top + 1):
-                basis = src_enr.model(x, y).level_basis[n]
-                comps[-n] = tgt_enr.levels.project(x, y, n, *_int_columns(basis))
+            basis = src_enr.model(x, y).level_basis
+            comps = {-n: tgt_enr.levels.project(x, y, n, basis[n])
+                     for n in range(tgt_enr.cocube.top + 1)}
             mor_maps[(x, y)] = make_chain_map(src.hom(x, y), tgt.hom(x, y), comps)
     return DGFunctor(src, tgt, {x: x for x in src.objects}, mor_maps)
 

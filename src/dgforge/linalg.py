@@ -17,12 +17,13 @@ sum of signed Kronecker blocks scalar * (A (x) B) (Van Loan 2000), as the
 tensor, Hom, cone and total complexes and the composition matrix of
 mapping complexes (`hom_composition_matrix`) here do, or with
 `assemble_strided`, which moves blocks into place among the columns of a
-Kronecker product of totals.  Entries are coerced only at the public
-boundary (`Matrix(...)`, `Matrix.column`, `to_z`, the factor of `scale`,
-the products of `scale_columns`, the rows of `q_rref`), by `_coerce`: over
-Q as over Z an integral entry is an int, and a Fraction holds only a
-non-integer.  Everything else stores entries unchecked: int * int stays
-int, and a Fraction arises only where a Fraction went in.  Law checks
+Kronecker product of totals.  Entries are coerced by `_coerce` only at
+the public boundary (`Matrix(...)`, `Matrix.column`, the factor of
+`scale`, the rows of `q_rref`) and in `canonical`, the sealing pass for a
+product that may hold integral Fractions: over Q as over Z an integral
+entry is an int, and a Fraction holds only a non-integer.  Everything
+else stores entries unchecked: int * int stays int, and a Fraction
+arises only where a Fraction went in.  Law checks
 of the form "composition applied to a tensor of maps" use `mul_kron`,
 which computes M * (A (x) B) without forming the Kronecker product, as
 the Leibniz check on `flat_total`s, `leibniz_mismatches`, does.
@@ -238,11 +239,6 @@ class Matrix:
         terms = [(0, 0, self, 1, 1), (0, self.ncols, other, 1, 1)]
         return assemble(self.ring, self.nrows, self.ncols + other.ncols, terms)
 
-    def vstack(self, other):
-        if self.ncols != other.ncols or self.ring != other.ring:
-            raise ValueError("vstack mismatch")
-        return Matrix._trusted(self.ring, self._rows + other._rows, self.ncols)
-
     def submatrix(self, row_idx, col_idx):
         """The rows row_idx and columns col_idx, each a range or a sequence;
         an IndexError names the first index outside the matrix (a range of
@@ -285,13 +281,6 @@ class Matrix:
     def to_q(self):
         """This matrix over Q: a Z matrix's rows, shared, are Q rows."""
         return self if self.ring == RING_Q else Matrix._trusted(RING_Q, self._rows, self.ncols)
-
-    def to_z(self):
-        """This matrix over Z, every entry coerced into it."""
-        if self.ring == RING_Z:
-            return self
-        rows = tuple({j: _coerce(RING_Z, v) for j, v in row.items()} for row in self._rows)
-        return Matrix._trusted(RING_Z, rows, self.ncols)
 
     def _check_same_shape(self, other):
         if (self.ring, self.nrows, self.ncols) != (other.ring, other.nrows, other.ncols):
@@ -351,16 +340,6 @@ def block_matrix(ring, blocks):
     roff, nrows = block_offsets(range(len(blocks)), heights.get)
     coff, ncols = block_offsets(range(nbc), widths.get)
     return assemble(ring, nrows, ncols, [(roff[i], coff[j], b, 1, 1) for i, j, b in cells])
-
-
-def block_diagonal(ring, blocks):
-    """The blocks along the diagonal, zero elsewhere; no blocks give 0 x 0."""
-    if any(b.ring != ring for b in blocks):
-        raise ValueError("ring mismatch in block_diagonal")
-    roff, nrows = block_offsets(range(len(blocks)), lambda i: blocks[i].nrows)
-    coff, ncols = block_offsets(range(len(blocks)), lambda i: blocks[i].ncols)
-    terms = [(roff[i], coff[i], b, 1, 1) for i, b in enumerate(blocks)]
-    return assemble(ring, nrows, ncols, terms)
 
 
 def assemble(ring, nrows, ncols, terms):
@@ -544,13 +523,12 @@ def blocks_as_columns(M, n):
     return Matrix._trusted(M.ring, out, k)
 
 
-def scale_columns(M, factors, ring):
-    """M with column j times the nonzero factors[j], over `ring`: each
-    product is coerced into it (a ValueError when it leaves it)."""
-    if len(factors) != M.ncols or not all(factors):
-        raise ValueError("need one nonzero factor per column")
-    rows = tuple({j: _coerce(ring, v * factors[j]) for j, v in row.items()} for row in M._rows)
-    return Matrix._trusted(ring, rows, M.ncols)
+def canonical(M):
+    """M with each entry by the rule of `_coerce`, so the integral Fractions
+    that a product of Q matrices may hold become ints."""
+    rows = tuple({j: v if type(v) is int else _coerce(M.ring, v) for j, v in row.items()}
+                 for row in M._rows)
+    return Matrix._trusted(M.ring, rows, M.ncols)
 
 
 def _columns_to_matrix(ring, nrows, cols):

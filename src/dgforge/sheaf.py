@@ -566,9 +566,8 @@ class GodementTower:
         return self.source.stalk(c[-1])
 
     def level_complex(self, p, U):
-        U = self.site.as_open(U)
-        return self._memo(("level", p, U), lambda: direct_sum(
-            self.source.ring, self.lo, self.hi, [self.chain_value(c) for c in self.chains(p, U)]))
+        return direct_sum(self.source.ring, self.lo, self.hi,
+                          [self.chain_value(c) for c in self.chains(p, U)])
 
     # -- the cosimplicial structure (full tower only)
 

@@ -4,7 +4,7 @@ such maps one open at a time (`GodementTower.augmentation`,
 presheaves is a function U -> ChainMap, checked on every open and along
 every inclusion."""
 
-from dgforge.linalg import ChainMap, block_diagonal, compose_chain_maps, make_chain_map, restrict
+from dgforge.linalg import ChainMap, block_matrix, compose_chain_maps, make_chain_map, restrict
 from dgforge.sheaf import _placement, _stalk_restrictions, make_presheaf
 
 
@@ -29,9 +29,13 @@ def tower_map_at(at, Tsrc, Ttgt, U):
         raise ValueError("depth mismatch")
     src, tgt = Tsrc.total(U), Ttgt.total(U)
     degrees = range(min(Tsrc.lo, Ttgt.lo), max(Tsrc.hi, Ttgt.hi) + Tsrc.depth + 1)
-    comps = {n: block_diagonal(src.ring, [at(Tsrc.site.up(c[-1])).comp(n - p)
-                                          for p in range(Tsrc.depth + 1)
-                                          for c in Tsrc.chains(p, U)]) for n in degrees}
+
+    def diagonal(mats):
+        return block_matrix(src.ring, [[m if i == j else None for j in range(len(mats))]
+                                       for i, m in enumerate(mats)])
+
+    comps = {n: diagonal([at(Tsrc.site.up(c[-1])).comp(n - p) for p in range(Tsrc.depth + 1)
+                          for c in Tsrc.chains(p, U)]) for n in degrees}
     return make_chain_map(src, tgt, comps, check=True)
 
 

@@ -1676,8 +1676,8 @@ def precomposition_block_composition(levels, x, y, z, p, q):
                                            ("upscaled", "vertex-Q-top3")])
 def test_projection_of_integer_columns_is_the_fraction_product(scaling, name):
     # oracle: the projector K in the model basis, solved for over the ring,
-    # times the columns made into ring elements first.  Model columns
-    # multiplied by 2 and 3 put denominators into K.
+    # times the columns.  Model columns multiplied by 2 and 3 put
+    # denominators into K.
     host, cocube = COMPOSITION_CASES[name]()
     factor = {"rescaled": lambda k: Fraction(1, 2 + k % 2), "upscaled": lambda k: 2 + k % 2}
     lv = _rescaled_levels(host, cocube, factor[scaling]) if scaling else dgcat._CubicalLevels(
@@ -1689,13 +1689,11 @@ def test_projection_of_integer_columns_is_the_fraction_product(scaling, name):
         for n in range(cocube.top + 1):
             r = lv.group(x, y).rank(n)
             dens = (1, 2, 6) if ring == "Q" else (1, 1)
-            ints = _columns_to_matrix("Z", r, [[rng.choice((0, 0, 1, -2, 3)) for _ in range(r)]
-                                               for _ in dens])
             K = restrict(lv.model(x, y).level_basis[n],
                          degenerate_projector(lv.group(x, y), n), "the projection")
-            raw = _columns_to_matrix(ring, r, [[Fraction(v, d) for v in ints.col(j)]
-                                               for j, d in enumerate(dens)])
-            got = lv.project(x, y, n, ints, dens)
+            raw = _columns_to_matrix(ring, r, [[Fraction(rng.choice((0, 0, 1, -2, 3)), d)
+                                                for _ in range(r)] for d in dens])
+            got = lv.project(x, y, n, raw)
             assert got == K * raw, (name, x, y, n)
             assert all(canonical_entry(ring, got[i, j])
                        for i in range(got.nrows) for j in range(got.ncols))
@@ -1734,7 +1732,8 @@ def test_composition_matches_the_precomposition_block_route(name):
     ring = host.category.ring
     if name.startswith("rescaled-"):
         lv = _rescaled_levels(host, cocube)
-        assert {2, 3} <= set(dgcat._int_columns(lv.model(2, 2).level_basis[2])[1])
+        assert {2, 3} <= {v.denominator for row in lv.model(2, 2).level_basis[2].nonzero_rows()
+                          for _, v in row}
         cases = [(lv, DGCategory(ring, host.category.objects, lv.hom, comp_fn=lv.composition))]
     else:
         enrichments = [cubical_enrichment(host, cocube)]

@@ -13,6 +13,7 @@ from dgforge.linalg import (
     make_complex,
     single_complex,
     two_term_complex,
+    z_solve,
 )
 from dgforge.pretr import (
     cone,
@@ -100,13 +101,8 @@ def conjugate_complex(rng, C, steps_per_rank=2):
         n: random_unimodular(rng, C.rank(n), steps_per_rank * C.rank(n))
         for n in C.degrees()
     }
-    inv = {}
-    for n, u in conj.items():
-        # inverse of a unimodular integer matrix stays integral
-        from dgforge.linalg import q_solve
-
-        qi = q_solve(u.to_q(), Matrix.identity(RING_Q, u.nrows).to_q())
-        inv[n] = qi.to_z()
+    # the inverse of a unimodular integer matrix is integral
+    inv = {n: z_solve(u, Matrix.identity(RING_Z, u.nrows)) for n, u in conj.items()}
     diffs = []
     for n in range(C.lo, C.hi):
         diffs.append(conj[n + 1] * C.d(n) * inv[n])
